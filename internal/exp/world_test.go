@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -84,5 +85,28 @@ func TestReplicatedHostnameOnGrid(t *testing.T) {
 			t.Fatalf("rank %d has two replicas on %s", r.Rank, host)
 		}
 		byRank[r.Rank][host] = true
+	}
+}
+
+// TestShutdownLeavesNoGoroutines: actors are coroutines that Shutdown
+// unwinds synchronously, so Close returning means every daemon goroutine
+// of the world is gone, not merely told to go.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots the full grid")
+	}
+	before := runtime.NumGoroutine()
+	w := NewWorld(DefaultOptions(42))
+	if err := w.Boot(); err != nil {
+		w.Close()
+		t.Fatalf("boot: %v", err)
+	}
+	booted := runtime.NumGoroutine()
+	w.Close()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines before NewWorld, %d booted, %d right after Close", before, booted, after)
+	}
+	if booted <= before {
+		t.Fatal("no actor was parked in the booted world: nothing was tested")
 	}
 }

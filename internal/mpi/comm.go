@@ -27,11 +27,11 @@ type Comm struct {
 
 	mu       sync.Mutex // guards conns, seqs, log, group, dedup, closed
 	conns    map[string]transport.Conn
-	sendSeq  map[int]uint64 // next seq per destination rank
-	lastSeen map[int]uint64 // dedup: last delivered seq per source rank
+	sendSeq  []uint64       // next seq per destination rank
+	lastSeen []uint64       // dedup: last delivered seq per source rank
 	group    *replica.Group // this rank's replica group (r > 1)
 	sendLog  []loggedSend   // backup copy for failover resend
-	byRank   map[int][]Slot // rank -> its replica slots
+	byRank   map[int][]Slot // rank -> its replica slots; immutable after Join, read without mu
 	colSeq   uint64         // collective operation counter
 	hbStop   bool           // stops heartbeat/monitor loops
 }
@@ -73,8 +73,8 @@ func Join(cfg Config) (*Comm, error) {
 		size:     cfg.N,
 		inbox:    cfg.RT.NewMailbox(),
 		conns:    make(map[string]transport.Conn),
-		sendSeq:  make(map[int]uint64),
-		lastSeen: make(map[int]uint64),
+		sendSeq:  make([]uint64, cfg.N),
+		lastSeen: make([]uint64, cfg.N),
 		byRank:   make(map[int][]Slot),
 		group:    replica.NewGroup(cfg.R, cfg.Self.Replica, cfg.FailTimeout, cfg.RT.Now()),
 	}
@@ -237,8 +237,8 @@ func (c *Comm) send(dst, tag int, d Data) error {
 		c.mu.Unlock()
 		return ErrClosed
 	}
-	seq := c.sendSeq[dst] + 1
-	c.sendSeq[dst] = seq
+	c.sendSeq[dst]++
+	seq := c.sendSeq[dst]
 	leader := c.group.IsLeader()
 	if !leader {
 		c.sendLog = append(c.sendLog, loggedSend{dstRank: dst, seq: seq, tag: tag, data: d})
@@ -262,10 +262,7 @@ func (c *Comm) transmit(dst int, seq uint64, tag int, d Data) error {
 		tag:        tag,
 		data:       d,
 	}
-	c.mu.Lock()
-	targets := append([]Slot(nil), c.byRank[dst]...)
-	c.mu.Unlock()
-
+	targets := c.byRank[dst]
 	var firstErr error
 	for _, t := range targets {
 		if t.Global == c.cfg.Self.Global {
@@ -345,6 +342,9 @@ func (c *Comm) accept(ev *envelope) bool {
 	if c.cfg.R == 1 {
 		return true
 	}
+	if ev.srcRank < 0 || ev.srcRank >= len(c.lastSeen) {
+		return false // a source outside the world: corrupt frame
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if ev.seq <= c.lastSeen[ev.srcRank] {
@@ -377,8 +377,8 @@ func (c *Comm) heartbeatLoop() {
 			c.mu.Unlock()
 			return
 		}
-		peers := append([]Slot(nil), c.byRank[c.rank]...)
 		c.mu.Unlock()
+		peers := c.byRank[c.rank]
 		ev := envelope{
 			kind:       kindHeartbeat,
 			srcRank:    c.rank,

@@ -3,6 +3,8 @@ package vtime
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,29 +35,32 @@ type Runtime interface {
 	NewMailbox() Mailbox
 }
 
-// actor is the scheduler-side handle for one registered goroutine.
+// actor is the scheduler-side handle for one registered coroutine.
 type actor struct {
 	name   string
-	ch     chan struct{} // wake token, buffered 1
-	stop   bool          // set under s.mu by Shutdown
-	parked bool          // blocked in park, waiting for a wake
-	idx    int           // position in s.all, for O(1) removal
+	resume func() (struct{}, bool) // iter.Pull next: runs the actor until it yields or exits
+	stop   func()                  // iter.Pull stop: makes the pending yield return false
+	yield  func(struct{}) bool     // switches back to whoever called resume; set when the body starts
+	parked bool                    // blocked in park, waiting for a wake
+	idx    int                     // position in s.all, for O(1) removal
 }
 
 // Scheduler is a sequential discrete-event executor.
 //
-// The hot path is run-to-completion: pure timer events (Sleep expiries,
-// queue timeouts) fire inline on the dispatch loop under one lock
-// acquisition, and when the next runnable actor is the very goroutine
-// driving the dispatch, the hand-off resolves without touching its wake
-// channel. A Sleep tick therefore costs one mutex cycle and zero
-// allocations; goroutine parking is paid only when control genuinely
-// moves between actors.
+// Actors are coroutines (iter.Pull) resumed one at a time by the driver:
+// the goroutine that called Wait, RunFor or RunUntil. A parking actor
+// runs the dispatch loop itself; pure timer events (Sleep expiries,
+// queue timeouts) fire inline under one lock acquisition, and when the
+// next runnable actor is the parking actor itself it simply carries on.
+// A Sleep tick therefore costs one mutex cycle and zero allocations.
+// Only when control genuinely moves to another actor does the parker
+// yield to the driver, which resumes that actor: two direct goroutine
+// switches, no run queue, no thread wake.
 //
 // The zero value is not usable; call New.
 type Scheduler struct {
 	mu       sync.Mutex
-	idleCond *sync.Cond // broadcast when the scheduler goes idle
+	idleCond *sync.Cond // broadcast when the driver returns
 
 	epoch    time.Time     // virtual time zero
 	now      time.Duration // virtual time since epoch; written under mu
@@ -69,13 +74,14 @@ type Scheduler struct {
 	heap []int32
 	seq  uint64
 
-	runq      []*actor // runnable, not yet executing; ring via rqHead
-	rqHead    int
-	cur       *actor   // the single executing actor, nil if none
-	executing bool     // true while cur runs or an event fires
-	all       []*actor // every live actor (parked ones carry a.parked)
+	runq    []*actor // runnable, not yet executing; ring via rqHead
+	rqHead  int
+	cur     *actor   // the single executing actor, nil if none
+	on      *actor   // the actor whose coroutine the driver has resumed
+	handoff *actor   // next runner chosen by a parking actor, for the driver
+	all     []*actor // every live actor (parked ones carry a.parked)
 
-	idle    bool
+	driving bool // a goroutine is inside Wait's dispatch loop
 	stopped bool
 
 	limited bool          // when set, events beyond limit do not fire
@@ -118,41 +124,38 @@ func (s *Scheduler) setNowLocked(t time.Duration) {
 }
 
 // Go registers fn as a new actor and makes it runnable. It may be called
-// from outside the scheduler (before Wait) or from inside a running actor.
+// from outside the scheduler (before Wait, or while another goroutine
+// drives) or from inside a running actor.
 func (s *Scheduler) Go(name string, fn func()) {
-	a := &actor{name: name, ch: make(chan struct{}, 1)}
+	a := &actor{name: name}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.stopped {
-		s.mu.Unlock()
 		return
 	}
-	a.idx = len(s.all)
-	s.all = append(s.all, a)
-	s.idle = false
-	s.runq = append(s.runq, a)
-	s.mu.Unlock()
-
-	go func() {
-		<-a.ch // wait for the token
-		if a.stop {
-			s.actorExit(a, nil)
-			return
-		}
+	a.resume, a.stop = iter.Pull(func(yield func(struct{}) bool) {
+		a.yield = yield
 		defer func() {
 			r := recover()
-			if r == ErrStopped { // clean shutdown unwind
-				r = nil
+			s.actorExit(a)
+			if r != nil && r != ErrStopped {
+				// Re-raised by iter.Pull on the goroutine driving Wait, so
+				// the actor's own stack has to travel in the message.
+				panic(fmt.Sprintf("vtime: actor %q panicked: %v\n%s", a.name, r, debug.Stack()))
 			}
-			s.actorExit(a, r)
 		}()
 		fn()
-	}()
+	})
+	a.idx = len(s.all)
+	s.all = append(s.all, a)
+	s.runq = append(s.runq, a)
 }
 
-// removeActorLocked drops a from the live set (swap-remove).
+// removeActorLocked drops a from the live set (swap-remove). Shutdown
+// empties the set wholesale, so a may already be gone.
 func (s *Scheduler) removeActorLocked(a *actor) {
 	last := len(s.all) - 1
-	if a.idx <= last {
+	if a.idx <= last && s.all[a.idx] == a {
 		moved := s.all[last]
 		s.all[a.idx] = moved
 		moved.idx = a.idx
@@ -161,21 +164,15 @@ func (s *Scheduler) removeActorLocked(a *actor) {
 	}
 }
 
-// actorExit releases the token when an actor's function returns. A non-nil
-// recovered panic value is re-raised on the caller of Wait via a stored
-// fault so bugs are not swallowed.
-func (s *Scheduler) actorExit(a *actor, fault any) {
+// actorExit releases the token when an actor's function returns or
+// unwinds. The coroutine then ends and control is back in the driver (or
+// in Shutdown), which picks the next runner.
+func (s *Scheduler) actorExit(a *actor) {
 	s.mu.Lock()
 	s.removeActorLocked(a)
-	s.cur = nil
-	s.executing = false
-	if fault != nil {
-		// Surface actor panics loudly: stop the world and re-panic here so
-		// the test binary fails with the actor's stack in view.
-		s.mu.Unlock()
-		panic(fmt.Sprintf("vtime: actor %q panicked: %v", a.name, fault))
+	if s.cur == a { // not so for a parked actor unwound by Shutdown
+		s.cur = nil
 	}
-	s.dispatchLocked(nil)
 	s.mu.Unlock()
 }
 
@@ -279,9 +276,10 @@ func (t *Timer) Stop() bool {
 
 // parkLocked blocks the current actor until some event or other actor
 // wakes it. Caller holds s.mu; the lock is held again when parkLocked
-// returns. When the dispatch loop selects the parking actor itself as
-// the next runner, the hand-off resolves inline — no channel round-trip,
-// no goroutine switch. Panics with ErrStopped on shutdown.
+// returns. The parking actor runs the dispatch loop itself: when that
+// selects the parking actor as the next runner it resumes inline, no
+// switch at all; otherwise it leaves the selected actor (if any) in
+// s.handoff and yields to the driver. Panics with ErrStopped on shutdown.
 func (s *Scheduler) parkLocked(a *actor) {
 	if s.stopped {
 		s.mu.Unlock()
@@ -289,17 +287,17 @@ func (s *Scheduler) parkLocked(a *actor) {
 	}
 	a.parked = true
 	s.cur = nil
-	s.executing = false
-	if s.dispatchLocked(a) {
-		return // resumed inline: cur == a, executing == true
+	next := s.dispatchLocked()
+	if next == a {
+		return // resumed inline: cur == a
 	}
+	s.handoff = next
+	stopped := s.stopped // Shutdown ran in an event callback on this very coroutine
 	s.mu.Unlock()
-	<-a.ch
-	s.mu.Lock()
-	if a.stop {
-		s.mu.Unlock()
+	if stopped || !a.yield(struct{}{}) {
 		panic(ErrStopped)
 	}
+	s.mu.Lock()
 }
 
 // WakeLocked makes a parked actor runnable. It is exported for use by
@@ -324,40 +322,28 @@ func (s *Scheduler) popRunqLocked() *actor {
 	return a
 }
 
-// dispatchLocked hands the execution token to the next runnable actor, or
-// advances the clock by firing events until an actor becomes runnable. If
-// neither is possible the scheduler goes idle. Caller holds s.mu.
+// dispatchLocked selects the next runnable actor, advancing the clock by
+// firing events until one becomes runnable. If neither is possible the
+// scheduler is idle and nil is returned. Caller holds s.mu and resumes
+// the returned actor (s.cur): a parking actor by carrying on when it is
+// itself, the driver through the actor's coroutine otherwise.
 //
 // Internal events (actor wakes, queue-waiter expiries) run to completion
 // right here, under the lock — they only mutate scheduler state, so a
 // run of pure timer events costs one lock acquisition total. User
-// callbacks (After/Schedule) run with the lock released, exactly as
-// before, so they can re-enter public APIs; no actor executes meanwhile,
-// which keeps callbacks serialized with all actor code.
-//
-// It returns true when the selected next runner is self (the actor whose
-// goroutine is driving this dispatch, parked moments ago): the caller
-// resumes inline instead of bouncing a token through its wake channel.
-func (s *Scheduler) dispatchLocked(self *actor) bool {
-	if s.executing {
-		return false
-	}
+// callbacks (After/Schedule) run with the lock released so they can
+// re-enter public APIs; no actor executes meanwhile (s.cur is nil and
+// only the dispatching goroutine runs), which keeps callbacks serialized
+// with all actor code.
+func (s *Scheduler) dispatchLocked() *actor {
 	for {
 		if s.rqHead < len(s.runq) {
-			a := s.popRunqLocked()
-			s.cur = a
-			s.executing = true
-			if a == self {
-				return true
-			}
-			a.ch <- struct{}{}
-			return false
+			s.cur = s.popRunqLocked()
+			return s.cur
 		}
 		if s.stopped || len(s.heap) == 0 ||
 			(s.limited && s.slab[s.heap[0]].at > s.limit) {
-			s.idle = true
-			s.idleCond.Broadcast()
-			return false
+			return nil
 		}
 		id := s.heapPop()
 		ev := &s.slab[id]
@@ -383,39 +369,58 @@ func (s *Scheduler) dispatchLocked(self *actor) bool {
 		case evFuncArg:
 			fn, arg := ev.fnArg, ev.arg
 			s.freeEventLocked(id)
-			s.executing = true
 			s.mu.Unlock()
 			fn(arg)
 			s.mu.Lock()
-			s.executing = false
 		default:
 			// Run the callback without the lock so it can use public APIs
-			// (Queue.Push, After, Schedule). No actor executes meanwhile,
-			// so the callback is still serialized with all actor code.
+			// (Queue.Push, After, Schedule).
 			fn := ev.fn
 			s.freeEventLocked(id)
-			s.executing = true
 			s.mu.Unlock()
 			fn()
 			s.mu.Lock()
-			s.executing = false
 		}
 	}
 }
 
-// Wait blocks the (external, non-actor) caller until the scheduler is
-// idle: no runnable actor and no pending event. Parked actors may remain;
-// use Shutdown to unwind them.
+// Wait drives the scheduler from the calling (external, non-actor)
+// goroutine until it is idle: no runnable actor and no pending event.
+// Parked actors may remain; use Shutdown to unwind them. A panic in an
+// actor surfaces here, carrying the actor's name and stack, and may be
+// recovered: the scheduler stays usable. While one goroutine drives, a
+// second caller only blocks until that driver returns.
 func (s *Scheduler) Wait() {
 	s.mu.Lock()
-	if !s.executing {
-		s.idle = false
-		s.dispatchLocked(nil)
+	if s.driving {
+		for s.driving {
+			s.idleCond.Wait()
+		}
+		s.mu.Unlock()
+		return
 	}
-	for !s.idle {
-		s.idleCond.Wait()
+	s.driving = true
+	defer func() { // s.mu is not held here, on return and on panic alike
+		s.mu.Lock()
+		s.driving, s.on = false, nil
+		s.idleCond.Broadcast()
+		s.mu.Unlock()
+	}()
+	for {
+		a := s.handoff
+		s.handoff = nil
+		if a == nil {
+			if a = s.dispatchLocked(); a == nil {
+				s.mu.Unlock()
+				return
+			}
+		}
+		s.on = a
+		s.mu.Unlock()
+		a.resume() // until a parks behind another actor, goes idle or exits
+		s.mu.Lock()
+		s.on = nil
 	}
-	s.mu.Unlock()
 }
 
 // RunFor drives the simulation for d of virtual time (or until it runs
@@ -503,7 +508,10 @@ func (s *Scheduler) AdvanceTo(t time.Duration) {
 }
 
 // Shutdown stops the scheduler: pending events are dropped and every
-// parked or queued actor is unwound with ErrStopped. Idempotent.
+// parked or queued actor is unwound with ErrStopped before Shutdown
+// returns, so no actor goroutine outlives it. Idempotent. Call it once
+// the driver has returned, or from inside an actor or callback; never
+// from another goroutine while a driver runs.
 func (s *Scheduler) Shutdown() {
 	s.mu.Lock()
 	if s.stopped {
@@ -521,25 +529,27 @@ func (s *Scheduler) Shutdown() {
 	s.slab = nil
 	s.free = nil
 	s.heap = nil
-	// Unwind runnable-but-not-started actors and parked actors.
-	for i := s.rqHead; i < len(s.runq); i++ {
-		a := s.runq[i]
-		s.runq[i] = nil
-		a.stop = true
-		a.ch <- struct{}{}
+	// Unwind every other actor, started or not: all of them are suspended
+	// in yield (or before their first instruction), so stop runs each one's
+	// deferred calls to completion before returning. The caller's own
+	// coroutine, if Shutdown was called from inside one, unwinds at its
+	// next park.
+	victims, on := s.all, s.on
+	s.all = nil
+	if on != nil {
+		on.idx = 0
+		s.all = []*actor{on}
 	}
-	s.runq = s.runq[:0]
-	s.rqHead = 0
-	for _, a := range s.all {
-		if a.parked {
-			a.parked = false
-			a.stop = true
-			a.ch <- struct{}{}
+	for _, a := range victims {
+		a.parked = false
+	}
+	s.runq, s.rqHead, s.handoff = nil, 0, nil
+	s.mu.Unlock()
+	for _, a := range victims {
+		if a != on {
+			a.stop()
 		}
 	}
-	s.idle = true
-	s.idleCond.Broadcast()
-	s.mu.Unlock()
 }
 
 // Actors returns the number of live actors (for tests and diagnostics).

@@ -271,11 +271,7 @@ func TestShutdownUnwindsParkedActors(t *testing.T) {
 		})
 	}
 	s.Wait()
-	s.Shutdown()
-	deadline := time.Now().Add(2 * time.Second)
-	for cleaned.Load() != 5 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	s.Shutdown() // synchronous: every deferred call has run when it returns
 	if cleaned.Load() != 5 {
 		t.Fatalf("only %d/5 actors unwound after Shutdown", cleaned.Load())
 	}
