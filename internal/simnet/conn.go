@@ -68,111 +68,49 @@ func (nn *nodeNet) Dial(addr string) (transport.Conn, error) {
 	if to == nil {
 		return nil, transport.ErrUnreachable
 	}
-	if from.sh != to.sh {
-		return nn.dialCross(from, to, rhost, rport)
-	}
 	// The whole connection — handshake and both directions of later
 	// traffic — draws its jitter from one per-flow stream minted here,
 	// keyed by (dialer, destination host, destination port, dial
 	// sequence). See flowKey for why.
-	rt := from.sh.rt
-	rng, _ := from.sh.flowRNG(n.cfg.Seed, flowKey{from: nn.host, to: rhost, port: rport})
-	if fa := n.faults; fa != nil && fa.cut(from.site, to.site) {
-		return dialCut(n, rt, rng, from, to)
-	}
-	// SYN travels one way; the handshake result travels back. The dialer
-	// observes a full round trip before Dial returns, like TCP.
-	synArrival := n.planDelivery(rng, from, to, 64)
-	resultq := vtime.NewQueue[dialResult](rt)
-
-	rt.Schedule(synArrival-rt.Elapsed(), func() {
-		l := to.listener(rport)
-		if to.down || l == nil || l.closed {
-			// Connection refused: the RST also takes one trip back.
-			back := n.planDelivery(rng, to, from, 64)
-			rt.Schedule(back-rt.Elapsed(), func() {
-				resultq.Push(dialResult{err: transport.ErrUnreachable})
-			})
-			return
-		}
-		local := nn.host + ":" + itoa(ephemeral(from))
-		pair := newConnPair(n, from, to, local, l.addr, rng, nil)
-		back := n.planDelivery(rng, to, from, 64)
-		l.deliver(pair.server)
-		rt.Schedule(back-rt.Elapsed(), func() {
-			resultq.Push(dialResult{c: pair.client})
-		})
-	})
-	r, ok := resultq.Pop()
-	if !ok {
-		return nil, transport.ErrClosed
-	}
-	return r.c, r.err
-}
-
-// dialCross originates a connection whose endpoints live on different
-// shards. The SYN's sender-side work (flow stream mint, NIC-out
-// reservation, jitter draw, ephemeral port) happens here on the dialer's
-// shard; the rest of the handshake crosses via the barrier merge (see
-// shard.go). Like the sequential path, the dialer blocks until a full
-// round trip completes.
-func (nn *nodeNet) dialCross(from, to *netHost, rhost, rport string) (transport.Conn, error) {
-	n := nn.n
 	sh := from.sh
 	rng, src := sh.flowRNG(n.cfg.Seed, flowKey{from: nn.host, to: rhost, port: rport})
+	hs := &handshake{
+		n: n, from: from, to: to, port: rport,
+		pipe: n.pipe(from.site, to.site),
+		base: n.topo.SiteLatency(from.site, to.site),
+		rng:  rng, src: src,
+		resultq: vtime.NewQueue[*conn](sh.rt),
+	}
 	if fa := n.faults; fa != nil && fa.cut(from.site, to.site) {
-		return dialCut(n, sh.rt, rng, from, to)
+		// A dial across an active partition cut fails with ErrUnreachable
+		// (hs.client stays nil) after one noisy round trip, the time an
+		// RST (or the dialer's own SYN give-up) would take. It never
+		// leaves the dialer's shard — no reservations, no frame — and
+		// consumes exactly one jitter draw from the freshly minted flow
+		// stream, which dies with the failed dial, so its draw count
+		// perturbs no other flow.
+		sh.rt.ScheduleArg(2*hs.base+n.jitter(rng, hs.base), fireDialResult, hs)
+	} else {
+		// The SYN travels one way; the handshake result travels back
+		// (fireSYN). The ephemeral port is allocated here, not when the
+		// SYN lands: that would mutate the dialer host from the
+		// listener's shard. Port numbers never feed timing or payload
+		// bytes.
+		from.nextPort++
+		hs.local = nn.host + ":" + itoa(from.nextPort)
+		var x xmsg
+		x.kind, x.size, x.hs = xDial, 64, hs
+		x.from, x.to, x.pipe, x.base = from, to, hs.pipe, hs.base
+		n.depart(&x, rng, src)
 	}
-	now := sh.rt.Elapsed()
-	partial := from.nicOut.reserve(now, 64)
-	jit := n.jitter(rng, n.topo.SiteLatency(from.site, to.site))
-	// The ephemeral port is allocated at dial time (the sequential path
-	// allocates it when the SYN lands, but that would mutate the dialer
-	// host from the remote shard). Port numbers never feed timing or
-	// payload bytes, so the numbering difference is unobservable.
-	local := nn.host + ":" + itoa(ephemeral(from))
-	resultq := vtime.NewQueue[dialResult](sh.rt)
-	sh.emit(xmsg{
-		kind: xDial, at: now, rank: from.rank, size: 64,
-		partial: partial, jit: jit, state: src.state,
-		from: from, to: to, port: rport, local: local, resultq: resultq,
-	})
-	r, ok := resultq.Pop()
+	c, ok := hs.resultq.Pop()
 	if !ok {
 		return nil, transport.ErrClosed
 	}
-	return r.c, r.err
-}
-
-// dialCut fails a dial across an active partition cut: ErrUnreachable
-// after one noisy round trip, the time an RST (or the dialer's own SYN
-// give-up) would take. Runs entirely on the dialer's shard in both
-// engines — no reservations, no cross traffic — and consumes exactly
-// one jitter draw from the freshly minted flow stream, so the sharded
-// and sequential engines advance identically. The flow stream dies with
-// the failed dial, so its draw count perturbs no other flow.
-func dialCut(n *Net, rt *vtime.Scheduler, rng *rand.Rand, from, to *netHost) (transport.Conn, error) {
-	base := n.topo.SiteLatency(from.site, to.site)
-	rtt := 2*base + n.jitter(rng, base)
-	resultq := vtime.NewQueue[dialResult](rt)
-	rt.Schedule(rtt, func() {
-		resultq.Push(dialResult{err: transport.ErrUnreachable})
-	})
-	r, ok := resultq.Pop()
-	if !ok {
-		return nil, transport.ErrClosed
+	if c == nil {
+		return nil, transport.ErrUnreachable
 	}
-	return r.c, r.err
-}
-
-func ephemeral(h *netHost) int {
-	h.nextPort++
-	return h.nextPort
-}
-
-type dialResult struct {
-	c   transport.Conn
-	err error
+	return c, nil
 }
 
 func itoa(v int) string {
@@ -257,12 +195,6 @@ func (l *listener) Close() error {
 
 func (l *listener) Addr() string { return l.addr }
 
-// connPair is the shared state of the two directions of one connection.
-type connPair struct {
-	client *conn
-	server *conn
-}
-
 // conn is one endpoint. Messages pushed to inbox arrive via delivery
 // events; lastArrival clamps arrivals to per-direction FIFO order.
 //
@@ -274,224 +206,74 @@ type conn struct {
 	remote string
 	lh     *netHost    // local endpoint host
 	rh     *netHost    // remote endpoint host
-	sh     *netShard   // local endpoint's shard state
 	pipe   *serializer // backbone pipe between the two sites
 	base   time.Duration
-	rng    *rand.Rand // the flow's jitter stream (shared with peer
-	//                        when same-shard; per-endpoint when cross)
-	src         *flowSource // cross only: this endpoint's stream state
+	// The flow's jitter stream: one object shared with the peer when both
+	// endpoints live on one shard; a private stream per endpoint, synced
+	// from each crossing frame, when they do not.
+	rng         *rand.Rand
+	src         *flowSource
 	inbox       *vtime.Queue[transport.Message]
 	peer        *conn
-	cross       bool // endpoints live on different shards
 	closed      bool
-	peerClosed  bool          // cross only: mirror of peer.closed, set by FIN
+	peerClosed  bool          // the peer's FIN has arrived
 	lastArrival time.Duration // FIFO clamp for messages *arriving at peer*
 }
 
-// newConnPair wires both endpoints of one connection. src is the flow
-// stream's raw state source, required (non-nil) when the endpoints live
-// on different shards: the accepting endpoint keeps it, and the dialing
-// endpoint gets a private stream whose state is synced from each
-// crossing message, reproducing the sequential shared-stream draw order
-// for alternating request/reply traffic.
-func newConnPair(n *Net, ch, sh *netHost, clientAddr, serverAddr string, rng *rand.Rand, src *flowSource) *connPair {
-	pipe := n.pipe(ch.site, sh.site)
-	client := &conn{
-		n: n, local: clientAddr, remote: serverAddr,
-		lh: ch, rh: sh, sh: ch.sh, pipe: pipe,
-		base:  n.topo.SiteLatency(ch.site, sh.site),
-		rng:   rng,
+// newConnPair wires both endpoints of an accepted handshake. The dialing
+// endpoint keeps the stream Dial minted; rng/src is the accepting
+// endpoint's — the same object when the endpoints share a shard, the
+// listener's continuation of it when they do not (see fireSYN), which
+// reproduces the sequential shared-stream draw order for alternating
+// request/reply traffic.
+func newConnPair(hs *handshake, serverAddr string, back time.Duration, rng *rand.Rand, src *flowSource) (client, server *conn) {
+	ch, sh := hs.from, hs.to
+	client = &conn{
+		n: hs.n, local: hs.local, remote: serverAddr,
+		lh: ch, rh: sh, pipe: hs.pipe, base: hs.base,
+		rng: hs.rng, src: hs.src,
 		inbox: vtime.NewQueue[transport.Message](ch.sh.rt),
 	}
-	server := &conn{
-		n: n, local: serverAddr, remote: clientAddr,
-		lh: sh, rh: ch, sh: sh.sh, pipe: pipe,
-		base:  n.topo.SiteLatency(sh.site, ch.site),
-		rng:   rng,
+	server = &conn{
+		n: hs.n, local: serverAddr, remote: hs.local,
+		lh: sh, rh: ch, pipe: hs.pipe, base: back,
+		rng: rng, src: src,
 		inbox: vtime.NewQueue[transport.Message](sh.sh.rt),
 	}
 	client.peer = server
 	server.peer = client
-	if ch.sh != sh.sh {
-		client.cross, server.cross = true, true
-		server.src = src
-		csrc := &flowSource{}
-		client.src = csrc
-		client.rng = rand.New(csrc)
-	}
-	return &connPair{client: client, server: server}
-}
-
-// delivery is one in-flight message: a pooled, closure-free event
-// payload scheduled through vtime.ScheduleArg. Carriers are recycled
-// through a free list and allocated in blocks when it runs dry, so even
-// a burst of sends that outruns delivery (nothing recycled yet) costs
-// one allocation per block of messages, not one per message.
-type delivery struct {
-	sh    *netShard // owning (receiving) shard's free list
-	peer  *conn
-	msg   transport.Message
-	state uint64    // cross only: sender's flow-stream state to adopt
-	sync  bool      // cross only: apply state on delivery
-	next  *delivery // free-list link
-}
-
-const deliveryBlock = 256
-
-func (sh *netShard) getDelivery() *delivery {
-	d := sh.delFree
-	if d == nil {
-		block := make([]delivery, deliveryBlock)
-		for i := 1; i < len(block); i++ {
-			block[i].sh = sh
-			block[i].next = sh.delFree
-			sh.delFree = &block[i]
-		}
-		block[0].sh = sh
-		return &block[0]
-	}
-	sh.delFree = d.next
-	d.next = nil
-	return d
-}
-
-// fireDelivery delivers the message (or drops it if the destination died
-// while it was in flight) and recycles the carrier. Package-level so
-// scheduling it captures nothing. For cross-shard frames it first syncs
-// the receiving endpoint's flow stream to the sender's post-draw state.
-func fireDelivery(a any) {
-	d := a.(*delivery)
-	sh, peer, msg := d.sh, d.peer, d.msg
-	if d.sync && peer.src != nil {
-		peer.src.state = d.state
-	}
-	d.peer = nil
-	d.msg = transport.Message{}
-	d.state = 0
-	d.sync = false
-	d.next = sh.delFree
-	sh.delFree = d
-	if peer.lh.down {
-		msg.Release()
-		return
-	}
-	peer.inbox.Push(msg)
+	return client, server
 }
 
 // frameOverhead approximates per-message header cost on the wire.
 const frameOverhead = 64
 
 func (c *conn) Send(m transport.Message) error {
+	if c.closed || c.lh.down {
+		return transport.ErrClosed
+	}
+	// Messages into the void are silently dropped, like TCP segments
+	// toward a dead host; the sender learns via higher-level timeout.
+	// Peer-close visibility is the one liveness rule that depends on the
+	// engine: a same-shard peer's closed flag is read directly; a peer on
+	// another shard is known only as of its FIN's arrival — the causal
+	// limit of what a remote shard can observe.
+	if c.rh.down || c.peerClosed || (c.lh.sh == c.rh.sh && c.peer.closed) {
+		return nil
+	}
 	n := c.n
-	if c.closed {
-		return transport.ErrClosed
-	}
-	if c.lh.down {
-		return transport.ErrClosed
-	}
-	if c.cross {
-		return c.sendCross(m)
-	}
-	if c.rh.down || c.peer.closed {
-		// Messages into the void are silently dropped, like TCP segments
-		// toward a dead host; the sender learns via higher-level timeout.
+	if fa := n.faults; fa != nil && fa.cut(c.lh.site, c.rh.site) {
+		// A partition swallows the frame before it reserves or draws
+		// anything; the sender learns via higher-level timeout, like
+		// rh.down.
 		return nil
 	}
-	fa := n.faults
-	if fa != nil && fa.cut(c.lh.site, c.rh.site) {
-		// A partition swallows the frame before it reserves anything;
-		// the sender learns via higher-level timeout, like rh.down.
-		return nil
-	}
-	arrival := n.plan(c.rng, c.lh, c.rh, c.pipe, c.base, m.Size()+frameOverhead)
-	var dropped, dup bool
-	var dupDelay time.Duration
-	if fa != nil {
-		arrival += fa.slowExtra(c.lh, c.rh, c.base)
-		dropped, dup, dupDelay = fa.frameFate(c.rng, c.lh, c.rh)
-	}
-	if arrival <= c.lastArrival {
-		arrival = c.lastArrival + time.Nanosecond
-	}
-	c.lastArrival = arrival
-	if dropped {
-		// The frame paid its reservations and advanced the FIFO clamp;
-		// only its delivery vanishes (determinism rule 2, faults.go).
-		return nil
-	}
-
-	// Copy the payload — the sender may reuse its buffer immediately —
-	// into a pooled buffer that the receiver's Release recycles.
-	sh := c.sh
-	var cp []byte
-	if len(m.Payload) > 0 {
-		cp = sh.bufPool.Get(len(m.Payload))
-		copy(cp, m.Payload)
-	}
-	d := sh.getDelivery()
-	d.peer = c.peer
-	d.msg = transport.Pooled(cp, m.Virtual, &sh.bufPool)
-	sh.rt.ScheduleArg(arrival-sh.rt.Elapsed(), fireDelivery, d)
-	if dup {
-		// The duplicate is its own copy (pooled buffers are released per
-		// delivery) and skips the lastArrival clamp: it lands dupDelay
-		// after the original, unordered against later frames.
-		var cp2 []byte
-		if len(m.Payload) > 0 {
-			cp2 = sh.bufPool.Get(len(m.Payload))
-			copy(cp2, m.Payload)
-		}
-		d2 := sh.getDelivery()
-		d2.peer = c.peer
-		d2.msg = transport.Pooled(cp2, m.Virtual, &sh.bufPool)
-		sh.rt.ScheduleArg(arrival+dupDelay-sh.rt.Elapsed(), fireDelivery, d2)
-	}
-	return nil
-}
-
-// sendCross emits a frame whose receiver lives on another shard: the
-// sender-side half of the plan runs now, the rest at the barrier merge.
-// The down/closed checks mirror the sequential path, except peer state
-// is known only as of the last barrier — the causal limit of what a
-// remote shard can observe.
-func (c *conn) sendCross(m transport.Message) error {
-	if c.rh.down || c.peerClosed {
-		return nil
-	}
-	n, sh := c.n, c.sh
-	fa := n.faults
-	if fa != nil && fa.cut(c.lh.site, c.rh.site) {
-		return nil // mirrors the sequential cut check: nothing reserved, nothing drawn
-	}
-	now := sh.rt.Elapsed()
-	size := m.Size() + frameOverhead
-	partial := c.lh.nicOut.reserve(now, size)
-	jit := n.jitter(c.rng, c.base)
-	// Fault draws follow the jitter draw, the same stream order the
-	// sequential path uses, and precede the state capture below so the
-	// receiver adopts the post-draw stream position.
-	var dropped, dup bool
-	var dupDelay time.Duration
-	if fa != nil {
-		jit += fa.slowExtra(c.lh, c.rh, c.base)
-		dropped, dup, dupDelay = fa.frameFate(c.rng, c.lh, c.rh)
-	}
-	// The payload copy comes from the sender shard's pool and is
-	// released into the receiver shard's pool after delivery — capacity
-	// migrates along traffic, each pool still touched by one shard only.
-	// A dropped frame ships no payload: it exists only to replay its
-	// reservations at the merge.
-	var cp []byte
-	if !dropped && len(m.Payload) > 0 {
-		cp = sh.bufPool.Get(len(m.Payload))
-		copy(cp, m.Payload)
-	}
-	sh.emit(xmsg{
-		kind: xSend, at: now, rank: c.lh.rank, size: size,
-		partial: partial, jit: jit, state: c.src.state,
-		drop: dropped, dup: dup, dupDelay: dupDelay,
-		c: c, msg: transport.Message{Payload: cp, Virtual: m.Virtual},
-	})
+	// Field by field: a composite literal would be built in a stack
+	// temporary and copied, doubling the frame on every actor's stack.
+	var x xmsg
+	x.kind, x.size, x.c, x.msg = xSend, m.Size()+frameOverhead, c, m
+	x.from, x.to, x.pipe, x.base = c.lh, c.rh, c.pipe, c.base
+	n.depart(&x, c.rng, c.src)
 	return nil
 }
 
@@ -515,24 +297,12 @@ func (c *conn) Close() error {
 	}
 	c.closed = true
 	c.inbox.Close()
-	if c.cross {
-		// The FIN crosses at the barrier; its arrival is computed there
-		// so it trails any same-window data (FIFO via lastArrival).
-		now := c.sh.rt.Elapsed()
-		c.sh.emit(xmsg{kind: xFin, at: now, rank: c.lh.rank, c: c})
-		return nil
-	}
-	peer := c.peer
-	rt := c.sh.rt
-	fin := c.lastArrival
-	if e := rt.Elapsed() + c.base; e > fin {
-		fin = e
-	}
-	// FIN arrives after all in-flight data (FIFO), closing the peer's
-	// inbox so its pending Recv drains buffered messages then ErrClosed.
-	rt.Schedule(fin-rt.Elapsed(), func() {
-		peer.inbox.Close()
-	})
+	// The FIN departs with nothing to reserve or draw; land computes its
+	// arrival, so across shards it still trails same-window data.
+	var x xmsg
+	x.kind, x.at, x.rank, x.c = xFin, c.lh.sh.rt.Elapsed(), c.lh.rank, c
+	x.from, x.to, x.base = c.lh, c.rh, c.base
+	c.n.route(&x)
 	return nil
 }
 

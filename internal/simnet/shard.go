@@ -2,29 +2,28 @@ package simnet
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 	"time"
 
-	"p2pmpi/internal/transport"
 	"p2pmpi/internal/vtime"
 )
 
-// Sharded-mode cross-shard traffic.
+// Sharded mode: the barrier side of the frame path.
 //
-// Same-shard traffic takes the exact sequential code path (plan +
-// ScheduleArg on the shard's own heap). A message whose endpoints live
-// on different shards cannot touch the receiving shard's state from the
-// sender's event loop, so its network plan is split in two:
+// A frame whose hosts share a shard lands inline, exactly as on an
+// unsharded net (frame.go). A frame whose endpoints live on different
+// shards cannot touch the receiving shard's state from the sender's
+// event loop, so its two halves run at different moments:
 //
-//   - at send time (sender's shard): reserve the sender's NIC-out, draw
-//     the flow's jitter, and append an xmsg to the shard's outbox;
-//   - at the barrier (driver goroutine, all shards parked): sort every
-//     outbox entry by (send time, sender host rank, emission seq),
-//     replay the backbone-pipe and receiver-NIC reservations in that
-//     global order, and schedule the delivery event on the receiving
-//     shard's heap.
+//   - at send time (sender's shard): depart reserves the sender's
+//     NIC-out, draws the flow's jitter, and route appends the xmsg to
+//     the shard's outbox;
+//   - at the barrier (driver goroutine, all shards parked): mergeCross
+//     sorts every outbox entry by (send time, sender host rank,
+//     emission seq) and lands them in that global order — replaying the
+//     backbone-pipe and receiver-NIC reservations and scheduling the
+//     delivery event on the receiving shard's heap.
 //
 // The merge order is a superset of the sequential execution order for
 // the cross traffic, so pipe and NIC frontiers advance identically; the
@@ -59,10 +58,6 @@ type ShardConfig struct {
 	// horizon panics instead of silently rewriting history. Enabled by
 	// exp worlds when VTIME_CHECK=1.
 	Check bool
-	// LookaheadOverride, when positive, replaces the domain's lookahead
-	// in diagnostics. Tests use it to describe the (possibly adversarial)
-	// bound in violation messages.
-	LookaheadOverride time.Duration
 }
 
 // NewSharded creates a simulated network spread over the shards of a
@@ -88,7 +83,6 @@ func NewSharded(dom *vtime.Domain, topo Topology, cfg Config, sc ShardConfig) *N
 	}
 	for i := range n.sh {
 		n.sh[i] = &netShard{
-			idx:     i,
 			rt:      dom.Shard(i),
 			flowSeq: make(map[flowKey]uint64),
 		}
@@ -114,19 +108,8 @@ func NewSharded(dom *vtime.Domain, topo Topology, cfg Config, sc ShardConfig) *N
 		if !ok {
 			panic(fmt.Sprintf("simnet: site %q of host %q has no shard", site, id))
 		}
-		h := &slab[rank]
-		*h = netHost{
-			id:       id,
-			site:     site,
-			sh:       n.sh[shard],
-			rank:     rank,
-			nicOut:   serializer{bps: cfg.NICBps},
-			nicIn:    serializer{bps: cfg.NICBps},
-			nextPort: 20000,
-		}
-		n.hosts[id] = h
+		n.addHost(&slab[rank], id, site, n.sh[shard])
 	}
-	n.nextRank = len(sc.Hosts)
 	// Freeze the pipe table: lazy creation would race between shard
 	// loops. Site order is irrelevant (pipes carry no creation-order
 	// state) but sorted anyway for reproducible iteration in debugging.
@@ -149,59 +132,18 @@ func NewSharded(dom *vtime.Domain, topo Topology, cfg Config, sc ShardConfig) *N
 	return n
 }
 
-// xmsg kinds: the four ways traffic crosses a shard boundary.
-const (
-	xSend   uint8 = iota // established-conn data frame
-	xDial                // SYN of a new connection
-	xAccept              // handshake success travelling back
-	xRefuse              // handshake RST travelling back
-	xFin                 // close marker trailing the data
-)
-
-// xmsg is one cross-shard emission, parked in the sender shard's outbox
-// until the barrier merge.
-type xmsg struct {
-	kind    uint8
-	at      time.Duration // emission (send) time
-	rank    int           // emitting host's global rank
-	seq     uint64        // per-shard emission sequence
-	size    int64         // wire size including frame overhead
-	partial time.Duration // sender-side frontier: NIC-out finish time
-	jit     time.Duration // jitter, drawn at emission from the flow stream
-	state   uint64        // flow-stream state after the sender's draws
-
-	// Fault outcomes, drawn at emission (xSend only). A dropped frame
-	// still crosses so the merge replays its reservations and FIFO
-	// clamp; only its delivery is suppressed (determinism rule 2,
-	// faults.go). A duplicated frame schedules a second delivery
-	// dupDelay after the first, outside the FIFO clamp.
-	drop     bool
-	dup      bool
-	dupDelay time.Duration
-
-	c *conn // xSend/xFin: the *sender's* endpoint
-
-	// handshake fields
-	from, to *netHost
-	port     string
-	local    string
-	resultq  *vtime.Queue[dialResult]
-	client   *conn // xAccept: the dialer's endpoint to hand back
-
-	msg transport.Message // xSend payload (pool-less until retargeted)
-}
-
 // emit appends x to the shard's outbox, stamping the emission sequence.
-func (sh *netShard) emit(x xmsg) {
+func (sh *netShard) emit(x *xmsg) {
 	sh.seq++
 	x.seq = sh.seq
-	sh.out = append(sh.out, x)
+	// Grow, then copy straight into the slot: append(sh.out, *x) stages
+	// the frame through a stack temporary.
+	sh.out = append(sh.out, xmsg{})
+	sh.out[len(sh.out)-1] = *x
 }
 
-// mergeCross is the barrier drain: it replays every cross-shard emission
-// of the closing window in global (time, rank, seq) order against the
-// shared serializers and schedules the resulting events on the receiving
-// shards. It runs on the domain driver goroutine with all shards parked
+// mergeCross is the barrier drain: it lands every cross-shard emission
+// of the closing window in global (time, rank, seq) order. It runs on the domain driver goroutine with all shards parked
 // at the committed horizon, so it may touch any shard's state.
 func (n *Net) mergeCross() {
 	defer n.closeWindow()
@@ -236,7 +178,7 @@ func (n *Net) mergeCross() {
 		return 1
 	})
 	for i := range buf {
-		n.applyCross(&buf[i])
+		n.land(&buf[i])
 	}
 	clearX(buf)
 	n.xscratch = buf[:0]
@@ -315,194 +257,4 @@ func (n *Net) closeWindow() {
 	}
 	n.merged = n.merged[:0]
 	n.winID++
-}
-
-// horizonCheck panics when a cross-shard event would land in the
-// receiving shard's past — the lookahead-safety invariant. now is the
-// committed horizon (every shard clock equals it during a barrier).
-func (n *Net) horizonCheck(kind string, at, arrival, now time.Duration) {
-	if !n.check || arrival >= now {
-		return
-	}
-	panic(fmt.Sprintf(
-		"simnet: lookahead violation: cross-shard %s sent at %s arrives at %s, before the committed horizon %s (window too wide for the real minimum latency)",
-		kind, at, arrival, now))
-}
-
-// applyCross replays one emission.
-func (n *Net) applyCross(x *xmsg) {
-	switch x.kind {
-	case xSend:
-		c := x.c
-		peer := c.peer
-		dst := peer.sh
-		finish := x.partial
-		if f := c.pipe.reserve(x.at, x.size); f > finish {
-			finish = f
-		}
-		if f := n.reserveCross(&c.rh.nicIn, x.at, x.rank, x.size); f > finish {
-			finish = f
-		}
-		arrival := finish + c.base + x.jit
-		if arrival <= c.lastArrival {
-			arrival = c.lastArrival + time.Nanosecond
-		}
-		c.lastArrival = arrival
-		if x.drop {
-			return // reservations and the FIFO clamp stand; delivery vanishes
-		}
-		now := dst.rt.Elapsed()
-		n.horizonCheck("frame", x.at, arrival, now)
-		d := dst.getDelivery()
-		d.peer = peer
-		d.msg = transport.Pooled(x.msg.Payload, x.msg.Virtual, &dst.bufPool)
-		d.state = x.state
-		d.sync = true
-		dst.rt.ScheduleArg(arrival-now, fireDelivery, d)
-		if x.dup {
-			// The duplicate gets its own pooled copy (per-delivery
-			// Release) on the receiving shard and does not sync the flow
-			// stream — by the time it lands, later frames may already
-			// have advanced the receiver's state past x.state.
-			var cp []byte
-			if len(x.msg.Payload) > 0 {
-				cp = dst.bufPool.Get(len(x.msg.Payload))
-				copy(cp, x.msg.Payload)
-			}
-			d2 := dst.getDelivery()
-			d2.peer = peer
-			d2.msg = transport.Pooled(cp, x.msg.Virtual, &dst.bufPool)
-			dst.rt.ScheduleArg(arrival+x.dupDelay-now, fireDelivery, d2)
-		}
-
-	case xDial:
-		from, to := x.from, x.to
-		dst := to.sh
-		pipe := n.pipe(from.site, to.site)
-		base := n.topo.SiteLatency(from.site, to.site)
-		finish := x.partial
-		if f := pipe.reserve(x.at, x.size); f > finish {
-			finish = f
-		}
-		if f := n.reserveCross(&to.nicIn, x.at, x.rank, x.size); f > finish {
-			finish = f
-		}
-		syn := finish + base + x.jit
-		now := dst.rt.Elapsed()
-		n.horizonCheck("SYN", x.at, syn, now)
-		dst.rt.ScheduleArg(syn-now, fireCrossSYN, &xdialEvt{
-			n: n, from: from, to: to,
-			port: x.port, local: x.local,
-			resultq: x.resultq, state: x.state,
-		})
-
-	case xAccept, xRefuse:
-		// Handshake reply travelling server→dialer.
-		from, to := x.from, x.to // as in the original dial: from = dialer
-		dst := from.sh
-		pipe := n.pipe(to.site, from.site)
-		base := n.topo.SiteLatency(to.site, from.site)
-		finish := x.partial
-		if f := pipe.reserve(x.at, x.size); f > finish {
-			finish = f
-		}
-		if f := n.reserveCross(&from.nicIn, x.at, x.rank, x.size); f > finish {
-			finish = f
-		}
-		arrival := finish + base + x.jit
-		now := dst.rt.Elapsed()
-		n.horizonCheck("handshake reply", x.at, arrival, now)
-		ev := &xresEvt{resultq: x.resultq, state: x.state}
-		if x.kind == xAccept {
-			ev.c = x.client
-		}
-		dst.rt.ScheduleArg(arrival-now, fireCrossDialResult, ev)
-
-	case xFin:
-		c := x.c
-		peer := c.peer
-		dst := peer.sh
-		fin := c.lastArrival
-		if e := x.at + c.base; e > fin {
-			fin = e
-		}
-		now := dst.rt.Elapsed()
-		n.horizonCheck("FIN", x.at, fin, now)
-		dst.rt.ScheduleArg(fin-now, fireCrossFin, peer)
-	}
-}
-
-// xdialEvt carries a cross-shard SYN from the merge to the destination
-// shard's event loop.
-type xdialEvt struct {
-	n        *Net
-	from, to *netHost
-	port     string
-	local    string
-	resultq  *vtime.Queue[dialResult]
-	state    uint64
-}
-
-// fireCrossSYN runs on the destination shard when a cross-shard SYN
-// arrives: it accepts or refuses exactly like the sequential dial
-// callback, then emits the handshake reply back across the boundary.
-func fireCrossSYN(a any) {
-	e := a.(*xdialEvt)
-	n, from, to := e.n, e.from, e.to
-	sh := to.sh
-	now := sh.rt.Elapsed()
-	src := &flowSource{state: e.state}
-	rng := rand.New(src)
-	back := n.topo.SiteLatency(to.site, from.site)
-	l := to.listener(e.port)
-	if to.down || l == nil || l.closed {
-		partial := to.nicOut.reserve(now, 64)
-		jit := n.jitter(rng, back)
-		sh.emit(xmsg{
-			kind: xRefuse, at: now, rank: to.rank, size: 64,
-			partial: partial, jit: jit, state: src.state,
-			from: from, to: to, resultq: e.resultq,
-		})
-		return
-	}
-	pair := newConnPair(n, from, to, e.local, l.addr, rng, src)
-	partial := to.nicOut.reserve(now, 64)
-	jit := n.jitter(rng, back)
-	l.deliver(pair.server)
-	sh.emit(xmsg{
-		kind: xAccept, at: now, rank: to.rank, size: 64,
-		partial: partial, jit: jit, state: src.state,
-		from: from, to: to, resultq: e.resultq, client: pair.client,
-	})
-}
-
-// xresEvt carries a handshake reply from the merge to the dialer shard.
-type xresEvt struct {
-	resultq *vtime.Queue[dialResult]
-	c       *conn // nil on refusal
-	state   uint64
-}
-
-// fireCrossDialResult completes a cross-shard Dial on the dialer's
-// shard, seeding the client endpoint's flow stream with the state the
-// reply carried.
-func fireCrossDialResult(a any) {
-	e := a.(*xresEvt)
-	if e.c == nil {
-		e.resultq.Push(dialResult{err: transport.ErrUnreachable})
-		return
-	}
-	e.c.src.state = e.state
-	e.resultq.Push(dialResult{c: e.c})
-}
-
-// fireCrossFin closes the receiving endpoint when a cross-shard FIN
-// arrives: pending Recvs drain buffered frames then see ErrClosed, and
-// the endpoint's own sends start dropping into the void (the mirror of
-// the sequential peer.closed check, shifted by one network trip — the
-// earliest a remote shard can causally learn of the close).
-func fireCrossFin(a any) {
-	peer := a.(*conn)
-	peer.peerClosed = true
-	peer.inbox.Close()
 }

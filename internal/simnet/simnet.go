@@ -87,7 +87,6 @@ type Net struct {
 // and is read only at barriers, with the Domain's barrier providing the
 // happens-before edge — no locks anywhere on the message path.
 type netShard struct {
-	idx     int
 	rt      *vtime.Scheduler
 	flowSeq map[flowKey]uint64
 	bufPool transport.BufferPool
@@ -327,27 +326,35 @@ func (n *Net) BaseOneWay(a, b string) time.Duration {
 // lookups). Single-shard only; NewSharded freezes its own table.
 // Hosts already known keep their state (Provision is a no-op for them).
 func (n *Net) Provision(hosts, sites []string) {
-	if n.sharded || len(hosts) != len(sites) {
+	if len(hosts) != len(sites) {
+		panic(fmt.Sprintf("simnet: %d sites for %d provisioned hosts", len(sites), len(hosts)))
+	}
+	if n.sharded {
 		return
 	}
 	slab := make([]netHost, len(hosts))
 	for i, id := range hosts {
-		if n.hosts[id] != nil {
-			continue
+		if n.hosts[id] == nil {
+			n.addHost(&slab[i], id, sites[i], n.sh[0])
 		}
-		h := &slab[i]
-		*h = netHost{
-			id:       id,
-			site:     sites[i],
-			sh:       n.sh[0],
-			rank:     n.nextRank,
-			nicOut:   serializer{bps: n.cfg.NICBps},
-			nicIn:    serializer{bps: n.cfg.NICBps},
-			nextPort: 20000,
-		}
-		n.nextRank++
-		n.hosts[id] = h
 	}
+}
+
+// addHost initialises h in place as the next-ranked host and enters it in
+// the host table. Ranks follow registration order: the boot order handed
+// to NewSharded or Provision, first use on the lazy path.
+func (n *Net) addHost(h *netHost, id, site string, sh *netShard) {
+	*h = netHost{
+		id:       id,
+		site:     site,
+		sh:       sh,
+		rank:     n.nextRank,
+		nicOut:   serializer{bps: n.cfg.NICBps},
+		nicIn:    serializer{bps: n.cfg.NICBps},
+		nextPort: 20000,
+	}
+	n.nextRank++
+	n.hosts[id] = h
 }
 
 // host returns the state of one host, or nil when the topology does not
@@ -362,17 +369,8 @@ func (n *Net) host(id string) *netHost {
 		if site == "" {
 			return nil
 		}
-		h = &netHost{
-			id:       id,
-			site:     site,
-			sh:       n.sh[0],
-			rank:     n.nextRank,
-			nicOut:   serializer{bps: n.cfg.NICBps},
-			nicIn:    serializer{bps: n.cfg.NICBps},
-			nextPort: 20000,
-		}
-		n.nextRank++
-		n.hosts[id] = h
+		h = new(netHost)
+		n.addHost(h, id, site, n.sh[0])
 	}
 	return h
 }
@@ -400,37 +398,6 @@ func (n *Net) jitter(rng *rand.Rand, base time.Duration) time.Duration {
 		j = -j
 	}
 	return time.Duration(j)
-}
-
-// plan computes the virtual arrival time of a message of the given size
-// sent now from one host to another, reserving capacity along the path.
-// The pipe and base latency are passed in so established conns pay no
-// map lookups per message. It is only valid when from and to share a
-// shard (always true unsharded); cross-shard sends split the reservation
-// between send time and the barrier merge instead — see shard.go.
-func (n *Net) plan(rng *rand.Rand, from, to *netHost, pipe *serializer, base time.Duration, size int64) time.Duration {
-	now := from.sh.rt.Elapsed()
-	finish := from.nicOut.reserve(now, size)
-	if f := pipe.reserve(now, size); f > finish {
-		finish = f
-	}
-	var fin time.Duration
-	if n.sharded {
-		fin = to.nicIn.reserveLocal(n.winID, now, from.rank, size)
-	} else {
-		fin = to.nicIn.reserve(now, size)
-	}
-	if fin > finish {
-		finish = fin
-	}
-	return finish + base + n.jitter(rng, base)
-}
-
-// planDelivery is plan with the per-call lookups, used by the dial path
-// (which has no established conn to cache them on).
-func (n *Net) planDelivery(rng *rand.Rand, from, to *netHost, size int64) time.Duration {
-	base := n.topo.SiteLatency(from.site, to.site)
-	return n.plan(rng, from, to, n.pipe(from.site, to.site), base, size)
 }
 
 // splitAddr separates "host:port"; hosts contain dots but no colons.
