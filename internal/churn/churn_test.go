@@ -106,14 +106,14 @@ func TestDistributionMeans(t *testing.T) {
 // TestSteadyStateDownFraction replays a long exponential trace and
 // checks the measured down fraction against MTTR/(MTBF+MTTR).
 func TestSteadyStateDownFraction(t *testing.T) {
-	s := vtime.New()
-	defer s.Shutdown()
+	dom := vtime.NewDomain(1, 0)
+	defer dom.Shutdown()
 	cfg := Config{Seed: 5, MTBF: 100 * time.Second, MTTR: 10 * time.Second,
 		Horizon: 3 * time.Hour}
 	hosts := testHosts(9)
-	d := NewDriver(s, Trace(hosts, nil, cfg), Hooks{})
+	d := NewDriver(dom, Trace(hosts, nil, cfg), Hooks{})
 	d.Start()
-	s.RunFor(cfg.Horizon)
+	dom.RunFor(cfg.Horizon)
 	st := d.Stop()
 	if st.Failures == 0 || st.Restores == 0 {
 		t.Fatalf("no churn injected: %+v", st)
@@ -131,16 +131,16 @@ func TestSteadyStateDownFraction(t *testing.T) {
 // the platform size, not by the (possibly much smaller) set of hosts
 // that happened to fail within the horizon.
 func TestSetHostCountNormalizesDownFraction(t *testing.T) {
-	s := vtime.New()
-	defer s.Shutdown()
+	dom := vtime.NewDomain(1, 0)
+	defer dom.Shutdown()
 	trace := []Event{
 		{At: 10 * time.Second, Host: "h0", Down: true},
 		{At: 40 * time.Second, Host: "h0", Down: false},
 	}
-	d := NewDriver(s, trace, Hooks{})
+	d := NewDriver(dom, trace, Hooks{})
 	d.SetHostCount(10) // platform has 10 hosts; only one ever failed
 	d.Start()
-	s.RunFor(time.Minute)
+	dom.RunFor(time.Minute)
 	st := d.Stop()
 	want := 30.0 / (10 * 60.0)
 	if got := st.DownFraction(); math.Abs(got-want) > 1e-9 {
@@ -152,25 +152,28 @@ func TestSetHostCountNormalizesDownFraction(t *testing.T) {
 // that fails individually during a site-wide outage must produce one
 // Down and one Up, the Up only after both causes cleared.
 func TestDriverRefCountsOverlappingCauses(t *testing.T) {
-	s := vtime.New()
-	defer s.Shutdown()
+	dom := vtime.NewDomain(1, 0)
+	defer dom.Shutdown()
 	trace := []Event{
 		{At: 10 * time.Second, Host: "h0", Down: true, Site: "east"}, // site outage
 		{At: 20 * time.Second, Host: "h0", Down: true},               // own failure, overlapping
 		{At: 30 * time.Second, Host: "h0", Down: false, Site: "east"},
 		{At: 50 * time.Second, Host: "h0", Down: false},
+		{At: 55 * time.Second, Host: "h1", Down: false}, // spurious repair: h1 never failed
 	}
 	type tr struct {
 		at   time.Duration
 		down bool
 	}
 	var log []tr
-	d := NewDriver(s, trace, Hooks{
-		Down: func(string) { log = append(log, tr{s.Elapsed(), true}) },
-		Up:   func(string) { log = append(log, tr{s.Elapsed(), false}) },
+	d := NewDriver(dom, trace, Hooks{
+		Down: func(string) { log = append(log, tr{dom.Elapsed(), true}) },
+		Up:   func(string) { log = append(log, tr{dom.Elapsed(), false}) },
 	})
 	d.Start()
-	s.RunFor(time.Minute)
+	dom.RunFor(5 * time.Second)
+	d.Start() // idempotent: a re-based second copy of the trace would delay the Up to 55s
+	dom.RunFor(55 * time.Second)
 	want := []tr{{10 * time.Second, true}, {50 * time.Second, false}}
 	if !reflect.DeepEqual(log, want) {
 		t.Fatalf("transitions %v, want %v", log, want)
@@ -220,18 +223,18 @@ func TestSiteOutageTakesWholeSiteDown(t *testing.T) {
 
 // TestStopHaltsInjection: hooks must not fire after Stop.
 func TestStopHaltsInjection(t *testing.T) {
-	s := vtime.New()
-	defer s.Shutdown()
+	dom := vtime.NewDomain(1, 0)
+	defer dom.Shutdown()
 	fired := 0
 	trace := []Event{
 		{At: 10 * time.Second, Host: "h0", Down: true},
 		{At: 40 * time.Second, Host: "h1", Down: true},
 	}
-	d := NewDriver(s, trace, Hooks{Down: func(string) { fired++ }})
+	d := NewDriver(dom, trace, Hooks{Down: func(string) { fired++ }})
 	d.Start()
-	s.RunFor(20 * time.Second)
+	dom.RunFor(20 * time.Second)
 	st := d.Stop()
-	s.RunFor(time.Minute)
+	dom.RunFor(time.Minute)
 	if fired != 1 {
 		t.Fatalf("fired %d hooks, want 1 (h1 was stopped out)", fired)
 	}

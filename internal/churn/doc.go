@@ -18,10 +18,12 @@
 //     a pure function of its inputs and independent of the order the
 //     host slice is supplied in — the property the determinism tests
 //     pin.
-//   - Driver replays a trace on a vtime.Runtime, invoking the caller's
-//     Down/Up hooks. Overlapping causes (a host-level failure inside a
-//     site-wide outage) are reference-counted: Down fires on the first
-//     cause, Up only once every cause has cleared.
+//   - Driver replays a trace on the barriers of a vtime.Domain — each
+//     transition a global event, fired with every shard parked on its
+//     exact virtual time — invoking the caller's Down/Up hooks.
+//     Overlapping causes (a host-level failure inside a site-wide
+//     outage) are reference-counted: Down fires on the first cause, Up
+//     only once every cause has cleared.
 //
 // exp.World.StartChurn wires the hooks into a simulated deployment:
 // simnet drops the host's links, the host MPD crashes (local jobs die

@@ -8,9 +8,10 @@ import (
 )
 
 // Hooks receive the deduplicated liveness transitions of the replay.
-// They run on the driver's actor, one at a time, in timeline order —
-// implementations may touch scheduler-bound state freely but must not
-// block forever.
+// They run at domain barriers — on the goroutine driving the domain,
+// every shard parked at the transition's exact virtual time — one at a
+// time, in timeline order: implementations may touch any shard's state
+// freely but must not block.
 type Hooks struct {
 	// Down fires when a host loses its last liveness cause (first
 	// failure while up).
@@ -47,11 +48,11 @@ func (s Stats) DownFraction() float64 {
 	return float64(s.HostDownTime) / (float64(s.Hosts) * float64(s.Observed))
 }
 
-// Driver replays a trace against a vtime.Runtime. Overlapping down
-// causes are reference-counted per host so the hooks see each host
+// Driver replays a trace as global events of a vtime.Domain. Overlapping
+// down causes are reference-counted per host so the hooks see each host
 // transition at most once per actual liveness change.
 type Driver struct {
-	rt    vtime.Runtime
+	dom   *vtime.Domain
 	trace []Event
 	hooks Hooks
 
@@ -66,13 +67,13 @@ type Driver struct {
 }
 
 // NewDriver builds a driver over a precomputed trace (see Trace).
-func NewDriver(rt vtime.Runtime, trace []Event, hooks Hooks) *Driver {
+func NewDriver(dom *vtime.Domain, trace []Event, hooks Hooks) *Driver {
 	hostSet := make(map[string]bool)
 	for _, ev := range trace {
 		hostSet[ev.Host] = true
 	}
 	return &Driver{
-		rt:         rt,
+		dom:        dom,
 		trace:      trace,
 		hooks:      hooks,
 		downCauses: make(map[string]int),
@@ -96,7 +97,12 @@ func (d *Driver) SetHostCount(n int) {
 	}
 }
 
-// Start spawns the replay actor. Idempotent.
+// Start schedules the trace, offset from the domain's current time, as
+// domain-global events: each transition fires at a window barrier, when
+// every shard is parked at the event's exact virtual time. That makes
+// the hooks' world mutations (failing a host's network links, crashing
+// its daemon) race-free against all shard event loops — the barrier is
+// the happens-before edge. Idempotent.
 func (d *Driver) Start() {
 	d.mu.Lock()
 	if d.started || d.stopped {
@@ -104,44 +110,15 @@ func (d *Driver) Start() {
 		return
 	}
 	d.started = true
-	d.mu.Unlock()
-	d.rt.Go("churn.driver", d.replay)
-}
-
-// GlobalRuntime is the slice of a sharded scheduler domain
-// (vtime.Domain) the barrier-scheduled replay needs.
-type GlobalRuntime interface {
-	Now() time.Time
-	Elapsed() time.Duration
-	// ScheduleGlobal runs fn at an absolute virtual elapsed time, with
-	// every shard parked at that time.
-	ScheduleGlobal(at time.Duration, fn func())
-}
-
-// StartGlobal replays the trace as domain-global events instead of a
-// replay actor: each transition fires at a window barrier, when every
-// shard is parked at the event's exact virtual time. That makes the
-// hooks' world mutations (failing a host's network links, crashing its
-// daemon) race-free against all shard event loops — the barrier is the
-// happens-before edge — which is what a sharded world requires. The
-// timeline is the same one Start would replay. Idempotent.
-func (d *Driver) StartGlobal(g GlobalRuntime) {
-	d.mu.Lock()
-	if d.started || d.stopped {
-		d.mu.Unlock()
-		return
-	}
-	d.started = true
-	d.startAt = g.Now()
-	base := g.Elapsed()
+	d.startAt = d.dom.Now()
+	base := d.dom.Elapsed()
 	d.mu.Unlock()
 	for _, ev := range d.trace {
-		ev := ev
-		g.ScheduleGlobal(base+ev.At, func() { d.fireGlobal(ev) })
+		d.dom.ScheduleGlobal(base+ev.At, func() { d.fire(ev) })
 	}
 }
 
-func (d *Driver) fireGlobal(ev Event) {
+func (d *Driver) fire(ev Event) {
 	d.mu.Lock()
 	if d.stopped {
 		d.mu.Unlock()
@@ -151,28 +128,6 @@ func (d *Driver) fireGlobal(ev Event) {
 	d.mu.Unlock()
 	if fire != nil {
 		fire(ev.Host)
-	}
-}
-
-func (d *Driver) replay() {
-	start := d.rt.Now()
-	d.mu.Lock()
-	d.startAt = start
-	d.mu.Unlock()
-	for _, ev := range d.trace {
-		if wait := start.Add(ev.At).Sub(d.rt.Now()); wait > 0 {
-			d.rt.Sleep(wait)
-		}
-		d.mu.Lock()
-		if d.stopped {
-			d.mu.Unlock()
-			return
-		}
-		fire := d.applyLocked(ev)
-		d.mu.Unlock()
-		if fire != nil {
-			fire(ev.Host)
-		}
 	}
 }
 
@@ -187,7 +142,7 @@ func (d *Driver) applyLocked(ev Event) func(string) {
 		d.downCauses[ev.Host]++
 		if d.downCauses[ev.Host] == 1 {
 			d.stats.Failures++
-			d.downSince[ev.Host] = d.rt.Now()
+			d.downSince[ev.Host] = d.dom.Now()
 			return d.hooks.Down
 		}
 		return nil
@@ -203,7 +158,7 @@ func (d *Driver) applyLocked(ev Event) func(string) {
 		return nil // still down for another cause
 	}
 	d.stats.Restores++
-	d.stats.HostDownTime += d.rt.Now().Sub(d.downSince[ev.Host])
+	d.stats.HostDownTime += d.dom.Now().Sub(d.downSince[ev.Host])
 	delete(d.downSince, ev.Host)
 	return d.hooks.Up
 }
@@ -219,7 +174,7 @@ func (d *Driver) Alive(host string) bool {
 // stats: hosts still down are charged their downtime up to now.
 // Idempotent; later calls return the same snapshot.
 func (d *Driver) Stop() Stats {
-	now := d.rt.Now()
+	now := d.dom.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.stopped {

@@ -221,7 +221,7 @@ func TestFederationSurvivesSupernodeDeath(t *testing.T) {
 	w.Net.FailHost(victim)
 	// Two full re-register cycles: the alive loop re-registers every 5th
 	// 30s tick.
-	w.S.RunFor(6 * time.Minute)
+	w.RunFor(6 * time.Minute)
 
 	for _, i := range []int{0, 2} {
 		if got := w.SNs[i].MergedCount(); got != world {
@@ -236,7 +236,7 @@ func TestFederationSurvivesSupernodeDeath(t *testing.T) {
 	// Revive. Peers drift home on their next full re-registration; the
 	// foster entries expire by TTL and gossip propagates the removals.
 	w.Net.RestoreHost(victim)
-	w.S.RunFor(15 * time.Minute) // > TTL (10m) past the re-register
+	w.RunFor(15 * time.Minute) // > TTL (10m) past the re-register
 
 	for i, sn := range w.SNs {
 		if got := sn.MergedCount(); got != world {

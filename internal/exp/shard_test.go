@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"p2pmpi/internal/churn"
 	"p2pmpi/internal/core"
+	"p2pmpi/internal/faults"
 	"p2pmpi/internal/grid"
 )
 
@@ -212,4 +214,38 @@ func TestShardBootStormDriftBounded(t *testing.T) {
 		t.Errorf("mean registration drift %.4f%% (seq %dns, sharded %dns)", 100*rel, mean1, mean4)
 	}
 	t.Logf("drift: max %dns per peer, mean %dns -> %dns (%.4f%%)", maxAbs, mean1, mean4, 100*rel)
+}
+
+// TestWorldIsAlwaysADomain: there is one world engine. Shards 0 and 1
+// both build a one-shard domain whose only scheduler is w.S, and churn
+// and fault timelines are the domain's global events — starting them
+// spawns no replay actor.
+func TestWorldIsAlwaysADomain(t *testing.T) {
+	spec, err := grid.ParseTopologySpec("synth:S=3,H=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 1} {
+		opts := DefaultOptions(1)
+		opts.Topology = spec
+		opts.Shards = shards
+		w := NewWorld(opts)
+		if w.D == nil || w.D.Shards() != 1 || w.S != w.D.Shard(0) {
+			t.Fatalf("Shards=%d: D=%v, S==D.Shard(0) is %v; want a one-shard domain", shards, w.D, w.D != nil && w.S == w.D.Shard(0))
+		}
+		if err := w.Boot(); err != nil {
+			t.Fatal(err)
+		}
+		before := w.S.Actors()
+		cd := w.StartChurn(churn.Config{Seed: 1, MTBF: time.Minute, MTTR: 10 * time.Second, Horizon: time.Minute})
+		fd, _ := w.StartFaults(faults.Config{Seed: 1, PartMTBF: 10 * time.Second, PartMTTR: 5 * time.Second, Horizon: time.Minute})
+		if got := w.S.Actors(); got != before {
+			t.Fatalf("Shards=%d: %d actors before StartChurn+StartFaults, %d after", shards, before, got)
+		}
+		w.RunFor(time.Minute)
+		if cd.Stop().Failures == 0 || fd.Stop().Partitions == 0 {
+			t.Fatalf("Shards=%d: timelines did not replay (churn %+v, faults %+v)", shards, cd.Stop(), fd.Stop())
+		}
+		w.Close()
+	}
 }

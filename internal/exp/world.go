@@ -110,13 +110,14 @@ type Options struct {
 	RPCRetries       int
 	RPCBackoff       time.Duration
 	BreakerThreshold int
-	// Shards partitions the world's sites onto that many independent
-	// event-loop shards run as a conservative parallel simulation
-	// (windowed barriers, cross-site lookahead — see vtime.Domain and
-	// docs/PERF.md). 0 or 1 keeps the historical single sequential
-	// scheduler, bit-for-bit. Clamped to the site count. The CSV outputs
-	// of the sweep families are identical across shard counts; only
-	// wall-clock time changes.
+	// Shards partitions the world's sites onto that many event-loop
+	// shards of the world's vtime.Domain, run as a conservative parallel
+	// simulation (windowed barriers, cross-site lookahead — see
+	// vtime.Domain and docs/PERF.md). 0 or 1 is a one-shard domain: every
+	// window runs inline on the caller's goroutine, the historical
+	// sequential trajectory bit-for-bit. Clamped to the site count. The
+	// CSV outputs of the sweep families are identical across shard
+	// counts; only wall-clock time changes.
 	Shards int
 }
 
@@ -135,14 +136,16 @@ func DefaultOptions(seed int64) Options {
 // supernode tier (one member, or a K-shard federation), one submitter
 // frontend, all under a virtual clock.
 type World struct {
-	// S is the scheduler daemon code on shard 0 (the origin site, the
-	// frontal, every K=1 supernode) runs under — in an unsharded world,
-	// the only scheduler. External actors that talk to the frontal
-	// (submission, warm-up) spawn here.
+	// S is D.Shard(0), the scheduler daemon code on the origin site (the
+	// frontal, every K=1 supernode) runs under — with Options.Shards <= 1
+	// the domain's only shard. External actors that talk to the frontal
+	// (submission, warm-up) spawn here. S is for spawning actors and
+	// reading the clock, never for driving: S.RunFor would advance shard 0
+	// behind the domain's committed horizon.
 	S *vtime.Scheduler
-	// D is the shard domain of a sharded world (Options.Shards > 1),
-	// nil otherwise. Use World.RunFor — not S.RunFor — to advance time
-	// so both layouts pump correctly.
+	// D is the domain that owns the world's clock: every world has one
+	// (one shard unless Options.Shards > 1). World.RunFor drives it; churn,
+	// fault and heal-poll events are its global events.
 	D       *vtime.Domain
 	Net     *simnet.Net
 	Grid    *grid.Grid
@@ -162,7 +165,7 @@ type World struct {
 	// when the single supernode rides on the frontal) with their sites —
 	// churn injects failures on them too.
 	snHosts   []snHost
-	siteShard map[string]int // site -> shard index (nil unsharded)
+	siteShard map[string]int // site -> shard index
 	opts      Options
 }
 
@@ -221,10 +224,9 @@ func NewWorld(opts Options) *World {
 	// Host ranks in sequential boot-spawn order (supernode tier,
 	// frontal, grid hosts): the cross-shard merge breaks timestamp
 	// ties by rank, which reproduces the sequential ordering of the
-	// vtime-0 registration storm. The single-shard engine provisions
-	// from the same lists — ranks are inert there, but the slab and the
-	// explicit sites spare it the per-host allocations and the grid's
-	// O(world) host index.
+	// vtime-0 registration storm. On one shard ranks are inert, but the
+	// frozen slab and the explicit sites still spare the per-host
+	// allocations and the grid's O(world) host index.
 	ranked := make([]string, 0, len(w.snHosts)+1+len(g.Hosts))
 	sites := make([]string, 0, cap(ranked))
 	for _, sh := range w.snHosts {
@@ -238,60 +240,50 @@ func NewWorld(opts Options) *World {
 		sites = append(sites, h.Site)
 	}
 
-	// Scheduler fabric: the historical single sequential scheduler, or a
-	// conservative parallel domain partitioned by site. Shard 0 always
-	// holds the origin site (Partition contract), so the frontal and its
-	// external actors stay on w.S either way.
-	if nsh := opts.Shards; nsh > 1 {
-		part := g.PartitionSites(nsh)
-		if part.SiteShard[g.Origin] != 0 {
-			panic("exp: origin site not on shard 0")
-		}
-		dom := vtime.NewDomain(part.N(), g.MinCrossLatency(part))
-		w.D = dom
-		w.S = dom.Shard(0)
-		w.siteShard = part.SiteShard
-		w.Net = simnet.NewSharded(dom, topo, simnet.DefaultConfig(opts.Seed), simnet.ShardConfig{
-			SiteShard: part.SiteShard,
-			Hosts:     ranked,
-			Sites:     sites,
-			Check:     os.Getenv("VTIME_CHECK") == "1",
-		})
-	} else {
-		w.S = vtime.New()
-		w.Net = simnet.New(w.S, topo, simnet.DefaultConfig(opts.Seed))
-		w.Net.Provision(ranked, sites)
+	// Scheduler fabric: a conservative domain partitioned by site — one
+	// shard (every window inline, no lookahead in play) unless
+	// opts.Shards asks for more. Shard 0 always holds the origin site
+	// (Partition contract), so the frontal and its external actors are on
+	// w.S.
+	part := g.PartitionSites(opts.Shards)
+	if part.SiteShard[g.Origin] != 0 {
+		panic("exp: origin site not on shard 0")
 	}
-	s, net := w.S, w.Net
+	w.D = vtime.NewDomain(part.N(), g.MinCrossLatency(part))
+	w.S = w.D.Shard(0)
+	w.siteShard = part.SiteShard
+	w.Net = simnet.NewSharded(w.D, topo, simnet.DefaultConfig(opts.Seed), simnet.ShardConfig{
+		SiteShard: part.SiteShard,
+		Hosts:     ranked,
+		Sites:     sites,
+		Check:     os.Getenv("VTIME_CHECK") == "1",
+	})
+	net := w.Net
 
 	// One interner per world: every daemon and supernode canonicalizes
 	// the PeerInfo values it retains against it. Pure memory sharing of
 	// equal values — trajectories are untouched.
 	intern := overlay.NewInterner()
 
-	if k == 1 {
-		// The historical world: one supernode co-located with the
-		// frontal. Every pre-federation experiment replays bit-for-bit.
-		w.SNs = []*overlay.Supernode{overlay.NewSupernode(s, net.Node(frontalID), overlay.SupernodeConfig{
-			Addr:             snAddr,
+	// One supernode per address. K=1 is a one-member federation hosted on
+	// the frontal (no dedicated host): a lone member never gossips and
+	// member 0's seed is opts.Seed, so every pre-federation experiment
+	// replays bit-for-bit.
+	for i, addr := range w.SNAddrs {
+		host := snHost{id: frontalID, site: g.Origin}
+		if len(w.snHosts) > 0 {
+			host = w.snHosts[i]
+		}
+		w.SNs = append(w.SNs, overlay.NewSupernode(w.shardFor(host.site), net.Node(host.id), overlay.SupernodeConfig{
+			Addr:             addr,
 			TTL:              10 * time.Minute,
 			MaxPeersReturned: opts.MaxPeersReturned,
-			Seed:             opts.Seed,
+			Seed:             opts.Seed + int64(i)*1013,
+			Shard:            i,
+			Federation:       w.SNAddrs,
+			GossipInterval:   opts.GossipInterval,
 			Intern:           intern,
-		})}
-	} else {
-		for i := 0; i < k; i++ {
-			w.SNs = append(w.SNs, overlay.NewSupernode(w.shardFor(w.snHosts[i].site), net.Node(w.snHosts[i].id), overlay.SupernodeConfig{
-				Addr:             w.SNAddrs[i],
-				TTL:              10 * time.Minute,
-				MaxPeersReturned: opts.MaxPeersReturned,
-				Seed:             opts.Seed + int64(i)*1013,
-				Shard:            i,
-				Federation:       w.SNAddrs,
-				GossipInterval:   opts.GossipInterval,
-				Intern:           intern,
-			}))
-		}
+		}))
 	}
 	w.SN = w.SNs[0]
 
@@ -307,15 +299,8 @@ func NewWorld(opts Options) *World {
 	// historical behaviour so published figures replay byte-for-byte.
 	bootPing := !opts.Topology.IsSynthetic()
 
-	// In a federation every daemon learns the whole shard-ordered
-	// address list and computes its own home shard.
-	var federation []string
-	if k > 1 {
-		federation = w.SNAddrs
-	}
-
 	programs := Programs(opts.Cost)
-	w.Frontal = mpd.New(s, net.Node(frontalID), mpd.Config{
+	w.Frontal = mpd.New(w.S, net.Node(frontalID), mpd.Config{
 		Self: proto.PeerInfo{
 			ID: frontalID, Site: g.Origin,
 			MPDAddr: frontalID + ":9000", RSAddr: frontalID + ":9001",
@@ -324,7 +309,7 @@ func NewWorld(opts Options) *World {
 		Seed: opts.Seed,
 		Shared: &mpd.Shared{
 			SupernodeAddr:    w.SNAddr,
-			Federation:       federation,
+			Federation:       w.SNAddrs, // every daemon computes its own home shard
 			Programs:         programs,
 			PingInterval:     opts.FrontalPingInterval,
 			Estimator:        opts.Estimator,
@@ -350,7 +335,7 @@ func NewWorld(opts Options) *World {
 	// between one struct and hundreds of MB of identical copies.
 	peerShared := &mpd.Shared{
 		SupernodeAddr:    w.SNAddr,
-		Federation:       federation,
+		Federation:       w.SNAddrs, // every daemon computes its own home shard
 		AliveInterval:    opts.PeerAliveInterval,
 		Programs:         programs,
 		PingInterval:     opts.PeerPingInterval,
@@ -408,34 +393,16 @@ func NewWorld(opts Options) *World {
 	return w
 }
 
-// shardFor returns the scheduler of the shard owning a site (the single
-// scheduler when unsharded). Every daemon runs on the shard of its
-// host's site, so its actors only ever touch that shard's network state.
+// shardFor returns the scheduler of the shard owning a site. Every
+// daemon runs on the shard of its host's site, so its actors only ever
+// touch that shard's network state.
 func (w *World) shardFor(site string) *vtime.Scheduler {
-	if w.D == nil {
-		return w.S
-	}
 	return w.D.Shard(w.siteShard[site])
 }
 
-// shard returns shard i's scheduler (the single scheduler unsharded).
-func (w *World) shard(i int) *vtime.Scheduler {
-	if w.D == nil {
-		return w.S
-	}
-	return w.D.Shard(i)
-}
-
-// RunFor advances the world's virtual clock by d — the whole shard
-// domain when sharded, the single scheduler otherwise. Harness code must
-// pump through this (not w.S.RunFor) to drive every shard.
-func (w *World) RunFor(d time.Duration) {
-	if w.D != nil {
-		w.D.RunFor(d)
-		return
-	}
-	w.S.RunFor(d)
-}
+// RunFor advances the world's virtual clock by d. Harness code must
+// pump through this (not w.S.RunFor) to drive the whole domain.
+func (w *World) RunFor(d time.Duration) { w.D.RunFor(d) }
 
 // Boot starts every daemon and warms up the submitter's latency table
 // (one cache refresh plus a ping round over all 350 peers).
@@ -445,8 +412,8 @@ func (w *World) Boot() error {
 	// actor per shard spawns its daemons in that order, so every shard's
 	// vtime-0 registration storm executes in host-rank order and the
 	// cross-shard merge's rank tiebreak stitches the shards back into
-	// the sequential ordering. In an unsharded world this degenerates to
-	// the single historical "exp.boot" actor.
+	// the sequential ordering. On one shard this is the single historical
+	// "exp.boot" actor.
 	//
 	// With Options.BootSpread set, daemon rank r starts at virtual time
 	// r×step instead of 0: each shard's boot actor sleeps up to the
@@ -454,21 +421,14 @@ func (w *World) Boot() error {
 	// actors stay bounded. The target is a function of the global rank
 	// only — never of the shard layout — so a staggered world's
 	// trajectory is identical at every -shards value.
-	nsh := 1
-	if w.D != nil {
-		nsh = w.D.Shards()
-	}
 	type bootStart struct {
 		rank int
 		fn   func() error
 	}
-	starts := make([][]bootStart, nsh)
+	starts := make([][]bootStart, w.D.Shards())
 	rank := 0
 	add := func(site string, fn func() error) {
-		si := 0
-		if w.D != nil {
-			si = w.siteShard[site]
-		}
+		si := w.siteShard[site]
 		starts[si] = append(starts[si], bootStart{rank: rank, fn: fn})
 		rank++
 	}
@@ -487,14 +447,12 @@ func (w *World) Boot() error {
 	if w.opts.BootSpread > 0 && rank > 1 {
 		step = w.opts.BootSpread / time.Duration(rank-1)
 	}
-	bootErrs := make([]error, nsh)
-	for si := range starts {
-		si := si
-		list := starts[si]
+	bootErrs := make([]error, len(starts))
+	for si, list := range starts {
 		if len(list) == 0 {
 			continue
 		}
-		rt := w.shard(si)
+		rt := w.D.Shard(si)
 		rt.Go("exp.boot", func() {
 			t0 := rt.Elapsed()
 			for _, bs := range list {
@@ -549,8 +507,11 @@ func (w *World) Boot() error {
 // failures — not conflicts); a reviving host regains its links and
 // re-registers with the supernode. The frontal host (submitter and
 // supernode) is exempt: the paper's observer survives, like the
-// Grid'5000 frontends. Call Stop on the returned driver to halt
-// injection and read the injected totals.
+// Grid'5000 frontends. The trace replays as global events of w.D: the
+// hooks fail hosts and crash daemons across shards, which is only
+// race-free with every shard parked at the transition's exact virtual
+// time. Call Stop on the returned driver to halt injection and read the
+// injected totals.
 func (w *World) StartChurn(cfg churn.Config) *churn.Driver {
 	byID := make(map[string]*mpd.MPD, len(w.Peers))
 	hosts := make([]string, 0, len(w.Grid.Hosts)+len(w.snHosts))
@@ -577,7 +538,7 @@ func (w *World) StartChurn(cfg churn.Config) *churn.Driver {
 		return snSites[id]
 	}
 	tr := churn.Trace(hosts, siteOf, cfg)
-	d := churn.NewDriver(w.S, tr, churn.Hooks{
+	d := churn.NewDriver(w.D, tr, churn.Hooks{
 		Down: func(id string) {
 			w.Net.FailHost(id)
 			if p := byID[id]; p != nil {
@@ -592,14 +553,7 @@ func (w *World) StartChurn(cfg churn.Config) *churn.Driver {
 		},
 	})
 	d.SetHostCount(len(hosts)) // normalize DownFraction over the platform
-	if w.D != nil {
-		// Sharded worlds apply churn at window barriers: the hooks fail
-		// hosts and crash daemons across shards, which is only race-free
-		// with every shard parked at the transition's exact virtual time.
-		d.StartGlobal(w.D)
-	} else {
-		d.Start()
-	}
+	d.Start()
 	return d
 }
 
@@ -608,9 +562,9 @@ func (w *World) StartChurn(cfg churn.Config) *churn.Driver {
 // federation-splitting bisections) toggle simnet link cuts, gray
 // episodes degrade the host's links, and the constant knobs — uniform
 // loss, latency inflation, bounded duplication — apply for the whole
-// run. Sharded worlds replay the trace at window barriers
-// (StartGlobal), so fault state only changes with every shard parked
-// and the sequential and sharded trajectories stay byte-identical.
+// run. The trace replays as global events of w.D, so fault state only
+// changes at a barrier with every shard parked, and the trajectory is
+// byte-identical at every shard count.
 // The returned HealWatch measures split-brain windows and, on
 // federated worlds, the anti-entropy healing latency after each spell.
 func (w *World) StartFaults(cfg faults.Config) (*faults.Driver, *HealWatch) {
@@ -635,7 +589,7 @@ func (w *World) StartFaults(cfg faults.Config) (*faults.Driver, *HealWatch) {
 		hosts = append(hosts, sh.id)
 	}
 	hw := &HealWatch{w: w}
-	d := faults.NewDriver(w.S, faults.Trace(sites, hosts, cfg), faults.Hooks{
+	d := faults.NewDriver(w.D, faults.Trace(sites, hosts, cfg), faults.Hooks{
 		Partition: func(a, b string, on bool) {
 			w.Net.SetCut(a, b, on)
 			if on {
@@ -647,11 +601,7 @@ func (w *World) StartFaults(cfg faults.Config) (*faults.Driver, *HealWatch) {
 		},
 		Healed: hw.onHealed,
 	})
-	if w.D != nil {
-		d.StartGlobal(w.D)
-	} else {
-		d.Start()
-	}
+	d.Start()
 	return d, hw
 }
 
@@ -672,8 +622,8 @@ type HealStats struct {
 }
 
 // HealWatch accumulates HealStats for one StartFaults run. Its hooks
-// run on the fault driver's timeline (driver actor, or domain barriers
-// when sharded), so reads of the supernodes' version vectors are
+// and its convergence poll run as global events of the world's domain
+// (every shard parked), so reads of the supernodes' version vectors are
 // race-free.
 type HealWatch struct {
 	w *World
@@ -715,6 +665,7 @@ func (h *HealWatch) onHealed(start, end time.Time) {
 	if len(h.w.SNs) < 2 {
 		return
 	}
+	d := h.w.D
 	var poll func()
 	poll = func() {
 		h.mu.Lock()
@@ -724,10 +675,10 @@ func (h *HealWatch) onHealed(start, end time.Time) {
 			return // a newer cut or heal superseded this chain
 		}
 		if !h.w.fedConverged() {
-			h.w.scheduleIn(healPollInterval, poll)
+			d.ScheduleGlobal(d.Elapsed()+healPollInterval, poll)
 			return
 		}
-		lag := h.w.now().Sub(end)
+		lag := d.Now().Sub(end)
 		h.mu.Lock()
 		h.stats.HealSamples++
 		h.stats.HealTime += lag
@@ -736,13 +687,12 @@ func (h *HealWatch) onHealed(start, end time.Time) {
 		}
 		h.mu.Unlock()
 	}
-	h.w.scheduleIn(healPollInterval, poll)
+	d.ScheduleGlobal(d.Elapsed()+healPollInterval, poll)
 }
 
 // fedConverged reports whether every federation member knows the same
 // per-shard version vector — the anti-entropy convergence predicate.
-// Callers must hold a race-free vantage point (a domain barrier, or
-// the sequential scheduler).
+// Callers must hold a race-free vantage point (a domain barrier).
 func (w *World) fedConverged() bool {
 	base := w.SNs[0].KnownVersions()
 	for _, sn := range w.SNs[1:] {
@@ -756,26 +706,7 @@ func (w *World) fedConverged() bool {
 	return true
 }
 
-// now returns the world's virtual time from its canonical clock.
-func (w *World) now() time.Time {
-	if w.D != nil {
-		return w.D.Now()
-	}
-	return w.S.Now()
-}
-
-// scheduleIn runs fn after d of virtual time — as a domain-global
-// event when sharded (every shard parked), a plain scheduler event
-// otherwise — matching the vantage point fault hooks run under.
-func (w *World) scheduleIn(d time.Duration, fn func()) {
-	if w.D != nil {
-		w.D.ScheduleGlobal(w.D.Elapsed()+d, fn)
-		return
-	}
-	w.S.Schedule(d, fn)
-}
-
-// Close shuts every daemon down and stops the scheduler.
+// Close shuts every daemon down and stops the domain.
 func (w *World) Close() {
 	for _, sn := range w.SNs {
 		sn.Close()
@@ -784,11 +715,7 @@ func (w *World) Close() {
 	for _, p := range w.Peers {
 		p.Close()
 	}
-	if w.D != nil {
-		w.D.Shutdown()
-		return
-	}
-	w.S.Shutdown()
+	w.D.Shutdown()
 }
 
 // FederationStats sums the supernode tier's membership-plane counters
@@ -834,22 +761,7 @@ var ErrPumpExhausted = errors.New("exp: submission did not complete within the s
 // Submit runs one job from the frontal, pumping the virtual clock until
 // it completes (budget: one virtual hour).
 func (w *World) Submit(spec mpd.JobSpec) (*mpd.JobResult, error) {
-	type outcome struct {
-		res *mpd.JobResult
-		err error
-	}
-	ch := make(chan outcome, 1)
-	w.S.Go("exp.submit", func() {
-		res, err := w.Frontal.Submit(spec)
-		ch <- outcome{res, err}
+	return submitPumped(w, 3600, "exp.submit", func() (*mpd.JobResult, error) {
+		return w.Frontal.Submit(spec)
 	})
-	for i := 0; i < 3600; i++ {
-		w.RunFor(time.Second)
-		select {
-		case o := <-ch:
-			return o.res, o.err
-		default:
-		}
-	}
-	return nil, ErrPumpExhausted
 }

@@ -26,8 +26,10 @@
 //     hash(Config.Seed, hostID). The trace is a pure function of its
 //     inputs as sets — permuting the input slices yields an identical
 //     timeline (the property the determinism tests pin).
-//   - Driver replays a trace on a vtime.Runtime, invoking Partition and
-//     Gray hooks. Overlapping episodes that cut the same site pair are
+//   - Driver replays a trace on the barriers of a vtime.Domain — each
+//     transition a global event, fired with every shard parked on its
+//     exact virtual time — invoking Partition and Gray hooks.
+//     Overlapping episodes that cut the same site pair are
 //     reference-counted so hooks see each link transition exactly once,
 //     and the Healed hook fires when the last active cut lifts.
 //

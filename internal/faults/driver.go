@@ -8,9 +8,10 @@ import (
 )
 
 // Hooks receive the deduplicated fault transitions of the replay. They
-// run on the driver's actor (or at a domain barrier under StartGlobal),
-// one at a time, in timeline order — implementations may touch
-// scheduler-bound state freely but must not block forever.
+// run at domain barriers — on the goroutine driving the domain, every
+// shard parked at the transition's exact virtual time — one at a time,
+// in timeline order: implementations may touch any shard's state freely
+// but must not block.
 type Hooks struct {
 	// Partition fires when a site pair's link is first cut (on) and when
 	// its last overlapping cut lifts (off).
@@ -37,11 +38,12 @@ type Stats struct {
 	Observed time.Duration
 }
 
-// Driver replays a fault trace against a vtime.Runtime. Overlapping
-// episodes cutting the same site pair are reference-counted so the
-// hooks see each link transition at most once per actual state change.
+// Driver replays a fault trace as global events of a vtime.Domain.
+// Overlapping episodes cutting the same site pair are reference-counted
+// so the hooks see each link transition at most once per actual state
+// change.
 type Driver struct {
-	rt    vtime.Runtime
+	dom   *vtime.Domain
 	trace []Event
 	hooks Hooks
 
@@ -57,9 +59,9 @@ type Driver struct {
 }
 
 // NewDriver builds a driver over a precomputed trace (see Trace).
-func NewDriver(rt vtime.Runtime, trace []Event, hooks Hooks) *Driver {
+func NewDriver(dom *vtime.Domain, trace []Event, hooks Hooks) *Driver {
 	return &Driver{
-		rt:         rt,
+		dom:        dom,
 		trace:      trace,
 		hooks:      hooks,
 		cutCauses:  make(map[[2]string]int),
@@ -67,7 +69,14 @@ func NewDriver(rt vtime.Runtime, trace []Event, hooks Hooks) *Driver {
 	}
 }
 
-// Start spawns the replay actor. Idempotent.
+// Start schedules the trace, offset from the domain's current time, as
+// domain-global events: each transition fires at a window barrier, when
+// every shard is parked at the event's exact virtual time. That makes
+// the hooks' world mutations (cutting simnet links, flipping gray state)
+// race-free against all shard event loops — the barrier is the
+// happens-before edge — and, because fault state is then constant
+// within every window whatever the shard count, keeps the trajectory
+// byte-identical across shard counts. Idempotent.
 func (d *Driver) Start() {
 	d.mu.Lock()
 	if d.started || d.stopped {
@@ -75,45 +84,15 @@ func (d *Driver) Start() {
 		return
 	}
 	d.started = true
-	d.mu.Unlock()
-	d.rt.Go("faults.driver", d.replay)
-}
-
-// GlobalRuntime is the slice of a sharded scheduler domain
-// (vtime.Domain) the barrier-scheduled replay needs.
-type GlobalRuntime interface {
-	Now() time.Time
-	Elapsed() time.Duration
-	// ScheduleGlobal runs fn at an absolute virtual elapsed time, with
-	// every shard parked at that time.
-	ScheduleGlobal(at time.Duration, fn func())
-}
-
-// StartGlobal replays the trace as domain-global events instead of a
-// replay actor: each transition fires at a window barrier, when every
-// shard is parked at the event's exact virtual time. That makes the
-// hooks' world mutations (cutting simnet links, flipping gray state)
-// race-free against all shard event loops — the barrier is the
-// happens-before edge — and, because fault state then only changes at
-// instants where both engines are parked, keeps the sequential and
-// sharded traces byte-identical. Idempotent.
-func (d *Driver) StartGlobal(g GlobalRuntime) {
-	d.mu.Lock()
-	if d.started || d.stopped {
-		d.mu.Unlock()
-		return
-	}
-	d.started = true
-	d.startAt = g.Now()
-	base := g.Elapsed()
+	d.startAt = d.dom.Now()
+	base := d.dom.Elapsed()
 	d.mu.Unlock()
 	for _, ev := range d.trace {
-		ev := ev
-		g.ScheduleGlobal(base+ev.At, func() { d.fireGlobal(ev) })
+		d.dom.ScheduleGlobal(base+ev.At, func() { d.fire(ev) })
 	}
 }
 
-func (d *Driver) fireGlobal(ev Event) {
+func (d *Driver) fire(ev Event) {
 	d.mu.Lock()
 	if d.stopped {
 		d.mu.Unlock()
@@ -126,32 +105,10 @@ func (d *Driver) fireGlobal(ev Event) {
 	}
 }
 
-func (d *Driver) replay() {
-	start := d.rt.Now()
-	d.mu.Lock()
-	d.startAt = start
-	d.mu.Unlock()
-	for _, ev := range d.trace {
-		if wait := start.Add(ev.At).Sub(d.rt.Now()); wait > 0 {
-			d.rt.Sleep(wait)
-		}
-		d.mu.Lock()
-		if d.stopped {
-			d.mu.Unlock()
-			return
-		}
-		fire := d.applyLocked(ev)
-		d.mu.Unlock()
-		if fire != nil {
-			fire()
-		}
-	}
-}
-
 // applyLocked folds one event into the fault view and returns the hook
 // invocation to fire (nil when the event changed no observable state).
 func (d *Driver) applyLocked(ev Event) func() {
-	now := d.rt.Now()
+	now := d.dom.Now()
 	switch ev.Kind {
 	case EvPartition:
 		key := [2]string{ev.A, ev.B}
@@ -231,7 +188,7 @@ func (d *Driver) Gray(host string) bool {
 // stats: an open partition spell is charged up to now. Idempotent;
 // later calls return the same snapshot.
 func (d *Driver) Stop() Stats {
-	now := d.rt.Now()
+	now := d.dom.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.stopped {

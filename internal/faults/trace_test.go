@@ -181,13 +181,14 @@ func TestGrayFracSelectsSeededSubset(t *testing.T) {
 // cut by two overlapping episodes fires one Partition(on) and one
 // Partition(off), the off only after both episodes ended.
 func TestDriverRefCountsOverlappingCuts(t *testing.T) {
-	s := vtime.New()
-	defer s.Shutdown()
+	dom := vtime.NewDomain(1, 0)
+	defer dom.Shutdown()
 	trace := []Event{
 		{At: 10 * time.Second, Kind: EvPartition, A: "a", B: "b", On: true},
 		{At: 20 * time.Second, Kind: EvPartition, A: "a", B: "b", On: true},
 		{At: 30 * time.Second, Kind: EvPartition, A: "a", B: "b", On: false},
 		{At: 50 * time.Second, Kind: EvPartition, A: "a", B: "b", On: false},
+		{At: 55 * time.Second, Kind: EvPartition, A: "a", B: "c", On: false}, // spurious heal: a-c was never cut
 	}
 	type tr struct {
 		at time.Duration
@@ -195,12 +196,14 @@ func TestDriverRefCountsOverlappingCuts(t *testing.T) {
 	}
 	var log []tr
 	var healed []time.Duration
-	d := NewDriver(s, trace, Hooks{
-		Partition: func(a, b string, on bool) { log = append(log, tr{s.Elapsed(), on}) },
+	d := NewDriver(dom, trace, Hooks{
+		Partition: func(a, b string, on bool) { log = append(log, tr{dom.Elapsed(), on}) },
 		Healed:    func(start, end time.Time) { healed = append(healed, end.Sub(start)) },
 	})
 	d.Start()
-	s.RunFor(time.Minute)
+	dom.RunFor(5 * time.Second)
+	d.Start() // idempotent: a re-based second copy of the trace would delay the heal to 55s
+	dom.RunFor(55 * time.Second)
 	want := []tr{{10 * time.Second, true}, {50 * time.Second, false}}
 	if !reflect.DeepEqual(log, want) {
 		t.Fatalf("transitions %v, want %v", log, want)
@@ -220,24 +223,24 @@ func TestDriverRefCountsOverlappingCuts(t *testing.T) {
 // TestDriverGrayAndStop: gray hooks replay, Stop halts injection and
 // settles an open partition spell.
 func TestDriverGrayAndStop(t *testing.T) {
-	s := vtime.New()
-	defer s.Shutdown()
+	dom := vtime.NewDomain(1, 0)
+	defer dom.Shutdown()
 	trace := []Event{
 		{At: 5 * time.Second, Kind: EvGray, Host: "h0", On: true},
 		{At: 10 * time.Second, Kind: EvPartition, A: "a", B: "b", On: true},
 		{At: 40 * time.Second, Kind: EvGray, Host: "h0", On: false},
 	}
 	var grayLog []bool
-	d := NewDriver(s, trace, Hooks{
+	d := NewDriver(dom, trace, Hooks{
 		Gray: func(host string, on bool) { grayLog = append(grayLog, on) },
 	})
 	d.Start()
-	s.RunFor(20 * time.Second)
+	dom.RunFor(20 * time.Second)
 	if !d.Gray("h0") || !d.Cut("a", "b") {
 		t.Fatal("mid-run state not visible")
 	}
 	st := d.Stop()
-	s.RunFor(time.Minute)
+	dom.RunFor(time.Minute)
 	if !reflect.DeepEqual(grayLog, []bool{true}) {
 		t.Fatalf("gray transitions %v, want [true] (the off was stopped out)", grayLog)
 	}

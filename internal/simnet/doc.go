@@ -13,16 +13,20 @@
 //     start time, and a busy resource delays the transfer,
 //   - strict FIFO per connection direction (TCP ordering).
 //
-// A Net runs on one vtime.Scheduler (New) or on the shards of a
-// vtime.Domain (NewSharded, sites partitioned onto parallel schedulers)
-// and is fully deterministic under its seed either way. Both engines
-// run one frame path (frame.go): every send, dial and close is a sender
-// half (depart) and a receiver half (land); land runs inline when both
-// hosts share a scheduler and at the domain barrier, in a global
-// deterministic order, when the frame crosses shards. Independent Nets
-// (one per experiment world) never share state, which is what lets the
-// parallel sweep harness run many worlds on separate OS threads with
-// reproducible results.
+// A Net runs on the shards of a vtime.Domain (NewSharded: sites
+// partitioned onto the domain's schedulers, host and pipe tables frozen
+// up front) — every exp.World is built this way, a one-shard domain
+// included — or on one bare vtime.Scheduler with a lazily grown host
+// table (New: unit tests, examples, and the sequential reference the
+// fault-script differential test compares against). It is fully
+// deterministic under its seed either way. There is one frame path
+// (frame.go): every send, dial and close is a sender half (depart) and
+// a receiver half (land); land runs inline when both hosts share a
+// scheduler — always, on one shard — and at the domain barrier, in a
+// global deterministic order, when the frame crosses shards.
+// Independent Nets (one per experiment world) never share state, which
+// is what lets the parallel sweep harness run many worlds on separate
+// OS threads with reproducible results.
 //
 // The per-message path is single-writer and allocation-free: a Net
 // carries no lock (every call runs in scheduler context, which

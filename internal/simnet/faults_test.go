@@ -39,7 +39,9 @@ func sequentialFaultWorld(t *testing.T, seed int64) faultWorld {
 	s := vtime.New()
 	t.Cleanup(s.Shutdown)
 	n := New(s, faultTopo(), DefaultConfig(seed))
-	n.Provision(faultHosts, faultSites)
+	for _, h := range faultHosts {
+		n.host(h) // lazy registration in rank order, as NewSharded freezes it
+	}
 	return faultWorld{
 		n:      n,
 		rt:     func(string) *vtime.Scheduler { return s },

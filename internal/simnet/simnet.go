@@ -318,31 +318,9 @@ func (n *Net) BaseOneWay(a, b string) time.Duration {
 	return n.topo.SiteLatency(n.topo.Site(a), n.topo.Site(b))
 }
 
-// Provision pre-registers hosts with their sites in rank order, as one
-// slab allocation. Behaviour is identical to the lazy path — the same
-// ranks, sites and per-host state — but a big world skips both the
-// per-host allocations and the topology's host→site index (which for a
-// grid topology is an O(world) map built just to answer these
-// lookups). Single-shard only; NewSharded freezes its own table.
-// Hosts already known keep their state (Provision is a no-op for them).
-func (n *Net) Provision(hosts, sites []string) {
-	if len(hosts) != len(sites) {
-		panic(fmt.Sprintf("simnet: %d sites for %d provisioned hosts", len(sites), len(hosts)))
-	}
-	if n.sharded {
-		return
-	}
-	slab := make([]netHost, len(hosts))
-	for i, id := range hosts {
-		if n.hosts[id] == nil {
-			n.addHost(&slab[i], id, sites[i], n.sh[0])
-		}
-	}
-}
-
 // addHost initialises h in place as the next-ranked host and enters it in
 // the host table. Ranks follow registration order: the boot order handed
-// to NewSharded or Provision, first use on the lazy path.
+// to NewSharded, first use on the lazy path.
 func (n *Net) addHost(h *netHost, id, site string, sh *netShard) {
 	*h = netHost{
 		id:       id,

@@ -1,9 +1,9 @@
 package vtime
 
 import (
+	"container/heap"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,6 +18,10 @@ import (
 //	W = committed horizon (all shard clocks equal W between windows)
 //	H = min(earliest pending event across shards + lookahead,
 //	        next global event, caller fence)
+//
+// A one-shard domain has no cross-shard delivery to be conservative
+// about, so the lookahead term drops out: its window runs to the next
+// global event or the fence, inline on the driver goroutine.
 //
 // Every shard runs to H concurrently, then a barrier fires: registered
 // drain callbacks (the simulated network's cross-shard merge) run on the
@@ -39,8 +43,7 @@ type Domain struct {
 	barriers []func() // drain callbacks, run in registration order
 
 	gmu     sync.Mutex // guards globals; ScheduleGlobal may be called from barrier code
-	globals []globalEvent
-	gsorted bool
+	globals globalHeap
 	gseq    uint64
 
 	workers []shardWorker
@@ -65,6 +68,29 @@ type globalEvent struct {
 	at  time.Duration
 	seq uint64
 	fn  func()
+}
+
+// globalHeap is a min-heap on (at, seq): every churn, fault and
+// heal-poll event of a world queues here, and polls are scheduled while
+// a long pre-scheduled trace is still pending.
+type globalHeap []globalEvent
+
+func (h globalHeap) Len() int      { return len(h) }
+func (h globalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h globalHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h *globalHeap) Push(x any) { *h = append(*h, x.(globalEvent)) }
+func (h *globalHeap) Pop() any {
+	old := *h
+	n := len(old) - 1
+	ev := old[n]
+	old[n] = globalEvent{} // a fired closure must not stay reachable from the backing array
+	*h = old[:n]
+	return ev
 }
 
 // Worker wake states (shardWorker.flag). The barrier is sense-free on
@@ -122,8 +148,10 @@ func (w *shardWorker) awaitArm(spin int) bool {
 // epoch. lookahead must be positive when n > 1: it is the minimum
 // virtual latency of any cross-shard delivery, and the window protocol
 // is only conservative (deadlock- and causality-safe) if that bound
-// holds. A single-shard domain degenerates to the sequential scheduler
-// with zero barriers in play.
+// holds. A single-shard domain is the sequential scheduler plus global
+// events: no workers, no lookahead, every window run inline to the
+// fence or the next global event — what every unsharded exp.World runs
+// on.
 func NewDomain(n int, lookahead time.Duration) *Domain {
 	if n < 1 {
 		panic("vtime: NewDomain needs at least one shard")
@@ -191,7 +219,8 @@ func (d *Domain) Windows() uint64 { return d.windows }
 
 // SkippedWindows returns how many of those windows were resolved
 // without waking any worker goroutine (zero or one shard had events
-// inside the horizon, so the driver ran the window inline).
+// inside the horizon, so the driver ran the window inline) — all of
+// them on a one-shard domain.
 func (d *Domain) SkippedWindows() uint64 { return d.skipped }
 
 // OnBarrier registers fn to run at every barrier, after all shards have
@@ -210,8 +239,7 @@ func (d *Domain) OnBarrier(fn func()) { d.barriers = append(d.barriers, fn) }
 func (d *Domain) ScheduleGlobal(at time.Duration, fn func()) {
 	d.gmu.Lock()
 	d.gseq++
-	d.globals = append(d.globals, globalEvent{at: at, seq: d.gseq, fn: fn})
-	d.gsorted = false
+	heap.Push(&d.globals, globalEvent{at: at, seq: d.gseq, fn: fn})
 	d.gmu.Unlock()
 }
 
@@ -222,21 +250,7 @@ func (d *Domain) nextGlobalAt() (time.Duration, bool) {
 	if len(d.globals) == 0 {
 		return 0, false
 	}
-	d.sortGlobalsLocked()
 	return d.globals[0].at, true
-}
-
-func (d *Domain) sortGlobalsLocked() {
-	if !d.gsorted {
-		sort.Slice(d.globals, func(i, j int) bool {
-			a, b := d.globals[i], d.globals[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			return a.seq < b.seq
-		})
-		d.gsorted = true
-	}
 }
 
 // fireGlobals runs every global event stamped at or before h, in
@@ -244,13 +258,11 @@ func (d *Domain) sortGlobalsLocked() {
 func (d *Domain) fireGlobals(h time.Duration) {
 	for {
 		d.gmu.Lock()
-		d.sortGlobalsLocked()
 		if len(d.globals) == 0 || d.globals[0].at > h {
 			d.gmu.Unlock()
 			return
 		}
-		ev := d.globals[0]
-		d.globals = d.globals[1:]
+		ev := heap.Pop(&d.globals).(globalEvent)
 		d.gmu.Unlock()
 		ev.fn()
 	}
@@ -267,6 +279,7 @@ func (d *Domain) fireGlobals(h time.Duration) {
 func (d *Domain) runWindow(h time.Duration) {
 	d.windows++
 	if d.workers == nil {
+		d.skipped++
 		d.shards[0].RunUntil(h)
 		return
 	}
@@ -307,6 +320,9 @@ func (d *Domain) barrier() {
 	}
 }
 
+// forever is the fence of an unbounded run (Wait).
+const forever = time.Duration(1<<63 - 1)
+
 // step runs one synchronization window bounded by fence. It reports
 // false when no pending work exists anywhere (shards, outboxes already
 // drained, globals) — the domain is idle.
@@ -328,7 +344,7 @@ func (d *Domain) step(fence time.Duration) bool {
 		return false
 	}
 	h := fence
-	if minNext >= 0 {
+	if minNext >= 0 && len(d.shards) > 1 {
 		if wh := minNext + d.lookahead; wh < h {
 			h = wh
 		}
@@ -338,6 +354,13 @@ func (d *Domain) step(fence time.Duration) bool {
 	}
 	if h < d.now {
 		h = d.now
+	}
+	if h == forever {
+		// Wait on one shard with no global pending: nothing bounds the
+		// window, so drain the shard first and commit where its clock
+		// stopped (RunUntil would jump the clock to the horizon).
+		d.shards[0].Wait()
+		h = d.shards[0].Elapsed()
 	}
 	d.runWindow(h)
 	d.barrier()
@@ -371,7 +394,6 @@ func (d *Domain) RunFor(dur time.Duration) time.Duration {
 // Wait runs windows until no shard has pending work and no global events
 // remain. Parked actors may remain, as with Scheduler.Wait.
 func (d *Domain) Wait() {
-	const forever = time.Duration(1<<63 - 1)
 	for d.step(forever) {
 	}
 }

@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -21,6 +23,146 @@ func TestDomainSingleShardRuns(t *testing.T) {
 	d.Wait()
 	if len(fired) != 3 || fired[2] != 30*time.Millisecond {
 		t.Fatalf("fired = %v", fired)
+	}
+}
+
+// TestOneShardDomainDispatchOrder: a one-shard domain is the sequential
+// engine. The scripted mix of TestDispatchOrderPinned must produce the
+// bare Scheduler's literal table whether the domain is pumped in RunFor
+// tiles (fences falling between, on and after the events) or drained
+// with Wait.
+func TestOneShardDomainDispatchOrder(t *testing.T) {
+	drivers := map[string]func(*Domain){
+		"wait": func(d *Domain) { d.Wait() },
+		"tiles": func(d *Domain) {
+			for _, tile := range []time.Duration{2, 1, 4, 3, 5, 5, 10} {
+				d.RunFor(tile * time.Millisecond)
+			}
+		},
+	}
+	for name, drive := range drivers {
+		t.Run(name, func(t *testing.T) {
+			d := NewDomain(1, 0)
+			defer d.Shutdown()
+			got := spawnDispatchScript(d.Shard(0))
+			drive(d)
+			checkDispatchOrder(t, *got)
+			if name == "wait" && d.Elapsed() != 20*time.Millisecond {
+				t.Fatalf("Wait left the clock at %v, want the last event (20ms)", d.Elapsed())
+			}
+		})
+	}
+}
+
+// TestOneShardDomainWindows: with no cross-shard delivery to be
+// conservative about, a one-shard window is bounded by the fence and the
+// next global event only — never by event timestamps (a zero lookahead
+// must not cut one window per instant).
+func TestOneShardDomainWindows(t *testing.T) {
+	d := NewDomain(1, 0)
+	defer d.Shutdown()
+	s := d.Shard(0)
+	ticks := 0
+	s.Go("ticker", func() {
+		for {
+			s.Sleep(time.Millisecond)
+			ticks++
+		}
+	})
+	d.ScheduleGlobal(1500*time.Millisecond, func() {})
+	d.ScheduleGlobal(2*time.Second, func() {}) // on a fence: no extra window
+	for i := 0; i < 3; i++ {
+		d.RunFor(time.Second)
+	}
+	if ticks != 3000 {
+		t.Fatalf("ticks = %d, want 3000", ticks)
+	}
+	// Three tiles, one of them split by the mid-tile global.
+	if got := d.Windows(); got != 4 {
+		t.Fatalf("Windows() = %d over 3 RunFor calls and 1 mid-tile global, want 4 (3000 distinct timestamps ran)", got)
+	}
+	if d.SkippedWindows() != d.Windows() {
+		t.Fatalf("%d of %d one-shard windows counted as run inline", d.SkippedWindows(), d.Windows())
+	}
+}
+
+// TestOneShardDomainGlobalAfterShardEvents: a global stamped on an
+// instant where shard events also fire runs after all of them, with the
+// shard clock exactly on that instant; work it readies runs in the next
+// window at the same instant.
+func TestOneShardDomainGlobalAfterShardEvents(t *testing.T) {
+	d := NewDomain(1, 0)
+	defer d.Shutdown()
+	s := d.Shard(0)
+	const at = 10 * time.Millisecond
+	var got []string
+	rec := func(who string) { got = append(got, fmt.Sprintf("%v %s", s.Elapsed(), who)) }
+	d.ScheduleGlobal(at, func() {
+		rec("global")
+		s.Schedule(0, func() { rec("readied") })
+	})
+	s.Schedule(at, func() {
+		rec("cb")
+		s.Schedule(0, func() { rec("cb child") })
+	})
+	s.Go("a", func() {
+		s.Sleep(at)
+		rec("actor")
+	})
+	d.RunFor(time.Second)
+	want := []string{"10ms cb", "10ms actor", "10ms cb child", "10ms global", "10ms readied"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
+}
+
+// TestDomainGlobalQueue pins the (at, seq) firing order of the global
+// queue under scheduling from inside a global and from a shard
+// callback, and that fired events leave nothing behind: the pending
+// count drops to zero and no popped slot keeps its closure reachable.
+func TestDomainGlobalQueue(t *testing.T) {
+	d := NewDomain(1, 0)
+	defer d.Shutdown()
+	s := d.Shard(0)
+	const ms = time.Millisecond
+	var got []string
+	global := func(name string, at time.Duration, then func()) {
+		d.ScheduleGlobal(at, func() {
+			got = append(got, fmt.Sprintf("%v %s", d.Elapsed(), name))
+			if then != nil {
+				then()
+			}
+		})
+	}
+	global("g3", 30*ms, nil)
+	global("g1", 10*ms, func() {
+		global("g1.same", 10*ms, nil) // same instant: after g2, which was queued first
+		global("g1.past", 5*ms, nil)  // stamped in the past: fires at this barrier, ahead of g2
+		global("g1.later", 12*ms, nil)
+	})
+	global("g2", 10*ms, nil)
+	// From a shard callback inside the 12ms→30ms window: both are behind
+	// the window's horizon by the time the barrier sees them, so they
+	// fire there in (at, seq) order, ahead of g3.
+	s.Schedule(20*ms, func() {
+		global("s.25", 25*ms, nil)
+		global("s.15", 15*ms, nil)
+	})
+	d.RunFor(40 * ms)
+	want := []string{
+		"10ms g1", "10ms g1.past", "10ms g2", "10ms g1.same", "12ms g1.later",
+		"30ms s.15", "30ms s.25", "30ms g3",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("firing order\n got %v\nwant %v", got, want)
+	}
+	if n := len(d.globals); n != 0 {
+		t.Fatalf("%d globals still pending", n)
+	}
+	for i, ev := range d.globals[:cap(d.globals)] {
+		if ev.fn != nil {
+			t.Fatalf("popped slot %d still holds its closure", i)
+		}
 	}
 }
 

@@ -17,9 +17,17 @@ import (
 func TestDispatchOrderPinned(t *testing.T) {
 	s := New()
 	defer s.Shutdown()
-	var got []string
+	got := spawnDispatchScript(s)
+	s.Wait()
+	checkDispatchOrder(t, *got)
+}
+
+// spawnDispatchScript sets the scripted mix up on s and returns the
+// (elapsed, actor) log it appends to as the caller drives the clock.
+func spawnDispatchScript(s *Scheduler) *[]string {
+	got := new([]string)
 	rec := func(who string) {
-		got = append(got, fmt.Sprintf("%v %s", s.Elapsed(), who))
+		*got = append(*got, fmt.Sprintf("%v %s", s.Elapsed(), who))
 	}
 	const ms = time.Millisecond
 
@@ -85,8 +93,13 @@ func TestDispatchOrderPinned(t *testing.T) {
 		rec("cb push")
 		q.Push(5)
 	})
-	s.Wait()
+	return got
+}
 
+// checkDispatchOrder compares a run of the scripted mix against the
+// pinned table.
+func checkDispatchOrder(t *testing.T, got []string) {
+	t.Helper()
 	want := []string{
 		"0s s1 start",
 		"0s s2 start",
