@@ -86,6 +86,15 @@ func TestReplicatedHostnameOnGrid(t *testing.T) {
 		}
 		byRank[r.Rank][host] = true
 	}
+
+	// Quiesce. The all-pairs boot, the launch and 200 MPI processes with
+	// their heartbeat plane were all served from delivery events: no
+	// mpd.conn / rs.conn / supernode.conn / mpi.pump reader and no accept
+	// loop is parked anywhere. What is left is the supernode's sweep loop.
+	w.RunFor(5 * time.Second)
+	if n := w.S.Actors(); n != 1 {
+		t.Fatalf("%d actors at quiesce, want 1 (supernode.sweep)", n)
+	}
 }
 
 // TestShutdownLeavesNoGoroutines: actors are coroutines that Shutdown

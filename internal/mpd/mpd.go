@@ -393,17 +393,9 @@ func (m *MPD) Start() error {
 	m.ln = ln
 	m.mu.Unlock()
 
-	// Inbound conns spawn their serving actor straight from the
-	// transport's delivery callback when the listener supports it — an
-	// idle daemon then parks no accept goroutine at all. The Accept
-	// loop remains for transports without the capability (TCP).
-	if cl, ok := ln.(transport.CallbackListener); ok {
-		cl.OnConn(func(c transport.Conn) {
-			m.rt.Go("mpd.conn."+m.cfg.Self.ID, func() { m.serveConn(c) })
-		})
-	} else {
-		m.rt.Go("mpd.accept."+m.cfg.Self.ID, m.acceptLoop)
-	}
+	transport.Serve(m.rt, ln, "mpd.conn."+m.cfg.Self.ID, func(c transport.Conn) transport.FrameHandler {
+		return (&connServer{m: m, c: c}).serve
+	})
 	m.rt.Go("mpd.boot."+m.cfg.Self.ID, func() {
 		m.registerAndUpdate()
 		if !m.cfg.NoBootPing {

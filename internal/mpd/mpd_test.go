@@ -11,6 +11,7 @@ import (
 	"p2pmpi/internal/overlay"
 	"p2pmpi/internal/proto"
 	"p2pmpi/internal/simnet"
+	"p2pmpi/internal/transport"
 	"p2pmpi/internal/vtime"
 )
 
@@ -70,6 +71,13 @@ func (tb *testbed) killHost(id string) {
 // peers on site "far" (5ms one way).
 func newTestbed(t *testing.T, nNear, nFar int, coresPerHost int) *testbed {
 	t.Helper()
+	return newTestbedOn(t, nNear, nFar, coresPerHost, func(_ *vtime.Scheduler, n transport.Network) transport.Network { return n })
+}
+
+// newTestbedOn is newTestbed with every compute peer's network view
+// passed through wrap (nettest doubles).
+func newTestbedOn(t *testing.T, nNear, nFar int, coresPerHost int, wrap func(*vtime.Scheduler, transport.Network) transport.Network) *testbed {
+	t.Helper()
 	s := vtime.New()
 	t.Cleanup(s.Shutdown)
 
@@ -120,7 +128,7 @@ func newTestbed(t *testing.T, nNear, nFar int, coresPerHost int) *testbed {
 	}
 	tb.front = New(s, net.Node("frontal"), mkCfg("frontal", 0))
 	for _, h := range names {
-		tb.peers = append(tb.peers, New(s, net.Node(h), mkCfg(h, coresPerHost)))
+		tb.peers = append(tb.peers, New(s, wrap(s, net.Node(h)), mkCfg(h, coresPerHost)))
 	}
 	return tb
 }

@@ -9,90 +9,82 @@ import (
 	"p2pmpi/internal/transport"
 )
 
-func (m *MPD) acceptLoop() {
-	for {
-		c, err := m.ln.Accept()
-		if err != nil {
-			return
-		}
-		m.rt.Go("mpd.conn."+m.cfg.Self.ID, func() { m.serveConn(c) })
-	}
-}
-
-// serveConn answers one connection's request/reply exchanges. The two
+// connServer answers one connection's request/reply exchanges. The two
 // periodic message kinds — latency probes and the failure detector's
 // job heartbeats — are decoded into per-connection structs and answered
 // from a per-connection scratch frame, so the steady-state probe load
 // of a large world allocates nothing per exchange; the frames
 // themselves are released back to the transport once decoded.
-func (m *MPD) serveConn(c transport.Conn) {
-	defer c.Close()
-	var (
-		scratch []byte
-		ping    proto.Ping
-		pong    proto.Pong
-		jping   proto.JobPing
-		jpong   proto.JobPong
-	)
-	for {
-		msg, err := c.Recv()
+type connServer struct {
+	m       *MPD
+	c       transport.Conn
+	scratch []byte
+	ping    proto.Ping
+	pong    proto.Pong
+	jping   proto.JobPing
+	jpong   proto.JobPong
+}
+
+// serve is the connection's transport.FrameHandler: one request in, at
+// most one reply out. It runs in the transport's delivery context and
+// must not park; false drops the connection.
+func (s *connServer) serve(msg transport.Message) bool {
+	m := s.m
+	if m.isClosed() {
+		msg.Release()
+		return false // a closed daemon hangs up instead of answering
+	}
+	switch proto.Peek(msg.Payload) {
+	case proto.TPing:
+		err := proto.DecodeInto(msg.Payload, &s.ping)
+		msg.Release()
 		if err != nil {
-			return
+			return false
 		}
-		switch proto.Peek(msg.Payload) {
-		case proto.TPing:
-			err := proto.DecodeInto(msg.Payload, &ping)
-			msg.Release()
-			if err != nil {
-				return
-			}
-			m.mu.Lock()
-			m.stats.PingsAnswered++
-			m.mu.Unlock()
-			pong.Nonce = ping.Nonce
-			scratch, _ = proto.AppendMarshal(scratch[:0], &pong)
-		case proto.TJobPing:
-			err := proto.DecodeInto(msg.Payload, &jping)
-			msg.Release()
-			if err != nil {
-				return
-			}
-			jpong.Nonce = jping.Nonce
-			jpong.Known = m.hostsJob(jping.JobID)
-			scratch, _ = proto.AppendMarshal(scratch[:0], &jpong)
+		m.mu.Lock()
+		m.stats.PingsAnswered++
+		m.mu.Unlock()
+		s.pong.Nonce = s.ping.Nonce
+		s.scratch, _ = proto.AppendMarshal(s.scratch[:0], &s.pong)
+	case proto.TJobPing:
+		err := proto.DecodeInto(msg.Payload, &s.jping)
+		msg.Release()
+		if err != nil {
+			return false
+		}
+		s.jpong.Nonce = s.jping.Nonce
+		s.jpong.Known = m.hostsJob(s.jping.JobID)
+		s.scratch, _ = proto.AppendMarshal(s.scratch[:0], &s.jpong)
+	default:
+		_, req, err := proto.Unmarshal(msg.Payload)
+		msg.Release()
+		if err != nil {
+			return false
+		}
+		var reply any
+		switch r := req.(type) {
+		case *proto.Prepare:
+			reply = m.handlePrepare(r)
+		case *proto.Start:
+			reply = m.handleStart(r)
+		case *proto.Cancel:
+			m.abortUnstarted(r.Key)
+			reply = &proto.CancelAck{Key: r.Key}
+		case *proto.KillJob:
+			m.handleKill(r.Key)
+			reply = &proto.KillAck{Key: r.Key}
+		case *proto.JobDone:
+			m.handleJobDone(r)
+			return true // one-way
 		default:
-			_, req, err := proto.Unmarshal(msg.Payload)
-			msg.Release()
-			if err != nil {
-				return
-			}
-			var reply any
-			switch r := req.(type) {
-			case *proto.Prepare:
-				reply = m.handlePrepare(r)
-			case *proto.Start:
-				reply = m.handleStart(r)
-			case *proto.Cancel:
-				m.abortUnstarted(r.Key)
-				reply = &proto.CancelAck{Key: r.Key}
-			case *proto.KillJob:
-				m.handleKill(r.Key)
-				reply = &proto.KillAck{Key: r.Key}
-			case *proto.JobDone:
-				m.handleJobDone(r)
-				continue // one-way
-			default:
-				return
-			}
-			scratch, err = proto.AppendMarshal(scratch[:0], reply)
-			if err != nil {
-				return
-			}
+			return false
 		}
-		if err := c.Send(transport.Message{Payload: scratch}); err != nil {
-			return
+		s.scratch, err = proto.AppendMarshal(s.scratch[:0], reply)
+		if err != nil {
+			return false
 		}
 	}
+	return s.c.Send(transport.Message{Payload: s.scratch}) == nil
 }
 
 // handlePrepare is §4.2 step 7 (the remote side of the launch): verify

@@ -21,7 +21,7 @@ type Comm struct {
 	size int
 
 	ln     transport.Listener
-	inbox  vtime.Mailbox // envelopes from the receive pumps
+	inbox  vtime.Mailbox // envelopes from deliver
 	pend   []envelope    // out-of-match-order buffer (unexpected queue)
 	closed bool
 
@@ -44,7 +44,7 @@ type loggedSend struct {
 }
 
 // Join brings the process into the application: it binds the listener,
-// starts the receive pumps and (for r > 1) the replica heartbeat. All
+// starts serving inbound frames and (for r > 1) the replica heartbeat. All
 // processes of the job must eventually call Join for communication to
 // proceed; there is no global synchronization in Join itself.
 func Join(cfg Config) (*Comm, error) {
@@ -91,7 +91,7 @@ func Join(cfg Config) (*Comm, error) {
 		return nil, fmt.Errorf("mpi: listen %s: %w", cfg.Self.Addr, err)
 	}
 	c.ln = ln
-	cfg.RT.Go(fmt.Sprintf("mpi.accept.r%d", c.rank), c.acceptLoop)
+	transport.Serve(cfg.RT, ln, "mpi.pump", func(transport.Conn) transport.FrameHandler { return c.deliver })
 	if cfg.R > 1 {
 		cfg.RT.Go(fmt.Sprintf("mpi.hb.r%d", c.rank), c.heartbeatLoop)
 		cfg.RT.Go(fmt.Sprintf("mpi.fd.r%d", c.rank), c.monitorLoop)
@@ -139,38 +139,31 @@ func (c *Comm) Close() error {
 	return nil
 }
 
-func (c *Comm) acceptLoop() {
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return
-		}
-		c.cfg.RT.Go(fmt.Sprintf("mpi.pump.r%d", c.rank), func() { c.pump(conn) })
+// deliver moves one inbound frame to the inbox. It is the frame handler
+// of every inbound connection and runs in the transport's delivery
+// context (transport.Serve): it never blocks and never closes the
+// endpoint — that is the peer's move.
+func (c *Comm) deliver(m transport.Message) bool {
+	ev, err := decodeEnvelope(m)
+	if err != nil {
+		m.Release()
+		return true // corrupt frame: drop
 	}
-}
-
-// pump moves envelopes from one inbound connection to the inbox.
-func (c *Comm) pump(conn transport.Conn) {
-	defer conn.Close()
-	for {
-		m, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		ev, err := decodeEnvelope(m)
-		if err != nil {
-			continue // corrupt frame: drop
-		}
-		if ev.kind == kindHeartbeat {
-			c.mu.Lock()
-			if ev.srcRank == c.rank {
-				c.group.HeartbeatFrom(ev.srcReplica, c.cfg.RT.Now())
-			}
-			c.mu.Unlock()
-			continue
-		}
-		c.inbox.Push(ev)
+	if len(m.Payload) == headerLen {
+		// Nothing aliases a header-only frame (all virtual-size traffic,
+		// every heartbeat): the transport can have its copy back.
+		m.Release()
 	}
+	if ev.kind == kindHeartbeat {
+		c.mu.Lock()
+		if ev.srcRank == c.rank {
+			c.group.HeartbeatFrom(ev.srcReplica, c.cfg.RT.Now())
+		}
+		c.mu.Unlock()
+		return true
+	}
+	c.inbox.Push(ev)
+	return true
 }
 
 // connTo returns (dialing lazily) the connection to a slot address.

@@ -16,6 +16,12 @@
 //   - virtual payloads: a message can declare its modelled size without
 //     carrying bytes, which the simulator charges for transfer time.
 //     This is how Class-B NAS runs execute without gigabytes of RAM.
+//
+// Inbound frames are served with transport.Serve: Comm.deliver decodes
+// one frame and pushes the envelope to the process's inbox. In the
+// simulator it runs inside the delivery event — a message costs one
+// hand-off, event → rank, and a rank holds no actor per peer; over TCP
+// the same handler sits in a Recv loop per inbound connection.
 package mpi
 
 import (

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"p2pmpi/internal/simnet"
+	"p2pmpi/internal/transport"
 	"p2pmpi/internal/vtime"
 )
 
@@ -19,6 +20,18 @@ type world struct {
 	slots []Slot
 	n, r  int
 	algs  Algorithms
+	// wrap, when set, stands between every process and its host's
+	// network view (nettest doubles); joined, when set, sees every Comm
+	// right after Join, before its process runs.
+	wrap   func(transport.Network) transport.Network
+	joined func(c *Comm)
+}
+
+func (w *world) node(host string) transport.Network {
+	if w.wrap != nil {
+		return w.wrap(w.net.Node(host))
+	}
+	return w.net.Node(host)
 }
 
 func newWorld(t *testing.T, n, r int, algs Algorithms) *world {
@@ -53,11 +66,14 @@ func (w *world) run(t *testing.T, fn func(c *Comm) error) {
 		w.s.Go(fmt.Sprintf("proc.g%d", slot.Global), func() {
 			c, err := Join(Config{
 				Self: slot, Slots: w.slots, N: w.n, R: w.r,
-				Net: w.net.Node(slot.HostID), RT: w.s, Algorithms: w.algs,
+				Net: w.node(slot.HostID), RT: w.s, Algorithms: w.algs,
 			})
 			if err != nil {
 				errs[i] = err
 				return
+			}
+			if w.joined != nil {
+				w.joined(c)
 			}
 			defer c.Close()
 			errs[i] = fn(c)

@@ -22,7 +22,7 @@ type Cache struct {
 	mu     sync.Mutex
 	selfID string
 	peers  map[string]proto.PeerInfo
-	lat    latency.Table // embedded by value: one Cache = one heap object
+	lat    latency.Table   // embedded by value: one Cache = one heap object
 	dead   map[string]bool // peers marked dead; hidden until re-learned
 	live   int             // len(peers) minus dead entries still in peers
 

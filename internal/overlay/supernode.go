@@ -222,8 +222,8 @@ func (s *Supernode) rngLocked() *rand.Rand {
 	return s.rng
 }
 
-// Start binds the listener and spawns the accept, sweep and (in a
-// federation) gossip loops.
+// Start binds the listener, starts serving it and spawns the sweep and
+// (in a federation) gossip loops.
 func (s *Supernode) Start() error {
 	ln, err := s.net.Listen(s.cfg.Addr)
 	if err != nil {
@@ -232,7 +232,7 @@ func (s *Supernode) Start() error {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
-	s.rt.Go("supernode.accept", s.acceptLoop)
+	transport.Serve(s.rt, ln, "supernode.conn", s.serveConn)
 	s.rt.Go("supernode.sweep", s.sweepLoop)
 	if s.cfg.federated() {
 		s.rt.Go("supernode.gossip", s.gossipLoop)
@@ -253,6 +253,12 @@ func (s *Supernode) Close() {
 	if ln != nil {
 		ln.Close()
 	}
+}
+
+func (s *Supernode) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
 }
 
 // Addr returns the bound listen address.
@@ -360,22 +366,6 @@ func (s *Supernode) appendPeerListReply(dst []byte) []byte {
 	return proto.AppendPeerListFrame(dst, list, start, count)
 }
 
-func (s *Supernode) acceptLoop() {
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.rt.Go("supernode.conn", func() { s.serveConn(c) })
-	}
-}
-
-// serveConn answers request/reply exchanges until the peer closes. The
-// reply frame is built in a per-connection scratch buffer (the
-// transports copy frames on Send, so it is immediately reusable) and
-// request payloads are released back to the delivering transport once
-// decoded — steady-state, the membership plane allocates nothing per
-// exchange beyond what the table itself retains.
 // aliveAck{Known,Unknown}Frame are the two constant AliveAck replies;
 // Send copies frames, so shared instances serve every keep-alive.
 var (
@@ -387,25 +377,27 @@ var (
 // Fetch conn is one-shot (clients dial per exchange), so a per-
 // connection scratch would regrow an O(world) buffer per reply; a
 // single daemon-wide buffer, on the other hand, races under vtime.Real,
-// where serveConn goroutines really do run concurrently. A pooled
+// where connections really are served concurrently. A pooled
 // buffer is owned exclusively from Get until after Send returns (both
 // transports are done with the frame by then: simnet copies it, TCP
 // writes it out synchronously), which is safe in both worlds and keeps
 // the amortized growth of the shared buffers.
 var replyScratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
-func (s *Supernode) serveConn(c transport.Conn) {
-	defer c.Close()
-	for {
-		m, err := c.Recv()
-		if err != nil {
-			return
-		}
+// serveConn returns the frame handler that answers one connection's
+// request/reply exchanges; it runs in the transport's delivery context
+// and never parks. The reply frame is built in a pooled scratch buffer
+// (the transports copy frames on Send, so it is immediately reusable)
+// and request payloads are released back to the delivering transport
+// once decoded — steady-state, the membership plane allocates nothing
+// per exchange beyond what the table itself retains.
+func (s *Supernode) serveConn(c transport.Conn) transport.FrameHandler {
+	return func(m transport.Message) bool {
 		reqLen := int64(len(m.Payload))
 		_, req, err := proto.Unmarshal(m.Payload)
 		m.Release()
-		if err != nil {
-			return
+		if err != nil || s.isClosed() {
+			return false // garbage, or a closed daemon: hang up
 		}
 		var frame []byte
 		var scratch *[]byte
@@ -443,7 +435,7 @@ func (s *Supernode) serveConn(c transport.Conn) {
 			scratch = replyScratchPool.Get().(*[]byte)
 			frame = s.appendDeltaReply((*scratch)[:0], r)
 		default:
-			return // protocol violation: drop the connection
+			return false // protocol violation: drop the connection
 		}
 		err = c.Send(transport.Message{Payload: frame})
 		s.mu.Lock()
@@ -454,9 +446,7 @@ func (s *Supernode) serveConn(c transport.Conn) {
 			*scratch = frame[:0]
 			replyScratchPool.Put(scratch)
 		}
-		if err != nil {
-			return
-		}
+		return err == nil
 	}
 }
 
@@ -622,10 +612,7 @@ func (s *Supernode) gossipLoop() {
 	k := len(s.cfg.Federation)
 	for tick := 0; ; tick++ {
 		s.rt.Sleep(s.cfg.GossipInterval)
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
+		if s.isClosed() {
 			return
 		}
 		s.gossipWith((s.cfg.Shard + 1 + tick%(k-1)) % k)

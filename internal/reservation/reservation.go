@@ -82,7 +82,7 @@ func New(rt vtime.Runtime, net transport.Network, cfg Config) *Service {
 	return &Service{rt: rt, net: net, cfg: cfg, denySet: deny}
 }
 
-// Start binds the listener and spawns the accept loop.
+// Start binds the listener and starts serving it.
 func (s *Service) Start() error {
 	ln, err := s.net.Listen(s.cfg.Addr)
 	if err != nil {
@@ -91,16 +91,7 @@ func (s *Service) Start() error {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
-	// As in the MPD: spawn serving actors straight from the transport's
-	// delivery callback when supported, so an idle RS parks no accept
-	// goroutine.
-	if cl, ok := ln.(transport.CallbackListener); ok {
-		cl.OnConn(func(c transport.Conn) {
-			s.rt.Go("rs.conn", func() { s.serveConn(c) })
-		})
-	} else {
-		s.rt.Go("rs.accept", s.acceptLoop)
-	}
+	transport.Serve(s.rt, ln, "rs.conn", s.serveConn)
 	return nil
 }
 
@@ -119,28 +110,16 @@ func (s *Service) Close() {
 	}
 }
 
-func (s *Service) acceptLoop() {
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.rt.Go("rs.conn", func() { s.serveConn(c) })
-	}
-}
-
-func (s *Service) serveConn(c transport.Conn) {
-	defer c.Close()
+// serveConn returns the frame handler of one inbound connection: one
+// Reserve or Cancel in, one reply out of a per-connection scratch
+// frame. It runs in the transport's delivery context and never parks.
+func (s *Service) serveConn(c transport.Conn) transport.FrameHandler {
 	var scratch []byte
-	for {
-		m, err := c.Recv()
-		if err != nil {
-			return
-		}
+	return func(m transport.Message) bool {
 		_, req, err := proto.Unmarshal(m.Payload)
 		m.Release()
 		if err != nil {
-			return
+			return false
 		}
 		var reply any
 		switch r := req.(type) {
@@ -150,15 +129,13 @@ func (s *Service) serveConn(c transport.Conn) {
 			s.CancelKey(r.Key)
 			reply = &proto.CancelAck{Key: r.Key}
 		default:
-			return
+			return false
 		}
 		scratch, err = proto.AppendMarshal(scratch[:0], reply)
 		if err != nil {
-			return
+			return false
 		}
-		if err := c.Send(transport.Message{Payload: scratch}); err != nil {
-			return
-		}
+		return c.Send(transport.Message{Payload: scratch}) == nil
 	}
 }
 

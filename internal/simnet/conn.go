@@ -137,16 +137,16 @@ type listener struct {
 	// Exactly one of handler/acceptq carries inbound conns. The handler
 	// (transport.CallbackListener) is the daemon path: no Accept actor
 	// parked per listener, no queue allocated. The queue is built lazily
-	// for legacy Accept users. Both are touched only from the owning
-	// shard's event loop, so no lock is needed.
+	// for Accept users. Both are touched only from the owning shard's
+	// event loop, so no lock is needed.
 	handler func(transport.Conn)
 	acceptq *vtime.Queue[*conn]
 	closed  bool
 }
 
 // deliver hands an accepted server endpoint to the listener's consumer:
-// the installed handler (called inline from the delivery event — it
-// just spawns the serving actor) or the accept queue.
+// the installed handler (called inline from the delivery event) or the
+// accept queue.
 func (l *listener) deliver(c *conn) {
 	if l.handler != nil {
 		l.handler(c)
@@ -195,8 +195,8 @@ func (l *listener) Close() error {
 
 func (l *listener) Addr() string { return l.addr }
 
-// conn is one endpoint. Messages pushed to inbox arrive via delivery
-// events; lastArrival clamps arrivals to per-direction FIFO order.
+// conn is one endpoint. Delivery events hand arrivals to the installed
+// handler or queue them for Recv; lastArrival clamps them to FIFO order.
 //
 // The host, pipe and base-latency pointers are resolved once at
 // connection setup, so the per-message path does no map lookups at all.
@@ -211,8 +211,12 @@ type conn struct {
 	// The flow's jitter stream: one object shared with the peer when both
 	// endpoints live on one shard; a private stream per endpoint, synced
 	// from each crossing frame, when they do not.
-	rng         *rand.Rand
-	src         *flowSource
+	rng *rand.Rand
+	src *flowSource
+	// Exactly one of handler/inbox consumes arrivals, on the local host's
+	// shard. A served endpoint never builds the queue, a send-only one
+	// carries neither: the pull path builds it on first use (queue).
+	handler     func(transport.Message, error)
 	inbox       *vtime.Queue[transport.Message]
 	peer        *conn
 	closed      bool
@@ -232,13 +236,11 @@ func newConnPair(hs *handshake, serverAddr string, back time.Duration, rng *rand
 		n: hs.n, local: hs.local, remote: serverAddr,
 		lh: ch, rh: sh, pipe: hs.pipe, base: hs.base,
 		rng: hs.rng, src: hs.src,
-		inbox: vtime.NewQueue[transport.Message](ch.sh.rt),
 	}
 	server = &conn{
 		n: hs.n, local: serverAddr, remote: hs.local,
 		lh: sh, rh: ch, pipe: hs.pipe, base: back,
 		rng: rng, src: src,
-		inbox: vtime.NewQueue[transport.Message](sh.sh.rt),
 	}
 	client.peer = server
 	server.peer = client
@@ -280,7 +282,7 @@ func (c *conn) Send(m transport.Message) error {
 func (c *conn) Recv() (transport.Message, error) { return c.RecvTimeout(-1) }
 
 func (c *conn) RecvTimeout(d time.Duration) (transport.Message, error) {
-	m, err := c.inbox.PopTimeout(d)
+	m, err := c.queue().PopTimeout(d)
 	switch err {
 	case nil:
 		return m, nil
@@ -291,12 +293,47 @@ func (c *conn) RecvTimeout(d time.Duration) (transport.Message, error) {
 	}
 }
 
+// queue builds the pull path's inbox on first use, closed if the endpoint is.
+func (c *conn) queue() *vtime.Queue[transport.Message] {
+	if c.inbox == nil {
+		c.inbox = vtime.NewQueue[transport.Message](c.lh.sh.rt)
+		if c.closed || c.peerClosed {
+			c.inbox.Close()
+		}
+	}
+	return c.inbox
+}
+
+// OnRecv installs the frame handler (transport.CallbackConn): delivery
+// events call it from now on. Frames that arrived earlier are handed
+// over first, in order, then the peer's close if that arrived too.
+func (c *conn) OnRecv(h func(transport.Message, error)) {
+	if c.handler != nil {
+		panic("simnet: OnRecv installed twice on " + c.local)
+	}
+	c.handler = h
+	q := c.inbox
+	c.inbox = nil
+	for q != nil && !c.closed {
+		m, ok := q.TryPop()
+		if !ok {
+			if c.peerClosed {
+				h(transport.Message{}, transport.ErrClosed)
+			}
+			return
+		}
+		h(m, nil)
+	}
+}
+
 func (c *conn) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	c.inbox.Close()
+	if c.inbox != nil {
+		c.inbox.Close()
+	}
 	// The FIN departs with nothing to reserve or draw; land computes its
 	// arrival, so across shards it still trails same-window data.
 	var x xmsg
@@ -309,7 +346,6 @@ func (c *conn) Close() error {
 func (c *conn) LocalAddr() string  { return c.local }
 func (c *conn) RemoteAddr() string { return c.remote }
 
-var _ transport.Conn = (*conn)(nil)
-var _ transport.Listener = (*listener)(nil)
+var _ transport.CallbackConn = (*conn)(nil)
 var _ transport.CallbackListener = (*listener)(nil)
 var _ transport.Network = (*nodeNet)(nil)

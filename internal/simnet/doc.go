@@ -33,5 +33,8 @@
 // serializes it — see docs/PERF.md), connections cache their host,
 // pipe and base-latency lookups at setup, in-flight messages ride
 // pooled delivery carriers, and payload copies come from a buffer pool
-// that receivers refill via Message.Release.
+// that receivers refill via Message.Release. Receiving is by callback
+// (transport.CallbackConn): the delivery event runs the endpoint's frame
+// handler to completion — a served conn has no actor and no inbox; Recv,
+// for clients and tests, queues behind the same event.
 package simnet

@@ -73,7 +73,10 @@ func shardedFaultWorld(t *testing.T, seed int64) faultWorld {
 // (so duplicates and pipelined frames draw nothing on the reverse
 // direction), no frame on a conn after a loss — the traffic for which
 // the sharded engine promises the sequential engine's exact timeline.
-func runFaultScript(t *testing.T, w faultWorld) map[string][]string {
+// Server endpoints are served by OnConn + OnRecv handlers when callback
+// is set, by an Accept actor and one Recv actor per conn otherwise; the
+// logs include every close a server endpoint observes (the FINs).
+func runFaultScript(t *testing.T, w faultWorld, callback bool) map[string][]string {
 	const (
 		period  = 250 * time.Millisecond
 		timeout = 150 * time.Millisecond
@@ -94,12 +97,44 @@ func runFaultScript(t *testing.T, w faultWorld) map[string][]string {
 		*l = append(*l, fmt.Sprintf("%v ", w.rt(host).Elapsed())+fmt.Sprintf(format, args...))
 	}
 
+	// handle returns one server endpoint's frame logic: it reports false
+	// when the endpoint is to be closed.
+	handle := func(host string, c transport.Conn) func(transport.Message, error) bool {
+		first := true
+		return func(m transport.Message, err error) bool {
+			if err != nil {
+				logf(host, "recv %v", err)
+				return false
+			}
+			p := string(m.Payload)
+			m.Release()
+			logf(host, "got %s", p)
+			reply := first && !strings.HasPrefix(p, "oneway")
+			first = false
+			if !reply {
+				return true
+			}
+			c.Send(transport.Message{Payload: []byte("re:" + p)})
+			return !strings.HasPrefix(p, "bye") // close with the reply in flight
+		}
+	}
 	serve := func(host string) {
 		rt := w.rt(host)
 		rt.Go(host+".srv", func() {
 			l, err := n.Node(host).Listen(host + ":700")
 			if err != nil {
 				t.Errorf("%s listen: %v", host, err)
+				return
+			}
+			if callback {
+				l.(transport.CallbackListener).OnConn(func(c transport.Conn) {
+					h := handle(host, c)
+					c.(transport.CallbackConn).OnRecv(func(m transport.Message, err error) {
+						if !h(m, err) {
+							c.Close()
+						}
+					})
+				})
 				return
 			}
 			for {
@@ -109,22 +144,7 @@ func runFaultScript(t *testing.T, w faultWorld) map[string][]string {
 				}
 				rt.Go(host+".conn", func() {
 					defer c.Close()
-					for first := true; ; first = false {
-						m, err := c.Recv()
-						if err != nil {
-							logf(host, "recv %v", err)
-							return
-						}
-						p := string(m.Payload)
-						m.Release()
-						logf(host, "got %s", p)
-						if !first || strings.HasPrefix(p, "oneway") {
-							continue
-						}
-						c.Send(transport.Message{Payload: []byte("re:" + p)})
-						if strings.HasPrefix(p, "bye") {
-							return // close with the reply in flight
-						}
+					for h := handle(host, c); h(c.Recv()); {
 					}
 				})
 			}
@@ -219,23 +239,32 @@ func runFaultScript(t *testing.T, w faultWorld) map[string][]string {
 }
 
 // TestFaultScriptShardedMatchesSequential is the differential test of
-// the one frame path: the same conversation — data both ways, a refused
-// dial, dials and a send across an active cut, closes with frames in
-// flight, under loss, slowdown, gray hosts and duplication — must leave
-// identical per-endpoint logs whether every frame lands inline (New) or
-// cross-shard frames land at barriers (2-shard NewSharded).
+// the one frame path and of receive by callback: the same conversation
+// — data both ways, a refused dial, dials and a send across an active
+// cut, closes with frames in flight, under loss, slowdown, gray hosts
+// and duplication — must leave identical per-endpoint logs whether every
+// frame lands inline (New) or cross-shard frames land at barriers
+// (2-shard NewSharded), and whether server endpoints pull their frames
+// from Recv actors or have them pushed into OnRecv handlers.
 func TestFaultScriptShardedMatchesSequential(t *testing.T) {
 	var all []string
 	for _, seed := range []int64{1, 7, 42} {
-		seq := runFaultScript(t, sequentialFaultWorld(t, seed))
-		shd := runFaultScript(t, shardedFaultWorld(t, seed))
+		seq := runFaultScript(t, sequentialFaultWorld(t, seed), false)
+		for name, got := range map[string]map[string][]string{
+			"sharded":           runFaultScript(t, shardedFaultWorld(t, seed), false),
+			"callback":          runFaultScript(t, sequentialFaultWorld(t, seed), true),
+			"sharded, callback": runFaultScript(t, shardedFaultWorld(t, seed), true),
+		} {
+			for _, h := range faultHosts {
+				if !slices.Equal(seq[h], got[h]) {
+					t.Errorf("seed %d: endpoint %s diverged\nsequential:\n  %s\n%s:\n  %s",
+						seed, h, strings.Join(seq[h], "\n  "), name, strings.Join(got[h], "\n  "))
+				}
+			}
+		}
 		for _, h := range faultHosts {
 			if len(seq[h]) == 0 {
 				t.Errorf("seed %d: endpoint %s logged nothing", seed, h)
-			}
-			if !slices.Equal(seq[h], shd[h]) {
-				t.Errorf("seed %d: endpoint %s diverged\nsequential:\n  %s\nsharded:\n  %s",
-					seed, h, strings.Join(seq[h], "\n  "), strings.Join(shd[h], "\n  "))
 			}
 			all = append(all, seq[h]...)
 		}
@@ -249,7 +278,8 @@ func TestFaultScriptShardedMatchesSequential(t *testing.T) {
 		"dial 8: " + transport.ErrUnreachable.Error(), // across the cut
 		"lost 9: " + transport.ErrTimeout.Error(),     // swallowed by the cut
 		"after bye: " + transport.ErrClosed.Error(),
-		"got oneway 3.", // frames that were in flight at the close
+		" recv " + transport.ErrClosed.Error(), // a FIN reaching a server endpoint
+		"got oneway 3.",                        // frames that were in flight at the close
 	} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("no endpoint log contains %q", want)

@@ -270,8 +270,10 @@ func (sh *netShard) getDelivery() *delivery {
 	return d
 }
 
-// fireDelivery delivers the message (or drops it if the destination died
-// while it was in flight) and recycles the carrier. Package-level so
+// fireDelivery delivers the message — to the endpoint's handler, which
+// runs to completion right here, or to its inbox — unless the
+// destination died or closed (either end: a duplicate can trail the FIN)
+// while it was in flight, and recycles the carrier. Package-level so
 // scheduling it captures nothing. For a frame that crossed shards it
 // first syncs the receiving endpoint's flow stream to the sender's
 // post-draw state.
@@ -287,11 +289,14 @@ func fireDelivery(a any) {
 	d.sync = false
 	d.next = sh.delFree
 	sh.delFree = d
-	if peer.lh.down {
+	switch {
+	case peer.lh.down || peer.closed || peer.peerClosed:
 		msg.Release()
-		return
+	case peer.handler != nil:
+		peer.handler(msg, nil)
+	default:
+		peer.queue().Push(msg)
 	}
-	peer.inbox.Push(msg)
 }
 
 // handshake is one Dial in progress, created on the dialer's shard and
@@ -335,7 +340,7 @@ func fireSYN(a any) {
 		kind = xAccept
 		client, server := newConnPair(hs, l.addr, back, rng, src)
 		hs.client = client
-		l.deliver(server) // queues or spawns the serving actor; draws and sends nothing
+		l.deliver(server) // queues it or installs its frame handler; draws and sends nothing
 	}
 	var x xmsg
 	x.kind, x.size, x.hs = kind, 64, hs
@@ -357,12 +362,19 @@ func fireDialResult(a any) {
 }
 
 // fireFin closes the receiving endpoint when a FIN arrives, after all
-// in-flight data (FIFO): pending Recvs drain buffered frames then see
-// ErrClosed. peerClosed is how an endpoint on another shard learns of
-// the close — one network trip late, the earliest it causally can; see
-// conn.Send.
+// in-flight data (FIFO): the handler is told once, pending Recvs drain
+// buffered frames then see ErrClosed; a locally closed endpoint has
+// nobody to tell. peerClosed is how an endpoint on another shard learns
+// of the close — one network trip late, the earliest it causally can;
+// see conn.Send.
 func fireFin(a any) {
 	peer := a.(*conn)
 	peer.peerClosed = true
-	peer.inbox.Close()
+	switch {
+	case peer.closed:
+	case peer.handler != nil:
+		peer.handler(transport.Message{}, transport.ErrClosed)
+	case peer.inbox != nil:
+		peer.inbox.Close()
+	}
 }

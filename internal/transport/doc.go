@@ -8,5 +8,8 @@
 //
 // The unit of exchange is the framed Message; RequestReply layers the
 // one-shot RPC pattern used by the control protocols (reserve, cancel,
-// prepare, start, ping) on top of a Conn.
+// prepare, start, ping) on top of a Conn, and Serve is its server side:
+// one FrameHandler per inbound conn, run from the transport's delivery
+// callbacks where it has them (CallbackListener, CallbackConn — simnet:
+// no goroutine per listener or conn) and from Recv loops elsewhere.
 package transport

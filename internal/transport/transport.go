@@ -83,15 +83,81 @@ type Listener interface {
 // CallbackListener is implemented by listeners that can hand inbound
 // connections to a callback instead of an Accept loop. The handler runs
 // in the transport's delivery context and must not block — typically it
-// just spawns the serving actor. Daemons that install a handler never
-// call Accept, so an idle daemon needs no goroutine parked per
-// listener; transports without the capability fall back to Accept.
+// installs a CallbackConn handler (see Serve). Daemons that install a
+// handler never call Accept, so an idle daemon needs no goroutine parked
+// per listener; transports without the capability fall back to Accept.
 type CallbackListener interface {
 	Listener
 	// OnConn installs the inbound-connection handler. Must be called
 	// before the listener can receive its first connection, and at most
 	// once.
 	OnConn(handler func(Conn))
+}
+
+// CallbackConn is the receive-side twin of CallbackListener: a conn
+// that hands inbound frames to a callback instead of a Recv loop, so a
+// served connection costs no goroutine. The handler runs in the
+// transport's delivery context — one call at a time, in arrival order —
+// and must not block. It sees the peer's close exactly once, as an
+// error after all in-flight data, and nothing after a local Close.
+type CallbackConn interface {
+	Conn
+	// OnRecv installs the frame handler, first draining anything that
+	// already arrived, in order. At most once, and instead of Recv.
+	OnRecv(handler func(Message, error))
+}
+
+// FrameHandler consumes one inbound frame of a served connection and
+// returns false to close the endpoint (protocol violation, failed reply).
+type FrameHandler func(Message) bool
+
+// Spawner starts fn as an independent thread of control; vtime.Runtime
+// implements it. The name is used in diagnostics only.
+type Spawner interface {
+	Go(name string, fn func())
+}
+
+// Serve answers every connection ln accepts: open is called once per
+// inbound conn and returns the handler for its frames. On a transport
+// with both callback capabilities (simnet) that is OnConn + OnRecv and
+// no goroutine anywhere — handlers run in delivery context and must not
+// block. Everything else (TCP) gets an accept loop and one Recv loop per
+// conn, spawned through sp under the given name. Either way an endpoint
+// is closed when its peer closes or its handler returns false, only.
+func Serve(sp Spawner, ln Listener, name string, open func(Conn) FrameHandler) {
+	if cl, ok := ln.(CallbackListener); ok {
+		cl.OnConn(func(c Conn) { serveConn(sp, c, name, open(c)) })
+		return
+	}
+	sp.Go(name+".accept", func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			serveConn(sp, c, name, open(c))
+		}
+	})
+}
+
+func serveConn(sp Spawner, c Conn, name string, h FrameHandler) {
+	if cc, ok := c.(CallbackConn); ok {
+		cc.OnRecv(func(m Message, err error) {
+			if err != nil || !h(m) {
+				c.Close()
+			}
+		})
+		return
+	}
+	sp.Go(name, func() {
+		defer c.Close()
+		for {
+			m, err := c.Recv()
+			if err != nil || !h(m) {
+				return
+			}
+		}
+	})
 }
 
 // Network is the factory for listeners and outbound connections.

@@ -254,17 +254,19 @@ func (d *Domain) nextGlobalAt() (time.Duration, bool) {
 }
 
 // fireGlobals runs every global event stamped at or before h, in
-// (at, seq) order. Shards are parked at h when this is called.
-func (d *Domain) fireGlobals(h time.Duration) {
+// (at, seq) order, and reports whether any ran. Shards are parked at h
+// when this is called.
+func (d *Domain) fireGlobals(h time.Duration) (fired bool) {
 	for {
 		d.gmu.Lock()
 		if len(d.globals) == 0 || d.globals[0].at > h {
 			d.gmu.Unlock()
-			return
+			return fired
 		}
 		ev := heap.Pop(&d.globals).(globalEvent)
 		d.gmu.Unlock()
 		ev.fn()
+		fired = true
 	}
 }
 
@@ -364,7 +366,13 @@ func (d *Domain) step(fence time.Duration) bool {
 	}
 	d.runWindow(h)
 	d.barrier()
-	d.fireGlobals(h)
+	if d.fireGlobals(h) {
+		// A global event may itself send across shards (a crash closes
+		// the host's connections). Those frames left at h, so they drain
+		// at this barrier: the next window's horizon is sized from the
+		// shards' pending events alone and may lie beyond their arrival.
+		d.barrier()
+	}
 	d.now = h
 	return true
 }

@@ -241,6 +241,27 @@ func TestDomainScheduleGlobal(t *testing.T) {
 	}
 }
 
+// TestBarrierDrainsWhatGlobalsEmit: what a global event hands to the
+// barrier callbacks (a crash closing connections puts FINs in the
+// network's outboxes) drains at the barrier the event fired at, before
+// the next window — here three seconds wide — is sized.
+func TestBarrierDrainsWhatGlobalsEmit(t *testing.T) {
+	d := NewDomain(2, time.Millisecond)
+	defer d.Shutdown()
+	emitted, drainedAt := false, time.Duration(-1)
+	d.OnBarrier(func() {
+		if emitted {
+			emitted, drainedAt = false, d.Shard(1).Elapsed()
+		}
+	})
+	d.ScheduleGlobal(time.Second, func() { emitted = true })
+	d.Shard(0).Schedule(4*time.Second, func() {})
+	d.Wait()
+	if drainedAt != time.Second {
+		t.Fatalf("a global event's emission at 1s drained at %v", drainedAt)
+	}
+}
+
 // TestDomainRunFor: RunFor stops at the fence even with work left, and
 // leaves every shard clock at the fence.
 func TestDomainRunFor(t *testing.T) {
