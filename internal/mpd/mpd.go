@@ -728,14 +728,16 @@ func (m *MPD) brkLocked(sn string) *transport.Breaker {
 // nothing aliases the scratch after the merge.
 var peerListPool = sync.Pool{New: func() any { return new([]proto.PeerInfo) }}
 
-// mergeReply decodes a raw PeerList reply into pooled scratch, merges
-// it into the cache and releases the frame. The scratch is borrowed
+// mergeReply decodes a raw PeerList reply into pooled scratch — only the
+// leading entries the cache will keep; the rest is validated, so a
+// corrupt reply still fails over — merges it into the cache and
+// releases the frame. The scratch is borrowed
 // only for this park-free window — not across the network round trip —
 // so however many refreshes are in flight at once, only the handful
 // actually decoding at this instant hold a slice.
 func (m *MPD) mergeReply(reply transport.Message) error {
 	sp := peerListPool.Get().(*[]proto.PeerInfo)
-	peers, err := proto.UnmarshalPeerList(reply.Payload, (*sp)[:0])
+	peers, err := proto.UnmarshalPeerListLimited(reply.Payload, (*sp)[:0], m.cache.UpdateKeeps())
 	reply.Release()
 	if err == nil {
 		m.cache.Update(peers)

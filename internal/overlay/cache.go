@@ -103,14 +103,10 @@ func (c *Cache) Update(list []proto.PeerInfo) {
 			// interned (shared strings) and, when a cap bounds unread
 			// retention, truncated to the remaining entry budget.
 			keep := list
-			if c.pendingCap > 0 {
-				room := c.pendingCap - c.pendingN
-				if room <= 0 {
-					return
-				}
-				if len(keep) > room {
-					keep = keep[:room]
-				}
+			if room := c.keepsLocked(); room == 0 {
+				return
+			} else if room > 0 && len(keep) > room {
+				keep = keep[:room]
 			}
 			cp := make([]proto.PeerInfo, len(keep))
 			for i, p := range keep {
@@ -127,6 +123,23 @@ func (c *Cache) Update(list []proto.PeerInfo) {
 		c.flushLocked()
 	}
 	c.mergeLocked(list)
+}
+
+// UpdateKeeps returns how many leading entries of the next snapshot
+// Update will look at, or -1 for all of them: an unread cache under a
+// pending cap keeps only its remaining entry budget, so a receiver need
+// not decode the rest of the reply (proto.UnmarshalPeerListLimited).
+func (c *Cache) UpdateKeeps() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.keepsLocked()
+}
+
+func (c *Cache) keepsLocked() int {
+	if c.materialized || c.pendingCap <= 0 || len(c.pending) >= maxPendingSnapshots {
+		return -1
+	}
+	return max(0, c.pendingCap-c.pendingN)
 }
 
 // maxPendingSnapshots bounds the deferred-merge queue; see Update.

@@ -13,19 +13,7 @@ import (
 // fedWorld boots a K-member federation on one flat site, returning the
 // members in shard order. The caller drives the scheduler.
 func fedWorld(t *testing.T, s *vtime.Scheduler, n *simnet.Net, k int) ([]*Supernode, []string) {
-	t.Helper()
-	addrs := make([]string, k)
-	for i := 0; i < k; i++ {
-		addrs[i] = fmt.Sprintf("fsn%d:8800", i)
-	}
-	sns := make([]*Supernode, k)
-	for i := 0; i < k; i++ {
-		sns[i] = NewSupernode(s, n.Node(fmt.Sprintf("fsn%d", i)), SupernodeConfig{
-			Addr: addrs[i], Shard: i, Federation: addrs,
-			GossipInterval: 100 * time.Millisecond,
-		})
-	}
-	return sns, addrs
+	return simFed(t, s, n, k, nil, nil)
 }
 
 func fedNet(t *testing.T, k int, extra ...string) (*vtime.Scheduler, *simnet.Net) {
@@ -275,4 +263,69 @@ func TestFosterEntryYieldsToHomeRegistration(t *testing.T) {
 			t.Errorf("healed shard %d merged view has %d entries, want 1", i, got)
 		}
 	}
+}
+
+// TestFosteredPeerSurvivesDeadHomeShardSweep: the sweep of a dead
+// member's shard is one rebuild against an empty claim set, and it must
+// reinstate what somebody else still claims. A host listed by its home
+// shard A (the fresher claim, so every view attributes it to A) keeps a
+// foster registration alive at B. When A dies and its snapshot ages
+// out, the host stays listed — at B from B's own table, at C from B's
+// snapshot — while A's other peer, claimed by nobody, disappears.
+func TestFosteredPeerSurvivesDeadHomeShardSweep(t *testing.T) {
+	const k = 3
+	const a, b, c = 0, 1, 2
+	s, n := fedNet(t, k, "h-fostered", "h-gone", "h-c")
+	sns, addrs := simFed(t, s, n, k, nil, func(c *SupernodeConfig) {
+		c.TTL, c.SweepInterval = 5*time.Second, time.Second
+	})
+	forced := func(host string, shard int) {
+		if _, err := RegisterRaw(n.Node(host), addrs[shard], peer(host), true, time.Second); err != nil {
+			t.Errorf("register %s at shard %d: %v", host, shard, err)
+		}
+	}
+	s.Go("main", func() {
+		startAll(t, sns)
+		forced("h-fostered", b) // the foster copy first…
+		forced("h-c", c)
+		s.Sleep(500 * time.Millisecond)
+		forced("h-fostered", a) // …then the fresher home claim
+		forced("h-gone", a)
+		s.Sleep(time.Second)
+		for i, sn := range sns {
+			sn.mu.Lock()
+			j, found := findSorted(sn.merged, "h-fostered")
+			if len(sn.merged) != 3 || !found || sn.meta[j].shard != a {
+				t.Errorf("member %d before the death: %d entries, h-fostered attributed to %v, want shard %d", i, len(sn.merged), sn.meta, a)
+			}
+			sn.mu.Unlock()
+		}
+		n.FailHost("fsn0")
+		for i := 0; i < 9; i++ {
+			s.Sleep(time.Second)
+			for host, shard := range map[string]int{"h-fostered": b, "h-c": c} {
+				if known, err := SendAlive(n.Node(host), addrs[shard], host, time.Second); err != nil || !known {
+					t.Errorf("alive %s: known=%v err=%v", host, known, err)
+				}
+			}
+		}
+		for _, i := range []int{b, c} {
+			var ids []string
+			for _, p := range sns[i].Snapshot() {
+				ids = append(ids, p.ID)
+			}
+			if fmt.Sprint(ids) != "[h-c h-fostered]" {
+				t.Errorf("member %d lists %v after sweeping the dead shard, want [h-c h-fostered]", i, ids)
+			}
+			sns[i].mu.Lock()
+			if j, found := findSorted(sns[i].merged, "h-fostered"); found && sns[i].meta[j].shard != b {
+				t.Errorf("member %d attributes h-fostered to shard %d, want the foster shard %d", i, sns[i].meta[j].shard, b)
+			}
+			sns[i].mu.Unlock()
+		}
+		for _, sn := range sns {
+			sn.Close()
+		}
+	})
+	s.Wait()
 }

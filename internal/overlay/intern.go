@@ -17,6 +17,14 @@ import (
 // shared) and cuts the K-member federation's retained state from
 // O(K·world) string data to O(world).
 //
+// Values are interned as they arrive (PeerInfo at registration, Lookup
+// by raw bytes inside the gossip decoder); whole slices — a shard's
+// snapshot, the merged view — only once they have settled: members
+// offer them on a quiescent gossip round (Supernode.gossipWith, the one
+// call site of Snapshot and MergedView) and adopt the canonical copy.
+// The interner publishes exact-length copies and never keeps a caller's
+// buffer, so everything a member recycles is private by construction.
+//
 // All methods are safe for concurrent use from parallel shards and are
 // nil-receiver safe (a nil Interner interns nothing), so the wiring can
 // stay unconditional.
@@ -32,17 +40,16 @@ type Interner struct {
 	peers [internStripes]internStripe
 
 	mu sync.Mutex
-	// snaps holds, per federation shard, the newest decoded snapshot
-	// list seen world-wide. Every member that receives the same
-	// (shard, version) decodes a value-identical list; handing them all
-	// the first decode means a K-member federation retains one copy of
-	// each shard's table instead of K-1.
+	// snaps holds, per federation shard, the newest settled snapshot
+	// list offered world-wide. Every member that holds the same
+	// (shard, version) holds a value-identical list; handing them all one
+	// copy means a K-member federation retains one copy of each shard's
+	// table instead of K-1.
 	snaps map[int]snapEntry
 	// merged is the canonical merged federation view. After gossip
-	// converges every member rebuilds the same ID-sorted union; adopting
-	// one canonical slice collapses K value-identical O(world) arrays
-	// into one. Members treat an adopted (or published) slice as shared
-	// and copy-on-write before any in-place edit.
+	// converges every member holds the same ID-sorted union; adopting one
+	// canonical slice collapses K value-identical O(world) arrays into
+	// one. Members copy-on-write before any in-place edit.
 	merged []proto.PeerInfo
 }
 
@@ -60,13 +67,18 @@ type internStripe struct {
 
 // stripeFor hashes a host ID onto a stripe (FNV-1a, inlined — the IDs
 // are short and this runs on every intern lookup).
-func stripeFor(id string) int {
+func stripeFor[T string | []byte](id T) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(id); i++ {
 		h = (h ^ uint32(id[i])) * 16777619
 	}
 	return int(h % internStripes)
 }
+
+// exactClone copies s into an array of exactly its length (slices.Clone
+// rounds the capacity up to a size class): what is retained for good —
+// a canonical slice, a settled member's meta — carries no slack.
+func exactClone[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 
 // NewInterner creates an empty interner, one per deployment.
 func NewInterner() *Interner { return &Interner{} }
@@ -95,65 +107,71 @@ func (it *Interner) PeerInfo(p proto.PeerInfo) proto.PeerInfo {
 	return p
 }
 
-// InternList canonicalizes every entry of list in place. After it
-// returns, entries equal to the canonical value share its backing
-// strings, which makes later whole-slice equality checks mostly
-// pointer comparisons.
-func (it *Interner) InternList(list []proto.PeerInfo) {
+// Lookup finds the canonical PeerInfo whose four fields equal the given
+// raw wire bytes, without building a string (the map index and the
+// comparisons convert in place). It is the by-bytes half of PeerInfo,
+// read-only: the gossip decoder resolves entries through it so a host
+// the world already knows costs no allocation to learn again.
+func (it *Interner) Lookup(id, site, mpdAddr, rsAddr []byte) (proto.PeerInfo, bool) {
 	if it == nil {
-		return
+		return proto.PeerInfo{}, false
 	}
-	for i := range list {
-		list[i] = it.PeerInfo(list[i])
-	}
+	st := &it.peers[stripeFor(id)]
+	st.mu.RLock()
+	c, ok := st.m[string(id)]
+	st.mu.RUnlock()
+	return c, ok && c.Site == string(site) && c.MPDAddr == string(mpdAddr) && c.RSAddr == string(rsAddr)
 }
 
-// Snapshot canonicalizes one decoded shard snapshot. If the newest
-// known list for the shard has the same version and equal content, the
-// fresh decode is dropped in favour of the shared copy; a newer version
-// replaces the stored one. The returned slice must be treated as
-// read-only (every member of the federation may hold it) — which
-// matches how remote snapshots are used: they are replaced wholesale,
-// never edited. Last-seen stamps are NOT part of the snapshot here:
-// they differ between pulls of the same version (keep-alives refresh
-// stamps without bumping the version), so each member keeps its own.
-func (it *Interner) Snapshot(shard int, version uint64, list []proto.PeerInfo) []proto.PeerInfo {
+// Snapshot offers one member's settled snapshot of a shard for sharing.
+// If the newest list known for the shard has the same version and equal
+// content, the caller adopts it (ok) and its own buffer is free again; a
+// newer version is published as an exact-length copy — the interner
+// never keeps a caller's buffer, so what members recycle is private by
+// construction — and adopted the same way. A stale or contradicting
+// offer is declined: the caller keeps its list. An adopted slice is
+// read-only (every member of the federation may hold it), which matches
+// how remote snapshots are used: replaced wholesale, never edited.
+// Last-seen stamps are NOT part of the snapshot: they differ between
+// pulls of the same version (keep-alives refresh stamps without bumping
+// the version), so each member keeps its own.
+func (it *Interner) Snapshot(shard int, version uint64, list []proto.PeerInfo) (canon []proto.PeerInfo, ok bool) {
 	if it == nil {
-		return list
+		return list, false
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if e, ok := it.snaps[shard]; ok && e.version == version {
-		if slices.Equal(e.peers, list) {
-			return e.peers
+	e, known := it.snaps[shard]
+	if known && e.version >= version {
+		// Same version: share if equal, else trust the caller's. Newer
+		// stored: a stale pull, overtaken.
+		if e.version == version && slices.Equal(e.peers, list) {
+			return e.peers, true
 		}
-		return list // same version, different content: trust the caller's
-	} else if ok && e.version > version {
-		return list // stale pull overtaken by a newer stored snapshot
+		return list, false
 	}
 	if it.snaps == nil {
 		it.snaps = make(map[int]snapEntry)
 	}
-	it.snaps[shard] = snapEntry{version: version, peers: list}
-	return list
+	e = snapEntry{version: version, peers: exactClone(list)}
+	it.snaps[shard] = e
+	return e.peers, true
 }
 
-// MergedView offers a freshly rebuilt merged view for sharing and
-// returns the canonical slice to keep. When the offer equals the
-// current canonical view (the post-convergence steady state), the
-// caller adopts the shared copy and its own rebuild becomes garbage;
-// otherwise the offer becomes the new canonical candidate. Either way
-// the returned slice may be aliased by other members: the caller must
-// copy-on-write before in-place edits.
-func (it *Interner) MergedView(list []proto.PeerInfo) []proto.PeerInfo {
+// MergedView offers a settled merged view for sharing and returns the
+// canonical slice to adopt: the current one when the offer equals it
+// (the post-convergence steady state), else an exact-length copy of the
+// offer, which becomes canonical. The adopted slice may be aliased by
+// every other member: copy-on-write before any in-place edit. A nil
+// interner declines (ok false) and the caller keeps its view.
+func (it *Interner) MergedView(list []proto.PeerInfo) (canon []proto.PeerInfo, ok bool) {
 	if it == nil {
-		return list
+		return list, false
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if slices.Equal(it.merged, list) {
-		return it.merged
+	if !slices.Equal(it.merged, list) {
+		it.merged = exactClone(list)
 	}
-	it.merged = list
-	return list
+	return it.merged, true
 }

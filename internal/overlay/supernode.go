@@ -16,6 +16,17 @@
 // is unreachable; anti-entropy on digest mismatch ships whole shard
 // snapshots, so a member that was partitioned or rebooted converges
 // back to the federation view within a few gossip rounds.
+//
+// Memory rule of the federated tier: state is private and recycled while
+// it changes, canonical from the first quiescent round. Every applied
+// snapshot rebuilds the member's merged view into a pooled buffer pair
+// and is itself decoded into the buffers of the snapshot it replaces,
+// each entry resolved to a PeerInfo the member or the world already
+// holds before any string is built — a gossip tick of a boot storm
+// allocates nothing. When a gossip round brings nothing new, the member
+// offers its view and snapshots to the deployment's Interner and adopts
+// the canonical, read-only copies, so a settled K-member federation
+// holds one world, not K; the first edit after that copies on write.
 package overlay
 
 import (
@@ -124,6 +135,9 @@ type remoteShard struct {
 	peers     []proto.PeerInfo
 	seen      []int64
 	appliedAt time.Time // when this snapshot landed here (liveness anchor)
+	// shared marks peers as the interner's canonical slice (adopted on a
+	// quiescent round): read-only, and not ours to recycle.
+	shared bool
 }
 
 // entryMeta attributes one merged-view entry to the shard snapshot it
@@ -137,6 +151,20 @@ type entryMeta struct {
 	shard int
 	seen  int64
 }
+
+// viewBuf is a private merged view's backing pair. Every rebuild writes
+// into a pair from viewPool and hands back the pair it vacates, so a
+// gossip tick allocates nothing once the storm's buffers exist; the
+// pool is shared by all members (K per-member spares would be K idle
+// world-sized arrays) and emptied by the GC when gossip goes quiet. A
+// pooled pair is never aliased: the interner publishes copies, and a
+// member holding the canonical view holds no pair at all.
+type viewBuf struct {
+	peers []proto.PeerInfo
+	meta  []entryMeta
+}
+
+var viewPool = sync.Pool{New: func() any { return new(viewBuf) }}
 
 // Supernode is the bootstrap/membership daemon — standalone, or one
 // member of a federated tier.
@@ -173,9 +201,10 @@ type Supernode struct {
 	remote     map[int]*remoteShard
 	merged     []proto.PeerInfo
 	meta       []entryMeta // parallel to merged; see entryMeta
-	// mergedShared marks merged as possibly aliased by other members
-	// (adopted from, or published to, the interner's shared view); any
-	// in-place edit must copy first (cowMergedLocked).
+	// mergedShared marks merged as the interner's canonical view, aliased
+	// by other members (adopted on a quiescent round, with meta clipped to
+	// length); any in-place edit must copy first (cowMergedLocked). A view
+	// is private — a viewPool pair — from its first change until then.
 	mergedShared bool
 	// memberSeen records the last direct evidence that a federation
 	// member is alive (it answered our digest, or it sent us one). A
@@ -184,6 +213,19 @@ type Supernode struct {
 	// forever, breaking the package's TTL contract.
 	memberSeen map[int]time.Time
 	stats      SupernodeStats
+
+	// gossip is the gossip actor's scratch (only gossipWith touches it):
+	// the digest's version vector and frame, the decode target of every
+	// reply — whose Peers/Seen buffers trade places with the snapshots
+	// they replace — and the resolver with its per-shard hints. The
+	// world-sized parts are dropped on a quiescent round, so a converged
+	// member retains none of them.
+	gossip struct {
+		versions []uint64
+		frame    []byte
+		delta    proto.ShardDelta
+		resolver proto.PeerResolver
+	}
 }
 
 type peerEntry struct {
@@ -209,6 +251,9 @@ func NewSupernode(rt vtime.Runtime, net transport.Network, cfg SupernodeConfig) 
 	if cfg.federated() {
 		s.remote = make(map[int]*remoteShard)
 		s.memberSeen = make(map[int]time.Time)
+		s.gossip.versions = make([]uint64, len(cfg.Federation))
+		s.gossip.resolver.Hints = make([][]proto.PeerInfo, len(cfg.Federation))
+		s.gossip.resolver.Lookup = cfg.Intern.Lookup // nil-receiver safe
 	}
 	return s
 }
@@ -509,13 +554,15 @@ func (s *Supernode) bumpVersionLocked(now time.Time) {
 	s.ownStamp = now.UnixNano()
 }
 
-// cowMergedLocked unshares the merged view before an in-place edit: an
-// adopted (or published) slice may be aliased by every other federation
-// member. The copy is exact-length, so a later spliceIn reallocates
-// instead of growing into shared backing.
+// cowMergedLocked unshares the merged view before an in-place edit: the
+// canonical slice is aliased by every other federation member. Fires on
+// the first edit after a quiescent round, not once per gossip tick —
+// rebuilds leave the view private.
 func (s *Supernode) cowMergedLocked() {
 	if s.mergedShared {
-		s.merged = append([]proto.PeerInfo(nil), s.merged...)
+		buf := viewPool.Get().(*viewBuf)
+		s.merged = append(buf.peers[:0], s.merged...)
+		s.meta = append(buf.meta[:0], s.meta...)
 		s.mergedShared = false
 	}
 }
@@ -544,7 +591,7 @@ func (s *Supernode) mergedUpsertLocked(p proto.PeerInfo, shard int, seen int64) 
 
 // mergedDropLocked removes an entry attributed to the given shard from
 // the merged view; if another shard's snapshot still lists the host,
-// the freshest surviving claim is reinstated so an owned expiry cannot
+// the freshest surviving claim takes its place so an owned expiry cannot
 // erase a peer the federation still believes in.
 func (s *Supernode) mergedDropLocked(id string, shard int) {
 	i, found := findSorted(s.merged, id)
@@ -552,9 +599,12 @@ func (s *Supernode) mergedDropLocked(id string, shard int) {
 		return
 	}
 	s.cowMergedLocked()
+	if p, m, ok := s.claimLocked(id, shard); ok {
+		s.merged[i], s.meta[i] = p, m
+		return
+	}
 	s.merged = spliceOut(s.merged, i)
 	s.meta = spliceOut(s.meta, i)
-	s.reinstateLocked(id, shard)
 }
 
 func (s *Supernode) sweepLoop() {
@@ -584,7 +634,8 @@ func (s *Supernode) sweepLoop() {
 		// only ever learned about transitively) gets its shard swept
 		// from the merged view: a permanently dead shard must not keep
 		// its expired peers listed forever. Peers that failed over are
-		// owned elsewhere by now and survive via reinstatement.
+		// owned elsewhere by now and survive via reinstatement. One
+		// rebuild against an empty claim set, not a splice per entry.
 		for k, r := range s.remote {
 			anchor := s.memberSeen[k]
 			if anchor.IsZero() || r.appliedAt.After(anchor) {
@@ -593,9 +644,7 @@ func (s *Supernode) sweepLoop() {
 			if anchor.Before(cutoff) {
 				delete(s.remote, k)
 				delete(s.memberSeen, k)
-				for _, p := range r.peers {
-					s.mergedDropLocked(p.ID, k)
-				}
+				s.rebuildMergedLocked(k, nil, nil)
 			}
 		}
 		s.mu.Unlock()
@@ -619,69 +668,76 @@ func (s *Supernode) gossipLoop() {
 	}
 }
 
-// gossipScratchPool recycles digest request frames (the version vector
-// is a fresh small slice per tick — one allocation every
-// GossipInterval, nowhere near a hot path).
-var gossipScratchPool = sync.Pool{New: func() any { return new([]byte) }}
-
 // gossipWith runs one digest round trip against the member at the
-// given shard index and applies whatever snapshots come back.
+// given shard index and applies whatever snapshots come back. The reply
+// is decoded outside the lock into the actor's scratch, each entry
+// resolved against the snapshot it is about to replace (the hints,
+// captured with the version vector) before any string is built.
 func (s *Supernode) gossipWith(shard int) {
 	addr := s.cfg.Federation[shard]
-	k := len(s.cfg.Federation)
-	versions := make([]uint64, k)
+	g := &s.gossip
 	s.mu.Lock()
-	s.knownVersionsLocked(versions)
-	from := s.cfg.Shard
+	s.knownVersionsLocked(g.versions)
+	clear(g.resolver.Hints)
+	for k, r := range s.remote {
+		g.resolver.Hints[k] = r.peers
+	}
 	s.mu.Unlock()
 
-	scratch := gossipScratchPool.Get().(*[]byte)
-	frame, err := proto.AppendMarshal((*scratch)[:0], &proto.Digest{From: from, Versions: versions})
+	frame, err := proto.AppendMarshal(g.frame[:0], &proto.Digest{From: s.cfg.Shard, Versions: g.versions})
 	if err != nil {
 		return
 	}
-	sent := int64(len(frame))
+	g.frame = frame
 	reply, err := transport.RequestReply(s.net, addr,
 		transport.Message{Payload: frame}, s.cfg.GossipInterval*4)
-	*scratch = frame[:0]
-	gossipScratchPool.Put(scratch)
 	if err != nil {
 		return
 	}
 	got := int64(len(reply.Payload))
-	_, msg, err := proto.Unmarshal(reply.Payload)
+	err = g.resolver.DecodeShardDelta(reply.Payload, &g.delta)
 	reply.Release()
 	if err != nil {
 		return
 	}
-	delta, ok := msg.(*proto.ShardDelta)
-	if !ok {
-		return
-	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.stats.GossipExchanges++
-	s.stats.GossipBytesOut += sent
+	s.stats.GossipBytesOut += int64(len(frame))
 	s.stats.GossipBytesIn += got
 	// The replying member's serveConn already charges both frames to its
 	// BytesIn/BytesOut — charging them here too would double-count every
 	// gossip exchange in federation-wide sums (exp.World.FederationStats).
 	s.memberSeen[shard] = s.rt.Now()
-	for i := range delta.Shards {
-		s.applyShardLocked(&delta.Shards[i])
+	for i := range g.delta.Shards {
+		s.applyShardLocked(&g.delta.Shards[i])
 	}
-	if len(delta.Shards) == 0 && !s.mergedShared {
-		// Quiescent round while holding a private merged view: the last
-		// edit was an own-shard change applied copy-on-write, which never
-		// re-offers. Without this, every member's final boot-storm
-		// registration leaves it a permanent private O(world) copy — K
-		// copies of the world instead of one. Offering here converges
-		// the federation back to a single shared slice; content equality
-		// is what MergedView checks, so a not-yet-converged offer is
-		// merely stored, never wrongly adopted.
-		s.merged = s.cfg.Intern.MergedView(s.merged)
-		s.mergedShared = s.cfg.Intern != nil
+	if len(g.delta.Shards) > 0 {
+		return
 	}
-	s.mu.Unlock()
+	// Quiescent round: the one place state is offered for sharing. While
+	// it changes, a view (and every snapshot) is private and recycled;
+	// once the federation agrees, every member offers what it holds and
+	// adopts the interner's canonical copy — K value-identical worlds
+	// collapse into one, and the private buffers go back to the pool (or,
+	// with the decode scratch, to the GC). Content equality is what the
+	// interner checks, so a not-yet-converged offer is never wrongly
+	// adopted. Map order is immaterial: the offers are independent.
+	it := s.cfg.Intern
+	if !s.mergedShared {
+		if canon, ok := it.MergedView(s.merged); ok {
+			meta := exactClone(s.meta)
+			viewPool.Put(&viewBuf{peers: s.merged[:0], meta: s.meta[:0]})
+			s.merged, s.meta, s.mergedShared = canon, meta, true
+		}
+	}
+	for k, r := range s.remote {
+		if !r.shared {
+			r.peers, r.shared = it.Snapshot(k, r.version, r.peers)
+		}
+	}
+	g.delta = proto.ShardDelta{}
+	clear(g.resolver.Hints)
 }
 
 // KnownVersions returns the freshest version this member knows per
@@ -771,8 +827,11 @@ func (s *Supernode) applyShardLocked(st *proto.ShardState) {
 	if k == s.cfg.Shard || k < 0 || k >= len(s.cfg.Federation) {
 		return // own shard is authoritative locally; bogus index dropped
 	}
-	old := s.remote[k]
-	if old != nil && st.Version <= old.version {
+	r := s.remote[k]
+	if r == nil {
+		r = new(remoteShard)
+		s.remote[k] = r
+	} else if st.Version <= r.version {
 		return
 	}
 	if st.Stamp > 0 {
@@ -785,42 +844,52 @@ func (s *Supernode) applyShardLocked(st *proto.ShardState) {
 			}
 		}
 	}
-	// Canonicalize the snapshot before retaining it: per-entry interning
-	// shares the string data with the rest of the world, and the
-	// whole-slice check lets every member that received this
-	// (shard, version) hold the same backing array — the federation then
-	// retains one copy of each shard's table instead of K−1. Last-seen
-	// stamps stay per-member (they differ between pulls of one version).
-	it := s.cfg.Intern
-	it.InternList(st.Peers)
-	peers := it.Snapshot(k, st.Version, st.Peers)
-	s.remote[k] = &remoteShard{version: st.Version, stamp: st.Stamp,
-		peers: peers, seen: st.Seen, appliedAt: s.rt.Now()}
-	// Rebuild the merged view with one linear two-pointer pass over the
-	// (both ID-sorted) current view and the new snapshot — per-entry
-	// splices would make a boot-storm convergence O(world²). Entries the
-	// shard no longer claims are collected and reinstated from the other
-	// shards' snapshots afterwards (drops are rare; the common applies —
-	// boot fill and steady refresh — never take that path).
+	// The snapshot takes the decoded buffers and the decode scratch takes
+	// the ones it vacates (unless they are the interner's), so steady
+	// gossip decodes into the same few arrays.
+	vacPeers, vacSeen := r.peers[:0], r.seen[:0]
+	if r.shared {
+		vacPeers = nil
+	}
+	*r = remoteShard{version: st.Version, stamp: st.Stamp,
+		peers: st.Peers, seen: st.Seen, appliedAt: s.rt.Now()}
+	s.rebuildMergedLocked(k, r.peers, r.seen)
+	st.Peers, st.Seen = vacPeers, vacSeen
+}
+
+// rebuildMergedLocked re-merges the view against shard k's claim set —
+// its new snapshot, or nothing when the shard was swept — in one linear
+// two-pointer pass over the (both ID-sorted) current view and the
+// claims; per-entry splices would make a boot-storm convergence, or the
+// sweep of a dead shard, O(world²). An entry the shard no longer claims
+// is replaced in passing by the freshest surviving claim, if any. The
+// pass writes into a pooled pair and hands back the one it vacates.
+func (s *Supernode) rebuildMergedLocked(k int, peers []proto.PeerInfo, stamps []int64) {
 	claimSeen := func(j int) int64 {
-		if j < len(st.Seen) {
-			return st.Seen[j]
+		if j < len(stamps) {
+			return stamps[j]
 		}
 		return 0
 	}
-	out := make([]proto.PeerInfo, 0, len(s.merged)+len(peers))
-	metaOut := make([]entryMeta, 0, len(s.merged)+len(peers))
-	var dropped []string
+	buf := viewPool.Get().(*viewBuf)
+	if cap(buf.peers) < len(s.merged) || cap(buf.meta) < len(s.merged) {
+		// Pool miss, or a pair the world outgrew: size for the union plus
+		// headroom, so a growing world regrows every eighth, not every tick.
+		n := len(s.merged) + len(peers)
+		buf.peers, buf.meta = make([]proto.PeerInfo, 0, n+n/8), make([]entryMeta, 0, n+n/8)
+	}
+	out, metaOut := buf.peers[:0], buf.meta[:0]
 	i, j := 0, 0
 	for i < len(s.merged) || j < len(peers) {
 		switch {
 		case j >= len(peers) || (i < len(s.merged) && s.merged[i].ID < peers[j].ID):
-			if s.meta[i].shard == k {
-				// Previously attributed to this shard, no longer claimed.
-				dropped = append(dropped, s.merged[i].ID)
-			} else {
+			if s.meta[i].shard != k {
 				out = append(out, s.merged[i])
 				metaOut = append(metaOut, s.meta[i])
+			} else if p, m, ok := s.claimLocked(s.merged[i].ID, k); ok {
+				// Previously attributed to this shard, no longer claimed.
+				out = append(out, p)
+				metaOut = append(metaOut, m)
 			}
 			i++
 		case i >= len(s.merged) || peers[j].ID < s.merged[i].ID:
@@ -842,20 +911,17 @@ func (s *Supernode) applyShardLocked(st *proto.ShardState) {
 			j++
 		}
 	}
-	// Offer the rebuild for sharing: once gossip converges every member
-	// rebuilds the same view, and they all adopt one canonical slice.
-	s.merged = it.MergedView(out)
-	s.mergedShared = it != nil
-	s.meta = metaOut
-	for _, id := range dropped {
-		s.reinstateLocked(id, k)
+	if !s.mergedShared {
+		buf.peers, buf.meta = s.merged[:0], s.meta[:0]
+		viewPool.Put(buf)
 	}
+	s.merged, s.meta, s.mergedShared = out, metaOut, false
 }
 
-// reinstateLocked re-adds the freshest surviving claim for a host whose
-// previous attribution just disappeared (the owned table and every
-// other shard's snapshot are consulted).
-func (s *Supernode) reinstateLocked(id string, exclude int) {
+// claimLocked finds the freshest surviving claim for a host whose
+// attribution to the excluded shard just disappeared (the owned table
+// and every other shard's snapshot are consulted).
+func (s *Supernode) claimLocked(id string, exclude int) (proto.PeerInfo, entryMeta, bool) {
 	bestShard, bestSeen, bestIdx := -1, int64(0), -1
 	for k, r := range s.remote {
 		if k == exclude {
@@ -873,15 +939,15 @@ func (s *Supernode) reinstateLocked(id string, exclude int) {
 	}
 	if exclude != s.cfg.Shard {
 		if e, owned := s.peers[id]; owned {
-			if bestShard == -1 || e.lastSeen.UnixNano() >= bestSeen {
-				s.mergedUpsertLocked(e.info, s.cfg.Shard, e.lastSeen.UnixNano())
-				return
+			if seen := e.lastSeen.UnixNano(); bestShard == -1 || seen >= bestSeen {
+				return e.info, entryMeta{shard: s.cfg.Shard, seen: seen}, true
 			}
 		}
 	}
-	if bestShard >= 0 {
-		s.mergedUpsertLocked(s.remote[bestShard].peers[bestIdx], bestShard, bestSeen)
+	if bestShard < 0 {
+		return proto.PeerInfo{}, entryMeta{}, false
 	}
+	return s.remote[bestShard].peers[bestIdx], entryMeta{shard: bestShard, seen: bestSeen}, true
 }
 
 // Client-side helpers: one-shot exchanges with a supernode.

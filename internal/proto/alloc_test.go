@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -123,6 +125,60 @@ func TestUnmarshalPeerListReusesScratch(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("UnmarshalPeerList: %v allocs/op, want <= 1 (the intern copy)", allocs)
+	}
+}
+
+// TestShardDeltaDecodeReusesScratch: the gossip loop's steady state —
+// same-size deltas decoded into the same scratch, entries resolved
+// against the snapshots they replace (hints) or the world's interner
+// (lookup) — builds no string and grows no buffer: 0 allocs/op.
+func TestShardDeltaDecodeReusesScratch(t *testing.T) {
+	delta := &ShardDelta{}
+	for k := 0; k < 3; k++ {
+		st := ShardState{Shard: k, Version: 7, Stamp: 99}
+		for i := 0; i < 40; i++ {
+			id := fmt.Sprintf("h%02d-%d.site", i, k)
+			st.Peers = append(st.Peers, PeerInfo{ID: id, Site: "site", MPDAddr: id + ":9000", RSAddr: id + ":9001"})
+			st.Seen = append(st.Seen, int64(1000+i))
+		}
+		delta.Shards = append(delta.Shards, st)
+	}
+	frame := MustMarshal(delta)
+	known := map[string]PeerInfo{}
+	hints := make([][]PeerInfo, 3)
+	for k, st := range delta.Shards {
+		hints[k] = st.Peers
+		for _, p := range st.Peers {
+			known[p.ID] = p
+		}
+	}
+	lookup := func(id, site, mpdAddr, rsAddr []byte) (PeerInfo, bool) {
+		p, ok := known[string(id)]
+		return p, ok && p.Site == string(site) && p.MPDAddr == string(mpdAddr) && p.RSAddr == string(rsAddr)
+	}
+	for name, r := range map[string]*PeerResolver{
+		"hints":  {Hints: hints},
+		"lookup": {Lookup: lookup},
+	} {
+		var m ShardDelta
+		if err := r.DecodeShardDelta(frame, &m); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&m, delta) {
+			t.Fatalf("%s: decoded %+v", name, m)
+		}
+		first := &m.Shards[0].Peers[0]
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := r.DecodeShardDelta(frame, &m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+		}
+		if &m.Shards[0].Peers[0] != first {
+			t.Errorf("%s: decode did not reuse the scratch backing", name)
+		}
 	}
 }
 

@@ -147,23 +147,89 @@ func appendShardState(e *wire.Encoder, s *ShardState) {
 	}
 }
 
-// decodeShardState decodes one shard snapshot, validating the entry
-// count against the remaining bytes.
-func decodeShardState(d *wire.Decoder) (ShardState, bool) {
-	st := ShardState{Shard: d.Int(), Version: d.U64(), Stamp: d.Varint()}
+// PeerResolver lets the ShardDelta decoder hand out PeerInfo values the
+// receiver already holds instead of building four strings per entry:
+// the fields are read as views of the frame and matched before any
+// string exists, so only a never-seen host allocates. A resolved entry
+// always equals what the plain decode (a nil resolver) would have built.
+type PeerResolver struct {
+	// Hints[k], when present, is the receiver's current snapshot of shard
+	// k. Snapshots are ID-sorted like the frame's entries, so a merge-walk
+	// finds every unchanged host without a lock or a map; a hint that is
+	// stale or unsorted only makes entries miss.
+	Hints [][]PeerInfo
+	// Lookup, when set, resolves what the walk missed by raw wire fields.
+	Lookup func(id, site, mpdAddr, rsAddr []byte) (PeerInfo, bool)
+}
+
+// DecodeShardDelta decodes a TShardDelta frame into m, reusing m's
+// Shards array and whatever Peers/Seen capacity its elements hold (the
+// gossip loop decodes every reply into the same scratch). A nil r
+// decodes plainly. On error m's contents are unspecified.
+func (r *PeerResolver) DecodeShardDelta(b []byte, m *ShardDelta) error {
+	d := wire.NewDecoder(b)
+	if t := Type(d.U8()); t != TShardDelta {
+		return fmt.Errorf("proto: expected sharddelta, got %v", t)
+	}
+	if !decodeShardDelta(d, m, r) {
+		return wire.ErrCorrupt
+	}
+	return d.Finish()
+}
+
+// decodeShardDelta decodes the body of a TShardDelta frame, validating
+// every count against the remaining bytes.
+func decodeShardDelta(d *wire.Decoder, m *ShardDelta, r *PeerResolver) bool {
 	n := d.Int()
 	if n < 0 || n > d.Remaining() {
-		return st, false
+		return false
 	}
-	if n > 0 {
-		st.Peers = make([]PeerInfo, 0, n)
-		st.Seen = make([]int64, 0, n)
+	if c := cap(m.Shards); n > c {
+		m.Shards = append(m.Shards[:c], make([]ShardState, n-c)...)
 	}
-	for i := 0; i < n; i++ {
-		st.Peers = append(st.Peers, decodePeerInfo(d))
-		st.Seen = append(st.Seen, d.Varint())
+	m.Shards = m.Shards[:n]
+	for i := range m.Shards {
+		st := &m.Shards[i]
+		st.Shard, st.Version, st.Stamp = d.Int(), d.U64(), d.Varint()
+		st.Peers, st.Seen = st.Peers[:0], st.Seen[:0]
+		entries := d.Int()
+		if entries < 0 || entries > d.Remaining() {
+			return false
+		}
+		if cap(st.Peers) < entries || cap(st.Seen) < entries {
+			// Headroom: recycled buffers rotate between shards of slightly
+			// different, growing sizes; exact fits would regrow every reply.
+			c := entries + entries/8
+			st.Peers, st.Seen = make([]PeerInfo, 0, c), make([]int64, 0, c)
+		}
+		var hint []PeerInfo
+		if r != nil && st.Shard >= 0 && st.Shard < len(r.Hints) {
+			hint = r.Hints[st.Shard]
+		}
+		for ; entries > 0; entries-- {
+			id, site, mpdAddr, rsAddr := d.StringBytes(), d.StringBytes(), d.StringBytes(), d.StringBytes()
+			for len(hint) > 0 && hint[0].ID < string(id) {
+				hint = hint[1:]
+			}
+			var p PeerInfo
+			ok := false
+			if len(hint) > 0 && hint[0].ID == string(id) && hint[0].Site == string(site) &&
+				hint[0].MPDAddr == string(mpdAddr) && hint[0].RSAddr == string(rsAddr) {
+				p, ok = hint[0], true
+			} else if r != nil && r.Lookup != nil {
+				p, ok = r.Lookup(id, site, mpdAddr, rsAddr)
+			}
+			if !ok {
+				p = PeerInfo{ID: string(id), Site: string(site), MPDAddr: string(mpdAddr), RSAddr: string(rsAddr)}
+			}
+			st.Peers = append(st.Peers, p)
+			st.Seen = append(st.Seen, d.Varint())
+		}
+		if d.Err() != nil {
+			return false
+		}
 	}
-	return st, d.Err() == nil
+	return true
 }
 
 // MustMarshal is Marshal for known-good messages; it panics on error.
@@ -288,21 +354,9 @@ func Unmarshal(b []byte) (Type, any, error) {
 		}
 		msg = m
 	case TShardDelta:
-		n := d.Int()
-		if n < 0 || n > d.Remaining() {
-			return t, nil, wire.ErrCorrupt
-		}
 		m := &ShardDelta{}
-		if n > 0 {
-			d.InternStrings() // snapshots are string-dense, like PeerList
-			m.Shards = make([]ShardState, 0, n)
-		}
-		for i := 0; i < n; i++ {
-			st, ok := decodeShardState(d)
-			if !ok {
-				return t, nil, wire.ErrCorrupt
-			}
-			m.Shards = append(m.Shards, st)
+		if !decodeShardDelta(d, m, nil) {
+			return t, nil, wire.ErrCorrupt
 		}
 		msg = m
 	case TShardRedirect:
@@ -326,6 +380,17 @@ func Unmarshal(b []byte) (Type, any, error) {
 // refresh on a multi-thousand-host world does not allocate a fresh
 // O(world) slice per reply.
 func UnmarshalPeerList(b []byte, dst []PeerInfo) ([]PeerInfo, error) {
+	return UnmarshalPeerListLimited(b, dst, -1)
+}
+
+// UnmarshalPeerListLimited is UnmarshalPeerList materializing only the
+// first limit entries (all of them when limit is negative): the result
+// is the full decode's prefix and the error the full decode's error,
+// because the entries past the limit are still validated structurally —
+// a truncated or trailing-garbage reply fails whatever the limit. A
+// receiver that will keep two entries of a 512-entry window does not
+// build the other 2040 strings.
+func UnmarshalPeerListLimited(b []byte, dst []PeerInfo, limit int) ([]PeerInfo, error) {
 	d := wire.NewDecoder(b)
 	if t := Type(d.U8()); t != TPeerList {
 		return dst, fmt.Errorf("proto: expected peerlist, got %v", t)
@@ -334,16 +399,17 @@ func UnmarshalPeerList(b []byte, dst []PeerInfo) ([]PeerInfo, error) {
 	if n < 0 || n > d.Remaining() {
 		return dst, wire.ErrCorrupt
 	}
-	if n > 0 {
-		d.InternStrings()
+	if limit < 0 || limit >= n {
+		limit = n
+		d.InternStrings() // one string copy for the whole host list
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < limit; i++ {
 		dst = append(dst, decodePeerInfo(d))
 	}
-	if err := d.Finish(); err != nil {
-		return dst, err
+	for i := 4 * (n - limit); i > 0; i-- {
+		d.StringBytes()
 	}
-	return dst, nil
+	return dst, d.Finish()
 }
 
 // DecodeInto decodes a frame into a caller-provided message struct,

@@ -1,6 +1,9 @@
 package transport
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // BufferPool is a size-classed free list for message payload buffers.
 // The simulated network allocates one payload copy per message in
@@ -9,13 +12,15 @@ import "math/bits"
 // senders take buffers from the pool and receivers hand them back with
 // Message.Release once the frame is decoded.
 //
-// The pool is deliberately unsynchronized. Its only production user is
-// simnet, where every call site runs in scheduler context (actors and
-// event callbacks execute one at a time, with cross-goroutine
-// visibility established by the scheduler's own synchronization). A
-// concurrent transport must either wrap it in a lock or not use it —
-// a Message with a nil pool makes Release a no-op, so pooling is
-// strictly opt-in per transport.
+// The free lists are deliberately unsynchronized. The pool's only
+// production user is simnet, where every call site runs in scheduler
+// context (actors and event callbacks execute one at a time, with
+// cross-goroutine visibility established by the scheduler's own
+// synchronization). A concurrent transport must either wrap it in a lock
+// or not use it — a Message with a nil pool makes Release a no-op, so
+// pooling is strictly opt-in per transport. Buffers above 64 KiB (gossip
+// anti-entropy frames) bypass the free lists for process-wide
+// sync.Pools (bigPools): reused while a storm lasts, collected after.
 type BufferPool struct {
 	classes [poolClasses][][]byte
 }
@@ -50,6 +55,12 @@ func (p *BufferPool) Get(n int) []byte {
 	if c < 0 {
 		return make([]byte, n)
 	}
+	if c > poolRetainMaxClass {
+		if bp, _ := bigPools[c-poolRetainMaxClass-1].Get().(*[]byte); bp != nil {
+			return (*bp)[:n]
+		}
+		return make([]byte, n, 1<<c)
+	}
 	if l := len(p.classes[c]); l > 0 {
 		b := p.classes[c][l-1]
 		p.classes[c][l-1] = nil
@@ -79,32 +90,37 @@ const carveTarget = 16 << 10
 // Retention bounds: a class keeps at most poolRetainBytes worth of
 // buffers (but at least poolMinRetain of them, so alternating
 // request/reply traffic stays allocation-free), and classes above
-// poolRetainMaxClass keep nothing at all. Without a bound the pool's
-// high-water mark is permanent: a boot storm that has every host's
-// registration reply in flight at once would park hundreds of MB in
-// free lists that steady state never touches again, and even a handful
-// of retained gossip anti-entropy frames (hundreds of KB each, a few
-// exchanges per second across a whole federation) costs more than the
-// traffic they save. Excess buffers go back to the GC; a later burst
-// re-carves blocks at one allocation per carveTarget of traffic, and
-// big frames fall back to the allocator outright.
+// poolRetainMaxClass keep nothing in the free lists. Without a bound the
+// pool's high-water mark is permanent: a boot storm that has every
+// host's registration reply in flight at once would park hundreds of MB
+// in free lists that steady state never touches again, and even a
+// handful of retained gossip anti-entropy frames (hundreds of KB each)
+// would outlive the storm that needed them. Excess buffers go back to
+// the GC; a later burst re-carves blocks at one allocation per
+// carveTarget of traffic, and big frames ride bigPools, which the GC
+// empties.
 const (
 	poolRetainBytes    = 64 << 10
-	poolRetainMaxClass = 16 // 64 KiB; bigger buffers are never retained
+	poolRetainMaxClass = 16 // 64 KiB; bigger buffers go through bigPools
 	poolMinRetain      = 4
 )
 
-// maxRetain returns how many buffers class c may keep.
+// maxRetain returns how many buffers class c (≤ poolRetainMaxClass) may
+// keep.
 func maxRetain(c int) int {
-	if c > poolRetainMaxClass {
-		return 0
-	}
 	n := poolRetainBytes >> c
 	if n < poolMinRetain {
 		n = poolMinRetain
 	}
 	return n
 }
+
+// bigPools carry the classes above poolRetainMaxClass, shared by every
+// BufferPool in the process: a sync.Pool keeps a big frame's buffer
+// while traffic keeps reusing it (a boot storm's gossip replies) and
+// the GC empties it once traffic stops — reuse without a high-water
+// mark, and no retention constant to tune.
+var bigPools [poolMaxBits - poolRetainMaxClass]sync.Pool
 
 // Put recycles a buffer previously handed out by Get. Buffers whose
 // capacity does not match a pool class, and buffers beyond the class's
@@ -115,6 +131,13 @@ func (p *BufferPool) Put(b []byte) {
 		return
 	}
 	k := bits.TrailingZeros(uint(c))
+	if k > poolRetainMaxClass {
+		// Box a copy of the header: boxing the parameter itself would
+		// heap-allocate it on every Put, the small classes' included.
+		big := b[:0]
+		bigPools[k-poolRetainMaxClass-1].Put(&big)
+		return
+	}
 	if len(p.classes[k]) >= maxRetain(k) {
 		return
 	}

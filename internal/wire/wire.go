@@ -238,24 +238,32 @@ func (d *Decoder) InternStrings() {
 	}
 }
 
-// String reads a length-prefixed string.
-func (d *Decoder) String() string {
+// StringBytes reads a length-prefixed string as a view of the frame: no
+// copy, no allocation, and valid only until the buffer is released or
+// reused. Decoders of string-dense frames use it to match an entry
+// against values they already hold before building any string.
+func (d *Decoder) StringBytes() []byte {
 	n := d.Varint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n < 0 || n > int64(d.Remaining()) {
 		d.fail(ErrCorrupt)
-		return ""
+		return nil
 	}
-	var s string
-	if d.intern != "" {
-		s = d.intern[d.off-d.internBase : d.off-d.internBase+int(n)]
-	} else {
-		s = string(d.buf[d.off : d.off+int(n)])
-	}
+	b := d.buf[d.off : d.off+int(n) : d.off+int(n)]
 	d.off += int(n)
-	return s
+	return b
+}
+
+// String reads a length-prefixed string.
+func (d *Decoder) String() string {
+	b := d.StringBytes()
+	if d.intern != "" && len(b) > 0 {
+		end := d.off - d.internBase
+		return d.intern[end-len(b) : end]
+	}
+	return string(b)
 }
 
 // StringInto reads a length-prefixed string into *s, keeping the
@@ -264,17 +272,8 @@ func (d *Decoder) String() string {
 // heartbeat's job ID, a reservation key echoed through a handshake)
 // into a reused struct costs nothing steady-state.
 func (d *Decoder) StringInto(s *string) {
-	n := d.Varint()
-	if d.err != nil {
-		return
-	}
-	if n < 0 || n > int64(d.Remaining()) {
-		d.fail(ErrCorrupt)
-		return
-	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
-	if *s != string(b) { // compiler-optimized: no allocation to compare
+	// compiler-optimized: no allocation to compare
+	if b := d.StringBytes(); d.err == nil && *s != string(b) {
 		*s = string(b)
 	}
 }

@@ -89,6 +89,36 @@ func TestDecoderNegativeLength(t *testing.T) {
 	}
 }
 
+// TestStringBytesIsAView: the accessor reads exactly what String reads —
+// same bytes, same offsets, same sticky errors, with or without
+// InternStrings armed around it — but as a view of the frame: no copy,
+// and clipped so an append cannot write into the next field.
+func TestStringBytesIsAView(t *testing.T) {
+	e := NewEncoder(32)
+	e.String("alpha").String("").String("beta").U8(7)
+	frame := e.Bytes()
+	d := NewDecoder(frame)
+	a := d.StringBytes()
+	d.InternStrings()
+	empty, b := d.StringBytes(), d.String()
+	if string(a) != "alpha" || len(empty) != 0 || b != "beta" || d.U8() != 7 || d.Finish() != nil {
+		t.Fatalf("decoded %q %q %q, err %v", a, empty, b, d.Err())
+	}
+	if &a[0] != &frame[1] || cap(a) != len(a) {
+		t.Fatalf("StringBytes returned a copy or an unclipped view (cap %d)", cap(a))
+	}
+	if got := append(a, 'X'); &got[0] == &a[0] || frame[6] == 'X' {
+		t.Fatal("appending to a view wrote into the frame")
+	}
+	for _, bad := range [][]byte{{0x10, 'x'}, {0x09}, {0x80}} { // too long, negative, cut varint
+		ds, db := NewDecoder(bad), NewDecoder(bad)
+		_ = ds.String()
+		if v := db.StringBytes(); v != nil || db.Err() == nil || db.Err() != ds.Err() {
+			t.Fatalf("frame %x: StringBytes %q err %v, String err %v", bad, v, db.Err(), ds.Err())
+		}
+	}
+}
+
 func TestFinishTrailingBytes(t *testing.T) {
 	e := NewEncoder(8)
 	e.U8(1).U8(2)
