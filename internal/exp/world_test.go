@@ -63,7 +63,30 @@ func TestReplicatedHostnameOnGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots the full grid")
 	}
-	w := bootedWorld(t)
+	// Boot is an all-pairs ping — 63 175 RPCs on this grid — and every
+	// one of them is a chain of delivery events (transport.Call): what
+	// Boot spawns is one registration actor per daemon plus a handful of
+	// its own, where an actor per RPC made it more than 63 000; and an
+	// exchange's garbage is a few closures and two conns, where the
+	// coroutine, its queues and its mailbox push made Boot 6 661 mallocs
+	// per host.
+	w := NewWorld(DefaultOptions(42))
+	t.Cleanup(w.Close)
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	if err := w.Boot(); err != nil {
+		t.Fatalf("boot: %v", err)
+	}
+	runtime.ReadMemStats(&ms1)
+	hosts := len(w.Peers) + 1
+	if spawned := w.S.Spawned(); spawned > 4*hosts {
+		t.Fatalf("Boot spawned %d actors for %d daemons, want O(hosts)", spawned, hosts)
+	}
+	if perHost := float64(ms1.Mallocs-ms0.Mallocs) / float64(hosts); perHost > 4500 {
+		t.Fatalf("Boot cost %.0f mallocs per host, want at most 4500", perHost)
+	} else {
+		t.Logf("Boot: %d actors, %.0f mallocs per host", w.S.Spawned(), perHost)
+	}
 	res, err := w.Submit(mpd.JobSpec{
 		Program: "hostname", N: 100, R: 2, Strategy: core.Spread,
 		Timeout: 10 * time.Minute,

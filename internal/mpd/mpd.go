@@ -623,22 +623,81 @@ func (m *MPD) supernodes() []string {
 
 // --- RPC robustness: seeded retries and per-supernode breakers ---
 
-// withRetry runs one RPC exchange under the daemon's retry policy:
-// retryable failures (transport.Retryable — timeouts and unreachable
-// listeners, never "peer gone") back off exponentially with seeded
-// jitter and re-try up to RPCRetries times. With RPCRetries == 0 it is
-// exactly fn() — no draws, no sleeps — so fault-free trajectories are
-// untouched.
-func (m *MPD) withRetry(addr string, fn func() error) error {
-	err := fn()
-	for k := 1; k <= m.cfg.RPCRetries && transport.Retryable(err); k++ {
-		m.rt.Sleep(m.retryDelay(addr, k))
-		m.mu.Lock()
-		m.stats.RPCRetries++
-		m.mu.Unlock()
-		err = fn()
+// callRetry is transport.Call under the daemon's retry policy, as a
+// state machine: a retryable failure (transport.Retryable — timeouts
+// and unreachable listeners, never "peer gone") of attempt k (0-based;
+// callers pass 0) schedules attempt k+1 after an exponential backoff
+// with seeded jitter, up to RPCRetries re-attempts, and nobody sleeps
+// meanwhile; done gets the last attempt's outcome, under Call's rules
+// (it must not block). With RPCRetries == 0 it is exactly Call — no
+// draws, no events — so fault-free trajectories are untouched.
+func (m *MPD) callRetry(addr string, req transport.Message, timeout time.Duration, k int, done func(transport.Message, error)) {
+	transport.Call(m.rt, m.net, addr, req, timeout, func(reply transport.Message, err error) {
+		if k >= m.cfg.RPCRetries || !transport.Retryable(err) {
+			done(reply, err)
+			return
+		}
+		m.rt.Schedule(m.retryDelay(addr, k+1), func() {
+			m.mu.Lock()
+			m.stats.RPCRetries++
+			m.mu.Unlock()
+			m.callRetry(addr, req, timeout, k+1, done)
+		})
+	})
+}
+
+// requestRetry is callRetry plus one park, for the scripts that are
+// sequential anyway (the supernode exchanges).
+func (m *MPD) requestRetry(addr string, msg any, timeout time.Duration) (reply transport.Message, err error) {
+	f := newFanIn(m.rt, 1)
+	m.callRetry(addr, transport.Message{Payload: proto.MustMarshal(msg)}, timeout, 0,
+		func(r transport.Message, e error) {
+			reply, err = r, e
+			f.done(false)
+		})
+	f.wait()
+	return reply, err
+}
+
+// fanIn is the receiving end of a fan-out of Calls: a countdown their
+// continuations report to, which wakes the one blocked caller once —
+// when the last answer is in, or at the first one that aborts the wait.
+// The continuations run in delivery context on simnet and on a
+// goroutine each over TCP, hence the lock; state they share beside the
+// count is theirs to guard.
+type fanIn struct {
+	mu   sync.Mutex
+	left int
+	mb   vtime.Mailbox
+}
+
+func newFanIn(rt vtime.Runtime, n int) *fanIn {
+	f := &fanIn{left: n, mb: rt.NewMailbox()}
+	if n == 0 {
+		f.mb.Push(true)
 	}
-	return err
+	return f
+}
+
+// done counts one answer in; abort writes the outstanding ones off.
+func (f *fanIn) done(abort bool) {
+	f.mu.Lock()
+	wake := f.left > 0 && (abort || f.left == 1)
+	f.left--
+	if wake {
+		f.left = 0 // later answers find nobody to wake
+	}
+	f.mu.Unlock()
+	if wake {
+		f.mb.Push(!abort)
+	}
+}
+
+// wait parks the caller until the countdown ends and reports whether
+// every answer came in (false: one aborted it).
+func (f *fanIn) wait() bool {
+	v, _ := f.mb.Pop()
+	return v.(bool)
 }
 
 // retryDelay draws the backoff before re-attempt k (1-based) of an
@@ -764,12 +823,7 @@ func (m *MPD) registerAndUpdate() error {
 		}
 		forced := federated && i > 0
 		t0 := m.rt.Now()
-		var reply transport.Message
-		err := m.withRetry(sn, func() error {
-			var e error
-			reply, e = overlay.RegisterRaw(m.net, sn, m.cfg.Self, forced, m.cfg.ReserveTimeout)
-			return e
-		})
+		reply, err := m.requestRetry(sn, &proto.Register{Peer: m.cfg.Self, Forced: forced}, m.cfg.ReserveTimeout)
 		m.snRecord(sn, err)
 		if err == nil && proto.Peek(reply.Payload) == proto.TShardRedirect {
 			var rd proto.ShardRedirect
@@ -810,12 +864,7 @@ func (m *MPD) fetchAndUpdate() error {
 		if !m.snAllow(sn) {
 			continue
 		}
-		var reply transport.Message
-		err := m.withRetry(sn, func() error {
-			var e error
-			reply, e = overlay.FetchRaw(m.net, sn, m.cfg.ReserveTimeout)
-			return e
-		})
+		reply, err := m.requestRetry(sn, &proto.FetchPeers{}, m.cfg.ReserveTimeout)
 		m.snRecord(sn, err)
 		if err == nil {
 			if err = m.mergeReply(reply); err == nil {
@@ -839,17 +888,17 @@ func (m *MPD) aliveAny() {
 		if !m.snAllow(sn) {
 			continue
 		}
-		var known bool
-		err := m.withRetry(sn, func() error {
-			var e error
-			known, e = overlay.SendAlive(m.net, sn, m.cfg.Self.ID, m.cfg.ReserveTimeout)
-			return e
-		})
+		reply, err := m.requestRetry(sn, &proto.Alive{ID: m.cfg.Self.ID}, m.cfg.ReserveTimeout)
+		var ack proto.AliveAck
+		if err == nil {
+			err = proto.DecodeInto(reply.Payload, &ack)
+			reply.Release()
+		}
 		m.snRecord(sn, err)
 		if err != nil {
 			continue
 		}
-		if !known {
+		if !ack.Known {
 			m.registerAndUpdate()
 		}
 		return
@@ -863,38 +912,34 @@ func (m *MPD) pingRound() {
 	if len(ids) == 0 {
 		return
 	}
-	mb := m.rt.NewMailbox()
+	round := newFanIn(m.rt, len(ids))
 	for _, id := range ids {
 		id := id
 		info, ok := m.cache.Peer(id)
 		if !ok {
-			mb.Push(struct{}{})
+			round.done(false)
 			continue
 		}
-		m.rt.Go("mpd.ping1."+m.cfg.Self.ID, func() {
-			defer mb.Push(struct{}{})
-			nonce := m.nextNonce()
-			t0 := m.rt.Now()
-			reply, err := transport.RequestReply(m.net, info.MPDAddr,
-				transport.Message{Payload: proto.MustMarshal(&proto.Ping{Nonce: nonce})},
-				m.cfg.ReserveTimeout)
-			if err != nil {
-				return
-			}
-			var pong proto.Pong
-			err = proto.DecodeInto(reply.Payload, &pong)
-			reply.Release()
-			if err == nil && pong.Nonce == nonce {
-				m.cache.Observe(id, m.rt.Now().Sub(t0))
-			}
-		})
+		nonce := m.nextNonce()
+		t0 := m.rt.Now()
+		transport.Call(m.rt, m.net, info.MPDAddr,
+			transport.Message{Payload: proto.MustMarshal(&proto.Ping{Nonce: nonce})},
+			m.cfg.ReserveTimeout, func(reply transport.Message, err error) {
+				if err == nil {
+					var pong proto.Pong
+					err = proto.DecodeInto(reply.Payload, &pong)
+					reply.Release()
+					if err == nil && pong.Nonce == nonce {
+						m.cache.Observe(id, m.rt.Now().Sub(t0))
+					}
+				}
+				round.done(false)
+			})
 		m.mu.Lock()
 		m.stats.PingsSent++
 		m.mu.Unlock()
 	}
-	for range ids {
-		mb.PopTimeout(2*m.cfg.ReserveTimeout + 15*time.Second)
-	}
+	round.wait()
 }
 
 // rngLocked returns the daemon's seeded generator, building it on first

@@ -78,6 +78,19 @@ func newTestbed(t *testing.T, nNear, nFar int, coresPerHost int) *testbed {
 // passed through wrap (nettest doubles).
 func newTestbedOn(t *testing.T, nNear, nFar int, coresPerHost int, wrap func(*vtime.Scheduler, transport.Network) transport.Network) *testbed {
 	t.Helper()
+	return newTestbedWith(t, nNear, nFar, coresPerHost, func(s *vtime.Scheduler, host string, n transport.Network) transport.Network {
+		if host == "frontal" {
+			return n
+		}
+		return wrap(s, n)
+	}, func(*Shared) {})
+}
+
+// newTestbedWith wraps every daemon's network view, the frontal's
+// included, and lets tune adjust the deployment-wide configuration.
+func newTestbedWith(t *testing.T, nNear, nFar int, coresPerHost int,
+	wrap func(s *vtime.Scheduler, host string, n transport.Network) transport.Network, tune func(*Shared)) *testbed {
+	t.Helper()
 	s := vtime.New()
 	t.Cleanup(s.Shutdown)
 
@@ -110,6 +123,12 @@ func newTestbedOn(t *testing.T, nNear, nFar int, coresPerHost int, wrap func(*vt
 	})
 
 	mkCfg := func(id string, p int) Config {
+		shared := &Shared{
+			SupernodeAddr: "frontal:8800",
+			Programs:      programs(),
+			PingInterval:  10 * time.Second,
+		}
+		tune(shared)
 		return Config{
 			Self: proto.PeerInfo{
 				ID: id, Site: hostSite[id],
@@ -119,16 +138,12 @@ func newTestbedOn(t *testing.T, nNear, nFar int, coresPerHost int, wrap func(*vt
 			J:       1,
 			Profile: HostProfile{Cores: coresPerHost, CoreGFLOPS: 2, MemBWGBs: 5},
 			Seed:    int64(len(id) * 7),
-			Shared: &Shared{
-				SupernodeAddr: "frontal:8800",
-				Programs:      programs(),
-				PingInterval:  10 * time.Second,
-			},
+			Shared:  shared,
 		}
 	}
-	tb.front = New(s, net.Node("frontal"), mkCfg("frontal", 0))
+	tb.front = New(s, wrap(s, "frontal", net.Node("frontal")), mkCfg("frontal", 0))
 	for _, h := range names {
-		tb.peers = append(tb.peers, New(s, wrap(s, net.Node(h)), mkCfg(h, coresPerHost)))
+		tb.peers = append(tb.peers, New(s, wrap(s, h, net.Node(h)), mkCfg(h, coresPerHost)))
 	}
 	return tb
 }

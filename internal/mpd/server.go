@@ -309,13 +309,10 @@ func (m *MPD) runJob(job *localJob) {
 	// could write off work that was actually delivered.
 	// (Fire-and-forget; the submitter times out if we are dead.)
 	payload := proto.MustMarshal(done)
-	sendDone := func() {
-		if c, err := m.net.Dial(job.prep.SubmitterMPD); err == nil {
-			c.Send(transport.Message{Payload: payload})
-			c.Close()
-		}
+	if c, err := m.net.Dial(job.prep.SubmitterMPD); err == nil {
+		c.Send(transport.Message{Payload: payload})
+		c.Close()
 	}
-	sendDone()
 
 	m.rs.Release(job.key)
 	m.mu.Lock()
@@ -327,17 +324,23 @@ func (m *MPD) runJob(job *localJob) {
 	// retries enabled the report is blindly retransmitted on the same
 	// backoff schedule — no ack frame, no wire change; the submitter
 	// dedups by slot, so extra copies are no-ops.
-	if m.cfg.RPCRetries > 0 {
-		m.rt.Go("mpd.done."+m.cfg.Self.ID, func() {
-			for k := 1; k <= m.cfg.RPCRetries; k++ {
-				m.rt.Sleep(m.retryDelay(job.prep.SubmitterMPD, k))
-				if m.isClosed() {
-					return
-				}
-				sendDone()
-			}
-		})
+	m.resendDone(job.prep.SubmitterMPD, payload, 1)
+}
+
+// resendDone is retransmission k of a completion report and the chain
+// to the next: a backoff, then a one-way Call (timeout 0: dial, send,
+// close), then the same again until RPCRetries are spent.
+func (m *MPD) resendDone(addr string, payload []byte, k int) {
+	if k > m.cfg.RPCRetries {
+		return
 	}
+	m.rt.Schedule(m.retryDelay(addr, k), func() {
+		if m.isClosed() {
+			return
+		}
+		transport.Call(m.rt, m.net, addr, transport.Message{Payload: payload}, 0,
+			func(transport.Message, error) { m.resendDone(addr, payload, k+1) })
+	})
 }
 
 // hostsJob reports whether this peer still hosts a live job with the

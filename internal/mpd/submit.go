@@ -191,8 +191,10 @@ type Preemption struct {
 	sent    bool
 }
 
-// Kill requests the job's eviction. Safe from any goroutine; duplicate
-// calls are no-ops.
+// Kill requests the job's eviction. Safe from any goroutine over TCP
+// and from any actor or event callback of the submitter's scheduler in
+// the simulator (the kills leave from the caller's context; nothing
+// blocks); duplicate calls are no-ops.
 func (p *Preemption) Kill() {
 	p.mu.Lock()
 	p.killed = true
@@ -233,14 +235,7 @@ func (p *Preemption) markRunning() {
 // handleKill is idempotent, so duplicates and losses are both safe.
 func (p *Preemption) sendKills() {
 	for _, h := range p.hosts {
-		h := h
-		p.m.rt.Go("mpd.kill."+p.m.cfg.Self.ID, func() {
-			if reply, err := transport.RequestReply(p.m.net, h.MPDAddr,
-				transport.Message{Payload: proto.MustMarshal(&proto.KillJob{Key: p.key})},
-				p.m.cfg.ReserveTimeout); err == nil {
-				reply.Release()
-			}
-		})
+		p.m.castCancel(h.MPDAddr, &proto.KillJob{Key: p.key})
 	}
 }
 
@@ -811,43 +806,33 @@ const (
 // job granularity, so a host reboot cannot masquerade as process
 // liveness.
 func (m *MPD) probeHosts(ids []string, hosts map[string]proto.PeerInfo, jobID string) map[string]probeResult {
-	type ans struct {
-		id  string
-		res probeResult
-	}
-	mb := m.rt.NewMailbox()
+	answers := make(map[string]probeResult, len(ids))
+	round := newFanIn(m.rt, len(ids))
 	for _, id := range ids {
-		id, info := id, hosts[id]
-		m.rt.Go("mpd.detect."+m.cfg.Self.ID, func() {
-			nonce := m.nextNonce()
-			a := ans{id: id, res: probeSilent}
-			reply, err := transport.RequestReply(m.net, info.MPDAddr,
-				transport.Message{Payload: proto.MustMarshal(&proto.JobPing{Nonce: nonce, JobID: jobID})},
-				m.cfg.ReserveTimeout)
-			if err == nil {
-				var pong proto.JobPong
-				perr := proto.DecodeInto(reply.Payload, &pong)
-				reply.Release()
-				if perr == nil && pong.Nonce == nonce {
-					if pong.Known {
-						a.res = probeAlive
-					} else {
-						a.res = probeGone
+		id := id
+		nonce := m.nextNonce()
+		transport.Call(m.rt, m.net, hosts[id].MPDAddr,
+			transport.Message{Payload: proto.MustMarshal(&proto.JobPing{Nonce: nonce, JobID: jobID})},
+			m.cfg.ReserveTimeout, func(reply transport.Message, err error) {
+				res := probeSilent
+				if err == nil {
+					var pong proto.JobPong
+					err = proto.DecodeInto(reply.Payload, &pong)
+					reply.Release()
+					if err == nil && pong.Nonce == nonce {
+						res = probeGone
+						if pong.Known {
+							res = probeAlive
+						}
 					}
 				}
-			}
-			mb.Push(a)
-		})
+				round.mu.Lock()
+				answers[id] = res
+				round.mu.Unlock()
+				round.done(false)
+			})
 	}
-	answers := make(map[string]probeResult, len(ids))
-	for range ids {
-		v, err := mb.PopTimeout(2*m.cfg.ReserveTimeout + 15*time.Second)
-		if err != nil {
-			break
-		}
-		a := v.(ans)
-		answers[a.id] = a.res
-	}
+	round.wait()
 	return answers
 }
 
@@ -864,95 +849,56 @@ func (m *MPD) probeHosts(ids []string, hosts map[string]proto.PeerInfo, jobID st
 // through every retry is indistinguishable from a dead one, and the
 // cache entry is re-learned on the next refresh either way.
 func (m *MPD) fanOutReady(hosts []proto.PeerInfo, prep *proto.Prepare) error {
-	type ans struct {
-		host string
-		ok   bool
-		dead bool
-		why  string
-	}
-	mb := m.rt.NewMailbox()
+	var firstErr error
+	round := newFanIn(m.rt, len(hosts))
+	req := transport.Message{Payload: proto.MustMarshal(prep)}
 	for _, h := range hosts {
 		h := h
-		m.rt.Go("mpd.prepare."+m.cfg.Self.ID, func() {
-			a := ans{host: h.ID}
-			var reply transport.Message
-			err := m.withRetry(h.MPDAddr, func() error {
-				var e error
-				reply, e = transport.RequestReply(m.net, h.MPDAddr,
-					transport.Message{Payload: proto.MustMarshal(prep)}, m.cfg.PrepareTimeout)
-				return e
-			})
+		m.callRetry(h.MPDAddr, req, m.cfg.PrepareTimeout, 0, func(reply transport.Message, err error) {
+			ok, why := false, ""
 			if err != nil {
-				a.dead, a.why = true, err.Error()
+				why = err.Error()
+				if h.ID != m.cfg.Self.ID {
+					m.cache.MarkDead(h.ID)
+				}
 			} else {
 				var rdy proto.Ready
-				perr := proto.DecodeInto(reply.Payload, &rdy)
+				err = proto.DecodeInto(reply.Payload, &rdy)
 				reply.Release()
-				if perr == nil {
-					a.ok, a.why = rdy.OK, rdy.Reason
+				if err == nil {
+					ok, why = rdy.OK, rdy.Reason
 				}
 			}
-			mb.Push(a)
+			round.mu.Lock()
+			if !ok && firstErr == nil {
+				firstErr = fmt.Errorf("%w: host %s: %s", ErrLaunchFailed, h.ID, why)
+			}
+			round.mu.Unlock()
+			round.done(false)
 		})
 	}
-	var firstErr error
-	for range hosts {
-		v, err := mb.PopTimeout(2*m.rpcDeadline(m.cfg.PrepareTimeout) + 15*time.Second)
-		if err != nil {
-			return fmt.Errorf("%w: prepare fan-out stalled", ErrLaunchFailed)
-		}
-		a := v.(ans)
-		if a.dead && a.host != m.cfg.Self.ID {
-			m.cache.MarkDead(a.host)
-		}
-		if !a.ok && firstErr == nil {
-			firstErr = fmt.Errorf("%w: host %s: %s", ErrLaunchFailed, a.host, a.why)
-		}
-	}
+	round.wait()
 	return firstErr
 }
 
-// fanOutStart sends Start to every host and waits for the acks.
-// Retryable failures re-send under the daemon's retry policy —
-// handleStart is idempotent (a duplicate Start on a started job just
-// acks), so a lost StartAck cannot double-launch.
+// fanOutStart sends Start to every host and waits for the acks — or
+// for the first failure, whichever comes first. Retryable failures
+// re-send under the daemon's retry policy — handleStart is idempotent
+// (a duplicate Start on a started job just acks), so a lost StartAck
+// cannot double-launch.
 func (m *MPD) fanOutStart(hosts []proto.PeerInfo, key string) error {
-	mb := m.rt.NewMailbox()
+	round := newFanIn(m.rt, len(hosts))
+	req := transport.Message{Payload: proto.MustMarshal(&proto.Start{Key: key})}
 	for _, h := range hosts {
-		h := h
-		m.rt.Go("mpd.start."+m.cfg.Self.ID, func() {
-			err := m.withRetry(h.MPDAddr, func() error {
-				_, e := transport.RequestReply(m.net, h.MPDAddr,
-					transport.Message{Payload: proto.MustMarshal(&proto.Start{Key: key})},
-					m.cfg.StartTimeout)
-				return e
-			})
-			mb.Push(err == nil)
+		m.callRetry(h.MPDAddr, req, m.cfg.StartTimeout, 0, func(reply transport.Message, err error) {
+			reply.Release()
+			round.done(err != nil)
 		})
 	}
-	for range hosts {
-		v, err := mb.PopTimeout(2*m.rpcDeadline(m.cfg.StartTimeout) + 15*time.Second)
-		if err != nil || !v.(bool) {
-			return fmt.Errorf("%w: start fan-out failed", ErrLaunchFailed)
-		}
+	if !round.wait() {
+		return fmt.Errorf("%w: start fan-out failed", ErrLaunchFailed)
 	}
 	return nil
-}
-
-// rpcDeadline bounds one retried exchange for fan-out stall timers:
-// every attempt's timeout plus the largest possible backoff sequence.
-// Identical to the bare timeout when retries are off.
-func (m *MPD) rpcDeadline(timeout time.Duration) time.Duration {
-	r := m.cfg.RPCRetries
-	if r <= 0 {
-		return timeout
-	}
-	base := m.cfg.RPCBackoff
-	if base <= 0 {
-		base = time.Second
-	}
-	maxBackoff := time.Duration(1.5 * float64(base) * float64((uint64(1)<<uint(r))-1))
-	return time.Duration(r+1)*timeout + maxBackoff
 }
 
 // cancelLaunch unwinds one host after a failed launch phase: the RS
@@ -961,25 +907,22 @@ func (m *MPD) rpcDeadline(timeout time.Duration) time.Duration {
 // hold) are both dropped.
 func (m *MPD) cancelLaunch(peer proto.PeerInfo, key string) {
 	m.cancelReservation(peer, key)
-	if peer.MPDAddr == "" {
-		return
+	if peer.MPDAddr != "" {
+		m.castCancel(peer.MPDAddr, &proto.Cancel{Key: key})
 	}
-	m.rt.Go("mpd.cancel."+m.cfg.Self.ID, func() {
-		transport.RequestReply(m.net, peer.MPDAddr,
-			transport.Message{Payload: proto.MustMarshal(&proto.Cancel{Key: key})},
-			m.cfg.ReserveTimeout)
-	})
 }
 
 func (m *MPD) cancelReservation(peer proto.PeerInfo, key string) {
-	if peer.RSAddr == "" {
-		return
+	if peer.RSAddr != "" {
+		m.castCancel(peer.RSAddr, &proto.Cancel{Key: key})
 	}
-	m.rt.Go("mpd.cancel."+m.cfg.Self.ID, func() {
-		transport.RequestReply(m.net, peer.RSAddr,
-			transport.Message{Payload: proto.MustMarshal(&proto.Cancel{Key: key})},
-			m.cfg.ReserveTimeout)
-	})
+}
+
+// castCancel sends one Cancel or KillJob, fire-and-forget: the answer,
+// if one comes within ReserveTimeout, only goes back to the buffer pool.
+func (m *MPD) castCancel(addr string, msg any) {
+	transport.Call(m.rt, m.net, addr, transport.Message{Payload: proto.MustMarshal(msg)},
+		m.cfg.ReserveTimeout, func(reply transport.Message, _ error) { reply.Release() })
 }
 
 // packAlgorithms flattens the algorithm selectors into the wire layout

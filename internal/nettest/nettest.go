@@ -11,11 +11,13 @@ import (
 	"p2pmpi/internal/transport"
 )
 
-// PullOnly wraps a network so that its listeners and conns expose only
-// the base interfaces: transport.Serve then takes its fallback path (an
-// accept loop and one Recv loop per conn) on a transport that could do
-// callbacks. Differential tests run one script on a network and on its
-// PullOnly twin; on simnet the two must produce the same timeline.
+// PullOnly wraps a network so that it, its listeners and its conns
+// expose only the base interfaces: transport.Serve then takes its
+// fallback path (an accept loop and one Recv loop per conn) and
+// transport.Call its own (RequestReply on a spawned actor) on a
+// transport that could do callbacks. Differential tests run one script
+// on a network and on its PullOnly twin; on simnet the two must produce
+// the same timeline.
 func PullOnly(n transport.Network) transport.Network { return pullNet{n} }
 
 type pullNet struct{ transport.Network }
@@ -54,13 +56,13 @@ type pullConn struct{ transport.Conn }
 // stay visible; compose as PullOnly(LogCloses(…)) to log the fallback
 // path.
 func LogCloses(n transport.Network, elapsed func() time.Duration, log *[]string) transport.Network {
-	return logNet{n, func(c transport.Conn) {
+	return logNet{n.(transport.CallbackNetwork), func(c transport.Conn) {
 		*log = append(*log, fmt.Sprintf("%v %s→%s", elapsed(), c.LocalAddr(), c.RemoteAddr()))
 	}}
 }
 
 type logNet struct {
-	transport.Network
+	transport.CallbackNetwork
 	onClose func(transport.Conn)
 }
 
@@ -69,7 +71,7 @@ func (n logNet) wrap(c transport.Conn) transport.Conn {
 }
 
 func (n logNet) Listen(addr string) (transport.Listener, error) {
-	l, err := n.Network.Listen(addr)
+	l, err := n.CallbackNetwork.Listen(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -77,11 +79,20 @@ func (n logNet) Listen(addr string) (transport.Listener, error) {
 }
 
 func (n logNet) Dial(addr string) (transport.Conn, error) {
-	c, err := n.Network.Dial(addr)
+	c, err := n.CallbackNetwork.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
 	return n.wrap(c), nil
+}
+
+func (n logNet) DialFunc(addr string, done func(transport.Conn, error)) {
+	n.CallbackNetwork.DialFunc(addr, func(c transport.Conn, err error) {
+		if err == nil {
+			c = n.wrap(c)
+		}
+		done(c, err)
+	})
 }
 
 type logListener struct {

@@ -168,16 +168,14 @@ func ReleaseAll(rt vtime.Runtime, net transport.Network, peers []proto.PeerInfo,
 	if len(peers) == 0 {
 		return
 	}
-	mb := rt.NewMailbox()
+	round := newFanIn(rt, len(peers))
+	payload := proto.MustMarshal(&proto.Cancel{Key: key})
 	for _, p := range peers {
-		p := p
-		rt.Go("rs.release", func() {
-			transport.RequestReply(net, p.RSAddr,
-				transport.Message{Payload: proto.MustMarshal(&proto.Cancel{Key: key})}, timeout)
-			mb.Push(struct{}{})
-		})
+		transport.Call(rt, net, p.RSAddr, transport.Message{Payload: payload}, timeout,
+			func(reply transport.Message, _ error) {
+				reply.Release()
+				round.done()
+			})
 	}
-	for range peers {
-		mb.PopTimeout(2*timeout + 15*time.Second)
-	}
+	round.wait()
 }

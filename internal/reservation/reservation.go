@@ -283,6 +283,36 @@ func (s *Service) Stats() (accepted, rejected int64) {
 
 // Client side: the submitter's RS broker (§4.2 steps 2-5).
 
+// fanIn is the receiving end of a fan-out of Calls: a countdown their
+// continuations report to, which wakes the one blocked caller when the
+// last answer is in. The continuations run in delivery context on simnet
+// and on a goroutine each over TCP, hence the lock.
+type fanIn struct {
+	mu   sync.Mutex
+	left int
+	mb   vtime.Mailbox
+}
+
+func newFanIn(rt vtime.Runtime, n int) *fanIn {
+	f := &fanIn{left: n, mb: rt.NewMailbox()}
+	if n == 0 {
+		f.mb.Push(struct{}{})
+	}
+	return f
+}
+
+func (f *fanIn) done() {
+	f.mu.Lock()
+	f.left--
+	last := f.left == 0
+	f.mu.Unlock()
+	if last {
+		f.mb.Push(struct{}{})
+	}
+}
+
+func (f *fanIn) wait() { f.mb.Pop() }
+
 // Offer is one positive answer gathered by Broker, in request order.
 type Offer struct {
 	Peer proto.PeerInfo
@@ -308,51 +338,41 @@ func Broker(rt vtime.Runtime, net transport.Network, candidates []proto.PeerInfo
 	req proto.Reserve, timeout time.Duration) BrokerResult {
 
 	type answer struct {
-		idx  int
 		dead bool
 		ok   bool
 		p    int
 	}
-	mb := rt.NewMailbox()
+	results := make([]answer, len(candidates))
+	round := newFanIn(rt, len(candidates))
+	payload := proto.MustMarshal(&req) // each request carries the same key
 	for i, cand := range candidates {
-		i, cand := i, cand
-		rt.Go("rs.broker", func() {
-			r := req // copy; each request carries the same key
-			a := answer{idx: i, dead: true}
-			reply, err := transport.RequestReply(net, cand.RSAddr,
-				transport.Message{Payload: proto.MustMarshal(&r)}, timeout)
-			if err == nil {
-				if _, msg, err := proto.Unmarshal(reply.Payload); err == nil {
-					switch m := msg.(type) {
-					case *proto.ReserveOK:
-						a.dead, a.ok, a.p = false, true, m.P
-					case *proto.ReserveNOK:
-						a.dead, a.ok = false, false
+		i := i
+		results[i].dead = true
+		transport.Call(rt, net, cand.RSAddr, transport.Message{Payload: payload}, timeout,
+			func(reply transport.Message, err error) {
+				if err == nil {
+					if _, msg, err := proto.Unmarshal(reply.Payload); err == nil {
+						// Each continuation writes its own slot, once.
+						switch m := msg.(type) {
+						case *proto.ReserveOK:
+							results[i] = answer{ok: true, p: m.P}
+						case *proto.ReserveNOK:
+							results[i] = answer{}
+						}
 					}
+					reply.Release()
 				}
-				reply.Release()
-			}
-			mb.Push(a)
-		})
+				round.done()
+			})
 	}
-
-	// Every worker pushes exactly one answer within roughly the timeout
-	// (RequestReply is itself bounded); the margin covers dial time.
-	results := make([]*answer, len(candidates))
-	for range candidates {
-		v, err := mb.PopTimeout(2*timeout + 15*time.Second)
-		if err != nil {
-			break
-		}
-		a := v.(answer)
-		results[a.idx] = &a
-	}
+	// Every Call answers exactly once, within the timeout plus the dial.
+	round.wait()
 
 	var out BrokerResult
 	for i, cand := range candidates {
 		a := results[i]
 		switch {
-		case a == nil || a.dead:
+		case a.dead:
 			out.Dead = append(out.Dead, cand)
 		case a.ok:
 			out.Offers = append(out.Offers, Offer{Peer: cand, P: a.p})

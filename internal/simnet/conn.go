@@ -51,22 +51,48 @@ func (nn *nodeNet) Listen(addr string) (transport.Listener, error) {
 	return l, nil
 }
 
-func (nn *nodeNet) Dial(addr string) (transport.Conn, error) {
+// Dial is DialFunc plus one park: the calling actor blocks for the
+// handshake's round trip, like TCP's connect.
+func (nn *nodeNet) Dial(addr string) (c transport.Conn, err error) {
+	var wake *vtime.Queue[struct{}]
+	pending := true
+	nn.DialFunc(addr, func(dc transport.Conn, derr error) {
+		c, err, pending = dc, derr, false
+		if wake != nil {
+			wake.Push(struct{}{})
+		}
+	})
+	if pending { // the handshake is on the wire: its result event wakes us
+		wake = vtime.NewQueue[struct{}](nn.n.hosts[nn.host].sh.rt)
+		wake.Pop()
+	}
+	return c, err
+}
+
+// DialFunc starts a handshake (transport.CallbackNetwork): the SYN
+// departs now and done runs in the event that ends the handshake, on the
+// dialer's shard, one round trip later. Nobody parks. Errors known
+// without touching the wire reach done before DialFunc returns.
+func (nn *nodeNet) DialFunc(addr string, done func(transport.Conn, error)) {
 	rhost, rport, err := splitAddr(addr)
 	if err != nil {
-		return nil, err
+		done(nil, err)
+		return
 	}
 	n := nn.n
 	from := n.host(nn.host)
 	if from == nil {
-		return nil, transport.ErrUnreachable
+		done(nil, transport.ErrUnreachable)
+		return
 	}
 	if from.down {
-		return nil, transport.ErrClosed
+		done(nil, transport.ErrClosed)
+		return
 	}
 	to := n.host(rhost)
 	if to == nil {
-		return nil, transport.ErrUnreachable
+		done(nil, transport.ErrUnreachable)
+		return
 	}
 	// The whole connection — handshake and both directions of later
 	// traffic — draws its jitter from one per-flow stream minted here,
@@ -79,7 +105,7 @@ func (nn *nodeNet) Dial(addr string) (transport.Conn, error) {
 		pipe: n.pipe(from.site, to.site),
 		base: n.topo.SiteLatency(from.site, to.site),
 		rng:  rng, src: src,
-		resultq: vtime.NewQueue[*conn](sh.rt),
+		done: done,
 	}
 	if fa := n.faults; fa != nil && fa.cut(from.site, to.site) {
 		// A dial across an active partition cut fails with ErrUnreachable
@@ -90,27 +116,27 @@ func (nn *nodeNet) Dial(addr string) (transport.Conn, error) {
 		// stream, which dies with the failed dial, so its draw count
 		// perturbs no other flow.
 		sh.rt.ScheduleArg(2*hs.base+n.jitter(rng, hs.base), fireDialResult, hs)
-	} else {
-		// The SYN travels one way; the handshake result travels back
-		// (fireSYN). The ephemeral port is allocated here, not when the
-		// SYN lands: that would mutate the dialer host from the
-		// listener's shard. Port numbers never feed timing or payload
-		// bytes.
-		from.nextPort++
-		hs.local = nn.host + ":" + itoa(from.nextPort)
-		var x xmsg
-		x.kind, x.size, x.hs = xDial, 64, hs
-		x.from, x.to, x.pipe, x.base = from, to, hs.pipe, hs.base
-		n.depart(&x, rng, src)
+		return
 	}
-	c, ok := hs.resultq.Pop()
-	if !ok {
-		return nil, transport.ErrClosed
-	}
-	if c == nil {
-		return nil, transport.ErrUnreachable
-	}
-	return c, nil
+	// The SYN travels one way; the handshake result travels back
+	// (fireSYN). The ephemeral port is allocated here, not when the
+	// SYN lands: that would mutate the dialer host from the
+	// listener's shard. Port numbers never feed timing or payload
+	// bytes.
+	from.nextPort++
+	hs.local = nn.host + ":" + itoa(from.nextPort)
+	var x xmsg
+	x.kind, x.size, x.hs = xDial, 64, hs
+	x.from, x.to, x.pipe, x.base = from, to, hs.pipe, hs.base
+	n.depart(&x, rng, src)
+}
+
+// After schedules a client deadline on the dialing host's shard
+// (transport.CallbackNetwork). A stopped deadline leaves the event heap
+// at once.
+func (nn *nodeNet) After(d time.Duration, fn func()) (stop func()) {
+	t := nn.n.hosts[nn.host].sh.rt.After(d, fn)
+	return func() { t.Stop() }
 }
 
 func itoa(v int) string {
@@ -348,4 +374,4 @@ func (c *conn) RemoteAddr() string { return c.remote }
 
 var _ transport.CallbackConn = (*conn)(nil)
 var _ transport.CallbackListener = (*listener)(nil)
-var _ transport.Network = (*nodeNet)(nil)
+var _ transport.CallbackNetwork = (*nodeNet)(nil)

@@ -36,5 +36,11 @@
 // that receivers refill via Message.Release. Receiving is by callback
 // (transport.CallbackConn): the delivery event runs the endpoint's frame
 // handler to completion — a served conn has no actor and no inbox; Recv,
-// for clients and tests, queues behind the same event.
+// for scripts and tests, queues behind the same event. Dialing is by
+// callback too (transport.CallbackNetwork): DialFunc sends the SYN and
+// returns, and the event that ends the handshake runs the dialer's
+// continuation, so the handshake parks nobody; the blocking Dial is that
+// same start plus one park of the calling actor. With After for the
+// deadline, a whole transport.Call — the control plane's request/reply —
+// is three or four events on the caller's shard and no actor.
 package simnet

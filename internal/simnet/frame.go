@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"p2pmpi/internal/transport"
-	"p2pmpi/internal/vtime"
 )
 
 // The frame path.
@@ -299,12 +298,12 @@ func fireDelivery(a any) {
 	}
 }
 
-// handshake is one Dial in progress, created on the dialer's shard and
+// handshake is one dial in progress, created on the dialer's shard and
 // carried by the SYN and its reply. Like TCP, the dialer observes a full
-// round trip: it blocks on resultq until the reply lands. The two shards
-// never touch it in the same window — the dialer is parked while the
-// listener's shard handles the SYN, and each hand-over is ordered by the
-// barrier the frame crossed at.
+// round trip: done runs when the reply lands. The two shards never touch
+// it in the same window — the dialer's shard lets go of it when the SYN
+// departs and sees it again only in fireDialResult, and each hand-over
+// is ordered by the barrier the frame crossed at.
 type handshake struct {
 	n        *Net
 	from, to *netHost // dialer, listener
@@ -316,7 +315,7 @@ type handshake struct {
 	src      *flowSource   // which the dialing endpoint keeps
 	state    uint64        // stream state carried by the frame that just landed
 	client   *conn         // set on accept; nil means refused
-	resultq  *vtime.Queue[*conn]
+	done     func(transport.Conn, error)
 }
 
 // fireSYN runs on the listener's shard when a SYN arrives: it accepts or
@@ -348,17 +347,23 @@ func fireSYN(a any) {
 	n.depart(&x, rng, src)
 }
 
-// fireDialResult completes a Dial on the dialer's shard, handing it the
-// dialing endpoint (nil: refused, or cut off).
+// fireDialResult completes a dial on the dialer's shard: the dialer's
+// continuation runs right here with the dialing endpoint, or with
+// ErrUnreachable when the dial was refused or cut off.
 func fireDialResult(a any) {
 	hs := a.(*handshake)
+	c := hs.client
+	if c == nil {
+		hs.done(nil, transport.ErrUnreachable)
+		return
+	}
 	// A reply that crossed seeds the dialing endpoint's private stream
 	// with the state it carried (same-shard, the stream is shared and the
 	// listener may already have drawn past that state).
-	if c := hs.client; c != nil && hs.from.sh != hs.to.sh {
+	if hs.from.sh != hs.to.sh {
 		c.src.state = hs.state
 	}
-	hs.resultq.Push(hs.client)
+	hs.done(c, nil)
 }
 
 // fireFin closes the receiving endpoint when a FIN arrives, after all

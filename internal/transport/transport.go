@@ -169,8 +169,8 @@ type Network interface {
 }
 
 // RequestReply dials addr, sends req, waits up to timeout for a single
-// reply and closes the connection. It is the client-side idiom used by
-// most control-plane exchanges (registration, ping, reservation).
+// reply and closes the connection: the blocking form of Call, for
+// scripts that are sequential anyway (registration, refresh, tools).
 func RequestReply(n Network, addr string, req Message, timeout time.Duration) (Message, error) {
 	c, err := n.Dial(addr)
 	if err != nil {
@@ -181,4 +181,69 @@ func RequestReply(n Network, addr string, req Message, timeout time.Duration) (M
 		return Message{}, err
 	}
 	return c.RecvTimeout(timeout)
+}
+
+// CallbackNetwork is the client-side capability, the mirror of
+// CallbackListener: a network that completes a dial by callback and
+// keeps deadlines in its delivery context, so a whole request/reply
+// exchange (Call) costs no goroutine. The conns it hands to done are
+// CallbackConns.
+type CallbackNetwork interface {
+	Network
+	// DialFunc starts a dial and returns at once. done runs exactly
+	// once and must not block: in delivery context when the handshake
+	// ends, or before DialFunc returns when the dial fails without
+	// touching the wire.
+	DialFunc(addr string, done func(Conn, error))
+	// After runs fn in delivery context d from now, unless stop is
+	// called first.
+	After(d time.Duration, fn func()) (stop func())
+}
+
+// Call is RequestReply by callback: dial addr, send req, take one reply
+// or give up after timeout, close the conn, then hand done — exactly
+// once — what RequestReply would have returned. A timeout of 0 waits
+// for nothing (send, close, ErrTimeout): the one-way form.
+//
+// On a CallbackNetwork (simnet) the exchange is a chain of delivery
+// events and nothing parks: done runs in delivery context — inside Call
+// itself when the dial fails on the spot — and must not block (no
+// Sleep, Dial, RequestReply or empty Pop; pushing to a mailbox or
+// starting the next Call is fine). Everywhere else (TCP, a PullOnly
+// wrapper) it is RequestReply on a goroutine spawned through sp, and
+// done runs there. Either way the conn is closed before done runs.
+func Call(sp Spawner, n Network, addr string, req Message, timeout time.Duration, done func(Message, error)) {
+	cn, ok := n.(CallbackNetwork)
+	if !ok {
+		sp.Go("transport.call", func() { done(RequestReply(n, addr, req, timeout)) })
+		return
+	}
+	cn.DialFunc(addr, func(c Conn, err error) {
+		if err != nil {
+			done(Message{}, err)
+			return
+		}
+		finish := func(m Message, err error) {
+			c.Close() // the FIN leaves before done runs, like RequestReply's deferred Close
+			done(m, err)
+		}
+		if err = c.Send(req); err == nil && timeout == 0 {
+			err = ErrTimeout
+		}
+		if err != nil {
+			finish(Message{}, err)
+			return
+		}
+		// The deadline is armed once the request has left — where
+		// RecvTimeout armed its own — and disarmed by whatever comes
+		// first: the reply or the peer's close.
+		stop := func() {}
+		if timeout > 0 {
+			stop = cn.After(timeout, func() { finish(Message{}, ErrTimeout) })
+		}
+		c.(CallbackConn).OnRecv(func(m Message, err error) {
+			stop()
+			finish(m, err)
+		})
+	})
 }

@@ -153,4 +153,7 @@ func TestShutdownFromCallback(t *testing.T) {
 	if unwound != 3 || s.Actors() != 0 {
 		t.Fatalf("unwound %d/3, %d live actors", unwound, s.Actors())
 	}
+	if s.Spawned() != 3 { // a count of Go calls: finished and unwound actors stay in it
+		t.Fatalf("Spawned = %d after three Go calls", s.Spawned())
+	}
 }

@@ -21,17 +21,16 @@ const (
 // by slab index; gen disambiguates slot reuse so Timer handles stay O(1)
 // without keeping freed slots alive. All fields are guarded by s.mu.
 type event struct {
-	at       time.Duration
-	seq      uint64 // FIFO tie-break for equal timestamps
-	kind     uint8
-	canceled bool
-	gen      uint32
-	heapIdx  int32       // position in s.heap, -1 once popped
-	actor    *actor      // evWake target
-	w        *waiterCore // evAbandon target
-	fn       func()      // evFunc callback; runs with s.mu NOT held
-	fnArg    func(any)   // evFuncArg callback; runs with s.mu NOT held
-	arg      any         // evFuncArg argument
+	at      time.Duration
+	seq     uint64 // FIFO tie-break for equal timestamps
+	kind    uint8
+	gen     uint32
+	heapIdx int32       // position in s.heap (cancelLocked removes through it), -1 once out
+	actor   *actor      // evWake target
+	w       *waiterCore // evAbandon target
+	fn      func()      // evFunc callback; runs with s.mu NOT held
+	fnArg   func(any)   // evFuncArg callback; runs with s.mu NOT held
+	arg     any         // evFuncArg argument
 }
 
 // waiterCore is the non-generic half of a queue waiter, shared with the
@@ -76,11 +75,10 @@ func (s *Scheduler) newEventLocked(d time.Duration) int32 {
 	ev := &s.slab[id]
 	ev.at = s.now + d
 	ev.seq = s.seq
-	ev.canceled = false
 	return id
 }
 
-// freeEventLocked returns a popped slot to the free list. The generation
+// freeEventLocked returns a popped or removed slot to the free list. The generation
 // bump invalidates outstanding Timer handles; clearing the references
 // lets the closure and targets be collected while the slot is idle.
 func (s *Scheduler) freeEventLocked(id int32) {
@@ -95,12 +93,30 @@ func (s *Scheduler) freeEventLocked(id int32) {
 	s.free = append(s.free, id)
 }
 
-// cancelLocked marks an event canceled if the handle is still current.
-// The slot stays in the heap and is dropped lazily when popped.
-func (s *Scheduler) cancelLocked(id int32, gen uint32) {
-	if ev := &s.slab[id]; ev.gen == gen {
-		ev.canceled = true
+// cancelLocked takes an event out of the heap and frees its slot at once
+// if the handle is still current, and reports whether it did. A slot's
+// generation moves on the moment it leaves the heap (fired, canceled or
+// dropped by Shutdown), so a current handle always names a heap entry;
+// pop order among the others — (at, seq) — is untouched. Removing here
+// rather than flagging matters because most timers are deadlines that
+// never fire: one per RPC, canceled when the reply lands.
+func (s *Scheduler) cancelLocked(id int32, gen uint32) bool {
+	if int(id) >= len(s.slab) || s.slab[id].gen != gen {
+		return false // fired, reused, or the slab was donated by Shutdown
 	}
+	h := s.heap
+	i, last := int(s.slab[id].heapIdx), len(h)-1
+	moved := h[last]
+	s.heap = h[:last]
+	if i != last {
+		h[i] = moved
+		s.siftDown(i)
+		if h[i] == moved {
+			s.siftUp(i)
+		}
+	}
+	s.freeEventLocked(id)
+	return true
 }
 
 // The heap is a 4-ary min-heap of slab indices ordered by (at, seq). A

@@ -81,6 +81,7 @@ type Scheduler struct {
 	handoff *actor   // next runner chosen by a parking actor, for the driver
 	all     []*actor // every live actor (parked ones carry a.parked)
 
+	spawned int  // actors ever registered by Go
 	driving bool // a goroutine is inside Wait's dispatch loop
 	stopped bool
 
@@ -149,6 +150,7 @@ func (s *Scheduler) Go(name string, fn func()) {
 	a.idx = len(s.all)
 	s.all = append(s.all, a)
 	s.runq = append(s.runq, a)
+	s.spawned++
 }
 
 // removeActorLocked drops a from the live set (swap-remove). Shutdown
@@ -263,15 +265,7 @@ type Timer struct {
 func (t *Timer) Stop() bool {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
-	if int(t.id) >= len(t.s.slab) {
-		return false // slab donated by Shutdown; nothing left to cancel
-	}
-	ev := &t.s.slab[t.id]
-	if ev.gen != t.gen || ev.canceled {
-		return false
-	}
-	ev.canceled = true
-	return true
+	return t.s.cancelLocked(t.id, t.gen)
 }
 
 // parkLocked blocks the current actor until some event or other actor
@@ -347,10 +341,6 @@ func (s *Scheduler) dispatchLocked() *actor {
 		}
 		id := s.heapPop()
 		ev := &s.slab[id]
-		if ev.canceled {
-			s.freeEventLocked(id)
-			continue
-		}
 		if ev.at > s.now {
 			s.setNowLocked(ev.at)
 		}
@@ -449,24 +439,19 @@ func (s *Scheduler) RunFor(d time.Duration) time.Duration {
 }
 
 // NextEventAt reports the virtual timestamp of the earliest pending
-// work: the head of the event heap (skipping canceled slots lazily), or
-// the current clock when an actor is runnable but not yet executing. ok
-// is false when the scheduler has nothing left to do. It is meant to be
-// called from outside the scheduler while it is idle — the Domain uses
-// it between windows to size the next one.
+// work: the head of the event heap, or the current clock when an actor
+// is runnable but not yet executing. ok is false when the scheduler has
+// nothing left to do. It is meant to be called from outside the
+// scheduler while it is idle — the Domain uses it between windows to
+// size the next one.
 func (s *Scheduler) NextEventAt() (time.Duration, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.rqHead < len(s.runq) {
 		return s.now, true
 	}
-	for len(s.heap) > 0 {
-		top := s.heap[0]
-		if !s.slab[top].canceled {
-			return s.slab[top].at, true
-		}
-		s.heapPop()
-		s.freeEventLocked(top)
+	if len(s.heap) > 0 {
+		return s.slab[s.heap[0]].at, true
 	}
 	return 0, false
 }
@@ -559,17 +544,21 @@ func (s *Scheduler) Actors() int {
 	return len(s.all)
 }
 
-// PendingEvents returns the number of scheduled, uncanceled events.
+// Spawned returns the number of actors Go has registered since the
+// scheduler was created, finished ones included: what a phase cost in
+// coroutines is the difference across it.
+func (s *Scheduler) Spawned() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.spawned
+}
+
+// PendingEvents returns the number of scheduled events (a canceled one
+// leaves the heap at once).
 func (s *Scheduler) PendingEvents() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, id := range s.heap {
-		if !s.slab[id].canceled {
-			n++
-		}
-	}
-	return n
+	return len(s.heap)
 }
 
 // curActorLocked returns the executing actor, panicking when called from

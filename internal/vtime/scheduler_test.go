@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -363,4 +364,83 @@ func TestRealRuntimeSmoke(t *testing.T) {
 	done := make(chan struct{})
 	r.Go("x", func() { close(done) })
 	<-done
+}
+
+// TestCancelRemovesFromHeap cancels half of a heap of timers in random
+// order: each one leaves the heap and frees its slot at once, the heap
+// invariant and every survivor's heapIdx hold after each removal, and
+// the survivors fire in (at, seq) order. A handle that outlived its slot
+// — the slot is reused by a later timer — must stay a no-op.
+func TestCancelRemovesFromHeap(t *testing.T) {
+	const n = 500
+	s := New()
+	defer s.Shutdown()
+	rng := rand.New(rand.NewSource(1))
+	var fired []int
+	timers := make([]*Timer, 2*n)
+	at := make([]time.Duration, 2*n)
+	for i := range timers {
+		i := i
+		at[i] = time.Duration(rng.Intn(50)) * time.Millisecond // many ties: seq breaks them
+		timers[i] = s.After(at[i], func() { fired = append(fired, i) })
+	}
+	checkHeap := func() {
+		t.Helper()
+		for i, id := range s.heap {
+			if got := s.slab[id].heapIdx; int(got) != i {
+				t.Fatalf("slot %d at heap[%d] carries heapIdx %d", id, i, got)
+			}
+			if i > 0 && s.heapLess(id, s.heap[(i-1)/4]) {
+				t.Fatalf("heap[%d] sorts before its parent", i)
+			}
+		}
+	}
+	canceled := make(map[int]bool, n)
+	for _, i := range rng.Perm(2 * n)[:n] {
+		if !timers[i].Stop() {
+			t.Fatalf("Stop(%d) = false on a pending timer", i)
+		}
+		canceled[i] = true
+		checkHeap()
+	}
+	if got := s.PendingEvents(); got != n {
+		t.Fatalf("PendingEvents = %d after canceling %d of %d, want %d", got, n, 2*n, n)
+	}
+	if free := len(s.free); free != n {
+		t.Fatalf("%d slots on the free list, want the %d canceled ones", free, n)
+	}
+	for i := range canceled {
+		if timers[i].Stop() {
+			t.Fatalf("second Stop(%d) = true", i)
+		}
+	}
+	// Reuse the freed slots, then poke the stale handles again.
+	reused := 0
+	for i := 0; i < n; i++ {
+		s.After(time.Second, func() { reused++ })
+	}
+	for i := range canceled {
+		if timers[i].Stop() {
+			t.Fatalf("stale Stop(%d) = true after its slot was reused", i)
+		}
+	}
+	checkHeap()
+	s.Wait()
+	if len(fired) != n || reused != n {
+		t.Fatalf("%d survivors and %d reused timers fired, want %d each", len(fired), reused, n)
+	}
+	for k, i := range fired {
+		if canceled[i] {
+			t.Fatalf("canceled timer %d fired", i)
+		}
+		if k > 0 {
+			p := fired[k-1]
+			if at[p] > at[i] || (at[p] == at[i] && p > i) {
+				t.Fatalf("timer %d (at %v) fired before timer %d (at %v)", p, at[p], i, at[i])
+			}
+		}
+	}
+	if timers[fired[0]].Stop() {
+		t.Fatal("Stop = true on a fired timer")
+	}
 }
