@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
 
 	"p2pmpi/internal/core"
+	"p2pmpi/internal/grid"
 	"p2pmpi/internal/mpd"
 	"p2pmpi/internal/nas"
 )
@@ -117,6 +119,36 @@ func TestReplicatedHostnameOnGrid(t *testing.T) {
 	w.RunFor(5 * time.Second)
 	if n := w.S.Actors(); n != 1 {
 		t.Fatalf("%d actors at quiesce, want 1 (supernode.sweep)", n)
+	}
+}
+
+// TestIdleWorldEventRateFlat is the world-level leak guard: an idle
+// world's periodic work (keep-alives, refreshes, pings, the supernode
+// sweep) costs the same number of events every virtual hour. A timer
+// chain that multiplies in any layer — a tick that re-arms beside a
+// twin already queued, say — makes the rate climb with the horizon.
+func TestIdleWorldEventRateFlat(t *testing.T) {
+	spec, err := grid.ParseTopologySpec("synth:S=2,H=16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions(42)
+	opts.Topology = spec
+	opts.Supernodes = 1
+	w := NewWorld(opts)
+	t.Cleanup(w.Close)
+	if err := w.Boot(); err != nil {
+		t.Fatalf("boot: %v", err)
+	}
+	perHour := make([]int, 6)
+	for h := range perHour {
+		before := w.S.Dispatched()
+		w.RunFor(time.Hour)
+		perHour[h] = w.S.Dispatched() - before
+	}
+	t.Logf("events per virtual hour: %v", perHour)
+	if second, last := perHour[1], perHour[5]; math.Abs(float64(last-second)) > 0.1*float64(second) {
+		t.Fatalf("idle world fired %d events in hour 2 and %d in hour 6, want within 10%%", second, last)
 	}
 }
 

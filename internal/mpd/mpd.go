@@ -6,6 +6,11 @@
 // submission: booking with overbooking, RS-RS brokering, slist
 // extraction, feasibility, allocation-strategy placement, rank
 // distribution and the two-phase launch with hash-key validation.
+//
+// The periodic keep-alive, refresh and ping rounds hang off one chain of
+// lifecycle timer events per daemon, with at most one event queued per
+// instant: the earliest-queued event at an instant is the only one, and
+// it fires that instant's rounds (see lifecycle).
 package mpd
 
 import (
@@ -292,16 +297,25 @@ type MPD struct {
 	retrySeq map[string]uint64
 }
 
-// lifecycle is the daemon's periodic-work state: one pending timer
-// event instead of three parked loop goroutines per host. Each round
-// still runs in its own short-lived actor; the timer chain only decides
-// when to spawn them. Deadlines are re-armed by the round that just
-// completed — the same drift semantics as the old sleep-then-act loops,
-// so virtual trajectories are unchanged. Guarded by MPD.mu.
+// lifecycle is the daemon's periodic-work state: a chain of timer events
+// instead of three parked loop goroutines per host. Each round still runs
+// in its own short-lived actor; the timer chain only decides when to
+// spawn them. Deadlines are re-armed by the round that just completed —
+// the same drift semantics as the old sleep-then-act loops, so virtual
+// trajectories are unchanged. Guarded by MPD.mu.
+//
+// Invariant: at most one lifecycle event is queued per instant, and it
+// sits at a deadline's instant. The aliveQ/refreshQ/pingQ flags record
+// that the matching deadline has its event queued; arming never queues a
+// second one there, so the earliest-queued event at an instant is the
+// only one and fires that instant's rounds. (A round that completes and
+// arms an earlier deadline leaves the later event queued; the tick at the
+// earlier deadline must not queue a twin of it, or every round would
+// start a chain of empty ticks that never ends.)
 type lifecycle struct {
-	aliveAt, refreshAt, pingAt time.Time // absolute next deadlines
+	aliveAt, refreshAt, pingAt time.Time // absolute next deadlines (zero: round in flight)
 	aliveTick                  int       // counts alive rounds for the re-register cadence
-	timerAt                    time.Time // earliest pending timer target (zero: none)
+	aliveQ, refreshQ, pingQ    bool      // an event is queued at the deadline's instant
 }
 
 // Stats counts protocol events for tests and reporting.
@@ -419,24 +433,25 @@ func (m *MPD) Start() error {
 // due reports whether a deadline is set and has arrived.
 func due(t, now time.Time) bool { return !t.IsZero() && !t.After(now) }
 
-// armTimerLocked schedules the lifecycle timer for the earliest armed
-// deadline, unless a pending timer already fires at or before it.
+// armTimerLocked queues the lifecycle event for the earliest armed
+// deadline, unless one is already queued at that instant (see lifecycle).
 // Zero deadlines mean the round is in flight (it re-arms on completion).
 func (m *MPD) armTimerLocked() {
-	next := m.lc.aliveAt
-	if !m.lc.refreshAt.IsZero() && (next.IsZero() || m.lc.refreshAt.Before(next)) {
-		next = m.lc.refreshAt
+	lc := &m.lc
+	next := lc.aliveAt
+	if !lc.refreshAt.IsZero() && (next.IsZero() || lc.refreshAt.Before(next)) {
+		next = lc.refreshAt
 	}
-	if !m.lc.pingAt.IsZero() && (next.IsZero() || m.lc.pingAt.Before(next)) {
-		next = m.lc.pingAt
+	if !lc.pingAt.IsZero() && (next.IsZero() || lc.pingAt.Before(next)) {
+		next = lc.pingAt
 	}
-	if next.IsZero() {
+	if next.IsZero() || (lc.aliveQ && lc.aliveAt.Equal(next)) ||
+		(lc.refreshQ && lc.refreshAt.Equal(next)) || (lc.pingQ && lc.pingAt.Equal(next)) {
 		return
 	}
-	if !m.lc.timerAt.IsZero() && !m.lc.timerAt.After(next) {
-		return // the pending timer already covers it
-	}
-	m.lc.timerAt = next
+	lc.aliveQ = lc.aliveQ || lc.aliveAt.Equal(next)
+	lc.refreshQ = lc.refreshQ || lc.refreshAt.Equal(next)
+	lc.pingQ = lc.pingQ || lc.pingAt.Equal(next)
 	m.rt.Schedule(next.Sub(m.rt.Now()), m.tickFn)
 }
 
@@ -452,22 +467,21 @@ func (m *MPD) lifecycleTick() {
 		m.mu.Unlock()
 		return
 	}
-	m.lc.timerAt = time.Time{}
 	now := m.rt.Now()
 	doAlive, doRefresh, doPing := false, false, false
 	aliveTick := 0
 	if due(m.lc.aliveAt, now) {
-		m.lc.aliveAt = time.Time{}
+		m.lc.aliveAt, m.lc.aliveQ = time.Time{}, false
 		aliveTick = m.lc.aliveTick
 		m.lc.aliveTick++
 		doAlive = true
 	}
 	if due(m.lc.refreshAt, now) {
-		m.lc.refreshAt = time.Time{}
+		m.lc.refreshAt, m.lc.refreshQ = time.Time{}, false
 		doRefresh = true
 	}
 	if due(m.lc.pingAt, now) {
-		m.lc.pingAt = time.Time{}
+		m.lc.pingAt, m.lc.pingQ = time.Time{}, false
 		doPing = true
 	}
 	m.armTimerLocked()

@@ -145,7 +145,9 @@ func (c *Cache) keepsLocked() int {
 // maxPendingSnapshots bounds the deferred-merge queue; see Update.
 const maxPendingSnapshots = 8
 
-// mergeLocked applies one snapshot to the materialized table.
+// mergeLocked applies one snapshot to the materialized table. A periodic
+// refresh mostly repeats the previous reply, so an entry that is held,
+// live and equal costs one lookup: nothing about it changes.
 func (c *Cache) mergeLocked(list []proto.PeerInfo) {
 	if c.peers == nil {
 		c.peers = make(map[string]proto.PeerInfo, len(list))
@@ -154,16 +156,18 @@ func (c *Cache) mergeLocked(list []proto.PeerInfo) {
 		if p.ID == c.selfID {
 			continue
 		}
-		p = c.intern.PeerInfo(p)
 		old, known := c.peers[p.ID]
-		if !known || old != p || c.dead[p.ID] {
-			c.rankedValid = false
+		dead := c.dead[p.ID]
+		if known && !dead && old == p {
+			continue
 		}
-		if !known || c.dead[p.ID] {
+		if !known || dead {
 			c.live++
 		}
+		p = c.intern.PeerInfo(p) // interned first: the map key shares its ID string
 		c.peers[p.ID] = p
 		delete(c.dead, p.ID)
+		c.rankedValid = false
 	}
 }
 

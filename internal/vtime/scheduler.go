@@ -81,9 +81,10 @@ type Scheduler struct {
 	handoff *actor   // next runner chosen by a parking actor, for the driver
 	all     []*actor // every live actor (parked ones carry a.parked)
 
-	spawned int  // actors ever registered by Go
-	driving bool // a goroutine is inside Wait's dispatch loop
-	stopped bool
+	spawned    int  // actors ever registered by Go
+	dispatched int  // events ever fired by dispatchLocked
+	driving    bool // a goroutine is inside Wait's dispatch loop
+	stopped    bool
 
 	limited bool          // when set, events beyond limit do not fire
 	limit   time.Duration // virtual-time fence used by RunFor
@@ -340,6 +341,7 @@ func (s *Scheduler) dispatchLocked() *actor {
 			return nil
 		}
 		id := s.heapPop()
+		s.dispatched++
 		ev := &s.slab[id]
 		if ev.at > s.now {
 			s.setNowLocked(ev.at)
@@ -551,6 +553,16 @@ func (s *Scheduler) Spawned() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.spawned
+}
+
+// Dispatched returns the number of events fired since the scheduler was
+// created: what a phase cost in events is the difference across it, and
+// an idle world whose rate per virtual hour keeps rising is leaking a
+// timer chain.
+func (s *Scheduler) Dispatched() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dispatched
 }
 
 // PendingEvents returns the number of scheduled events (a canceled one
