@@ -120,38 +120,6 @@ func TestWorldFootprintBudget(t *testing.T) {
 	}
 }
 
-// TestFootprintGate compares the measured 10k-host footprint against
-// the committed perf/BASELINE.json (pointed to by PERF_GATE_BASELINE,
-// the same baseline the event-throughput gate reads). The bar is
-// 1.25×: footprint after a forced GC barely varies between runners, so
-// a tighter bound than the throughput gate's 2× still rides out noise
-// while catching a few-hundred-bytes-per-host structural regression.
-func TestFootprintGate(t *testing.T) {
-	path := os.Getenv("PERF_GATE_BASELINE")
-	if path == "" {
-		t.Skip("PERF_GATE_BASELINE not set (CI sets it to perf/BASELINE.json)")
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var baseline struct {
-		FootprintBytesPerHost float64 `json:"footprint_bytes_per_host"`
-	}
-	if err := json.Unmarshal(blob, &baseline); err != nil {
-		t.Fatal(err)
-	}
-	if baseline.FootprintBytesPerHost <= 0 {
-		t.Fatalf("%s has no footprint_bytes_per_host", path)
-	}
-	perHost, _ := measureFootprint(t, footprintOptions(10, 1000, 4))
-	if limit := baseline.FootprintBytesPerHost * 1.25; perHost > limit {
-		t.Fatalf("live heap %.0f B/host, baseline %.0f (limit %.0f) — re-baseline deliberately, "+
-			"with the decomposition from docs/PERF.md 'The memory model' updated in the PR",
-			perHost, baseline.FootprintBytesPerHost, limit)
-	}
-}
-
 // TestWorldFootprint100k measures the 100k-host K=16 flagship
 // footprint and merges it into the BENCH_perf.json record named by
 // FOOTPRINT_100K_JSON (the CI perf job sets it). The same per-host

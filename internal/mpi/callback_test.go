@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"strings"
@@ -40,11 +42,11 @@ func TestDeliverReleasesUnaliasedFrames(t *testing.T) {
 		return &next[0] == &m.Payload[0]
 	}
 
-	virtual := pooled(encodeEnvelope(envelope{kind: kindData, dstRank: 0, seq: 1, tag: 3}).Payload, 1<<20)
+	virtual := pooled(encodeEnvelope(new([]byte), &envelope{kind: kindData, dstRank: 0, seq: 1, tag: 3}).Payload, 1<<20)
 	if !c.deliver(virtual) || !recycled(virtual) {
 		t.Error("a header-only data frame was not released")
 	}
-	hb := pooled(encodeEnvelope(envelope{kind: kindHeartbeat, srcReplica: 1}).Payload, 0)
+	hb := pooled(encodeEnvelope(new([]byte), &envelope{kind: kindHeartbeat, srcReplica: 1}).Payload, 0)
 	if !c.deliver(hb) || !recycled(hb) {
 		t.Error("a heartbeat frame was not released")
 	}
@@ -52,7 +54,7 @@ func TestDeliverReleasesUnaliasedFrames(t *testing.T) {
 	if !c.deliver(corrupt) || !recycled(corrupt) {
 		t.Error("a corrupt frame was not released (or closed the endpoint)")
 	}
-	data := pooled(encodeEnvelope(envelope{kind: kindData, seq: 2, tag: 4, data: Data{Bytes: []byte("payload")}}).Payload, 0)
+	data := pooled(encodeEnvelope(new([]byte), &envelope{kind: kindData, seq: 2, tag: 4, data: Data{Bytes: []byte("payload")}}).Payload, 0)
 	if !c.deliver(data) || recycled(data) {
 		t.Error("a frame whose bytes the envelope aliases was released")
 	}
@@ -60,8 +62,8 @@ func TestDeliverReleasesUnaliasedFrames(t *testing.T) {
 		t.Fatalf("inbox holds %d envelopes, want the two data frames", c.inbox.Len())
 	}
 	c.inbox.Pop()
-	if v, _ := c.inbox.Pop(); string(v.(envelope).data.Bytes) != "payload" {
-		t.Fatalf("aliased payload reads %q", v.(envelope).data.Bytes)
+	if v, _ := c.inbox.Pop(); string(v.(*envelope).data.Bytes) != "payload" {
+		t.Fatalf("aliased payload reads %q", v.(*envelope).data.Bytes)
 	}
 }
 
@@ -113,7 +115,7 @@ type arrivalLog struct {
 }
 
 func (m arrivalLog) Push(v any) {
-	ev := v.(envelope)
+	ev := v.(*envelope)
 	*m.log = append(*m.log, fmt.Sprintf("%v src=%d.%d tag=%d seq=%d", m.s.Elapsed(), ev.srcRank, ev.srcReplica, ev.tag, ev.seq))
 	m.Mailbox.Push(v)
 }
@@ -132,6 +134,28 @@ func arrivals(t *testing.T, n, r int, pull bool, fn func(w *world, c *Comm) erro
 	w.run(t, func(c *Comm) error { return fn(w, c) })
 	return logs
 }
+
+// arrivalDigest is the SHA-256 of every slot's arrival log, slot by
+// slot: a fingerprint of the data plane at message level, to the
+// nanosecond.
+func arrivalDigest(logs [][]string) string {
+	h := sha256.New()
+	for g, log := range logs {
+		fmt.Fprintf(h, "slot %d\n", g)
+		for _, line := range log {
+			fmt.Fprintln(h, line)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Pinned arrival digests of the two scripts below. The data plane's
+// host-side structures (rank index, connection table, inbox carriers)
+// may change; what arrives where and when may not.
+const (
+	pinArrivals         = "85eb34b8ab89cb82126f1f2a3455d4cc7f626f76aa8f03078db72a36c6c39c23"
+	pinFailoverArrivals = "9de91c9f37697edb7650be704472f99b2496c15cc769617fcab72e103a863fae"
+)
 
 func equalArrivals(t *testing.T, callback, pull [][]string) {
 	t.Helper()
@@ -180,7 +204,11 @@ func TestArrivalsCallbackMatchesPull(t *testing.T) {
 		_, err := c.AllreduceF64([]float64{float64(me)}, OpSum)
 		return err
 	}
-	equalArrivals(t, arrivals(t, n, 1, false, script), arrivals(t, n, 1, true, script))
+	callback := arrivals(t, n, 1, false, script)
+	equalArrivals(t, callback, arrivals(t, n, 1, true, script))
+	if got := arrivalDigest(callback); got != pinArrivals {
+		t.Errorf("arrival digest %s, pinned %s", got, pinArrivals)
+	}
 }
 
 // TestFailoverArrivalsCallbackMatchesPull is the same equality under
@@ -212,6 +240,9 @@ func TestFailoverArrivalsCallbackMatchesPull(t *testing.T) {
 	callback, pull := arrivals(t, 2, 2, false, script), arrivals(t, 2, 2, true, script)
 	callback, pull = callback[2:], pull[2:] // rank 0 only sends
 	equalArrivals(t, callback, pull)
+	if got := arrivalDigest(callback); got != pinFailoverArrivals {
+		t.Errorf("arrival digest %s, pinned %s", got, pinFailoverArrivals)
+	}
 	if !strings.Contains(strings.Join(callback[0], "\n"), "src=0.1") {
 		t.Errorf("no frame from the promoted backup reached rank 1:\n  %s", strings.Join(callback[0], "\n  "))
 	}

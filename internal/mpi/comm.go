@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -20,20 +19,22 @@ type Comm struct {
 	rank int
 	size int
 
-	ln     transport.Listener
-	inbox  vtime.Mailbox // envelopes from deliver
-	pend   []envelope    // out-of-match-order buffer (unexpected queue)
-	closed bool
+	ln      transport.Listener
+	inbox   vtime.Mailbox // *envelope carriers from deliver and self-delivery
+	pend    []envelope    // out-of-match-order buffer (unexpected queue)
+	scratch []byte        // the rank thread's frame encode buffer
+	closed  bool
 
-	mu       sync.Mutex // guards conns, seqs, log, group, dedup, closed
-	conns    map[string]transport.Conn
-	sendSeq  []uint64       // next seq per destination rank
-	lastSeen []uint64       // dedup: last delivered seq per source rank
-	group    *replica.Group // this rank's replica group (r > 1)
-	sendLog  []loggedSend   // backup copy for failover resend
-	byRank   map[int][]Slot // rank -> its replica slots; immutable after Join, read without mu
-	colSeq   uint64         // collective operation counter
-	hbStop   bool           // stops heartbeat/monitor loops
+	mu       sync.Mutex       // guards conns, free, seqs, log, group, dedup, closed
+	conns    []transport.Conn // by position in cfg.Slots, dialed lazily
+	free     []*envelope      // recycled inbox carriers
+	sendSeq  []uint64         // next seq per destination rank
+	lastSeen []uint64         // dedup: last delivered seq per source rank
+	group    *replica.Group   // this rank's replica group (r > 1)
+	sendLog  []loggedSend     // backup copy for failover resend
+	grid     []int32          // grid[rank*R+replica] = position in cfg.Slots; immutable after Join, read without mu
+	colSeq   uint64           // collective operation counter
+	hbStop   bool             // stops heartbeat/monitor loops
 }
 
 type loggedSend struct {
@@ -67,23 +68,20 @@ func Join(cfg Config) (*Comm, error) {
 		cfg.DialBackoff = 20 * time.Millisecond
 	}
 
+	grid, err := slotGrid(cfg.Slots, cfg.N, cfg.R)
+	if err != nil {
+		return nil, err
+	}
 	c := &Comm{
 		cfg:      cfg,
 		rank:     cfg.Self.Rank,
 		size:     cfg.N,
 		inbox:    cfg.RT.NewMailbox(),
-		conns:    make(map[string]transport.Conn),
+		conns:    make([]transport.Conn, len(cfg.Slots)),
 		sendSeq:  make([]uint64, cfg.N),
 		lastSeen: make([]uint64, cfg.N),
-		byRank:   make(map[int][]Slot),
+		grid:     grid,
 		group:    replica.NewGroup(cfg.R, cfg.Self.Replica, cfg.FailTimeout, cfg.RT.Now()),
-	}
-	for _, s := range cfg.Slots {
-		c.byRank[s.Rank] = append(c.byRank[s.Rank], s)
-	}
-	for r := range c.byRank {
-		slots := c.byRank[r]
-		sort.Slice(slots, func(i, j int) bool { return slots[i].Replica < slots[j].Replica })
 	}
 
 	ln, err := cfg.Net.Listen(cfg.Self.Addr)
@@ -91,12 +89,39 @@ func Join(cfg Config) (*Comm, error) {
 		return nil, fmt.Errorf("mpi: listen %s: %w", cfg.Self.Addr, err)
 	}
 	c.ln = ln
-	transport.Serve(cfg.RT, ln, "mpi.pump", func(transport.Conn) transport.FrameHandler { return c.deliver })
+	deliver := transport.FrameHandler(c.deliver) // one method value for every inbound conn
+	transport.Serve(cfg.RT, ln, "mpi.pump", func(transport.Conn) transport.FrameHandler { return deliver })
 	if cfg.R > 1 {
 		cfg.RT.Go(fmt.Sprintf("mpi.hb.r%d", c.rank), c.heartbeatLoop)
 		cfg.RT.Go(fmt.Sprintf("mpi.fd.r%d", c.rank), c.monitorLoop)
 	}
 	return c, nil
+}
+
+// slotGrid indexes the table once: grid[rank*r+replica] is that slot's
+// position in slots. Every row must fall inside the n×r grid and no
+// cell may be filled twice; with n×r rows that fills every cell.
+func slotGrid(slots []Slot, n, r int) ([]int32, error) {
+	grid := make([]int32, n*r)
+	for i := range grid {
+		grid[i] = -1
+	}
+	for i, s := range slots {
+		if s.Rank < 0 || s.Rank >= n || s.Replica < 0 || s.Replica >= r {
+			return nil, fmt.Errorf("mpi: table row %d (rank %d replica %d) outside the %d×%d grid", i, s.Rank, s.Replica, n, r)
+		}
+		cell := &grid[s.Rank*r+s.Replica]
+		if *cell >= 0 {
+			return nil, fmt.Errorf("mpi: table holds rank %d replica %d twice", s.Rank, s.Replica)
+		}
+		*cell = int32(i)
+	}
+	return grid, nil
+}
+
+// byRank returns rank's replicas as table positions, in replica order.
+func (c *Comm) byRank(rank int) []int32 {
+	return c.grid[rank*c.cfg.R : (rank+1)*c.cfg.R]
 }
 
 // Rank returns this process's logical MPI rank.
@@ -124,19 +149,52 @@ func (c *Comm) Close() error {
 	}
 	c.closed = true
 	c.hbStop = true
-	conns := make([]transport.Conn, 0, len(c.conns))
-	for _, conn := range c.conns {
-		conns = append(conns, conn)
-	}
-	c.conns = make(map[string]transport.Conn)
+	conns := c.conns
+	c.conns = nil
 	c.mu.Unlock()
 
 	c.ln.Close()
-	for _, conn := range conns {
-		conn.Close()
+	for _, conn := range conns { // slot order: the FINs leave in table order
+		if conn != nil {
+			conn.Close()
+		}
 	}
 	c.inbox.Close()
 	return nil
+}
+
+// post hands ev to the inbox in a recycled carrier: a pointer boxes into
+// the mailbox's any without an allocation.
+func (c *Comm) post(ev *envelope) {
+	c.mu.Lock()
+	var p *envelope
+	if n := len(c.free); n > 0 {
+		p, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		p = new(envelope)
+	}
+	c.mu.Unlock()
+	*p = *ev
+	c.inbox.Push(p)
+}
+
+// take unpacks and recycles a carrier popped from the inbox, then
+// performs replication dedup: ok is false for an envelope whose
+// sequence number does not advance its source stream.
+func (c *Comm) take(v any) (ev envelope, ok bool) {
+	p := v.(*envelope)
+	ev, *p = *p, envelope{} // the free list pins no payload
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.free = append(c.free, p)
+	if c.cfg.R == 1 {
+		return ev, true
+	}
+	if ev.srcRank < 0 || ev.srcRank >= len(c.lastSeen) || ev.seq <= c.lastSeen[ev.srcRank] {
+		return ev, false // a duplicate after failover, or a corrupt source
+	}
+	c.lastSeen[ev.srcRank] = ev.seq
+	return ev, true
 }
 
 // deliver moves one inbound frame to the inbox. It is the frame handler
@@ -162,23 +220,24 @@ func (c *Comm) deliver(m transport.Message) bool {
 		c.mu.Unlock()
 		return true
 	}
-	c.inbox.Push(ev)
+	c.post(&ev)
 	return true
 }
 
-// connTo returns (dialing lazily) the connection to a slot address.
-func (c *Comm) connTo(addr string) (transport.Conn, error) {
+// connTo returns (dialing lazily) the connection to table position i.
+func (c *Comm) connTo(i int32) (transport.Conn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if conn, ok := c.conns[addr]; ok {
+	if conn := c.conns[i]; conn != nil {
 		c.mu.Unlock()
 		return conn, nil
 	}
 	c.mu.Unlock()
 
+	addr := c.cfg.Slots[i].Addr
 	var conn transport.Conn
 	var err error
 	backoff := c.cfg.DialBackoff
@@ -199,12 +258,12 @@ func (c *Comm) connTo(addr string) (transport.Conn, error) {
 		conn.Close()
 		return nil, ErrClosed
 	}
-	if prev, ok := c.conns[addr]; ok { // lost a benign race with ourselves
+	if prev := c.conns[i]; prev != nil { // lost a benign race with ourselves
 		c.mu.Unlock()
 		conn.Close()
 		return prev, nil
 	}
-	c.conns[addr] = conn
+	c.conns[i] = conn
 	c.mu.Unlock()
 	return conn, nil
 }
@@ -241,11 +300,12 @@ func (c *Comm) send(dst, tag int, d Data) error {
 	if !leader {
 		return nil // a backup computes but does not transmit
 	}
-	return c.transmit(dst, seq, tag, d)
+	return c.transmit(dst, seq, tag, d, &c.scratch)
 }
 
-// transmit delivers one envelope to every replica of dst.
-func (c *Comm) transmit(dst int, seq uint64, tag int, d Data) error {
+// transmit delivers one envelope to every replica of dst, encoding each
+// frame into the caller's *scratch (Send keeps no reference to it).
+func (c *Comm) transmit(dst int, seq uint64, tag int, d Data, scratch *[]byte) error {
 	ev := envelope{
 		kind:       kindData,
 		srcRank:    c.rank,
@@ -255,19 +315,19 @@ func (c *Comm) transmit(dst int, seq uint64, tag int, d Data) error {
 		tag:        tag,
 		data:       d,
 	}
-	targets := c.byRank[dst]
+	targets := c.byRank(dst)
 	var firstErr error
 	for _, t := range targets {
-		if t.Global == c.cfg.Self.Global {
+		if c.cfg.Slots[t].Global == c.cfg.Self.Global {
 			// Self delivery: bypass the network.
 			cp := ev
 			if len(d.Bytes) > 0 {
 				cp.data.Bytes = append([]byte(nil), d.Bytes...)
 			}
-			c.inbox.Push(cp)
+			c.post(&cp)
 			continue
 		}
-		conn, err := c.connTo(t.Addr)
+		conn, err := c.connTo(t)
 		if err != nil {
 			// The replica may be dead; its MPD reports that separately.
 			if firstErr == nil && len(targets) == 1 {
@@ -275,7 +335,7 @@ func (c *Comm) transmit(dst int, seq uint64, tag int, d Data) error {
 			}
 			continue
 		}
-		if err := conn.Send(encodeEnvelope(ev)); err != nil && firstErr == nil && len(targets) == 1 {
+		if err := conn.Send(encodeEnvelope(scratch, &ev)); err != nil && firstErr == nil && len(targets) == 1 {
 			firstErr = err
 		}
 	}
@@ -318,8 +378,8 @@ func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Data, Status, error) 
 		if err != nil {
 			return Data{}, Status{}, ErrClosed
 		}
-		ev := v.(envelope)
-		if !c.accept(&ev) {
+		ev, ok := c.take(v)
+		if !ok {
 			continue // duplicate after failover
 		}
 		if matches(ev, src, tag) {
@@ -327,24 +387,6 @@ func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Data, Status, error) 
 		}
 		c.pend = append(c.pend, ev)
 	}
-}
-
-// accept performs replication dedup: drop any envelope whose sequence
-// number does not advance its source stream.
-func (c *Comm) accept(ev *envelope) bool {
-	if c.cfg.R == 1 {
-		return true
-	}
-	if ev.srcRank < 0 || ev.srcRank >= len(c.lastSeen) {
-		return false // a source outside the world: corrupt frame
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ev.seq <= c.lastSeen[ev.srcRank] {
-		return false
-	}
-	c.lastSeen[ev.srcRank] = ev.seq
-	return true
 }
 
 func matches(ev envelope, src, tag int) bool {
@@ -363,6 +405,13 @@ func matches(ev envelope, src, tag int) bool {
 
 // heartbeatLoop broadcasts liveness to the rank group's other replicas.
 func (c *Comm) heartbeatLoop() {
+	// Every beat is the same frame: encode it once.
+	beat := encodeEnvelope(new([]byte), &envelope{
+		kind:       kindHeartbeat,
+		srcRank:    c.rank,
+		srcReplica: c.cfg.Self.Replica,
+		dstRank:    c.rank,
+	})
 	for {
 		c.cfg.RT.Sleep(c.cfg.HeartbeatInterval)
 		c.mu.Lock()
@@ -371,19 +420,12 @@ func (c *Comm) heartbeatLoop() {
 			return
 		}
 		c.mu.Unlock()
-		peers := c.byRank[c.rank]
-		ev := envelope{
-			kind:       kindHeartbeat,
-			srcRank:    c.rank,
-			srcReplica: c.cfg.Self.Replica,
-			dstRank:    c.rank,
-		}
-		for _, p := range peers {
-			if p.Global == c.cfg.Self.Global {
+		for _, p := range c.byRank(c.rank) {
+			if c.cfg.Slots[p].Global == c.cfg.Self.Global {
 				continue
 			}
-			if conn, err := c.connTo(p.Addr); err == nil {
-				conn.Send(encodeEnvelope(ev))
+			if conn, err := c.connTo(p); err == nil {
+				conn.Send(beat)
 			}
 		}
 	}
@@ -409,8 +451,9 @@ func (c *Comm) monitorLoop() {
 		}
 		c.mu.Unlock()
 		if promoted {
+			var scratch []byte // not c.scratch: under vtime.Real this runs beside the rank thread
 			for _, ls := range log {
-				c.transmit(ls.dstRank, ls.seq, ls.tag, ls.data)
+				c.transmit(ls.dstRank, ls.seq, ls.tag, ls.data, &scratch)
 			}
 		}
 	}

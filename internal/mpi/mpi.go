@@ -22,6 +22,12 @@
 // simulator it runs inside the delivery event — a message costs one
 // hand-off, event → rank, and a rank holds no actor per peer; over TCP
 // the same handler sits in a Recv loop per inbound connection.
+//
+// A virtual-size message costs an index lookup, no map and no
+// allocation: Join indexes the slot table once (rank × replica → table
+// position), connections sit in a slice by table position, envelopes
+// reach the inbox in recycled carriers, and the rank thread encodes
+// frames into one scratch buffer (Send keeps no reference to a payload).
 package mpi
 
 import (
@@ -172,8 +178,14 @@ type envelope struct {
 	data       Data
 }
 
-func encodeEnvelope(ev envelope) transport.Message {
-	buf := make([]byte, headerLen+len(ev.data.Bytes))
+// encodeEnvelope encodes ev as one frame in *scratch, growing it if
+// too small.
+func encodeEnvelope(scratch *[]byte, ev *envelope) transport.Message {
+	n := headerLen + len(ev.data.Bytes)
+	if cap(*scratch) < n {
+		*scratch = make([]byte, n)
+	}
+	buf := (*scratch)[:n]
 	buf[0] = ev.kind
 	binary.BigEndian.PutUint32(buf[1:], uint32(int32(ev.srcRank)))
 	binary.BigEndian.PutUint32(buf[5:], uint32(int32(ev.srcReplica)))

@@ -67,8 +67,8 @@ func (c *Comm) probe(src, tag int, d time.Duration) (Status, error) {
 		if err != nil {
 			return Status{}, ErrClosed
 		}
-		ev := v.(envelope)
-		if !c.accept(&ev) {
+		ev, ok := c.take(v)
+		if !ok {
 			continue
 		}
 		// Buffer it either way: Probe never consumes.
@@ -87,8 +87,7 @@ func (c *Comm) drainInboxNonblocking() {
 		if err != nil {
 			return
 		}
-		ev := v.(envelope)
-		if c.accept(&ev) {
+		if ev, ok := c.take(v); ok {
 			c.pend = append(c.pend, ev)
 		}
 	}

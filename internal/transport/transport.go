@@ -55,7 +55,9 @@ func (m Message) Release() {
 // Send and Recv may be used concurrently with each other; concurrent
 // Sends (or concurrent Recvs) are serialized by the implementation.
 type Conn interface {
-	// Send transmits one message.
+	// Send transmits one message. It keeps no reference to m.Payload
+	// once it returns — simnet copies the bytes when the frame departs,
+	// TCP has written them — so the caller may reuse the buffer at once.
 	Send(m Message) error
 	// Recv blocks until a message arrives or the conn closes.
 	Recv() (Message, error)
