@@ -101,11 +101,14 @@ func newTCPWorld(t *testing.T, k, p int) *tcpWorld {
 		t.Cleanup(d.Close)
 		return d
 	}
+	// Distinct proc-port windows per peer, since all share 127.0.0.1,
+	// and all of them below Linux's ephemeral range (32768–60999): ports
+	// there are what freePort and every outbound connection's source
+	// port are drawn from, so a slot port in it can be taken already.
 	for i := 0; i < k; i++ {
-		// Distinct proc-port windows per peer: all share 127.0.0.1.
-		w.peers = append(w.peers, mk(fmt.Sprintf("peer%02d", i), p, 42000+i*500))
+		w.peers = append(w.peers, mk(fmt.Sprintf("peer%02d", i), p, 22000+i*500))
 	}
-	w.submitter = mk("submitter", 0, 49000)
+	w.submitter = mk("submitter", 0, 29000)
 
 	// Let registrations and a ping round settle on the wall clock.
 	deadline := time.Now().Add(10 * time.Second)

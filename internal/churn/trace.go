@@ -2,7 +2,6 @@ package churn
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -99,12 +98,18 @@ type Event struct {
 }
 
 // subSeed derives a per-entity RNG seed from the master seed and a
-// stable label, so every host's renewal process is independent of the
-// order hosts are supplied in.
-func subSeed(seed int64, label string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return seed ^ int64(h.Sum64())
+// stable label (kind + name), so every host's renewal process is
+// independent of the order hosts are supplied in. The hash is FNV-1a
+// over kind then name, computed in place: no concatenated label, no
+// hasher on the heap.
+func subSeed(seed int64, kind, name string) int64 {
+	h := uint64(14695981039346656037)
+	for _, s := range [2]string{kind, name} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * 1099511628211
+		}
+	}
+	return seed ^ int64(h)
 }
 
 // draw samples one lifetime from the configured family. The result is
@@ -138,10 +143,14 @@ func Trace(hosts []string, siteOf func(string) string, cfg Config) []Event {
 		return nil
 	}
 	var out []Event
+	// One generator serves every host and site: re-seeding restarts it on
+	// exactly the stream rand.NewSource(seed) would, without another
+	// 4.9 KB source per entity.
+	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	if cfg.MTBF > 0 {
 		for _, h := range hosts {
-			rng := rand.New(rand.NewSource(subSeed(cfg.Seed, "host:"+h)))
+			rng.Seed(subSeed(cfg.Seed, "host:", h))
 			t := cfg.Warmup + draw(rng, cfg.UpDist, cfg.MTBF, cfg.WeibullShape)
 			for t < cfg.Horizon {
 				out = append(out, Event{At: t, Host: h, Down: true})
@@ -171,7 +180,7 @@ func Trace(hosts []string, siteOf func(string) string, cfg Config) []Event {
 		for _, s := range sites {
 			members := append([]string(nil), bySite[s]...)
 			sort.Strings(members)
-			rng := rand.New(rand.NewSource(subSeed(cfg.Seed, "site:"+s)))
+			rng.Seed(subSeed(cfg.Seed, "site:", s))
 			t := cfg.Warmup + draw(rng, cfg.UpDist, cfg.SiteMTBF, cfg.WeibullShape)
 			for t < cfg.Horizon {
 				for _, h := range members {

@@ -1,9 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -124,60 +121,4 @@ func TestChurnPointsCSVShape(t *testing.T) {
 	if !strings.HasPrefix(lines[1], "spread,600,60,8,2,4,72,3,1,0.7500,") {
 		t.Fatalf("row %q", lines[1])
 	}
-}
-
-// TestEmitChurnBenchJSON writes BENCH_churn.json — the survivability
-// trajectory CI keeps per commit — when BENCH_CHURN_JSON names the
-// output path. The tracked quantities are the experiment's outputs
-// (success rate, failovers, waste) rather than ns/op: a regression in
-// the failover path shows up as survival numbers moving, not as a
-// microbenchmark.
-func TestEmitChurnBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_CHURN_JSON")
-	if out == "" {
-		t.Skip("BENCH_CHURN_JSON not set")
-	}
-	start := time.Now()
-	pts, err := ChurnSweep(DefaultOptions(42), churnTestConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type entry struct {
-		Name             string  `json:"name"`
-		Strategy         string  `json:"strategy"`
-		MTBFSeconds      float64 `json:"mtbf_s"`
-		R                int     `json:"r"`
-		SuccessRate      float64 `json:"success_rate"`
-		Inflation        float64 `json:"inflation"`
-		Failovers        int     `json:"failovers"`
-		Rebooks          int     `json:"rebooks"`
-		WastedSlotHours  float64 `json:"wasted_slot_hours"`
-		FailuresInjected int     `json:"failures_injected"`
-	}
-	var entries []entry
-	for _, p := range pts {
-		entries = append(entries, entry{
-			Name:             fmt.Sprintf("ChurnSweep/%s/mtbf=%.0f/r=%d", p.Strategy, p.MTBFSeconds, p.R),
-			Strategy:         p.Strategy.String(),
-			MTBFSeconds:      p.MTBFSeconds,
-			R:                p.R,
-			SuccessRate:      p.SuccessRate,
-			Inflation:        p.Inflation,
-			Failovers:        p.Failovers,
-			Rebooks:          p.Rebooks,
-			WastedSlotHours:  p.WastedSlotHours,
-			FailuresInjected: p.FailuresInjected,
-		})
-	}
-	blob, err := json.MarshalIndent(map[string]any{
-		"benchmarks":   entries,
-		"wall_seconds": time.Since(start).Seconds(),
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d entries)", out, len(entries))
 }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -104,67 +102,6 @@ func TestScaleCSVIdenticalAcrossFederationWidth(t *testing.T) {
 	if !strings.Contains(k1, "spread") {
 		t.Fatalf("CSV looks empty:\n%s", k1)
 	}
-}
-
-// TestEmitFederationBenchJSON writes BENCH_federation.json — the
-// membership tier's trajectory record, one point per commit in CI —
-// when BENCH_FEDERATION_JSON names the output path. It sweeps a
-// 2000-host world across federation widths K = 1/4/16 and records, per
-// K, the numbers the federation is accountable for: mean registration
-// latency, mean gossip propagation staleness, membership-plane bytes
-// per submission window, completion time and the wall clock of the
-// whole sweep.
-func TestEmitFederationBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_FEDERATION_JSON")
-	if out == "" {
-		t.Skip("BENCH_FEDERATION_JSON not set")
-	}
-	base, err := grid.ParseTopologySpec("synth:S=8,H=250")
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	pts, err := ScaleSweep(DefaultOptions(42), ScaleConfig{
-		Base:       base,
-		Strategies: []core.Strategy{core.Spread},
-		HostCounts: []int{2000},
-		Supernodes: []int{1, 4, 16},
-		N:          64,
-	}, DefaultWorkers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wall := time.Since(start)
-
-	type point struct {
-		Name      string  `json:"name"`
-		SN        int     `json:"sn"`
-		Hosts     int     `json:"hosts"`
-		Seconds   float64 `json:"seconds"`
-		RegMS     float64 `json:"reg_ms"`
-		StaleMS   float64 `json:"stale_ms"`
-		MembBytes int64   `json:"memb_bytes"`
-	}
-	record := struct {
-		Points      []point `json:"points"`
-		WallSeconds float64 `json:"wall_seconds"`
-	}{WallSeconds: wall.Seconds()}
-	for _, p := range pts {
-		record.Points = append(record.Points, point{
-			Name:  "ScaleSweep/" + p.Strategy.String(),
-			SN:    p.SN,
-			Hosts: p.Hosts, Seconds: p.Seconds,
-			RegMS: p.RegMS, StaleMS: p.StaleMS, MembBytes: p.MembBytes,
-		})
-	}
-	blob, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %d points, sweep %.2fs wall", out, len(record.Points), wall.Seconds())
 }
 
 // TestChurnSweepOnFederatedWorld: the survivability family runs end to

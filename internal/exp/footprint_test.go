@@ -120,6 +120,56 @@ func TestWorldFootprintBudget(t *testing.T) {
 	}
 }
 
+// TestPaperWorldRetainedHeap bounds what the paper's 350-host Grid'5000
+// world retains per host after boot plus a short Figure 4 sweep, and
+// what the sweep adds to it. Every job leaves tables behind on the hosts
+// it touched (flow counters, retry streams, latency caches), and a table
+// that keeps a string borrowed from a decoded frame keeps the whole
+// frame — the growth bound catches that, since a Prepare for 512 slots
+// is tens of KB. Measured: 160 KB/host retained and 64 KB/host of sweep
+// growth when flow counters were keyed by dialled address strings and
+// caches copied PeerInfo values; ~74 and ~6 KB/host since.
+func TestPaperWorldRetainedHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots the full 350-peer grid")
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // sync.Pool victim caches survive one cycle
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	w := NewWorld(DefaultOptions(42))
+	defer w.Close()
+	if err := w.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	booted := heap()
+	for _, st := range []core.Strategy{core.Spread, core.Concentrate} {
+		if _, err := NASSweep(w, "is-model-B", st, []int{32, 64, 128}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NASSweep(w, "ep-model-B", st, []int{128, 512}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	swept := heap()
+	hosts := float64(w.Grid.TotalHosts())
+	retained := float64(swept-before) / hosts / 1024
+	growth := (float64(swept) - float64(booted)) / hosts / 1024
+	t.Logf("%.0f hosts: %.1f KB/host retained after boot, %.1f KB/host after the sweep",
+		hosts, float64(booted-before)/hosts/1024, retained)
+	if retained > 90 {
+		t.Errorf("retained %.1f KB/host, want ≤ 90", retained)
+	}
+	if growth > 16 {
+		t.Errorf("the sweep grew the heap by %.1f KB/host, want ≤ 16 — does a table outliving a job "+
+			"hold a string borrowed from a decoded frame? (docs/PERF.md, 'The memory model')", growth)
+	}
+}
+
 // TestWorldFootprint100k measures the 100k-host K=16 flagship
 // footprint and merges it into the BENCH_perf.json record named by
 // FOOTPRINT_100K_JSON (the CI perf job sets it). The same per-host

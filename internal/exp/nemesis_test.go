@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -205,21 +203,13 @@ func nemesisBenchConfig(t *testing.T) NemesisConfig {
 	}
 }
 
-// TestEmitNemesisBenchJSON writes BENCH_nemesis.json — the
-// partition-tolerance trajectory CI keeps per commit — when
-// BENCH_NEMESIS_JSON names the output path. It runs the acceptance
-// point twice, with the robustness layer armed and disabled, and
-// reports the measured recovery margin: retries must recover at least
+// TestNemesisRetriesRecover runs the acceptance point twice, with the
+// RPC robustness layer armed and disabled: the armed run must actually
+// retry, the disabled one must not, and retries must recover at least
 // the no-retry success rate.
-func TestEmitNemesisBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_NEMESIS_JSON")
-	if out == "" {
-		t.Skip("BENCH_NEMESIS_JSON not set")
-	}
-	start := time.Now()
+func TestNemesisRetriesRecover(t *testing.T) {
 	opts := DefaultOptions(42)
-	opts.Supernodes = 4 // federated, so the healing latency is measured too
-
+	opts.Supernodes = 4 // federated, so membership-plane retries run too
 	cfg := nemesisBenchConfig(t)
 	withPts, err := NemesisSweep(opts, cfg, 2)
 	if err != nil {
@@ -238,52 +228,8 @@ func TestEmitNemesisBenchJSON(t *testing.T) {
 	if noPt.RPCRetries != 0 {
 		t.Fatalf("disabled robustness layer still retried: %+v", noPt)
 	}
-	margin := withPt.SuccessRate - noPt.SuccessRate
-	if margin < 0 {
+	if withPt.SuccessRate < noPt.SuccessRate {
 		t.Fatalf("retries lost ground: with %.2f vs without %.2f", withPt.SuccessRate, noPt.SuccessRate)
 	}
-
-	type entry struct {
-		Name             string  `json:"name"`
-		RPCRetries       int     `json:"rpc_retry_budget"`
-		Loss             float64 `json:"loss"`
-		PartDurSeconds   float64 `json:"part_s"`
-		SuccessRate      float64 `json:"success_rate"`
-		Inflation        float64 `json:"inflation"`
-		RetryVolume      int64   `json:"retry_volume"`
-		Rebooks          int     `json:"rebooks"`
-		HostsLost        int     `json:"hosts_lost"`
-		Partitions       int     `json:"partitions"`
-		PartitionSeconds float64 `json:"partition_s"`
-		HealSamples      int     `json:"heal_samples"`
-		HealMeanSeconds  float64 `json:"heal_mean_s"`
-		HealMaxSeconds   float64 `json:"heal_max_s"`
-	}
-	mk := func(name string, budget int, p NemesisPoint) entry {
-		return entry{
-			Name: name, RPCRetries: budget,
-			Loss: p.Loss, PartDurSeconds: p.PartDurSeconds,
-			SuccessRate: p.SuccessRate, Inflation: p.Inflation,
-			RetryVolume: p.RPCRetries, Rebooks: p.Rebooks, HostsLost: p.HostsLost,
-			Partitions: p.Partitions, PartitionSeconds: p.PartitionSeconds,
-			HealSamples: p.HealSamples, HealMeanSeconds: p.HealMeanSeconds,
-			HealMaxSeconds: p.HealMaxSeconds,
-		}
-	}
-	blob, err := json.MarshalIndent(map[string]any{
-		"benchmarks": []entry{
-			mk("NemesisSweep/loss=0.3/part=60s/retries=on", 2, withPt),
-			mk("NemesisSweep/loss=0.3/part=60s/retries=off", 0, noPt),
-		},
-		"recovery_margin": margin,
-		"wall_seconds":    time.Since(start).Seconds(),
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (success with/without retries: %.2f/%.2f, margin %.2f)",
-		out, withPt.SuccessRate, noPt.SuccessRate, margin)
+	t.Logf("success with/without retries: %.2f/%.2f", withPt.SuccessRate, noPt.SuccessRate)
 }

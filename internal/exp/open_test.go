@@ -1,12 +1,9 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
-	"strconv"
 	"testing"
 	"time"
 
@@ -402,8 +399,8 @@ func weekReplayConfig(t *testing.T, peak float64, maxSubs int) (Options, OpenCon
 // TestOpenWeekReplaySmoke walks the whole 168-hour weekly arrival curve
 // through the streaming replay path — lazy generation, bounded pending
 // state, incremental fold — end to end. The full-scale 10M-submission
-// run lives behind BENCH_OPEN_REPLAY_SUBS and the CI smoke; this keeps
-// the path exercised on every `go test`.
+// run lives in the CI smoke; this keeps the path exercised on every
+// `go test`.
 func TestOpenWeekReplaySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("week-long replay")
@@ -469,98 +466,4 @@ func TestOpenAccumFootprint1M(t *testing.T) {
 		t.Errorf("digests retain %d bytes (budget %d)", rb, budget)
 	}
 	runtime.KeepAlive(acc)
-}
-
-// TestEmitOpenBenchJSON writes BENCH_open.json — the open-system
-// steady-state trajectory CI keeps per commit — when BENCH_OPEN_JSON
-// names the output path. The tracked quantities are utilization and
-// the tail percentiles: a scheduler or sketch regression shows up as
-// the steady state moving, not as ns/op.
-func TestEmitOpenBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_OPEN_JSON")
-	if out == "" {
-		t.Skip("BENCH_OPEN_JSON not set")
-	}
-	start := time.Now()
-	pts, err := OpenSweep(DefaultOptions(42), openGoldenConfig(t), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type entry struct {
-		Name           string  `json:"name"`
-		Strategy       string  `json:"strategy"`
-		Arrival        string  `json:"arrival"`
-		Measured       int     `json:"measured"`
-		Completed      int     `json:"completed"`
-		Failed         int     `json:"failed"`
-		Utilization    float64 `json:"utilization"`
-		WaitP50Seconds float64 `json:"wait_p50_s"`
-		WaitP90Seconds float64 `json:"wait_p90_s"`
-		WaitP99Seconds float64 `json:"wait_p99_s"`
-		SlowdownP99    float64 `json:"slowdown_p99"`
-		JainFairness   float64 `json:"jain"`
-		SLOAttainment  float64 `json:"slo_attainment"`
-		TardinessP99   float64 `json:"tardiness_p99_s"`
-	}
-	var entries []entry
-	for _, p := range pts {
-		entries = append(entries, entry{
-			Name:           fmt.Sprintf("OpenSweep/%s/tenants=%d", p.Strategy, p.Tenants),
-			Strategy:       p.Strategy.String(),
-			Arrival:        p.Arrival,
-			Measured:       p.Measured,
-			Completed:      p.Completed,
-			Failed:         p.Failed,
-			Utilization:    p.Utilization,
-			WaitP50Seconds: p.WaitP50Seconds,
-			WaitP90Seconds: p.WaitP90Seconds,
-			WaitP99Seconds: p.WaitP99Seconds,
-			SlowdownP99:    p.SlowdownP99,
-			JainFairness:   p.JainFairness,
-			SLOAttainment:  p.SLOAttainment,
-			TardinessP99:   p.TardinessP99Seconds,
-		})
-	}
-	payload := map[string]any{
-		"benchmarks":   entries,
-		"wall_seconds": time.Since(start).Seconds(),
-	}
-	// BENCH_OPEN_REPLAY_SUBS additionally records the long-horizon
-	// replay trajectory: a week of weekly arrivals capped at that many
-	// submissions, with wall clock and the process's peak RSS, so a
-	// memory regression in the streaming path shows up as the replay
-	// footprint moving commit over commit.
-	if subs := os.Getenv("BENCH_OPEN_REPLAY_SUBS"); subs != "" {
-		n, perr := strconv.Atoi(subs)
-		if perr != nil || n <= 0 {
-			t.Fatalf("BENCH_OPEN_REPLAY_SUBS=%q: %v", subs, perr)
-		}
-		peak := float64(n) / 300_000 // ≈ n submissions over the week
-		if peak < 0.01 {
-			peak = 0.01
-		}
-		ropts, rcfg := weekReplayConfig(t, peak, n)
-		rstart := time.Now()
-		rpt, rerr := RunOpen(ropts, rcfg, core.Spread)
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		payload["week_replay"] = map[string]any{
-			"max_submissions": n,
-			"submitted":       rpt.Submitted,
-			"completed":       rpt.Completed,
-			"failed":          rpt.Failed,
-			"slo_attainment":  rpt.SLOAttainment,
-			"wall_seconds":    time.Since(rstart).Seconds(),
-			"peak_rss_bytes":  PeakRSSBytes(),
-		}
-	}
-	blob, err := json.MarshalIndent(payload, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d entries)", out, len(entries))
 }

@@ -1,17 +1,11 @@
 package exp
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 
 	"p2pmpi/internal/core"
 	"p2pmpi/internal/grid"
-	"p2pmpi/internal/proto"
-	"p2pmpi/internal/simnet"
-	"p2pmpi/internal/transport"
-	"p2pmpi/internal/vtime"
 )
 
 // Wall-clock sweep benchmarks: the engine-level microbenchmarks
@@ -71,144 +65,4 @@ func BenchmarkChurnSweepPoint(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestEmitPerfBenchJSON writes BENCH_perf.json — the engine's perf
-// trajectory record, one point per commit in CI — when BENCH_PERF_JSON
-// names the output path. It measures the four numbers the fast-path
-// work is accountable for: discrete-event throughput, simulated message
-// throughput, steady-state allocations on the codec and delivery paths,
-// and the 2000-host scale sweep's wall time. See docs/PERF.md for how
-// to read it.
-func TestEmitPerfBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_PERF_JSON")
-	if out == "" {
-		t.Skip("BENCH_PERF_JSON not set")
-	}
-
-	// Discrete-event throughput: one actor sleeping through virtual
-	// ticks, the vtime.BenchmarkEventThroughput body.
-	evt := testing.Benchmark(func(b *testing.B) {
-		s := vtime.New()
-		defer s.Shutdown()
-		s.Go("ticker", func() {
-			for i := 0; i < b.N; i++ {
-				s.Sleep(time.Millisecond)
-			}
-		})
-		b.ResetTimer()
-		s.Wait()
-	})
-	evtNs := float64(evt.T.Nanoseconds()) / float64(evt.N)
-
-	// Simulated message throughput: the simnet.BenchmarkMessageDelivery
-	// body (burst of sends across a WAN link drained by one receiver).
-	msg := testing.Benchmark(func(b *testing.B) {
-		s := vtime.New()
-		defer s.Shutdown()
-		topo := &simnet.StaticTopology{
-			HostSite: map[string]string{"a1": "east", "b1": "west"},
-			DefLat:   5 * time.Millisecond,
-		}
-		n := simnet.New(s, topo, simnet.DefaultConfig(1))
-		s.Go("server", func() {
-			l, _ := n.Node("b1").Listen("b1:1")
-			c, _ := l.Accept()
-			for i := 0; i < b.N; i++ {
-				m, err := c.Recv()
-				if err != nil {
-					return
-				}
-				m.Release()
-			}
-		})
-		s.Go("client", func() {
-			s.Sleep(time.Millisecond)
-			c, _ := n.Node("a1").Dial("b1:1")
-			m := transport.Message{Payload: []byte("0123456789abcdef")}
-			for i := 0; i < b.N; i++ {
-				c.Send(m)
-			}
-		})
-		b.ResetTimer()
-		s.Wait()
-	})
-	msgNs := float64(msg.T.Nanoseconds()) / float64(msg.N)
-
-	// Steady-state allocations, measured exactly as the enforcing tests
-	// (proto.TestRoundTripZeroAllocSteadyState, simnet.TestMessageDelivery-
-	// ZeroAllocSteadyState) do.
-	protoAllocs := func() float64 {
-		scratch := make([]byte, 0, 128)
-		req := &proto.JobPing{Nonce: 12345, JobID: "job-42"}
-		var got proto.JobPing
-		scratch, _ = proto.AppendMarshal(scratch[:0], req)
-		proto.DecodeInto(scratch, &got)
-		return testing.AllocsPerRun(200, func() {
-			scratch, _ = proto.AppendMarshal(scratch[:0], req)
-			proto.DecodeInto(scratch, &got)
-		})
-	}()
-	simnetAllocs := func() float64 {
-		s := vtime.New()
-		defer s.Shutdown()
-		topo := &simnet.StaticTopology{
-			HostSite: map[string]string{"a1": "east", "b1": "west"},
-			DefLat:   5 * time.Millisecond,
-		}
-		n := simnet.New(s, topo, simnet.DefaultConfig(1))
-		s.Go("server", func() {
-			l, _ := n.Node("b1").Listen("b1:1")
-			c, _ := l.Accept()
-			for {
-				m, err := c.Recv()
-				if err != nil {
-					return
-				}
-				m.Release()
-			}
-		})
-		var client transport.Conn
-		s.Go("client", func() { client, _ = n.Node("a1").Dial("b1:1") })
-		s.Wait()
-		payload := []byte("0123456789abcdef")
-		step := func() {
-			client.Send(transport.Message{Payload: payload})
-			s.Wait()
-		}
-		for i := 0; i < 200; i++ {
-			step()
-		}
-		return testing.AllocsPerRun(500, step)
-	}()
-
-	// The flagship sweep, timed on the wall clock like gridbench runs it.
-	cfg := scaleSweep2000Config()
-	start := time.Now()
-	pts, err := ScaleSweep(DefaultOptions(42), cfg, DefaultWorkers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweepWall := time.Since(start)
-
-	record := map[string]any{
-		"event_ns_per_op":               evtNs,
-		"events_per_sec":                1e9 / evtNs,
-		"message_ns_per_op":             msgNs,
-		"msgs_per_sec":                  1e9 / msgNs,
-		"proto_roundtrip_allocs_per_op": protoAllocs,
-		"simnet_delivery_allocs_per_op": simnetAllocs,
-		"scale_sweep_hosts":             pts[0].Hosts,
-		"scale_sweep_points":            len(pts),
-		"scale_sweep_wall_seconds":      sweepWall.Seconds(),
-	}
-	blob, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %.0f events/s, %.0f msgs/s, sweep %.2fs",
-		out, 1e9/evtNs, 1e9/msgNs, sweepWall.Seconds())
 }

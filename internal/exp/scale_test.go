@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -183,55 +181,4 @@ func BenchmarkScaleAllocate(b *testing.B) {
 			})
 		}
 	}
-}
-
-// TestEmitScaleBenchJSON writes BENCH_scale.json — the perf-trajectory
-// record CI keeps per commit — when BENCH_SCALE_JSON names the output
-// path. It times the same bodies as BenchmarkScaleAllocate through
-// testing.Benchmark so the JSON and the -bench output measure the same
-// thing.
-func TestEmitScaleBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_SCALE_JSON")
-	if out == "" {
-		t.Skip("BENCH_SCALE_JSON not set")
-	}
-	type entry struct {
-		Name     string  `json:"name"`
-		Strategy string  `json:"strategy"`
-		Hosts    int     `json:"hosts"`
-		N        int     `json:"n"`
-		NsPerOp  float64 `json:"ns_per_op"`
-		AllocsOp int64   `json:"allocs_per_op"`
-	}
-	var entries []entry
-	for _, hosts := range []int{1000, 5000} {
-		slist := scaleSlist(hosts)
-		for _, name := range core.Names() {
-			st := core.Strategy(name)
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Allocate(slist, 512, 1, st); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			entries = append(entries, entry{
-				Name:     fmt.Sprintf("ScaleAllocate/%s/hosts=%d", name, hosts),
-				Strategy: name,
-				Hosts:    hosts,
-				N:        512,
-				NsPerOp:  float64(r.T.Nanoseconds()) / float64(r.N),
-				AllocsOp: r.AllocsPerOp(),
-			})
-		}
-	}
-	blob, err := json.MarshalIndent(map[string]any{"benchmarks": entries}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d entries)", out, len(entries))
 }

@@ -109,8 +109,8 @@ func TestShardSpeedupGate(t *testing.T) {
 	speedup := seq.Seconds() / sh8.Seconds()
 	t.Logf("within-world speedup at -shards 8: %.2fx on %d cores", speedup, cores)
 
-	// Merge into the existing perf record (TestEmitPerfBenchJSON writes
-	// it earlier in the CI job) rather than clobbering it.
+	// Merge into the existing perf record (the footprint and extreme-point
+	// tests write into the same file) rather than clobbering it.
 	record := map[string]any{}
 	if blob, err := os.ReadFile(out); err == nil {
 		if err := json.Unmarshal(blob, &record); err != nil {

@@ -2,8 +2,10 @@ package faults
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -267,5 +269,86 @@ func TestTraceEmptyWithoutHorizon(t *testing.T) {
 	cfg := Config{Seed: 1, Loss: 0.3, LatMult: 2, DupProb: 0.1, Horizon: time.Hour}
 	if tr := Trace(testSites(3), testHosts(3), cfg); len(tr) != 0 {
 		t.Fatalf("constant-only config produced %d events", len(tr))
+	}
+}
+
+// referenceTrace is Trace as it was built before the generator was
+// shared: a fresh rand.NewSource for the partition process and per gray
+// host, seeded from an FNV-1a hash of the concatenated label.
+func referenceTrace(sites, hosts []string, cfg Config) []Event {
+	cfg = cfg.withDefaults()
+	source := func(label string) *rand.Rand {
+		h := fnv.New64a()
+		h.Write([]byte(label))
+		return rand.New(rand.NewSource(cfg.Seed ^ int64(h.Sum64())))
+	}
+	var out []Event
+	ss := append([]string(nil), sites...)
+	sort.Strings(ss)
+	rng := source("part")
+	for t := cfg.Warmup + expDraw(rng, cfg.PartMTBF); t < cfg.Horizon; t += expDraw(rng, cfg.PartMTBF) {
+		pairs := drawCut(rng, ss, cfg.Split)
+		d := expDraw(rng, cfg.PartMTTR)
+		for _, p := range pairs {
+			out = append(out, Event{At: t, Kind: EvPartition, A: p[0], B: p[1], On: true})
+		}
+		if t+d >= cfg.Horizon {
+			break
+		}
+		t += d
+		for _, p := range pairs {
+			out = append(out, Event{At: t, Kind: EvPartition, A: p[0], B: p[1], On: false})
+		}
+	}
+	for _, h := range hosts {
+		rng := source("gray:" + h)
+		if rng.Float64() >= cfg.GrayFrac {
+			continue
+		}
+		for t := cfg.Warmup + expDraw(rng, cfg.GrayMTBF); t < cfg.Horizon; t += expDraw(rng, cfg.GrayMTBF) {
+			out = append(out, Event{At: t, Kind: EvGray, Host: h, On: true})
+			d := expDraw(rng, cfg.GrayMTTR)
+			if t+d >= cfg.Horizon {
+				break
+			}
+			t += d
+			out = append(out, Event{At: t, Kind: EvGray, Host: h, On: false})
+		}
+	}
+	return out
+}
+
+// TestTraceMatchesPerEntitySources: sharing one re-seeded generator
+// between the partition process and the gray hosts replays exactly the
+// streams a fresh source per entity draws, and no longer costs a source
+// (two allocations, 4.9 KB) per host: a quiet 1000-host trace allocates
+// only a handful of times.
+func TestTraceMatchesPerEntitySources(t *testing.T) {
+	sites, hosts := testSites(6), testHosts(40)
+	for _, seed := range []int64{1, 42, 1234} {
+		cfg := nemesisConfig(seed)
+		got := Trace(sites, hosts, cfg)
+		want := referenceTrace(sites, hosts, cfg)
+		if len(got) == 0 || len(got) != len(want) {
+			t.Fatalf("seed %d: %d events, reference %d", seed, len(got), len(want))
+		}
+		// Trace's order is total, so the multisets agree iff every
+		// reference event appears exactly as often.
+		count := map[Event]int{}
+		for _, e := range want {
+			count[e]++
+		}
+		for _, e := range got {
+			if count[e]--; count[e] < 0 {
+				t.Fatalf("seed %d: event %+v not in the reference trace", seed, e)
+			}
+		}
+	}
+
+	many := testHosts(1000)
+	quiet := nemesisConfig(9)
+	quiet.GrayMTBF, quiet.PartMTBF = 1000*time.Hour, 1000*time.Hour
+	if allocs := testing.AllocsPerRun(5, func() { Trace(sites, many, quiet) }); allocs > 64 {
+		t.Fatalf("a 1000-host trace allocated %.0f times, want ≤ 64", allocs)
 	}
 }

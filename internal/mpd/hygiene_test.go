@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"p2pmpi/internal/nettest"
 	"p2pmpi/internal/proto"
@@ -76,5 +77,39 @@ func TestMPDCrashRestoreCloseHygiene(t *testing.T) {
 	// The MPD closes two endpoints: on garbage, and once closed.
 	if len(closes) != 2 || !slices.Equal(closes, pullCloses) {
 		t.Errorf("daemon-side closes diverged or unexpected\ncallback: %q\npull:     %q", closes, pullCloses)
+	}
+}
+
+// TestRetryStreamsKeepNoBorrowedKey: retryDelay is handed addresses that
+// view a decoded frame (resendDone passes a Prepare's SubmitterMPD), and
+// its per-target streams live as long as the daemon. No key of the
+// stream table may point into the caller's buffer — neither one first
+// seen as a view, nor one first seen as an owned string and retried
+// through a view — and the delays must be those an owned address draws.
+func TestRetryStreamsKeepNoBorrowedKey(t *testing.T) {
+	newMPD := func() *MPD { return &MPD{cfg: Config{Seed: 7, Shared: &Shared{}}} }
+	m, twin := newMPD(), newMPD()
+	frame := make([]byte, 256)
+	view := func(off int, s string) string {
+		copy(frame[off:], s)
+		return unsafe.String(&frame[off], len(s))
+	}
+	ownedFirst := view(16, "submitter:9000")
+	borrowedFirst := view(64, "peer17:9000")
+	m.retryDelay(strings.Clone(ownedFirst), 1)
+	twin.retryDelay(strings.Clone(ownedFirst), 1)
+	for k := 1; k <= 3; k++ {
+		for _, addr := range []string{ownedFirst, borrowedFirst} {
+			if got, want := m.retryDelay(addr, k), twin.retryDelay(strings.Clone(addr), k); got != want {
+				t.Fatalf("retry %d to %s waited %v, want %v", k, addr, got, want)
+			}
+		}
+	}
+	lo := uintptr(unsafe.Pointer(&frame[0]))
+	hi := lo + uintptr(len(frame))
+	for key := range m.retrySeq {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(key))); p >= lo && p < hi {
+			t.Errorf("retry stream key %q points into the caller's frame", key)
+		}
 	}
 }

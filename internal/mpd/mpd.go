@@ -19,6 +19,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
@@ -180,7 +181,13 @@ type Shared struct {
 	// (KindLast, the paper's behaviour).
 	Estimator       latency.Kind
 	EstimatorWindow int
-	// ProcBasePort is the first port used by launched processes (41000).
+	// ProcBasePort is the first port used by launched processes (41000):
+	// slot g of a job listens on ProcBasePort+g on its host. A real
+	// deployment should pick a base below the OS ephemeral port range
+	// (32768–60999 on Linux), where outbound connections take their
+	// source ports and a slot port can be found already in use. The
+	// default stays put because simulated port strings seed the network's
+	// jitter streams.
 	ProcBasePort int
 	// NoBootPing skips the immediate ping round after registration. Boot
 	// probing is all-pairs across the deployment, which the large-world
@@ -294,7 +301,7 @@ type MPD struct {
 	// the federation width) cannot shift the jitter that job-plane
 	// retries to compute hosts draw.
 	brk      map[string]*transport.Breaker
-	retrySeq map[string]uint64
+	retrySeq map[string]*uint64
 }
 
 // lifecycle is the daemon's periodic-work state: a chain of timer events
@@ -724,16 +731,21 @@ func (f *fanIn) wait() bool {
 func (m *MPD) retryDelay(addr string, k int) time.Duration {
 	m.mu.Lock()
 	if m.retrySeq == nil {
-		m.retrySeq = make(map[string]uint64)
+		m.retrySeq = make(map[string]*uint64)
 	}
-	st, ok := m.retrySeq[addr]
-	if !ok {
+	// addr may be a view into a decoded frame (a Prepare's submitter
+	// address), and assigning through a string key re-stores the key:
+	// the entry is written once, with an owned copy, and advanced in place.
+	st := m.retrySeq[addr]
+	if st == nil {
 		h := fnv.New64a()
 		h.Write([]byte(addr))
-		st = uint64(m.cfg.Seed) ^ h.Sum64() ^ 0x72747279 // "rtry"
+		st = new(uint64)
+		*st = uint64(m.cfg.Seed) ^ h.Sum64() ^ 0x72747279 // "rtry"
+		m.retrySeq[strings.Clone(addr)] = st
 	}
-	st, u := splitmixStep(st)
-	m.retrySeq[addr] = st
+	var u float64
+	*st, u = splitmixStep(*st)
 	m.mu.Unlock()
 	base := m.cfg.RPCBackoff
 	if base <= 0 {

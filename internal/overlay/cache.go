@@ -21,10 +21,13 @@ import (
 type Cache struct {
 	mu     sync.Mutex
 	selfID string
-	peers  map[string]proto.PeerInfo
-	lat    latency.Table   // embedded by value: one Cache = one heap object
-	dead   map[string]bool // peers marked dead; hidden until re-learned
-	live   int             // len(peers) minus dead entries still in peers
+	// peers points at the interner's canonical values (a private copy
+	// without an interner): a materialized cache holds one entry per
+	// world host, and a pointer costs 8 bytes where a copy costs 64.
+	peers map[string]*proto.PeerInfo
+	lat   latency.Table   // embedded by value: one Cache = one heap object
+	dead  map[string]bool // peers marked dead; hidden until re-learned
+	live  int             // len(peers) minus dead entries still in peers
 
 	// pending holds snapshots accepted by Update but not yet merged.
 	// Merging a host list is O(list) map work, and on a multi-thousand-
@@ -150,22 +153,22 @@ const maxPendingSnapshots = 8
 // live and equal costs one lookup: nothing about it changes.
 func (c *Cache) mergeLocked(list []proto.PeerInfo) {
 	if c.peers == nil {
-		c.peers = make(map[string]proto.PeerInfo, len(list))
+		c.peers = make(map[string]*proto.PeerInfo, len(list))
 	}
 	for _, p := range list {
 		if p.ID == c.selfID {
 			continue
 		}
-		old, known := c.peers[p.ID]
+		old := c.peers[p.ID]
 		dead := c.dead[p.ID]
-		if known && !dead && old == p {
+		if old != nil && !dead && *old == p {
 			continue
 		}
-		if !known || dead {
+		if old == nil || dead {
 			c.live++
 		}
-		p = c.intern.PeerInfo(p) // interned first: the map key shares its ID string
-		c.peers[p.ID] = p
+		ref := c.intern.ref(p) // interned first: the map key shares its ID string
+		c.peers[ref.ID] = ref
 		delete(c.dead, p.ID)
 		c.rankedValid = false
 	}
@@ -193,7 +196,7 @@ func (c *Cache) flushLocked() {
 				max = len(l)
 			}
 		}
-		c.peers = make(map[string]proto.PeerInfo, max)
+		c.peers = make(map[string]*proto.PeerInfo, max)
 	}
 	for _, l := range pending {
 		c.mergeLocked(l)
@@ -279,11 +282,11 @@ func (c *Cache) Peer(id string) (proto.PeerInfo, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flushLocked()
-	if c.dead[id] {
+	p := c.peers[id]
+	if p == nil || c.dead[id] {
 		return proto.PeerInfo{}, false
 	}
-	p, ok := c.peers[id]
-	return p, ok
+	return *p, true
 }
 
 // Ranked returns all live cached peers sorted by ascending measured
@@ -334,7 +337,7 @@ func (c *Cache) rebuildRankedLocked() {
 	ranked := make([]RankedPeer, 0, len(sorted))
 	for _, id := range sorted {
 		ranked = append(ranked, RankedPeer{
-			Info:    c.peers[id],
+			Info:    *c.peers[id],
 			Latency: c.lat.Estimate(id),
 		})
 	}

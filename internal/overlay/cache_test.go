@@ -109,10 +109,11 @@ func (r *refCache) ranked() []RankedPeer {
 
 // cacheOp is one step of a differential run.
 type cacheOp struct {
-	kind string // "update", "dead", "observe", "read"
+	kind string // "update", "dead", "observe", "read", "reregister"
 	list []proto.PeerInfo
 	id   string
 	rtt  time.Duration
+	v    int // reregister: the incarnation the interner learns
 }
 
 // cacheUniverse is the set of hosts a run draws from, the cache's own
@@ -134,9 +135,12 @@ func infoVersion(id string, v int) proto.PeerInfo {
 
 // genCacheOps draws a seeded sequence of snapshots — repeated verbatim,
 // mutated, subsets, fresh ones, some listing the cache's own host —
-// interleaved with deaths, ping samples and reads.
+// interleaved with deaths, ping samples, reads and re-registrations the
+// cache does not see: the interner learns an incarnation no snapshot
+// carries, replacing the canonical value the cache may point at.
 func genCacheOps(rng *rand.Rand, n int) []cacheOp {
 	var prev []proto.PeerInfo
+	incarnation := 1
 	fresh := func() []proto.PeerInfo {
 		var l []proto.PeerInfo
 		for _, id := range cacheUniverse[1:] {
@@ -150,7 +154,7 @@ func genCacheOps(rng *rand.Rand, n int) []cacheOp {
 	ops := make([]cacheOp, 0, n)
 	for range n {
 		host := cacheUniverse[rng.Intn(len(cacheUniverse))]
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(11); {
 		case k < 6:
 			var l []proto.PeerInfo
 			switch {
@@ -180,19 +184,31 @@ func genCacheOps(rng *rand.Rand, n int) []cacheOp {
 			ops = append(ops, cacheOp{kind: "dead", id: host})
 		case k < 9:
 			ops = append(ops, cacheOp{kind: "observe", id: host, rtt: time.Duration(1+rng.Intn(50)) * time.Millisecond})
-		default:
+		case k < 10:
 			ops = append(ops, cacheOp{kind: "read"})
+		default:
+			incarnation++
+			ops = append(ops, cacheOp{kind: "reregister", id: host, v: incarnation})
 		}
 	}
 	return ops
 }
 
+// canonical is the interner's current value for id, by reference.
+func canonical(it *Interner, id string) *proto.PeerInfo {
+	st := &it.peers[stripeFor(id)]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.m[id]
+}
+
 // applyCacheOps replays ops into a fresh Cache and model. Snapshots are
 // handed over in a scratch slice that is scribbled on afterwards, the way
 // callers recycle their decode buffers.
-func applyCacheOps(ops []cacheOp, limit int) (*Cache, *refCache) {
+func applyCacheOps(ops []cacheOp, limit int) (*Cache, *refCache, *Interner) {
+	it := NewInterner()
 	c := NewCache("me", latency.KindLast, 0)
-	c.SetInterner(NewInterner())
+	c.SetInterner(it)
 	c.SetPendingCap(limit)
 	r := newRefCache("me", limit)
 	for _, op := range ops {
@@ -213,9 +229,11 @@ func applyCacheOps(ops []cacheOp, limit int) (*Cache, *refCache) {
 		case "read":
 			c.RankedView()
 			r.read = true
+		case "reregister":
+			it.PeerInfo(infoVersion(op.id, op.v))
 		}
 	}
-	return c, r
+	return c, r, it
 }
 
 // TestCacheMatchesReferenceModel drives Cache and the naive model with
@@ -223,15 +241,30 @@ func applyCacheOps(ops []cacheOp, limit int) (*Cache, *refCache) {
 // every step. Comparing reads the cache, and a read materializes it, so
 // each step's state is rebuilt from the prefix: a pending-capped cache is
 // checked in exactly the unread state the sequence left it in.
+//
+// The cache holds its entries by reference to the interner's canonical
+// values. The model never sees a re-registration, so Peer and Ranked
+// must keep returning the value the cache merged after the interner
+// replaced it; and an entry whose value is the canonical one must be the
+// canonical pointer, not a copy of it.
 func TestCacheMatchesReferenceModel(t *testing.T) {
+	reregistered := 0
 	for _, limit := range []int{0, 12} {
 		for seed := int64(1); seed <= 8; seed++ {
 			ops := genCacheOps(rand.New(rand.NewSource(seed)), 60)
 			for step := range len(ops) + 1 {
-				c, r := applyCacheOps(ops[:step], limit)
+				c, r, it := applyCacheOps(ops[:step], limit)
 				where := fmt.Sprintf("pending cap %d seed %d after %d steps", limit, seed, step)
 				if got, want := c.IDs(), r.ids(); !slices.Equal(got, want) {
 					t.Fatalf("%s: IDs = %v, want %v", where, got, want)
+				}
+				for id, p := range c.peers {
+					switch canon := canonical(it, id); {
+					case *p == *canon && p != canon:
+						t.Fatalf("%s: entry %s copies the canonical value instead of pointing at it", where, id)
+					case *p != *canon && !r.dead[id]:
+						reregistered++ // a stale entry the readers below must still return
+					}
 				}
 				if got, want := c.Size(), r.live; got != want {
 					t.Fatalf("%s: Size = %d, want %d", where, got, want)
@@ -255,6 +288,9 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 				}
 			}
 		}
+	}
+	if reregistered == 0 {
+		t.Fatal("no live entry was ever replaced in the interner under the cache")
 	}
 }
 

@@ -29,8 +29,10 @@ import (
 // nil-receiver safe (a nil Interner interns nothing), so the wiring can
 // stay unconditional.
 type Interner struct {
-	// peers maps host ID -> canonical proto.PeerInfo, striped by ID hash
-	// so parallel shards rarely collide. Plain maps under RWMutexes beat
+	// peers maps host ID -> the canonical proto.PeerInfo, striped by ID
+	// hash so parallel shards rarely collide. Entries are pointers so
+	// caches can share the value itself rather than copy its 64 bytes.
+	// Plain maps under RWMutexes beat
 	// a sync.Map here on memory, not speed: the HashTrieMap spends ~200 B
 	// of node structure plus a boxed copy per entry, which at a million
 	// hosts is a fifth of the whole budget. Reads vastly outnumber writes
@@ -62,7 +64,7 @@ const internStripes = 16
 
 type internStripe struct {
 	mu sync.RWMutex
-	m  map[string]proto.PeerInfo
+	m  map[string]*proto.PeerInfo
 }
 
 // stripeFor hashes a host ID onto a stripe (FNV-1a, inlined — the IDs
@@ -91,20 +93,38 @@ func (it *Interner) PeerInfo(p proto.PeerInfo) proto.PeerInfo {
 	if it == nil {
 		return p
 	}
+	return *it.ref(p)
+}
+
+// ref is PeerInfo by reference: the canonical value itself, which a
+// cache entry can point at instead of copying its 64 bytes. A nil
+// interner returns a private copy. A replaced value is never edited in
+// place — the replacement is a new canonical pointer — so a holder of
+// the old one keeps seeing the value it merged.
+func (it *Interner) ref(p proto.PeerInfo) *proto.PeerInfo {
+	if it == nil {
+		c := new(proto.PeerInfo)
+		*c = p
+		return c
+	}
 	st := &it.peers[stripeFor(p.ID)]
 	st.mu.RLock()
-	c, ok := st.m[p.ID]
+	c := st.m[p.ID]
 	st.mu.RUnlock()
-	if ok && c == p {
+	if c != nil && *c == p {
 		return c
 	}
 	st.mu.Lock()
-	if st.m == nil {
-		st.m = make(map[string]proto.PeerInfo)
+	if c = st.m[p.ID]; c == nil || *c != p { // another shard may have won the race
+		if st.m == nil {
+			st.m = make(map[string]*proto.PeerInfo)
+		}
+		c = new(proto.PeerInfo)
+		*c = p
+		st.m[p.ID] = c
 	}
-	st.m[p.ID] = p
 	st.mu.Unlock()
-	return p
+	return c
 }
 
 // Lookup finds the canonical PeerInfo whose four fields equal the given
@@ -118,9 +138,12 @@ func (it *Interner) Lookup(id, site, mpdAddr, rsAddr []byte) (proto.PeerInfo, bo
 	}
 	st := &it.peers[stripeFor(id)]
 	st.mu.RLock()
-	c, ok := st.m[string(id)]
+	c := st.m[string(id)]
 	st.mu.RUnlock()
-	return c, ok && c.Site == string(site) && c.MPDAddr == string(mpdAddr) && c.RSAddr == string(rsAddr)
+	if c == nil {
+		return proto.PeerInfo{}, false
+	}
+	return *c, c.Site == string(site) && c.MPDAddr == string(mpdAddr) && c.RSAddr == string(rsAddr)
 }
 
 // Snapshot offers one member's settled snapshot of a shard for sharing.

@@ -1,12 +1,71 @@
 package simnet
 
 import (
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
+	"weak"
 
 	"p2pmpi/internal/transport"
 	"p2pmpi/internal/vtime"
 )
+
+// TestDialRetainsNoAddressBuffer: the middleware dials addresses that
+// are substrings of decoded frames (a Prepare's slot table), and the
+// per-flow jitter counter outlives the dial. No table the network keeps
+// may hold such a string, or every frame a host ever dialled from stays
+// on the heap. The first dial uses an owned address, the rest views into
+// 64 KiB buffers: a string-keyed counter would re-store the borrowed key
+// on every bump even though the entry was created from an owned one.
+func TestDialRetainsNoAddressBuffer(t *testing.T) {
+	s := vtime.New()
+	defer s.Shutdown()
+	topo := &StaticTopology{
+		HostSite: map[string]string{"a1": "east", "b1": "west"},
+		DefLat:   5 * time.Millisecond,
+	}
+	n := New(s, topo, DefaultConfig(1))
+	l, err := n.Node("b1").Listen("b1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.(transport.CallbackListener).OnConn(func(c transport.Conn) { c.Close() })
+	dialer := n.Node("a1").(transport.CallbackNetwork)
+	dial := func(addr string) {
+		dialed := false
+		dialer.DialFunc(addr, func(c transport.Conn, err error) {
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			dialed = true
+			c.Close()
+		})
+		s.Wait()
+		if !dialed {
+			t.Fatalf("dial %q did not complete", addr)
+		}
+	}
+
+	dial("b1:1")
+	const frames = 4
+	var bufs [frames]weak.Pointer[byte]
+	for i := range bufs {
+		buf := make([]byte, 64<<10)
+		addr := buf[len(buf)-len("b1:1"):]
+		copy(addr, "b1:1")
+		bufs[i] = weak.Make(&buf[0])
+		dial(unsafe.String(&addr[0], len(addr)))
+	}
+	runtime.GC()
+	for i, w := range bufs {
+		if w.Value() != nil {
+			t.Errorf("frame %d is still reachable after its dial completed", i)
+		}
+	}
+	runtime.KeepAlive(n)
+}
 
 // TestMessageDeliveryZeroAllocSteadyState enforces the zero-allocation
 // contract of the per-message path: once the pools are warm (delivery

@@ -99,7 +99,7 @@ func (nn *nodeNet) DialFunc(addr string, done func(transport.Conn, error)) {
 	// keyed by (dialer, destination host, destination port, dial
 	// sequence). See flowKey for why.
 	sh := from.sh
-	rng, src := sh.flowRNG(n.cfg.Seed, flowKey{from: nn.host, to: rhost, port: rport})
+	rng, src := sh.flowRNG(n.cfg.Seed, from, to, rport)
 	hs := &handshake{
 		n: n, from: from, to: to, port: rport,
 		pipe: n.pipe(from.site, to.site),

@@ -82,10 +82,7 @@ func NewSharded(dom *vtime.Domain, topo Topology, cfg Config, sc ShardConfig) *N
 		winID:   1,
 	}
 	for i := range n.sh {
-		n.sh[i] = &netShard{
-			rt:      dom.Shard(i),
-			flowSeq: make(map[flowKey]uint64),
-		}
+		n.sh[i] = newNetShard(dom.Shard(i))
 	}
 	// Freeze the host table in rank order. One slab holds every netHost:
 	// at a million hosts the per-object allocator overhead alone is tens

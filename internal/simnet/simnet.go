@@ -89,10 +89,15 @@ type Net struct {
 type netShard struct {
 	rt      *vtime.Scheduler
 	flowSeq map[flowKey]uint64
+	ports   map[string]int // port name -> flowKey.port; keys are owned copies
 	bufPool transport.BufferPool
 	delFree *delivery // recycled delivery events
 	out     []xmsg    // cross-shard emissions this window
 	seq     uint64    // emission sequence, tiebreak in the merge sort
+}
+
+func newNetShard(rt *vtime.Scheduler) *netShard {
+	return &netShard{rt: rt, flowSeq: make(map[flowKey]uint64), ports: make(map[string]int)}
 }
 
 // flowKey identifies one flow for jitter purposes: the dialing host,
@@ -104,8 +109,28 @@ type netShard struct {
 // compositionality is what lets a federated world (extra supernodes,
 // extra control traffic) reproduce the data-plane timeline of a
 // standalone one bit for bit.
+//
+// The key holds no string. A dialled address is often a substring of a
+// decoded frame (a Prepare's slot table, wire.Decoder.InternStrings),
+// and a string-keyed map re-stores its key on every assignment, so a
+// counter bumped under such a key would pin the whole frame for the
+// life of the world. Hosts are keyed by their table entry and the port
+// by a per-shard number (netShard.portNum); the names still seed the
+// stream (flowRNG).
 type flowKey struct {
-	from, to, port string
+	from, to *netHost
+	port     int
+}
+
+// portNum numbers a destination port name on this shard. The map keeps
+// an owned copy of the name and is written only when the name is new.
+func (sh *netShard) portNum(port string) int {
+	p, ok := sh.ports[port]
+	if !ok {
+		p = len(sh.ports)
+		sh.ports[strings.Clone(port)] = p
+	}
+	return p
 }
 
 // flowSource is a SplitMix64 stream, the per-flow jitter source: one
@@ -133,12 +158,13 @@ func (s *flowSource) Seed(seed int64) {
 // sequence counter is per shard: a flow is keyed by its dialing host,
 // which lives on exactly one shard, so the counter is exclusive to that
 // shard's event loop.
-func (sh *netShard) flowRNG(seed int64, key flowKey) (*rand.Rand, *flowSource) {
+func (sh *netShard) flowRNG(seed int64, from, to *netHost, port string) (*rand.Rand, *flowSource) {
+	key := flowKey{from: from, to: to, port: sh.portNum(port)}
 	seq := sh.flowSeq[key]
 	sh.flowSeq[key] = seq + 1
-	h := fnvMix(uint64(seed), key.from)
-	h = fnvMix(h, key.to)
-	h = fnvMix(h, key.port)
+	h := fnvMix(uint64(seed), from.id)
+	h = fnvMix(h, to.id)
+	h = fnvMix(h, port)
 	src := &flowSource{state: h ^ (seq * 0x9e3779b97f4a7c15)}
 	return rand.New(src), src
 }
@@ -284,7 +310,7 @@ func New(rt *vtime.Scheduler, topo Topology, cfg Config) *Net {
 	return &Net{
 		topo:  topo,
 		cfg:   cfg,
-		sh:    []*netShard{{rt: rt, flowSeq: make(map[flowKey]uint64)}},
+		sh:    []*netShard{newNetShard(rt)},
 		hosts: make(map[string]*netHost),
 		pipes: make(map[sitePair]*serializer),
 		winID: 1,
@@ -348,7 +374,7 @@ func (n *Net) host(id string) *netHost {
 			return nil
 		}
 		h = new(netHost)
-		n.addHost(h, id, site, n.sh[0])
+		n.addHost(h, strings.Clone(id), site, n.sh[0]) // id may view a caller's frame
 	}
 	return h
 }
