@@ -13,6 +13,11 @@
 // events. The zero topology builds the paper's Grid'5000 (Table 1, 350
 // hosts); grid.TopologySpec scales synthetic worlds to a million.
 //
+// World.Boot starts the daemons from a chain of timer events per shard
+// and warms the submitter up with one transport.Call, so a booted world
+// holds no actor: only processes of the simulated system — jobs, MPI
+// ranks, scheduler workers and the harness's submitters — are actors.
+//
 // Experiment families:
 //
 //   - Table1/Fig2/Fig3/Fig4: the paper's figures (experiments.go,

@@ -455,8 +455,8 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 	})
 	// pending holds each submission only from enqueue to fold — with the
 	// reorder buffer below, the sole per-submission state the replay
-	// retains. Guarded by pmu: the hook runs on the driver actor, the
-	// fold on the harness actor.
+	// retains. Guarded by pmu: the hook runs in the driver's timer
+	// events, the fold on the harness actor.
 	var (
 		pmu      sync.Mutex
 		pending  = make(map[int]workload.Submission)

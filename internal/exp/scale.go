@@ -190,11 +190,11 @@ func scaleAt(opts Options, cfg ScaleConfig, hosts, sn int) ([]ScalePoint, error)
 			o.PeerCacheCap = 2
 		}
 		if o.BootSpread == 0 {
-			// An everyone-at-vtime-0 boot holds one registration actor
-			// per host in flight at once; the Go runtime caches every
-			// goroutine descriptor that storm ever needed (~720 B each,
-			// forever), and the event free lists and buffer pools keep
-			// their high-water carve too. Staggering the starts
+			// An everyone-at-vtime-0 boot holds one registration per
+			// host in flight at once — its handshake, conns, deadline
+			// and reply frame — and the event free lists and buffer
+			// pools keep that storm's high-water carve for good.
+			// Staggering the starts
 			// (rank-derived, shard-independent — see Options.BootSpread)
 			// turns those peak-concurrency residues into steady-state
 			// ones.

@@ -63,7 +63,7 @@ func TestShardDeterminismScale(t *testing.T) {
 
 // TestShardDeterminismChurn: the fault-injection family — the churn
 // timeline replays at window barriers in sharded worlds
-// (churn.StartGlobal) instead of on a replay actor, and must still
+// as the domain's global events, and must still
 // fire every failure, detection and re-book at the same virtual
 // instant.
 func TestShardDeterminismChurn(t *testing.T) {
@@ -219,7 +219,7 @@ func TestShardBootStormDriftBounded(t *testing.T) {
 // TestWorldIsAlwaysADomain: there is one world engine. Shards 0 and 1
 // both build a one-shard domain whose only scheduler is w.S, and churn
 // and fault timelines are the domain's global events — starting them
-// spawns no replay actor.
+// spawns no actor.
 func TestWorldIsAlwaysADomain(t *testing.T) {
 	spec, err := grid.ParseTopologySpec("synth:S=3,H=8")
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"p2pmpi/internal/overlay"
 	"p2pmpi/internal/proto"
 	"p2pmpi/internal/simnet"
+	"p2pmpi/internal/transport"
 	"p2pmpi/internal/vtime"
 )
 
@@ -86,9 +87,9 @@ type Options struct {
 	GossipInterval time.Duration
 	// BootSpread staggers the daemon starts over this virtual span (0 =
 	// the historical everyone-at-vtime-0 boot). Booting a million
-	// daemons at the same virtual instant means a million registration
-	// actors in flight at once — gigabytes of goroutine stacks;
-	// spreading the starts bounds live-actor concurrency to roughly
+	// daemons at the same virtual instant means a million registrations
+	// in flight at once, each with its conns, deadline and reply frame;
+	// spreading the starts bounds them to roughly
 	// hosts × (registration RTT / spread). Each daemon's start time is a
 	// pure function of its global boot rank, so staggered worlds keep
 	// byte-identical trajectories across -shards. Huge-world sweeps
@@ -139,7 +140,7 @@ type World struct {
 	// S is D.Shard(0), the scheduler daemon code on the origin site (the
 	// frontal, every K=1 supernode) runs under — with Options.Shards <= 1
 	// the domain's only shard. External actors that talk to the frontal
-	// (submission, warm-up) spawn here. S is for spawning actors and
+	// (submitters) spawn here. S is for spawning actors and
 	// reading the clock, never for driving: S.RunFor would advance shard 0
 	// behind the domain's committed horizon.
 	S *vtime.Scheduler
@@ -408,19 +409,19 @@ func (w *World) RunFor(d time.Duration) { w.D.RunFor(d) }
 // (one cache refresh plus a ping round over all 350 peers).
 func (w *World) Boot() error {
 	// Group the daemon starts by shard, preserving the global order
-	// (supernode tier, frontal, grid hosts) within each shard: one boot
-	// actor per shard spawns its daemons in that order, so every shard's
-	// vtime-0 registration storm executes in host-rank order and the
-	// cross-shard merge's rank tiebreak stitches the shards back into
-	// the sequential ordering. On one shard this is the single historical
-	// "exp.boot" actor.
+	// (supernode tier, frontal, grid hosts) within each shard: one chain
+	// of timer events per shard starts its daemons in that order, so
+	// every shard's vtime-0 registration storm executes in host-rank
+	// order and the cross-shard merge's rank tiebreak stitches the shards
+	// back into the sequential ordering. Each Start issues its daemon's
+	// registration inline; nothing in the boot is an actor.
 	//
 	// With Options.BootSpread set, daemon rank r starts at virtual time
-	// r×step instead of 0: each shard's boot actor sleeps up to the
-	// global-rank target before every Start, so concurrent registration
-	// actors stay bounded. The target is a function of the global rank
-	// only — never of the shard layout — so a staggered world's
-	// trajectory is identical at every -shards value.
+	// r×step instead of 0: each shard's chain queues its next event at
+	// the next global-rank target, so in-flight registrations stay
+	// bounded. The target is a function of the global rank only — never
+	// of the shard layout — so a staggered world's trajectory is
+	// identical at every -shards value.
 	type bootStart struct {
 		rank int
 		fn   func() error
@@ -453,20 +454,22 @@ func (w *World) Boot() error {
 			continue
 		}
 		rt := w.D.Shard(si)
-		rt.Go("exp.boot", func() {
-			t0 := rt.Elapsed()
-			for _, bs := range list {
-				if step > 0 {
-					if d := t0 + time.Duration(bs.rank)*step - rt.Elapsed(); d > 0 {
-						rt.Sleep(d)
-					}
+		t0 := rt.Elapsed()
+		var next func()
+		next = func() {
+			for len(list) > 0 {
+				if d := t0 + time.Duration(list[0].rank)*step - rt.Elapsed(); d > 0 {
+					rt.Schedule(d, next)
+					return
 				}
-				if err := bs.fn(); err != nil {
+				if err := list[0].fn(); err != nil {
 					bootErrs[si] = err
 					return
 				}
+				list = list[1:]
 			}
-		})
+		}
+		rt.Schedule(0, next)
 	}
 	w.RunFor(w.opts.BootSpread + 2*time.Second)
 	for _, err := range bootErrs {
@@ -476,10 +479,19 @@ func (w *World) Boot() error {
 	}
 	// The frontal registered before the peers: refresh its view and
 	// measure everyone, as the MPD does before booking (§4.2 step 2).
-	w.S.Go("exp.warm", func() {
-		if peers, err := overlay.FetchFrom(w.Net.Node(w.FrontalID), w.SNAddr, 2*time.Second); err == nil {
-			w.Frontal.Cache().Update(peers)
-		}
+	w.S.Schedule(0, func() {
+		transport.Call(w.S, w.Net.Node(w.FrontalID), w.SNAddr,
+			transport.Message{Payload: proto.MustMarshal(&proto.FetchPeers{})}, 2*time.Second,
+			func(reply transport.Message, err error) {
+				if err != nil {
+					return
+				}
+				peers, err := proto.UnmarshalPeerList(reply.Payload, nil)
+				reply.Release()
+				if err == nil {
+					w.Frontal.Cache().Update(peers)
+				}
+			})
 	})
 	w.RunFor(5 * time.Second)
 	w.RunFor(w.opts.FrontalPingInterval + 10*time.Second) // one full probe round

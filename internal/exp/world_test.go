@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"p2pmpi/internal/churn"
 	"p2pmpi/internal/core"
+	"p2pmpi/internal/faults"
 	"p2pmpi/internal/grid"
 	"p2pmpi/internal/mpd"
 	"p2pmpi/internal/nas"
@@ -66,12 +68,12 @@ func TestReplicatedHostnameOnGrid(t *testing.T) {
 		t.Skip("boots the full grid")
 	}
 	// Boot is an all-pairs ping — 63 175 RPCs on this grid — and every
-	// one of them is a chain of delivery events (transport.Call): what
-	// Boot spawns is one registration actor per daemon plus a handful of
-	// its own, where an actor per RPC made it more than 63 000; and an
-	// exchange's garbage is a few closures and two conns, where the
-	// coroutine, its queues and its mailbox push made Boot 6 661 mallocs
-	// per host.
+	// one of them is a chain of delivery events (transport.Call), as is
+	// every registration, every Start and the warm-up fetch: Boot spawns
+	// no actor at all, where an actor per RPC made it more than 63 000
+	// and an actor per registration 706; and an exchange's garbage is a
+	// few closures and two conns, where the coroutine, its queues and its
+	// mailbox push made Boot 6 661 mallocs per host.
 	w := NewWorld(DefaultOptions(42))
 	t.Cleanup(w.Close)
 	var ms0, ms1 runtime.MemStats
@@ -81,8 +83,8 @@ func TestReplicatedHostnameOnGrid(t *testing.T) {
 	}
 	runtime.ReadMemStats(&ms1)
 	hosts := len(w.Peers) + 1
-	if spawned := w.S.Spawned(); spawned > 4*hosts {
-		t.Fatalf("Boot spawned %d actors for %d daemons, want O(hosts)", spawned, hosts)
+	if spawned := w.S.Spawned(); spawned != 0 {
+		t.Fatalf("Boot spawned %d actors for %d daemons, want none", spawned, hosts)
 	}
 	if perHost := float64(ms1.Mallocs-ms0.Mallocs) / float64(hosts); perHost > 4500 {
 		t.Fatalf("Boot cost %.0f mallocs per host, want at most 4500", perHost)
@@ -115,10 +117,10 @@ func TestReplicatedHostnameOnGrid(t *testing.T) {
 	// Quiesce. The all-pairs boot, the launch and 200 MPI processes with
 	// their heartbeat plane were all served from delivery events: no
 	// mpd.conn / rs.conn / supernode.conn / mpi.pump reader and no accept
-	// loop is parked anywhere. What is left is the supernode's sweep loop.
+	// loop is parked anywhere, and the supernode's sweep is a timer chain.
 	w.RunFor(5 * time.Second)
-	if n := w.S.Actors(); n != 1 {
-		t.Fatalf("%d actors at quiesce, want 1 (supernode.sweep)", n)
+	if n := w.S.Actors(); n != 0 {
+		t.Fatalf("%d actors at quiesce, want none", n)
 	}
 }
 
@@ -153,8 +155,10 @@ func TestIdleWorldEventRateFlat(t *testing.T) {
 }
 
 // TestShutdownLeavesNoGoroutines: actors are coroutines that Shutdown
-// unwinds synchronously, so Close returning means every daemon goroutine
-// of the world is gone, not merely told to go.
+// unwinds synchronously, so Close returning means every goroutine of the
+// world is gone, not merely told to go. A booted world parks no actor,
+// so the test closes it with a job mid-run: the submitter and every
+// process are parked.
 func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots the full grid")
@@ -165,12 +169,66 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 		w.Close()
 		t.Fatalf("boot: %v", err)
 	}
+	w.S.Go("exp.submit", func() {
+		w.Frontal.Submit(mpd.JobSpec{Program: "spin", Args: []string{"600"}, N: 8, R: 1, Strategy: core.Spread})
+	})
+	w.RunFor(time.Minute)
 	booted := runtime.NumGoroutine()
 	w.Close()
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("%d goroutines before NewWorld, %d booted, %d right after Close", before, booted, after)
 	}
 	if booted <= before {
-		t.Fatal("no actor was parked in the booted world: nothing was tested")
+		t.Fatal("no actor was parked in the world: nothing was tested")
+	}
+}
+
+// TestSteadyStateSpawnsNothing: only processes of the simulated system
+// are actors. A federated world under churn, loss and a partition spell,
+// with RPC retries and the breaker armed, runs ten virtual minutes
+// without a job: every keep-alive, refresh, re-registration, retry,
+// failover, breaker skip, gossip round and sweep is an event chain, so
+// the window spawns nothing — while each of those paths demonstrably ran.
+func TestSteadyStateSpawnsNothing(t *testing.T) {
+	spec, err := grid.ParseTopologySpec("synth:S=3,H=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions(42)
+	opts.Topology = spec
+	opts.Supernodes = 4
+	opts.RPCRetries = 2
+	opts.BreakerThreshold = 2
+	w := NewWorld(opts)
+	t.Cleanup(w.Close)
+	if err := w.Boot(); err != nil {
+		t.Fatalf("boot: %v", err)
+	}
+	const window = 10 * time.Minute
+	before := w.S.Spawned()
+	w.StartFaults(faults.Config{
+		Seed: 5, Loss: 0.1,
+		PartMTBF: 90 * time.Second, PartMTTR: 40 * time.Second, Split: true,
+		Horizon: window,
+	})
+	w.StartChurn(churn.Config{Seed: 6, MTBF: 10 * time.Minute, MTTR: time.Minute, Horizon: window})
+	w.RunFor(window)
+	if n := w.S.Spawned() - before; n != 0 {
+		t.Fatalf("%d actors spawned in a steady state with no jobs, want none", n)
+	}
+	var st mpd.Stats
+	for _, p := range append([]*mpd.MPD{w.Frontal}, w.Peers...) {
+		ps := p.Stats()
+		st.Registrations += ps.Registrations
+		st.RPCRetries += ps.RPCRetries
+		st.SNFailovers += ps.SNFailovers
+		st.SNRedirects += ps.SNRedirects
+		st.BreakerSkips += ps.BreakerSkips
+	}
+	gossip := w.FederationStats().GossipExchanges
+	t.Logf("%+v, %d gossip exchanges", st, gossip)
+	if st.Registrations == 0 || st.RPCRetries == 0 || st.SNFailovers+st.SNRedirects == 0 ||
+		st.BreakerSkips == 0 || gossip == 0 {
+		t.Fatalf("a ported path never ran: %+v, %d gossip exchanges", st, gossip)
 	}
 }

@@ -10,6 +10,9 @@ import (
 
 	"p2pmpi/internal/core"
 	"p2pmpi/internal/nettest"
+	"p2pmpi/internal/overlay"
+	"p2pmpi/internal/proto"
+	"p2pmpi/internal/simnet"
 	"p2pmpi/internal/transport"
 	"p2pmpi/internal/vtime"
 )
@@ -46,6 +49,18 @@ func callTwins(t *testing.T, nNear, nFar, cores int, tune func(*Shared), script 
 	}
 	fp, closes, front, spawned := run(false)
 	pullFP, pullCloses, _, pullSpawned := run(true)
+	sameTimelines(t, fp, pullFP, closes, pullCloses)
+	if spawned >= pullSpawned {
+		t.Fatalf("the callback world spawned %d actors, its PullOnly twin %d: Call did not take the callback path", spawned, pullSpawned)
+	}
+	t.Logf("%d FINs, %d actors by callback against %d by pull", len(closes), spawned, pullSpawned)
+	return fp[0], front
+}
+
+// sameTimelines fails t unless the callback and PullOnly worlds left
+// the same fingerprint and the same, non-empty, close log.
+func sameTimelines(t *testing.T, fp, pullFP, closes, pullCloses []string) {
+	t.Helper()
 	if !slices.Equal(fp, pullFP) {
 		for i := range fp {
 			if i >= len(pullFP) || fp[i] != pullFP[i] {
@@ -57,11 +72,6 @@ func callTwins(t *testing.T, nNear, nFar, cores int, tune func(*Shared), script 
 	if len(closes) == 0 || !slices.Equal(closes, pullCloses) {
 		t.Fatalf("close logs diverge (%d FINs against %d)", len(closes), len(pullCloses))
 	}
-	if spawned >= pullSpawned {
-		t.Fatalf("the callback world spawned %d actors, its PullOnly twin %d: Call did not take the callback path", spawned, pullSpawned)
-	}
-	t.Logf("%d FINs, %d actors by callback against %d by pull", len(closes), spawned, pullSpawned)
-	return fp[0], front
 }
 
 // TestPingRoundCallMatchesBlocking: boot and periodic ping rounds of
@@ -164,4 +174,108 @@ func TestPreemptionKillCallMatchesBlocking(t *testing.T) {
 	if !strings.HasPrefix(out, ErrPreempted.Error()) {
 		t.Fatal(out)
 	}
+}
+
+// TestMembershipScriptsCallMatchesBlocking: the supernode scripts are
+// Call chains, each step issued from the previous one's continuation.
+// On a K=2 federation, peers that know only shard 1 follow ShardRedirect
+// answers to shard 0 (a second Call from the first one's continuation)
+// and, each keep-alive, find themselves unknown at shard 1 and register
+// again; then shard 0's host dies, and the peers homed there fail over:
+// the keep-alive falls through to shard 1, is told the peer is unknown
+// and chains into a registration that times out at home (with a retry)
+// and fosters at shard 1, and refreshes fall through the same way. The
+// same world behind nettest.PullOnly — every Call a RequestReply on a
+// spawned actor, every server a Recv loop — must reach the same stats,
+// tables and caches and close the same conns at the same instants.
+func TestMembershipScriptsCallMatchesBlocking(t *testing.T) {
+	federation := []string{"fsn0:8800", "fsn1:8800"}
+	ids := []string{"frontal", "pa.east", "pb.east", "pc.west", "pd.west", "pe.east", "pf.west", "pg.west"}
+	run := func(pull bool) (fp, closes []string, spawned int, total Stats) {
+		s := vtime.New()
+		t.Cleanup(s.Shutdown)
+		hostSite := map[string]string{"fsn0": "east", "fsn1": "west"}
+		for _, id := range ids {
+			hostSite[id] = "east"
+			if strings.HasSuffix(id, ".west") {
+				hostSite[id] = "west"
+			}
+		}
+		net := simnet.New(s, &simnet.StaticTopology{HostSite: hostSite, DefLat: 2 * time.Millisecond},
+			simnet.Config{Seed: 19, JitterFrac: 0.02, JitterFloor: 20 * time.Microsecond, NICBps: 1e9})
+		wrap := func(host string) transport.Network {
+			n := nettest.LogCloses(net.Node(host), s.Elapsed, &closes)
+			if pull {
+				n = nettest.PullOnly(n)
+			}
+			return n
+		}
+		sns := make([]*overlay.Supernode, len(federation))
+		for i := range sns {
+			sns[i] = overlay.NewSupernode(s, wrap(fmt.Sprintf("fsn%d", i)), overlay.SupernodeConfig{
+				Addr: federation[i], Shard: i, Federation: federation,
+				GossipInterval: 200 * time.Millisecond, TTL: time.Minute, SweepInterval: 10 * time.Second,
+			})
+		}
+		var daemons []*MPD
+		for i, id := range ids {
+			sh := &Shared{
+				Programs:     programs(),
+				PingInterval: 20 * time.Second, AliveInterval: 10 * time.Second, RefreshInterval: 15 * time.Second,
+				ReserveTimeout: time.Second, RPCRetries: 1, RPCBackoff: 200 * time.Millisecond,
+			}
+			if i%2 == 0 {
+				sh.Federation = federation
+			} else {
+				sh.SupernodeAddr = federation[1] // redirected when homed at shard 0
+			}
+			daemons = append(daemons, New(s, wrap(id), Config{
+				Self: proto.PeerInfo{ID: id, Site: hostSite[id], MPDAddr: id + ":9000", RSAddr: id + ":9001"},
+				P:    1, Seed: int64(i + 1), Shared: sh,
+			}))
+		}
+		for _, sn := range sns {
+			if err := sn.Start(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, d := range daemons {
+			if err := d.Start(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snapshot := func(phase string) {
+			for _, d := range daemons {
+				st := d.Stats()
+				fp = append(fp, fmt.Sprintf("%s %s %+v cache=%d", phase, d.cfg.Self.ID, st, d.Cache().Size()))
+			}
+			for i, sn := range sns {
+				fp = append(fp, fmt.Sprintf("%s fsn%d %v %+v", phase, i, sn.OwnedIDs(), sn.Stats()))
+			}
+			fp = append(fp, fmt.Sprintf("%s clock %v", phase, s.Elapsed()))
+		}
+		s.RunFor(25 * time.Second)
+		snapshot("booted")
+		net.FailHost("fsn0")
+		s.RunFor(45 * time.Second)
+		snapshot("fsn0 down")
+		for _, d := range daemons {
+			st := d.Stats()
+			total.SNRedirects += st.SNRedirects
+			total.SNFailovers += st.SNFailovers
+			total.RPCRetries += st.RPCRetries
+		}
+		return fp, closes, s.Spawned(), total
+	}
+	fp, closes, spawned, total := run(false)
+	pullFP, pullCloses, pullSpawned, _ := run(true)
+	sameTimelines(t, fp, pullFP, closes, pullCloses)
+	if spawned != 0 || pullSpawned == 0 {
+		t.Fatalf("the callback world spawned %d actors (want none), its PullOnly twin %d", spawned, pullSpawned)
+	}
+	if total.SNRedirects == 0 || total.SNFailovers == 0 || total.RPCRetries == 0 {
+		t.Fatalf("a script path never ran: %+v", total)
+	}
+	t.Logf("%d FINs; redirects %d, failovers %d, retries %d; %d actors by pull",
+		len(closes), total.SNRedirects, total.SNFailovers, total.RPCRetries, pullSpawned)
 }

@@ -305,11 +305,11 @@ type MPD struct {
 }
 
 // lifecycle is the daemon's periodic-work state: a chain of timer events
-// instead of three parked loop goroutines per host. Each round still runs
-// in its own short-lived actor; the timer chain only decides when to
-// spawn them. Deadlines are re-armed by the round that just completed —
-// the same drift semantics as the old sleep-then-act loops, so virtual
-// trajectories are unchanged. Guarded by MPD.mu.
+// instead of three parked loop goroutines per host. Each round runs
+// inside its timer event as a chain of Calls, and its final continuation
+// re-arms the deadline — the same drift semantics as the old
+// sleep-then-act loops, so virtual trajectories are unchanged. Guarded
+// by MPD.mu.
 //
 // Invariant: at most one lifecycle event is queued per instant, and it
 // sits at a deadline's instant. The aliveQ/refreshQ/pingQ flags record
@@ -417,12 +417,6 @@ func (m *MPD) Start() error {
 	transport.Serve(m.rt, ln, "mpd.conn."+m.cfg.Self.ID, func(c transport.Conn) transport.FrameHandler {
 		return (&connServer{m: m, c: c}).serve
 	})
-	m.rt.Go("mpd.boot."+m.cfg.Self.ID, func() {
-		m.registerAndUpdate()
-		if !m.cfg.NoBootPing {
-			m.pingRound() // measure latencies right away
-		}
-	})
 	// Periodic work runs on the lifecycle timer chain: one pending
 	// event per daemon instead of three sleeping goroutines.
 	m.tickFn = m.lifecycleTick
@@ -434,6 +428,13 @@ func (m *MPD) Start() error {
 	m.lc.aliveTick = 1
 	m.armTimerLocked()
 	m.mu.Unlock()
+	// Register, then measure latencies right away. Both are Call chains,
+	// so Start returns with the first request on the wire.
+	m.registerAndUpdate(func() {
+		if !m.cfg.NoBootPing {
+			m.pingRound(func() {})
+		}
+	})
 	return nil
 }
 
@@ -462,12 +463,11 @@ func (m *MPD) armTimerLocked() {
 	m.rt.Schedule(next.Sub(m.rt.Now()), m.tickFn)
 }
 
-// lifecycleTick fires every due round. It runs in event context (no
-// actor), so it only spawns: each round executes in its own short-lived
-// actor, named like the dedicated loop goroutines it replaced. Due
-// rounds fire in the loops' historical start order — alive, refresh,
-// ping — which is the event order the old per-loop sleeps produced when
-// deadlines collided.
+// lifecycleTick fires every due round, inline: each round is a chain of
+// Calls whose final continuation re-arms its deadline (rearm), so no
+// round parks and none needs an actor. Due rounds start in the loops'
+// historical order — alive, refresh, ping — which is the event order the
+// old per-loop sleeps produced when deadlines collided.
 func (m *MPD) lifecycleTick() {
 	m.mu.Lock()
 	if m.closed {
@@ -494,14 +494,34 @@ func (m *MPD) lifecycleTick() {
 	m.armTimerLocked()
 	m.mu.Unlock()
 	if doAlive {
-		m.rt.Go("mpd.alive."+m.cfg.Self.ID, func() { m.aliveRound(aliveTick) })
+		// Every few ticks a full re-registration instead of a bare
+		// keep-alive: it repairs the membership after a partition longer
+		// than the supernode's TTL (Alive alone cannot resurrect an
+		// expired entry because it carries only the peer ID).
+		rearm := func() { m.rearm(&m.lc.aliveAt, m.cfg.AliveInterval) }
+		if aliveTick%5 == 0 {
+			m.registerAndUpdate(rearm) // free host-list refresh rides along
+		} else {
+			m.aliveAny(rearm)
+		}
 	}
 	if doRefresh {
-		m.rt.Go("mpd.refresh."+m.cfg.Self.ID, m.refreshRound)
+		m.fetchAndUpdate(func(error) { m.rearm(&m.lc.refreshAt, m.cfg.RefreshInterval) })
 	}
 	if doPing {
-		m.rt.Go("mpd.ping."+m.cfg.Self.ID, m.pingRoundChained)
+		m.pingRound(func() { m.rearm(&m.lc.pingAt, m.cfg.PingInterval) })
 	}
+}
+
+// rearm sets a finished round's next deadline one interval from now and
+// queues its lifecycle event.
+func (m *MPD) rearm(at *time.Time, every time.Duration) {
+	m.mu.Lock()
+	if !m.closed {
+		*at = m.rt.Now().Add(every)
+		m.armTimerLocked()
+	}
+	m.mu.Unlock()
 }
 
 // Close stops the daemon. Idempotent.
@@ -557,72 +577,19 @@ func (m *MPD) Crash() {
 	m.rs.FailAll()
 }
 
-// Reannounce re-registers with the supernode from a fresh actor — the
-// revival path of churn. Without it a rebooted host would stay invisible
-// until the alive loop's next full re-registration tick.
+// Reannounce re-registers with the supernode — the revival path of
+// churn. Without it a rebooted host would stay invisible until the
+// alive round's next full re-registration tick.
 func (m *MPD) Reannounce() {
-	m.rt.Go("mpd.reannounce."+m.cfg.Self.ID, func() {
-		if m.isClosed() {
-			return
-		}
-		m.registerAndUpdate()
-	})
+	if !m.isClosed() {
+		m.registerAndUpdate(func() {})
+	}
 }
 
 func (m *MPD) isClosed() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.closed
-}
-
-// aliveRound is one keep-alive tick. Every few ticks, a full
-// re-registration instead of a bare keep-alive: it repairs the
-// membership after a partition longer than the supernode's TTL (Alive
-// alone cannot resurrect an expired entry because it carries only the
-// peer ID).
-func (m *MPD) aliveRound(tick int) {
-	if m.isClosed() {
-		return
-	}
-	if tick%5 == 0 {
-		m.registerAndUpdate() // free host-list refresh rides along
-	} else {
-		m.aliveAny()
-	}
-	m.mu.Lock()
-	if !m.closed {
-		m.lc.aliveAt = m.rt.Now().Add(m.cfg.AliveInterval)
-		m.armTimerLocked()
-	}
-	m.mu.Unlock()
-}
-
-// refreshRound is one cache refresh.
-func (m *MPD) refreshRound() {
-	if m.isClosed() {
-		return
-	}
-	m.fetchAndUpdate()
-	m.mu.Lock()
-	if !m.closed {
-		m.lc.refreshAt = m.rt.Now().Add(m.cfg.RefreshInterval)
-		m.armTimerLocked()
-	}
-	m.mu.Unlock()
-}
-
-// pingRoundChained is the periodic latency probe round.
-func (m *MPD) pingRoundChained() {
-	if m.isClosed() {
-		return
-	}
-	m.pingRound()
-	m.mu.Lock()
-	if !m.closed {
-		m.lc.pingAt = m.rt.Now().Add(m.cfg.PingInterval)
-		m.armTimerLocked()
-	}
-	m.mu.Unlock()
 }
 
 // supernodes lists the supernode addresses to try, primary (or home
@@ -665,60 +632,6 @@ func (m *MPD) callRetry(addr string, req transport.Message, timeout time.Duratio
 			m.callRetry(addr, req, timeout, k+1, done)
 		})
 	})
-}
-
-// requestRetry is callRetry plus one park, for the scripts that are
-// sequential anyway (the supernode exchanges).
-func (m *MPD) requestRetry(addr string, msg any, timeout time.Duration) (reply transport.Message, err error) {
-	f := newFanIn(m.rt, 1)
-	m.callRetry(addr, transport.Message{Payload: proto.MustMarshal(msg)}, timeout, 0,
-		func(r transport.Message, e error) {
-			reply, err = r, e
-			f.done(false)
-		})
-	f.wait()
-	return reply, err
-}
-
-// fanIn is the receiving end of a fan-out of Calls: a countdown their
-// continuations report to, which wakes the one blocked caller once —
-// when the last answer is in, or at the first one that aborts the wait.
-// The continuations run in delivery context on simnet and on a
-// goroutine each over TCP, hence the lock; state they share beside the
-// count is theirs to guard.
-type fanIn struct {
-	mu   sync.Mutex
-	left int
-	mb   vtime.Mailbox
-}
-
-func newFanIn(rt vtime.Runtime, n int) *fanIn {
-	f := &fanIn{left: n, mb: rt.NewMailbox()}
-	if n == 0 {
-		f.mb.Push(true)
-	}
-	return f
-}
-
-// done counts one answer in; abort writes the outstanding ones off.
-func (f *fanIn) done(abort bool) {
-	f.mu.Lock()
-	wake := f.left > 0 && (abort || f.left == 1)
-	f.left--
-	if wake {
-		f.left = 0 // later answers find nobody to wake
-	}
-	f.mu.Unlock()
-	if wake {
-		f.mb.Push(!abort)
-	}
-}
-
-// wait parks the caller until the countdown ends and reports whether
-// every answer came in (false: one aborted it).
-func (f *fanIn) wait() bool {
-	v, _ := f.mb.Pop()
-	return v.(bool)
 }
 
 // retryDelay draws the backoff before re-attempt k (1-based) of an
@@ -832,118 +745,153 @@ func (m *MPD) mergeReply(reply transport.Message) error {
 	return err
 }
 
-// registerAndUpdate registers with the first supernode that delivers a
-// decodable host list and merges it into the cache. A supernode that
-// answers with garbage counts as failed: the loop falls through to the
-// configured fallbacks (the federation's home-anchored rotation), like
-// the transport-level failures do. In a federation the first attempt is
-// the peer's home shard; later attempts are forced (foster) ones. A
-// ShardRedirect answer — the home shard moved, e.g. the peer computed
-// it against a stale federation size — is followed once.
-func (m *MPD) registerAndUpdate() error {
-	var lastErr error
-	federated := len(m.cfg.Federation) > 1
-	for i, sn := range m.supernodes() {
-		if !m.snAllow(sn) {
-			continue
+// viaSupernodes walks the failover order of supernodes(), skipping the
+// members whose breaker is open: try runs against one member and calls
+// next with its error to move on to the following one; past the last,
+// end gets the last error (nil when every member was skipped). A try
+// that succeeds simply does not call next. Each step is issued from the
+// previous one's Call continuation, so the walk never parks.
+func (m *MPD) viaSupernodes(try func(i int, sn string, next func(error)), end func(error)) {
+	sns := m.supernodes()
+	var step func(i int, err error)
+	step = func(i int, err error) {
+		for ; i < len(sns); i++ {
+			if m.snAllow(sns[i]) {
+				try(i, sns[i], func(err error) { step(i+1, err) })
+				return
+			}
 		}
+		end(err)
+	}
+	step(0, nil)
+}
+
+// registerAndUpdate registers with the first supernode that delivers a
+// decodable host list, merges it into the cache and runs then. A
+// supernode that answers with garbage counts as failed: the walk falls
+// through to the configured fallbacks (the federation's home-anchored
+// rotation), like the transport-level failures do. In a federation the
+// first attempt is the peer's home shard; later attempts are forced
+// (foster) ones. A ShardRedirect answer — the home shard moved, e.g. the
+// peer computed it against a stale federation size — is followed once,
+// with a second Call issued from the first one's continuation.
+func (m *MPD) registerAndUpdate(then func()) {
+	federated := len(m.cfg.Federation) > 1
+	register := func(forced bool) transport.Message {
+		return transport.Message{Payload: proto.MustMarshal(&proto.Register{Peer: m.cfg.Self, Forced: forced})}
+	}
+	m.viaSupernodes(func(i int, sn string, next func(error)) {
 		forced := federated && i > 0
 		t0 := m.rt.Now()
-		reply, err := m.requestRetry(sn, &proto.Register{Peer: m.cfg.Self, Forced: forced}, m.cfg.ReserveTimeout)
-		m.snRecord(sn, err)
-		if err == nil && proto.Peek(reply.Payload) == proto.TShardRedirect {
-			var rd proto.ShardRedirect
-			decErr := proto.DecodeInto(reply.Payload, &rd)
-			reply.Release()
-			if decErr == nil && rd.Addr != "" && rd.Addr != sn {
-				m.mu.Lock()
-				m.stats.SNRedirects++
-				m.mu.Unlock()
-				reply, err = overlay.RegisterRaw(m.net, rd.Addr, m.cfg.Self, false, m.cfg.ReserveTimeout)
-			} else {
-				err = fmt.Errorf("mpd: unusable shard redirect from %s", sn)
-			}
-		}
-		if err == nil {
-			rtt := m.rt.Now().Sub(t0)
-			if err = m.mergeReply(reply); err == nil {
-				m.mu.Lock()
-				m.stats.Registrations++
-				m.stats.RegNanos += int64(rtt)
-				if forced {
-					m.stats.SNFailovers++
+		merge := func(reply transport.Message, err error) {
+			if err == nil {
+				rtt := m.rt.Now().Sub(t0)
+				if err = m.mergeReply(reply); err == nil {
+					m.mu.Lock()
+					m.stats.Registrations++
+					m.stats.RegNanos += int64(rtt)
+					if forced {
+						m.stats.SNFailovers++
+					}
+					m.mu.Unlock()
+					then()
+					return
 				}
-				m.mu.Unlock()
-				return nil
 			}
+			next(err)
 		}
-		lastErr = err
-	}
-	return lastErr
+		m.callRetry(sn, register(forced), m.cfg.ReserveTimeout, 0, func(reply transport.Message, err error) {
+			m.snRecord(sn, err)
+			if err != nil || proto.Peek(reply.Payload) != proto.TShardRedirect {
+				merge(reply, err)
+				return
+			}
+			var rd proto.ShardRedirect
+			err = proto.DecodeInto(reply.Payload, &rd)
+			reply.Release()
+			if err != nil || rd.Addr == "" || rd.Addr == sn {
+				next(fmt.Errorf("mpd: unusable shard redirect from %s", sn))
+				return
+			}
+			m.mu.Lock()
+			m.stats.SNRedirects++
+			m.mu.Unlock()
+			transport.Call(m.rt, m.net, rd.Addr, register(false), m.cfg.ReserveTimeout, merge)
+		})
+	}, func(error) { then() })
 }
 
 // fetchAndUpdate refreshes the cache from the first supernode that
-// delivers a decodable host list (see registerAndUpdate).
-func (m *MPD) fetchAndUpdate() error {
-	var lastErr error
-	for _, sn := range m.supernodes() {
-		if !m.snAllow(sn) {
-			continue
-		}
-		reply, err := m.requestRetry(sn, &proto.FetchPeers{}, m.cfg.ReserveTimeout)
-		m.snRecord(sn, err)
-		if err == nil {
-			if err = m.mergeReply(reply); err == nil {
-				return nil
-			}
-		}
-		lastErr = err
-	}
-	return lastErr
+// delivers a decodable host list (see registerAndUpdate), then hands
+// then the outcome.
+func (m *MPD) fetchAndUpdate(then func(error)) {
+	m.viaSupernodes(func(_ int, sn string, next func(error)) {
+		m.callRetry(sn, transport.Message{Payload: proto.MustMarshal(&proto.FetchPeers{})}, m.cfg.ReserveTimeout, 0,
+			func(reply transport.Message, err error) {
+				m.snRecord(sn, err)
+				if err == nil {
+					if err = m.mergeReply(reply); err == nil {
+						then(nil)
+						return
+					}
+				}
+				next(err)
+			})
+	}, then)
 }
 
 // aliveAny refreshes the last-seen stamp at the first answering
-// supernode; on failure it falls through the configured list so the
-// peer stays listed somewhere while the primary is down. An answering
-// supernode that does not actually list the peer (its entry expired, or
-// it was fostered elsewhere and the home shard just revived) triggers
-// an immediate re-registration instead of refreshing a ghost until the
-// next full re-register tick.
-func (m *MPD) aliveAny() {
-	for _, sn := range m.supernodes() {
-		if !m.snAllow(sn) {
-			continue
-		}
-		reply, err := m.requestRetry(sn, &proto.Alive{ID: m.cfg.Self.ID}, m.cfg.ReserveTimeout)
-		var ack proto.AliveAck
-		if err == nil {
-			err = proto.DecodeInto(reply.Payload, &ack)
-			reply.Release()
-		}
-		m.snRecord(sn, err)
-		if err != nil {
-			continue
-		}
-		if !ack.Known {
-			m.registerAndUpdate()
-		}
-		return
-	}
+// supernode, then runs then; on failure it falls through the configured
+// list so the peer stays listed somewhere while the primary is down. An
+// answering supernode that does not actually list the peer (its entry
+// expired, or it was fostered elsewhere and the home shard just revived)
+// chains into an immediate re-registration instead of refreshing a ghost
+// until the next full re-register tick.
+func (m *MPD) aliveAny(then func()) {
+	m.viaSupernodes(func(_ int, sn string, next func(error)) {
+		m.callRetry(sn, transport.Message{Payload: proto.MustMarshal(&proto.Alive{ID: m.cfg.Self.ID})}, m.cfg.ReserveTimeout, 0,
+			func(reply transport.Message, err error) {
+				var ack proto.AliveAck
+				if err == nil {
+					err = proto.DecodeInto(reply.Payload, &ack)
+					reply.Release()
+				}
+				m.snRecord(sn, err)
+				switch {
+				case err != nil:
+					next(err)
+				case !ack.Known:
+					m.registerAndUpdate(then)
+				default:
+					then()
+				}
+			})
+	}, func(error) { then() })
 }
 
 // pingRound measures the RTT to every cached peer concurrently using the
-// application-level echo of §4.1 (never ICMP).
-func (m *MPD) pingRound() {
+// application-level echo of §4.1 (never ICMP), and runs then once the
+// last answer (or timeout) is in.
+func (m *MPD) pingRound(then func()) {
 	ids := m.cache.IDs()
-	if len(ids) == 0 {
-		return
+	// One count per ping plus one for the loop itself, so then runs after
+	// the last ping was issued even when every answer comes back inline.
+	var mu sync.Mutex
+	left := len(ids) + 1
+	answered := func() {
+		mu.Lock()
+		left--
+		last := left == 0
+		mu.Unlock()
+		if last {
+			then()
+		}
 	}
-	round := newFanIn(m.rt, len(ids))
 	for _, id := range ids {
 		id := id
 		info, ok := m.cache.Peer(id)
 		if !ok {
-			round.done(false)
+			answered()
 			continue
 		}
 		nonce := m.nextNonce()
@@ -959,13 +907,13 @@ func (m *MPD) pingRound() {
 						m.cache.Observe(id, m.rt.Now().Sub(t0))
 					}
 				}
-				round.done(false)
+				answered()
 			})
 		m.mu.Lock()
 		m.stats.PingsSent++
 		m.mu.Unlock()
 	}
-	round.wait()
+	answered()
 }
 
 // rngLocked returns the daemon's seeded generator, building it on first

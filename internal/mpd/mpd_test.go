@@ -174,7 +174,7 @@ func (tb *testbed) boot(t *testing.T) {
 		if peers, err := overlay.FetchFrom(tb.front.net, "frontal:8800", time.Second); err == nil {
 			tb.front.cache.Update(peers)
 		}
-		tb.front.pingRound()
+		tb.front.pingRound(func() {})
 	})
 	tb.s.RunFor(30 * time.Second)
 }

@@ -269,7 +269,13 @@ func (m *MPD) Submit(spec JobSpec) (*JobResult, error) {
 	fetchTarget := mathCeil(float64(need)*m.cfg.Overbook) + 2
 	for stalls, i := 0, 0; i < 2*fetchTarget+8 && stalls < 2 && m.cache.Size() < fetchTarget; i++ {
 		prev := m.cache.Size()
-		if err := m.fetchAndUpdate(); err != nil {
+		var err error
+		f := vtime.NewFanIn(m.rt, 1)
+		m.fetchAndUpdate(func(e error) {
+			err = e
+			f.Done(false)
+		})
+		if f.Wait(); err != nil {
 			break
 		}
 		if m.cache.Size() > prev {
@@ -806,8 +812,9 @@ const (
 // job granularity, so a host reboot cannot masquerade as process
 // liveness.
 func (m *MPD) probeHosts(ids []string, hosts map[string]proto.PeerInfo, jobID string) map[string]probeResult {
+	var mu sync.Mutex
 	answers := make(map[string]probeResult, len(ids))
-	round := newFanIn(m.rt, len(ids))
+	round := vtime.NewFanIn(m.rt, len(ids))
 	for _, id := range ids {
 		id := id
 		nonce := m.nextNonce()
@@ -826,13 +833,13 @@ func (m *MPD) probeHosts(ids []string, hosts map[string]proto.PeerInfo, jobID st
 						}
 					}
 				}
-				round.mu.Lock()
+				mu.Lock()
 				answers[id] = res
-				round.mu.Unlock()
-				round.done(false)
+				mu.Unlock()
+				round.Done(false)
 			})
 	}
-	round.wait()
+	round.Wait()
 	return answers
 }
 
@@ -849,8 +856,9 @@ func (m *MPD) probeHosts(ids []string, hosts map[string]proto.PeerInfo, jobID st
 // through every retry is indistinguishable from a dead one, and the
 // cache entry is re-learned on the next refresh either way.
 func (m *MPD) fanOutReady(hosts []proto.PeerInfo, prep *proto.Prepare) error {
+	var mu sync.Mutex
 	var firstErr error
-	round := newFanIn(m.rt, len(hosts))
+	round := vtime.NewFanIn(m.rt, len(hosts))
 	req := transport.Message{Payload: proto.MustMarshal(prep)}
 	for _, h := range hosts {
 		h := h
@@ -869,15 +877,15 @@ func (m *MPD) fanOutReady(hosts []proto.PeerInfo, prep *proto.Prepare) error {
 					ok, why = rdy.OK, rdy.Reason
 				}
 			}
-			round.mu.Lock()
+			mu.Lock()
 			if !ok && firstErr == nil {
 				firstErr = fmt.Errorf("%w: host %s: %s", ErrLaunchFailed, h.ID, why)
 			}
-			round.mu.Unlock()
-			round.done(false)
+			mu.Unlock()
+			round.Done(false)
 		})
 	}
-	round.wait()
+	round.Wait()
 	return firstErr
 }
 
@@ -887,15 +895,15 @@ func (m *MPD) fanOutReady(hosts []proto.PeerInfo, prep *proto.Prepare) error {
 // (a duplicate Start on a started job just acks), so a lost StartAck
 // cannot double-launch.
 func (m *MPD) fanOutStart(hosts []proto.PeerInfo, key string) error {
-	round := newFanIn(m.rt, len(hosts))
+	round := vtime.NewFanIn(m.rt, len(hosts))
 	req := transport.Message{Payload: proto.MustMarshal(&proto.Start{Key: key})}
 	for _, h := range hosts {
 		m.callRetry(h.MPDAddr, req, m.cfg.StartTimeout, 0, func(reply transport.Message, err error) {
 			reply.Release()
-			round.done(err != nil)
+			round.Done(err != nil)
 		})
 	}
-	if !round.wait() {
+	if !round.Wait() {
 		return fmt.Errorf("%w: start fan-out failed", ErrLaunchFailed)
 	}
 	return nil

@@ -16,7 +16,8 @@ import (
 // daemon's Close: nothing is served while the host is down, the
 // surviving endpoint answers again after the reboot, garbage makes the
 // daemon hang up, a closed supernode hangs up without touching its
-// table, and only the sweep loop is left at quiesce. The client's log
+// table, and no supernode actor is left at quiesce (the sweep is a
+// timer chain). The client's log
 // and the daemon-side closes (each a FIN) are those of the
 // accept-loop-and-Recv-loop path, to the nanosecond.
 func TestSupernodeCrashRestoreCloseHygiene(t *testing.T) {
@@ -61,8 +62,8 @@ func TestSupernodeCrashRestoreCloseHygiene(t *testing.T) {
 	if listed != 2 { // p1 and p3; p2 never arrived, p4 found the daemon closed
 		t.Errorf("%d peers listed, want 2", listed)
 	}
-	if actors != 1 {
-		t.Errorf("%d supernode actors at quiesce, want the sweep loop only", actors)
+	if actors != 0 {
+		t.Errorf("%d supernode actors at quiesce, want none", actors)
 	}
 	if !slices.Equal(log, pullLog) {
 		t.Errorf("client log diverged\ncallback: %q\npull:     %q", log, pullLog)

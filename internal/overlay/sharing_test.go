@@ -417,7 +417,7 @@ func (l *loopbackNet) Dial(addr string) (transport.Conn, error) {
 // real goroutines: three members on loopback TCP under vtime.Real
 // gossip at 5 ms while clients register and fetch concurrently, so
 // serveConn goroutines encode from views and snapshots in the same
-// instants the gossip actor recycles, adopts and publishes them. The
+// instants the gossip rounds recycle, adopt and publish them. The
 // assertions are convergence; the point is running it under -race.
 func TestRealFederationConvergesWhileServing(t *testing.T) {
 	const k = 3

@@ -214,7 +214,8 @@ type Supernode struct {
 	memberSeen map[int]time.Time
 	stats      SupernodeStats
 
-	// gossip is the gossip actor's scratch (only gossipWith touches it):
+	// gossip is the gossip round's scratch (only gossipWith and applyDelta
+	// touch it, one exchange at a time):
 	// the digest's version vector and frame, the decode target of every
 	// reply — whose Peers/Seen buffers trade places with the snapshots
 	// they replace — and the resolver with its per-shard hints. The
@@ -267,8 +268,9 @@ func (s *Supernode) rngLocked() *rand.Rand {
 	return s.rng
 }
 
-// Start binds the listener, starts serving it and spawns the sweep and
-// (in a federation) gossip loops.
+// Start binds the listener, starts serving it and arms the sweep and (in
+// a federation) gossip timer chains: each round runs in its timer event
+// and re-arms the next, so an idle supernode holds no parked actor.
 func (s *Supernode) Start() error {
 	ln, err := s.net.Listen(s.cfg.Addr)
 	if err != nil {
@@ -278,9 +280,9 @@ func (s *Supernode) Start() error {
 	s.ln = ln
 	s.mu.Unlock()
 	transport.Serve(s.rt, ln, "supernode.conn", s.serveConn)
-	s.rt.Go("supernode.sweep", s.sweepLoop)
+	s.rt.Schedule(s.cfg.SweepInterval, s.sweep)
 	if s.cfg.federated() {
-		s.rt.Go("supernode.gossip", s.gossipLoop)
+		s.rt.Schedule(s.cfg.GossipInterval, func() { s.gossipTick(0) })
 	}
 	return nil
 }
@@ -607,73 +609,75 @@ func (s *Supernode) mergedDropLocked(id string, shard int) {
 	s.meta = spliceOut(s.meta, i)
 }
 
-func (s *Supernode) sweepLoop() {
-	for {
-		s.rt.Sleep(s.cfg.SweepInterval)
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		now := s.rt.Now()
-		cutoff := now.Add(-s.cfg.TTL)
-		for id, e := range s.peers {
-			if e.lastSeen.Before(cutoff) {
-				delete(s.peers, id)
-				if i, found := findSorted(s.listCache, id); found {
-					s.listCache = spliceOut(s.listCache, i)
-				}
-				s.bumpVersionLocked(now)
-				if s.cfg.federated() {
-					s.mergedDropLocked(id, s.cfg.Shard)
-				}
-			}
-		}
-		// A federation member silent past the TTL (no digest served, no
-		// digest answered — its snapshot's arrival anchors a member we
-		// only ever learned about transitively) gets its shard swept
-		// from the merged view: a permanently dead shard must not keep
-		// its expired peers listed forever. Peers that failed over are
-		// owned elsewhere by now and survive via reinstatement. One
-		// rebuild against an empty claim set, not a splice per entry.
-		for k, r := range s.remote {
-			anchor := s.memberSeen[k]
-			if anchor.IsZero() || r.appliedAt.After(anchor) {
-				anchor = r.appliedAt
-			}
-			if anchor.Before(cutoff) {
-				delete(s.remote, k)
-				delete(s.memberSeen, k)
-				s.rebuildMergedLocked(k, nil, nil)
-			}
-		}
+// sweep purges the peers (and federation members) silent past the TTL,
+// then re-arms itself SweepInterval later, until Close.
+func (s *Supernode) sweep() {
+	s.mu.Lock()
+	if s.closed {
 		s.mu.Unlock()
+		return
 	}
+	now := s.rt.Now()
+	cutoff := now.Add(-s.cfg.TTL)
+	for id, e := range s.peers {
+		if e.lastSeen.Before(cutoff) {
+			delete(s.peers, id)
+			if i, found := findSorted(s.listCache, id); found {
+				s.listCache = spliceOut(s.listCache, i)
+			}
+			s.bumpVersionLocked(now)
+			if s.cfg.federated() {
+				s.mergedDropLocked(id, s.cfg.Shard)
+			}
+		}
+	}
+	// A federation member silent past the TTL (no digest served, no
+	// digest answered — its snapshot's arrival anchors a member we
+	// only ever learned about transitively) gets its shard swept
+	// from the merged view: a permanently dead shard must not keep
+	// its expired peers listed forever. Peers that failed over are
+	// owned elsewhere by now and survive via reinstatement. One
+	// rebuild against an empty claim set, not a splice per entry.
+	for k, r := range s.remote {
+		anchor := s.memberSeen[k]
+		if anchor.IsZero() || r.appliedAt.After(anchor) {
+			anchor = r.appliedAt
+		}
+		if anchor.Before(cutoff) {
+			delete(s.remote, k)
+			delete(s.memberSeen, k)
+			s.rebuildMergedLocked(k, nil, nil)
+		}
+	}
+	s.mu.Unlock()
+	s.rt.Schedule(s.cfg.SweepInterval, s.sweep)
 }
 
 // --- Gossip: digest exchange and anti-entropy ---
 
-// gossipLoop pulls from the next federation member in a deterministic
-// rotation every GossipInterval. Pull replies carry every shard the
-// replier knows, so information spreads transitively (O(log K) rounds
-// to converge) even though each member contacts one peer per tick.
-func (s *Supernode) gossipLoop() {
-	k := len(s.cfg.Federation)
-	for tick := 0; ; tick++ {
-		s.rt.Sleep(s.cfg.GossipInterval)
-		if s.isClosed() {
-			return
-		}
-		s.gossipWith((s.cfg.Shard + 1 + tick%(k-1)) % k)
+// gossipTick pulls from the next federation member in a deterministic
+// rotation, and GossipInterval after the exchange ends the next tick
+// runs, until Close. Pull replies carry every shard the replier knows,
+// so information spreads transitively (O(log K) rounds to converge) even
+// though each member contacts one peer per tick. One exchange is in
+// flight at a time, which is what keeps s.gossip single-owner.
+func (s *Supernode) gossipTick(tick int) {
+	if s.isClosed() {
+		return
 	}
+	k := len(s.cfg.Federation)
+	s.gossipWith((s.cfg.Shard+1+tick%(k-1))%k, func() {
+		s.rt.Schedule(s.cfg.GossipInterval, func() { s.gossipTick(tick + 1) })
+	})
 }
 
 // gossipWith runs one digest round trip against the member at the
-// given shard index and applies whatever snapshots come back. The reply
-// is decoded outside the lock into the actor's scratch, each entry
-// resolved against the snapshot it is about to replace (the hints,
-// captured with the version vector) before any string is built.
-func (s *Supernode) gossipWith(shard int) {
+// given shard index — a Call whose continuation applies whatever
+// snapshots come back — then runs then. The reply is decoded outside the
+// lock into the gossip scratch, each entry resolved against the snapshot
+// it is about to replace (the hints, captured with the version vector)
+// before any string is built.
+func (s *Supernode) gossipWith(shard int, then func()) {
 	addr := s.cfg.Federation[shard]
 	g := &s.gossip
 	s.mu.Lock()
@@ -686,16 +690,25 @@ func (s *Supernode) gossipWith(shard int) {
 
 	frame, err := proto.AppendMarshal(g.frame[:0], &proto.Digest{From: s.cfg.Shard, Versions: g.versions})
 	if err != nil {
+		then()
 		return
 	}
 	g.frame = frame
-	reply, err := transport.RequestReply(s.net, addr,
-		transport.Message{Payload: frame}, s.cfg.GossipInterval*4)
-	if err != nil {
-		return
-	}
+	transport.Call(s.rt, s.net, addr, transport.Message{Payload: frame}, s.cfg.GossipInterval*4,
+		func(reply transport.Message, err error) {
+			if err == nil {
+				s.applyDelta(shard, int64(len(frame)), reply)
+			}
+			then()
+		})
+}
+
+// applyDelta decodes a digest reply into the gossip scratch and folds
+// its snapshots into the federation view; sent is the digest's size.
+func (s *Supernode) applyDelta(shard int, sent int64, reply transport.Message) {
+	g := &s.gossip
 	got := int64(len(reply.Payload))
-	err = g.resolver.DecodeShardDelta(reply.Payload, &g.delta)
+	err := g.resolver.DecodeShardDelta(reply.Payload, &g.delta)
 	reply.Release()
 	if err != nil {
 		return
@@ -703,7 +716,7 @@ func (s *Supernode) gossipWith(shard int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.GossipExchanges++
-	s.stats.GossipBytesOut += int64(len(frame))
+	s.stats.GossipBytesOut += sent
 	s.stats.GossipBytesIn += got
 	// The replying member's serveConn already charges both frames to its
 	// BytesIn/BytesOut — charging them here too would double-count every
@@ -989,20 +1002,14 @@ func FetchFrom(net transport.Network, snAddr string, timeout time.Duration) ([]p
 
 // FetchFromInto is FetchFrom appending into dst (reusing its capacity).
 func FetchFromInto(net transport.Network, snAddr string, timeout time.Duration, dst []proto.PeerInfo) ([]proto.PeerInfo, error) {
-	reply, err := FetchRaw(net, snAddr, timeout)
+	reply, err := transport.RequestReply(net, snAddr,
+		transport.Message{Payload: proto.MustMarshal(&proto.FetchPeers{})}, timeout)
 	if err != nil {
 		return dst, err
 	}
 	out, err := proto.UnmarshalPeerList(reply.Payload, dst)
 	reply.Release()
 	return out, err
-}
-
-// FetchRaw performs the FetchPeers exchange and returns the raw PeerList
-// reply frame; see RegisterRaw for why callers decode it themselves.
-func FetchRaw(net transport.Network, snAddr string, timeout time.Duration) (transport.Message, error) {
-	return transport.RequestReply(net, snAddr,
-		transport.Message{Payload: proto.MustMarshal(&proto.FetchPeers{})}, timeout)
 }
 
 // SendAlive refreshes self's last-seen stamp at the supernode. The

@@ -168,14 +168,14 @@ func ReleaseAll(rt vtime.Runtime, net transport.Network, peers []proto.PeerInfo,
 	if len(peers) == 0 {
 		return
 	}
-	round := newFanIn(rt, len(peers))
+	round := vtime.NewFanIn(rt, len(peers))
 	payload := proto.MustMarshal(&proto.Cancel{Key: key})
 	for _, p := range peers {
 		transport.Call(rt, net, p.RSAddr, transport.Message{Payload: payload}, timeout,
 			func(reply transport.Message, _ error) {
 				reply.Release()
-				round.done()
+				round.Done(false)
 			})
 	}
-	round.wait()
+	round.Wait()
 }

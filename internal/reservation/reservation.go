@@ -283,36 +283,6 @@ func (s *Service) Stats() (accepted, rejected int64) {
 
 // Client side: the submitter's RS broker (§4.2 steps 2-5).
 
-// fanIn is the receiving end of a fan-out of Calls: a countdown their
-// continuations report to, which wakes the one blocked caller when the
-// last answer is in. The continuations run in delivery context on simnet
-// and on a goroutine each over TCP, hence the lock.
-type fanIn struct {
-	mu   sync.Mutex
-	left int
-	mb   vtime.Mailbox
-}
-
-func newFanIn(rt vtime.Runtime, n int) *fanIn {
-	f := &fanIn{left: n, mb: rt.NewMailbox()}
-	if n == 0 {
-		f.mb.Push(struct{}{})
-	}
-	return f
-}
-
-func (f *fanIn) done() {
-	f.mu.Lock()
-	f.left--
-	last := f.left == 0
-	f.mu.Unlock()
-	if last {
-		f.mb.Push(struct{}{})
-	}
-}
-
-func (f *fanIn) wait() { f.mb.Pop() }
-
 // Offer is one positive answer gathered by Broker, in request order.
 type Offer struct {
 	Peer proto.PeerInfo
@@ -343,7 +313,7 @@ func Broker(rt vtime.Runtime, net transport.Network, candidates []proto.PeerInfo
 		p    int
 	}
 	results := make([]answer, len(candidates))
-	round := newFanIn(rt, len(candidates))
+	round := vtime.NewFanIn(rt, len(candidates))
 	payload := proto.MustMarshal(&req) // each request carries the same key
 	for i, cand := range candidates {
 		i := i
@@ -362,11 +332,11 @@ func Broker(rt vtime.Runtime, net transport.Network, candidates []proto.PeerInfo
 					}
 					reply.Release()
 				}
-				round.done()
+				round.Done(false)
 			})
 	}
 	// Every Call answers exactly once, within the timeout plus the dial.
-	round.wait()
+	round.Wait()
 
 	var out BrokerResult
 	for i, cand := range candidates {

@@ -115,3 +115,45 @@ func (m *realMailbox) Len() int {
 	defer m.mu.Unlock()
 	return len(m.items)
 }
+
+// FanIn is the receiving end of a fan-out of callbacks (transport.Call
+// continuations): a countdown they report to, which wakes the one parked
+// caller once — when the last answer is in, or at the first one that
+// aborts the wait. The continuations run in delivery context in virtual
+// time and on a goroutine each over TCP, hence the lock; state they
+// share beside the count is theirs to guard.
+type FanIn struct {
+	mu   sync.Mutex
+	left int
+	mb   Mailbox
+}
+
+// NewFanIn returns a countdown of n answers on rt's mailboxes.
+func NewFanIn(rt Runtime, n int) *FanIn {
+	f := &FanIn{left: n, mb: rt.NewMailbox()}
+	if n == 0 {
+		f.mb.Push(true)
+	}
+	return f
+}
+
+// Done counts one answer in; abort writes the outstanding ones off.
+func (f *FanIn) Done(abort bool) {
+	f.mu.Lock()
+	wake := f.left > 0 && (abort || f.left == 1)
+	f.left--
+	if wake {
+		f.left = 0 // later answers find nobody to wake
+	}
+	f.mu.Unlock()
+	if wake {
+		f.mb.Push(!abort)
+	}
+}
+
+// Wait parks the caller until the countdown ends and reports whether
+// every answer came in (false: one aborted it).
+func (f *FanIn) Wait() bool {
+	v, _ := f.mb.Pop()
+	return v.(bool)
+}

@@ -28,8 +28,9 @@ type Runtime interface {
 	Go(name string, fn func())
 	// Schedule runs fn once at now+d without dedicating a goroutine to
 	// the wait. fn runs outside any actor context and must not block;
-	// daemons use it for timer chains (spawn the real work with Go) so
-	// an idle daemon holds no parked goroutine per periodic loop.
+	// daemons use it for timer chains whose rounds run inside the event
+	// (as chains of transport.Call continuations), so periodic work
+	// parks no actor, idle or busy.
 	Schedule(d time.Duration, fn func())
 	// NewMailbox creates a runtime-portable FIFO for blocking hand-offs.
 	NewMailbox() Mailbox

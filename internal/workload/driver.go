@@ -16,13 +16,14 @@ type Stats struct {
 	Observed time.Duration
 }
 
-// Driver replays a submission trace against a vtime.Runtime: one actor
-// sleeps along the timeline and hands each Submission to the hook at
-// its exact virtual arrival time, in timeline order. The hook runs on
-// the driver's actor and must not block for the duration of the job —
-// hand the submission to a scheduler queue (sched.Scheduler.Enqueue
-// never blocks) and return. The same shape as churn.Driver, so open
-// workloads and fault injection compose on one world.
+// Driver replays a submission trace against a vtime.Runtime as a chain
+// of timer events: each event hands the Submissions due at its instant
+// to the hook, in timeline order, and queues the next event at the
+// following arrival. The hook runs in that event, outside any actor, and
+// must not block — hand the submission to a scheduler queue
+// (sched.Scheduler.Enqueue never blocks) and return. The same shape as
+// churn.Driver, so open workloads and fault injection compose on one
+// world.
 type Driver struct {
 	rt     vtime.Runtime
 	next   func() (Submission, bool)
@@ -31,9 +32,9 @@ type Driver struct {
 	mu      sync.Mutex
 	started bool
 	stopped bool
+	drained bool
 	startAt time.Time
 	stats   Stats
-	done    chan struct{}
 }
 
 // NewDriver builds a driver over a precomputed trace (see Trace).
@@ -51,14 +52,15 @@ func NewDriver(rt vtime.Runtime, trace []Submission, submit func(Submission)) *D
 
 // NewStreamDriver builds a driver over a pull source instead of a
 // materialized trace: next is called once per submission, from the
-// replay actor only, and must return timeline-ordered submissions until
-// it reports false. Pair it with workload.Stream for long-horizon
+// replay's events only, and must return timeline-ordered submissions
+// until it reports false. Pair it with workload.Stream for long-horizon
 // replays whose full trace would not fit in memory.
 func NewStreamDriver(rt vtime.Runtime, next func() (Submission, bool), submit func(Submission)) *Driver {
-	return &Driver{rt: rt, next: next, submit: submit, done: make(chan struct{})}
+	return &Driver{rt: rt, next: next, submit: submit}
 }
 
-// Start spawns the replay actor. Idempotent.
+// Start queues the replay's first event at the current instant; arrival
+// offsets count from here. Idempotent.
 func (d *Driver) Start() {
 	d.mu.Lock()
 	if d.started || d.stopped {
@@ -66,23 +68,18 @@ func (d *Driver) Start() {
 		return
 	}
 	d.started = true
+	d.startAt = d.rt.Now()
 	d.mu.Unlock()
-	d.rt.Go("workload.driver", d.replay)
+	d.rt.Schedule(0, func() { d.replay(d.next()) })
 }
 
-func (d *Driver) replay() {
-	defer close(d.done)
-	start := d.rt.Now()
-	d.mu.Lock()
-	d.startAt = start
-	d.mu.Unlock()
-	for {
-		sub, ok := d.next()
-		if !ok {
+// replay delivers sub and every later submission already due, then
+// queues the event of the first one that is not.
+func (d *Driver) replay(sub Submission, ok bool) {
+	for ; ok; sub, ok = d.next() {
+		if wait := d.startAt.Add(sub.At).Sub(d.rt.Now()); wait > 0 {
+			d.rt.Schedule(wait, func() { d.replay(sub, true) })
 			return
-		}
-		if wait := start.Add(sub.At).Sub(d.rt.Now()); wait > 0 {
-			d.rt.Sleep(wait)
 		}
 		// Stop/submit must be atomic per submission: a Stop that lands
 		// between the stopped check and the hook call would otherwise
@@ -94,23 +91,23 @@ func (d *Driver) replay() {
 		d.mu.Lock()
 		if d.stopped {
 			d.mu.Unlock()
-			return
+			break
 		}
 		d.stats.Submitted++
 		d.submit(sub)
 		d.mu.Unlock()
 	}
+	d.mu.Lock()
+	d.drained = true
+	d.mu.Unlock()
 }
 
-// Drained reports whether the replay actor delivered the whole trace
-// (polled by harness pump loops; never blocks).
+// Drained reports whether the replay delivered the whole trace (or was
+// stopped): polled by harness pump loops; never blocks.
 func (d *Driver) Drained() bool {
-	select {
-	case <-d.done:
-		return true
-	default:
-		return false
-	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.drained
 }
 
 // Stop halts the replay (no further submissions fire) and returns the
