@@ -15,26 +15,37 @@ import (
 // that may start an actor, with how many Go calls it makes. The rule:
 // only processes of the simulated system are actors — job runners, MPI
 // processes and their heartbeat and detector loops, scheduler workers —
-// plus the transport's fallbacks for networks that cannot call back
-// (TCP) and the harness's submitter. Daemon lifecycles, gossip, sweeps,
-// boot, RPCs and arrivals are event chains.
+// plus the harness's submitter. Daemon lifecycles, gossip, sweeps, boot,
+// RPCs and arrivals are event chains, on every network.
 var allowedActors = map[string]int{
-	"internal/mpd.handleStart":     1, // mpd.job.*: one job runner per launched job
-	"internal/mpd.runJob":          1, // proc.*: the job's MPI processes
-	"internal/mpi.Join":            2, // mpi.hb.* / mpi.fd.*: heartbeat and failure detector
-	"internal/mpi.RunLocal":        1, // mpi.local.*: processes of a local run
-	"internal/sched.Start":         1, // sched.worker.*: the submitters
-	"internal/transport.Serve":     1, // the accept loop of a listener without callbacks
-	"internal/transport.serveConn": 1, // the Recv loop of a conn without callbacks
-	"internal/transport.Call":      1, // RequestReply on a network without callbacks
-	"internal/exp.submitPumped":    1, // the harness's submitter actor
+	"internal/mpd.MPD.handleStart":   1, // mpd.job.*: one job runner per launched job
+	"internal/mpd.MPD.runJob":        1, // proc.*: the job's MPI processes
+	"internal/mpi.Join":              2, // mpi.hb.* / mpi.fd.*: heartbeat and failure detector
+	"internal/mpi.RunLocal":          1, // mpi.local.*: processes of a local run
+	"internal/sched.Scheduler.Start": 1, // sched.worker.*: the submitters
+	"internal/exp.submitPumped":      1, // the harness's submitter actor
 }
 
-// TestOnlySimulatedProcessesAreActors parses every non-test Go file under
-// internal/ and fails on any .Go( call site outside allowedActors (or
-// beyond its count).
-func TestOnlySimulatedProcessesAreActors(t *testing.T) {
-	found := map[string][]string{}
+// allowedGoroutines lists every function of the non-test code under
+// internal/ with go statements, and how many. Goroutines belong to the
+// real world — the wall-clock runtime's actors, TCP's delivery context
+// — and to parallelism the simulation cannot see: shard workers, the
+// sweep pool and the world's parallel host build.
+var allowedGoroutines = map[string]int{
+	"internal/vtime.Real.Go":                1, // an actor on the wall-clock runtime
+	"internal/vtime.NewDomain":              1, // one worker per shard
+	"internal/exp.runPool":                  1, // the sweep's workers
+	"internal/exp.NewWorld":                 1, // the parallel host build
+	"internal/transport.TCP.DialFunc":       1, // a dial's goroutine
+	"internal/transport.tcpListener.OnConn": 1, // a listener's accept goroutine
+	"internal/transport.tcpConn.OnRecv":     1, // a conn's reader goroutine
+}
+
+// threadSites parses every non-test Go file under internal/ and returns,
+// per function ("dir.Func" or "dir.Type.Method"), the positions of its
+// .Go( calls and of its go statements.
+func threadSites(t *testing.T) (actors, goroutines map[string][]string) {
+	actors, goroutines = map[string][]string{}, map[string][]string{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -50,11 +61,24 @@ func TestOnlySimulatedProcessesAreActors(t *testing.T) {
 				continue
 			}
 			key := filepath.ToSlash(filepath.Dir(path)) + "." + fn.Name.Name
+			if fn.Recv != nil {
+				typ := fn.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				if generic, ok := typ.(*ast.IndexExpr); ok {
+					typ = generic.X
+				}
+				key = strings.TrimSuffix(key, fn.Name.Name) + typ.(*ast.Ident).Name + "." + fn.Name.Name
+			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Go" {
-						found[key] = append(found[key], fset.Position(call.Pos()).String())
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Go" {
+						actors[key] = append(actors[key], fset.Position(n.Pos()).String())
 					}
+				case *ast.GoStmt:
+					goroutines[key] = append(goroutines[key], fset.Position(n.Pos()).String())
 				}
 				return true
 			})
@@ -64,19 +88,41 @@ func TestOnlySimulatedProcessesAreActors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return actors, goroutines
+}
+
+// checkAllowList fails t on any site of found outside allowed (or beyond
+// its count), and on any allow-list entry that matches nothing.
+func checkAllowList(t *testing.T, what string, found map[string][]string, allowed map[string]int) {
+	t.Helper()
 	keys := make([]string, 0, len(found))
 	for k := range found {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if sites := found[k]; len(sites) > allowedActors[k] {
-			t.Errorf("%s starts %d actors, %d allowed: %s", k, len(sites), allowedActors[k], strings.Join(sites, ", "))
+		if sites := found[k]; len(sites) > allowed[k] {
+			t.Errorf("%s starts %d %s, %d allowed: %s", k, len(sites), what, allowed[k], strings.Join(sites, ", "))
 		}
 	}
-	for k, n := range allowedActors {
+	for k, n := range allowed {
 		if len(found[k]) == 0 {
-			t.Errorf("allow-list entry %s (%d) matches no Go call: drop it", k, n)
+			t.Errorf("allow-list entry %s (%d) matches no site: drop it", k, n)
 		}
 	}
+}
+
+// TestOnlySimulatedProcessesAreActors fails on any .Go( call site
+// outside allowedActors.
+func TestOnlySimulatedProcessesAreActors(t *testing.T) {
+	actors, _ := threadSites(t)
+	checkAllowList(t, "actors", actors, allowedActors)
+}
+
+// TestGoStatementsOnlyWhereAllowed fails on any go statement outside
+// allowedGoroutines: a simulated component that starts a goroutine
+// escapes the scheduler's determinism.
+func TestGoStatementsOnlyWhereAllowed(t *testing.T) {
+	_, goroutines := threadSites(t)
+	checkAllowList(t, "goroutines", goroutines, allowedGoroutines)
 }

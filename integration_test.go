@@ -7,8 +7,8 @@ package p2pmpi
 
 import (
 	"fmt"
-	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,16 +21,16 @@ import (
 	"p2pmpi/internal/vtime"
 )
 
-// freePort grabs an OS-assigned TCP port.
-func freePort(t *testing.T) int {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	return l.Addr().(*net.TCPAddr).Port
+// loopbackPorts returns the first of n fresh consecutive loopback ports,
+// all below Linux's ephemeral range (32768–60999) and below the peers'
+// proc-port windows (22000+). A port in the ephemeral range can be
+// taken by some outbound connection's source port between the pick and
+// the Listen; here nothing but these tests binds.
+func loopbackPorts(n int) int {
+	return 20000 + int(nextLoopbackPort.Add(int32(n))-int32(n))%1900
 }
+
+var nextLoopbackPort atomic.Int32
 
 func tcpPrograms() map[string]mpd.Program {
 	return map[string]mpd.Program{
@@ -66,7 +66,7 @@ func newTCPWorld(t *testing.T, k, p int) *tcpWorld {
 	rt := vtime.Real{}
 	tcp := transport.TCP{}
 
-	snAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	snAddr := fmt.Sprintf("127.0.0.1:%d", loopbackPorts(1))
 	w := &tcpWorld{}
 	w.sn = overlay.NewSupernode(rt, tcp, overlay.SupernodeConfig{Addr: snAddr})
 	if err := w.sn.Start(); err != nil {
@@ -78,8 +78,8 @@ func newTCPWorld(t *testing.T, k, p int) *tcpWorld {
 		d := mpd.New(rt, tcp, mpd.Config{
 			Self: proto.PeerInfo{
 				ID: id, Site: "local",
-				MPDAddr: fmt.Sprintf("127.0.0.1:%d", freePort(t)),
-				RSAddr:  fmt.Sprintf("127.0.0.1:%d", freePort(t)),
+				MPDAddr: fmt.Sprintf("127.0.0.1:%d", loopbackPorts(1)),
+				RSAddr:  fmt.Sprintf("127.0.0.1:%d", loopbackPorts(1)),
 			},
 			P:    pLimit,
 			Seed: int64(len(id)),
@@ -103,8 +103,8 @@ func newTCPWorld(t *testing.T, k, p int) *tcpWorld {
 	}
 	// Distinct proc-port windows per peer, since all share 127.0.0.1,
 	// and all of them below Linux's ephemeral range (32768–60999): ports
-	// there are what freePort and every outbound connection's source
-	// port are drawn from, so a slot port in it can be taken already.
+	// there are what every outbound connection's source port is drawn
+	// from, so a slot port in it can be taken already.
 	for i := 0; i < k; i++ {
 		w.peers = append(w.peers, mk(fmt.Sprintf("peer%02d", i), p, 22000+i*500))
 	}
@@ -300,8 +300,7 @@ func TestFacadeRunLocalRealTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
 	}
-	base := freePort(t)
-	errs := RunLocal(RealRuntime(), TCPNetwork(), "127.0.0.1", base, 4, Algorithms{},
+	errs := RunLocal(RealRuntime(), TCPNetwork(), "127.0.0.1", loopbackPorts(4), 4, Algorithms{},
 		func(c *Comm) error {
 			sum, err := c.AllreduceF64([]float64{float64(c.Rank())}, OpSum)
 			if err != nil {

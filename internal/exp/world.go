@@ -480,7 +480,7 @@ func (w *World) Boot() error {
 	// The frontal registered before the peers: refresh its view and
 	// measure everyone, as the MPD does before booking (§4.2 step 2).
 	w.S.Schedule(0, func() {
-		transport.Call(w.S, w.Net.Node(w.FrontalID), w.SNAddr,
+		transport.Call(w.Net.Node(w.FrontalID), w.SNAddr,
 			transport.Message{Payload: proto.MustMarshal(&proto.FetchPeers{})}, 2*time.Second,
 			func(reply transport.Message, err error) {
 				if err != nil {

@@ -3,7 +3,6 @@ package mpd
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,68 +16,47 @@ import (
 	"p2pmpi/internal/vtime"
 )
 
-// callTwins runs one script on two testbeds — every daemon's RPCs on
-// simnet's callback path (transport.Call as delivery events), and on
-// the PullOnly twin (Call as RequestReply on a spawned actor, the only
-// client path there was before Call) — and fails unless both produce
-// the same fingerprint: whatever the script returns, then every
-// daemon's Stats, the frontal's ranked cache with its latencies, and
-// every FIN either world sent, to the nanosecond. It returns the
-// callback world's script output and stats for the caller's own
-// non-vacuity checks.
-func callTwins(t *testing.T, nNear, nFar, cores int, tune func(*Shared), script func(tb *testbed) string) (out string, front Stats) {
+// callPinned runs one script on a testbed whose daemons' RPCs are
+// transport.Calls and fails unless it leaves the pinned fingerprint:
+// whatever the script returns, then every daemon's Stats, the frontal's
+// ranked cache with its latencies, and every FIN the world sent, to the
+// nanosecond. Each pin was recorded when the same world with every Call
+// a RequestReply on a spawned actor still produced the same timeline.
+// It returns the script output and the frontal's stats for the
+// caller's own non-vacuity checks.
+func callPinned(t *testing.T, nNear, nFar, cores int, tune func(*Shared), pin string, script func(tb *testbed) string) (out string, front Stats) {
 	t.Helper()
-	run := func(pull bool) (fp []string, closes []string, front Stats, spawned int) {
-		tb := newTestbedWith(t, nNear, nFar, cores, func(s *vtime.Scheduler, _ string, n transport.Network) transport.Network {
-			n = nettest.LogCloses(n, s.Elapsed, &closes)
-			if pull {
-				n = nettest.PullOnly(n)
-			}
-			return n
-		}, tune)
-		tb.boot(t)
-		fp = append(fp, script(tb))
-		for _, m := range append([]*MPD{tb.front}, tb.peers...) {
-			fp = append(fp, fmt.Sprintf("%s %+v", m.cfg.Self.ID, m.Stats()))
-		}
-		for _, rp := range tb.front.cache.Ranked() {
-			fp = append(fp, fmt.Sprintf("rank %s %v", rp.Info.ID, rp.Latency))
-		}
-		fp = append(fp, fmt.Sprintf("clock %v", tb.s.Elapsed()))
-		return fp, closes, tb.front.Stats(), tb.s.Spawned()
+	var fp, closes []string
+	tb := newTestbedWith(t, nNear, nFar, cores, func(s *vtime.Scheduler, _ string, n transport.Network) transport.Network {
+		return nettest.LogCloses(n, s.Elapsed, &closes)
+	}, tune)
+	tb.boot(t)
+	fp = append(fp, script(tb))
+	for _, m := range append([]*MPD{tb.front}, tb.peers...) {
+		fp = append(fp, fmt.Sprintf("%s %+v", m.cfg.Self.ID, m.Stats()))
 	}
-	fp, closes, front, spawned := run(false)
-	pullFP, pullCloses, _, pullSpawned := run(true)
-	sameTimelines(t, fp, pullFP, closes, pullCloses)
-	if spawned >= pullSpawned {
-		t.Fatalf("the callback world spawned %d actors, its PullOnly twin %d: Call did not take the callback path", spawned, pullSpawned)
+	for _, rp := range tb.front.cache.Ranked() {
+		fp = append(fp, fmt.Sprintf("rank %s %v", rp.Info.ID, rp.Latency))
 	}
-	t.Logf("%d FINs, %d actors by callback against %d by pull", len(closes), spawned, pullSpawned)
-	return fp[0], front
+	fp = append(fp, fmt.Sprintf("clock %v", tb.s.Elapsed()))
+	matchesPin(t, fp, closes, pin)
+	return fp[0], tb.front.Stats()
 }
 
-// sameTimelines fails t unless the callback and PullOnly worlds left
-// the same fingerprint and the same, non-empty, close log.
-func sameTimelines(t *testing.T, fp, pullFP, closes, pullCloses []string) {
+// matchesPin fails t unless the close log is non-empty and the
+// fingerprint and close log together digest to pin.
+func matchesPin(t *testing.T, fp, closes []string, pin string) {
 	t.Helper()
-	if !slices.Equal(fp, pullFP) {
-		for i := range fp {
-			if i >= len(pullFP) || fp[i] != pullFP[i] {
-				t.Fatalf("fingerprints diverge at line %d\ncallback: %s\npull:     %s", i, fp[i], pullFP[min(i, len(pullFP)-1)])
-			}
-		}
-		t.Fatalf("fingerprints diverge: %d lines against %d", len(fp), len(pullFP))
-	}
-	if len(closes) == 0 || !slices.Equal(closes, pullCloses) {
-		t.Fatalf("close logs diverge (%d FINs against %d)", len(closes), len(pullCloses))
+	if got := nettest.Digest(fp, closes); len(closes) == 0 || got != pin {
+		t.Fatalf("%d FINs; timeline digest %s, pinned %s\n%s", len(closes), got, pin, strings.Join(fp, "\n"))
 	}
 }
 
 // TestPingRoundCallMatchesBlocking: boot and periodic ping rounds of
 // seven daemons, two of them dead from the second round on, rank the
-// survivors identically whichever way the pings travel.
+// survivors as the blocking pings did.
 func TestPingRoundCallMatchesBlocking(t *testing.T) {
-	_, front := callTwins(t, 3, 3, 1, func(*Shared) {}, func(tb *testbed) string {
+	_, front := callPinned(t, 3, 3, 1, func(*Shared) {}, "d47ea0cc4a27aee50d6d6f3735de91409b36cb95301297f5c98566bf4e4230d3", func(tb *testbed) string {
 		tb.killHost("near01")
 		tb.killHost("far02")
 		tb.s.RunFor(45 * time.Second) // four more rounds, the dead ones timing out
@@ -93,8 +71,8 @@ func TestPingRoundCallMatchesBlocking(t *testing.T) {
 // loss with RPCRetries 2 — brokering and surplus release, Prepare and
 // Start with retries, the failure detector's probes around a mid-run
 // crash, JobDone retransmissions, then a launch that fails on a host
-// killed after booking and is unwound by cancelLaunch — end in the same
-// JobResults.
+// killed after booking and is unwound by cancelLaunch — end in the
+// JobResults the blocking RPCs reached.
 func TestSubmitCallMatchesBlocking(t *testing.T) {
 	tune := func(sh *Shared) {
 		sh.RPCRetries = 2
@@ -102,7 +80,7 @@ func TestSubmitCallMatchesBlocking(t *testing.T) {
 		sh.PrepareTimeout = 2 * time.Second
 		sh.StartTimeout = 2 * time.Second
 	}
-	out, front := callTwins(t, 4, 4, 1, tune, func(tb *testbed) string {
+	out, front := callPinned(t, 4, 4, 1, tune, "44043b4cbd53207ef692d2daa44f615cce0c6299ef5fbcab285dd96d3d860a45", func(tb *testbed) string {
 		tb.net.SetLinkFault(0.3, 1)
 		describe := func(res *JobResult, err error) string {
 			if err != nil {
@@ -152,9 +130,9 @@ func TestSubmitCallMatchesBlocking(t *testing.T) {
 
 // TestPreemptionKillCallMatchesBlocking: a preemptable job killed
 // mid-run — KillJob fanned out to every used host — fails with
-// ErrPreempted at the same instant on both paths.
+// ErrPreempted at the instant the blocking RPCs reached.
 func TestPreemptionKillCallMatchesBlocking(t *testing.T) {
-	out, _ := callTwins(t, 4, 0, 1, func(*Shared) {}, func(tb *testbed) string {
+	out, _ := callPinned(t, 4, 0, 1, func(*Shared) {}, "0cdc2c390e96de708953b51387eb303bb3e3b6b19ede64f293d93d1798167957", func(tb *testbed) string {
 		res, err := tb.submit(t, JobSpec{
 			Program: "spin", Args: []string{"60"}, N: 3, R: 1, Strategy: core.Spread,
 			Timeout: 2 * time.Minute, Preemptable: true,
@@ -185,97 +163,89 @@ func TestPreemptionKillCallMatchesBlocking(t *testing.T) {
 // the keep-alive falls through to shard 1, is told the peer is unknown
 // and chains into a registration that times out at home (with a retry)
 // and fosters at shard 1, and refreshes fall through the same way. The
-// same world behind nettest.PullOnly — every Call a RequestReply on a
-// spawned actor, every server a Recv loop — must reach the same stats,
-// tables and caches and close the same conns at the same instants.
+// stats, tables, caches and FINs are pinned to those of the same world
+// with every Call a RequestReply on a spawned actor and every server a
+// Recv loop, and no actor is spawned.
 func TestMembershipScriptsCallMatchesBlocking(t *testing.T) {
 	federation := []string{"fsn0:8800", "fsn1:8800"}
 	ids := []string{"frontal", "pa.east", "pb.east", "pc.west", "pd.west", "pe.east", "pf.west", "pg.west"}
-	run := func(pull bool) (fp, closes []string, spawned int, total Stats) {
-		s := vtime.New()
-		t.Cleanup(s.Shutdown)
-		hostSite := map[string]string{"fsn0": "east", "fsn1": "west"}
-		for _, id := range ids {
-			hostSite[id] = "east"
-			if strings.HasSuffix(id, ".west") {
-				hostSite[id] = "west"
-			}
+	var fp, closes []string
+	var total Stats
+	s := vtime.New()
+	t.Cleanup(s.Shutdown)
+	hostSite := map[string]string{"fsn0": "east", "fsn1": "west"}
+	for _, id := range ids {
+		hostSite[id] = "east"
+		if strings.HasSuffix(id, ".west") {
+			hostSite[id] = "west"
 		}
-		net := simnet.New(s, &simnet.StaticTopology{HostSite: hostSite, DefLat: 2 * time.Millisecond},
-			simnet.Config{Seed: 19, JitterFrac: 0.02, JitterFloor: 20 * time.Microsecond, NICBps: 1e9})
-		wrap := func(host string) transport.Network {
-			n := nettest.LogCloses(net.Node(host), s.Elapsed, &closes)
-			if pull {
-				n = nettest.PullOnly(n)
-			}
-			return n
+	}
+	net := simnet.New(s, &simnet.StaticTopology{HostSite: hostSite, DefLat: 2 * time.Millisecond},
+		simnet.Config{Seed: 19, JitterFrac: 0.02, JitterFloor: 20 * time.Microsecond, NICBps: 1e9})
+	wrap := func(host string) transport.Network {
+		return nettest.LogCloses(net.Node(host), s.Elapsed, &closes)
+	}
+	sns := make([]*overlay.Supernode, len(federation))
+	for i := range sns {
+		sns[i] = overlay.NewSupernode(s, wrap(fmt.Sprintf("fsn%d", i)), overlay.SupernodeConfig{
+			Addr: federation[i], Shard: i, Federation: federation,
+			GossipInterval: 200 * time.Millisecond, TTL: time.Minute, SweepInterval: 10 * time.Second,
+		})
+	}
+	var daemons []*MPD
+	for i, id := range ids {
+		sh := &Shared{
+			Programs:     programs(),
+			PingInterval: 20 * time.Second, AliveInterval: 10 * time.Second, RefreshInterval: 15 * time.Second,
+			ReserveTimeout: time.Second, RPCRetries: 1, RPCBackoff: 200 * time.Millisecond,
 		}
-		sns := make([]*overlay.Supernode, len(federation))
-		for i := range sns {
-			sns[i] = overlay.NewSupernode(s, wrap(fmt.Sprintf("fsn%d", i)), overlay.SupernodeConfig{
-				Addr: federation[i], Shard: i, Federation: federation,
-				GossipInterval: 200 * time.Millisecond, TTL: time.Minute, SweepInterval: 10 * time.Second,
-			})
+		if i%2 == 0 {
+			sh.Federation = federation
+		} else {
+			sh.SupernodeAddr = federation[1] // redirected when homed at shard 0
 		}
-		var daemons []*MPD
-		for i, id := range ids {
-			sh := &Shared{
-				Programs:     programs(),
-				PingInterval: 20 * time.Second, AliveInterval: 10 * time.Second, RefreshInterval: 15 * time.Second,
-				ReserveTimeout: time.Second, RPCRetries: 1, RPCBackoff: 200 * time.Millisecond,
-			}
-			if i%2 == 0 {
-				sh.Federation = federation
-			} else {
-				sh.SupernodeAddr = federation[1] // redirected when homed at shard 0
-			}
-			daemons = append(daemons, New(s, wrap(id), Config{
-				Self: proto.PeerInfo{ID: id, Site: hostSite[id], MPDAddr: id + ":9000", RSAddr: id + ":9001"},
-				P:    1, Seed: int64(i + 1), Shared: sh,
-			}))
+		daemons = append(daemons, New(s, wrap(id), Config{
+			Self: proto.PeerInfo{ID: id, Site: hostSite[id], MPDAddr: id + ":9000", RSAddr: id + ":9001"},
+			P:    1, Seed: int64(i + 1), Shared: sh,
+		}))
+	}
+	for _, sn := range sns {
+		if err := sn.Start(); err != nil {
+			t.Fatal(err)
 		}
-		for _, sn := range sns {
-			if err := sn.Start(); err != nil {
-				t.Fatal(err)
-			}
+	}
+	for _, d := range daemons {
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
 		}
-		for _, d := range daemons {
-			if err := d.Start(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		snapshot := func(phase string) {
-			for _, d := range daemons {
-				st := d.Stats()
-				fp = append(fp, fmt.Sprintf("%s %s %+v cache=%d", phase, d.cfg.Self.ID, st, d.Cache().Size()))
-			}
-			for i, sn := range sns {
-				fp = append(fp, fmt.Sprintf("%s fsn%d %v %+v", phase, i, sn.OwnedIDs(), sn.Stats()))
-			}
-			fp = append(fp, fmt.Sprintf("%s clock %v", phase, s.Elapsed()))
-		}
-		s.RunFor(25 * time.Second)
-		snapshot("booted")
-		net.FailHost("fsn0")
-		s.RunFor(45 * time.Second)
-		snapshot("fsn0 down")
+	}
+	snapshot := func(phase string) {
 		for _, d := range daemons {
 			st := d.Stats()
-			total.SNRedirects += st.SNRedirects
-			total.SNFailovers += st.SNFailovers
-			total.RPCRetries += st.RPCRetries
+			fp = append(fp, fmt.Sprintf("%s %s %+v cache=%d", phase, d.cfg.Self.ID, st, d.Cache().Size()))
 		}
-		return fp, closes, s.Spawned(), total
+		for i, sn := range sns {
+			fp = append(fp, fmt.Sprintf("%s fsn%d %v %+v", phase, i, sn.OwnedIDs(), sn.Stats()))
+		}
+		fp = append(fp, fmt.Sprintf("%s clock %v", phase, s.Elapsed()))
 	}
-	fp, closes, spawned, total := run(false)
-	pullFP, pullCloses, pullSpawned, _ := run(true)
-	sameTimelines(t, fp, pullFP, closes, pullCloses)
-	if spawned != 0 || pullSpawned == 0 {
-		t.Fatalf("the callback world spawned %d actors (want none), its PullOnly twin %d", spawned, pullSpawned)
+	s.RunFor(25 * time.Second)
+	snapshot("booted")
+	net.FailHost("fsn0")
+	s.RunFor(45 * time.Second)
+	snapshot("fsn0 down")
+	for _, d := range daemons {
+		st := d.Stats()
+		total.SNRedirects += st.SNRedirects
+		total.SNFailovers += st.SNFailovers
+		total.RPCRetries += st.RPCRetries
+	}
+	if got := s.Spawned(); got != 0 {
+		t.Fatalf("the world spawned %d actors, want none", got)
 	}
 	if total.SNRedirects == 0 || total.SNFailovers == 0 || total.RPCRetries == 0 {
 		t.Fatalf("a script path never ran: %+v", total)
 	}
-	t.Logf("%d FINs; redirects %d, failovers %d, retries %d; %d actors by pull",
-		len(closes), total.SNRedirects, total.SNFailovers, total.RPCRetries, pullSpawned)
+	matchesPin(t, fp, closes, "12425da2dd0e5dad355bdf28f38eff44523045ac56858acf1ac05b5d20cf87a8")
+	t.Logf("redirects %d, failovers %d, retries %d", total.SNRedirects, total.SNFailovers, total.RPCRetries)
 }

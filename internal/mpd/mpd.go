@@ -414,7 +414,7 @@ func (m *MPD) Start() error {
 	m.ln = ln
 	m.mu.Unlock()
 
-	transport.Serve(m.rt, ln, "mpd.conn."+m.cfg.Self.ID, func(c transport.Conn) transport.FrameHandler {
+	transport.Serve(ln, func(c transport.Conn) transport.FrameHandler {
 		return (&connServer{m: m, c: c}).serve
 	})
 	// Periodic work runs on the lifecycle timer chain: one pending
@@ -620,7 +620,7 @@ func (m *MPD) supernodes() []string {
 // (it must not block). With RPCRetries == 0 it is exactly Call — no
 // draws, no events — so fault-free trajectories are untouched.
 func (m *MPD) callRetry(addr string, req transport.Message, timeout time.Duration, k int, done func(transport.Message, error)) {
-	transport.Call(m.rt, m.net, addr, req, timeout, func(reply transport.Message, err error) {
+	transport.Call(m.net, addr, req, timeout, func(reply transport.Message, err error) {
 		if k >= m.cfg.RPCRetries || !transport.Retryable(err) {
 			done(reply, err)
 			return
@@ -816,7 +816,7 @@ func (m *MPD) registerAndUpdate(then func()) {
 			m.mu.Lock()
 			m.stats.SNRedirects++
 			m.mu.Unlock()
-			transport.Call(m.rt, m.net, rd.Addr, register(false), m.cfg.ReserveTimeout, merge)
+			transport.Call(m.net, rd.Addr, register(false), m.cfg.ReserveTimeout, merge)
 		})
 	}, func(error) { then() })
 }
@@ -896,7 +896,7 @@ func (m *MPD) pingRound(then func()) {
 		}
 		nonce := m.nextNonce()
 		t0 := m.rt.Now()
-		transport.Call(m.rt, m.net, info.MPDAddr,
+		transport.Call(m.net, info.MPDAddr,
 			transport.Message{Payload: proto.MustMarshal(&proto.Ping{Nonce: nonce})},
 			m.cfg.ReserveTimeout, func(reply transport.Message, err error) {
 				if err == nil {

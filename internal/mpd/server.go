@@ -338,7 +338,7 @@ func (m *MPD) resendDone(addr string, payload []byte, k int) {
 		if m.isClosed() {
 			return
 		}
-		transport.Call(m.rt, m.net, addr, transport.Message{Payload: payload}, 0,
+		transport.Call(m.net, addr, transport.Message{Payload: payload}, 0,
 			func(transport.Message, error) { m.resendDone(addr, payload, k+1) })
 	})
 }

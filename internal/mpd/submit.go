@@ -818,7 +818,7 @@ func (m *MPD) probeHosts(ids []string, hosts map[string]proto.PeerInfo, jobID st
 	for _, id := range ids {
 		id := id
 		nonce := m.nextNonce()
-		transport.Call(m.rt, m.net, hosts[id].MPDAddr,
+		transport.Call(m.net, hosts[id].MPDAddr,
 			transport.Message{Payload: proto.MustMarshal(&proto.JobPing{Nonce: nonce, JobID: jobID})},
 			m.cfg.ReserveTimeout, func(reply transport.Message, err error) {
 				res := probeSilent
@@ -929,7 +929,7 @@ func (m *MPD) cancelReservation(peer proto.PeerInfo, key string) {
 // castCancel sends one Cancel or KillJob, fire-and-forget: the answer,
 // if one comes within ReserveTimeout, only goes back to the buffer pool.
 func (m *MPD) castCancel(addr string, msg any) {
-	transport.Call(m.rt, m.net, addr, transport.Message{Payload: proto.MustMarshal(msg)},
+	transport.Call(m.net, addr, transport.Message{Payload: proto.MustMarshal(msg)},
 		m.cfg.ReserveTimeout, func(reply transport.Message, _ error) { reply.Release() })
 }
 

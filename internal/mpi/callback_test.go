@@ -70,39 +70,32 @@ func TestDeliverReleasesUnaliasedFrames(t *testing.T) {
 // TestAlltoallHoldsNoReceiveActors: inbound frames run to completion in
 // the delivery event, so after a 32-rank all-to-all — every rank has an
 // inbound conn from every other — the scheduler holds the 32 rank actors
-// and nothing else. The PullOnly twin shows what the count would be with
-// an accept loop per rank and a Recv loop per inbound conn.
+// and nothing else, where an accept loop per rank and a Recv loop per
+// inbound conn would have added n + n(n-1).
 func TestAlltoallHoldsNoReceiveActors(t *testing.T) {
 	const n = 32
-	actorsAfterAlltoall := func(wrap func(transport.Network) transport.Network) int {
-		w := newWorld(t, n, 1, Algorithms{})
-		w.wrap = wrap
-		hold := w.s.NewMailbox()
-		actors := -1
-		w.s.Go("observer", func() {
-			// Every rank is parked on hold once the world goes quiet.
-			w.s.Sleep(time.Minute)
-			actors = w.s.Actors() - 1 // not counting the observer
-			hold.Close()
-		})
-		w.run(t, func(c *Comm) error {
-			parts := make([]Data, n)
-			for i := range parts {
-				parts[i] = Data{Virtual: 1 << 10}
-			}
-			if _, err := c.Alltoall(parts); err != nil {
-				return err
-			}
-			hold.Pop()
-			return nil
-		})
-		return actors
-	}
-	if got := actorsAfterAlltoall(nil); got != n {
-		t.Errorf("%d live actors after the all-to-all, want the %d ranks only", got, n)
-	}
-	if got, want := actorsAfterAlltoall(nettest.PullOnly), n+n+n*(n-1); got != want {
-		t.Errorf("pull-only: %d live actors, want %d (ranks + accept loops + pumps)", got, want)
+	w := newWorld(t, n, 1, Algorithms{})
+	hold := w.s.NewMailbox()
+	actors := -1
+	w.s.Go("observer", func() {
+		// Every rank is parked on hold once the world goes quiet.
+		w.s.Sleep(time.Minute)
+		actors = w.s.Actors() - 1 // not counting the observer
+		hold.Close()
+	})
+	w.run(t, func(c *Comm) error {
+		parts := make([]Data, n)
+		for i := range parts {
+			parts[i] = Data{Virtual: 1 << 10}
+		}
+		if _, err := c.Alltoall(parts); err != nil {
+			return err
+		}
+		hold.Pop()
+		return nil
+	})
+	if actors != n {
+		t.Errorf("%d live actors after the all-to-all, want the %d ranks only", actors, n)
 	}
 }
 
@@ -120,13 +113,10 @@ func (m arrivalLog) Push(v any) {
 	m.Mailbox.Push(v)
 }
 
-// arrivals runs fn on a fresh n×r world and returns every slot's arrival
-// log, through the callback path or (pull) through Serve's fallback.
-func arrivals(t *testing.T, n, r int, pull bool, fn func(w *world, c *Comm) error) [][]string {
+// arrivals runs fn on a fresh n×r world and returns every slot's
+// arrival log.
+func arrivals(t *testing.T, n, r int, fn func(w *world, c *Comm) error) [][]string {
 	w := newWorld(t, n, r, Algorithms{})
-	if pull {
-		w.wrap = nettest.PullOnly
-	}
 	logs := make([][]string, len(w.slots))
 	w.joined = func(c *Comm) {
 		c.inbox = arrivalLog{c.inbox, w.s, &logs[c.cfg.Self.Global]}
@@ -149,32 +139,34 @@ func arrivalDigest(logs [][]string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Pinned arrival digests of the two scripts below. The data plane's
-// host-side structures (rank index, connection table, inbox carriers)
-// may change; what arrives where and when may not.
+// Pinned arrival digests of the two scripts below, recorded when "event
+// → pump → rank" (a Recv loop per inbound conn) still produced the same
+// logs as "event → rank". The data plane's host-side structures (rank
+// index, connection table, inbox carriers) may change; what arrives
+// where and when may not.
 const (
 	pinArrivals         = "85eb34b8ab89cb82126f1f2a3455d4cc7f626f76aa8f03078db72a36c6c39c23"
 	pinFailoverArrivals = "9de91c9f37697edb7650be704472f99b2496c15cc769617fcab72e103a863fae"
 )
 
-func equalArrivals(t *testing.T, callback, pull [][]string) {
+// matchesArrivalPin fails t unless every slot logged an arrival and the
+// logs digest to pin.
+func matchesArrivalPin(t *testing.T, logs [][]string, pin string) {
 	t.Helper()
-	for g := range callback {
-		if len(callback[g]) == 0 {
+	for g := range logs {
+		if len(logs[g]) == 0 {
 			t.Errorf("slot %d logged no arrival", g)
 		}
-		if !slices.Equal(callback[g], pull[g]) {
-			t.Errorf("slot %d diverged\ncallback:\n  %s\npull:\n  %s", g,
-				strings.Join(callback[g], "\n  "), strings.Join(pull[g], "\n  "))
-		}
+	}
+	if got := arrivalDigest(logs); got != pin {
+		t.Errorf("arrival digest %s, pinned %s", got, pin)
 	}
 }
 
-// TestArrivalsCallbackMatchesPull: "event → rank" and "event → pump →
-// rank" are the same simulation. A scripted mix — a ring of real
+// TestArrivalsCallbackMatchesPull: a scripted mix — a ring of real
 // payloads, wildcard receives, an all-to-all of virtual megabytes that
 // contends for NICs and the backbone, a fan-out, an allreduce — leaves
-// the same per-slot arrival log, to the nanosecond, either way.
+// the per-slot arrival log the pump path left, to the nanosecond.
 func TestArrivalsCallbackMatchesPull(t *testing.T) {
 	const n = 6
 	script := func(w *world, c *Comm) error {
@@ -204,14 +196,10 @@ func TestArrivalsCallbackMatchesPull(t *testing.T) {
 		_, err := c.AllreduceF64([]float64{float64(me)}, OpSum)
 		return err
 	}
-	callback := arrivals(t, n, 1, false, script)
-	equalArrivals(t, callback, arrivals(t, n, 1, true, script))
-	if got := arrivalDigest(callback); got != pinArrivals {
-		t.Errorf("arrival digest %s, pinned %s", got, pinArrivals)
-	}
+	matchesArrivalPin(t, arrivals(t, n, 1, script), pinArrivals)
 }
 
-// TestFailoverArrivalsCallbackMatchesPull is the same equality under
+// TestFailoverArrivalsCallbackMatchesPull is the same pin under
 // replication with the heartbeat plane live: rank 0's leader dies
 // mid-stream, its backup is promoted and flushes its log.
 func TestFailoverArrivalsCallbackMatchesPull(t *testing.T) {
@@ -237,14 +225,10 @@ func TestFailoverArrivalsCallbackMatchesPull(t *testing.T) {
 		}
 		return nil
 	}
-	callback, pull := arrivals(t, 2, 2, false, script), arrivals(t, 2, 2, true, script)
-	callback, pull = callback[2:], pull[2:] // rank 0 only sends
-	equalArrivals(t, callback, pull)
-	if got := arrivalDigest(callback); got != pinFailoverArrivals {
-		t.Errorf("arrival digest %s, pinned %s", got, pinFailoverArrivals)
-	}
-	if !strings.Contains(strings.Join(callback[0], "\n"), "src=0.1") {
-		t.Errorf("no frame from the promoted backup reached rank 1:\n  %s", strings.Join(callback[0], "\n  "))
+	logs := arrivals(t, 2, 2, script)[2:] // rank 0 only sends
+	matchesArrivalPin(t, logs, pinFailoverArrivals)
+	if !strings.Contains(strings.Join(logs[0], "\n"), "src=0.1") {
+		t.Errorf("no frame from the promoted backup reached rank 1:\n  %s", strings.Join(logs[0], "\n  "))
 	}
 }
 
@@ -252,17 +236,14 @@ func TestFailoverArrivalsCallbackMatchesPull(t *testing.T) {
 // endpoints still behave across a crash and a Close. Nothing reaches
 // deliver while the host is down; the surviving endpoint serves again
 // after the reboot; a frame landing on a closed Comm falls on the closed
-// inbox's floor; and the closes (each one a FIN on the wire) are exactly
-// those the pump actors made — on the peer's FIN, never on Comm.Close.
+// inbox's floor; and the closes (each one a FIN on the wire) are pinned
+// to those the pump actors made — on the peer's FIN, never on
+// Comm.Close.
 func TestCommCrashRestoreCloseHygiene(t *testing.T) {
-	scenario := func(pull bool) (arrived, closes []string) {
+	scenario := func() (arrived, closes []string) {
 		w := newWorld(t, 2, 1, Algorithms{})
 		w.wrap = func(n transport.Network) transport.Network {
-			n = nettest.LogCloses(n, w.s.Elapsed, &closes)
-			if pull {
-				n = nettest.PullOnly(n)
-			}
-			return n
+			return nettest.LogCloses(n, w.s.Elapsed, &closes)
 		}
 		w.joined = func(c *Comm) {
 			if c.Rank() == 1 {
@@ -296,12 +277,11 @@ func TestCommCrashRestoreCloseHygiene(t *testing.T) {
 			return nil
 		})
 		if _, _, err := closedComm.RecvTimeout(AnySource, AnyTag, 0); err != ErrClosed || closedComm.inbox.Len() != 0 {
-			t.Errorf("pull=%v: a closed Comm still receives (%v, %d queued)", pull, err, closedComm.inbox.Len())
+			t.Errorf("a closed Comm still receives (%v, %d queued)", err, closedComm.inbox.Len())
 		}
 		return arrived, closes
 	}
-	arrived, closes := scenario(false)
-	pullArrived, pullCloses := scenario(true)
+	arrived, closes := scenario()
 	// Offered to the inbox: 1, 3, and 4 (after Close: dropped there).
 	// Frame 2 never got as far as deliver.
 	var tags []string
@@ -311,12 +291,9 @@ func TestCommCrashRestoreCloseHygiene(t *testing.T) {
 	if want := []string{"tag=1 seq=1", "tag=3 seq=3", "tag=4 seq=4"}; !slices.Equal(tags, want) {
 		t.Errorf("deliver saw %q, want %q", tags, want)
 	}
-	if !slices.Equal(arrived, pullArrived) {
-		t.Errorf("arrivals diverged\ncallback: %q\npull:     %q", arrived, pullArrived)
-	}
 	// Rank 0 closes its outbound conn in Comm.Close; rank 1's inbound
 	// endpoint closes when that FIN arrives, one way later.
-	if len(closes) != 2 || !slices.Equal(closes, pullCloses) {
-		t.Errorf("closes diverged or unexpected\ncallback: %q\npull:     %q", closes, pullCloses)
+	if got := nettest.Digest(arrived, closes); len(closes) != 2 || got != "1e85b26a43e413ec3bf2d94e044aac358e3677607c464e1f4fd2d29d4c54e677" {
+		t.Errorf("arrivals %q closes %q: digest %s, pinned 1e85b26a43e413ec3bf2d94e044aac358e3677607c464e1f4fd2d29d4c54e677", arrived, closes, got)
 	}
 }

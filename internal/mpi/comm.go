@@ -90,7 +90,7 @@ func Join(cfg Config) (*Comm, error) {
 	}
 	c.ln = ln
 	deliver := transport.FrameHandler(c.deliver) // one method value for every inbound conn
-	transport.Serve(cfg.RT, ln, "mpi.pump", func(transport.Conn) transport.FrameHandler { return deliver })
+	transport.Serve(ln, func(transport.Conn) transport.FrameHandler { return deliver })
 	if cfg.R > 1 {
 		cfg.RT.Go(fmt.Sprintf("mpi.hb.r%d", c.rank), c.heartbeatLoop)
 		cfg.RT.Go(fmt.Sprintf("mpi.fd.r%d", c.rank), c.monitorLoop)

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"sync"
 
 	"p2pmpi/internal/transport"
 	"p2pmpi/internal/vtime"
@@ -14,7 +15,10 @@ import (
 // scheduler and simnet it runs in virtual time.
 //
 // Under a virtual-time runtime RunLocal must be called from an actor (it
-// blocks on a runtime mailbox). It returns one error slot per rank.
+// blocks on a runtime mailbox). It returns one error slot per rank. The
+// first rank to fail — its Join included — aborts the run: every other
+// Comm is closed, so no rank waits forever on a message the failed one
+// will never send.
 func RunLocal(rt vtime.Runtime, net transport.Network, host string, basePort, n int,
 	algs Algorithms, fn func(c *Comm) error) []error {
 
@@ -31,6 +35,9 @@ func RunLocal(rt vtime.Runtime, net transport.Network, host string, basePort, n 
 		err  error
 	}
 	mb := rt.NewMailbox()
+	var mu sync.Mutex
+	comms := make([]*Comm, n) // closed by the first failure
+	failed := false
 	for i := 0; i < n; i++ {
 		slot := slots[i]
 		rt.Go(fmt.Sprintf("mpi.local.r%d", slot.Rank), func() {
@@ -43,6 +50,12 @@ func RunLocal(rt vtime.Runtime, net transport.Network, host string, basePort, n 
 				return
 			}
 			defer c.Close()
+			mu.Lock()
+			comms[slot.Rank] = c
+			if failed {
+				c.Close()
+			}
+			mu.Unlock()
 			defer func() {
 				if r := recover(); r != nil {
 					mb.Push(done{rank: slot.Rank, err: fmt.Errorf("panic: %v", r)})
@@ -59,6 +72,16 @@ func RunLocal(rt vtime.Runtime, net transport.Network, host string, basePort, n 
 		}
 		d := v.(done)
 		errs[d.rank] = d.err
+		if d.err != nil {
+			mu.Lock()
+			failed = true
+			for _, c := range comms {
+				if c != nil {
+					c.Close()
+				}
+			}
+			mu.Unlock()
+		}
 	}
 	return errs
 }

@@ -21,7 +21,7 @@
 // one frame and pushes the envelope to the process's inbox. In the
 // simulator it runs inside the delivery event — a message costs one
 // hand-off, event → rank, and a rank holds no actor per peer; over TCP
-// the same handler sits in a Recv loop per inbound connection.
+// it runs on the inbound connection's reader goroutine.
 //
 // A virtual-size message costs an index lookup, no map and no
 // allocation: Join indexes the slot table once (rank × replica → table

@@ -56,6 +56,30 @@ func newWorld(t *testing.T, n, r int, algs Algorithms) *world {
 	return &world{s: s, net: net, slots: slots, n: n, r: r, algs: algs}
 }
 
+// TestRunLocalAbortsOnFailedRank: a rank whose port is taken fails its
+// Join, and the ranks waiting on it get ErrClosed instead of waiting
+// forever.
+func TestRunLocalAbortsOnFailedRank(t *testing.T) {
+	s := vtime.New()
+	t.Cleanup(s.Shutdown)
+	net := simnet.New(s, &simnet.StaticTopology{HostSite: map[string]string{"hub": "x"}, DefLat: time.Millisecond},
+		simnet.Config{Seed: 3, NICBps: 1e9})
+	if _, err := net.Node("hub").Listen("hub:47101"); err != nil {
+		t.Fatal(err)
+	}
+	var errs []error
+	s.Go("world", func() {
+		errs = RunLocal(s, net.Node("hub"), "hub", 47100, 3, Algorithms{}, func(c *Comm) error {
+			_, _, err := c.Recv(1, 0)
+			return err
+		})
+	})
+	s.Wait()
+	if len(errs) != 3 || errs[1] == nil || errs[0] != ErrClosed || errs[2] != ErrClosed {
+		t.Fatalf("errs %v: want rank 1's Join error and ErrClosed for the ranks waiting on it", errs)
+	}
+}
+
 // run launches fn on every slot and waits for completion; errors are
 // reported per slot.
 func (w *world) run(t *testing.T, fn func(c *Comm) error) {

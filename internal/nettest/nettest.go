@@ -3,6 +3,8 @@
 package nettest
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,75 +13,34 @@ import (
 	"p2pmpi/internal/transport"
 )
 
-// PullOnly wraps a network so that it, its listeners and its conns
-// expose only the base interfaces: transport.Serve then takes its
-// fallback path (an accept loop and one Recv loop per conn) and
-// transport.Call its own (RequestReply on a spawned actor) on a
-// transport that could do callbacks. Differential tests run one script
-// on a network and on its PullOnly twin; on simnet the two must produce
-// the same timeline.
-func PullOnly(n transport.Network) transport.Network { return pullNet{n} }
-
-type pullNet struct{ transport.Network }
-
-func (p pullNet) Listen(addr string) (transport.Listener, error) {
-	l, err := p.Network.Listen(addr)
-	if err != nil {
-		return nil, err
-	}
-	return pullListener{l}, nil
-}
-
-func (p pullNet) Dial(addr string) (transport.Conn, error) {
-	c, err := p.Network.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return pullConn{c}, nil
-}
-
-type pullListener struct{ transport.Listener }
-
-func (l pullListener) Accept() (transport.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return pullConn{c}, nil
-}
-
-type pullConn struct{ transport.Conn }
-
-// LogCloses wraps a callback-capable network (simnet) so that every
-// local Close of a conn — dialed or accepted, each one a FIN on the
-// wire — appends "<elapsed> <local>→<remote>" to log. The capabilities
-// stay visible; compose as PullOnly(LogCloses(…)) to log the fallback
-// path.
+// LogCloses wraps a simulated network so that every local Close of a
+// conn — dialed, or accepted through OnConn; each one a FIN on the wire
+// — appends "<elapsed> <local>→<remote>" to log.
 func LogCloses(n transport.Network, elapsed func() time.Duration, log *[]string) transport.Network {
-	return logNet{n.(transport.CallbackNetwork), func(c transport.Conn) {
+	return logNet{n, func(c transport.Conn) {
 		*log = append(*log, fmt.Sprintf("%v %s→%s", elapsed(), c.LocalAddr(), c.RemoteAddr()))
 	}}
 }
 
 type logNet struct {
-	transport.CallbackNetwork
+	transport.Network
 	onClose func(transport.Conn)
 }
 
 func (n logNet) wrap(c transport.Conn) transport.Conn {
-	return &logConn{CallbackConn: c.(transport.CallbackConn), onClose: n.onClose}
+	return &logConn{Conn: c, onClose: n.onClose}
 }
 
 func (n logNet) Listen(addr string) (transport.Listener, error) {
-	l, err := n.CallbackNetwork.Listen(addr)
+	l, err := n.Network.Listen(addr)
 	if err != nil {
 		return nil, err
 	}
-	return logListener{l.(transport.CallbackListener), n}, nil
+	return logListener{l, n}, nil
 }
 
 func (n logNet) Dial(addr string) (transport.Conn, error) {
-	c, err := n.CallbackNetwork.Dial(addr)
+	c, err := n.Network.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +48,7 @@ func (n logNet) Dial(addr string) (transport.Conn, error) {
 }
 
 func (n logNet) DialFunc(addr string, done func(transport.Conn, error)) {
-	n.CallbackNetwork.DialFunc(addr, func(c transport.Conn, err error) {
+	n.Network.DialFunc(addr, func(c transport.Conn, err error) {
 		if err == nil {
 			c = n.wrap(c)
 		}
@@ -96,24 +57,16 @@ func (n logNet) DialFunc(addr string, done func(transport.Conn, error)) {
 }
 
 type logListener struct {
-	transport.CallbackListener
+	transport.Listener
 	n logNet
 }
 
-func (l logListener) Accept() (transport.Conn, error) {
-	c, err := l.CallbackListener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.n.wrap(c), nil
-}
-
 func (l logListener) OnConn(h func(transport.Conn)) {
-	l.CallbackListener.OnConn(func(c transport.Conn) { h(l.n.wrap(c)) })
+	l.Listener.OnConn(func(c transport.Conn) { h(l.n.wrap(c)) })
 }
 
 type logConn struct {
-	transport.CallbackConn
+	transport.Conn
 	onClose func(transport.Conn)
 	closed  bool
 }
@@ -123,7 +76,7 @@ func (c *logConn) Close() error {
 		c.closed = true
 		c.onClose(c)
 	}
-	return c.CallbackConn.Close()
+	return c.Conn.Close()
 }
 
 // Probe is the scripted client of the daemons' hygiene tests: it holds
@@ -156,6 +109,20 @@ func (p *Probe) Ask(label string, frame []byte) {
 		answer = p.Name(m.Payload)
 	}
 	p.Log = append(p.Log, fmt.Sprintf("%v %s: %s", p.Elapsed(), label, answer))
+}
+
+// Digest is the SHA-256, in hex, of logs line by line: the pin of a
+// timeline — a fingerprint, a close log — too long to spell out in a
+// test.
+func Digest(logs ...[]string) string {
+	h := sha256.New()
+	for _, log := range logs {
+		for _, line := range log {
+			fmt.Fprintln(h, line)
+		}
+		fmt.Fprintln(h, "--")
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ExpectSuffixes fails t unless log has one line per want, each ending

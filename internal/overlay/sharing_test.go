@@ -389,8 +389,9 @@ func TestInternerIsInvisible(t *testing.T) {
 // Listen binds an ephemeral loopback port and Dial resolves the logical
 // name, so no port has to be guessed free before it is bound.
 type loopbackNet struct {
-	mu    sync.Mutex
-	ports map[string]string
+	transport.TCP // After
+	mu            sync.Mutex
+	ports         map[string]string
 }
 
 func (l *loopbackNet) Listen(addr string) (transport.Listener, error) {
@@ -413,10 +414,14 @@ func (l *loopbackNet) Dial(addr string) (transport.Conn, error) {
 	return transport.TCP{}.Dial(real)
 }
 
+func (l *loopbackNet) DialFunc(addr string, done func(transport.Conn, error)) {
+	go func() { done(l.Dial(addr)) }()
+}
+
 // TestRealFederationConvergesWhileServing is the sharing machinery on
 // real goroutines: three members on loopback TCP under vtime.Real
 // gossip at 5 ms while clients register and fetch concurrently, so
-// serveConn goroutines encode from views and snapshots in the same
+// conn reader goroutines encode from views and snapshots in the same
 // instants the gossip rounds recycle, adopt and publish them. The
 // assertions are convergence; the point is running it under -race.
 func TestRealFederationConvergesWhileServing(t *testing.T) {

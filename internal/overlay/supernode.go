@@ -279,7 +279,7 @@ func (s *Supernode) Start() error {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
-	transport.Serve(s.rt, ln, "supernode.conn", s.serveConn)
+	transport.Serve(ln, s.serveConn)
 	s.rt.Schedule(s.cfg.SweepInterval, s.sweep)
 	if s.cfg.federated() {
 		s.rt.Schedule(s.cfg.GossipInterval, func() { s.gossipTick(0) })
@@ -694,7 +694,7 @@ func (s *Supernode) gossipWith(shard int, then func()) {
 		return
 	}
 	g.frame = frame
-	transport.Call(s.rt, s.net, addr, transport.Message{Payload: frame}, s.cfg.GossipInterval*4,
+	transport.Call(s.net, addr, transport.Message{Payload: frame}, s.cfg.GossipInterval*4,
 		func(reply transport.Message, err error) {
 			if err == nil {
 				s.applyDelta(shard, int64(len(frame)), reply)

@@ -171,7 +171,7 @@ func ReleaseAll(rt vtime.Runtime, net transport.Network, peers []proto.PeerInfo,
 	round := vtime.NewFanIn(rt, len(peers))
 	payload := proto.MustMarshal(&proto.Cancel{Key: key})
 	for _, p := range peers {
-		transport.Call(rt, net, p.RSAddr, transport.Message{Payload: payload}, timeout,
+		transport.Call(net, p.RSAddr, transport.Message{Payload: payload}, timeout,
 			func(reply transport.Message, _ error) {
 				reply.Release()
 				round.Done(false)

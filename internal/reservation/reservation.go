@@ -91,7 +91,7 @@ func (s *Service) Start() error {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
-	transport.Serve(s.rt, ln, "rs.conn", s.serveConn)
+	transport.Serve(ln, s.serveConn)
 	return nil
 }
 
@@ -318,7 +318,7 @@ func Broker(rt vtime.Runtime, net transport.Network, candidates []proto.PeerInfo
 	for i, cand := range candidates {
 		i := i
 		results[i].dead = true
-		transport.Call(rt, net, cand.RSAddr, transport.Message{Payload: payload}, timeout,
+		transport.Call(net, cand.RSAddr, transport.Message{Payload: payload}, timeout,
 			func(reply transport.Message, err error) {
 				if err == nil {
 					if _, msg, err := proto.Unmarshal(reply.Payload); err == nil {

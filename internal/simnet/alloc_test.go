@@ -30,8 +30,8 @@ func TestDialRetainsNoAddressBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.(transport.CallbackListener).OnConn(func(c transport.Conn) { c.Close() })
-	dialer := n.Node("a1").(transport.CallbackNetwork)
+	l.OnConn(func(c transport.Conn) { c.Close() })
+	dialer := n.Node("a1")
 	dial := func(addr string) {
 		dialed := false
 		dialer.DialFunc(addr, func(c transport.Conn, err error) {

@@ -21,7 +21,7 @@ func callbackPair(t *testing.T, s *vtime.Scheduler, n *Net, from, addr string) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.(transport.CallbackListener).OnConn(func(c transport.Conn) { server = c.(*conn) })
+	l.OnConn(func(c transport.Conn) { server = c.(*conn) })
 	s.Go("client", func() {
 		var err error
 		if client, err = n.Node(from).Dial(addr); err != nil {
@@ -195,8 +195,8 @@ func TestGlobalEventCloseLandsAtItsBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log []string
-	l.(transport.CallbackListener).OnConn(func(c transport.Conn) {
-		c.(transport.CallbackConn).OnRecv(recvLog(dom.Shard(1), &log))
+	l.OnConn(func(c transport.Conn) {
+		c.OnRecv(recvLog(dom.Shard(1), &log))
 	})
 	var client transport.Conn
 	dom.Shard(0).Go("client", func() { client, _ = n.Node("a1").Dial("b1:100") })

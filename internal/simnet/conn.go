@@ -69,7 +69,7 @@ func (nn *nodeNet) Dial(addr string) (c transport.Conn, err error) {
 	return c, err
 }
 
-// DialFunc starts a handshake (transport.CallbackNetwork): the SYN
+// DialFunc starts a handshake (transport.Network): the SYN
 // departs now and done runs in the event that ends the handshake, on the
 // dialer's shard, one round trip later. Nobody parks. Errors known
 // without touching the wire reach done before DialFunc returns.
@@ -132,7 +132,7 @@ func (nn *nodeNet) DialFunc(addr string, done func(transport.Conn, error)) {
 }
 
 // After schedules a client deadline on the dialing host's shard
-// (transport.CallbackNetwork). A stopped deadline leaves the event heap
+// (transport.Network). A stopped deadline leaves the event heap
 // at once.
 func (nn *nodeNet) After(d time.Duration, fn func()) (stop func()) {
 	t := nn.n.hosts[nn.host].sh.rt.After(d, fn)
@@ -161,7 +161,7 @@ type listener struct {
 	host string
 	port string
 	// Exactly one of handler/acceptq carries inbound conns. The handler
-	// (transport.CallbackListener) is the daemon path: no Accept actor
+	// (OnConn) is the daemon path: no Accept actor
 	// parked per listener, no queue allocated. The queue is built lazily
 	// for Accept users. Both are touched only from the owning shard's
 	// event loop, so no lock is needed.
@@ -184,7 +184,7 @@ func (l *listener) deliver(c *conn) {
 	l.acceptq.Push(c)
 }
 
-// OnConn installs the inbound-connection handler (transport.CallbackListener).
+// OnConn installs the inbound-connection handler (transport.Listener).
 func (l *listener) OnConn(h func(transport.Conn)) {
 	if l.handler != nil {
 		panic("simnet: OnConn installed twice on " + l.addr)
@@ -330,7 +330,7 @@ func (c *conn) queue() *vtime.Queue[transport.Message] {
 	return c.inbox
 }
 
-// OnRecv installs the frame handler (transport.CallbackConn): delivery
+// OnRecv installs the frame handler (transport.Conn): delivery
 // events call it from now on. Frames that arrived earlier are handed
 // over first, in order, then the peer's close if that arrived too.
 func (c *conn) OnRecv(h func(transport.Message, error)) {
@@ -371,7 +371,3 @@ func (c *conn) Close() error {
 
 func (c *conn) LocalAddr() string  { return c.local }
 func (c *conn) RemoteAddr() string { return c.remote }
-
-var _ transport.CallbackConn = (*conn)(nil)
-var _ transport.CallbackListener = (*listener)(nil)
-var _ transport.CallbackNetwork = (*nodeNet)(nil)

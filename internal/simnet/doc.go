@@ -34,10 +34,10 @@
 // pipe and base-latency lookups at setup, in-flight messages ride
 // pooled delivery carriers, and payload copies come from a buffer pool
 // that receivers refill via Message.Release. Receiving is by callback
-// (transport.CallbackConn): the delivery event runs the endpoint's frame
+// (Conn.OnRecv): the delivery event runs the endpoint's frame
 // handler to completion — a served conn has no actor and no inbox; Recv,
 // for scripts and tests, queues behind the same event. Dialing is by
-// callback too (transport.CallbackNetwork): DialFunc sends the SYN and
+// callback too (Network.DialFunc): DialFunc sends the SYN and
 // returns, and the event that ends the handshake runs the dialer's
 // continuation, so the handshake parks nobody; the blocking Dial is that
 // same start plus one park of the calling actor. With After for the

@@ -127,9 +127,9 @@ func runFaultScript(t *testing.T, w faultWorld, callback bool) map[string][]stri
 				return
 			}
 			if callback {
-				l.(transport.CallbackListener).OnConn(func(c transport.Conn) {
+				l.OnConn(func(c transport.Conn) {
 					h := handle(host, c)
-					c.(transport.CallbackConn).OnRecv(func(m transport.Message, err error) {
+					c.OnRecv(func(m transport.Message, err error) {
 						if !h(m, err) {
 							c.Close()
 						}

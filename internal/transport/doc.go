@@ -6,27 +6,27 @@
 // lets the identical protocol code run on localhost sockets and inside
 // the virtual-time simulator.
 //
-// The unit of exchange is the framed Message, and both ends of the
-// control protocols (reserve, cancel, prepare, start, ping, kill) are
-// written as callbacks:
+// The unit of exchange is the framed Message. Every Network calls back
+// (Listener.OnConn, Conn.OnRecv, Network.DialFunc and After), and both
+// ends of the control protocols (reserve, cancel, prepare, start, ping,
+// kill) are written on those callbacks, one code path on either network:
 //
-//   - Serve is the server side: one FrameHandler per inbound conn, run
-//     from the transport's delivery callbacks where it has them
-//     (CallbackListener, CallbackConn — simnet: no goroutine per
-//     listener or conn) and from Recv loops elsewhere.
+//   - Serve is the server side: one FrameHandler per inbound conn.
 //   - Call is the client side: dial, send, one reply or a deadline,
-//     close, then done(reply, err), exactly once. On a CallbackNetwork
-//     (simnet) that is a chain of delivery events with no goroutine,
-//     queue or mailbox; elsewhere it is RequestReply on a goroutine
-//     spawned for the exchange.
+//     close, then done(reply, err), exactly once.
 //
 // Who may block where: a FrameHandler and a Call's done run in the
-// transport's delivery context — inside the event that delivered the
-// frame, fired the deadline or ended the handshake — and must not
-// block: no Sleep, Dial, RequestReply or Pop of an empty queue. They may
-// send, start another Call, push to a mailbox (that is how a fan-out
-// wakes the one actor waiting for it) and schedule events. Code that is
-// a sequential script anyway — an actor of its own that registers,
-// refreshes, or runs a command-line tool — uses the blocking forms,
-// Dial and RequestReply, which park the calling actor and nothing else.
+// transport's delivery context and must not block: no Sleep, Dial,
+// RequestReply or Pop of an empty queue. They may send, start another
+// Call, push to a mailbox (that is how a fan-out wakes the one actor
+// waiting for it) and schedule events. On simnet the delivery context is
+// the event that delivered the frame, fired the deadline or ended the
+// handshake. On TCP it is a goroutine: the listener's accept goroutine
+// runs open, the conn's reader goroutine its handler (one that blocks
+// anyway stalls that conn alone), and a Call's done runs on whichever of
+// the reader, the deadline's timer or the dial goroutine ended it. Code
+// that is a sequential script anyway — an actor of its own that
+// registers, refreshes, or runs a command-line tool — uses the blocking
+// forms, Accept, Recv, RecvTimeout, Dial and RequestReply, which park
+// the calling actor and nothing else.
 package transport

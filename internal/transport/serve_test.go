@@ -1,36 +1,27 @@
 package transport
 
 import (
+	"net"
+	"runtime"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
 
-// wgSpawner runs Serve's loops on goroutines the test can wait for.
-type wgSpawner struct{ wg sync.WaitGroup }
-
-func (s *wgSpawner) Go(_ string, fn func()) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		fn()
-	}()
-}
-
-// TestServeFallbackOverTCP drives Serve on a transport with neither
-// callback capability: an accept loop and one Recv loop per conn around
-// the same FrameHandler. The endpoint closes when the handler returns
-// false and when the peer closes — and every loop ends once the
-// listener and the conns are gone.
-func TestServeFallbackOverTCP(t *testing.T) {
+// TestServeOverTCP drives Serve on TCP: the accept goroutine and one
+// reader goroutine per conn around the same FrameHandler. The endpoint
+// closes when the handler returns false and when the peer closes; every goroutine ends once the listener and the
+// conns are gone.
+func TestServeOverTCP(t *testing.T) {
+	before := runtime.NumGoroutine()
 	ln, err := TCP{}.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sp wgSpawner
 	var mu sync.Mutex
 	opened := 0
-	Serve(&sp, ln, "echo", func(c Conn) FrameHandler {
+	Serve(ln, func(c Conn) FrameHandler {
 		mu.Lock()
 		opened++
 		mu.Unlock()
@@ -60,7 +51,7 @@ func TestServeFallbackOverTCP(t *testing.T) {
 	}
 	c.Close()
 
-	// A second conn the client closes: the serving loop must end too.
+	// A second conn the client closes: its reader must end too.
 	c2, err := TCP{}.Dial(ln.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -72,74 +63,47 @@ func TestServeFallbackOverTCP(t *testing.T) {
 	}
 	c2.Close()
 	ln.Close()
-	sp.wg.Wait() // accept loop and both Recv loops returned
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left over, want the accept goroutine and both readers gone", runtime.NumGoroutine()-before)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
 	if opened != 2 {
 		t.Fatalf("open ran %d times, want once per conn", opened)
 	}
 }
 
-// cbListener and cbConn are minimal callback-capable doubles: the test
-// plays the transport's delivery context by calling the installed
-// handlers directly.
-type cbListener struct {
-	Listener
-	onConn func(Conn)
+// flakyListener is a net.Listener whose first Accept fails the way a
+// full file table does; the accept goroutine meets that failure first.
+type flakyListener struct {
+	net.Listener
+	failed bool
 }
 
-func (l *cbListener) OnConn(h func(Conn)) { l.onConn = h }
-
-type cbConn struct {
-	Conn
-	onRecv func(Message, error)
-	closes int
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if !l.failed {
+		l.failed = true
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+	}
+	return l.Listener.Accept()
 }
 
-func (c *cbConn) OnRecv(h func(Message, error)) { c.onRecv = h }
-func (c *cbConn) Close() error                  { c.closes++; return nil }
-
-// noSpawner fails the test if Serve starts anything.
-type noSpawner struct{ t *testing.T }
-
-func (s noSpawner) Go(name string, _ func()) {
-	s.t.Errorf("Serve spawned %q on a callback transport", name)
-}
-
-// TestServeCallbackPathSpawnsNothing: with both capabilities present
-// Serve is OnConn + OnRecv and no thread of control; the endpoint is
-// closed exactly when the handler returns false or the peer's close is
-// reported, and at no other time.
-func TestServeCallbackPathSpawnsNothing(t *testing.T) {
-	ln := &cbListener{}
-	var got []string
-	Serve(noSpawner{t}, ln, "x", func(Conn) FrameHandler {
-		return func(m Message) bool {
-			got = append(got, string(m.Payload))
-			return string(m.Payload) != "bye"
-		}
+// TestTCPAcceptSurvivesTransientError: an accept error other than the
+// listener's Close is waited out, and the next conn is still served.
+func TestTCPAcceptSurvivesTransientError(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &tcpListener{l: &flakyListener{Listener: inner}}
+	defer ln.Close()
+	Serve(ln, func(c Conn) FrameHandler {
+		return func(m Message) bool { return c.Send(m) == nil }
 	})
-	if ln.onConn == nil {
-		t.Fatal("Serve did not install OnConn")
-	}
-
-	a := &cbConn{}
-	ln.onConn(a)
-	a.onRecv(Message{Payload: []byte("one")}, nil)
-	a.onRecv(Message{Payload: []byte("two")}, nil)
-	if a.closes != 0 {
-		t.Fatal("endpoint closed while its handler kept it open")
-	}
-	a.onRecv(Message{}, ErrClosed) // peer FIN
-	if a.closes != 1 {
-		t.Fatalf("peer close: %d closes, want 1", a.closes)
-	}
-
-	b := &cbConn{}
-	ln.onConn(b)
-	b.onRecv(Message{Payload: []byte("bye")}, nil)
-	if b.closes != 1 {
-		t.Fatalf("handler returned false: %d closes, want 1", b.closes)
-	}
-	if len(got) != 3 {
-		t.Fatalf("handlers saw %q", got)
+	reply, err := RequestReply(TCP{}, ln.Addr(), Message{Payload: []byte("ping")}, 5*time.Second)
+	if err != nil || string(reply.Payload) != "ping" {
+		t.Fatalf("after a transient accept error: %q, %v", reply.Payload, err)
 	}
 }

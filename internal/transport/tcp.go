@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -17,7 +18,8 @@ const maxFrame = 64 << 20
 
 // TCP is the real-network implementation of Network. Frames are
 // length-prefixed on a stream socket: 4 bytes payload length, 8 bytes
-// virtual size, then the payload.
+// virtual size, then the payload. Its delivery context is a goroutine
+// (see the package doc).
 type TCP struct{}
 
 // Listen binds a TCP listener on addr ("host:port", ":0" for ephemeral).
@@ -38,6 +40,17 @@ func (TCP) Dial(addr string) (Conn, error) {
 	return newTCPConn(c), nil
 }
 
+// DialFunc is Dial on a goroutine of its own.
+func (n TCP) DialFunc(addr string, done func(Conn, error)) {
+	go func() { done(n.Dial(addr)) }()
+}
+
+// After runs fn on a timer's goroutine.
+func (TCP) After(d time.Duration, fn func()) (stop func()) {
+	t := time.AfterFunc(d, fn)
+	return func() { t.Stop() }
+}
+
 var _ Network = TCP{}
 
 type tcpListener struct {
@@ -56,6 +69,29 @@ func (t *tcpListener) Accept() (Conn, error) {
 	return newTCPConn(c), nil
 }
 
+// OnConn starts the listener's accept goroutine, which hands each conn
+// to h and ends only once the listener is closed. Any other accept
+// error (EMFILE, ECONNABORTED, …) is waited out with a back-off that
+// doubles from 5 ms to 1 s, as net/http does, so a transient one cannot
+// leave the listener open and deaf.
+func (t *tcpListener) OnConn(h func(Conn)) {
+	go func() {
+		var delay time.Duration
+		for {
+			switch c, err := t.Accept(); {
+			case err == ErrClosed:
+				return
+			case err != nil:
+				delay = min(max(2*delay, 5*time.Millisecond), time.Second)
+				time.Sleep(delay)
+			default:
+				delay = 0
+				h(c)
+			}
+		}
+	}()
+}
+
 func (t *tcpListener) Close() error {
 	var err error
 	t.closed.Do(func() { err = t.l.Close() })
@@ -66,6 +102,7 @@ func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
 type tcpConn struct {
 	c       net.Conn
+	closed  atomic.Bool // set by Close before the socket goes
 	sendMu  sync.Mutex
 	recvMu  sync.Mutex
 	hdr     [12]byte // per-conn recv header scratch (guarded by recvMu)
@@ -98,6 +135,21 @@ func (t *tcpConn) Send(m Message) error {
 	return nil
 }
 
+// OnRecv starts the conn's reader goroutine, which hands h one frame at
+// a time, in order, then the peer's close. Once a local Close has
+// happened it reports nothing: a handler that closes its own conn hears
+// no more, and the read error a Close causes is never taken for the
+// peer's close.
+func (t *tcpConn) OnRecv(h func(Message, error)) {
+	go func() {
+		for m, err := t.Recv(); !t.closed.Load(); m, err = t.Recv() {
+			if h(m, err); err != nil {
+				return
+			}
+		}
+	}()
+}
+
 func (t *tcpConn) Recv() (Message, error) { return t.RecvTimeout(-1) }
 
 func (t *tcpConn) RecvTimeout(d time.Duration) (Message, error) {
@@ -126,7 +178,11 @@ func (t *tcpConn) RecvTimeout(d time.Duration) (Message, error) {
 	return m, nil
 }
 
-func (t *tcpConn) Close() error      { return t.c.Close() }
+func (t *tcpConn) Close() error {
+	t.closed.Store(true)
+	return t.c.Close()
+}
+
 func (t *tcpConn) LocalAddr() string { return t.c.LocalAddr().String() }
 func (t *tcpConn) RemoteAddr() string {
 	return t.c.RemoteAddr().String()
