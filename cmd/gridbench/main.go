@@ -84,7 +84,9 @@
 // are inherently sequential — their points share one world.
 //
 // The -seed flag changes the stochastic elements (latency jitter, key
-// generation); the published numbers in EXPERIMENTS.md use seed 42.
+// generation); the default, 42, is the seed at which internal/exp's
+// TestTable1MatchesPaper, TestFig4ISCrossover and TestFig4EPEquilibrium
+// pin the paper's Table 1 and Figure 4 claims.
 package main
 
 import (

@@ -21,8 +21,8 @@
 // Experiment families:
 //
 //   - Table1/Fig2/Fig3/Fig4: the paper's figures (experiments.go,
-//     estimators.go); see EXPERIMENTS.md for the paper-vs-measured
-//     record.
+//     estimators.go). TestTable1MatchesPaper, TestFig4ISCrossover and
+//     TestFig4EPEquilibrium pin the paper's claims.
 //   - ConcurrentJobs/ConcurrentSweep: K simultaneous jobs through the
 //     multi-job scheduler, measuring slot contention (concurrent.go).
 //   - ScaleSweep: every registered placement strategy across growing

@@ -13,7 +13,8 @@ import (
 // runtime (JIT quality, object serialization, GC): they were tuned so
 // the Figure 4 curves land in the paper's range, and the *shape* of the
 // figures — who wins where — emerges from allocation, contention and
-// WAN latency, not from these scalars. See EXPERIMENTS.md.
+// WAN latency, not from these scalars. internal/exp's
+// TestFig4ISCrossover and TestFig4EPEquilibrium pin that shape.
 type CostModel struct {
 	// EPFlopsPerPair and EPBytesPerPair cost one Gaussian pair.
 	EPFlopsPerPair float64

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -76,7 +77,8 @@ func registerHome(t *testing.T, n *simnet.Net, addrs []string, p proto.PeerInfo)
 // TestQuiescentFederationSharesOneCopy: once gossip settles, every
 // member's merged view aliases the interner's canonical array, every
 // member's snapshot of a shard aliases the interner's copy of that
-// shard, nothing keeps append slack, and the gossip scratch is gone.
+// shard, nothing keeps append slack, and the gossip scratch — every
+// snapshot's spans included — is gone.
 func TestQuiescentFederationSharesOneCopy(t *testing.T) {
 	const k = 4
 	hosts := hostNames(24)
@@ -111,8 +113,15 @@ func TestQuiescentFederationSharesOneCopy(t *testing.T) {
 				if cap(canon) != len(canon) || len(canon) != sns[j].PeerCount() {
 					t.Errorf("canonical shard %d: len %d cap %d, owner has %d", j, len(canon), cap(canon), sns[j].PeerCount())
 				}
+				if r != nil {
+					if !reflect.ValueOf(r.spans).IsZero() {
+						t.Errorf("member %d holds the spans of shard %d after quiescence", i, j)
+					}
+				}
 			}
-			if g := &sn.gossip; g.delta.Shards != nil || slices.ContainsFunc(g.resolver.Hints, func(h []proto.PeerInfo) bool { return h != nil }) {
+			if g := &sn.gossip; g.delta.Shards != nil || g.resolver.Spans != nil || sn.reply.seen != nil ||
+				slices.ContainsFunc(g.resolver.Hints, func(h []proto.PeerInfo) bool { return h != nil }) ||
+				slices.ContainsFunc(g.resolver.Held, func(h *proto.Spans) bool { return h != nil }) {
 				t.Errorf("member %d kept its decode scratch through a quiescent round", i)
 			}
 			sn.mu.Unlock()
@@ -207,6 +216,19 @@ func poisonRecycled(sns []*Supernode) (buffers int) {
 	return buffers
 }
 
+// spansPair reports whether sp was recorded with these very arrays (or
+// is empty): spans travel with the values decoded from them. The values
+// are proto's own, unexported fields; reflect reads their addresses.
+func spansPair(sp *proto.Spans, peers []proto.PeerInfo, seen []int64) bool {
+	v := reflect.ValueOf(sp).Elem()
+	vp, vs := v.FieldByName("peers"), v.FieldByName("seen")
+	if vp.Len() == 0 {
+		return true
+	}
+	return vp.Pointer() == uintptr(unsafe.Pointer(unsafe.SliceData(peers))) &&
+		vs.Pointer() == uintptr(unsafe.Pointer(unsafe.SliceData(seen)))
+}
+
 func hasPoison(list []proto.PeerInfo) bool {
 	return slices.ContainsFunc(list, func(p proto.PeerInfo) bool { return strings.Contains(p.ID+p.Site, "POISON") })
 }
@@ -238,6 +260,15 @@ func TestRecycledBuffersNeverAliasLiveState(t *testing.T) {
 			for j, r := range sn.remote {
 				if hasPoison(r.peers) || slices.Contains(r.seen, -99) {
 					t.Errorf("%s: member %d's snapshot of shard %d aliases a recycled buffer", when, i, j)
+				}
+				if !spansPair(&r.spans, r.peers, r.seen) {
+					t.Errorf("%s: member %d holds spans of shard %d decoded with other values", when, i, j)
+				}
+			}
+			g := &sn.gossip
+			for j, sp := range g.resolver.Spans {
+				if st := &g.delta.Shards[j]; !spansPair(&sp, st.Peers, st.Seen) {
+					t.Errorf("%s: member %d's scratch spans %d belong to other buffers", when, i, j)
 				}
 			}
 			if slices.ContainsFunc(sn.meta, func(m entryMeta) bool { return m.shard == -99 }) {

@@ -21,9 +21,10 @@
 // it changes, canonical from the first quiescent round. Every applied
 // snapshot rebuilds the member's merged view into a pooled buffer pair
 // and is itself decoded into the buffers of the snapshot it replaces,
-// each entry resolved to a PeerInfo the member or the world already
-// holds before any string is built — a gossip tick of a boot storm
-// allocates nothing. When a gossip round brings nothing new, the member
+// against that snapshot's wire form: an entry whose bytes repeat costs
+// one memory compare, and any other is resolved to a PeerInfo the
+// member or the world already holds before a string is built — a
+// gossip tick of a boot storm allocates nothing. When a gossip round brings nothing new, the member
 // offers its view and snapshots to the deployment's Interner and adopts
 // the canonical, read-only copies, so a settled K-member federation
 // holds one world, not K; the first edit after that copies on write.
@@ -130,10 +131,14 @@ func (s SupernodeStats) MeanStaleness() time.Duration {
 
 // remoteShard is this member's snapshot of another member's owned set.
 type remoteShard struct {
-	version   uint64
-	stamp     int64 // owner's version-creation instant (unix nanos)
-	peers     []proto.PeerInfo
-	seen      []int64
+	version uint64
+	stamp   int64 // owner's version-creation instant (unix nanos)
+	peers   []proto.PeerInfo
+	seen    []int64
+	// spans is the snapshot's wire form, as decoded with peers and seen
+	// (the next snapshot of the shard is decoded against it); traded
+	// with them, and dropped on a quiescent round.
+	spans     proto.Spans
 	appliedAt time.Time // when this snapshot landed here (liveness anchor)
 	// shared marks peers as the interner's canonical slice (adopted on a
 	// quiescent round): read-only, and not ours to recycle.
@@ -187,8 +192,11 @@ type Supernode struct {
 	// in place, an expired one removed. The boot storm of a multi-
 	// thousand-host world registers every peer once, and standalone
 	// replies route through this list — re-sorting it per reply (or even
-	// per membership change) used to dominate world boot.
+	// per membership change) used to dominate world boot. owned holds
+	// each listed peer's entry in the same order, so the gossip reply's
+	// last-seen column is a slice walk, not a map lookup per peer.
 	listCache []proto.PeerInfo
+	owned     []*peerEntry
 
 	// Federation state. ownVersion/ownStamp version the owned set (bumped
 	// on add/remove/info-change, NOT on bare keep-alives); remote holds
@@ -214,13 +222,22 @@ type Supernode struct {
 	memberSeen map[int]time.Time
 	stats      SupernodeStats
 
+	// reply is appendDeltaReply's scratch, used under mu while a reply
+	// is encoded: the states it ships and the owned set's last-seen
+	// column, which is dropped with the gossip scratch.
+	reply struct {
+		states []proto.ShardState
+		seen   []int64
+	}
+
 	// gossip is the gossip round's scratch (only gossipWith and applyDelta
 	// touch it, one exchange at a time):
 	// the digest's version vector and frame, the decode target of every
-	// reply — whose Peers/Seen buffers trade places with the snapshots
-	// they replace — and the resolver with its per-shard hints. The
-	// world-sized parts are dropped on a quiescent round, so a converged
-	// member retains none of them.
+	// reply — whose Peers/Seen buffers and recorded spans trade places
+	// with the snapshots they replace — and the resolver with its
+	// per-shard hints and held spans. The world-sized parts, every
+	// snapshot's spans included, are dropped on a quiescent round, so a
+	// converged member retains none of them.
 	gossip struct {
 		versions []uint64
 		frame    []byte
@@ -229,8 +246,10 @@ type Supernode struct {
 	}
 }
 
+// peerEntry is an owned peer's liveness. Its info is the listCache
+// entry at its own index in owned: peers, listCache and owned gain and
+// lose a peer together, under mu.
 type peerEntry struct {
-	info     proto.PeerInfo
 	lastSeen time.Time
 }
 
@@ -254,6 +273,7 @@ func NewSupernode(rt vtime.Runtime, net transport.Network, cfg SupernodeConfig) 
 		s.memberSeen = make(map[int]time.Time)
 		s.gossip.versions = make([]uint64, len(cfg.Federation))
 		s.gossip.resolver.Hints = make([][]proto.PeerInfo, len(cfg.Federation))
+		s.gossip.resolver.Held = make([]*proto.Spans, len(cfg.Federation))
 		s.gossip.resolver.Lookup = cfg.Intern.Lookup // nil-receiver safe
 	}
 	return s
@@ -503,11 +523,8 @@ func (s *Supernode) register(p proto.PeerInfo) {
 	defer s.mu.Unlock()
 	now := s.rt.Now()
 	if e, ok := s.peers[p.ID]; ok {
-		if e.info != p {
-			e.info = p
-			if i, found := findSorted(s.listCache, p.ID); found {
-				s.listCache[i] = p
-			}
+		if i, found := findSorted(s.listCache, p.ID); found && s.listCache[i] != p {
+			s.listCache[i] = p
 			s.bumpVersionLocked(now)
 			if s.cfg.federated() {
 				s.mergedUpsertLocked(p, s.cfg.Shard, now.UnixNano())
@@ -521,9 +538,11 @@ func (s *Supernode) register(p proto.PeerInfo) {
 		e.lastSeen = now
 		return
 	}
-	s.peers[p.ID] = &peerEntry{info: p, lastSeen: now}
+	e := &peerEntry{lastSeen: now}
+	s.peers[p.ID] = e
 	i, _ := findSorted(s.listCache, p.ID)
 	s.listCache = spliceIn(s.listCache, i, p)
+	s.owned = spliceIn(s.owned, i, e)
 	s.bumpVersionLocked(now)
 	if s.cfg.federated() {
 		s.mergedUpsertLocked(p, s.cfg.Shard, now.UnixNano())
@@ -624,6 +643,7 @@ func (s *Supernode) sweep() {
 			delete(s.peers, id)
 			if i, found := findSorted(s.listCache, id); found {
 				s.listCache = spliceOut(s.listCache, i)
+				s.owned = spliceOut(s.owned, i)
 			}
 			s.bumpVersionLocked(now)
 			if s.cfg.federated() {
@@ -675,16 +695,18 @@ func (s *Supernode) gossipTick(tick int) {
 // given shard index — a Call whose continuation applies whatever
 // snapshots come back — then runs then. The reply is decoded outside the
 // lock into the gossip scratch, each entry resolved against the snapshot
-// it is about to replace (the hints, captured with the version vector)
-// before any string is built.
+// it is about to replace (captured with the version vector: its spans,
+// or its values alone once the spans were dropped) before any string is
+// built.
 func (s *Supernode) gossipWith(shard int, then func()) {
 	addr := s.cfg.Federation[shard]
 	g := &s.gossip
 	s.mu.Lock()
 	s.knownVersionsLocked(g.versions)
 	clear(g.resolver.Hints)
+	clear(g.resolver.Held)
 	for k, r := range s.remote {
-		g.resolver.Hints[k] = r.peers
+		g.resolver.Hints[k], g.resolver.Held[k] = r.peers, &r.spans
 	}
 	s.mu.Unlock()
 
@@ -723,7 +745,7 @@ func (s *Supernode) applyDelta(shard int, sent int64, reply transport.Message) {
 	// gossip exchange in federation-wide sums (exp.World.FederationStats).
 	s.memberSeen[shard] = s.rt.Now()
 	for i := range g.delta.Shards {
-		s.applyShardLocked(&g.delta.Shards[i])
+		s.applyShardLocked(&g.delta.Shards[i], &g.resolver.Spans[i])
 	}
 	if len(g.delta.Shards) > 0 {
 		return
@@ -748,9 +770,13 @@ func (s *Supernode) applyDelta(shard int, sent int64, reply transport.Message) {
 		if !r.shared {
 			r.peers, r.shared = it.Snapshot(k, r.version, r.peers)
 		}
+		r.spans = proto.Spans{}
 	}
 	g.delta = proto.ShardDelta{}
+	g.resolver.Spans = nil
 	clear(g.resolver.Hints)
+	clear(g.resolver.Held)
+	s.reply.seen = nil
 }
 
 // KnownVersions returns the freshest version this member knows per
@@ -794,7 +820,7 @@ func (s *Supernode) appendDeltaReply(dst []byte, d *proto.Digest) []byte {
 	if d.From >= 0 && d.From < k {
 		s.memberSeen[d.From] = s.rt.Now() // the sender is provably alive
 	}
-	var states []proto.ShardState
+	states := s.reply.states[:0]
 	reqVersion := func(i int) uint64 {
 		if i < len(d.Versions) {
 			return d.Versions[i]
@@ -813,19 +839,20 @@ func (s *Supernode) appendDeltaReply(dst []byte, d *proto.Digest) []byte {
 		}
 	}
 	frame, _ := proto.AppendMarshal(dst, &proto.ShardDelta{Shards: states})
+	clear(states) // keep no snapshot reachable from the scratch
+	s.reply.states = states[:0]
 	return frame
 }
 
 // ownShardStateLocked snapshots the owned set for a gossip reply. The
-// Peers slice aliases the sorted owned table (the encoder reads it
-// under the same lock); Seen is built on the fly.
+// Peers slice aliases the sorted owned table and Seen the reply
+// scratch, both read by the encoder under the same lock.
 func (s *Supernode) ownShardStateLocked() proto.ShardState {
-	seen := make([]int64, len(s.listCache))
-	for i := range s.listCache {
-		if e := s.peers[s.listCache[i].ID]; e != nil {
-			seen[i] = e.lastSeen.UnixNano()
-		}
+	seen := s.reply.seen[:0]
+	for _, e := range s.owned {
+		seen = append(seen, e.lastSeen.UnixNano())
 	}
+	s.reply.seen = seen
 	return proto.ShardState{
 		Shard: s.cfg.Shard, Version: s.ownVersion, Stamp: s.ownStamp,
 		Peers: s.listCache, Seen: seen,
@@ -835,7 +862,7 @@ func (s *Supernode) ownShardStateLocked() proto.ShardState {
 // applyShardLocked folds one received snapshot into the federation
 // view: it replaces the stored snapshot for that shard and rebuilds the
 // affected slice of the merged view with one linear merge pass.
-func (s *Supernode) applyShardLocked(st *proto.ShardState) {
+func (s *Supernode) applyShardLocked(st *proto.ShardState, sp *proto.Spans) {
 	k := st.Shard
 	if k == s.cfg.Shard || k < 0 || k >= len(s.cfg.Federation) {
 		return // own shard is authoritative locally; bogus index dropped
@@ -857,17 +884,19 @@ func (s *Supernode) applyShardLocked(st *proto.ShardState) {
 			}
 		}
 	}
-	// The snapshot takes the decoded buffers and the decode scratch takes
-	// the ones it vacates (unless they are the interner's), so steady
-	// gossip decodes into the same few arrays.
-	vacPeers, vacSeen := r.peers[:0], r.seen[:0]
+	// The snapshot takes the decoded buffers and their spans, and the
+	// decode scratch takes the ones it vacates (unless they are the
+	// interner's, which carry no spans), so steady gossip decodes into
+	// the same few arrays. Values and spans move together: spans held
+	// beside values they were not decoded with would hand out wrong ones.
+	vacPeers, vacSeen, vacSpans := r.peers[:0], r.seen[:0], r.spans
 	if r.shared {
 		vacPeers = nil
 	}
 	*r = remoteShard{version: st.Version, stamp: st.Stamp,
-		peers: st.Peers, seen: st.Seen, appliedAt: s.rt.Now()}
+		peers: st.Peers, seen: st.Seen, spans: *sp, appliedAt: s.rt.Now()}
 	s.rebuildMergedLocked(k, r.peers, r.seen)
-	st.Peers, st.Seen = vacPeers, vacSeen
+	st.Peers, st.Seen, *sp = vacPeers, vacSeen, vacSpans
 }
 
 // rebuildMergedLocked re-merges the view against shard k's claim set —
@@ -953,7 +982,9 @@ func (s *Supernode) claimLocked(id string, exclude int) (proto.PeerInfo, entryMe
 	if exclude != s.cfg.Shard {
 		if e, owned := s.peers[id]; owned {
 			if seen := e.lastSeen.UnixNano(); bestShard == -1 || seen >= bestSeen {
-				return e.info, entryMeta{shard: s.cfg.Shard, seen: seen}, true
+				if i, found := findSorted(s.listCache, id); found {
+					return s.listCache[i], entryMeta{shard: s.cfg.Shard, seen: seen}, true
+				}
 			}
 		}
 	}

@@ -3,7 +3,9 @@ package proto
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // The zero-alloc contract of the hot codec paths is enforced, not
@@ -179,6 +181,85 @@ func TestShardDeltaDecodeReusesScratch(t *testing.T) {
 		if &m.Shards[0].Peers[0] != first {
 			t.Errorf("%s: decode did not reuse the scratch backing", name)
 		}
+	}
+}
+
+// TestShardDeltaSpansDecodeOnlyChanges: decoding version n+1 of a
+// 40-entry snapshot against the spans of version n reads field by field
+// only the entries of n+1 whose bytes n did not carry at the cursor — a
+// changed field, a changed stamp, an insertion, and the entry after a
+// removal — and hands every other entry back from n. Of those four,
+// the changed stamp and the entry after the removal find their PeerInfo
+// at the cursor, so only the two with new fields ask Lookup and build
+// strings.
+func TestShardDeltaSpansDecodeOnlyChanges(t *testing.T) {
+	pi := func(id string) PeerInfo {
+		return PeerInfo{ID: id, Site: "site", MPDAddr: id + ":9000", RSAddr: id + ":9001"}
+	}
+	v1 := ShardState{Shard: 1, Version: 7, Stamp: 99}
+	for i := 0; i < 40; i++ {
+		v1.Peers = append(v1.Peers, pi(fmt.Sprintf("h%02d", i)))
+		v1.Seen = append(v1.Seen, int64(1000+i))
+	}
+	v2 := ShardState{Shard: 1, Version: 8, Stamp: 100,
+		Peers: slices.Clone(v1.Peers), Seen: slices.Clone(v1.Seen)}
+	v2.Peers[5].Site = "moved"
+	v2.Seen[12] = 5000
+	v2.Peers = slices.Delete(v2.Peers, 30, 31) // h31 follows the gap
+	v2.Seen = slices.Delete(v2.Seen, 30, 31)
+	v2.Peers = slices.Insert(v2.Peers, 21, pi("h20a"))
+	v2.Seen = slices.Insert(v2.Seen, 21, 77)
+	const changed, newFields = 4, 2
+	frame1 := MustMarshal(&ShardDelta{Shards: []ShardState{v1}})
+	frame2 := MustMarshal(&ShardDelta{Shards: []ShardState{v2}})
+
+	var rec PeerResolver
+	var m1 ShardDelta
+	if err := rec.DecodeShardDelta(frame1, &m1); err != nil {
+		t.Fatal(err)
+	}
+	lookups := 0
+	r := &PeerResolver{
+		Held: []*Spans{nil, &rec.Spans[0]},
+		Lookup: func(id, site, mpdAddr, rsAddr []byte) (PeerInfo, bool) {
+			lookups++
+			return PeerInfo{}, false
+		},
+	}
+	var m2 ShardDelta
+	if err := r.DecodeShardDelta(frame2, &m2); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m2.Shards, []ShardState{v2}) {
+		t.Fatalf("decoded %+v, want %+v", m2.Shards, v2)
+	}
+	if r.slow != changed {
+		t.Errorf("%d entries read field by field, want %d", r.slow, changed)
+	}
+	if lookups != newFields {
+		t.Errorf("%d entries asked Lookup, want %d", lookups, newFields)
+	}
+	held := map[string]PeerInfo{}
+	for _, p := range m1.Shards[0].Peers {
+		held[p.ID] = p
+	}
+	reused := 0
+	for _, p := range m2.Shards[0].Peers {
+		if h, ok := held[p.ID]; ok && h == p && unsafe.StringData(h.ID) == unsafe.StringData(p.ID) &&
+			unsafe.StringData(h.RSAddr) == unsafe.StringData(p.RSAddr) {
+			reused++
+		}
+	}
+	if want := len(v2.Peers) - newFields; reused != want {
+		t.Errorf("%d entries share n's strings, want %d", reused, want)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := r.DecodeShardDelta(frame2, &m2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 4*newFields {
+		t.Errorf("%v allocs/op, want %d: four strings per entry with new fields and nothing else", allocs, 4*newFields)
 	}
 }
 

@@ -149,32 +149,102 @@ func appendShardState(e *wire.Encoder, s *ShardState) {
 
 // PeerResolver lets the ShardDelta decoder hand out PeerInfo values the
 // receiver already holds instead of building four strings per entry:
-// the fields are read as views of the frame and matched before any
-// string exists, so only a never-seen host allocates. A resolved entry
-// always equals what the plain decode (a nil resolver) would have built.
+// an entry whose exact bytes the receiver decoded before costs one
+// memory compare, and the others are read as views of the frame and
+// matched before any string exists, so only a never-seen host
+// allocates. A resolved entry always equals what the plain decode (a
+// nil resolver) would have built.
+//
+// Each frame state is decoded beside the snapshot of its shard it
+// replaces: Held[k] when that holds a recorded snapshot, else Hints[k].
+// Snapshots are ID-sorted like the frame's entries, so one cursor walks
+// the previous snapshot and finds every unchanged host without a lock
+// or a map; a snapshot that is stale or unsorted only makes entries
+// miss.
 type PeerResolver struct {
-	// Hints[k], when present, is the receiver's current snapshot of shard
-	// k. Snapshots are ID-sorted like the frame's entries, so a merge-walk
-	// finds every unchanged host without a lock or a map; a hint that is
-	// stale or unsorted only makes entries miss.
+	// Held[k], when set and recorded (see Spans), is shard k's previous
+	// snapshot in wire form. While the frame's next bytes repeat the
+	// held entry's at the cursor — four strings and stamp — the held
+	// value and stamp are handed back as they are; any other entry is
+	// read field by field and matched at the cursor, then by Lookup.
+	Held []*Spans
+	// Hints[k] is shard k's previous snapshot as values only, for a
+	// receiver that holds no recorded one (such as a quiescent member,
+	// whose snapshots are the interner's copies): matched field by field.
 	Hints [][]PeerInfo
 	// Lookup, when set, resolves what the walk missed by raw wire fields.
 	Lookup func(id, site, mpdAddr, rsAddr []byte) (PeerInfo, bool)
+	// Spans[i] receives the wire form of the decoded Shards[i], reusing
+	// the element's buffers: a receiver trades it along with that
+	// state's Peers and Seen, and passes it back as Held.
+	Spans []Spans
+	// slow counts the entries the last decode read field by field.
+	slow int
+}
+
+// Spans is one decoded shard snapshot in wire form: a copy of the
+// frame's entries region, where each entry — four strings and its
+// stamp — ends, and the values decoded from those bytes. Only the
+// decoder fills one, so its bytes and values agree as long as the
+// holder leaves the values' arrays (the decoded state's Peers and Seen)
+// untouched, which is how snapshots are kept anyway: replaced, never
+// edited. The zero Spans holds nothing.
+type Spans struct {
+	wire  []byte
+	ends  []int32
+	peers []PeerInfo
+	seen  []int64
+}
+
+// previous returns the snapshot the frame's state of shard k replaces:
+// held spans when r holds a recorded one, and the values the cursor
+// walks either way.
+func (r *PeerResolver) previous(k int) (*Spans, []PeerInfo) {
+	switch {
+	case r == nil || k < 0:
+		return nil, nil
+	case k < len(r.Held) && r.Held[k] != nil && len(r.Held[k].ends) > 0:
+		return r.Held[k], r.Held[k].peers
+	case k < len(r.Hints):
+		return nil, r.Hints[k]
+	}
+	return nil, nil
+}
+
+// skip consumes held entry j if its exact bytes come next in d.
+func (h *Spans) skip(d *wire.Decoder, j int) bool {
+	var from int32
+	if j > 0 {
+		from = h.ends[j-1]
+	}
+	return d.SkipPrefix(h.wire[from:h.ends[j]])
 }
 
 // DecodeShardDelta decodes a TShardDelta frame into m, reusing m's
 // Shards array and whatever Peers/Seen capacity its elements hold (the
-// gossip loop decodes every reply into the same scratch). A nil r
-// decodes plainly. On error m's contents are unspecified.
+// gossip loop decodes every reply into the same scratch), and records
+// each state's wire form in r.Spans. A nil r decodes plainly. On error
+// the contents of m and r.Spans are unspecified.
 func (r *PeerResolver) DecodeShardDelta(b []byte, m *ShardDelta) error {
 	d := wire.NewDecoder(b)
 	if t := Type(d.U8()); t != TShardDelta {
 		return fmt.Errorf("proto: expected sharddelta, got %v", t)
 	}
+	if r != nil {
+		r.slow = 0
+	}
 	if !decodeShardDelta(d, m, r) {
 		return wire.ErrCorrupt
 	}
 	return d.Finish()
+}
+
+// resize returns s with length n, keeping its backing when it fits.
+func resize[T any](s []T, n int) []T {
+	if c := cap(s); n > c {
+		s = append(s[:c], make([]T, n-c)...)
+	}
+	return s[:n]
 }
 
 // decodeShardDelta decodes the body of a TShardDelta frame, validating
@@ -184,10 +254,10 @@ func decodeShardDelta(d *wire.Decoder, m *ShardDelta, r *PeerResolver) bool {
 	if n < 0 || n > d.Remaining() {
 		return false
 	}
-	if c := cap(m.Shards); n > c {
-		m.Shards = append(m.Shards[:c], make([]ShardState, n-c)...)
+	m.Shards = resize(m.Shards, n)
+	if r != nil {
+		r.Spans = resize(r.Spans, n)
 	}
-	m.Shards = m.Shards[:n]
 	for i := range m.Shards {
 		st := &m.Shards[i]
 		st.Shard, st.Version, st.Stamp = d.Int(), d.U64(), d.Varint()
@@ -196,37 +266,61 @@ func decodeShardDelta(d *wire.Decoder, m *ShardDelta, r *PeerResolver) bool {
 		if entries < 0 || entries > d.Remaining() {
 			return false
 		}
+		// Headroom: recycled buffers rotate between shards of slightly
+		// different, growing sizes; exact fits would regrow every reply.
+		c := entries + entries/8
 		if cap(st.Peers) < entries || cap(st.Seen) < entries {
-			// Headroom: recycled buffers rotate between shards of slightly
-			// different, growing sizes; exact fits would regrow every reply.
-			c := entries + entries/8
 			st.Peers, st.Seen = make([]PeerInfo, 0, c), make([]int64, 0, c)
 		}
-		var hint []PeerInfo
-		if r != nil && st.Shard >= 0 && st.Shard < len(r.Hints) {
-			hint = r.Hints[st.Shard]
+		held, prev := r.previous(st.Shard)
+		var out *Spans
+		if r != nil {
+			out = &r.Spans[i]
+			if out.ends = out.ends[:0]; cap(out.ends) < entries {
+				out.ends = make([]int32, 0, c)
+			}
 		}
+		base, j := d.Offset(), 0 // j: the cursor into prev
 		for ; entries > 0; entries-- {
-			id, site, mpdAddr, rsAddr := d.StringBytes(), d.StringBytes(), d.StringBytes(), d.StringBytes()
-			for len(hint) > 0 && hint[0].ID < string(id) {
-				hint = hint[1:]
+			if held != nil && j < len(held.ends) && held.skip(d, j) {
+				st.Peers = append(st.Peers, held.peers[j])
+				st.Seen = append(st.Seen, held.seen[j])
+				j++
+			} else {
+				id, site, mpdAddr, rsAddr := d.StringBytes(), d.StringBytes(), d.StringBytes(), d.StringBytes()
+				for j < len(prev) && prev[j].ID < string(id) {
+					j++
+				}
+				var p PeerInfo
+				ok := false
+				if j < len(prev) && prev[j].ID == string(id) {
+					if prev[j].Site == string(site) && prev[j].MPDAddr == string(mpdAddr) && prev[j].RSAddr == string(rsAddr) {
+						p, ok = prev[j], true
+					}
+					j++
+				}
+				if !ok && r != nil && r.Lookup != nil {
+					p, ok = r.Lookup(id, site, mpdAddr, rsAddr)
+				}
+				if !ok {
+					p = PeerInfo{ID: string(id), Site: string(site), MPDAddr: string(mpdAddr), RSAddr: string(rsAddr)}
+				}
+				st.Peers = append(st.Peers, p)
+				st.Seen = append(st.Seen, d.Varint())
+				if r != nil {
+					r.slow++
+				}
 			}
-			var p PeerInfo
-			ok := false
-			if len(hint) > 0 && hint[0].ID == string(id) && hint[0].Site == string(site) &&
-				hint[0].MPDAddr == string(mpdAddr) && hint[0].RSAddr == string(rsAddr) {
-				p, ok = hint[0], true
-			} else if r != nil && r.Lookup != nil {
-				p, ok = r.Lookup(id, site, mpdAddr, rsAddr)
+			if out != nil {
+				out.ends = append(out.ends, int32(d.Offset()-base))
 			}
-			if !ok {
-				p = PeerInfo{ID: string(id), Site: string(site), MPDAddr: string(mpdAddr), RSAddr: string(rsAddr)}
-			}
-			st.Peers = append(st.Peers, p)
-			st.Seen = append(st.Seen, d.Varint())
 		}
 		if d.Err() != nil {
 			return false
+		}
+		if out != nil {
+			out.wire = append(out.wire[:0], d.Since(base)...)
+			out.peers, out.seen = st.Peers, st.Seen
 		}
 	}
 	return true
@@ -406,9 +500,7 @@ func UnmarshalPeerListLimited(b []byte, dst []PeerInfo, limit int) ([]PeerInfo, 
 	for i := 0; i < limit; i++ {
 		dst = append(dst, decodePeerInfo(d))
 	}
-	for i := 4 * (n - limit); i > 0; i-- {
-		d.StringBytes()
-	}
+	d.SkipStrings(4 * (n - limit))
 	return dst, d.Finish()
 }
 

@@ -160,13 +160,17 @@ func FuzzUnmarshalPeerListLimited(f *testing.F) {
 	})
 }
 
-// FuzzShardDeltaResolved: resolving entries against hints and a lookup
-// is invisible. For any frame, whatever the hint lists look like — the
-// previous snapshot, a reordered, stale, duplicated or lying one, or
-// none — and with a pre-populated lookup, the resolved decode into
-// dirty scratch returns the plain decode's value or the plain decode's
-// error, rejects exactly the frames Unmarshal rejects, and aliases
-// neither the frame nor (observably) the hints.
+// FuzzShardDeltaResolved: resolving entries against held spans, hints
+// and a lookup is invisible. For any frame, whatever the hint lists look
+// like — the previous snapshot, a reordered, stale, duplicated or lying
+// one, or none — whatever snapshot the held spans (which supersede a
+// shard's hint) were recorded from — none, the same one, one with an
+// entry inserted, removed or changed, one stamp changed, one cut short
+// — and with a pre-populated lookup, the resolved decode into dirty
+// scratch returns the plain decode's value or the plain decode's error,
+// rejects exactly the frames Unmarshal rejects, and aliases neither the
+// frame nor (observably) the hints. The spans that decode records, held
+// for a second decode of the same frame, give the plain value again.
 func FuzzShardDeltaResolved(f *testing.F) {
 	for _, frame := range corpusFrames() {
 		f.Add(frame, []byte{0, 1, 2, 3, 4})
@@ -184,24 +188,37 @@ func FuzzShardDeltaResolved(f *testing.F) {
 	}
 	f.Add(two[:len(two)-3], []byte{0})
 	f.Add(append(slices.Clone(two), 0xff), []byte{3})
+	// A mode byte m bends shard i's hint by m%5 and picks its held spans
+	// by m/5%7 (see heldSibling), so the seeds above hold none and reach
+	// every hint mode; {3} compares the same-ID impostor. These hold
+	// spans, the first shard's changed entry (mode 4) an impostor too.
+	for held := byte(1); held < 7; held++ {
+		f.Add(two, []byte{5 * held, 5*held + 3, 0})
+	}
 	f.Fuzz(func(t *testing.T, data, modes []byte) {
 		buf := slices.Clone(data)
 		typ, plainMsg, plainErr := Unmarshal(buf)
 		plain, _ := plainMsg.(*ShardDelta)
 
-		// Hints and lookup table derived from what the frame really holds,
-		// then bent per shard by the fuzzed mode bytes.
-		r := &PeerResolver{Hints: make([][]PeerInfo, 4)}
+		// Hints, held spans and lookup table derived from what the frame
+		// really holds, then bent per shard by the fuzzed mode bytes. The
+		// spans are recorded honestly: by decoding a sibling frame.
+		r := &PeerResolver{Hints: make([][]PeerInfo, 4), Held: make([]*Spans, 4)}
 		known := map[string]PeerInfo{"ghost": pi("ghost")}
 		if plain != nil {
+			var siblings ShardDelta
 			for i, st := range plain.Shards {
 				if st.Shard < 0 || st.Shard >= len(r.Hints) {
 					continue
 				}
 				mode := byte(0)
 				if len(modes) > 0 {
-					mode = modes[i%len(modes)] % 5
+					mode = modes[i%len(modes)]
 				}
+				if sib, ok := heldSibling(st, mode/5%7); ok {
+					siblings.Shards = append(siblings.Shards, sib)
+				}
+				mode %= 5
 				hint := slices.Clone(st.Peers)
 				switch mode {
 				case 1: // unsorted
@@ -228,6 +245,14 @@ func FuzzShardDeltaResolved(f *testing.F) {
 					}
 				}
 			}
+			var rs PeerResolver
+			var held ShardDelta
+			if err := rs.DecodeShardDelta(MustMarshal(&siblings), &held); err != nil {
+				t.Fatalf("sibling frame: %v", err)
+			}
+			for i := range held.Shards {
+				r.Held[held.Shards[i].Shard] = &rs.Spans[i]
+			}
 		}
 		r.Lookup = func(id, site, mpdAddr, rsAddr []byte) (PeerInfo, bool) {
 			p, ok := known[string(id)]
@@ -253,22 +278,66 @@ func FuzzShardDeltaResolved(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// What this decode recorded, held for a second decode of the frame.
+		again := &PeerResolver{Held: make([]*Spans, 4)}
+		for i, st := range m.Shards {
+			if st.Shard >= 0 && st.Shard < len(again.Held) {
+				again.Held[st.Shard] = &r.Spans[i]
+			}
+		}
+		var m2 ShardDelta
+		if err := again.DecodeShardDelta(buf, &m2); err != nil {
+			t.Fatalf("decode against its own spans: %v", err)
+		}
 		want := MustMarshal(plain)
 		for i := range buf {
 			buf[i] ^= 0xff // a value still viewing the frame would change
 		}
-		if got := MustMarshal(&m); !bytes.Equal(got, want) {
-			t.Fatalf("resolved decode differs from the plain one:\nresolved %x\nplain    %x", got, want)
-		}
-		if len(m.Shards) != len(plain.Shards) {
-			t.Fatalf("%d shards, want %d", len(m.Shards), len(plain.Shards))
-		}
-		for i := range m.Shards {
-			if len(m.Shards[i].Seen) != len(plain.Shards[i].Seen) {
-				t.Fatalf("shard %d: %d stamps, want %d", i, len(m.Shards[i].Seen), len(plain.Shards[i].Seen))
+		for _, got := range []*ShardDelta{&m, &m2} {
+			if enc := MustMarshal(got); !bytes.Equal(enc, want) {
+				t.Fatalf("resolved decode differs from the plain one:\nresolved %x\nplain    %x", enc, want)
+			}
+			if len(got.Shards) != len(plain.Shards) {
+				t.Fatalf("%d shards, want %d", len(got.Shards), len(plain.Shards))
+			}
+			for i := range got.Shards {
+				if len(got.Shards[i].Seen) != len(plain.Shards[i].Seen) {
+					t.Fatalf("shard %d: %d stamps, want %d", i, len(got.Shards[i].Seen), len(plain.Shards[i].Seen))
+				}
 			}
 		}
 	})
+}
+
+// heldSibling returns the snapshot whose recorded spans shard st's held
+// spans are, by mode: 0 none; 1 st itself; 2, 3 st with an entry
+// inserted or removed mid-list; 4 st with its first entry's RSAddr
+// changed (same ID); 5 one stamp changed; 6 st cut short.
+func heldSibling(st ShardState, mode byte) (ShardState, bool) {
+	peers, seen := slices.Clone(st.Peers), slices.Clone(st.Seen)
+	mid := len(peers) / 2
+	switch mode {
+	case 0:
+		return ShardState{}, false
+	case 2:
+		peers = slices.Insert(peers, mid, PeerInfo{ID: "inserted", Site: "s", MPDAddr: "i:1", RSAddr: "i:2"})
+		seen = slices.Insert(seen, mid, 77)
+	case 3, 4, 5:
+		if len(peers) == 0 {
+			break
+		}
+		switch mode {
+		case 3:
+			peers, seen = slices.Delete(peers, mid, mid+1), slices.Delete(seen, mid, mid+1)
+		case 4:
+			peers[0].RSAddr = "impostor:1"
+		case 5:
+			seen[mid]++
+		}
+	case 6:
+		peers, seen = peers[:mid], seen[:mid]
+	}
+	return ShardState{Shard: st.Shard, Version: st.Version, Stamp: st.Stamp, Peers: peers, Seen: seen}, true
 }
 
 // FuzzDecodeInto: the fixed-shape reuse decoder (heartbeats, handshake

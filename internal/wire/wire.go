@@ -6,6 +6,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -69,8 +70,14 @@ func (e *Encoder) U64(v uint64) *Encoder {
 	return e
 }
 
-// Varint appends a signed varint.
+// Varint appends a signed varint, in encoding/binary's zigzag form.
+// Values in [-64, 63] — the length of every host ID and address, small
+// counts — take the one-byte path.
 func (e *Encoder) Varint(v int64) *Encoder {
+	if uint64(v+64) < 128 {
+		e.buf = append(e.buf, byte(v<<1^v>>63))
+		return e
+	}
 	e.buf = binary.AppendVarint(e.buf, v)
 	return e
 }
@@ -202,10 +209,17 @@ func (d *Decoder) U64() uint64 {
 	return v
 }
 
-// Varint reads a signed varint.
+// Varint reads a signed varint, with encoding/binary's result: a byte
+// below 0x80 is a whole varint and is decoded in place.
 func (d *Decoder) Varint() int64 {
 	if d.err != nil {
 		return 0
+	}
+	if d.off < len(d.buf) {
+		if b := d.buf[d.off]; b < 0x80 {
+			d.off++
+			return int64(b>>1) ^ -int64(b&1)
+		}
 	}
 	v, n := binary.Varint(d.buf[d.off:])
 	if n <= 0 {
@@ -254,6 +268,38 @@ func (d *Decoder) StringBytes() []byte {
 	b := d.buf[d.off : d.off+int(n) : d.off+int(n)]
 	d.off += int(n)
 	return b
+}
+
+// SkipStrings consumes n length-prefixed strings without viewing them,
+// failing exactly where n StringBytes reads would.
+func (d *Decoder) SkipStrings(n int) {
+	for ; n > 0 && d.err == nil; n-- {
+		l := d.Varint()
+		if l < 0 || l > int64(len(d.buf)-d.off) {
+			d.fail(ErrCorrupt)
+			return
+		}
+		d.off += int(l)
+	}
+}
+
+// Offset returns the number of bytes read so far.
+func (d *Decoder) Offset() int { return d.off }
+
+// Since returns a view of the bytes read from offset from (an earlier
+// Offset) to the read position. Like StringBytes, it is valid only
+// while the buffer is.
+func (d *Decoder) Since(from int) []byte { return d.buf[from:d.off:d.off] }
+
+// SkipPrefix consumes p if the unread bytes start with it, and reports
+// whether they did: a decoder that holds the exact bytes a value came
+// from recognises the value again with one memory compare.
+func (d *Decoder) SkipPrefix(p []byte) bool {
+	if d.err != nil || !bytes.HasPrefix(d.buf[d.off:], p) {
+		return false
+	}
+	d.off += len(p)
+	return true
 }
 
 // String reads a length-prefixed string.
