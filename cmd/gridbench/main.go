@@ -119,7 +119,7 @@ func main() {
 	hosts := flag.String("hosts", "", "scale: comma-separated world sizes (hosts); default: the -grid spec's own size")
 	sn := flag.String("sn", "", "supernode-federation width K; scale takes a comma-separated axis (e.g. 1,4,16), conc/churn a single value; default: the -grid spec's sn value (1)")
 	workers := flag.Int("workers", exp.DefaultWorkers(), "pool width for fig4, conc, scale and churn sweeps (independent worlds)")
-	shards := flag.Int("shards", 1, "shard count of each world's virtual-time domain: partition sites onto N event loops synchronized by lookahead barriers (1 = one shard, every window inline; output is byte-identical for any value)")
+	shards := flag.Int("shards", 1, "shard count of each world's virtual-time domain: partition sites onto N event loops synchronized by lookahead barriers (1 = one shard, every window inline; output is byte-identical for any value). More shards pay off only with cores to spare: on 2 cores a 6 400-host world runs slower sharded than with 1")
 	// The churn duration flags all accept bare seconds ("600") or Go
 	// durations ("10m"), matching the -mtbf axis syntax.
 	mtbf := flag.String("mtbf", "", "churn: comma-separated per-host MTBF axis (seconds or Go durations, e.g. 600,1800 or 10m,30m)")

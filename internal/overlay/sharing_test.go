@@ -77,8 +77,9 @@ func registerHome(t *testing.T, n *simnet.Net, addrs []string, p proto.PeerInfo)
 // TestQuiescentFederationSharesOneCopy: once gossip settles, every
 // member's merged view aliases the interner's canonical array, every
 // member's snapshot of a shard aliases the interner's copy of that
-// shard, nothing keeps append slack, and the gossip scratch — every
-// snapshot's spans included — is gone.
+// shard, nothing keeps append slack, and the gossip scratch is gone —
+// every snapshot's spans keep its values and drop their wire form and
+// change lists.
 func TestQuiescentFederationSharesOneCopy(t *testing.T) {
 	const k = 4
 	hosts := hostNames(24)
@@ -113,14 +114,11 @@ func TestQuiescentFederationSharesOneCopy(t *testing.T) {
 				if cap(canon) != len(canon) || len(canon) != sns[j].PeerCount() {
 					t.Errorf("canonical shard %d: len %d cap %d, owner has %d", j, len(canon), cap(canon), sns[j].PeerCount())
 				}
-				if r != nil {
-					if !reflect.ValueOf(r.spans).IsZero() {
-						t.Errorf("member %d holds the spans of shard %d after quiescence", i, j)
-					}
+				if r != nil && (!valuesOnly(&r.spans) || !spansPair(&r.spans, r.peers, r.seen)) {
+					t.Errorf("member %d holds more than the values of shard %d after quiescence", i, j)
 				}
 			}
 			if g := &sn.gossip; g.delta.Shards != nil || g.resolver.Spans != nil || sn.reply.seen != nil ||
-				slices.ContainsFunc(g.resolver.Hints, func(h []proto.PeerInfo) bool { return h != nil }) ||
 				slices.ContainsFunc(g.resolver.Held, func(h *proto.Spans) bool { return h != nil }) {
 				t.Errorf("member %d kept its decode scratch through a quiescent round", i)
 			}
@@ -229,6 +227,18 @@ func spansPair(sp *proto.Spans, peers []proto.PeerInfo, seen []int64) bool {
 		vs.Pointer() == uintptr(unsafe.Pointer(unsafe.SliceData(seen)))
 }
 
+// valuesOnly reports whether sp holds no wire form, no change lists and
+// no reference to the snapshot they were counted against.
+func valuesOnly(sp *proto.Spans) bool {
+	v := reflect.ValueOf(sp).Elem()
+	for _, f := range []string{"wire", "ends", "gone", "fresh", "base", "baseSeen"} {
+		if !v.FieldByName(f).IsNil() {
+			return false
+		}
+	}
+	return true
+}
+
 func hasPoison(list []proto.PeerInfo) bool {
 	return slices.ContainsFunc(list, func(p proto.PeerInfo) bool { return strings.Contains(p.ID+p.Site, "POISON") })
 }
@@ -334,7 +344,7 @@ func TestRecycledBuffersNeverAliasLiveState(t *testing.T) {
 // partition long enough that each side sweeps the other's shards before
 // it heals — with a shared interner and with none, sampling every
 // member's Snapshot, KnownVersions and Stats every 50 ms: the two logs
-// must be identical. Sharing is a memory optimization; it must never
+// must be identical, and every sampled merged view obeys the claim rule. Sharing is a memory optimization; it must never
 // change an answer, a version or a byte count.
 func TestInternerIsInvisible(t *testing.T) {
 	const k = 4
@@ -390,6 +400,9 @@ func TestInternerIsInvisible(t *testing.T) {
 				for i, sn := range sns {
 					log = append(log, fmt.Sprintf("step %d member %d: %v %v %+v",
 						step, i, sn.Snapshot(), sn.KnownVersions(), sn.Stats()))
+					if err := sn.checkMerged(); err != nil {
+						t.Errorf("step %d: %v", step, err)
+					}
 				}
 			}
 			for _, sn := range sns {

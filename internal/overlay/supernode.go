@@ -19,19 +19,23 @@
 //
 // Memory rule of the federated tier: state is private and recycled while
 // it changes, canonical from the first quiescent round. Every applied
-// snapshot rebuilds the member's merged view into a pooled buffer pair
-// and is itself decoded into the buffers of the snapshot it replaces,
+// snapshot is decoded into the buffers of the snapshot it replaces,
 // against that snapshot's wire form: an entry whose bytes repeat costs
 // one memory compare, and any other is resolved to a PeerInfo the
 // member or the world already holds before a string is built — a
-// gossip tick of a boot storm allocates nothing. When a gossip round brings nothing new, the member
-// offers its view and snapshots to the deployment's Interner and adopts
-// the canonical, read-only copies, so a settled K-member federation
-// holds one world, not K; the first edit after that copies on write.
+// gossip tick of a boot storm allocates nothing. The decode reports the
+// entries that changed, and only those are folded into the member's
+// merged view, a pooled buffer pair. When a gossip round brings nothing
+// new, the member offers its view and snapshots to the deployment's
+// Interner and adopts the canonical, read-only copies, so a settled
+// K-member federation holds one world, not K; the first edit after that
+// copies on write.
 package overlay
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -135,9 +139,11 @@ type remoteShard struct {
 	stamp   int64 // owner's version-creation instant (unix nanos)
 	peers   []proto.PeerInfo
 	seen    []int64
-	// spans is the snapshot's wire form, as decoded with peers and seen
-	// (the next snapshot of the shard is decoded against it); traded
-	// with them, and dropped on a quiescent round.
+	// spans is the snapshot as decoded: peers and seen, its wire form
+	// and its changes from the snapshot it replaced. The next snapshot
+	// of the shard is decoded against it, and a digest reply forwards
+	// its wire form. Traded with peers and seen; on a quiescent round
+	// it keeps only the values.
 	spans     proto.Spans
 	appliedAt time.Time // when this snapshot landed here (liveness anchor)
 	// shared marks peers as the interner's canonical slice (adopted on a
@@ -223,10 +229,12 @@ type Supernode struct {
 	stats      SupernodeStats
 
 	// reply is appendDeltaReply's scratch, used under mu while a reply
-	// is encoded: the states it ships and the owned set's last-seen
-	// column, which is dropped with the gossip scratch.
+	// is encoded: the states it ships, the spans each was decoded with
+	// (nil for the owned set), and the owned set's last-seen column,
+	// which is dropped with the gossip scratch.
 	reply struct {
 		states []proto.ShardState
+		held   []*proto.Spans
 		seen   []int64
 	}
 
@@ -272,7 +280,6 @@ func NewSupernode(rt vtime.Runtime, net transport.Network, cfg SupernodeConfig) 
 		s.remote = make(map[int]*remoteShard)
 		s.memberSeen = make(map[int]time.Time)
 		s.gossip.versions = make([]uint64, len(cfg.Federation))
-		s.gossip.resolver.Hints = make([][]proto.PeerInfo, len(cfg.Federation))
 		s.gossip.resolver.Held = make([]*proto.Spans, len(cfg.Federation))
 		s.gossip.resolver.Lookup = cfg.Intern.Lookup // nil-receiver safe
 	}
@@ -523,19 +530,18 @@ func (s *Supernode) register(p proto.PeerInfo) {
 	defer s.mu.Unlock()
 	now := s.rt.Now()
 	if e, ok := s.peers[p.ID]; ok {
+		e.lastSeen = now
 		if i, found := findSorted(s.listCache, p.ID); found && s.listCache[i] != p {
 			s.listCache[i] = p
 			s.bumpVersionLocked(now)
-			if s.cfg.federated() {
-				s.mergedUpsertLocked(p, s.cfg.Shard, now.UnixNano())
-			}
-		} else if s.cfg.federated() {
-			// Info unchanged, but the stamp refresh matters: it is what
-			// lets a re-homed registration win the failover tie-break
-			// against a stale foster copy in another shard's snapshot.
+		}
+		if s.cfg.federated() {
+			// Even with the info unchanged the stamp refresh matters: it
+			// is what lets a re-homed registration win the failover
+			// tie-break against a stale foster copy in another shard's
+			// snapshot.
 			s.mergedUpsertLocked(p, s.cfg.Shard, now.UnixNano())
 		}
-		e.lastSeen = now
 		return
 	}
 	e := &peerEntry{lastSeen: now}
@@ -550,19 +556,16 @@ func (s *Supernode) register(p proto.PeerInfo) {
 }
 
 // touch refreshes a peer's last-seen stamp, reporting whether the peer
-// is actually listed here.
+// is actually listed here. The fresher owned claim is re-offered to the
+// merged view, where it may now outrank another shard's copy.
 func (s *Supernode) touch(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.peers[id]
 	if ok {
 		e.lastSeen = s.rt.Now()
-		if s.cfg.federated() {
-			// meta is never aliased between members (only merged is), so
-			// the stamp refresh can write in place.
-			if i, found := findSorted(s.merged, id); found && s.meta[i].shard == s.cfg.Shard {
-				s.meta[i].seen = e.lastSeen.UnixNano()
-			}
+		if i, found := findSorted(s.listCache, id); found && s.cfg.federated() {
+			s.mergedUpsertLocked(s.listCache[i], s.cfg.Shard, e.lastSeen.UnixNano())
 		}
 	}
 	return ok
@@ -588,42 +591,67 @@ func (s *Supernode) cowMergedLocked() {
 	}
 }
 
-// mergedUpsertLocked inserts or refreshes one entry of the merged view,
-// attributed to the given shard. A fresher last-seen stamp wins a
-// conflict; ties go to the lower shard index so replays are exact.
-func (s *Supernode) mergedUpsertLocked(p proto.PeerInfo, shard int, seen int64) {
-	i, found := findSorted(s.merged, p.ID)
-	if found {
-		m := s.meta[i]
-		if m.shard != shard && (m.seen > seen || (m.seen == seen && m.shard < shard)) {
-			return // the other shard's claim is fresher
-		}
-		if s.merged[i] != p {
-			s.cowMergedLocked()
-			s.merged[i] = p
-		}
-		s.meta[i] = entryMeta{shard: shard, seen: seen}
-		return
-	}
-	s.cowMergedLocked()
-	s.merged = spliceIn(s.merged, i, p)
-	s.meta = spliceIn(s.meta, i, entryMeta{shard: shard, seen: seen})
+// The claim rule of the merged view: merged[id] is the freshest claim on
+// id over the owned table and every remote snapshot, a claim being the
+// source's PeerInfo and last-seen stamp, and on equal stamps the lower
+// shard index wins. The view is thus a function of the sources alone,
+// not of the order they changed in, so any edit path — one upsert, one
+// drop, a merge pass — must land on what the rule picks; checkMerged
+// audits it. Each edit path runs after its source has changed.
+
+// beats reports whether a claim stamped seenA from shard a outranks one
+// stamped seenB from shard b.
+func beats(seenA int64, a int, seenB int64, b int) bool {
+	return seenA > seenB || (seenA == seenB && a < b)
 }
 
-// mergedDropLocked removes an entry attributed to the given shard from
-// the merged view; if another shard's snapshot still lists the host,
-// the freshest surviving claim takes its place so an owned expiry cannot
-// erase a peer the federation still believes in.
+// setMergedLocked points merged[i] at a claim; meta is never aliased
+// between members (only merged is), so only a changed value copies.
+func (s *Supernode) setMergedLocked(i int, p proto.PeerInfo, m entryMeta) {
+	if s.merged[i] != p {
+		s.cowMergedLocked()
+		s.merged[i] = p
+	}
+	s.meta[i] = m
+}
+
+// mergedUpsertLocked folds shard's new claim (p, seen) on p.ID into the
+// merged view. If the entry was shard's own claim and it went staler,
+// another source may outrank it now, so the entry is re-claimed.
+func (s *Supernode) mergedUpsertLocked(p proto.PeerInfo, shard int, seen int64) {
+	i, found := findSorted(s.merged, p.ID)
+	if !found {
+		s.cowMergedLocked()
+		s.merged = spliceIn(s.merged, i, p)
+		s.meta = spliceIn(s.meta, i, entryMeta{shard: shard, seen: seen})
+		return
+	}
+	switch m := s.meta[i]; {
+	case m.shard == shard && seen < m.seen:
+		s.reclaimLocked(i)
+	case m.shard == shard || beats(seen, shard, m.seen, m.shard):
+		s.setMergedLocked(i, p, entryMeta{shard: shard, seen: seen})
+	}
+}
+
+// mergedDropLocked folds the end of shard's claim on id into the merged
+// view: an entry that was shard's claim falls to the freshest surviving
+// claim, if any, so an owned expiry cannot erase a peer the federation
+// still believes in.
 func (s *Supernode) mergedDropLocked(id string, shard int) {
-	i, found := findSorted(s.merged, id)
-	if !found || s.meta[i].shard != shard {
+	if i, found := findSorted(s.merged, id); found && s.meta[i].shard == shard {
+		s.reclaimLocked(i)
+	}
+}
+
+// reclaimLocked re-derives merged[i] from the sources, dropping it when
+// none claims the host any more.
+func (s *Supernode) reclaimLocked(i int) {
+	if p, m, ok := s.claimLocked(s.merged[i].ID); ok {
+		s.setMergedLocked(i, p, m)
 		return
 	}
 	s.cowMergedLocked()
-	if p, m, ok := s.claimLocked(id, shard); ok {
-		s.merged[i], s.meta[i] = p, m
-		return
-	}
 	s.merged = spliceOut(s.merged, i)
 	s.meta = spliceOut(s.meta, i)
 }
@@ -696,17 +724,16 @@ func (s *Supernode) gossipTick(tick int) {
 // snapshots come back — then runs then. The reply is decoded outside the
 // lock into the gossip scratch, each entry resolved against the snapshot
 // it is about to replace (captured with the version vector: its spans,
-// or its values alone once the spans were dropped) before any string is
-// built.
+// which hold its values alone once the wire form was dropped) before
+// any string is built.
 func (s *Supernode) gossipWith(shard int, then func()) {
 	addr := s.cfg.Federation[shard]
 	g := &s.gossip
 	s.mu.Lock()
 	s.knownVersionsLocked(g.versions)
-	clear(g.resolver.Hints)
 	clear(g.resolver.Held)
 	for k, r := range s.remote {
-		g.resolver.Hints[k], g.resolver.Held[k] = r.peers, &r.spans
+		g.resolver.Held[k] = &r.spans
 	}
 	s.mu.Unlock()
 
@@ -770,11 +797,10 @@ func (s *Supernode) applyDelta(shard int, sent int64, reply transport.Message) {
 		if !r.shared {
 			r.peers, r.shared = it.Snapshot(k, r.version, r.peers)
 		}
-		r.spans = proto.Spans{}
+		r.spans = proto.HeldValues(r.peers, r.seen)
 	}
 	g.delta = proto.ShardDelta{}
 	g.resolver.Spans = nil
-	clear(g.resolver.Hints)
 	clear(g.resolver.Held)
 	s.reply.seen = nil
 }
@@ -811,8 +837,9 @@ func (s *Supernode) knownVersionsLocked(v []uint64) {
 
 // appendDeltaReply encodes, under the lock, a ShardDelta holding every
 // shard on which the digest's sender trails this member's knowledge.
-// The frame is built straight from the stored snapshots (and the owned
-// table), no intermediate copies.
+// The frame is built straight from the owned table and the stored
+// snapshots, no intermediate copies; a snapshot whose spans still hold
+// the bytes it arrived in is forwarded as those bytes.
 func (s *Supernode) appendDeltaReply(dst []byte, d *proto.Digest) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -820,7 +847,7 @@ func (s *Supernode) appendDeltaReply(dst []byte, d *proto.Digest) []byte {
 	if d.From >= 0 && d.From < k {
 		s.memberSeen[d.From] = s.rt.Now() // the sender is provably alive
 	}
-	states := s.reply.states[:0]
+	states, held := s.reply.states[:0], s.reply.held[:0]
 	reqVersion := func(i int) uint64 {
 		if i < len(d.Versions) {
 			return d.Versions[i]
@@ -828,7 +855,7 @@ func (s *Supernode) appendDeltaReply(dst []byte, d *proto.Digest) []byte {
 		return 0
 	}
 	if s.ownVersion > reqVersion(s.cfg.Shard) {
-		states = append(states, s.ownShardStateLocked())
+		states, held = append(states, s.ownShardStateLocked()), append(held, nil)
 	}
 	for i := 0; i < k; i++ {
 		if r := s.remote[i]; r != nil && r.version > reqVersion(i) {
@@ -836,11 +863,13 @@ func (s *Supernode) appendDeltaReply(dst []byte, d *proto.Digest) []byte {
 				Shard: i, Version: r.version, Stamp: r.stamp,
 				Peers: r.peers, Seen: r.seen,
 			})
+			held = append(held, &r.spans)
 		}
 	}
-	frame, _ := proto.AppendMarshal(dst, &proto.ShardDelta{Shards: states})
+	frame := proto.AppendShardDelta(dst, states, held)
 	clear(states) // keep no snapshot reachable from the scratch
-	s.reply.states = states[:0]
+	clear(held)
+	s.reply.states, s.reply.held = states[:0], held[:0]
 	return frame
 }
 
@@ -860,15 +889,18 @@ func (s *Supernode) ownShardStateLocked() proto.ShardState {
 }
 
 // applyShardLocked folds one received snapshot into the federation
-// view: it replaces the stored snapshot for that shard and rebuilds the
-// affected slice of the merged view with one linear merge pass.
+// view: it replaces the stored snapshot for that shard, then applies
+// the entries the decoder found changed as upserts and drops — or, for
+// a shard's first snapshot, or changes counted against other arrays
+// than the ones replaced, re-merges with one linear pass.
 func (s *Supernode) applyShardLocked(st *proto.ShardState, sp *proto.Spans) {
 	k := st.Shard
 	if k == s.cfg.Shard || k < 0 || k >= len(s.cfg.Federation) {
 		return // own shard is authoritative locally; bogus index dropped
 	}
 	r := s.remote[k]
-	if r == nil {
+	first := r == nil
+	if first {
 		r = new(remoteShard)
 		s.remote[k] = r
 	} else if st.Version <= r.version {
@@ -884,35 +916,64 @@ func (s *Supernode) applyShardLocked(st *proto.ShardState, sp *proto.Spans) {
 			}
 		}
 	}
+	gone, fresh, incremental := sp.Delta(r.peers, r.seen)
+	old := r.peers
 	// The snapshot takes the decoded buffers and their spans, and the
 	// decode scratch takes the ones it vacates (unless they are the
-	// interner's, which carry no spans), so steady gossip decodes into
-	// the same few arrays. Values and spans move together: spans held
-	// beside values they were not decoded with would hand out wrong ones.
+	// interner's, whose spans hold nothing else), so steady gossip
+	// decodes into the same few arrays. Values and spans move together:
+	// spans held beside values they were not decoded with would hand out
+	// wrong ones.
 	vacPeers, vacSeen, vacSpans := r.peers[:0], r.seen[:0], r.spans
 	if r.shared {
-		vacPeers = nil
+		vacPeers, vacSpans = nil, proto.Spans{}
 	}
 	*r = remoteShard{version: st.Version, stamp: st.Stamp,
 		peers: st.Peers, seen: st.Seen, spans: *sp, appliedAt: s.rt.Now()}
-	s.rebuildMergedLocked(k, r.peers, r.seen)
+	if first || !incremental {
+		s.rebuildMergedLocked(k, r.peers, r.seen)
+	} else {
+		s.foldChangesLocked(k, old, r, gone, fresh)
+	}
 	st.Peers, st.Seen, *sp = vacPeers, vacSeen, vacSpans
+}
+
+// foldChangesLocked applies shard k's changed claims to the merged
+// view: old[gone] are the entries r's snapshot no longer repeats and
+// r.peers[fresh] the new ones, both ID-sorted. A changed entry, in both
+// lists, is one upsert.
+func (s *Supernode) foldChangesLocked(k int, old []proto.PeerInfo, r *remoteShard, gone, fresh []int32) {
+	for len(gone) > 0 || len(fresh) > 0 {
+		if len(fresh) == 0 || (len(gone) > 0 && old[gone[0]].ID < r.peers[fresh[0]].ID) {
+			s.mergedDropLocked(old[gone[0]].ID, k)
+			gone = gone[1:]
+			continue
+		}
+		j := fresh[0]
+		if len(gone) > 0 && old[gone[0]].ID == r.peers[j].ID {
+			gone = gone[1:]
+		}
+		s.mergedUpsertLocked(r.peers[j], k, stampAt(r.seen, int(j)))
+		fresh = fresh[1:]
+	}
+}
+
+// stampAt is the last-seen stamp of entry i, 0 when the column is short.
+func stampAt(seen []int64, i int) int64 {
+	if i < len(seen) {
+		return seen[i]
+	}
+	return 0
 }
 
 // rebuildMergedLocked re-merges the view against shard k's claim set —
 // its new snapshot, or nothing when the shard was swept — in one linear
 // two-pointer pass over the (both ID-sorted) current view and the
 // claims; per-entry splices would make a boot-storm convergence, or the
-// sweep of a dead shard, O(world²). An entry the shard no longer claims
-// is replaced in passing by the freshest surviving claim, if any. The
-// pass writes into a pooled pair and hands back the one it vacates.
+// sweep of a dead shard, O(world²). An entry the shard no longer claims,
+// or claims staler than before, is re-claimed in passing. The pass
+// writes into a pooled pair and hands back the one it vacates.
 func (s *Supernode) rebuildMergedLocked(k int, peers []proto.PeerInfo, stamps []int64) {
-	claimSeen := func(j int) int64 {
-		if j < len(stamps) {
-			return stamps[j]
-		}
-		return 0
-	}
 	buf := viewPool.Get().(*viewBuf)
 	if cap(buf.peers) < len(s.merged) || cap(buf.meta) < len(s.merged) {
 		// Pool miss, or a pair the world outgrew: size for the union plus
@@ -921,6 +982,11 @@ func (s *Supernode) rebuildMergedLocked(k int, peers []proto.PeerInfo, stamps []
 		buf.peers, buf.meta = make([]proto.PeerInfo, 0, n+n/8), make([]entryMeta, 0, n+n/8)
 	}
 	out, metaOut := buf.peers[:0], buf.meta[:0]
+	claim := func(id string) {
+		if p, m, ok := s.claimLocked(id); ok {
+			out, metaOut = append(out, p), append(metaOut, m)
+		}
+	}
 	i, j := 0, 0
 	for i < len(s.merged) || j < len(peers) {
 		switch {
@@ -928,24 +994,24 @@ func (s *Supernode) rebuildMergedLocked(k int, peers []proto.PeerInfo, stamps []
 			if s.meta[i].shard != k {
 				out = append(out, s.merged[i])
 				metaOut = append(metaOut, s.meta[i])
-			} else if p, m, ok := s.claimLocked(s.merged[i].ID, k); ok {
-				// Previously attributed to this shard, no longer claimed.
-				out = append(out, p)
-				metaOut = append(metaOut, m)
+			} else {
+				claim(s.merged[i].ID) // no longer claimed by this shard
 			}
 			i++
 		case i >= len(s.merged) || peers[j].ID < s.merged[i].ID:
 			// New host for the merged view.
 			out = append(out, peers[j])
-			metaOut = append(metaOut, entryMeta{shard: k, seen: claimSeen(j)})
+			metaOut = append(metaOut, entryMeta{shard: k, seen: stampAt(stamps, j)})
 			j++
 		default: // same ID: resolve precedence
-			m := s.meta[i]
-			seen := claimSeen(j)
-			if m.shard == k || seen > m.seen || (seen == m.seen && k < m.shard) {
+			m, seen := s.meta[i], stampAt(stamps, j)
+			switch {
+			case m.shard == k && seen < m.seen:
+				claim(peers[j].ID)
+			case m.shard == k || beats(seen, k, m.seen, m.shard):
 				out = append(out, peers[j])
 				metaOut = append(metaOut, entryMeta{shard: k, seen: seen})
-			} else {
+			default:
 				out = append(out, s.merged[i])
 				metaOut = append(metaOut, m)
 			}
@@ -960,38 +1026,56 @@ func (s *Supernode) rebuildMergedLocked(k int, peers []proto.PeerInfo, stamps []
 	s.merged, s.meta, s.mergedShared = out, metaOut, false
 }
 
-// claimLocked finds the freshest surviving claim for a host whose
-// attribution to the excluded shard just disappeared (the owned table
-// and every other shard's snapshot are consulted).
-func (s *Supernode) claimLocked(id string, exclude int) (proto.PeerInfo, entryMeta, bool) {
-	bestShard, bestSeen, bestIdx := -1, int64(0), -1
+// claimLocked finds the claim the rule picks for a host, over the owned
+// table and every remote snapshot as they stand.
+func (s *Supernode) claimLocked(id string) (best proto.PeerInfo, bm entryMeta, ok bool) {
+	if i, found := findSorted(s.listCache, id); found {
+		best, bm, ok = s.listCache[i], entryMeta{shard: s.cfg.Shard, seen: s.owned[i].lastSeen.UnixNano()}, true
+	}
 	for k, r := range s.remote {
-		if k == exclude {
-			continue
-		}
 		if i, found := findSorted(r.peers, id); found {
-			seen := int64(0)
-			if i < len(r.seen) {
-				seen = r.seen[i]
-			}
-			if bestShard == -1 || seen > bestSeen || (seen == bestSeen && k < bestShard) {
-				bestShard, bestSeen, bestIdx = k, seen, i
+			if seen := stampAt(r.seen, i); !ok || beats(seen, k, bm.seen, bm.shard) {
+				best, bm, ok = r.peers[i], entryMeta{shard: k, seen: seen}, true
 			}
 		}
 	}
-	if exclude != s.cfg.Shard {
-		if e, owned := s.peers[id]; owned {
-			if seen := e.lastSeen.UnixNano(); bestShard == -1 || seen >= bestSeen {
-				if i, found := findSorted(s.listCache, id); found {
-					return s.listCache[i], entryMeta{shard: s.cfg.Shard, seen: seen}, true
-				}
-			}
+	return best, bm, ok
+}
+
+// checkMerged audits the merged view against the claim rule: it must
+// hold exactly the claim the rule picks for every host some source
+// claims, attributed to its source, and nothing else.
+func (s *Supernode) checkMerged() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.cfg.federated() {
+		return nil
+	}
+	if len(s.meta) != len(s.merged) {
+		return fmt.Errorf("overlay: shard %d: %d meta for %d merged entries", s.cfg.Shard, len(s.meta), len(s.merged))
+	}
+	ids := make([]string, 0, len(s.merged))
+	for _, p := range s.listCache {
+		ids = append(ids, p.ID)
+	}
+	for _, r := range s.remote {
+		for _, p := range r.peers {
+			ids = append(ids, p.ID)
 		}
 	}
-	if bestShard < 0 {
-		return proto.PeerInfo{}, entryMeta{}, false
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	if len(ids) != len(s.merged) {
+		return fmt.Errorf("overlay: shard %d: merged view lists %d hosts, the sources claim %d", s.cfg.Shard, len(s.merged), len(ids))
 	}
-	return s.remote[bestShard].peers[bestIdx], entryMeta{shard: bestShard, seen: bestSeen}, true
+	for i, id := range ids {
+		p, m, _ := s.claimLocked(id)
+		if s.merged[i] != p || s.meta[i] != m {
+			return fmt.Errorf("overlay: shard %d: merged[%d] = %+v %+v, the claim rule picks %+v %+v",
+				s.cfg.Shard, i, s.merged[i], s.meta[i], p, m)
+		}
+	}
+	return nil
 }
 
 // Client-side helpers: one-shot exchanges with a supernode.

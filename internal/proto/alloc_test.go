@@ -132,8 +132,9 @@ func TestUnmarshalPeerListReusesScratch(t *testing.T) {
 
 // TestShardDeltaDecodeReusesScratch: the gossip loop's steady state —
 // same-size deltas decoded into the same scratch, entries resolved
-// against the snapshots they replace (hints) or the world's interner
-// (lookup) — builds no string and grows no buffer: 0 allocs/op.
+// against the values of the snapshots they replace (held) or the
+// world's interner (lookup) — builds no string and grows no buffer,
+// change lists included: 0 allocs/op.
 func TestShardDeltaDecodeReusesScratch(t *testing.T) {
 	delta := &ShardDelta{}
 	for k := 0; k < 3; k++ {
@@ -147,9 +148,10 @@ func TestShardDeltaDecodeReusesScratch(t *testing.T) {
 	}
 	frame := MustMarshal(delta)
 	known := map[string]PeerInfo{}
-	hints := make([][]PeerInfo, 3)
+	held := make([]*Spans, 3)
 	for k, st := range delta.Shards {
-		hints[k] = st.Peers
+		v := HeldValues(st.Peers, st.Seen)
+		held[k] = &v
 		for _, p := range st.Peers {
 			known[p.ID] = p
 		}
@@ -159,7 +161,7 @@ func TestShardDeltaDecodeReusesScratch(t *testing.T) {
 		return p, ok && p.Site == string(site) && p.MPDAddr == string(mpdAddr) && p.RSAddr == string(rsAddr)
 	}
 	for name, r := range map[string]*PeerResolver{
-		"hints":  {Hints: hints},
+		"held":   {Held: held},
 		"lookup": {Lookup: lookup},
 	} {
 		var m ShardDelta
@@ -191,7 +193,9 @@ func TestShardDeltaDecodeReusesScratch(t *testing.T) {
 // removal — and hands every other entry back from n. Of those four,
 // the changed stamp and the entry after the removal find their PeerInfo
 // at the cursor, so only the two with new fields ask Lookup and build
-// strings.
+// strings. The change lists hold the changed field, the changed stamp,
+// the insertion and the removal, and not the entry after it, which
+// repeats n's value and stamp.
 func TestShardDeltaSpansDecodeOnlyChanges(t *testing.T) {
 	pi := func(id string) PeerInfo {
 		return PeerInfo{ID: id, Site: "site", MPDAddr: id + ":9000", RSAddr: id + ":9001"}
@@ -238,6 +242,10 @@ func TestShardDeltaSpansDecodeOnlyChanges(t *testing.T) {
 	}
 	if lookups != newFields {
 		t.Errorf("%d entries asked Lookup, want %d", lookups, newFields)
+	}
+	gone, fresh, ok := r.Spans[0].Delta(m1.Shards[0].Peers, m1.Shards[0].Seen)
+	if !ok || !slices.Equal(gone, []int32{5, 12, 30}) || !slices.Equal(fresh, []int32{5, 12, 21}) {
+		t.Errorf("delta %v gone %v fresh %v, want gone [5 12 30] fresh [5 12 21]", ok, gone, fresh)
 	}
 	held := map[string]PeerInfo{}
 	for _, p := range m1.Shards[0].Peers {

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"unsafe"
 
 	"p2pmpi/internal/wire"
 )
@@ -92,11 +93,7 @@ func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 			e.U64(v)
 		}
 	case *ShardDelta:
-		e.U8(uint8(TShardDelta))
-		e.Int(len(m.Shards))
-		for i := range m.Shards {
-			appendShardState(&e, &m.Shards[i])
-		}
+		return AppendShardDelta(dst, m.Shards, nil), nil
 	case *ShardRedirect:
 		e.U8(uint8(TShardRedirect)).Int(m.Shard).String(m.Addr)
 	case *KillJob:
@@ -130,6 +127,32 @@ func AppendPeerListFrame(dst []byte, peers []PeerInfo, start, count int) []byte 
 	return e.Bytes()
 }
 
+// AppendShardDelta encodes a TShardDelta frame of states into dst,
+// reusing its capacity as AppendMarshal does. A state whose held[i]
+// (nil for none) recorded exactly its Peers and Seen arrays — the same
+// backing, the same length — is written as its header and then the
+// held wire form verbatim: a member forwarding a snapshot it decoded
+// ships the bytes it received instead of encoding the values they
+// became. Every other state is encoded.
+func AppendShardDelta(dst []byte, states []ShardState, held []*Spans) []byte {
+	var e wire.Encoder
+	if dst == nil {
+		dst = make([]byte, 0, 64)
+	}
+	e.Reset(dst)
+	e.U8(uint8(TShardDelta))
+	e.Int(len(states))
+	for i := range states {
+		s := &states[i]
+		if i < len(held) && held[i].recorded(s.Peers, s.Seen) {
+			e.Int(s.Shard).U64(s.Version).Varint(s.Stamp).Int(len(s.Peers)).Raw(held[i].wire)
+			continue
+		}
+		appendShardState(&e, s)
+	}
+	return e.Bytes()
+}
+
 // appendShardState encodes one shard snapshot: header, then the entries
 // with their parallel last-seen stamps.
 func appendShardState(e *wire.Encoder, s *ShardState) {
@@ -155,23 +178,20 @@ func appendShardState(e *wire.Encoder, s *ShardState) {
 // allocates. A resolved entry always equals what the plain decode (a
 // nil resolver) would have built.
 //
-// Each frame state is decoded beside the snapshot of its shard it
-// replaces: Held[k] when that holds a recorded snapshot, else Hints[k].
-// Snapshots are ID-sorted like the frame's entries, so one cursor walks
-// the previous snapshot and finds every unchanged host without a lock
-// or a map; a snapshot that is stale or unsorted only makes entries
-// miss.
+// Each frame state is decoded beside Held[k], the snapshot of its shard
+// it replaces. Snapshots are ID-sorted like the frame's entries, so one
+// cursor walks the previous snapshot and finds every unchanged host
+// without a lock or a map; a snapshot that is stale or unsorted only
+// makes entries miss. The walk also records what changed (see
+// Spans.Delta), so the receiver can fold in only that.
 type PeerResolver struct {
-	// Held[k], when set and recorded (see Spans), is shard k's previous
-	// snapshot in wire form. While the frame's next bytes repeat the
-	// held entry's at the cursor — four strings and stamp — the held
-	// value and stamp are handed back as they are; any other entry is
-	// read field by field and matched at the cursor, then by Lookup.
+	// Held[k], when set, is shard k's previous snapshot: its values
+	// always, and its wire form when a decode recorded one. While the
+	// frame's next bytes repeat the held entry's at the cursor — four
+	// strings and stamp — the held value and stamp are handed back as
+	// they are; any other entry is read field by field and matched at
+	// the cursor, then by Lookup.
 	Held []*Spans
-	// Hints[k] is shard k's previous snapshot as values only, for a
-	// receiver that holds no recorded one (such as a quiescent member,
-	// whose snapshots are the interner's copies): matched field by field.
-	Hints [][]PeerInfo
 	// Lookup, when set, resolves what the walk missed by raw wire fields.
 	Lookup func(id, site, mpdAddr, rsAddr []byte) (PeerInfo, bool)
 	// Spans[i] receives the wire form of the decoded Shards[i], reusing
@@ -182,33 +202,56 @@ type PeerResolver struct {
 	slow int
 }
 
-// Spans is one decoded shard snapshot in wire form: a copy of the
-// frame's entries region, where each entry — four strings and its
-// stamp — ends, and the values decoded from those bytes. Only the
-// decoder fills one, so its bytes and values agree as long as the
-// holder leaves the values' arrays (the decoded state's Peers and Seen)
-// untouched, which is how snapshots are kept anyway: replaced, never
-// edited. The zero Spans holds nothing.
+// Spans is one shard snapshot as a decoder holds it: the values, and —
+// when a decode recorded them — a copy of the frame's entries region,
+// where each entry (four strings and its stamp) ends, and the changes
+// from the snapshot that decode was matched against. A decoder fills
+// the wire form, so bytes and values agree as long as the holder leaves
+// the values' arrays (the decoded state's Peers and Seen) untouched,
+// which is how snapshots are kept anyway: replaced, never edited.
+// HeldValues builds one without a wire form. The zero Spans holds
+// nothing.
 type Spans struct {
 	wire  []byte
 	ends  []int32
 	peers []PeerInfo
 	seen  []int64
+	// gone and fresh are the recording decode's change lists: ascending
+	// indices into the previous snapshot (base, baseSeen and baseLen
+	// name its arrays) of the entries not repeated unchanged, and into
+	// these values of the entries that are not a repeat.
+	gone, fresh []int32
+	base        *PeerInfo
+	baseSeen    *int64
+	baseLen     int
 }
 
-// previous returns the snapshot the frame's state of shard k replaces:
-// held spans when r holds a recorded one, and the values the cursor
-// walks either way.
-func (r *PeerResolver) previous(k int) (*Spans, []PeerInfo) {
-	switch {
-	case r == nil || k < 0:
-		return nil, nil
-	case k < len(r.Held) && r.Held[k] != nil && len(r.Held[k].ends) > 0:
-		return r.Held[k], r.Held[k].peers
-	case k < len(r.Hints):
-		return nil, r.Hints[k]
+// HeldValues returns a Spans holding a snapshot's values and no wire
+// form: a decode against it matches every entry field by field.
+func HeldValues(peers []PeerInfo, seen []int64) Spans {
+	return Spans{peers: peers, seen: seen}
+}
+
+// recorded reports whether h holds a wire form decoded into exactly
+// these arrays.
+func (h *Spans) recorded(peers []PeerInfo, seen []int64) bool {
+	return h != nil && len(h.ends) == len(peers) && len(h.peers) == len(peers) && len(seen) == len(peers) &&
+		unsafe.SliceData(h.peers) == unsafe.SliceData(peers) && unsafe.SliceData(h.seen) == unsafe.SliceData(seen)
+}
+
+// Delta returns what changed between the snapshot peers/seen and the
+// one h was decoded into: gone lists, ascending, the indices of peers
+// not repeated with the same value and stamp, and fresh the indices of
+// h's values that are not such a repeat — a changed entry is in both.
+// The snapshot minus gone equals h's values minus fresh, entry for
+// entry. ok is false unless h was decoded against exactly these arrays
+// (the same backing, the same length); the lists are h's, valid until
+// it is decoded into again.
+func (h *Spans) Delta(peers []PeerInfo, seen []int64) (gone, fresh []int32, ok bool) {
+	if h.base != unsafe.SliceData(peers) || h.baseSeen != unsafe.SliceData(seen) || h.baseLen != len(peers) {
+		return nil, nil, false
 	}
-	return nil, nil
+	return h.gone, h.fresh, true
 }
 
 // skip consumes held entry j if its exact bytes come next in d.
@@ -223,8 +266,8 @@ func (h *Spans) skip(d *wire.Decoder, j int) bool {
 // DecodeShardDelta decodes a TShardDelta frame into m, reusing m's
 // Shards array and whatever Peers/Seen capacity its elements hold (the
 // gossip loop decodes every reply into the same scratch), and records
-// each state's wire form in r.Spans. A nil r decodes plainly. On error
-// the contents of m and r.Spans are unspecified.
+// each state's wire form and changes in r.Spans. A nil r decodes
+// plainly. On error the contents of m and r.Spans are unspecified.
 func (r *PeerResolver) DecodeShardDelta(b []byte, m *ShardDelta) error {
 	d := wire.NewDecoder(b)
 	if t := Type(d.U8()); t != TShardDelta {
@@ -272,31 +315,44 @@ func decodeShardDelta(d *wire.Decoder, m *ShardDelta, r *PeerResolver) bool {
 		if cap(st.Peers) < entries || cap(st.Seen) < entries {
 			st.Peers, st.Seen = make([]PeerInfo, 0, c), make([]int64, 0, c)
 		}
-		held, prev := r.previous(st.Shard)
-		var out *Spans
+		var held, out *Spans
 		if r != nil {
+			if k := st.Shard; k >= 0 && k < len(r.Held) {
+				held = r.Held[k]
+			}
 			out = &r.Spans[i]
 			if out.ends = out.ends[:0]; cap(out.ends) < entries {
 				out.ends = make([]int32, 0, c)
 			}
+			out.gone, out.fresh = out.gone[:0], out.fresh[:0]
+		}
+		var prev []PeerInfo
+		var prevSeen []int64
+		wired := false
+		if held != nil {
+			prev, prevSeen, wired = held.peers, held.seen, len(held.ends) > 0
 		}
 		base, j := d.Offset(), 0 // j: the cursor into prev
-		for ; entries > 0; entries-- {
-			if held != nil && j < len(held.ends) && held.skip(d, j) {
-				st.Peers = append(st.Peers, held.peers[j])
-				st.Seen = append(st.Seen, held.seen[j])
+		for at := 0; at < entries; at++ {
+			if wired && j < len(held.ends) && held.skip(d, j) {
+				st.Peers = append(st.Peers, prev[j])
+				st.Seen = append(st.Seen, prevSeen[j])
 				j++
 			} else {
 				id, site, mpdAddr, rsAddr := d.StringBytes(), d.StringBytes(), d.StringBytes(), d.StringBytes()
 				for j < len(prev) && prev[j].ID < string(id) {
+					if out != nil {
+						out.gone = append(out.gone, int32(j))
+					}
 					j++
 				}
 				var p PeerInfo
-				ok := false
+				ok, match, hit := false, -1, false // match: the held entry of this ID
 				if j < len(prev) && prev[j].ID == string(id) {
 					if prev[j].Site == string(site) && prev[j].MPDAddr == string(mpdAddr) && prev[j].RSAddr == string(rsAddr) {
-						p, ok = prev[j], true
+						p, ok, hit = prev[j], true, true
 					}
+					match = j
 					j++
 				}
 				if !ok && r != nil && r.Lookup != nil {
@@ -305,10 +361,19 @@ func decodeShardDelta(d *wire.Decoder, m *ShardDelta, r *PeerResolver) bool {
 				if !ok {
 					p = PeerInfo{ID: string(id), Site: string(site), MPDAddr: string(mpdAddr), RSAddr: string(rsAddr)}
 				}
+				seen := d.Varint()
 				st.Peers = append(st.Peers, p)
-				st.Seen = append(st.Seen, d.Varint())
+				st.Seen = append(st.Seen, seen)
 				if r != nil {
 					r.slow++
+					// A repeat read field by field (no wire form held, or
+					// one spelled differently) is no change.
+					if !hit || match >= len(prevSeen) || seen != prevSeen[match] {
+						if match >= 0 {
+							out.gone = append(out.gone, int32(match))
+						}
+						out.fresh = append(out.fresh, int32(at))
+					}
 				}
 			}
 			if out != nil {
@@ -319,8 +384,12 @@ func decodeShardDelta(d *wire.Decoder, m *ShardDelta, r *PeerResolver) bool {
 			return false
 		}
 		if out != nil {
+			for ; j < len(prev); j++ {
+				out.gone = append(out.gone, int32(j))
+			}
 			out.wire = append(out.wire[:0], d.Since(base)...)
 			out.peers, out.seen = st.Peers, st.Seen
+			out.base, out.baseSeen, out.baseLen = unsafe.SliceData(prev), unsafe.SliceData(prevSeen), len(prev)
 		}
 	}
 	return true

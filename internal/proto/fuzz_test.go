@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -160,17 +161,23 @@ func FuzzUnmarshalPeerListLimited(f *testing.F) {
 	})
 }
 
-// FuzzShardDeltaResolved: resolving entries against held spans, hints
-// and a lookup is invisible. For any frame, whatever the hint lists look
-// like — the previous snapshot, a reordered, stale, duplicated or lying
-// one, or none — whatever snapshot the held spans (which supersede a
-// shard's hint) were recorded from — none, the same one, one with an
-// entry inserted, removed or changed, one stamp changed, one cut short
-// — and with a pre-populated lookup, the resolved decode into dirty
-// scratch returns the plain decode's value or the plain decode's error,
-// rejects exactly the frames Unmarshal rejects, and aliases neither the
-// frame nor (observably) the hints. The spans that decode records, held
-// for a second decode of the same frame, give the plain value again.
+// FuzzShardDeltaResolved: resolving entries against held snapshots and
+// a lookup is invisible, the changes the decoder reports are exact, and
+// forwarding held bytes ships the same values. For any frame, whatever
+// each shard's held snapshot is — its values alone (the previous
+// snapshot, a reordered, stale, duplicated or lying one, or none) or
+// the recorded spans of a sibling (the same snapshot, one with an
+// entry inserted, removed or changed, one stamp changed, one cut
+// short) — and with a pre-populated lookup, the resolved decode into
+// dirty scratch returns the plain decode's value or the plain decode's
+// error, rejects exactly the frames Unmarshal rejects, and aliases
+// neither the frame nor (observably) the held values. Each state's
+// change lists are relative to its held snapshot, and that snapshot
+// minus gone equals the state minus fresh, stamps included. The spans
+// that decode records, held for a second decode of the same frame,
+// give the plain value again, and forwarded with the states they were
+// recorded into they decode to the plain value — byte for byte the
+// plain re-encoding when the frame was our encoder's.
 func FuzzShardDeltaResolved(f *testing.F) {
 	for _, frame := range corpusFrames() {
 		f.Add(frame, []byte{0, 1, 2, 3, 4})
@@ -188,27 +195,38 @@ func FuzzShardDeltaResolved(f *testing.F) {
 	}
 	f.Add(two[:len(two)-3], []byte{0})
 	f.Add(append(slices.Clone(two), 0xff), []byte{3})
-	// A mode byte m bends shard i's hint by m%5 and picks its held spans
-	// by m/5%7 (see heldSibling), so the seeds above hold none and reach
-	// every hint mode; {3} compares the same-ID impostor. These hold
-	// spans, the first shard's changed entry (mode 4) an impostor too.
+	// A mode byte m bends shard i's held values by m%5 and picks its
+	// recorded spans, which supersede them, by m/5%7 (see heldSibling),
+	// so the seeds above hold values only and reach every bend; {3}
+	// compares the same-ID impostor. These hold spans, the first shard's
+	// changed entry (mode 4) an impostor too.
 	for held := byte(1); held < 7; held++ {
 		f.Add(two, []byte{5 * held, 5*held + 3, 0})
+	}
+	// One shard long enough for every sibling to differ mid-list, so each
+	// kind of change reaches the delta lists beside unchanged entries.
+	six := ShardState{Shard: 1, Version: 2, Stamp: 5}
+	for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
+		six.Peers = append(six.Peers, pi(id))
+		six.Seen = append(six.Seen, int64(len(six.Seen)+10))
+	}
+	for held := byte(1); held < 7; held++ {
+		f.Add(MustMarshal(&ShardDelta{Shards: []ShardState{six}}), []byte{5 * held})
 	}
 	f.Fuzz(func(t *testing.T, data, modes []byte) {
 		buf := slices.Clone(data)
 		typ, plainMsg, plainErr := Unmarshal(buf)
 		plain, _ := plainMsg.(*ShardDelta)
 
-		// Hints, held spans and lookup table derived from what the frame
+		// Held snapshots and lookup table derived from what the frame
 		// really holds, then bent per shard by the fuzzed mode bytes. The
 		// spans are recorded honestly: by decoding a sibling frame.
-		r := &PeerResolver{Hints: make([][]PeerInfo, 4), Held: make([]*Spans, 4)}
+		r := &PeerResolver{Held: make([]*Spans, 4)}
 		known := map[string]PeerInfo{"ghost": pi("ghost")}
 		if plain != nil {
 			var siblings ShardDelta
 			for i, st := range plain.Shards {
-				if st.Shard < 0 || st.Shard >= len(r.Hints) {
+				if st.Shard < 0 || st.Shard >= len(r.Held) {
 					continue
 				}
 				mode := byte(0)
@@ -218,25 +236,28 @@ func FuzzShardDeltaResolved(f *testing.F) {
 				if sib, ok := heldSibling(st, mode/5%7); ok {
 					siblings.Shards = append(siblings.Shards, sib)
 				}
-				mode %= 5
-				hint := slices.Clone(st.Peers)
-				switch mode {
+				hint, seen := slices.Clone(st.Peers), slices.Clone(st.Seen)
+				switch mode % 5 {
 				case 1: // unsorted
 					slices.Reverse(hint)
+					slices.Reverse(seen)
 				case 2: // stale: entries missing, one changed
 					if len(hint) > 1 {
-						hint = hint[1:]
+						hint, seen = hint[1:], seen[1:]
 						hint[0].Site += "-old"
 					}
 				case 3: // adversarial: duplicates and a same-ID impostor
-					hint = append(hint, hint...)
+					hint, seen = append(hint, hint...), append(seen, seen...)
 					if len(hint) > 0 {
 						hint[0].RSAddr = "impostor:1"
 					}
 				case 4:
 					hint = nil
 				}
-				r.Hints[st.Shard] = hint
+				if hint != nil {
+					v := HeldValues(hint, seen)
+					r.Held[st.Shard] = &v
+				}
 				for j, p := range st.Peers {
 					if j%2 == 0 {
 						known[p.ID] = p
@@ -278,9 +299,19 @@ func FuzzShardDeltaResolved(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// What this decode recorded, held for a second decode of the frame.
-		again := &PeerResolver{Held: make([]*Spans, 4)}
 		for i, st := range m.Shards {
+			var h Spans
+			if st.Shard >= 0 && st.Shard < len(r.Held) && r.Held[st.Shard] != nil {
+				h = *r.Held[st.Shard]
+			}
+			checkDelta(t, i, &r.Spans[i], h.peers, h.seen, st)
+		}
+		// What this decode recorded, held for a second decode of the frame
+		// and forwarded with the states it was recorded into.
+		again := &PeerResolver{Held: make([]*Spans, 4)}
+		fwd := make([]*Spans, len(m.Shards))
+		for i, st := range m.Shards {
+			fwd[i] = &r.Spans[i]
 			if st.Shard >= 0 && st.Shard < len(again.Held) {
 				again.Held[st.Shard] = &r.Spans[i]
 			}
@@ -290,10 +321,29 @@ func FuzzShardDeltaResolved(f *testing.F) {
 			t.Fatalf("decode against its own spans: %v", err)
 		}
 		want := MustMarshal(plain)
+		forwarded := AppendShardDelta(nil, m.Shards, fwd)
+		if bytes.Equal(data, want) && !bytes.Equal(forwarded, want) {
+			t.Fatalf("forwarding our own frame changed its bytes:\nforwarded %x\nframe     %x", forwarded, want)
+		}
+		// Spans recorded for other arrays — the ones this decode was held
+		// against — are not forwarded: the states are encoded.
+		stale := make([]*Spans, len(m.Shards))
+		for i, st := range m.Shards {
+			if st.Shard >= 0 && st.Shard < len(r.Held) {
+				stale[i] = r.Held[st.Shard]
+			}
+		}
+		if enc := AppendShardDelta(nil, m.Shards, stale); !bytes.Equal(enc, want) {
+			t.Fatalf("forwarded spans of other arrays:\nforwarded %x\nencoded   %x", enc, want)
+		}
+		var m3 ShardDelta
+		if err := (*PeerResolver)(nil).DecodeShardDelta(forwarded, &m3); err != nil {
+			t.Fatalf("forwarded frame does not decode: %v", err)
+		}
 		for i := range buf {
 			buf[i] ^= 0xff // a value still viewing the frame would change
 		}
-		for _, got := range []*ShardDelta{&m, &m2} {
+		for _, got := range []*ShardDelta{&m, &m2, &m3} {
 			if enc := MustMarshal(got); !bytes.Equal(enc, want) {
 				t.Fatalf("resolved decode differs from the plain one:\nresolved %x\nplain    %x", enc, want)
 			}
@@ -307,6 +357,39 @@ func FuzzShardDeltaResolved(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkDelta asserts that sp's change lists are relative to the held
+// snapshot prev/prevSeen, and to no copy of it, and exact: ascending,
+// in range, and prev minus gone equals st minus fresh, value for value
+// and stamp for stamp.
+func checkDelta(t *testing.T, i int, sp *Spans, prev []PeerInfo, prevSeen []int64, st ShardState) {
+	t.Helper()
+	gone, fresh, ok := sp.Delta(prev, prevSeen)
+	if !ok {
+		t.Fatalf("state %d: the delta is not relative to the snapshot it was decoded against", i)
+	}
+	if _, _, ok := sp.Delta(slices.Clone(prev), prevSeen); ok && len(prev) > 0 {
+		t.Fatalf("state %d: the delta claims to be relative to a copy of its snapshot", i)
+	}
+	keep := func(peers []PeerInfo, seen []int64, drop []int32) (out []string) {
+		for n, j := range drop {
+			if j < 0 || int(j) >= len(peers) || n > 0 && j <= drop[n-1] {
+				t.Fatalf("state %d: change list %v unsorted or out of range for %d entries", i, drop, len(peers))
+			}
+		}
+		for j := range peers {
+			if len(drop) > 0 && drop[0] == int32(j) {
+				drop = drop[1:]
+				continue
+			}
+			out = append(out, fmt.Sprint(peers[j], seen[j]))
+		}
+		return out
+	}
+	if a, b := keep(prev, prevSeen, gone), keep(st.Peers, st.Seen, fresh); !slices.Equal(a, b) {
+		t.Fatalf("state %d: held minus gone %v != decoded minus fresh %v", i, a, b)
+	}
 }
 
 // heldSibling returns the snapshot whose recorded spans shard st's held

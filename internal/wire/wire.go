@@ -44,6 +44,13 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.buf) }
 
+// Raw appends b verbatim: bytes already in wire form, such as a region
+// of a frame decoded earlier.
+func (e *Encoder) Raw(b []byte) *Encoder {
+	e.buf = append(e.buf, b...)
+	return e
+}
+
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) *Encoder {
 	e.buf = append(e.buf, v)
