@@ -34,8 +34,9 @@
 // detector armed, and reports per (strategy, MTBF, replication degree)
 // point the job success rate, completion-time inflation, replica
 // failovers, re-booked attempts and wasted slot-hours. -R sets the
-// replication axis. Identical seeds replay identical failures, whatever
-// -workers is.
+// replication axis; every -a strategy is swept. It is the nemesis sweep
+// below with no network faults and the RPC retry layer off. Identical
+// seeds replay identical failures, whatever -workers is.
 //
 // The open experiment family replaces the closed batches with an open
 // arrival process (-arrival "poisson:rate=0.5" or
@@ -59,7 +60,8 @@
 // swept axes; -faults supplies the remaining fault-model knobs in the
 // faults.ParseFaultSpec syntax; -rpcretries sets the retry budget (-1
 // disables the layer, the no-robustness baseline); a single -mtbf
-// composes host churn on top. Per (loss, partition duration) point it
+// composes host churn on top, shaped by -mttr, -dist, -shape, -sitemtbf
+// and -sitemttr as in -exp churn. Per (loss, partition duration) point it
 // reports success rate, completion-time inflation, retry volume and —
 // on federated worlds (-sn K>1) — the split-brain window and the
 // anti-entropy healing latency after each partition lifts.
@@ -95,6 +97,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -112,26 +115,24 @@ func main() {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	format := flag.String("format", "table", "output format: table|csv")
 	jobs := flag.String("jobs", "1,2,4,8,16", "conc: comma-separated K values (concurrent jobs per point)")
-	n := flag.Int("n", 32, "conc/scale/churn: processes per job")
-	r := flag.Int("r", 1, "conc/scale: replication degree per job")
+	n := flag.Int("n", 32, "conc/scale/churn/nemesis: processes per job")
+	r := flag.Int("r", 1, "conc/scale/nemesis: replication degree per job")
 	gridSpec := flag.String("grid", "grid5000", "topology: grid5000 or synth:S=12,H=400,C=2,seed=7,rttmin=5ms,rttmax=25ms")
 	alloc := flag.String("a", "all", "conc/scale/churn: strategies, \"all\" or comma-separated names from: "+strings.Join(core.Names(), "|"))
 	hosts := flag.String("hosts", "", "scale: comma-separated world sizes (hosts); default: the -grid spec's own size")
 	sn := flag.String("sn", "", "supernode-federation width K; scale takes a comma-separated axis (e.g. 1,4,16), conc/churn a single value; default: the -grid spec's sn value (1)")
-	workers := flag.Int("workers", exp.DefaultWorkers(), "pool width for fig4, conc, scale and churn sweeps (independent worlds)")
+	workers := flag.Int("workers", exp.DefaultWorkers(), "pool width for fig4, conc, scale, churn and nemesis sweeps (independent worlds)")
 	shards := flag.Int("shards", 1, "shard count of each world's virtual-time domain: partition sites onto N event loops synchronized by lookahead barriers (1 = one shard, every window inline; output is byte-identical for any value). More shards pay off only with cores to spare: on 2 cores a 6 400-host world runs slower sharded than with 1")
-	// The churn duration flags all accept bare seconds ("600") or Go
-	// durations ("10m"), matching the -mtbf axis syntax.
-	mtbf := flag.String("mtbf", "", "churn: comma-separated per-host MTBF axis (seconds or Go durations, e.g. 600,1800 or 10m,30m)")
-	mttr := flag.String("mttr", "60", "churn: mean per-host repair time (seconds or Go duration)")
+	mtbf := flag.String("mtbf", "", "churn: comma-separated per-host MTBF axis (seconds or Go durations, e.g. 600,1800 or 10m,30m); open/nemesis: one value composes host churn")
+	mttr := flag.String("mttr", "60", "churn, open/nemesis with -mtbf: mean per-host repair time (seconds or Go duration)")
 	rAxis := flag.String("R", "1,2", "churn: comma-separated replication-degree axis")
-	cjobs := flag.Int("cjobs", 8, "churn: jobs per sweep point")
-	dur := flag.Float64("dur", 120, "churn: per-job spin duration (virtual seconds, the failure-free baseline)")
-	detect := flag.String("detect", "10", "churn: failure-detector probe period (seconds or Go duration)")
-	dist := flag.String("dist", "exp", "churn: lifetime distribution, exp|weibull")
-	shape := flag.Float64("shape", 0.7, "churn: Weibull shape (with -dist weibull)")
-	siteMTBF := flag.String("sitemtbf", "0", "churn: mean time between correlated whole-site outages (seconds or Go duration; 0 disables)")
-	siteMTTR := flag.String("sitemttr", "0", "churn: mean whole-site outage duration (seconds or Go duration; default sitemtbf/20)")
+	cjobs := flag.Int("cjobs", 8, "churn/nemesis: jobs per sweep point")
+	dur := flag.Float64("dur", 120, "churn/nemesis: per-job spin duration (virtual seconds, the failure-free baseline)")
+	detect := flag.String("detect", "10", "churn/nemesis: failure-detector probe period (seconds or Go duration)")
+	dist := flag.String("dist", "exp", "churn, open/nemesis with -mtbf: lifetime distribution, exp|weibull")
+	shape := flag.Float64("shape", 0.7, "churn, open/nemesis with -mtbf: Weibull shape (with -dist weibull)")
+	siteMTBF := flag.String("sitemtbf", "0", "churn, open/nemesis with -mtbf: mean time between correlated whole-site outages (seconds or Go duration; 0 disables)")
+	siteMTTR := flag.String("sitemttr", "0", "churn, open/nemesis with -mtbf: mean whole-site outage duration (seconds or Go duration; default sitemtbf/20)")
 	arrival := flag.String("arrival", "poisson:rate=0.01", "open: arrival process, poisson:rate=R or diurnal:peak=P,trough=T[,period=D,maintevery=D,maintdur=D]")
 	tenants := flag.Int("tenants", 1, "open: submitting tenants")
 	skew := flag.Float64("skew", 0, "open: Zipf skew of the tenants' rate shares (0 = equal)")
@@ -231,6 +232,16 @@ func main() {
 	topoOpts.Topology = topo
 	if len(snAxis) == 1 {
 		topoOpts.Supernodes = snAxis[0]
+	}
+	// The duration flags all accept bare seconds ("600") or Go
+	// durations ("10m"), matching the -mtbf axis syntax.
+	durFlag := func(name, v string) time.Duration {
+		d, err := parseDuration1(v)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "gridbench: -%s: %v\n", name, err)
+			os.Exit(2)
+		}
+		return d
 	}
 	run := func(name string, fn func() error) {
 		start := time.Now()
@@ -373,64 +384,6 @@ func main() {
 		})
 		return
 	}
-	if *which == "churn" {
-		mtbfs, err := parseDurations(*mtbf)
-		if err != nil || len(mtbfs) == 0 {
-			fmt.Fprintf(os.Stderr, "gridbench: -mtbf: need a comma-separated axis like 600,1800,3600 (%v)\n", err)
-			os.Exit(2)
-		}
-		rs, err := parseKs(*rAxis)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: -R: %v\n", err)
-			os.Exit(2)
-		}
-		distKind, err := churn.ParseDistKind(*dist)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: -dist: %v\n", err)
-			os.Exit(2)
-		}
-		durFlag := func(name, v string) time.Duration {
-			d, err := parseDuration1(v)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -%s: %v\n", name, err)
-				os.Exit(2)
-			}
-			return d
-		}
-		mttrD := durFlag("mttr", *mttr)
-		detectD := durFlag("detect", *detect)
-		siteMTBFD := durFlag("sitemtbf", *siteMTBF)
-		siteMTTRD := durFlag("sitemttr", *siteMTTR)
-		run("churn", func() error {
-			pts, err := exp.ChurnSweep(topoOpts, exp.ChurnConfig{
-				Base:         topo,
-				Strategies:   strategies,
-				MTBFs:        mtbfs,
-				Rs:           rs,
-				N:            *n,
-				Jobs:         *cjobs,
-				JobSeconds:   *dur,
-				MTTR:         mttrD,
-				Dist:         distKind,
-				WeibullShape: *shape,
-				SiteMTBF:     siteMTBFD,
-				SiteMTTR:     siteMTTRD,
-				Detect:       detectD,
-			}, *workers)
-			if err != nil {
-				return err
-			}
-			if csv {
-				fmt.Print(exp.ChurnPointsCSV(pts))
-			} else {
-				fmt.Print(exp.RenderChurnPoints(
-					fmt.Sprintf("Churn sweep — %s, n=%d, %d jobs/point, %gs jobs, mttr=%s",
-						topo, *n, *cjobs, *dur, mttrD), pts))
-			}
-			return nil
-		})
-		return
-	}
 	if *which == "open" {
 		spec, err := workload.ParseArrivalSpec(*arrival)
 		if err != nil {
@@ -440,14 +393,6 @@ func main() {
 		if *duration == "" {
 			fmt.Fprintf(os.Stderr, "gridbench: -exp open needs -duration (e.g. -duration 2h)\n")
 			os.Exit(2)
-		}
-		durFlag := func(name, v string) time.Duration {
-			d, err := parseDuration1(v)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -%s: %v\n", name, err)
-				os.Exit(2)
-			}
-			return d
 		}
 		durationD := durFlag("duration", *duration)
 		// "auto" keeps the duration/10 transient cut; an explicit value —
@@ -516,80 +461,101 @@ func main() {
 		})
 		return
 	}
-	if *which == "nemesis" {
-		fc, err := faults.ParseFaultSpec(*faultsSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: -faults: %v\n", err)
-			os.Exit(2)
-		}
-		var losses []float64
-		if *lossAxis != "" {
-			if losses, err = parseFloats(*lossAxis); err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -loss: %v\n", err)
-				os.Exit(2)
-			}
-		} else if fc.Loss > 0 {
-			losses = []float64{fc.Loss}
-		}
-		var partDurs []time.Duration
-		if *partDur != "" {
-			if partDurs, err = parseDurations(*partDur); err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -partdur: %v\n", err)
-				os.Exit(2)
-			}
-		} else if fc.PartMTBF > 0 {
-			partDurs = []time.Duration{fc.PartMTTR}
-		}
-		durFlag := func(name, v string) time.Duration {
-			d, err := parseDuration1(v)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -%s: %v\n", name, err)
-				os.Exit(2)
-			}
-			return d
-		}
+	if *which == "churn" || *which == "nemesis" {
+		// Churn is the nemesis sweep with no network faults: one config,
+		// one code path; only the preset's axes differ.
+		churnPreset := *which == "churn"
 		cfg := exp.NemesisConfig{
-			Base:             topo,
-			Strategy:         strategies[0],
-			Losses:           losses,
-			PartDurs:         partDurs,
-			LatMult:          fc.LatMult,
-			Dup:              fc.DupProb,
-			DupDelay:         fc.DupDelay,
-			GrayFrac:         fc.GrayFrac,
-			GrayMTBF:         fc.GrayMTBF,
-			GrayMTTR:         fc.GrayMTTR,
-			GrayDrop:         fc.GrayDrop,
-			GraySlow:         fc.GraySlow,
-			N:                *n,
-			R:                *r,
-			Jobs:             *cjobs,
-			JobSeconds:       *dur,
-			Detect:           durFlag("detect", *detect),
-			RPCRetries:       *rpcRetries,
-			BreakerThreshold: *breaker,
+			Base:       topo,
+			N:          *n,
+			Jobs:       *cjobs,
+			JobSeconds: *dur,
+			Detect:     durFlag("detect", *detect),
 		}
-		if fc.PartMTBF > 0 {
-			cfg.PartMTBF = fc.PartMTBF
-			cfg.NoSplit = !fc.Split
+		if churnPreset {
+			mtbfs, err := parseDurations(*mtbf)
+			if err != nil || len(mtbfs) == 0 || slices.Min(mtbfs) <= 0 {
+				fmt.Fprintf(os.Stderr, "gridbench: -mtbf: need a comma-separated axis of positive durations like 600,1800,3600 (%v)\n", err)
+				os.Exit(2)
+			}
+			if cfg.Rs, err = parseKs(*rAxis); err != nil {
+				fmt.Fprintf(os.Stderr, "gridbench: -R: %v\n", err)
+				os.Exit(2)
+			}
+			cfg.MTBFs = mtbfs
+			cfg.Strategies = strategies
+			cfg.Losses = []float64{0}
+			cfg.PartDurs = []time.Duration{0}
+			cfg.RPCRetries = -1 // the churn family never arms the retry layer
+		} else {
+			fc, err := faults.ParseFaultSpec(*faultsSpec)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "gridbench: -faults: %v\n", err)
+				os.Exit(2)
+			}
+			if *lossAxis != "" {
+				if cfg.Losses, err = parseFloats(*lossAxis); err != nil {
+					fmt.Fprintf(os.Stderr, "gridbench: -loss: %v\n", err)
+					os.Exit(2)
+				}
+			} else if fc.Loss > 0 {
+				cfg.Losses = []float64{fc.Loss}
+			}
+			if *partDur != "" {
+				if cfg.PartDurs, err = parseDurations(*partDur); err != nil {
+					fmt.Fprintf(os.Stderr, "gridbench: -partdur: %v\n", err)
+					os.Exit(2)
+				}
+			} else if fc.PartMTBF > 0 {
+				cfg.PartDurs = []time.Duration{fc.PartMTTR}
+			}
+			if fc.PartMTBF > 0 {
+				cfg.PartMTBF = fc.PartMTBF
+				cfg.NoSplit = !fc.Split
+			}
+			cfg.Strategies = strategies[:1]
+			cfg.Rs = []int{*r}
+			cfg.LatMult, cfg.Dup, cfg.DupDelay = fc.LatMult, fc.DupProb, fc.DupDelay
+			cfg.GrayFrac, cfg.GrayMTBF, cfg.GrayMTTR = fc.GrayFrac, fc.GrayMTBF, fc.GrayMTTR
+			cfg.GrayDrop, cfg.GraySlow = fc.GrayDrop, fc.GraySlow
+			cfg.RPCRetries = *rpcRetries
+			cfg.BreakerThreshold = *breaker
+			// A single -mtbf value composes host churn, as in -exp open.
+			if *mtbf != "" {
+				cfg.MTBFs = []time.Duration{durFlag("mtbf", *mtbf)}
+			}
 		}
-		// A single -mtbf value composes host churn, as in -exp open.
-		if *mtbf != "" {
-			cfg.MTBF = durFlag("mtbf", *mtbf)
+		if len(cfg.MTBFs) > 0 {
+			distKind, err := churn.ParseDistKind(*dist)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "gridbench: -dist: %v\n", err)
+				os.Exit(2)
+			}
 			cfg.MTTR = durFlag("mttr", *mttr)
+			cfg.Dist = distKind
+			cfg.WeibullShape = *shape
+			cfg.SiteMTBF = durFlag("sitemtbf", *siteMTBF)
+			cfg.SiteMTTR = durFlag("sitemttr", *siteMTTR)
 		}
-		run("nemesis", func() error {
+		run(*which, func() error {
 			pts, err := exp.NemesisSweep(topoOpts, cfg, *workers)
 			if err != nil {
 				return err
 			}
-			if csv {
+			switch {
+			case churnPreset && csv:
+				fmt.Print(exp.ChurnPointsCSV(pts))
+			case churnPreset:
+				fmt.Print(exp.RenderChurnPoints(
+					fmt.Sprintf("Churn sweep — %s, n=%d, %d jobs/point, %gs jobs, mttr=%s",
+						topo, *n, *cjobs, *dur, cfg.MTTR), pts))
+			case csv:
 				fmt.Print(exp.NemesisPointsCSV(pts))
 				if len(pts) > 0 && pts[0].SN > 1 {
 					fmt.Println()
 					fmt.Print(exp.NemesisFederationCSV(pts))
 				}
-			} else {
+			default:
 				fmt.Print(exp.RenderNemesisPoints(
 					fmt.Sprintf("Network nemesis — %s, n=%d r=%d, %d jobs/point, %gs jobs",
 						topo, *n, *r, *cjobs, *dur), pts))

@@ -9,14 +9,24 @@ import (
 	"p2pmpi/internal/grid"
 )
 
+// churnOnly narrows cfg to the churn family, as gridbench's -exp churn
+// builds it: one loss-0, partition-free point and the RPC retry layer
+// off, so host churn is the only fault.
+func churnOnly(cfg NemesisConfig) NemesisConfig {
+	cfg.Losses = []float64{0}
+	cfg.PartDurs = []time.Duration{0}
+	cfg.RPCRetries = -1
+	return cfg
+}
+
 // churnTestConfig is the shared tiny-world sweep used by the
 // determinism and survivability tests: 72 hosts, short jobs, an MTBF
 // low enough that failures reliably strike mid-run, and a retry budget
 // tight enough that re-booking cannot always save an unreplicated job
 // (with generous retries the scheduler masks R=1 losses, and the
 // replication contrast the tests pin would vanish).
-func churnTestConfig() ChurnConfig {
-	return ChurnConfig{
+func churnTestConfig() NemesisConfig {
+	return churnOnly(NemesisConfig{
 		Base:       grid.TopologySpec{Kind: "synth", Sites: 3, HostsPerSite: 24, CoresPerHost: 2, Seed: 5},
 		Strategies: []core.Strategy{core.Spread},
 		MTBFs:      []time.Duration{240 * time.Second},
@@ -25,20 +35,20 @@ func churnTestConfig() ChurnConfig {
 		Jobs:       4,
 		JobSeconds: 60,
 		Retries:    1,
-	}
+	})
 }
 
-// TestChurnSweepDeterministicAcrossWorkers is the replay property the
-// issue pins: a seeded churn trace — failures, failovers, and the
-// resulting CSV — must be byte-identical whatever the pool width.
-func TestChurnSweepDeterministicAcrossWorkers(t *testing.T) {
+// TestChurnPresetDeterministicAcrossWorkers is the replay property: a
+// seeded churn trace — failures, failovers, and the resulting CSV —
+// must be byte-identical whatever the pool width.
+func TestChurnPresetDeterministicAcrossWorkers(t *testing.T) {
 	cfg := churnTestConfig()
 	opts := DefaultOptions(42)
-	sequential, err := ChurnSweep(opts, cfg, 1)
+	sequential, err := NemesisSweep(opts, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ChurnSweep(opts, cfg, 4)
+	parallel, err := NemesisSweep(opts, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +57,7 @@ func TestChurnSweepDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("churn sweep depends on worker count:\nworkers=1:\n%s\nworkers=4:\n%s", csvSeq, csvPar)
 	}
 	// And a full re-run replays the same timeline.
-	again, err := ChurnSweep(opts, cfg, 2)
+	again, err := NemesisSweep(opts, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +70,7 @@ func TestChurnSweepDeterministicAcrossWorkers(t *testing.T) {
 // under aggressive churn, R=1 jobs must die (success < 100%) and R=2
 // must measurably beat R=1 — replica failover actually engaging.
 func TestChurnReplicationImprovesSurvival(t *testing.T) {
-	pts, err := ChurnSweep(DefaultOptions(42), churnTestConfig(), 2)
+	pts, err := NemesisSweep(DefaultOptions(42), churnTestConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,19 +105,20 @@ func TestChurnReplicationImprovesSurvival(t *testing.T) {
 	}
 }
 
-func TestChurnSweepNeedsMTBF(t *testing.T) {
-	_, err := ChurnSweep(DefaultOptions(1), ChurnConfig{Base: smallSynthSpec()}, 1)
+func TestNemesisRejectsBadMTBF(t *testing.T) {
+	cfg := NemesisConfig{Base: smallSynthSpec(), MTBFs: []time.Duration{-time.Minute}}
+	_, err := NemesisSweep(DefaultOptions(1), cfg, 1)
 	if err == nil || !strings.Contains(err.Error(), "MTBF") {
-		t.Fatalf("missing MTBF axis not rejected: %v", err)
+		t.Fatalf("negative MTBF not rejected: %v", err)
 	}
 }
 
 func TestChurnPointsCSVShape(t *testing.T) {
-	pts := []ChurnPoint{{
+	pts := []NemesisPoint{{
 		Strategy: core.Spread, MTBFSeconds: 600, MTTRSeconds: 60,
 		N: 8, R: 2, Jobs: 4, Hosts: 72, Succeeded: 3, Failed: 1,
 		SuccessRate: 0.75, MeanSeconds: 80, Inflation: 1.33,
-		Failovers: 2, HostsLostMidRun: 3, Rebooks: 2, WastedSlotHours: 0.5,
+		Failovers: 2, HostsLost: 3, Rebooks: 2, WastedSlotHours: 0.5,
 		FailuresInjected: 11, DownFraction: 0.09,
 	}}
 	csv := ChurnPointsCSV(pts)

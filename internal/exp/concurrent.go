@@ -81,7 +81,7 @@ func (w *World) HostSlots() []core.HostSlot {
 }
 
 // runJobsBudget is RunJobs' virtual-second pump budget for k jobs: one
-// hour plus a minute per job. The churn sweep sizes its injection
+// hour plus a minute per job. The nemesis sweep sizes its injection
 // horizon from the same formula so failures keep arriving for as long
 // as jobs can still be running.
 func runJobsBudget(k int) int { return 3600 + 60*k }

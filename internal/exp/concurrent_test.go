@@ -72,33 +72,6 @@ func TestConcurrentSweepParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestCoAllocationSweepParallelDeterminism checks the per-point-world
-// Figure 2/3 sweep the same way.
-func TestCoAllocationSweepParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots the full grid four times")
-	}
-	ns := []int{100, 150}
-	seq, err := CoAllocationSweepParallel(DefaultOptions(42), core.Concentrate, ns, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := CoAllocationSweepParallel(DefaultOptions(42), core.Concentrate, ns, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := SitePointsCSV(seq), SitePointsCSV(par)
-	if a != b {
-		t.Fatalf("sequential and parallel sweeps diverged:\n--- seq ---\n%s--- par ---\n%s", a, b)
-	}
-	// The fresh-world n=100 concentrate point must reproduce the paper's
-	// all-nancy allocation (same as the shared-world sweep's first
-	// point, which also runs on an unperturbed platform).
-	if seq[0].CoresBySite["nancy"] != 100 {
-		t.Errorf("n=100 nancy cores = %d, want 100", seq[0].CoresBySite["nancy"])
-	}
-}
-
 func TestRenderAndCSVConcurrentPoints(t *testing.T) {
 	pts := []ConcurrentPoint{{
 		K: 4, N: 32, R: 1, Strategy: core.Spread,

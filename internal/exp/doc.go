@@ -27,18 +27,18 @@
 //     multi-job scheduler, measuring slot contention (concurrent.go).
 //   - ScaleSweep: every registered placement strategy across growing
 //     world sizes and federation widths (scale.go).
-//   - ChurnSweep: survivability under seeded host failures — success
-//     rate, completion-time inflation, replica failovers and wasted
-//     slot-hours per (strategy, MTBF, replication degree) point
-//     (churn.go, internal/churn).
 //   - OpenSweep: an open system — seeded arrival processes, tenants,
 //     priorities, quotas, preemption and deadlines through the
 //     scheduler for hours to a week of virtual time, reported as
 //     streaming quantiles (open.go, internal/workload, internal/sched).
-//   - NemesisSweep: partitions, loss, gray hosts and duplication
-//     against the retry layer and the federated membership tier, with
-//     heal times and job outcomes per point (nemesis.go,
-//     internal/faults).
+//   - NemesisSweep: partitions, loss, gray hosts, duplication and host
+//     churn against replication, the retry layer and the federated
+//     membership tier, with heal times and job outcomes per (loss,
+//     partition duration, MTBF, R, strategy) point (nemesis.go,
+//     internal/faults, internal/churn). The churn family is this sweep
+//     with no network faults: survivability under seeded host failures
+//     — success rate, completion-time inflation, replica failovers and
+//     wasted slot-hours (ChurnPointsCSV).
 //
 // Sweeps whose points own independent worlds run across a bounded
 // worker pool (parallel.go): because each world is deterministic under

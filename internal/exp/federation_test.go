@@ -104,14 +104,14 @@ func TestScaleCSVIdenticalAcrossFederationWidth(t *testing.T) {
 	}
 }
 
-// TestChurnSweepOnFederatedWorld: the survivability family runs end to
-// end on a federated world — StartChurn injects failures on the
-// dedicated supernode hosts too, so registrations cross shards mid-
-// sweep — and the batch still completes with jobs succeeding.
-func TestChurnSweepOnFederatedWorld(t *testing.T) {
+// TestChurnPresetOnFederatedWorld: the churn preset runs end to end
+// on a federated world — StartChurn injects failures on the dedicated
+// supernode hosts too, so registrations cross shards mid-sweep — and
+// the batch still completes with jobs succeeding.
+func TestChurnPresetOnFederatedWorld(t *testing.T) {
 	opts := DefaultOptions(42)
 	opts.Supernodes = 3
-	pts, err := ChurnSweep(opts, ChurnConfig{
+	pts, err := NemesisSweep(opts, churnOnly(NemesisConfig{
 		Base:       tinySynth(t),
 		Strategies: []core.Strategy{core.Spread},
 		MTBFs:      []time.Duration{300 * time.Second},
@@ -121,7 +121,7 @@ func TestChurnSweepOnFederatedWorld(t *testing.T) {
 		JobSeconds: 40,
 		MTTR:       time.Minute,
 		Detect:     10 * time.Second,
-	}, 1)
+	}), 1)
 	if err != nil {
 		t.Fatalf("federated churn sweep: %v", err)
 	}

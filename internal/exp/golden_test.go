@@ -1,11 +1,14 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"p2pmpi/internal/churn"
 	"p2pmpi/internal/core"
 	"p2pmpi/internal/grid"
 )
@@ -43,7 +46,7 @@ func goldenCompare(t *testing.T, name, got string) {
 	}
 }
 
-func goldenBase(t *testing.T) grid.TopologySpec {
+func goldenBase(t testing.TB) grid.TopologySpec {
 	t.Helper()
 	spec, err := grid.ParseTopologySpec("synth:S=3,H=8")
 	if err != nil {
@@ -79,11 +82,10 @@ func TestGoldenScaleTrace(t *testing.T) {
 	goldenCompare(t, "golden_scale.csv", first)
 }
 
-// TestGoldenChurnTrace: one survivability point per R, across worker
-// counts — the fault-injection timeline, detector probes, failovers and
-// re-books all replay identically.
-func TestGoldenChurnTrace(t *testing.T) {
-	cfg := ChurnConfig{
+// goldenChurnConfig is the churn family's golden point: one MTBF, one
+// strategy, R = 1 and 2.
+func goldenChurnConfig(t testing.TB) NemesisConfig {
+	return churnOnly(NemesisConfig{
 		Base:       goldenBase(t),
 		Strategies: []core.Strategy{core.Spread},
 		MTBFs:      []time.Duration{300 * time.Second},
@@ -93,10 +95,17 @@ func TestGoldenChurnTrace(t *testing.T) {
 		JobSeconds: 40,
 		MTTR:       time.Minute,
 		Detect:     10 * time.Second,
-	}
+	})
+}
+
+// TestGoldenChurnTrace: one survivability point per R, across worker
+// counts — the fault-injection timeline, detector probes, failovers and
+// re-books all replay identically.
+func TestGoldenChurnTrace(t *testing.T) {
+	cfg := goldenChurnConfig(t)
 	var first string
 	for _, workers := range []int{1, 4, 8} {
-		pts, err := ChurnSweep(DefaultOptions(42), cfg, workers)
+		pts, err := NemesisSweep(DefaultOptions(42), cfg, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -111,6 +120,30 @@ func TestGoldenChurnTrace(t *testing.T) {
 		}
 	}
 	goldenCompare(t, "golden_churn.csv", first)
+}
+
+// TestChurnWeibullSiteOutagePinned: the golden churn point under
+// heavy-tailed Weibull lifetimes and correlated site outages, every
+// strategy, across worker counts. The SHA-256 pins the CSV the
+// standalone churn sweep produced before it became a nemesis preset,
+// so the Dist/WeibullShape/SiteMTBF plumbing cannot drift.
+func TestChurnWeibullSiteOutagePinned(t *testing.T) {
+	const want = "97a4f57d8744df1099f52b311d72c2a5a954d9a590abd4932d3df2c9a617a5a1"
+	cfg := goldenChurnConfig(t)
+	cfg.Dist = churn.DistWeibull
+	cfg.WeibullShape = 0.7
+	cfg.SiteMTBF = 15 * time.Minute
+	cfg.Strategies = core.Strategies()
+	for _, workers := range []int{1, 4} {
+		pts, err := NemesisSweep(DefaultOptions(42), cfg, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		csv := ChurnPointsCSV(pts)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(csv))); got != want {
+			t.Fatalf("workers=%d: sha256 %s, want %s:\n%s", workers, got, want, csv)
+		}
+	}
 }
 
 // TestGoldenConcTrace: the K-concurrent-jobs family across worker

@@ -19,12 +19,12 @@ import (
 func nemesisTestConfig(t *testing.T) NemesisConfig {
 	return NemesisConfig{
 		Base:       goldenBase(t),
-		Strategy:   core.Spread,
+		Strategies: []core.Strategy{core.Spread},
 		Losses:     []float64{0, 0.2},
 		PartDurs:   []time.Duration{30 * time.Second},
 		PartMTBF:   2 * time.Minute,
 		N:          6,
-		R:          2,
+		Rs:         []int{2},
 		Jobs:       3,
 		JobSeconds: 40,
 		Detect:     10 * time.Second,
@@ -79,7 +79,7 @@ func TestNemesisShardRace(t *testing.T) {
 	cfg := nemesisTestConfig(t)
 	cfg.Losses = []float64{0.2}
 	cfg.PartDurs = []time.Duration{40 * time.Second}
-	cfg.MTBF = 90 * time.Second
+	cfg.MTBFs = []time.Duration{90 * time.Second}
 	cfg.MTTR = 45 * time.Second
 	cfg.Jobs = 4
 	cfg.Detect = 5 * time.Second
@@ -116,8 +116,9 @@ func TestNemesisShardRace(t *testing.T) {
 }
 
 // TestNemesisZeroSpecIsFreeOfFaultState: a zero fault spec must leave
-// the world's network untouched — the faults hook stays nil and the
-// nemesis point at loss=0/partdur=0 reports a clean run. This is the
+// the world's network untouched — the faults hook stays nil (simnet's
+// TestZeroLinkFaultInstallsNothing) and the nemesis point at
+// loss=0/partdur=0 reports a clean run. This is the
 // cheap in-suite proxy for the acceptance bar that fault-free goldens
 // stay byte-identical (which the other golden tests enforce directly:
 // they never install fault state at all).
@@ -190,12 +191,12 @@ func TestNemesisPointsCSVShape(t *testing.T) {
 func nemesisBenchConfig(t *testing.T) NemesisConfig {
 	return NemesisConfig{
 		Base:       goldenBase(t),
-		Strategy:   core.Spread,
+		Strategies: []core.Strategy{core.Spread},
 		Losses:     []float64{0.3},
 		PartDurs:   []time.Duration{time.Minute},
 		PartMTBF:   90 * time.Second,
 		N:          6,
-		R:          1,
+		Rs:         []int{1},
 		Jobs:       10,
 		JobSeconds: 60,
 		Retries:    1,

@@ -130,7 +130,7 @@ type OpenConfig struct {
 	Backoff time.Duration
 	Timeout time.Duration
 	// MTBF composes host churn with the open workload (0 = failure-free).
-	// MTTR, Dist, WeibullShape, SiteMTBF and SiteMTTR mirror ChurnConfig;
+	// MTTR, Dist, WeibullShape, SiteMTBF and SiteMTTR mirror NemesisConfig;
 	// Detect arms the mid-run failure detector (default 10s when churning).
 	MTBF, MTTR         time.Duration
 	Dist               churn.DistKind
@@ -375,26 +375,13 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 	o := opts
 	o.Topology = cfg.Base
 	if cfg.Base.TotalHosts() > 1000 {
-		// Same membership-traffic diet as churnAt: on big worlds the
-		// long steady-state horizon would drown in O(world) host-list
-		// replies that no measurement consumes.
-		if o.MaxPeersReturned == 0 {
-			nMax := cfg.NMax
-			if nMax <= 0 {
-				nMax = 32
-			}
-			bound := 4 * (int(math.Ceil(1.2*float64(nMax*cfg.R))) + 2)
-			if bound < 512 {
-				bound = 512
-			}
-			o.MaxPeersReturned = bound
+		// The long steady-state horizon would drown in O(world)
+		// host-list replies that no measurement consumes.
+		nMax := cfg.NMax
+		if nMax <= 0 {
+			nMax = 32
 		}
-		if o.PeerRefreshInterval == 0 {
-			o.PeerRefreshInterval = time.Hour
-		}
-		if o.PeerCacheCap == 0 {
-			o.PeerCacheCap = 2
-		}
+		o.membershipDiet(nMax * cfg.R)
 	}
 	if cfg.Duration >= 24*time.Hour {
 		// Long-horizon diet: at the paper's 20s frontal cadence a week of

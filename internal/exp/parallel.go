@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"p2pmpi/internal/core"
 	"p2pmpi/internal/mpd"
 )
 
@@ -45,84 +44,6 @@ func runPool(n, workers int, fn func(i int) error) error {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// SitePointAt boots a fresh world and records the per-site allocation of
-// a single n-process submission — the unit of work of the parallel
-// Figure 2/3 sweep.
-func SitePointAt(opts Options, strategy core.Strategy, n int) (SitePoint, error) {
-	w := NewWorld(opts)
-	defer w.Close()
-	if err := w.Boot(); err != nil {
-		return SitePoint{}, err
-	}
-	pts, err := CoAllocationSweep(w, strategy, []int{n})
-	if err != nil {
-		return SitePoint{}, err
-	}
-	return pts[0], nil
-}
-
-// CoAllocationSweepParallel runs every point of a Figure 2/3-style sweep
-// in its own independent world, across a bounded worker pool.
-//
-// Unlike CoAllocationSweep — where the points share one world and each
-// submission observes the latency-ranking noise accumulated by its
-// predecessors — every point here starts from an identical freshly
-// booted deployment. Results are therefore fully determined by (opts,
-// strategy, n) alone and independent of the worker count: the CSV
-// rendering of a workers=1 run and a workers=N run are byte-identical.
-func CoAllocationSweepParallel(opts Options, strategy core.Strategy, ns []int, workers int) ([]SitePoint, error) {
-	if ns == nil {
-		ns = DefaultFig23Ns()
-	}
-	out := make([]SitePoint, len(ns))
-	err := runPool(len(ns), workers, func(i int) error {
-		p, err := SitePointAt(opts, strategy, ns[i])
-		if err != nil {
-			return err
-		}
-		out[i] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TimePointAt boots a fresh world and measures one NAS model run — the
-// unit of work of the parallel Figure 4 sweep.
-func TimePointAt(opts Options, program string, strategy core.Strategy, n int) (TimePoint, error) {
-	w := NewWorld(opts)
-	defer w.Close()
-	if err := w.Boot(); err != nil {
-		return TimePoint{}, err
-	}
-	pts, err := NASSweep(w, program, strategy, []int{n})
-	if err != nil {
-		return TimePoint{}, err
-	}
-	return pts[0], nil
-}
-
-// NASSweepParallel is the per-point-world, pool-parallel variant of
-// NASSweep, with the same determinism guarantee as
-// CoAllocationSweepParallel.
-func NASSweepParallel(opts Options, program string, strategy core.Strategy, ns []int, workers int) ([]TimePoint, error) {
-	out := make([]TimePoint, len(ns))
-	err := runPool(len(ns), workers, func(i int) error {
-		p, err := TimePointAt(opts, program, strategy, ns[i])
-		if err != nil {
-			return err
-		}
-		out[i] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // submitPumped runs fn as an actor on the world's scheduler and pumps

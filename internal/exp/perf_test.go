@@ -2,9 +2,7 @@ package exp
 
 import (
 	"testing"
-	"time"
 
-	"p2pmpi/internal/core"
 	"p2pmpi/internal/grid"
 )
 
@@ -35,33 +33,15 @@ func BenchmarkScaleSweep2000(b *testing.B) {
 	}
 }
 
-func churnPointConfig() ChurnConfig {
-	base, err := grid.ParseTopologySpec("synth:S=3,H=8")
-	if err != nil {
-		panic(err)
-	}
-	return ChurnConfig{
-		Base:       base,
-		Strategies: nil, // default: all; narrowed below
-		MTBFs:      []time.Duration{300 * time.Second},
-		Rs:         []int{1},
-		N:          6,
-		Jobs:       3,
-		JobSeconds: 40,
-		MTTR:       60 * time.Second,
-		Detect:     10 * time.Second,
-	}
-}
-
-// BenchmarkChurnSweepPoint runs one survivability sweep point (the CI
+// BenchmarkChurnPresetPoint runs one survivability sweep point (the CI
 // churn smoke shape): a small world under seeded failures, one MTBF ×
 // replication coordinate, three spin jobs with the detector armed.
-func BenchmarkChurnSweepPoint(b *testing.B) {
-	cfg := churnPointConfig()
-	cfg.Strategies = []core.Strategy{core.Spread}
+func BenchmarkChurnPresetPoint(b *testing.B) {
+	cfg := goldenChurnConfig(b)
+	cfg.Rs = []int{1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ChurnSweep(DefaultOptions(42), cfg, 1); err != nil {
+		if _, err := NemesisSweep(DefaultOptions(42), cfg, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

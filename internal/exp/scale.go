@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -167,28 +166,8 @@ func scaleAt(opts Options, cfg ScaleConfig, hosts, sn int) ([]ScalePoint, error)
 	o.Supernodes = sn
 	if hosts > 2000 {
 		// Past a few thousand hosts unbounded host-list replies dominate
-		// the simulation the same way they dominate churn horizons (see
-		// churnAt): bound the supernode replies well above the booking
-		// fan-out and slow the compute peers' refreshes — their cached
-		// lists are never consulted, only the frontal's view feeds the
-		// measurement. Both knobs stay caller-overridable.
-		if o.MaxPeersReturned == 0 {
-			bound := 4 * (int(math.Ceil(1.2*float64(cfg.N*cfg.R))) + 2)
-			if bound < 512 {
-				bound = 512
-			}
-			o.MaxPeersReturned = bound
-		}
-		if o.PeerRefreshInterval == 0 {
-			o.PeerRefreshInterval = time.Hour
-		}
-		if o.PeerCacheCap == 0 {
-			// Compute peers' caches feed no measurement here, but each
-			// would retain its O(MaxPeersReturned) boot snapshot — the
-			// dominant per-host memory at 500k–1M hosts. Keep a token
-			// couple of entries per host (~128 B instead of ~32 KB).
-			o.PeerCacheCap = 2
-		}
+		// the simulation the same way they dominate long churn horizons.
+		o.membershipDiet(cfg.N * cfg.R)
 		if o.BootSpread == 0 {
 			// An everyone-at-vtime-0 boot holds one registration per
 			// host in flight at once — its handshake, conns, deadline

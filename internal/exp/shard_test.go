@@ -61,29 +61,18 @@ func TestShardDeterminismScale(t *testing.T) {
 	}
 }
 
-// TestShardDeterminismChurn: the fault-injection family — the churn
-// timeline replays at window barriers in sharded worlds
-// as the domain's global events, and must still
-// fire every failure, detection and re-book at the same virtual
-// instant.
+// TestShardDeterminismChurn: the churn preset — the churn timeline
+// replays at window barriers in sharded worlds as the domain's global
+// events, and must still fire every failure, detection and re-book at
+// the same virtual instant.
 func TestShardDeterminismChurn(t *testing.T) {
 	want := shardGolden(t, "golden_churn.csv")
-	cfg := ChurnConfig{
-		Base:       goldenBase(t),
-		Strategies: []core.Strategy{core.Spread},
-		MTBFs:      []time.Duration{300 * time.Second},
-		Rs:         []int{1, 2},
-		N:          6,
-		Jobs:       3,
-		JobSeconds: 40,
-		MTTR:       time.Minute,
-		Detect:     10 * time.Second,
-	}
+	cfg := goldenChurnConfig(t)
 	for _, shards := range []int{1, 2, 4, 8} {
 		for _, workers := range []int{1, 4} {
 			opts := DefaultOptions(42)
 			opts.Shards = shards
-			pts, err := ChurnSweep(opts, cfg, workers)
+			pts, err := NemesisSweep(opts, cfg, workers)
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 			}

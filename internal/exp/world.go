@@ -3,6 +3,7 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -130,6 +131,28 @@ func DefaultOptions(seed int64) Options {
 		FrontalPingInterval: 20 * time.Second,
 		PeerPingInterval:    time.Hour,
 		Cost:                nas.DefaultCostModel(),
+	}
+}
+
+// membershipDiet bounds a large world's membership traffic over long
+// horizons: every peer refresh and re-registration ships a host-list
+// reply, O(world) per message and O(world²) per virtual minute summed
+// over peers — none of which feeds a measurement. It bounds the
+// supernode's replies well above the booking fan-out (the processes
+// one job books, N×R), slows the compute peers' refreshes (their cached
+// lists are never consulted; the frontal's cadence is untouched) and
+// keeps a token couple of entries per compute-peer cache, whose unread
+// O(MaxPeersReturned) boot snapshots otherwise dominate per-host
+// retention. A knob the caller already set wins.
+func (o *Options) membershipDiet(fanout int) {
+	if o.MaxPeersReturned == 0 {
+		o.MaxPeersReturned = max(512, 4*(int(math.Ceil(1.2*float64(fanout)))+2))
+	}
+	if o.PeerRefreshInterval == 0 {
+		o.PeerRefreshInterval = time.Hour
+	}
+	if o.PeerCacheCap == 0 {
+		o.PeerCacheCap = 2
 	}
 }
 

@@ -63,14 +63,18 @@ func (n *Net) ensureFaults() *faultState {
 // SetLinkFault installs the constant cross-site degradation: every
 // cross-site data frame is dropped with probability loss, and every
 // cross-site base latency is multiplied by latMult (values below 1 mean
-// unchanged). Like FailHost, callable only while the scheduler is idle
-// or at a domain barrier.
+// unchanged). A zero degradation on a network without fault state
+// installs none, so its frames keep the unfaulted path. Like FailHost,
+// callable only while the scheduler is idle or at a domain barrier.
 func (n *Net) SetLinkFault(loss, latMult float64) {
-	f := n.ensureFaults()
-	f.loss = loss
 	if latMult < 1 {
 		latMult = 1
 	}
+	if n.faults == nil && loss == 0 && latMult == 1 {
+		return
+	}
+	f := n.ensureFaults()
+	f.loss = loss
 	f.latMult = latMult
 }
 

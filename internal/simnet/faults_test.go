@@ -441,3 +441,21 @@ func TestDroppedFramePaysFullFare(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroLinkFaultInstallsNothing: a zero link fault on a clean
+// network leaves the fault hook nil, so every frame keeps depart's
+// unfaulted path; on a network that already carries fault state it
+// still resets the degradation.
+func TestZeroLinkFaultInstallsNothing(t *testing.T) {
+	_, n := testNet(t, zeroJitter())
+	n.SetLinkFault(0, 1)
+	n.SetLinkFault(0, 0.5)
+	if n.faults != nil {
+		t.Fatalf("zero link fault installed fault state %+v", n.faults)
+	}
+	n.SetLinkFault(0.2, 2)
+	n.SetLinkFault(0, 1)
+	if f := n.faults; f == nil || f.loss != 0 || f.latMult != 1 {
+		t.Fatalf("zero link fault did not reset the degradation: %+v", f)
+	}
+}
