@@ -51,8 +51,10 @@ type Interner struct {
 	// merged is the canonical merged federation view. After gossip
 	// converges every member holds the same ID-sorted union; adopting one
 	// canonical slice collapses K value-identical O(world) arrays into
-	// one. Members copy-on-write before any in-place edit.
-	merged []proto.PeerInfo
+	// one. Members copy-on-write before any in-place edit. mergedImg is
+	// its wire image, published and adopted with it.
+	merged    []proto.PeerInfo
+	mergedImg *proto.PeerImage
 }
 
 type snapEntry struct {
@@ -181,20 +183,34 @@ func (it *Interner) Snapshot(shard int, version uint64, list []proto.PeerInfo) (
 	return e.peers, true
 }
 
-// MergedView offers a settled merged view for sharing and returns the
-// canonical slice to adopt: the current one when the offer equals it
-// (the post-convergence steady state), else an exact-length copy of the
-// offer, which becomes canonical. The adopted slice may be aliased by
-// every other member: copy-on-write before any in-place edit. A nil
-// interner declines (ok false) and the caller keeps its view.
-func (it *Interner) MergedView(list []proto.PeerInfo) (canon []proto.PeerInfo, ok bool) {
+// MergedView offers a settled merged view and its wire image for
+// sharing and returns the canonical pair to adopt: the current one when
+// the offer equals it (the post-convergence steady state), else
+// exact-length copies of the offer, which become canonical. An image is
+// a function of its view, so equal views have equal images. The adopted
+// pair may be aliased by every other member: copy-on-write before any
+// in-place edit. A nil interner declines (ok false) and the caller
+// keeps its view.
+func (it *Interner) MergedView(list []proto.PeerInfo, img *proto.PeerImage) (canon []proto.PeerInfo, canonImg *proto.PeerImage, ok bool) {
 	if it == nil {
-		return list, false
+		return list, img, false
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if !slices.Equal(it.merged, list) {
+	if it.mergedImg == nil || !slices.Equal(it.merged, list) {
 		it.merged = exactClone(list)
+		it.mergedImg = new(proto.PeerImage)
+		it.mergedImg.CopyFrom(img)
 	}
-	return it.merged, true
+	return it.merged, it.mergedImg, true
+}
+
+// sharesImage reports whether img is the canonical merged image.
+func (it *Interner) sharesImage(img *proto.PeerImage) bool {
+	if it == nil {
+		return false
+	}
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	return img == it.mergedImg
 }

@@ -75,8 +75,8 @@ func registerHome(t *testing.T, n *simnet.Net, addrs []string, p proto.PeerInfo)
 }
 
 // TestQuiescentFederationSharesOneCopy: once gossip settles, every
-// member's merged view aliases the interner's canonical array, every
-// member's snapshot of a shard aliases the interner's copy of that
+// member's merged view and its wire image alias the interner's
+// canonical pair, every member's snapshot of a shard aliases the interner's copy of that
 // shard, nothing keeps append slack, and the gossip scratch is gone —
 // every snapshot's spans keep its values and drop their wire form and
 // change lists.
@@ -99,6 +99,9 @@ func TestQuiescentFederationSharesOneCopy(t *testing.T) {
 			sn.mu.Lock()
 			if !sn.mergedShared || unsafe.SliceData(sn.merged) != unsafe.SliceData(it.merged) {
 				t.Errorf("member %d holds a private merged view after quiescence", i)
+			}
+			if sn.mergedImg != it.mergedImg || !it.mergedImg.Encodes(it.merged) {
+				t.Errorf("member %d holds a private merged image after quiescence", i)
 			}
 			if len(sn.meta) != len(sn.merged) || cap(sn.meta) != len(sn.meta) {
 				t.Errorf("member %d meta: len %d cap %d for %d entries", i, len(sn.meta), cap(sn.meta), len(sn.merged))
@@ -145,7 +148,7 @@ func TestRegistrationCopiesOnWrite(t *testing.T) {
 			registerHome(t, n, addrs, peer(h))
 		}
 		s.Sleep(2*time.Second + 10*time.Millisecond) // settled, and just past a gossip tick
-		canon := it.merged
+		canon, canonImg := it.merged, it.mergedImg
 		before := slices.Clone(canon)
 		at := ShardAssign("h-new", k)
 		registerHome(t, n, addrs, peer("h-new"))
@@ -159,8 +162,8 @@ func TestRegistrationCopiesOnWrite(t *testing.T) {
 				t.Errorf("member %d changed before gossip delivered the registration: %v", i, snap)
 			}
 		}
-		if !slices.Equal(canon, before) {
-			t.Error("the canonical view was edited in place")
+		if !slices.Equal(canon, before) || !canonImg.Encodes(before) {
+			t.Error("the canonical view or its image was edited in place")
 		}
 		s.Sleep(time.Second)
 		for i, sn := range sns {
@@ -176,8 +179,9 @@ func TestRegistrationCopiesOnWrite(t *testing.T) {
 var poison = proto.PeerInfo{ID: "\x00POISON", Site: "POISON", MPDAddr: "POISON", RSAddr: "POISON"}
 
 // poisonRecycled overwrites, to full capacity, every buffer that is
-// waiting for reuse: the pooled view pairs and each member's vacated
-// decode scratch. Anything still reading one of them sees poison.
+// waiting for reuse: the pooled views and each member's vacated decode
+// scratch. Anything still reading one of them sees poison (an image
+// that aliases one no longer encodes its view).
 func poisonRecycled(sns []*Supernode) (buffers int) {
 	var held []*viewBuf
 	for i := 0; i < 64; i++ {
@@ -191,6 +195,7 @@ func poisonRecycled(sns []*Supernode) (buffers int) {
 		for j := range b.meta[:cap(b.meta)] {
 			b.meta[:cap(b.meta)][j] = entryMeta{shard: -99, seen: -99}
 		}
+		b.img.Reset(slices.Repeat([]proto.PeerInfo{poison}, 2*cap(b.peers)))
 		held = append(held, b)
 	}
 	for _, b := range held {
@@ -266,6 +271,9 @@ func TestRecycledBuffersNeverAliasLiveState(t *testing.T) {
 			if got := sn.Snapshot(); !slices.Equal(got, want[i]) || hasPoison(got) {
 				t.Errorf("%s: member %d's view changed under a recycled buffer: %v", when, i, got)
 			}
+			if err := sn.checkMerged(); err != nil {
+				t.Errorf("%s: %v", when, err)
+			}
 			sn.mu.Lock()
 			for j, r := range sn.remote {
 				if hasPoison(r.peers) || slices.Contains(r.seen, -99) {
@@ -287,7 +295,7 @@ func TestRecycledBuffersNeverAliasLiveState(t *testing.T) {
 			sn.mu.Unlock()
 		}
 		it.mu.Lock()
-		bad := hasPoison(it.merged)
+		bad := hasPoison(it.merged) || it.mergedImg != nil && !it.mergedImg.Encodes(it.merged)
 		for _, e := range it.snaps {
 			bad = bad || hasPoison(e.peers)
 		}

@@ -25,11 +25,13 @@
 // member or the world already holds before a string is built — a
 // gossip tick of a boot storm allocates nothing. The decode reports the
 // entries that changed, and only those are folded into the member's
-// merged view, a pooled buffer pair. When a gossip round brings nothing
-// new, the member offers its view and snapshots to the deployment's
-// Interner and adopts the canonical, read-only copies, so a settled
-// K-member federation holds one world, not K; the first edit after that
-// copies on write.
+// merged view, pooled buffers. The owned table and the merged view each
+// keep their wire image in step with every edit, so a reply copies
+// bytes instead of encoding them. When a gossip round brings nothing
+// new, the member offers its view, its image and its snapshots to the
+// deployment's Interner and adopts the canonical, read-only copies, so
+// a settled K-member federation holds one world, not K; the first edit
+// after that copies on write.
 package overlay
 
 import (
@@ -163,19 +165,21 @@ type entryMeta struct {
 	seen  int64
 }
 
-// viewBuf is a private merged view's backing pair. Every rebuild writes
-// into a pair from viewPool and hands back the pair it vacates, so a
-// gossip tick allocates nothing once the storm's buffers exist; the
-// pool is shared by all members (K per-member spares would be K idle
-// world-sized arrays) and emptied by the GC when gossip goes quiet. A
-// pooled pair is never aliased: the interner publishes copies, and a
-// member holding the canonical view holds no pair at all.
+// viewBuf is a private merged view's backing: the entries, their meta
+// and their wire image. Every rebuild writes into a viewBuf from
+// viewPool and hands back the one it vacates, so a gossip tick
+// allocates nothing once the storm's buffers exist; the pool is shared
+// by all members (K per-member spares would be K idle world-sized
+// arrays) and emptied by the GC when gossip goes quiet. A pooled
+// viewBuf is never aliased: the interner publishes copies, and a member
+// holding the canonical view holds no viewBuf at all.
 type viewBuf struct {
 	peers []proto.PeerInfo
 	meta  []entryMeta
+	img   *proto.PeerImage
 }
 
-var viewPool = sync.Pool{New: func() any { return new(viewBuf) }}
+var viewPool = sync.Pool{New: func() any { return &viewBuf{img: new(proto.PeerImage)} }}
 
 // Supernode is the bootstrap/membership daemon — standalone, or one
 // member of a federated tier.
@@ -201,8 +205,11 @@ type Supernode struct {
 	// per membership change) used to dominate world boot. owned holds
 	// each listed peer's entry in the same order, so the gossip reply's
 	// last-seen column is a slice walk, not a map lookup per peer.
+	// listImage is listCache's wire image, edited with it: replies copy
+	// entries from it instead of encoding them.
 	listCache []proto.PeerInfo
 	owned     []*peerEntry
+	listImage proto.PeerImage
 
 	// Federation state. ownVersion/ownStamp version the owned set (bumped
 	// on add/remove/info-change, NOT on bare keep-alives); remote holds
@@ -214,11 +221,13 @@ type Supernode struct {
 	ownStamp   int64
 	remote     map[int]*remoteShard
 	merged     []proto.PeerInfo
-	meta       []entryMeta // parallel to merged; see entryMeta
-	// mergedShared marks merged as the interner's canonical view, aliased
-	// by other members (adopted on a quiescent round, with meta clipped to
-	// length); any in-place edit must copy first (cowMergedLocked). A view
-	// is private — a viewPool pair — from its first change until then.
+	meta       []entryMeta      // parallel to merged; see entryMeta
+	mergedImg  *proto.PeerImage // merged's wire image, edited with it
+	// mergedShared marks merged and mergedImg as the interner's canonical
+	// view and image, aliased by other members (adopted on a quiescent
+	// round, with meta clipped to length); any in-place edit must copy
+	// first (cowMergedLocked). A view is private — a viewPool viewBuf —
+	// from its first change until then.
 	mergedShared bool
 	// memberSeen records the last direct evidence that a federation
 	// member is alive (it answered our digest, or it sent us one). A
@@ -279,6 +288,7 @@ func NewSupernode(rt vtime.Runtime, net transport.Network, cfg SupernodeConfig) 
 	if cfg.federated() {
 		s.remote = make(map[int]*remoteShard)
 		s.memberSeen = make(map[int]time.Time)
+		s.mergedImg = new(proto.PeerImage)
 		s.gossip.versions = make([]uint64, len(cfg.Federation))
 		s.gossip.resolver.Held = make([]*proto.Spans, len(cfg.Federation))
 		s.gossip.resolver.Lookup = cfg.Intern.Lookup // nil-receiver safe
@@ -361,7 +371,8 @@ func (s *Supernode) PeerCount() int {
 func (s *Supernode) MergedCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.replyListLocked())
+	list, _ := s.replyListLocked()
+	return len(list)
 }
 
 // Stats returns a copy of the membership-plane counters.
@@ -388,16 +399,17 @@ func (s *Supernode) OwnedIDs() []string {
 func (s *Supernode) Snapshot() []proto.PeerInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]proto.PeerInfo(nil), s.replyListLocked()...)
+	list, _ := s.replyListLocked()
+	return append([]proto.PeerInfo(nil), list...)
 }
 
-// replyListLocked is the table replies encode from: the merged view in
-// a federation, the owned table standalone.
-func (s *Supernode) replyListLocked() []proto.PeerInfo {
+// replyListLocked is the table replies are copied from, with its wire
+// image: the merged view in a federation, the owned table standalone.
+func (s *Supernode) replyListLocked() ([]proto.PeerInfo, *proto.PeerImage) {
 	if s.cfg.federated() {
-		return s.merged
+		return s.merged, s.mergedImg
 	}
-	return s.listCache
+	return s.listCache, &s.listImage
 }
 
 // findSorted locates id in a sorted table: the index where it is (or
@@ -421,9 +433,10 @@ func spliceOut[T any](list []T, i int) []T {
 	return append(list[:i], list[i+1:]...)
 }
 
-// appendPeerListReply encodes the host-list reply straight from the
-// sorted table into dst: the full table, or — when MaxPeersReturned
-// bounds it — a window whose start is drawn from the seeded generator.
+// appendPeerListReply writes the host-list reply into dst, copied from
+// the sorted table's wire image — one or two copies, no string encoded:
+// the full table, or — when MaxPeersReturned bounds it — a window whose
+// start is drawn from the seeded generator.
 // Independent draws per reply mean no client can get pinned to a fixed
 // subset by an unlucky congruence between its fetch cadence and the
 // table size; repeated refreshes cover the membership with probability
@@ -431,13 +444,13 @@ func spliceOut[T any](list []T, i int) []T {
 func (s *Supernode) appendPeerListReply(dst []byte) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	list := s.replyListLocked()
+	list, img := s.replyListLocked()
 	start, count := 0, len(list)
 	if limit := s.cfg.MaxPeersReturned; limit > 0 && len(list) > limit {
 		start = s.rngLocked().Intn(len(list))
 		count = limit
 	}
-	return proto.AppendPeerListFrame(dst, list, start, count)
+	return proto.AppendPeerListImage(dst, img, start, count)
 }
 
 // aliveAck{Known,Unknown}Frame are the two constant AliveAck replies;
@@ -533,6 +546,7 @@ func (s *Supernode) register(p proto.PeerInfo) {
 		e.lastSeen = now
 		if i, found := findSorted(s.listCache, p.ID); found && s.listCache[i] != p {
 			s.listCache[i] = p
+			s.listImage.Set(i, p)
 			s.bumpVersionLocked(now)
 		}
 		if s.cfg.federated() {
@@ -549,6 +563,7 @@ func (s *Supernode) register(p proto.PeerInfo) {
 	i, _ := findSorted(s.listCache, p.ID)
 	s.listCache = spliceIn(s.listCache, i, p)
 	s.owned = spliceIn(s.owned, i, e)
+	s.listImage.Insert(i, p)
 	s.bumpVersionLocked(now)
 	if s.cfg.federated() {
 		s.mergedUpsertLocked(p, s.cfg.Shard, now.UnixNano())
@@ -578,16 +593,17 @@ func (s *Supernode) bumpVersionLocked(now time.Time) {
 	s.ownStamp = now.UnixNano()
 }
 
-// cowMergedLocked unshares the merged view before an in-place edit: the
-// canonical slice is aliased by every other federation member. Fires on
-// the first edit after a quiescent round, not once per gossip tick —
-// rebuilds leave the view private.
+// cowMergedLocked unshares the merged view and its image before an
+// in-place edit: the canonical pair is aliased by every other
+// federation member. Fires on the first edit after a quiescent round,
+// not once per gossip tick — rebuilds leave the view private.
 func (s *Supernode) cowMergedLocked() {
 	if s.mergedShared {
 		buf := viewPool.Get().(*viewBuf)
 		s.merged = append(buf.peers[:0], s.merged...)
 		s.meta = append(buf.meta[:0], s.meta...)
-		s.mergedShared = false
+		buf.img.CopyFrom(s.mergedImg)
+		s.mergedImg, s.mergedShared = buf.img, false
 	}
 }
 
@@ -611,6 +627,7 @@ func (s *Supernode) setMergedLocked(i int, p proto.PeerInfo, m entryMeta) {
 	if s.merged[i] != p {
 		s.cowMergedLocked()
 		s.merged[i] = p
+		s.mergedImg.Set(i, p)
 	}
 	s.meta[i] = m
 }
@@ -624,6 +641,7 @@ func (s *Supernode) mergedUpsertLocked(p proto.PeerInfo, shard int, seen int64) 
 		s.cowMergedLocked()
 		s.merged = spliceIn(s.merged, i, p)
 		s.meta = spliceIn(s.meta, i, entryMeta{shard: shard, seen: seen})
+		s.mergedImg.Insert(i, p)
 		return
 	}
 	switch m := s.meta[i]; {
@@ -654,6 +672,7 @@ func (s *Supernode) reclaimLocked(i int) {
 	s.cowMergedLocked()
 	s.merged = spliceOut(s.merged, i)
 	s.meta = spliceOut(s.meta, i)
+	s.mergedImg.Remove(i)
 }
 
 // sweep purges the peers (and federation members) silent past the TTL,
@@ -672,6 +691,7 @@ func (s *Supernode) sweep() {
 			if i, found := findSorted(s.listCache, id); found {
 				s.listCache = spliceOut(s.listCache, i)
 				s.owned = spliceOut(s.owned, i)
+				s.listImage.Remove(i)
 			}
 			s.bumpVersionLocked(now)
 			if s.cfg.federated() {
@@ -787,10 +807,10 @@ func (s *Supernode) applyDelta(shard int, sent int64, reply transport.Message) {
 	// adopted. Map order is immaterial: the offers are independent.
 	it := s.cfg.Intern
 	if !s.mergedShared {
-		if canon, ok := it.MergedView(s.merged); ok {
+		if canon, img, ok := it.MergedView(s.merged, s.mergedImg); ok {
 			meta := exactClone(s.meta)
-			viewPool.Put(&viewBuf{peers: s.merged[:0], meta: s.meta[:0]})
-			s.merged, s.meta, s.mergedShared = canon, meta, true
+			viewPool.Put(&viewBuf{peers: s.merged[:0], meta: s.meta[:0], img: s.mergedImg})
+			s.merged, s.meta, s.mergedImg, s.mergedShared = canon, meta, img, true
 		}
 	}
 	for k, r := range s.remote {
@@ -874,8 +894,9 @@ func (s *Supernode) appendDeltaReply(dst []byte, d *proto.Digest) []byte {
 }
 
 // ownShardStateLocked snapshots the owned set for a gossip reply. The
-// Peers slice aliases the sorted owned table and Seen the reply
-// scratch, both read by the encoder under the same lock.
+// Peers slice and Image alias the sorted owned table and its wire
+// image, so the encoder copies each entry beside its stamp, and Seen
+// the reply scratch, all read by the encoder under the same lock.
 func (s *Supernode) ownShardStateLocked() proto.ShardState {
 	seen := s.reply.seen[:0]
 	for _, e := range s.owned {
@@ -884,7 +905,7 @@ func (s *Supernode) ownShardStateLocked() proto.ShardState {
 	s.reply.seen = seen
 	return proto.ShardState{
 		Shard: s.cfg.Shard, Version: s.ownVersion, Stamp: s.ownStamp,
-		Peers: s.listCache, Seen: seen,
+		Peers: s.listCache, Seen: seen, Image: &s.listImage,
 	}
 }
 
@@ -972,7 +993,9 @@ func stampAt(seen []int64, i int) int64 {
 // claims; per-entry splices would make a boot-storm convergence, or the
 // sweep of a dead shard, O(world²). An entry the shard no longer claims,
 // or claims staler than before, is re-claimed in passing. The pass
-// writes into a pooled pair and hands back the one it vacates.
+// writes into a pooled viewBuf, whose image is then reset to the new
+// view, and hands back the one it vacates; a shared image is never
+// written.
 func (s *Supernode) rebuildMergedLocked(k int, peers []proto.PeerInfo, stamps []int64) {
 	buf := viewPool.Get().(*viewBuf)
 	if cap(buf.peers) < len(s.merged) || cap(buf.meta) < len(s.merged) {
@@ -1019,11 +1042,13 @@ func (s *Supernode) rebuildMergedLocked(k int, peers []proto.PeerInfo, stamps []
 			j++
 		}
 	}
+	img := buf.img
+	img.Reset(out)
 	if !s.mergedShared {
-		buf.peers, buf.meta = s.merged[:0], s.meta[:0]
+		buf.peers, buf.meta, buf.img = s.merged[:0], s.meta[:0], s.mergedImg
 		viewPool.Put(buf)
 	}
-	s.merged, s.meta, s.mergedShared = out, metaOut, false
+	s.merged, s.meta, s.mergedImg, s.mergedShared = out, metaOut, img, false
 }
 
 // claimLocked finds the claim the rule picks for a host, over the owned
@@ -1044,15 +1069,26 @@ func (s *Supernode) claimLocked(id string) (best proto.PeerInfo, bm entryMeta, o
 
 // checkMerged audits the merged view against the claim rule: it must
 // hold exactly the claim the rule picks for every host some source
-// claims, attributed to its source, and nothing else.
+// claims, attributed to its source, and nothing else. The owned table's
+// and the merged view's wire images must be exactly their encodings,
+// and a private view must not hold the interner's canonical image.
 func (s *Supernode) checkMerged() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !s.listImage.Encodes(s.listCache) {
+		return fmt.Errorf("overlay: shard %d: the owned image is not the encoding of the owned table", s.cfg.Shard)
+	}
 	if !s.cfg.federated() {
 		return nil
 	}
 	if len(s.meta) != len(s.merged) {
 		return fmt.Errorf("overlay: shard %d: %d meta for %d merged entries", s.cfg.Shard, len(s.meta), len(s.merged))
+	}
+	if !s.mergedImg.Encodes(s.merged) {
+		return fmt.Errorf("overlay: shard %d: the merged image is not the encoding of the merged view", s.cfg.Shard)
+	}
+	if !s.mergedShared && s.cfg.Intern.sharesImage(s.mergedImg) {
+		return fmt.Errorf("overlay: shard %d: a private merged view holds the canonical image", s.cfg.Shard)
 	}
 	ids := make([]string, 0, len(s.merged))
 	for _, p := range s.listCache {

@@ -186,6 +186,30 @@ func TestShardDeltaDecodeReusesScratch(t *testing.T) {
 	}
 }
 
+// TestReplyImagesAllocateNothing: the supernode's two table replies —
+// a wrapped host-list window and an owned-state gossip reply — copied
+// from the table's wire image into a scratch buffer with capacity
+// allocate nothing.
+func TestReplyImagesAllocateNothing(t *testing.T) {
+	st := ShardState{Shard: 2, Version: 7, Stamp: 99, Image: new(PeerImage)}
+	for i := 0; i < 40; i++ {
+		id := fmt.Sprintf("h%02d.site", i)
+		st.Peers = append(st.Peers, PeerInfo{ID: id, Site: "site", MPDAddr: id + ":9000", RSAddr: id + ":9001"})
+		st.Seen = append(st.Seen, int64(1000+i))
+	}
+	st.Image.Reset(st.Peers)
+	states := []ShardState{st}
+	scratch := make([]byte, 0, 8192)
+	for name, reply := range map[string]func() []byte{
+		"host list":   func() []byte { return AppendPeerListImage(scratch[:0], st.Image, 31, 20) },
+		"owned state": func() []byte { return AppendShardDelta(scratch[:0], states, nil) },
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { reply() }); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
 // TestShardDeltaSpansDecodeOnlyChanges: decoding version n+1 of a
 // 40-entry snapshot against the spans of version n reads field by field
 // only the entries of n+1 whose bytes n did not carry at the cursor — a

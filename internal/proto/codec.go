@@ -133,7 +133,9 @@ func AppendPeerListFrame(dst []byte, peers []PeerInfo, start, count int) []byte 
 // backing, the same length — is written as its header and then the
 // held wire form verbatim: a member forwarding a snapshot it decoded
 // ships the bytes it received instead of encoding the values they
-// became. Every other state is encoded.
+// became. Every other state is encoded, its entries copied from its
+// Image when it carries one (the owner's own table: each entry's bytes
+// and then its stamp) and encoded field by field otherwise.
 func AppendShardDelta(dst []byte, states []ShardState, held []*Spans) []byte {
 	var e wire.Encoder
 	if dst == nil {
@@ -154,14 +156,24 @@ func AppendShardDelta(dst []byte, states []ShardState, held []*Spans) []byte {
 }
 
 // appendShardState encodes one shard snapshot: header, then the entries
-// with their parallel last-seen stamps.
+// with their parallel last-seen stamps, each entry copied from the
+// state's image when it has one of the right length.
 func appendShardState(e *wire.Encoder, s *ShardState) {
 	e.Int(s.Shard)
 	e.U64(s.Version)
 	e.Varint(s.Stamp)
 	e.Int(len(s.Peers))
+	img := s.Image
+	if img != nil && img.Len() != len(s.Peers) {
+		img = nil
+	}
 	for i, p := range s.Peers {
-		p.encode(e)
+		if img != nil {
+			from, to := img.span(i)
+			e.Raw(img.wire[from:to])
+		} else {
+			p.encode(e)
+		}
 		var seen int64
 		if i < len(s.Seen) {
 			seen = s.Seen[i]
@@ -304,7 +316,7 @@ func decodeShardDelta(d *wire.Decoder, m *ShardDelta, r *PeerResolver) bool {
 	for i := range m.Shards {
 		st := &m.Shards[i]
 		st.Shard, st.Version, st.Stamp = d.Int(), d.U64(), d.Varint()
-		st.Peers, st.Seen = st.Peers[:0], st.Seen[:0]
+		st.Peers, st.Seen, st.Image = st.Peers[:0], st.Seen[:0], nil
 		entries := d.Int()
 		if entries < 0 || entries > d.Remaining() {
 			return false

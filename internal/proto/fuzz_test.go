@@ -177,7 +177,9 @@ func FuzzUnmarshalPeerListLimited(f *testing.F) {
 // that decode records, held for a second decode of the same frame,
 // give the plain value again, and forwarded with the states they were
 // recorded into they decode to the plain value — byte for byte the
-// plain re-encoding when the frame was our encoder's.
+// plain re-encoding when the frame was our encoder's. The decoded
+// states encoded from wire images of their entries are the plain
+// re-encoding too, and decode to the plain value.
 func FuzzShardDeltaResolved(f *testing.F) {
 	for _, frame := range corpusFrames() {
 		f.Add(frame, []byte{0, 1, 2, 3, 4})
@@ -340,10 +342,24 @@ func FuzzShardDeltaResolved(f *testing.F) {
 		if err := (*PeerResolver)(nil).DecodeShardDelta(forwarded, &m3); err != nil {
 			t.Fatalf("forwarded frame does not decode: %v", err)
 		}
+		// The same states, each carrying the wire image of its entries as
+		// an owner's table does, encode to the same bytes and decode back.
+		imaged := slices.Clone(m.Shards)
+		for i := range imaged {
+			imaged[i].Image = new(PeerImage)
+			imaged[i].Image.Reset(imaged[i].Peers)
+		}
+		if enc := AppendShardDelta(nil, imaged, nil); !bytes.Equal(enc, want) {
+			t.Fatalf("states encoded from their images:\nimage  %x\nfields %x", enc, want)
+		}
+		var m4 ShardDelta
+		if err := r.DecodeShardDelta(AppendShardDelta(nil, imaged, nil), &m4); err != nil {
+			t.Fatalf("image-encoded frame does not decode: %v", err)
+		}
 		for i := range buf {
 			buf[i] ^= 0xff // a value still viewing the frame would change
 		}
-		for _, got := range []*ShardDelta{&m, &m2, &m3} {
+		for _, got := range []*ShardDelta{&m, &m2, &m3, &m4} {
 			if enc := MustMarshal(got); !bytes.Equal(enc, want) {
 				t.Fatalf("resolved decode differs from the plain one:\nresolved %x\nplain    %x", enc, want)
 			}

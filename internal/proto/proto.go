@@ -282,6 +282,10 @@ type ShardState struct {
 	Stamp   int64
 	Peers   []PeerInfo
 	Seen    []int64
+	// Image, when set and as long as Peers, is the wire image of Peers:
+	// the encoder copies each entry from it and appends the stamp. The
+	// sender's owned table keeps one; decoded states never carry one.
+	Image *PeerImage
 }
 
 // ShardDelta answers a Digest: one ShardState per shard on which the
