@@ -415,7 +415,7 @@ func (m *MPD) Start() error {
 	m.mu.Unlock()
 
 	transport.Serve(ln, func(c transport.Conn) transport.FrameHandler {
-		return (&connServer{m: m, c: c}).serve
+		return func(msg transport.Message) bool { return m.serve(c, msg) }
 	})
 	// Periodic work runs on the lifecycle timer chain: one pending
 	// event per daemon instead of three sleeping goroutines.
@@ -592,21 +592,27 @@ func (m *MPD) isClosed() bool {
 	return m.closed
 }
 
-// supernodes lists the supernode addresses to try, primary (or home
-// shard) first. In a federation the order is the home-anchored rotation
-// Federation[home], Federation[home+1], ... — deterministic per peer,
-// so a failed-over peer always fosters at the same member and ranked
-// views stay replayable.
-func (m *MPD) supernodes() []string {
+// supernode returns entry i of the failover order of supernode
+// addresses, primary (or home shard) first, and false past its end. In
+// a federation the order is the home-anchored rotation Federation[home],
+// Federation[home+1], ... — deterministic per peer, so a failed-over
+// peer always fosters at the same member and ranked views stay
+// replayable. It is computed per step, not listed per RPC: a walk
+// rarely gets past its first entry.
+func (m *MPD) supernode(i int) (string, bool) {
 	if k := len(m.cfg.Federation); k > 1 {
-		home := overlay.ShardAssign(m.cfg.Self.ID, k)
-		out := make([]string, 0, k)
-		for i := 0; i < k; i++ {
-			out = append(out, m.cfg.Federation[(home+i)%k])
+		if i >= k {
+			return "", false
 		}
-		return out
+		return m.cfg.Federation[(overlay.ShardAssign(m.cfg.Self.ID, k)+i)%k], true
 	}
-	return append([]string{m.cfg.SupernodeAddr}, m.cfg.SupernodeFallbacks...)
+	if i == 0 {
+		return m.cfg.SupernodeAddr, true
+	}
+	if i <= len(m.cfg.SupernodeFallbacks) {
+		return m.cfg.SupernodeFallbacks[i-1], true
+	}
+	return "", false
 }
 
 // --- RPC robustness: seeded retries and per-supernode breakers ---
@@ -718,46 +724,31 @@ func (m *MPD) brkLocked(sn string) *transport.Breaker {
 	return b
 }
 
-// peerListPool recycles the scratch slices host-list replies decode
-// into: a refresh on a multi-thousand-host world is an O(world) reply,
-// and every daemon refreshes, so per-reply slices used to be a top
-// allocation source. Each in-flight refresh owns its pooled slice
-// exclusively from Get to Put; the cache copies what it keeps, so
-// nothing aliases the scratch after the merge.
-var peerListPool = sync.Pool{New: func() any { return new([]proto.PeerInfo) }}
-
-// mergeReply decodes a raw PeerList reply into pooled scratch — only the
-// leading entries the cache will keep; the rest is validated, so a
-// corrupt reply still fails over — merges it into the cache and
-// releases the frame. The scratch is borrowed
-// only for this park-free window — not across the network round trip —
-// so however many refreshes are in flight at once, only the handful
-// actually decoding at this instant hold a slice.
+// mergeReply merges a raw PeerList reply into the cache straight from
+// the frame (overlay.Cache.UpdateFrame) and releases it. A corrupt reply
+// changes nothing and fails over.
 func (m *MPD) mergeReply(reply transport.Message) error {
-	sp := peerListPool.Get().(*[]proto.PeerInfo)
-	peers, err := proto.UnmarshalPeerListLimited(reply.Payload, (*sp)[:0], m.cache.UpdateKeeps())
+	err := m.cache.UpdateFrame(reply.Payload)
 	reply.Release()
-	if err == nil {
-		m.cache.Update(peers)
-	}
-	*sp = peers[:0]
-	peerListPool.Put(sp)
 	return err
 }
 
-// viaSupernodes walks the failover order of supernodes(), skipping the
+// viaSupernodes walks the failover order of supernode(i), skipping the
 // members whose breaker is open: try runs against one member and calls
 // next with its error to move on to the following one; past the last,
 // end gets the last error (nil when every member was skipped). A try
 // that succeeds simply does not call next. Each step is issued from the
 // previous one's Call continuation, so the walk never parks.
 func (m *MPD) viaSupernodes(try func(i int, sn string, next func(error)), end func(error)) {
-	sns := m.supernodes()
 	var step func(i int, err error)
 	step = func(i int, err error) {
-		for ; i < len(sns); i++ {
-			if m.snAllow(sns[i]) {
-				try(i, sns[i], func(err error) { step(i+1, err) })
+		for ; ; i++ {
+			sn, ok := m.supernode(i)
+			if !ok {
+				break
+			}
+			if m.snAllow(sn) {
+				try(i, sn, func(err error) { step(i+1, err) })
 				return
 			}
 		}
@@ -871,33 +862,27 @@ func (m *MPD) aliveAny(then func()) {
 
 // pingRound measures the RTT to every cached peer concurrently using the
 // application-level echo of §4.1 (never ICMP), and runs then once the
-// last answer (or timeout) is in.
+// last answer (or timeout) is in. A ping costs one allocation of its
+// own, its continuation: the requests share one buffer per round,
+// which Call sends from once each dial ends.
 func (m *MPD) pingRound(then func()) {
 	ids := m.cache.IDs()
 	// One count per ping plus one for the loop itself, so then runs after
 	// the last ping was issued even when every answer comes back inline.
-	var mu sync.Mutex
-	left := len(ids) + 1
-	answered := func() {
-		mu.Lock()
-		left--
-		last := left == 0
-		mu.Unlock()
-		if last {
-			then()
-		}
-	}
+	r := &pingWait{left: len(ids) + 1, then: then}
+	reqs := make([]byte, len(ids)*pingFrameLen)
 	for _, id := range ids {
-		id := id
 		info, ok := m.cache.Peer(id)
 		if !ok {
-			answered()
+			r.answered()
 			continue
 		}
 		nonce := m.nextNonce()
 		t0 := m.rt.Now()
-		transport.Call(m.net, info.MPDAddr,
-			transport.Message{Payload: proto.MustMarshal(&proto.Ping{Nonce: nonce})},
+		// The capacity bound makes the encode stay in this ping's slot.
+		req, _ := proto.AppendMarshal(reqs[:0:pingFrameLen], &proto.Ping{Nonce: nonce})
+		reqs = reqs[pingFrameLen:]
+		transport.Call(m.net, info.MPDAddr, transport.Message{Payload: req},
 			m.cfg.ReserveTimeout, func(reply transport.Message, err error) {
 				if err == nil {
 					var pong proto.Pong
@@ -907,13 +892,33 @@ func (m *MPD) pingRound(then func()) {
 						m.cache.Observe(id, m.rt.Now().Sub(t0))
 					}
 				}
-				answered()
+				r.answered()
 			})
 		m.mu.Lock()
 		m.stats.PingsSent++
 		m.mu.Unlock()
 	}
-	answered()
+	r.answered()
+}
+
+// pingFrameLen is the encoded size of a Ping: type byte and nonce.
+const pingFrameLen = 9
+
+// pingWait counts a ping round's outstanding answers.
+type pingWait struct {
+	mu   sync.Mutex
+	left int
+	then func()
+}
+
+func (r *pingWait) answered() {
+	r.mu.Lock()
+	r.left--
+	last := r.left == 0
+	r.mu.Unlock()
+	if last {
+		r.then()
+	}
 }
 
 // rngLocked returns the daemon's seeded generator, building it on first

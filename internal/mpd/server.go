@@ -9,34 +9,23 @@ import (
 	"p2pmpi/internal/transport"
 )
 
-// connServer answers one connection's request/reply exchanges. The two
-// periodic message kinds — latency probes and the failure detector's
-// job heartbeats — are decoded into per-connection structs and answered
-// from a per-connection scratch frame, so the steady-state probe load
-// of a large world allocates nothing per exchange; the frames
-// themselves are released back to the transport once decoded.
-type connServer struct {
-	m       *MPD
-	c       transport.Conn
-	scratch []byte
-	ping    proto.Ping
-	pong    proto.Pong
-	jping   proto.JobPing
-	jpong   proto.JobPong
-}
-
-// serve is the connection's transport.FrameHandler: one request in, at
-// most one reply out. It runs in the transport's delivery context and
-// must not park; false drops the connection.
-func (s *connServer) serve(msg transport.Message) bool {
-	m := s.m
+// serve answers one frame of an inbound connection: one request in, at
+// most one reply out. It is the connection's transport.FrameHandler,
+// runs in the transport's delivery context and must not park; false
+// drops the connection. The request is released once decoded and the
+// reply is built in a lent scratch buffer (transport.GetScratch), so a
+// served exchange keeps nothing per connection or per daemon: the
+// steady-state probe load of a large world allocates nothing here.
+func (m *MPD) serve(c transport.Conn, msg transport.Message) bool {
 	if m.isClosed() {
 		msg.Release()
 		return false // a closed daemon hangs up instead of answering
 	}
+	var reply any
 	switch proto.Peek(msg.Payload) {
 	case proto.TPing:
-		err := proto.DecodeInto(msg.Payload, &s.ping)
+		var ping proto.Ping
+		err := proto.DecodeInto(msg.Payload, &ping)
 		msg.Release()
 		if err != nil {
 			return false
@@ -44,24 +33,21 @@ func (s *connServer) serve(msg transport.Message) bool {
 		m.mu.Lock()
 		m.stats.PingsAnswered++
 		m.mu.Unlock()
-		s.pong.Nonce = s.ping.Nonce
-		s.scratch, _ = proto.AppendMarshal(s.scratch[:0], &s.pong)
+		reply = &proto.Pong{Nonce: ping.Nonce}
 	case proto.TJobPing:
-		err := proto.DecodeInto(msg.Payload, &s.jping)
+		var jping proto.JobPing
+		err := proto.DecodeInto(msg.Payload, &jping)
 		msg.Release()
 		if err != nil {
 			return false
 		}
-		s.jpong.Nonce = s.jping.Nonce
-		s.jpong.Known = m.hostsJob(s.jping.JobID)
-		s.scratch, _ = proto.AppendMarshal(s.scratch[:0], &s.jpong)
+		reply = &proto.JobPong{Nonce: jping.Nonce, Known: m.hostsJob(jping.JobID)}
 	default:
 		_, req, err := proto.Unmarshal(msg.Payload)
 		msg.Release()
 		if err != nil {
 			return false
 		}
-		var reply any
 		switch r := req.(type) {
 		case *proto.Prepare:
 			reply = m.handlePrepare(r)
@@ -79,12 +65,14 @@ func (s *connServer) serve(msg transport.Message) bool {
 		default:
 			return false
 		}
-		s.scratch, err = proto.AppendMarshal(s.scratch[:0], reply)
-		if err != nil {
-			return false
-		}
 	}
-	return s.c.Send(transport.Message{Payload: s.scratch}) == nil
+	sp := transport.GetScratch()
+	frame, err := proto.AppendMarshal((*sp)[:0], reply)
+	if err == nil {
+		err = c.Send(transport.Message{Payload: frame})
+	}
+	transport.PutScratch(sp, frame)
+	return err == nil
 }
 
 // handlePrepare is §4.2 step 7 (the remote side of the launch): verify

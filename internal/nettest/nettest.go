@@ -47,13 +47,13 @@ func (n logNet) Dial(addr string) (transport.Conn, error) {
 	return n.wrap(c), nil
 }
 
-func (n logNet) DialFunc(addr string, done func(transport.Conn, error)) {
-	n.Network.DialFunc(addr, func(c transport.Conn, err error) {
+func (n logNet) DialFunc(addr string, done transport.Dialed) {
+	n.Network.DialFunc(addr, transport.DialedFunc(func(c transport.Conn, err error) {
 		if err == nil {
 			c = n.wrap(c)
 		}
-		done(c, err)
-	})
+		done.Dialed(c, err)
+	}))
 }
 
 type logListener struct {

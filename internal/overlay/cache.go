@@ -99,45 +99,96 @@ func (c *Cache) SetPendingCap(n int) { c.pendingCap = n }
 func (c *Cache) Update(list []proto.PeerInfo) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.materialized {
-		if len(c.pending) < maxPendingSnapshots {
-			// Never read yet: defer the merge. The snapshot must be
-			// copied — callers reuse pooled scratch slices. The copy is
-			// interned (shared strings) and, when a cap bounds unread
-			// retention, truncated to the remaining entry budget.
-			keep := list
-			if room := c.keepsLocked(); room == 0 {
-				return
-			} else if room > 0 && len(keep) > room {
-				keep = keep[:room]
-			}
-			cp := make([]proto.PeerInfo, len(keep))
-			for i, p := range keep {
-				cp[i] = c.intern.PeerInfo(p)
-			}
-			c.pending = append(c.pending, cp)
-			c.pendingN += len(cp)
-			return
-		}
-		// A long-horizon run keeps refreshing a cache nobody reads;
-		// unbounded deferral would retain one O(world) snapshot per
-		// refresh. Past the cap, materialize and merge eagerly — the
-		// boot storm (the case the deferral exists for) is long over.
-		c.flushLocked()
+	if c.queuesLocked() {
+		c.queueLocked(list)
+		return
 	}
+	c.flushLocked()
 	c.mergeLocked(list)
 }
 
-// UpdateKeeps returns how many leading entries of the next snapshot
-// Update will look at, or -1 for all of them: an unread cache under a
-// pending cap keeps only its remaining entry budget, so a receiver need
-// not decode the rest of the reply (proto.UnmarshalPeerListLimited).
-func (c *Cache) UpdateKeeps() int {
+// UpdateFrame is Update(proto.UnmarshalPeerList(frame)) for a host-list
+// reply still in its frame: a queued snapshot decodes only the entries
+// the queue keeps, and a materialized cache merges straight from the
+// frame (proto.PeerListReader), so an entry it already holds, live and
+// equal, costs one map lookup and builds no string. A frame that fails
+// to decode changes nothing and returns the decode error. The cache
+// keeps no view of frame.
+func (c *Cache) UpdateFrame(frame []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.keepsLocked()
+	if c.queuesLocked() {
+		sp := peerListPool.Get().(*[]proto.PeerInfo)
+		peers, err := proto.UnmarshalPeerListLimited(frame, (*sp)[:0], c.keepsLocked())
+		if err == nil {
+			c.queueLocked(peers)
+		}
+		clear(peers)
+		*sp = peers[:0]
+		peerListPool.Put(sp)
+		return err
+	}
+	r, err := proto.ReadPeerList(frame)
+	if err != nil {
+		return err
+	}
+	c.flushLocked()
+	if c.peers == nil {
+		c.peers = make(map[string]*proto.PeerInfo, r.Len())
+	}
+	for e, ok := r.Next(); ok; e, ok = r.Next() {
+		if c.selfID == string(e.ID) {
+			continue
+		}
+		old := c.peers[string(e.ID)]
+		dead := c.dead[string(e.ID)]
+		if old != nil && !dead && old.Site == string(e.Site) &&
+			old.MPDAddr == string(e.MPDAddr) && old.RSAddr == string(e.RSAddr) {
+			continue
+		}
+		c.setLocked(c.intern.entryRef(e), old == nil || dead)
+	}
+	return nil
 }
 
+// peerListPool recycles the slices a queued snapshot decodes into
+// before the cache copies what it keeps: an unread cache on a
+// multi-thousand-host world takes an O(world) reply per registration.
+var peerListPool = sync.Pool{New: func() any { return new([]proto.PeerInfo) }}
+
+// queuesLocked reports whether the next snapshot is queued rather than
+// merged: the cache was never read, and the queue has room (see
+// pending).
+func (c *Cache) queuesLocked() bool {
+	return !c.materialized && len(c.pending) < maxPendingSnapshots
+}
+
+// queueLocked defers a snapshot's merge. The snapshot must be copied —
+// callers reuse pooled scratch slices. The copy is interned (shared
+// strings) and, when a cap bounds unread retention, truncated to the
+// remaining entry budget. Past maxPendingSnapshots a long-horizon run
+// that keeps refreshing a cache nobody reads materializes instead:
+// unbounded deferral would retain one O(world) snapshot per refresh,
+// and the boot storm (the case the deferral exists for) is long over.
+func (c *Cache) queueLocked(list []proto.PeerInfo) {
+	keep := list
+	if room := c.keepsLocked(); room == 0 {
+		return
+	} else if room > 0 && len(keep) > room {
+		keep = keep[:room]
+	}
+	cp := make([]proto.PeerInfo, len(keep))
+	for i, p := range keep {
+		cp[i] = c.intern.PeerInfo(p)
+	}
+	c.pending = append(c.pending, cp)
+	c.pendingN += len(cp)
+}
+
+// keepsLocked returns how many leading entries of the next snapshot
+// the cache will look at, or -1 for all of them: an unread cache under
+// a pending cap keeps only its remaining entry budget, so UpdateFrame
+// need not decode the rest of the reply.
 func (c *Cache) keepsLocked() int {
 	if c.materialized || c.pendingCap <= 0 || len(c.pending) >= maxPendingSnapshots {
 		return -1
@@ -164,14 +215,19 @@ func (c *Cache) mergeLocked(list []proto.PeerInfo) {
 		if old != nil && !dead && *old == p {
 			continue
 		}
-		if old == nil || dead {
-			c.live++
-		}
-		ref := c.intern.ref(p) // interned first: the map key shares its ID string
-		c.peers[ref.ID] = ref
-		delete(c.dead, p.ID)
-		c.rankedValid = false
+		c.setLocked(c.intern.ref(p), old == nil || dead)
 	}
+}
+
+// setLocked enters a new or changed entry, live; revived counts a
+// peer that was absent or dead.
+func (c *Cache) setLocked(ref *proto.PeerInfo, revived bool) {
+	if revived {
+		c.live++
+	}
+	c.peers[ref.ID] = ref // interned first: the map key shares its ID string
+	delete(c.dead, ref.ID)
+	c.rankedValid = false
 }
 
 // flushLocked materializes the table, replaying deferred snapshots in

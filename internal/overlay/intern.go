@@ -129,6 +129,23 @@ func (it *Interner) ref(p proto.PeerInfo) *proto.PeerInfo {
 	return c
 }
 
+// entryRef is ref for a host-list entry viewed in its frame: the
+// canonical value when the interner holds the entry's four fields, so
+// a host the world already knows costs no string, else a new one built
+// with one allocation (proto.PeerEntry.Info).
+func (it *Interner) entryRef(e proto.PeerEntry) *proto.PeerInfo {
+	if it != nil {
+		st := &it.peers[stripeFor(e.ID)]
+		st.mu.RLock()
+		c := st.m[string(e.ID)]
+		st.mu.RUnlock()
+		if c != nil && c.Site == string(e.Site) && c.MPDAddr == string(e.MPDAddr) && c.RSAddr == string(e.RSAddr) {
+			return c
+		}
+	}
+	return it.ref(e.Info())
+}
+
 // Lookup finds the canonical PeerInfo whose four fields equal the given
 // raw wire bytes, without building a string (the map index and the
 // comparisons convert in place). It is the by-bytes half of PeerInfo,

@@ -466,8 +466,8 @@ func (l *loopbackNet) Dial(addr string) (transport.Conn, error) {
 	return transport.TCP{}.Dial(real)
 }
 
-func (l *loopbackNet) DialFunc(addr string, done func(transport.Conn, error)) {
-	go func() { done(l.Dial(addr)) }()
+func (l *loopbackNet) DialFunc(addr string, done transport.Dialed) {
+	go func() { done.Dialed(l.Dial(addr)) }()
 }
 
 // TestRealFederationConvergesWhileServing is the sharing machinery on

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"reflect"
 	"unsafe"
 
 	"p2pmpi/internal/wire"
@@ -17,6 +18,9 @@ func Marshal(msg any) ([]byte, error) {
 // allocation-free steady-state, which is what the daemons' request/reply
 // loops use: the simulated and TCP transports both copy the frame before
 // returning from Send, so the scratch is immediately reusable.
+//
+// msg does not escape (error paths name its type through reflect, not
+// fmt's %T), so a caller's message struct can live on its stack.
 func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 	var e wire.Encoder
 	if dst == nil {
@@ -101,7 +105,7 @@ func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 	case *KillAck:
 		e.U8(uint8(TKillAck)).String(m.Key)
 	default:
-		return nil, fmt.Errorf("proto: cannot marshal %T", msg)
+		return nil, fmt.Errorf("proto: cannot marshal %v", reflect.TypeOf(msg))
 	}
 	return e.Bytes(), nil
 }
@@ -585,13 +589,71 @@ func UnmarshalPeerListLimited(b []byte, dst []PeerInfo, limit int) ([]PeerInfo, 
 	return dst, d.Finish()
 }
 
+// PeerEntry is one host-list entry viewed in place: every field aliases
+// the frame and is valid only while the frame is.
+type PeerEntry struct {
+	ID, Site, MPDAddr, RSAddr []byte
+}
+
+// Info builds the entry's PeerInfo with one allocation: the four
+// strings share one exact-length copy.
+func (e PeerEntry) Info() PeerInfo {
+	b := make([]byte, 0, len(e.ID)+len(e.Site)+len(e.MPDAddr)+len(e.RSAddr))
+	b = append(append(append(append(b, e.ID...), e.Site...), e.MPDAddr...), e.RSAddr...)
+	s := unsafe.String(unsafe.SliceData(b), len(b))
+	i, j, k := len(e.ID), len(e.ID)+len(e.Site), len(b)-len(e.RSAddr)
+	return PeerInfo{ID: s[:i], Site: s[i:j], MPDAddr: s[j:k], RSAddr: s[k:]}
+}
+
+// PeerListReader walks a TPeerList frame entry by entry without
+// building a string. ReadPeerList validates the whole frame first — the
+// checks UnmarshalPeerList makes, in the same order — so a walk never
+// meets a decode error half-way and a receiver can merge as it reads.
+type PeerListReader struct {
+	d    wire.Decoder
+	left int
+}
+
+// ReadPeerList validates a TPeerList frame and returns a reader
+// positioned on its first entry.
+func ReadPeerList(b []byte) (PeerListReader, error) {
+	d := wire.NewDecoder(b)
+	if t := Type(d.U8()); t != TPeerList {
+		return PeerListReader{}, fmt.Errorf("proto: expected peerlist, got %v", t)
+	}
+	n := d.Int()
+	if n < 0 || n > d.Remaining() {
+		return PeerListReader{}, wire.ErrCorrupt
+	}
+	start := d.Offset()
+	d.SkipStrings(4 * n)
+	if err := d.Finish(); err != nil {
+		return PeerListReader{}, err
+	}
+	return PeerListReader{d: *wire.NewDecoder(b[start:]), left: n}, nil
+}
+
+// Len returns the number of entries not yet read.
+func (r *PeerListReader) Len() int { return r.left }
+
+// Next views the next entry; ok is false past the last one.
+func (r *PeerListReader) Next() (e PeerEntry, ok bool) {
+	if r.left == 0 {
+		return PeerEntry{}, false
+	}
+	r.left--
+	e.ID, e.Site, e.MPDAddr, e.RSAddr = r.d.StringBytes(), r.d.StringBytes(), r.d.StringBytes(), r.d.StringBytes()
+	return e, true
+}
+
 // DecodeInto decodes a frame into a caller-provided message struct,
 // reusing its allocations: string fields keep their existing backing
 // when the decoded bytes match (see wire.Decoder.StringInto), so
 // decoding a stream of stable values — heartbeats, handshake echoes —
 // into a reused struct is allocation-free steady-state. Only the
 // fixed-shape control messages are supported; list-carrying frames
-// (PeerList, Prepare, JobDone) go through Unmarshal.
+// (PeerList, Prepare, JobDone) go through Unmarshal. Like AppendMarshal,
+// it does not let msg escape.
 func DecodeInto(b []byte, msg any) error {
 	d := wire.NewDecoder(b)
 	t := Type(d.U8())
@@ -671,10 +733,10 @@ func DecodeInto(b []byte, msg any) error {
 			d.StringInto(&m.Key)
 		}
 	default:
-		return fmt.Errorf("proto: DecodeInto does not support %T", msg)
+		return fmt.Errorf("proto: DecodeInto does not support %v", reflect.TypeOf(msg))
 	}
 	if t != want {
-		return fmt.Errorf("proto: frame is %v, not the expected type for %T", t, msg)
+		return fmt.Errorf("proto: frame is %v, not the expected type for %v", t, reflect.TypeOf(msg))
 	}
 	return d.Finish()
 }

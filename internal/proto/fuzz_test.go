@@ -98,7 +98,9 @@ func FuzzUnmarshal(f *testing.F) {
 }
 
 // FuzzUnmarshalPeerList: the host-list fast path (pooled scratch
-// decode) must reject garbage without panicking and without aliasing.
+// decode) must reject garbage without panicking and without aliasing,
+// and the in-place reader (ReadPeerList) must fail exactly when it
+// does and otherwise view the same entries.
 func FuzzUnmarshalPeerList(f *testing.F) {
 	pi := PeerInfo{ID: "c01-1.s01", Site: "s01", MPDAddr: "m:9000", RSAddr: "r:9001"}
 	f.Add(MustMarshal(&PeerList{Peers: []PeerInfo{pi, {ID: "b", Site: "s02"}}}))
@@ -109,8 +111,24 @@ func FuzzUnmarshalPeerList(f *testing.F) {
 		buf := append([]byte(nil), data...)
 		scratch := make([]PeerInfo, 0, 4)
 		peers, err := UnmarshalPeerList(buf, scratch)
+		r, rerr := ReadPeerList(buf)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("UnmarshalPeerList error %v, ReadPeerList error %v", err, rerr)
+		}
 		if err != nil {
 			return
+		}
+		if r.Len() != len(peers) {
+			t.Fatalf("ReadPeerList sees %d entries, UnmarshalPeerList %d", r.Len(), len(peers))
+		}
+		for i := 0; ; i++ {
+			e, ok := r.Next()
+			if !ok {
+				break
+			}
+			if got := e.Info(); got != peers[i] {
+				t.Fatalf("entry %d reads %+v in place, %+v decoded", i, got, peers[i])
+			}
 		}
 		snapshot := append([]PeerInfo(nil), peers...)
 		for i := range buf {

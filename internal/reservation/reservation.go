@@ -111,10 +111,9 @@ func (s *Service) Close() {
 }
 
 // serveConn returns the frame handler of one inbound connection: one
-// Reserve or Cancel in, one reply out of a per-connection scratch
-// frame. It runs in the transport's delivery context and never parks.
+// Reserve or Cancel in, one reply out of a lent scratch frame
+// (transport.GetScratch). It runs in the transport's delivery context and never parks.
 func (s *Service) serveConn(c transport.Conn) transport.FrameHandler {
-	var scratch []byte
 	return func(m transport.Message) bool {
 		_, req, err := proto.Unmarshal(m.Payload)
 		m.Release()
@@ -131,11 +130,13 @@ func (s *Service) serveConn(c transport.Conn) transport.FrameHandler {
 		default:
 			return false
 		}
-		scratch, err = proto.AppendMarshal(scratch[:0], reply)
-		if err != nil {
-			return false
+		sp := transport.GetScratch()
+		frame, err := proto.AppendMarshal((*sp)[:0], reply)
+		if err == nil {
+			err = c.Send(transport.Message{Payload: frame})
 		}
-		return c.Send(transport.Message{Payload: scratch}) == nil
+		transport.PutScratch(sp, frame)
+		return err == nil
 	}
 }
 

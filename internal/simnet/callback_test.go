@@ -36,7 +36,7 @@ func callbackPair(t *testing.T, s *vtime.Scheduler, n *Net, from, addr string) (
 }
 
 // recvLog is an OnRecv handler that records (elapsed, payload | error).
-func recvLog(s *vtime.Scheduler, log *[]string) func(transport.Message, error) {
+func recvLog(s *vtime.Scheduler, log *[]string) transport.RecvFunc {
 	return func(m transport.Message, err error) {
 		if err != nil {
 			*log = append(*log, fmt.Sprintf("%v %v", s.Elapsed(), err))
@@ -64,7 +64,7 @@ func TestOnRecvDeliversInOrderThenCloseOnce(t *testing.T) {
 	s, n := testNet(t, zeroJitter())
 	client, server := callbackPair(t, s, n, "a1", "b1:100")
 	var log []string
-	server.OnRecv(recvLog(s, &log))
+	server.OnRecv(recvLog(s, &log), 0)
 
 	send(t, client, "one", "two", "three")
 	client.Close() // the FIN trails three frames still in flight
@@ -98,7 +98,7 @@ func TestOnRecvDrainsQueuedFramesFIFO(t *testing.T) {
 		t.Fatal("frames without a handler were not queued")
 	}
 	var log []string
-	server.OnRecv(recvLog(s, &log))
+	server.OnRecv(recvLog(s, &log), 0)
 	if len(log) != 2 || !strings.HasSuffix(log[0], " one") || !strings.HasSuffix(log[1], " two") {
 		t.Fatalf("drain delivered %q, want one then two", log)
 	}
@@ -118,7 +118,7 @@ func TestOnRecvDrainsQueuedFramesFIFO(t *testing.T) {
 	client.Close()
 	s.Wait()
 	log = nil
-	server.OnRecv(recvLog(s, &log))
+	server.OnRecv(recvLog(s, &log), 0)
 	if len(log) != 2 || !strings.HasSuffix(log[0], " late") || !strings.HasSuffix(log[1], transport.ErrClosed.Error()) {
 		t.Fatalf("install after FIN delivered %q, want the frame then one close", log)
 	}
@@ -132,7 +132,7 @@ func TestOnRecvNothingAfterCloseOrWhileDown(t *testing.T) {
 	s, n := testNet(t, zeroJitter())
 	client, server := callbackPair(t, s, n, "a1", "b1:100")
 	var log []string
-	server.OnRecv(recvLog(s, &log))
+	server.OnRecv(recvLog(s, &log), 0)
 
 	send(t, client, "in flight at the crash")
 	n.FailHost("b1")
@@ -166,7 +166,7 @@ func TestBlockingHandlerFailsLoudly(t *testing.T) {
 	} {
 		s, n := testNet(t, zeroJitter())
 		client, server := callbackPair(t, s, n, "a1", "b1:100")
-		server.OnRecv(func(transport.Message, error) { block(s) })
+		server.OnRecv(transport.RecvFunc(func(transport.Message, error) { block(s) }), 0)
 		send(t, client, "x")
 		func() {
 			defer func() {
@@ -196,7 +196,7 @@ func TestGlobalEventCloseLandsAtItsBarrier(t *testing.T) {
 	}
 	var log []string
 	l.OnConn(func(c transport.Conn) {
-		c.OnRecv(recvLog(dom.Shard(1), &log))
+		c.OnRecv(recvLog(dom.Shard(1), &log), 0)
 	})
 	var client transport.Conn
 	dom.Shard(0).Go("client", func() { client, _ = n.Node("a1").Dial("b1:100") })

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"strconv"
 	"time"
 
 	"p2pmpi/internal/transport"
@@ -30,7 +31,7 @@ func (nn *nodeNet) Listen(addr string) (transport.Listener, error) {
 	if port == "0" {
 		for {
 			h.nextPort++
-			port = itoa(h.nextPort)
+			port = strconv.Itoa(h.nextPort)
 			if h.listener(port) == nil {
 				break
 			}
@@ -51,72 +52,75 @@ func (nn *nodeNet) Listen(addr string) (transport.Listener, error) {
 	return l, nil
 }
 
-// Dial is DialFunc plus one park: the calling actor blocks for the
-// handshake's round trip, like TCP's connect.
-func (nn *nodeNet) Dial(addr string) (c transport.Conn, err error) {
-	var wake *vtime.Queue[struct{}]
-	pending := true
-	nn.DialFunc(addr, func(dc transport.Conn, derr error) {
-		c, err, pending = dc, derr, false
-		if wake != nil {
-			wake.Push(struct{}{})
-		}
-	})
-	if pending { // the handshake is on the wire: its result event wakes us
-		wake = vtime.NewQueue[struct{}](nn.n.hosts[nn.host].sh.rt)
-		wake.Pop()
+// Dial is DialFunc plus one park: the calling actor blocks on its
+// vtime.Parker for the handshake's round trip, like TCP's connect.
+func (nn *nodeNet) Dial(addr string) (transport.Conn, error) {
+	hs, err := nn.dial(addr, nil)
+	if err != nil {
+		return nil, err
 	}
-	return c, err
+	// The handshake is on the wire; nothing else on this shard runs
+	// until we park, so its result event cannot have fired yet.
+	p := hs.client.lh.sh.rt.Parker()
+	hs.done = parkedDial{p}
+	p.Park()
+	if !hs.accepted {
+		return nil, transport.ErrUnreachable
+	}
+	return &hs.client, nil
 }
 
 // DialFunc starts a handshake (transport.Network): the SYN
 // departs now and done runs in the event that ends the handshake, on the
 // dialer's shard, one round trip later. Nobody parks. Errors known
 // without touching the wire reach done before DialFunc returns.
-func (nn *nodeNet) DialFunc(addr string, done func(transport.Conn, error)) {
+func (nn *nodeNet) DialFunc(addr string, done transport.Dialed) {
+	if _, err := nn.dial(addr, done); err != nil {
+		done.Dialed(nil, err)
+	}
+}
+
+// dial starts a handshake whose result goes to done, which Dial
+// installs itself before the result can fire when it passes nil. A
+// dial is one allocation: the handshake record also holds both
+// endpoints and both jitter streams.
+func (nn *nodeNet) dial(addr string, done transport.Dialed) (*handshake, error) {
 	rhost, rport, err := splitAddr(addr)
 	if err != nil {
-		done(nil, err)
-		return
+		return nil, err
 	}
 	n := nn.n
 	from := n.host(nn.host)
 	if from == nil {
-		done(nil, transport.ErrUnreachable)
-		return
+		return nil, transport.ErrUnreachable
 	}
 	if from.down {
-		done(nil, transport.ErrClosed)
-		return
+		return nil, transport.ErrClosed
 	}
 	to := n.host(rhost)
 	if to == nil {
-		done(nil, transport.ErrUnreachable)
-		return
+		return nil, transport.ErrUnreachable
 	}
 	// The whole connection — handshake and both directions of later
 	// traffic — draws its jitter from one per-flow stream minted here,
 	// keyed by (dialer, destination host, destination port, dial
 	// sequence). See flowKey for why.
 	sh := from.sh
-	rng, src := sh.flowRNG(n.cfg.Seed, from, to, rport)
-	hs := &handshake{
-		n: n, from: from, to: to, port: rport,
-		pipe: n.pipe(from.site, to.site),
-		base: n.topo.SiteLatency(from.site, to.site),
-		rng:  rng, src: src,
-		done: done,
-	}
+	hs := &handshake{done: done}
+	c := &hs.client
+	c.n, c.lh, c.rh = n, from, to
+	c.pipe, c.base = n.pipe(from.site, to.site), n.topo.SiteLatency(from.site, to.site)
+	hs.src.state = sh.flowSeed(n.cfg.Seed, from, to, rport)
 	if fa := n.faults; fa != nil && fa.cut(from.site, to.site) {
 		// A dial across an active partition cut fails with ErrUnreachable
-		// (hs.client stays nil) after one noisy round trip, the time an
-		// RST (or the dialer's own SYN give-up) would take. It never
+		// (hs.accepted stays false) after one noisy round trip, the time
+		// an RST (or the dialer's own SYN give-up) would take. It never
 		// leaves the dialer's shard — no reservations, no frame — and
 		// consumes exactly one jitter draw from the freshly minted flow
 		// stream, which dies with the failed dial, so its draw count
 		// perturbs no other flow.
-		sh.rt.ScheduleArg(2*hs.base+n.jitter(rng, hs.base), fireDialResult, hs)
-		return
+		sh.rt.ScheduleArg(2*c.base+n.jitter(rand.New(&hs.src), c.base), fireDialResult, hs)
+		return hs, nil
 	}
 	// The SYN travels one way; the handshake result travels back
 	// (fireSYN). The ephemeral port is allocated here, not when the
@@ -124,34 +128,21 @@ func (nn *nodeNet) DialFunc(addr string, done func(transport.Conn, error)) {
 	// listener's shard. Port numbers never feed timing or payload
 	// bytes.
 	from.nextPort++
-	hs.local = nn.host + ":" + itoa(from.nextPort)
+	c.local = hostPort(nn.host, from.nextPort)
+	hs.port = rport
 	var x xmsg
 	x.kind, x.size, x.hs = xDial, 64, hs
-	x.from, x.to, x.pipe, x.base = from, to, hs.pipe, hs.base
-	n.depart(&x, rng, src)
+	x.from, x.to, x.pipe, x.base = from, to, c.pipe, c.base
+	n.depart(&x, &hs.src)
+	return hs, nil
 }
 
-// After schedules a client deadline on the dialing host's shard
-// (transport.Network). A stopped deadline leaves the event heap
-// at once.
-func (nn *nodeNet) After(d time.Duration, fn func()) (stop func()) {
-	t := nn.n.hosts[nn.host].sh.rt.After(d, fn)
-	return func() { t.Stop() }
-}
-
-func itoa(v int) string {
-	// Tiny positive-int formatter to avoid strconv in the hot path.
-	if v == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+// hostPort builds "host:port" in one allocation.
+func hostPort(host string, port int) string {
+	var buf [48]byte
+	b := append(buf[:0], host...)
+	b = append(b, ':')
+	return string(strconv.AppendInt(b, int64(port), 10))
 }
 
 type listener struct {
@@ -237,40 +228,36 @@ type conn struct {
 	// The flow's jitter stream: one object shared with the peer when both
 	// endpoints live on one shard; a private stream per endpoint, synced
 	// from each crossing frame, when they do not.
-	rng *rand.Rand
 	src *flowSource
 	// Exactly one of handler/inbox consumes arrivals, on the local host's
 	// shard. A served endpoint never builds the queue, a send-only one
 	// carries neither: the pull path builds it on first use (queue).
-	handler     func(transport.Message, error)
+	handler     transport.Receiver
 	inbox       *vtime.Queue[transport.Message]
+	deadline    vtime.Timer // OnRecv's first-arrival deadline, zero when disarmed
 	peer        *conn
 	closed      bool
 	peerClosed  bool          // the peer's FIN has arrived
+	expired     bool          // the deadline fired: the handler has heard its last
 	lastArrival time.Duration // FIFO clamp for messages *arriving at peer*
 }
 
-// newConnPair wires both endpoints of an accepted handshake. The dialing
-// endpoint keeps the stream Dial minted; rng/src is the accepting
-// endpoint's — the same object when the endpoints share a shard, the
-// listener's continuation of it when they do not (see fireSYN), which
-// reproduces the sequential shared-stream draw order for alternating
-// request/reply traffic.
-func newConnPair(hs *handshake, serverAddr string, back time.Duration, rng *rand.Rand, src *flowSource) (client, server *conn) {
-	ch, sh := hs.from, hs.to
-	client = &conn{
-		n: hs.n, local: hs.local, remote: serverAddr,
-		lh: ch, rh: sh, pipe: hs.pipe, base: hs.base,
-		rng: hs.rng, src: hs.src,
+// accept wires both endpoints of an accepted handshake into its record:
+// the dialing endpoint, whose path dial filled in, and the accepting
+// one. The dialing endpoint keeps the stream Dial minted; src is the
+// accepting endpoint's — the same object when the endpoints share a
+// shard, the listener's continuation of it when they do not (see
+// fireSYN), which reproduces the sequential shared-stream draw order
+// for alternating request/reply traffic.
+func (hs *handshake) accept(serverAddr string, back time.Duration, src *flowSource) {
+	c := &hs.client
+	hs.accepted = true
+	c.remote, c.src, c.peer = serverAddr, &hs.src, &hs.server
+	hs.server = conn{
+		n: c.n, local: serverAddr, remote: c.local,
+		lh: c.rh, rh: c.lh, pipe: c.pipe, base: back,
+		src: src, peer: c,
 	}
-	server = &conn{
-		n: hs.n, local: serverAddr, remote: hs.local,
-		lh: sh, rh: ch, pipe: hs.pipe, base: back,
-		rng: rng, src: src,
-	}
-	client.peer = server
-	server.peer = client
-	return client, server
 }
 
 // frameOverhead approximates per-message header cost on the wire.
@@ -301,7 +288,7 @@ func (c *conn) Send(m transport.Message) error {
 	var x xmsg
 	x.kind, x.size, x.c, x.msg = xSend, m.Size()+frameOverhead, c, m
 	x.from, x.to, x.pipe, x.base = c.lh, c.rh, c.pipe, c.base
-	n.depart(&x, c.rng, c.src)
+	n.depart(&x, c.src)
 	return nil
 }
 
@@ -332,24 +319,47 @@ func (c *conn) queue() *vtime.Queue[transport.Message] {
 
 // OnRecv installs the frame handler (transport.Conn): delivery
 // events call it from now on. Frames that arrived earlier are handed
-// over first, in order, then the peer's close if that arrived too.
-func (c *conn) OnRecv(h func(transport.Message, error)) {
+// over first, in order, then the peer's close if that arrived too. With
+// nothing handed over, a positive timeout arms the deadline on this
+// host's shard; the first arrival or Close disarms it.
+func (c *conn) OnRecv(r transport.Receiver, timeout time.Duration) {
 	if c.handler != nil {
 		panic("simnet: OnRecv installed twice on " + c.local)
 	}
-	c.handler = h
+	c.handler = r
 	q := c.inbox
 	c.inbox = nil
 	for q != nil && !c.closed {
 		m, ok := q.TryPop()
 		if !ok {
 			if c.peerClosed {
-				h(transport.Message{}, transport.ErrClosed)
+				r.Receive(transport.Message{}, transport.ErrClosed)
 			}
 			return
 		}
-		h(m, nil)
+		r.Receive(m, nil)
+		timeout = 0
 	}
+	if timeout > 0 && !c.closed {
+		c.deadline = c.lh.sh.rt.AfterArg(timeout, fireDeadline, c)
+	}
+}
+
+// disarm cancels a pending deadline, which leaves the event heap at once.
+func (c *conn) disarm() {
+	if c.deadline != (vtime.Timer{}) {
+		c.deadline.Stop()
+		c.deadline = vtime.Timer{}
+	}
+}
+
+// fireDeadline ends an OnRecv wait that nothing answered: the handler
+// hears ErrTimeout, and nothing after it.
+func fireDeadline(a any) {
+	c := a.(*conn)
+	c.deadline = vtime.Timer{}
+	c.expired = true
+	c.handler.Receive(transport.Message{}, transport.ErrTimeout)
 }
 
 func (c *conn) Close() error {
@@ -357,8 +367,17 @@ func (c *conn) Close() error {
 		return nil
 	}
 	c.closed = true
+	c.disarm()
 	if c.inbox != nil {
 		c.inbox.Close()
+	}
+	// A same-shard peer that closed first has nobody left to tell: its
+	// FIN would land on a closed endpoint, where fireFin does nothing, so
+	// it is not sent. Dropping an event whose handler changes nothing
+	// keeps the seq order of every other event, so no timeline moves.
+	// A peer on another shard is not ours to read; its FIN still goes.
+	if c.lh.sh == c.rh.sh && c.peer.closed {
+		return nil
 	}
 	// The FIN departs with nothing to reserve or draw; land computes its
 	// arrival, so across shards it still trails same-window data.

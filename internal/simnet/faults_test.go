@@ -129,11 +129,11 @@ func runFaultScript(t *testing.T, w faultWorld, callback bool) map[string][]stri
 			if callback {
 				l.OnConn(func(c transport.Conn) {
 					h := handle(host, c)
-					c.OnRecv(func(m transport.Message, err error) {
+					c.OnRecv(transport.RecvFunc(func(m transport.Message, err error) {
 						if !h(m, err) {
 							c.Close()
 						}
-					})
+					}), 0)
 				})
 				return
 			}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"p2pmpi/internal/transport"
+	"p2pmpi/internal/vtime"
 )
 
 // The frame path.
@@ -87,7 +88,8 @@ type xmsg struct {
 // duplicate-delay (frameFate) — is the same in both engines by
 // construction. The stream state is captured after the last draw, so a
 // receiver on another shard adopts the post-draw position.
-func (n *Net) depart(x *xmsg, rng *rand.Rand, src *flowSource) {
+func (n *Net) depart(x *xmsg, src *flowSource) {
+	rng := rand.New(src) // stateless over src: a stack value, not the stream's
 	from := x.from
 	sh := from.sh
 	x.at = sh.rt.Elapsed()
@@ -102,11 +104,11 @@ func (n *Net) depart(x *xmsg, rng *rand.Rand, src *flowSource) {
 	}
 	x.state = src.state
 	// Copy the payload — the sender may reuse its buffer immediately —
-	// into a pooled buffer that the receiver's Release recycles. The copy
-	// comes from the sender shard's pool and is released into the
-	// receiver shard's pool after delivery — capacity migrates along
-	// traffic, each pool still touched by one shard only. A dropped frame
-	// ships no payload: it exists only to replay its reservations.
+	// into a buffer of the sender shard's pool. The receiver's Release
+	// recycles it into the receiving shard's pool; a frame that crosses
+	// shards is copied once more at the barrier (land), so every buffer
+	// returns to the pool that handed it out. A dropped frame ships no
+	// payload: it exists only to replay its reservations.
 	if p := x.msg.Payload; len(p) > 0 {
 		var cp []byte
 		if !x.drop {
@@ -193,9 +195,18 @@ func (n *Net) land(x *xmsg) {
 	switch x.kind {
 	case xSend:
 		peer := x.c.peer
+		payload := x.msg.Payload
+		if crossed && len(payload) > 0 {
+			// Pool ownership: a buffer goes back to the pool it came
+			// from. The crossing payload moves into a buffer of the
+			// receiving shard, and the sender's goes home — both shards
+			// are parked at the barrier. Swapping without the copy
+			// would bounce the buffers between cores.
+			payload = x.from.sh.bufPool.Rehome(&dst.bufPool, payload)
+		}
 		d := dst.getDelivery()
 		d.peer = peer
-		d.msg = transport.Pooled(x.msg.Payload, x.msg.Virtual, &dst.bufPool)
+		d.msg = transport.Pooled(payload, x.msg.Virtual, &dst.bufPool)
 		// Same-shard endpoints share one stream object; a frame that
 		// crossed carries the sender's post-draw state for the receiving
 		// endpoint's private stream to adopt on delivery.
@@ -208,9 +219,9 @@ func (n *Net) land(x *xmsg) {
 			// not sync the flow stream — by the time it lands, later frames
 			// may already have advanced the receiver's state past x.state.
 			var cp []byte
-			if len(x.msg.Payload) > 0 {
-				cp = dst.bufPool.Get(len(x.msg.Payload))
-				copy(cp, x.msg.Payload)
+			if len(payload) > 0 {
+				cp = dst.bufPool.Get(len(payload))
+				copy(cp, payload)
 			}
 			d2 := dst.getDelivery()
 			d2.peer = peer
@@ -289,10 +300,11 @@ func fireDelivery(a any) {
 	d.next = sh.delFree
 	sh.delFree = d
 	switch {
-	case peer.lh.down || peer.closed || peer.peerClosed:
+	case peer.lh.down || peer.closed || peer.peerClosed || peer.expired:
 		msg.Release()
 	case peer.handler != nil:
-		peer.handler(msg, nil)
+		peer.disarm()
+		peer.handler.Receive(msg, nil)
 	default:
 		peer.queue().Push(msg)
 	}
@@ -300,85 +312,104 @@ func fireDelivery(a any) {
 
 // handshake is one dial in progress, created on the dialer's shard and
 // carried by the SYN and its reply. Like TCP, the dialer observes a full
-// round trip: done runs when the reply lands. The two shards never touch
-// it in the same window — the dialer's shard lets go of it when the SYN
-// departs and sees it again only in fireDialResult, and each hand-over
-// is ordered by the barrier the frame crossed at.
+// round trip: done runs when the reply lands. The two shards never
+// touch it in the same window — the dialer's shard lets go of it when
+// the SYN departs and sees it again only in fireDialResult, and each
+// hand-over is ordered by the barrier the frame crossed at.
+//
+// It is also the connection's storage: both endpoints and both jitter
+// streams live here, so a dial is one allocation. The accepting half
+// (server, srvSrc) is written only on the listener's shard.
+//
+// The dialing endpoint is filled in as far as the dial knows it — the
+// net, both hosts (lh dialer, rh listener), the pipe, the base latency
+// dialer → listener and the ephemeral address — and the handshake
+// reads its path from there.
 type handshake struct {
-	n        *Net
-	from, to *netHost // dialer, listener
-	port     string   // destination port
-	local    string   // dialer's ephemeral address
-	pipe     *serializer
-	base     time.Duration // dialer → listener
-	rng      *rand.Rand    // the flow stream minted by Dial,
-	src      *flowSource   // which the dialing endpoint keeps
-	state    uint64        // stream state carried by the frame that just landed
-	client   *conn         // set on accept; nil means refused
-	done     func(transport.Conn, error)
+	port     string // destination port, until the SYN lands (it may view a caller's frame)
+	state    uint64 // stream state carried by the frame that just landed
+	accepted bool   // the listener took the conn; false means refused
+	done     transport.Dialed
+
+	client, server conn
+	src, srvSrc    flowSource // the flow stream Dial minted; the listener's continuation across shards
 }
+
+// parkedDial is a blocking Dial's continuation: it wakes the dialing
+// actor, which reads the outcome from the handshake.
+type parkedDial struct{ p *vtime.Parker }
+
+func (d parkedDial) Dialed(transport.Conn, error) { d.p.Unpark() }
 
 // fireSYN runs on the listener's shard when a SYN arrives: it accepts or
 // refuses, and sends the handshake reply back (the RST also takes one
 // trip back).
 func fireSYN(a any) {
 	hs := a.(*handshake)
-	n, from, to := hs.n, hs.from, hs.to
+	c := &hs.client
+	n, from, to := c.n, c.lh, c.rh
 	// Same-shard endpoints share the one stream Dial minted. A listener
 	// on another shard cannot share an object with the dialer's event
 	// loop, so it continues the stream from the state the SYN carried;
 	// the dialing endpoint catches up from the state the reply carries.
-	rng, src := hs.rng, hs.src
+	src := &hs.src
 	if from.sh != to.sh {
-		src = &flowSource{state: hs.state}
-		rng = rand.New(src)
+		hs.srvSrc.state = hs.state
+		src = &hs.srvSrc
 	}
 	back := n.topo.SiteLatency(to.site, from.site)
 	kind := xRefuse
 	if l := to.listener(hs.port); !to.down && l != nil && !l.closed {
 		kind = xAccept
-		client, server := newConnPair(hs, l.addr, back, rng, src)
-		hs.client = client
-		l.deliver(server) // queues it or installs its frame handler; draws and sends nothing
+		hs.accept(l.addr, back, src)
+		l.deliver(&hs.server) // queues it or installs its frame handler; draws and sends nothing
 	}
+	hs.port = ""
 	var x xmsg
 	x.kind, x.size, x.hs = kind, 64, hs
-	x.from, x.to, x.pipe, x.base = to, from, hs.pipe, back
-	n.depart(&x, rng, src)
+	x.from, x.to, x.pipe, x.base = to, from, c.pipe, back
+	n.depart(&x, src)
 }
 
 // fireDialResult completes a dial on the dialer's shard: the dialer's
 // continuation runs right here with the dialing endpoint, or with
-// ErrUnreachable when the dial was refused or cut off.
+// ErrUnreachable when the dial was refused or cut off (a blocking Dial's
+// continuation wakes it). The continuation is dropped once it has run.
 func fireDialResult(a any) {
 	hs := a.(*handshake)
-	c := hs.client
-	if c == nil {
-		hs.done(nil, transport.ErrUnreachable)
-		return
-	}
 	// A reply that crossed seeds the dialing endpoint's private stream
 	// with the state it carried (same-shard, the stream is shared and the
 	// listener may already have drawn past that state).
-	if hs.from.sh != hs.to.sh {
-		c.src.state = hs.state
+	if hs.accepted && hs.client.lh.sh != hs.client.rh.sh {
+		hs.src.state = hs.state
 	}
-	hs.done(c, nil)
+	done := hs.done
+	hs.done = nil
+	if !hs.accepted {
+		done.Dialed(nil, transport.ErrUnreachable)
+		return
+	}
+	done.Dialed(&hs.client, nil)
 }
 
 // fireFin closes the receiving endpoint when a FIN arrives, after all
 // in-flight data (FIFO): the handler is told once, pending Recvs drain
 // buffered frames then see ErrClosed; a locally closed endpoint has
-// nobody to tell. peerClosed is how an endpoint on another shard learns
+// nobody to tell, so the FIN changes nothing there (and a same-shard
+// peer does not send it at all, conn.Close). peerClosed is how an endpoint on another shard learns
 // of the close — one network trip late, the earliest it causally can;
 // see conn.Send.
 func fireFin(a any) {
 	peer := a.(*conn)
+	if peer.closed {
+		return
+	}
 	peer.peerClosed = true
 	switch {
-	case peer.closed:
+	case peer.expired:
 	case peer.handler != nil:
-		peer.handler(transport.Message{}, transport.ErrClosed)
+		peer.disarm()
+		peer.handler.Receive(transport.Message{}, transport.ErrClosed)
 	case peer.inbox != nil:
 		peer.inbox.Close()
 	}

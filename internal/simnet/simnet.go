@@ -116,7 +116,7 @@ func newNetShard(rt *vtime.Scheduler) *netShard {
 // counter bumped under such a key would pin the whole frame for the
 // life of the world. Hosts are keyed by their table entry and the port
 // by a per-shard number (netShard.portNum); the names still seed the
-// stream (flowRNG).
+// stream (flowSeed).
 type flowKey struct {
 	from, to *netHost
 	port     int
@@ -135,7 +135,8 @@ func (sh *netShard) portNum(port string) int {
 
 // flowSource is a SplitMix64 stream, the per-flow jitter source: one
 // word of state instead of rand.NewSource's 607, since every
-// request/reply exchange dials a fresh conn and pays this allocation.
+// request/reply exchange dials a fresh conn and carries two of them in
+// its handshake record.
 type flowSource struct{ state uint64 }
 
 func (s *flowSource) Uint64() uint64 {
@@ -151,22 +152,21 @@ func (s *flowSource) Seed(seed int64) {
 	s.state = uint64(seed)
 }
 
-// flowRNG mints the jitter stream for the seq-th dial of a flow. The
+// flowSeed mints the jitter stream for the seq-th dial of a flow. The
 // seed folds the config seed with the flow identity and the per-flow
 // dial sequence, so a flow's noise is a pure function of (world seed,
 // flow, its own dial history) — independent of any other traffic. The
 // sequence counter is per shard: a flow is keyed by its dialing host,
 // which lives on exactly one shard, so the counter is exclusive to that
 // shard's event loop.
-func (sh *netShard) flowRNG(seed int64, from, to *netHost, port string) (*rand.Rand, *flowSource) {
+func (sh *netShard) flowSeed(seed int64, from, to *netHost, port string) uint64 {
 	key := flowKey{from: from, to: to, port: sh.portNum(port)}
 	seq := sh.flowSeq[key]
 	sh.flowSeq[key] = seq + 1
 	h := fnvMix(uint64(seed), from.id)
 	h = fnvMix(h, to.id)
 	h = fnvMix(h, port)
-	src := &flowSource{state: h ^ (seq * 0x9e3779b97f4a7c15)}
-	return rand.New(src), src
+	return h ^ (seq * 0x9e3779b97f4a7c15)
 }
 
 // fnvMix folds a string into a running FNV-1a style hash.

@@ -7,7 +7,7 @@
 // the virtual-time simulator.
 //
 // The unit of exchange is the framed Message. Every Network calls back
-// (Listener.OnConn, Conn.OnRecv, Network.DialFunc and After), and both
+// (Listener.OnConn, Conn.OnRecv and Network.DialFunc), and both
 // ends of the control protocols (reserve, cancel, prepare, start, ping,
 // kill) are written on those callbacks, one code path on either network:
 //
@@ -23,8 +23,9 @@
 // the event that delivered the frame, fired the deadline or ended the
 // handshake. On TCP it is a goroutine: the listener's accept goroutine
 // runs open, the conn's reader goroutine its handler (one that blocks
-// anyway stalls that conn alone), and a Call's done runs on whichever of
-// the reader, the deadline's timer or the dial goroutine ended it. Code
+// anyway stalls that conn alone; a deadline is its socket's read
+// deadline), and a Call's done runs on the reader or, when the dial or
+// the send failed, on the dial goroutine. Code
 // that is a sequential script anyway — an actor of its own that
 // registers, refreshes, or runs a command-line tool — uses the blocking
 // forms, Accept, Recv, RecvTimeout, Dial and RequestReply, which park

@@ -87,10 +87,13 @@ func (p *BufferPool) Get(n int) []byte {
 // carveTarget is the block size Get carves small classes from.
 const carveTarget = 16 << 10
 
-// Retention bounds: a class keeps at most poolRetainBytes worth of
+// Retention bounds: a class keeps at most one carve block's worth of
 // buffers (but at least poolMinRetain of them, so alternating
 // request/reply traffic stays allocation-free), and classes above
-// poolRetainMaxClass keep nothing in the free lists. Without a bound the
+// poolRetainMaxClass keep nothing in the free lists. One block's worth,
+// because a free list of sub-buffers returned in any order pins every
+// block one of them was carved from: 1 024 retained 64 B buffers, 64 KiB
+// of them, can pin 1 024 blocks of 16 KiB. Without a bound the
 // pool's high-water mark is permanent: a boot storm that has every
 // host's registration reply in flight at once would park hundreds of MB
 // in free lists that steady state never touches again, and even a
@@ -100,7 +103,7 @@ const carveTarget = 16 << 10
 // carveTarget of traffic, and big frames ride bigPools, which the GC
 // empties.
 const (
-	poolRetainBytes    = 64 << 10
+	poolRetainBytes    = carveTarget
 	poolRetainMaxClass = 16 // 64 KiB; bigger buffers go through bigPools
 	poolMinRetain      = 4
 )
@@ -142,4 +145,44 @@ func (p *BufferPool) Put(b []byte) {
 		return
 	}
 	p.classes[k] = append(p.classes[k], b[:0])
+}
+
+// Rehome re-homes b, a buffer p handed out, into dst: a buffer of a
+// class p keeps in its own free lists is copied into one of dst's and
+// goes back to p, so each pool's free lists only ever hold buffers it
+// carved (simnet moves a payload this way when it crosses shards). A
+// bigger buffer belongs to the process-wide pools, not to p, and is
+// returned as it is: copying it would only put a second one in
+// circulation.
+func (p *BufferPool) Rehome(dst *BufferPool, b []byte) []byte {
+	if c := cap(b); c < 1<<poolMinBits || c > 1<<poolRetainMaxClass || c&(c-1) != 0 {
+		return b
+	}
+	cp := dst.Get(len(b))
+	copy(cp, b)
+	p.Put(b)
+	return cp
+}
+
+// scratchPool lends the buffers outbound frames are encoded into.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// GetScratch lends a buffer to encode one small outbound frame into.
+// The frame is the caller's until the Send that carries it returns
+// (Send keeps no reference), then goes back with PutScratch. Servers
+// build their replies this way rather than in per-conn or per-daemon
+// buffers: the lender keeps per-P caches, so a world of thousands of
+// daemons holds a handful of buffers, not one each, and under TCP,
+// where conns really are served concurrently, no two share one. A
+// server whose replies are O(world) — the supernode's host lists and
+// gossip — keeps a lender of its own: sharing this one, the steady
+// stream of small replies would keep its big buffers alive across GC
+// cycles.
+func GetScratch() *[]byte { return scratchPool.Get().(*[]byte) }
+
+// PutScratch returns a lent buffer, keeping the capacity frame grew it
+// to.
+func PutScratch(sp *[]byte, frame []byte) {
+	*sp = frame[:0]
+	scratchPool.Put(sp)
 }

@@ -41,14 +41,8 @@ func (TCP) Dial(addr string) (Conn, error) {
 }
 
 // DialFunc is Dial on a goroutine of its own.
-func (n TCP) DialFunc(addr string, done func(Conn, error)) {
-	go func() { done(n.Dial(addr)) }()
-}
-
-// After runs fn on a timer's goroutine.
-func (TCP) After(d time.Duration, fn func()) (stop func()) {
-	t := time.AfterFunc(d, fn)
-	return func() { t.Stop() }
+func (n TCP) DialFunc(addr string, done Dialed) {
+	go func() { done.Dialed(n.Dial(addr)) }()
 }
 
 var _ Network = TCP{}
@@ -135,15 +129,24 @@ func (t *tcpConn) Send(m Message) error {
 	return nil
 }
 
-// OnRecv starts the conn's reader goroutine, which hands h one frame at
+// OnRecv starts the conn's reader goroutine, which hands r one frame at
 // a time, in order, then the peer's close. Once a local Close has
 // happened it reports nothing: a handler that closes its own conn hears
 // no more, and the read error a Close causes is never taken for the
-// peer's close.
-func (t *tcpConn) OnRecv(h func(Message, error)) {
+// peer's close. A timeout is the socket's read deadline for the first
+// frame, lifted once that frame is in, so the reply and the deadline
+// reach r on the same goroutine and never race.
+func (t *tcpConn) OnRecv(r Receiver, timeout time.Duration) {
+	if timeout > 0 {
+		t.c.SetReadDeadline(time.Now().Add(timeout))
+	}
 	go func() {
-		for m, err := t.Recv(); !t.closed.Load(); m, err = t.Recv() {
-			if h(m, err); err != nil {
+		m, err := t.Recv()
+		if timeout > 0 && err == nil {
+			t.c.SetReadDeadline(time.Time{})
+		}
+		for ; !t.closed.Load(); m, err = t.Recv() {
+			if r.Receive(m, err); err != nil {
 				return
 			}
 		}

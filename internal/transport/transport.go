@@ -2,7 +2,6 @@ package transport
 
 import (
 	"errors"
-	"sync/atomic"
 	"time"
 )
 
@@ -68,7 +67,13 @@ type Conn interface {
 	// the peer's close exactly once, as an error after all in-flight
 	// data, and nothing after a local Close. At most once, and instead
 	// of Recv.
-	OnRecv(handler func(Message, error))
+	//
+	// A positive timeout arms a deadline on the first arrival: when
+	// neither a frame nor the peer's close has reached r within it, r
+	// gets ErrTimeout instead (the receive side of one request/reply
+	// exchange, RecvTimeout by callback). An error, ErrTimeout included,
+	// is the last thing r hears.
+	OnRecv(r Receiver, timeout time.Duration)
 	// Recv blocks until a message arrives or the conn closes.
 	Recv() (Message, error)
 	// RecvTimeout is Recv with a deadline; d < 0 means block forever.
@@ -81,6 +86,30 @@ type Conn interface {
 	LocalAddr() string
 	RemoteAddr() string
 }
+
+// Receiver consumes a conn's frames (Conn.OnRecv). An interface, not a
+// func, so that a record serving several roles — Call's exchange is its
+// own dial continuation and reply handler — is one allocation.
+type Receiver interface {
+	Receive(m Message, err error)
+}
+
+// RecvFunc adapts a function to Receiver.
+type RecvFunc func(Message, error)
+
+// Receive calls f(m, err).
+func (f RecvFunc) Receive(m Message, err error) { f(m, err) }
+
+// Dialed receives the outcome of a Network.DialFunc, exactly once.
+type Dialed interface {
+	Dialed(c Conn, err error)
+}
+
+// DialedFunc adapts a function to Dialed.
+type DialedFunc func(Conn, error)
+
+// Dialed calls f(c, err).
+func (f DialedFunc) Dialed(c Conn, err error) { f(c, err) }
 
 // Listener accepts inbound connections on one address, by callback
 // (OnConn) or by the blocking Accept, never both.
@@ -107,14 +136,20 @@ type FrameHandler func(Message) bool
 // delivery context (see the package doc). An endpoint is closed when
 // its peer closes or its handler returns false, only.
 func Serve(ln Listener, open func(Conn) FrameHandler) {
-	ln.OnConn(func(c Conn) {
-		h := open(c)
-		c.OnRecv(func(m Message, err error) {
-			if err != nil || !h(m) {
-				c.Close()
-			}
-		})
-	})
+	ln.OnConn(func(c Conn) { c.OnRecv(&served{c: c, h: open(c)}, 0) })
+}
+
+// served is one conn under Serve: its Receiver, the one allocation
+// Serve makes per conn.
+type served struct {
+	c Conn
+	h FrameHandler
+}
+
+func (s *served) Receive(m Message, err error) {
+	if err != nil || !s.h(m) {
+		s.c.Close()
+	}
 }
 
 // Network is the factory for listeners and outbound connections.
@@ -126,12 +161,9 @@ type Network interface {
 	// once and must not block: in delivery context when the handshake
 	// ends, or before DialFunc returns when the dial fails without
 	// touching the wire.
-	DialFunc(addr string, done func(Conn, error))
+	DialFunc(addr string, done Dialed)
 	// Dial is the blocking form of DialFunc.
 	Dial(addr string) (Conn, error)
-	// After runs fn in delivery context d from now, unless stop is
-	// called first.
-	After(d time.Duration, fn func()) (stop func())
 }
 
 // RequestReply dials addr, sends req, waits up to timeout for a single
@@ -156,53 +188,45 @@ func RequestReply(n Network, addr string, req Message, timeout time.Duration) (M
 //
 // Nothing parks: done runs in delivery context (see the package doc),
 // inside Call itself when the dial fails on the spot, and after the
-// conn is closed.
+// conn is closed. The exchange is one allocation: the record is the
+// dial's continuation and the conn's Receiver, and the deadline is the
+// conn's own (Conn.OnRecv). req.Payload is sent once the dial ends, so
+// it must stay untouched until then.
 func Call(n Network, addr string, req Message, timeout time.Duration, done func(Message, error)) {
-	n.DialFunc(addr, func(c Conn, err error) {
-		if err != nil {
-			done(Message{}, err)
-			return
-		}
-		x := &exchange{c: c, done: done, stop: func() {}}
-		if err = c.Send(req); err == nil && timeout == 0 {
-			err = ErrTimeout
-		}
-		if err != nil {
-			x.finish(Message{}, err)
-			return
-		}
-		// The deadline is armed once the request has left — where
-		// RecvTimeout armed its own — and disarmed by whatever comes
-		// first: the reply or the peer's close.
-		if timeout > 0 {
-			x.stop = n.After(timeout, x.expire)
-		}
-		c.OnRecv(x.recv)
-	})
+	n.DialFunc(addr, &exchange{req: req, timeout: timeout, done: done})
 }
 
-// exchange is one Call past its dial. On TCP the reply (on the conn's
-// reader goroutine) and the deadline (on a timer's) can land at the
-// same instant; ended lets the first of them through, once.
+// exchange is one Call. The reply, the peer's close and the deadline
+// all reach it through the conn's Receiver, one at a time and the first
+// of them last, so it needs no guard of its own on either network.
 type exchange struct {
-	c     Conn
-	done  func(Message, error)
-	stop  func()
-	ended atomic.Bool
+	c       Conn
+	req     Message
+	timeout time.Duration
+	done    func(Message, error)
 }
 
-func (x *exchange) recv(m Message, err error) {
-	x.stop()
-	x.finish(m, err)
-}
-
-func (x *exchange) expire() { x.finish(Message{}, ErrTimeout) }
-
-func (x *exchange) finish(m Message, err error) {
-	if x.ended.Swap(true) {
-		m.Release() // a reply that lost the race to the deadline
+func (x *exchange) Dialed(c Conn, err error) {
+	if err != nil {
+		x.done(Message{}, err)
 		return
 	}
+	x.c = c
+	if err = c.Send(x.req); err == nil && x.timeout == 0 {
+		err = ErrTimeout
+	}
+	x.req = Message{}
+	if err != nil {
+		x.Receive(Message{}, err)
+		return
+	}
+	// The deadline is armed once the request has left — where
+	// RecvTimeout armed its own — and disarmed by whatever comes
+	// first: the reply or the peer's close.
+	c.OnRecv(x, x.timeout)
+}
+
+func (x *exchange) Receive(m Message, err error) {
 	x.c.Close() // the FIN leaves before done runs, like RequestReply's deferred Close
 	x.done(m, err)
 }

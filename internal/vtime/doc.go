@@ -26,7 +26,7 @@
 // determinism rules fast-path code must follow.
 //
 // Actors may block only through scheduler primitives (Sleep, Queue.Pop,
-// Mailbox). Blocking through ordinary channel operations or OS calls
+// Mailbox, Parker). Blocking through ordinary channel operations or OS calls
 // blocks the driver and with it the whole scheduler. Callbacks scheduled
 // with After/Schedule/ScheduleArg run outside any actor context — never
 // concurrently with an actor — and must not block. A panic in an actor

@@ -44,6 +44,7 @@ type actor struct {
 	yield  func(struct{}) bool     // switches back to whoever called resume; set when the body starts
 	parked bool                    // blocked in park, waiting for a wake
 	idx    int                     // position in s.all, for O(1) removal
+	parker Parker                  // the actor's reusable wait slot (Scheduler.Parker)
 }
 
 // Scheduler is a sequential discrete-event executor.
@@ -256,7 +257,26 @@ func (s *Scheduler) scheduleFuncLocked(d time.Duration, fn func()) int32 {
 	return id
 }
 
-// Timer is a cancelable scheduled callback.
+// AfterArg is ScheduleArg with a cancel handle, returned by value so
+// that the holder can embed it: arming and canceling a deadline costs no
+// allocation (simnet keeps one per conn, for transport.Call).
+func (s *Scheduler) AfterArg(d time.Duration, fn func(any), arg any) Timer {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if d < 0 {
+		d = 0
+	}
+	id := s.newEventLocked(d)
+	ev := &s.slab[id]
+	ev.kind = evFuncArg
+	ev.fnArg = fn
+	ev.arg = arg
+	s.heapPush(id)
+	return Timer{s: s, id: id, gen: ev.gen}
+}
+
+// Timer is a cancelable scheduled callback. The zero Timer is armed
+// for nothing: Stop reports false.
 type Timer struct {
 	s   *Scheduler
 	id  int32
@@ -265,9 +285,55 @@ type Timer struct {
 
 // Stop cancels the timer. It reports whether the callback had not yet run.
 func (t *Timer) Stop() bool {
+	if t.s == nil {
+		return false
+	}
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
 	return t.s.cancelLocked(t.id, t.gen)
+}
+
+// Parker is an actor's reusable wait slot: the actor parks on it until
+// an event callback calls Unpark. It is the blocking half of a callback
+// API (simnet's Dial waits for its handshake on one) and allocates
+// nothing: every actor owns exactly one, so the waits of one actor are
+// sequential by construction.
+type Parker struct {
+	s     *Scheduler
+	a     *actor
+	woken bool
+}
+
+// Parker returns the calling actor's parker.
+func (s *Scheduler) Parker() *Parker {
+	s.mu.Lock()
+	a := s.curActorLocked("Parker")
+	s.mu.Unlock()
+	p := &a.parker
+	p.s, p.a = s, a
+	return p
+}
+
+// Park blocks the owning actor until Unpark, returning at once when
+// Unpark already ran since the last Park.
+func (p *Parker) Park() {
+	s := p.s
+	s.mu.Lock()
+	for !p.woken {
+		s.parkLocked(p.a)
+	}
+	p.woken = false
+	s.mu.Unlock()
+}
+
+// Unpark makes the parked owner runnable, or lets its next Park return
+// at once. Call it from an event callback or another actor.
+func (p *Parker) Unpark() {
+	s := p.s
+	s.mu.Lock()
+	p.woken = true
+	s.WakeLocked(p.a)
+	s.mu.Unlock()
 }
 
 // parkLocked blocks the current actor until some event or other actor
