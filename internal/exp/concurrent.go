@@ -48,11 +48,15 @@ type ConcurrentPoint struct {
 type ConcurrentConfig struct {
 	// N and R shape each of the K identical jobs (default 32 / 1).
 	N, R int
-	// Retries and Backoff configure the scheduler's contention handling
-	// (defaults 8 / 5s).
-	Retries int
-	Backoff time.Duration
 }
+
+// concRetries is how often the scheduler re-runs a job that lost a
+// reservation race.
+const concRetries = 8
+
+// sweepBackoff is the base pause before the scheduler re-runs a job, in
+// every sweep family.
+const sweepBackoff = 5 * time.Second
 
 func (c *ConcurrentConfig) fillDefaults() {
 	if c.N <= 0 {
@@ -60,12 +64,6 @@ func (c *ConcurrentConfig) fillDefaults() {
 	}
 	if c.R <= 0 {
 		c.R = 1
-	}
-	if c.Retries == 0 {
-		c.Retries = 8
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 5 * time.Second
 	}
 }
 
@@ -134,8 +132,8 @@ func ConcurrentJobs(opts Options, strategy core.Strategy, k int, cfg ConcurrentC
 		Timeout:  10 * time.Minute,
 	}
 	jobs, st, err := RunJobs(w, spec, k, sched.Config{
-		Retries: cfg.Retries,
-		Backoff: cfg.Backoff,
+		Retries: concRetries,
+		Backoff: sweepBackoff,
 		Seed:    opts.Seed,
 	})
 	if err != nil {
@@ -172,11 +170,7 @@ func ConcurrentJobs(opts Options, strategy core.Strategy, k int, cfg ConcurrentC
 		pt.MeanHosts = sumHosts / float64(pt.Completed)
 		pt.MeanJobSeconds = sumSecs / float64(pt.Completed)
 	}
-	for _, p := range w.Peers {
-		a, r := p.RS().Stats()
-		pt.ReserveOK += int(a)
-		pt.ReserveNOK += int(r)
-	}
+	pt.ReserveOK, pt.ReserveNOK = w.ReserveStats()
 	if total := pt.ReserveOK + pt.ReserveNOK; total > 0 {
 		pt.ConflictRate = float64(pt.ReserveNOK) / float64(total)
 	}

@@ -45,33 +45,6 @@ func TestConcurrentJobsContention(t *testing.T) {
 	}
 }
 
-// TestConcurrentSweepParallelDeterminism is the acceptance check for the
-// parallel harness: a sweep run sequentially (workers = 1) and the same
-// sweep run on a parallel pool must produce byte-identical CSV.
-func TestConcurrentSweepParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots the full grid four times")
-	}
-	cfg := ConcurrentConfig{N: 16, R: 1}
-	ks := []int{2, 3}
-	seq, err := ConcurrentSweep(DefaultOptions(42), core.Spread, ks, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ConcurrentSweep(DefaultOptions(42), core.Spread, ks, cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := ConcurrentPointsCSV(seq), ConcurrentPointsCSV(par)
-	if a != b {
-		t.Fatalf("sequential and parallel sweeps diverged:\n--- seq ---\n%s--- par ---\n%s", a, b)
-	}
-	// Sanity: K=3 spread jobs of 16 processes land on 48 distinct hosts.
-	if par[1].Completed != 3 {
-		t.Fatalf("k=3 completed = %d", par[1].Completed)
-	}
-}
-
 func TestRenderAndCSVConcurrentPoints(t *testing.T) {
 	pts := []ConcurrentPoint{{
 		K: 4, N: 32, R: 1, Strategy: core.Spread,

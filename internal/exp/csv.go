@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"p2pmpi/internal/core"
@@ -51,13 +52,11 @@ func TimePointsCSV(pts []TimePoint) string {
 		hasC, hasS   bool
 	}
 	rows := map[int]*row{}
-	var ns []int
 	for _, p := range pts {
 		r := rows[p.N]
 		if r == nil {
 			r = &row{}
 			rows[p.N] = r
-			ns = append(ns, p.N)
 		}
 		// Figure 4 plots exactly the paper's two curves. String()
 		// normalizes the zero-value Strategy to spread.
@@ -67,14 +66,9 @@ func TimePointsCSV(pts []TimePoint) string {
 			r.spread, r.hasS = p.Seconds, true
 		}
 	}
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j] < ns[j-1]; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
 	var b strings.Builder
 	b.WriteString("n,concentrate_s,spread_s\n")
-	for _, n := range ns {
+	for _, n := range timePointNs(pts) {
 		r := rows[n]
 		b.WriteString(fmt.Sprintf("%d,", n))
 		if r.hasC {
@@ -87,6 +81,16 @@ func TimePointsCSV(pts []TimePoint) string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// timePointNs returns the distinct process counts of pts, ascending.
+func timePointNs(pts []TimePoint) []int {
+	ns := make([]int, len(pts))
+	for i, p := range pts {
+		ns[i] = p.N
+	}
+	slices.Sort(ns)
+	return slices.Compact(ns)
 }
 
 // Table1CSV renders the inventory as CSV.

@@ -157,23 +157,22 @@ type NemesisConfig struct {
 	// JobSeconds is the spin duration of each job — the failure-free
 	// completion baseline (default 60).
 	JobSeconds float64
-	// Workers bounds the scheduler's in-flight jobs per point (default
-	// 2); Retries is the per-job re-book budget (default 4); Detect the
-	// failure-detector probe period (default 10s); Timeout bounds each
-	// submission attempt (default 3×JobSeconds plus two minutes).
-	Workers int
+	// Retries is the per-job re-book budget (default 4); Detect the
+	// failure-detector probe period (default 10s). The scheduler runs
+	// nemesisWorkers jobs at once, and each submission attempt is
+	// bounded by 3×JobSeconds plus two minutes.
 	Retries int
 	Detect  time.Duration
-	Timeout time.Duration
 	// RPCRetries is the robustness layer's re-attempt budget (default
 	// 2; -1 disables retries entirely — the no-robustness baseline the
-	// bench artifact compares against). RPCBackoff is the base backoff
-	// (default mpd's 1s); BreakerThreshold arms the per-supernode
-	// circuit breaker (0 = off).
+	// bench artifact compares against), backing off from mpd's default;
+	// BreakerThreshold arms the per-supernode circuit breaker (0 = off).
 	RPCRetries       int
-	RPCBackoff       time.Duration
 	BreakerThreshold int
 }
+
+// nemesisWorkers bounds the scheduler's in-flight jobs per point.
+const nemesisWorkers = 2
 
 func (c *NemesisConfig) fillDefaults() error {
 	if len(c.Strategies) == 0 {
@@ -226,17 +225,11 @@ func (c *NemesisConfig) fillDefaults() error {
 	if c.JobSeconds <= 0 {
 		c.JobSeconds = 60
 	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
 	if c.Retries <= 0 {
 		c.Retries = 4
 	}
 	if c.Detect <= 0 {
 		c.Detect = 10 * time.Second
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = time.Duration(3*c.JobSeconds)*time.Second + 2*time.Minute
 	}
 	if c.RPCRetries == 0 {
 		c.RPCRetries = 2
@@ -332,7 +325,6 @@ func nemesisAt(opts Options, cfg NemesisConfig, c nemesisCoord) (NemesisPoint, e
 	if rr := cfg.RPCRetries; rr > 0 {
 		o.RPCRetries = rr
 	}
-	o.RPCBackoff = cfg.RPCBackoff
 	o.BreakerThreshold = cfg.BreakerThreshold
 	if cfg.Base.TotalHosts() > 1000 {
 		o.membershipDiet(cfg.N * c.r)
@@ -385,14 +377,14 @@ func nemesisAt(opts Options, cfg NemesisConfig, c nemesisCoord) (NemesisPoint, e
 		N:              cfg.N,
 		R:              c.r,
 		Strategy:       c.strategy,
-		Timeout:        cfg.Timeout,
+		Timeout:        time.Duration(3*cfg.JobSeconds)*time.Second + 2*time.Minute,
 		FailureDetect:  cfg.Detect,
 		ReserveRetries: 1,
 	}
 	jobs, _, err := RunJobs(w, spec, cfg.Jobs, sched.Config{
-		Workers:      cfg.Workers,
+		Workers:      nemesisWorkers,
 		Retries:      cfg.Retries,
-		Backoff:      5 * time.Second,
+		Backoff:      sweepBackoff,
 		Seed:         opts.Seed,
 		IsContention: ChurnRetryable,
 	})

@@ -113,22 +113,15 @@ type OpenConfig struct {
 	Duration, Warmup time.Duration
 	// R is the replication degree per job (default 1).
 	R int
-	// NMin, NMax, NAlpha, DurMin, DurMax and DurAlpha forward to
-	// workload.Config (bounded-Pareto widths and service durations;
-	// zero keeps the workload defaults).
+	// NMin, NMax, DurMin and DurMax forward to workload.Config
+	// (bounded-Pareto widths and service durations; zero keeps the
+	// workload defaults).
 	NMin, NMax     int
-	NAlpha         float64
 	DurMin, DurMax float64
-	DurAlpha       float64
 	// MaxSubmissions caps the trace per point (0 = no cap).
 	MaxSubmissions int
 	// Workers bounds the scheduler's in-flight jobs (default 8).
 	Workers int
-	// Retries, Backoff and Timeout configure the scheduler (defaults
-	// 4 / 5s / 3×DurMax + 2min).
-	Retries int
-	Backoff time.Duration
-	Timeout time.Duration
 	// MTBF composes host churn with the open workload (0 = failure-free).
 	// MTTR, Dist, WeibullShape, SiteMTBF and SiteMTTR mirror NemesisConfig;
 	// Detect arms the mid-run failure detector (default 10s when churning).
@@ -154,6 +147,10 @@ type OpenConfig struct {
 	// (tests compare sketch percentiles against exact samples).
 	observe func(j *sched.Job, sub workload.Submission)
 }
+
+// openRetries is how often the open sweep's scheduler re-runs a job
+// that failed retryably.
+const openRetries = 4
 
 func (c *OpenConfig) fillDefaults() error {
 	if len(c.Strategies) == 0 {
@@ -182,19 +179,6 @@ func (c *OpenConfig) fillDefaults() error {
 	if c.Workers <= 0 {
 		c.Workers = 8
 	}
-	if c.Retries <= 0 {
-		c.Retries = 4
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 5 * time.Second
-	}
-	if c.Timeout <= 0 {
-		durMax := c.DurMax
-		if durMax <= 0 {
-			durMax = 1800 // the workload default
-		}
-		c.Timeout = time.Duration(3*durMax)*time.Second + 2*time.Minute
-	}
 	if c.MTBF > 0 {
 		if c.MTTR <= 0 {
 			c.MTTR = time.Minute
@@ -217,8 +201,8 @@ func (c OpenConfig) workloadConfig(seed int64) workload.Config {
 		Tenants:        c.Tenants,
 		TenantSkew:     c.TenantSkew,
 		PriorityLevels: c.PriorityLevels,
-		NMin:           c.NMin, NMax: c.NMax, NAlpha: c.NAlpha,
-		DurMin: c.DurMin, DurMax: c.DurMax, DurAlpha: c.DurAlpha,
+		NMin:           c.NMin, NMax: c.NMax,
+		DurMin: c.DurMin, DurMax: c.DurMax,
 		Horizon:         c.Duration,
 		MaxSubmissions:  c.MaxSubmissions,
 		DeadlineFactors: c.DeadlineFactors,
@@ -432,8 +416,8 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 
 	sc := sched.New(w.S, w.Frontal, w.HostSlots(), sched.Config{
 		Workers:      cfg.Workers,
-		Retries:      cfg.Retries,
-		Backoff:      cfg.Backoff,
+		Retries:      openRetries,
+		Backoff:      sweepBackoff,
 		Seed:         opts.Seed,
 		IsContention: ChurnRetryable,
 		QuotaRate:    cfg.QuotaRate,
@@ -449,6 +433,11 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 		pending  = make(map[int]workload.Submission)
 		enqueued int
 	)
+	durMax := cfg.DurMax
+	if durMax <= 0 {
+		durMax = 1800 // the workload default
+	}
+	timeout := time.Duration(3*durMax)*time.Second + 2*time.Minute
 	drv := workload.NewStreamDriver(w.S, stream.Next, func(sub workload.Submission) {
 		spec := mpd.JobSpec{
 			Program:        "spin",
@@ -456,7 +445,7 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 			N:              sub.N,
 			R:              cfg.R,
 			Strategy:       strategy,
-			Timeout:        cfg.Timeout,
+			Timeout:        timeout,
 			FailureDetect:  cfg.Detect,
 			ReserveRetries: 1,
 		}

@@ -76,33 +76,16 @@ func RenderConcurrentPoints(title string, pts []ConcurrentPoint) string {
 // count, one column per strategy.
 func RenderTimePoints(title string, pts []TimePoint) string {
 	byN := map[int]map[core.Strategy]float64{}
-	var ns []int
 	for _, p := range pts {
 		if byN[p.N] == nil {
 			byN[p.N] = map[core.Strategy]float64{}
-			ns = append(ns, p.N)
 		}
 		byN[p.N][p.Strategy] = p.Seconds
-	}
-	// Keep first-seen order, but ns may interleave across strategies:
-	// deduplicate while preserving ascending process counts.
-	seen := map[int]bool{}
-	var uniq []int
-	for _, n := range ns {
-		if !seen[n] {
-			seen[n] = true
-			uniq = append(uniq, n)
-		}
-	}
-	for i := 1; i < len(uniq); i++ {
-		for j := i; j > 0 && uniq[j] < uniq[j-1]; j-- {
-			uniq[j], uniq[j-1] = uniq[j-1], uniq[j]
-		}
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "%6s %14s %14s\n", "n", "concentrate(s)", "spread(s)")
-	for _, n := range uniq {
+	for _, n := range timePointNs(pts) {
 		fmt.Fprintf(&b, "%6d %14.3f %14.3f\n",
 			n, byN[n][core.Concentrate], byN[n][core.Spread])
 	}

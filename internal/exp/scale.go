@@ -65,10 +65,9 @@ type ScaleConfig struct {
 	// (host count, K) coordinate boots its own world, so the sweep
 	// compares K = 1/4/16 membership tiers on identical grids.
 	Supernodes []int
-	// N and R shape the per-strategy job (defaults 128 / 1).
+	// N and R shape the per-strategy job (defaults 128 / 1). Each
+	// submission is bounded by ten virtual minutes.
 	N, R int
-	// Timeout bounds each submission in virtual time (default 10m).
-	Timeout time.Duration
 }
 
 func (c *ScaleConfig) fillDefaults() error {
@@ -94,9 +93,6 @@ func (c *ScaleConfig) fillDefaults() error {
 	}
 	if c.R <= 0 {
 		c.R = 1
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 10 * time.Minute
 	}
 	return nil
 }
@@ -203,7 +199,7 @@ func scaleAt(opts Options, cfg ScaleConfig, hosts, sn int) ([]ScalePoint, error)
 			N:        cfg.N,
 			R:        cfg.R,
 			Strategy: strategy,
-			Timeout:  cfg.Timeout,
+			Timeout:  10 * time.Minute,
 		})
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", strategy, err)

@@ -3,7 +3,6 @@ package exp
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -27,10 +26,6 @@ import (
 // processes (P = 0). Worlds built from other topologies compute their
 // own frontal ID ("frontal." + origin site); use World.FrontalID.
 const FrontalHost = "frontal.nancy"
-
-// SupernodeAddr is the bootstrap address inside a Grid5000 world; other
-// topologies use World.SNAddr.
-const SupernodeAddr = FrontalHost + ":8800"
 
 // Options tunes a World.
 type Options struct {
@@ -83,9 +78,6 @@ type Options struct {
 	// view; peers register with their rendezvous-hash home shard and
 	// fail over across shards.
 	Supernodes int
-	// GossipInterval overrides the federation's digest-exchange period
-	// (default 250ms; only meaningful when Supernodes > 1).
-	GossipInterval time.Duration
 	// BootSpread staggers the daemon starts over this virtual span (0 =
 	// the historical everyone-at-vtime-0 boot). Booting a million
 	// daemons at the same virtual instant means a million registrations
@@ -103,14 +95,13 @@ type Options struct {
 	// per virtual second of pure liveness noise, and the supernode TTL
 	// (10 minutes) tolerates a far sparser heartbeat.
 	PeerAliveInterval time.Duration
-	// RPCRetries, RPCBackoff and BreakerThreshold configure the daemons'
-	// RPC robustness layer (see mpd.Shared): retryable control-plane
+	// RPCRetries and BreakerThreshold configure the daemons' RPC
+	// robustness layer (see mpd.Shared): retryable control-plane
 	// failures re-try with seeded exponential backoff, and a
 	// per-supernode circuit breaker skips gray members. All zero — the
 	// default — keeps every exchange single-shot, the historical
 	// behaviour, so fault-free worlds replay bit-for-bit.
 	RPCRetries       int
-	RPCBackoff       time.Duration
 	BreakerThreshold int
 	// Shards partitions the world's sites onto that many event-loop
 	// shards of the world's vtime.Domain, run as a conservative parallel
@@ -146,7 +137,7 @@ func DefaultOptions(seed int64) Options {
 // retention. A knob the caller already set wins.
 func (o *Options) membershipDiet(fanout int) {
 	if o.MaxPeersReturned == 0 {
-		o.MaxPeersReturned = max(512, 4*(int(math.Ceil(1.2*float64(fanout)))+2))
+		o.MaxPeersReturned = max(512, 4*mpd.BookingTarget(fanout))
 	}
 	if o.PeerRefreshInterval == 0 {
 		o.PeerRefreshInterval = time.Hour
@@ -173,13 +164,12 @@ type World struct {
 	D       *vtime.Domain
 	Net     *simnet.Net
 	Grid    *grid.Grid
-	SN      *overlay.Supernode // SNs[0], kept for single-supernode callers
 	SNs     []*overlay.Supernode
 	Frontal *mpd.MPD
 	Peers   []*mpd.MPD
 	// FrontalID and SNAddr locate the submitter frontend and supernode
 	// inside this world ("frontal.<origin>" / "frontal.<origin>:8800";
-	// equal to the FrontalHost/SupernodeAddr constants on Grid5000).
+	// FrontalID equals the FrontalHost constant on Grid5000).
 	// SNAddrs lists the whole federation in shard order (len 1 when
 	// Supernodes <= 1).
 	FrontalID string
@@ -305,11 +295,9 @@ func NewWorld(opts Options) *World {
 			Seed:             opts.Seed + int64(i)*1013,
 			Shard:            i,
 			Federation:       w.SNAddrs,
-			GossipInterval:   opts.GossipInterval,
 			Intern:           intern,
 		}))
 	}
-	w.SN = w.SNs[0]
 
 	// On synthetic (usually much larger) worlds the daemons skip their
 	// boot-time ping round: all-pairs probing is quadratic in world size
@@ -341,7 +329,6 @@ func NewWorld(opts Options) *World {
 			NoBootPing:       !bootPing,
 			Intern:           intern,
 			RPCRetries:       opts.RPCRetries,
-			RPCBackoff:       opts.RPCBackoff,
 			BreakerThreshold: opts.BreakerThreshold,
 		},
 	})
@@ -368,7 +355,6 @@ func NewWorld(opts Options) *World {
 		Intern:           intern,
 		PeerCacheCap:     opts.PeerCacheCap,
 		RPCRetries:       opts.RPCRetries,
-		RPCBackoff:       opts.RPCBackoff,
 		BreakerThreshold: opts.BreakerThreshold,
 	}
 	buildPeer := func(i int) {

@@ -17,7 +17,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -174,9 +173,6 @@ type Shared struct {
 	PrepareTimeout  time.Duration // launch phase-one timeout (10s)
 	StartTimeout    time.Duration // launch phase-two timeout (10s)
 
-	// Overbook inflates the booking fan-out to anticipate unavailable
-	// hosts (1.2).
-	Overbook float64
 	// Estimator selects how ping samples become the ordering latency
 	// (KindLast, the paper's behaviour).
 	Estimator       latency.Kind
@@ -210,12 +206,11 @@ type Shared struct {
 	// (default 1s).
 	RPCBackoff time.Duration
 	// BreakerThreshold consecutive failures against one supernode open
-	// a per-member circuit breaker for BreakerCooldown (default 30s):
-	// the daemon skips that member in its failover rotation instead of
-	// burning a full retry budget against a gray member every round.
-	// Zero disables the breaker.
+	// a per-member circuit breaker for transport.Breaker's default
+	// cooldown: the daemon skips that member in its failover rotation
+	// instead of burning a full retry budget against a gray member
+	// every round. Zero disables the breaker.
 	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// PeerCacheCap bounds the total peer entries the cache retains
 	// before anything reads it (0 = unbounded); see
 	// overlay.Cache.SetPendingCap. The harness sets it only for compute
@@ -258,9 +253,6 @@ func (s *Shared) fillDefaults() {
 		}
 		if s.StartTimeout <= 0 {
 			s.StartTimeout = 10 * time.Second
-		}
-		if s.Overbook <= 0 {
-			s.Overbook = 1.2
 		}
 		if s.Estimator == "" {
 			s.Estimator = latency.KindLast
@@ -718,7 +710,7 @@ func (m *MPD) brkLocked(sn string) *transport.Breaker {
 	}
 	b := m.brk[sn]
 	if b == nil {
-		b = &transport.Breaker{Threshold: m.cfg.BreakerThreshold, Cooldown: m.cfg.BreakerCooldown}
+		b = &transport.Breaker{Threshold: m.cfg.BreakerThreshold}
 		m.brk[sn] = b
 	}
 	return b
@@ -943,6 +935,3 @@ func (m *MPD) newKey() string {
 	rng := m.rngLocked()
 	return fmt.Sprintf("%016x%016x", rng.Uint64(), rng.Uint64())
 }
-
-// mathCeil avoids importing math for one call site elsewhere.
-func mathCeil(v float64) int { return int(math.Ceil(v)) }

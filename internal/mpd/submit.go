@@ -3,6 +3,7 @@ package mpd
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -39,12 +40,10 @@ type JobSpec struct {
 	Exclude []string
 	// ReserveRetries enables backoff-retry brokering rounds: when the
 	// gathered offers cannot host the request, previously refused peers
-	// are re-asked up to this many times before the submission fails.
-	// Zero keeps the paper's one-shot §4.2 behaviour.
+	// are re-asked up to this many times before the submission fails,
+	// after reservation.Acquire's default backoff. Zero keeps the
+	// paper's one-shot §4.2 behaviour.
 	ReserveRetries int
-	// ReserveBackoff is the base pause before a brokering retry, doubled
-	// each round (default 2s).
-	ReserveBackoff time.Duration
 	// OnAllocated, when set, is invoked with the computed assignment
 	// right after allocation succeeds and before the launch phases. The
 	// multi-job scheduler uses it to charge the placement to its slot
@@ -53,7 +52,8 @@ type JobSpec struct {
 	// FailureDetect enables the mid-run failure detector: while waiting
 	// for completion reports the submitter probes every silent host at
 	// this period and feeds the answers into one replica monitor per
-	// rank (internal/replica). A host whose replicas all go stale is
+	// rank (internal/replica). A host silent for failurePings periods
+	// has its replicas suspected; one whose replicas all go stale is
 	// declared lost: its unreported slots fail immediately, the peer is
 	// marked dead in the cache, and the submission either fails over to
 	// the surviving replicas or — when a rank has none left — returns
@@ -61,9 +61,6 @@ type JobSpec struct {
 	// timeout. Zero keeps the paper's passive wait-until-timeout
 	// behaviour.
 	FailureDetect time.Duration
-	// FailurePings is how many detect periods a host may stay silent
-	// before its replicas are suspected (default 2).
-	FailurePings int
 	// Preemptable marks the job killable mid-run: hosting MPDs arm a
 	// kill channel per local process, and the submitter exposes a
 	// Preemption handle through OnPreempt. A killed job fails with
@@ -75,6 +72,17 @@ type JobSpec struct {
 	// instant a kill is meaningful. The multi-job scheduler registers
 	// the handle so a starved higher-priority job can evict this one.
 	OnPreempt func(*Preemption)
+}
+
+// failurePings is how many detect periods a host may stay silent
+// before its replicas are suspected.
+const failurePings = 2
+
+// BookingTarget is the §4.2 booking fan-out for a request of need
+// processes: need overbooked by a fifth, rounded up, plus two hosts —
+// the margin that absorbs refusals and dead peers.
+func BookingTarget(need int) int {
+	return int(math.Ceil(float64(need)*1.2)) + 2
 }
 
 // FailoverStats summarises the mid-run failure handling of one
@@ -266,7 +274,7 @@ func (m *MPD) Submit(spec JobSpec) (*JobResult, error) {
 	// target is reached or two consecutive windows teach nothing (the
 	// overlay has no more hosts to offer); the iteration cap scales with
 	// the target and only backstops a pathological supernode.
-	fetchTarget := mathCeil(float64(need)*m.cfg.Overbook) + 2
+	fetchTarget := BookingTarget(need)
 	for stalls, i := 0, 0; i < 2*fetchTarget+8 && stalls < 2 && m.cache.Size() < fetchTarget; i++ {
 		prev := m.cache.Size()
 		var err error
@@ -306,7 +314,7 @@ func (m *MPD) Submit(spec JobSpec) (*JobResult, error) {
 		candidates = append(candidates, rp.Info)
 		lats[rp.Info.ID] = rp.Latency
 	}
-	book := mathCeil(float64(need)*m.cfg.Overbook) + 2
+	book := BookingTarget(need)
 	if book > len(candidates) {
 		book = len(candidates)
 	}
@@ -342,7 +350,6 @@ func (m *MPD) Submit(spec JobSpec) (*JobResult, error) {
 		Need:    need,
 		Enough:  enough,
 		Retries: spec.ReserveRetries,
-		Backoff: spec.ReserveBackoff,
 	})
 
 	// Step 5: mark silent peers dead in the cache.
@@ -563,10 +570,6 @@ func (m *MPD) collectResults(spec JobSpec, jobID string, usedHosts []proto.PeerI
 	table []proto.Slot, doneMB vtime.Mailbox) collectOutcome {
 
 	detect := spec.FailureDetect
-	pingsNeeded := spec.FailurePings
-	if pingsNeeded <= 0 {
-		pingsNeeded = 2
-	}
 	deadline := m.rt.Now().Add(spec.Timeout)
 
 	co := collectOutcome{
@@ -589,9 +592,9 @@ func (m *MPD) collectResults(spec JobSpec, jobID string, usedHosts []proto.PeerI
 	var groups []*replica.Group
 	if detect > 0 {
 		now := m.rt.Now()
-		// A replica is suspected after missing pingsNeeded whole probe
+		// A replica is suspected after missing failurePings whole probe
 		// periods (plus the in-flight probe's own timeout).
-		failTO := time.Duration(pingsNeeded)*detect + m.cfg.ReserveTimeout
+		failTO := failurePings*detect + m.cfg.ReserveTimeout
 		groups = make([]*replica.Group, spec.N)
 		for k := range groups {
 			groups[k] = replica.NewMonitor(spec.R, failTO, now)

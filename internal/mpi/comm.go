@@ -55,19 +55,6 @@ func Join(cfg Config) (*Comm, error) {
 	if len(cfg.Slots) != cfg.N*cfg.R {
 		return nil, fmt.Errorf("mpi: table has %d slots, want %d", len(cfg.Slots), cfg.N*cfg.R)
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 200 * time.Millisecond
-	}
-	if cfg.FailTimeout <= 0 {
-		cfg.FailTimeout = time.Second
-	}
-	if cfg.DialRetries <= 0 {
-		cfg.DialRetries = 10
-	}
-	if cfg.DialBackoff <= 0 {
-		cfg.DialBackoff = 20 * time.Millisecond
-	}
-
 	grid, err := slotGrid(cfg.Slots, cfg.N, cfg.R)
 	if err != nil {
 		return nil, err
@@ -81,7 +68,7 @@ func Join(cfg Config) (*Comm, error) {
 		sendSeq:  make([]uint64, cfg.N),
 		lastSeen: make([]uint64, cfg.N),
 		grid:     grid,
-		group:    replica.NewGroup(cfg.R, cfg.Self.Replica, cfg.FailTimeout, cfg.RT.Now()),
+		group:    replica.NewGroup(cfg.R, cfg.Self.Replica, failTimeout, cfg.RT.Now()),
 	}
 
 	ln, err := cfg.Net.Listen(cfg.Self.Addr)
@@ -240,8 +227,8 @@ func (c *Comm) connTo(i int32) (transport.Conn, error) {
 	addr := c.cfg.Slots[i].Addr
 	var conn transport.Conn
 	var err error
-	backoff := c.cfg.DialBackoff
-	for try := 0; try < c.cfg.DialRetries; try++ {
+	backoff := dialBackoff
+	for try := 0; try < dialRetries; try++ {
 		conn, err = c.cfg.Net.Dial(addr)
 		if err == nil {
 			break
@@ -413,7 +400,7 @@ func (c *Comm) heartbeatLoop() {
 		dstRank:    c.rank,
 	})
 	for {
-		c.cfg.RT.Sleep(c.cfg.HeartbeatInterval)
+		c.cfg.RT.Sleep(heartbeatInterval)
 		c.mu.Lock()
 		if c.hbStop {
 			c.mu.Unlock()
@@ -435,7 +422,7 @@ func (c *Comm) heartbeatLoop() {
 // resends the backup log so no message is lost.
 func (c *Comm) monitorLoop() {
 	for {
-		c.cfg.RT.Sleep(c.cfg.FailTimeout / 2)
+		c.cfg.RT.Sleep(failTimeout / 2)
 		c.mu.Lock()
 		if c.hbStop {
 			c.mu.Unlock()

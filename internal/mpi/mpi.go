@@ -150,14 +150,16 @@ type Config struct {
 	RT  vtime.Runtime
 	// Algorithms tunes collectives (zero = defaults).
 	Algorithms Algorithms
-	// HeartbeatInterval and FailTimeout drive the replica failure
-	// detector (only used when R > 1). Defaults: 200ms / 1s.
-	HeartbeatInterval time.Duration
-	FailTimeout       time.Duration
-	// DialRetries and DialBackoff tune lazy connection setup.
-	DialRetries int
-	DialBackoff time.Duration
 }
+
+// The replica failure detector (only armed when R > 1) and lazy
+// connection setup run on fixed timings.
+const (
+	heartbeatInterval = 200 * time.Millisecond
+	failTimeout       = time.Second
+	dialRetries       = 10
+	dialBackoff       = 20 * time.Millisecond
+)
 
 // envelope kinds on the wire.
 const (

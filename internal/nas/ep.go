@@ -25,22 +25,6 @@ var (
 	EPClassB = EPClass{Name: "B", M: 30, SxRef: 4.033815542441498e+4, SyRef: -2.660669192809235e+4}
 )
 
-// EPClassByName resolves an official class letter.
-func EPClassByName(name string) (EPClass, error) {
-	switch name {
-	case "S":
-		return EPClassS, nil
-	case "W":
-		return EPClassW, nil
-	case "A":
-		return EPClassA, nil
-	case "B":
-		return EPClassB, nil
-	default:
-		return EPClass{}, fmt.Errorf("nas: unknown EP class %q", name)
-	}
-}
-
 // EPResult is the kernel outcome.
 type EPResult struct {
 	Sx, Sy float64

@@ -27,24 +27,6 @@ var (
 	ISClassT = ISClass{Name: "T", TotalKeysLog2: 12, MaxKeyLog2: 9, BucketsLog2: 6, Iterations: 3}
 )
 
-// ISClassByName resolves a class letter.
-func ISClassByName(name string) (ISClass, error) {
-	switch name {
-	case "S":
-		return ISClassS, nil
-	case "W":
-		return ISClassW, nil
-	case "A":
-		return ISClassA, nil
-	case "B":
-		return ISClassB, nil
-	case "T":
-		return ISClassT, nil
-	default:
-		return ISClass{}, fmt.Errorf("nas: unknown IS class %q", name)
-	}
-}
-
 // TotalKeys returns 2^TotalKeysLog2.
 func (c ISClass) TotalKeys() int64 { return 1 << c.TotalKeysLog2 }
 

@@ -275,27 +275,6 @@ func TestISClassSParallel(t *testing.T) {
 	}
 }
 
-func TestISClassLookup(t *testing.T) {
-	for _, name := range []string{"S", "W", "A", "B", "T"} {
-		cls, err := ISClassByName(name)
-		if err != nil || cls.Name != name {
-			t.Fatalf("lookup %s: %+v %v", name, cls, err)
-		}
-	}
-	if _, err := ISClassByName("Z"); err == nil {
-		t.Fatal("bogus class accepted")
-	}
-	for _, name := range []string{"S", "W", "A", "B"} {
-		cls, err := EPClassByName(name)
-		if err != nil || cls.Name != name {
-			t.Fatalf("EP lookup %s failed", name)
-		}
-	}
-	if _, err := EPClassByName("Z"); err == nil {
-		t.Fatal("bogus EP class accepted")
-	}
-}
-
 func TestEPProgramOverMPI(t *testing.T) {
 	// Drive EPProgram's engine (chunk + allreduce combination) through a
 	// real in-process world using a tiny custom class.

@@ -39,9 +39,6 @@ type Config struct {
 	// Backoff is the base pause before a retry, doubled every attempt
 	// and stretched by a deterministic jitter (default 2s).
 	Backoff time.Duration
-	// JPerHost is the owner J limit assumed by the live ledger view
-	// (default 1, the experiments' setting).
-	JPerHost int
 	// Seed drives the backoff jitter.
 	Seed int64
 	// IsContention classifies a Submit error as retryable contention.
@@ -70,6 +67,10 @@ type Config struct {
 	Preempt bool
 }
 
+// jPerHost is the owner J limit the live ledger view assumes: the
+// experiments run every host with J = 1.
+const jPerHost = 1
+
 func (c *Config) fillDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = 4
@@ -81,9 +82,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Backoff <= 0 {
 		c.Backoff = 2 * time.Second
-	}
-	if c.JPerHost <= 0 {
-		c.JPerHost = 1
 	}
 	if c.IsContention == nil {
 		c.IsContention = func(err error) bool {
@@ -221,7 +219,7 @@ func New(rt vtime.Runtime, sub Submitter, hosts []core.HostSlot, cfg Config) *Sc
 	return &Scheduler{
 		rt:      rt,
 		sub:     sub,
-		ledger:  core.NewLedger(hosts, cfg.JPerHost),
+		ledger:  core.NewLedger(hosts, jPerHost),
 		cfg:     cfg,
 		queue:   rt.NewMailbox(),
 		done:    rt.NewMailbox(),

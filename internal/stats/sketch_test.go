@@ -210,40 +210,6 @@ func TestStreamMomentsMergeExact(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge: bin-wise merge is exact and panics on mismatched
-// bounds.
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(0, 100, 10)
-	b := NewHistogram(0, 100, 10)
-	whole := NewHistogram(0, 100, 10)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 10_000; i++ {
-		x := rng.Float64()*120 - 10
-		whole.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.Total() != whole.Total() || a.Under != whole.Under || a.Over != whole.Over {
-		t.Fatalf("totals differ: %d/%d/%d vs %d/%d/%d",
-			a.Total(), a.Under, a.Over, whole.Total(), whole.Under, whole.Over)
-	}
-	for i := range a.Counts {
-		if a.Counts[i] != whole.Counts[i] {
-			t.Fatalf("bin %d: %d vs %d", i, a.Counts[i], whole.Counts[i])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched-bounds merge did not panic")
-		}
-	}()
-	a.Merge(NewHistogram(0, 50, 10))
-}
-
 // TestSummarizeGuard: Summarize past ExactLimit panics with a pointer
 // to Stream instead of silently retaining O(n) memory.
 func TestSummarizeGuard(t *testing.T) {

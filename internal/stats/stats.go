@@ -115,64 +115,3 @@ func KendallTau(a, b []float64) float64 {
 	pairs := n * (n - 1) / 2
 	return float64(concordant-discordant) / float64(pairs)
 }
-
-// Histogram is a fixed-bucket linear histogram.
-type Histogram struct {
-	Lo, Hi  float64
-	Counts  []int
-	Under   int
-	Over    int
-	samples int
-}
-
-// NewHistogram creates a histogram of n equal buckets covering [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.samples++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // guard against FP rounding at the edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including outliers.
-func (h *Histogram) Total() int { return h.samples }
-
-// Counter is a simple named event counter set.
-type Counter struct {
-	counts map[string]int64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]int64)} }
-
-// Inc adds delta to the named counter.
-func (c *Counter) Inc(name string, delta int64) { c.counts[name] += delta }
-
-// Get returns the value of the named counter (zero if never incremented).
-func (c *Counter) Get(name string) int64 { return c.counts[name] }
-
-// Names returns all counter names in sorted order.
-func (c *Counter) Names() []string {
-	out := make([]string, 0, len(c.counts))
-	for k := range c.counts {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -104,51 +104,3 @@ func TestKendallTauLengthMismatchPanics(t *testing.T) {
 	}()
 	KendallTau([]float64{1}, []float64{1, 2})
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Fatalf("bucket %d = %d, want 1", i, c)
-		}
-	}
-	if h.Under != 1 || h.Over != 1 || h.Total() != 12 {
-		t.Fatalf("outliers: under=%d over=%d total=%d", h.Under, h.Over, h.Total())
-	}
-}
-
-func TestHistogramEdgeValue(t *testing.T) {
-	h := NewHistogram(0, 1, 3)
-	h.Add(math.Nextafter(1, 0)) // just under the upper bound
-	if h.Counts[2] != 1 || h.Over != 0 {
-		t.Fatalf("edge value landed wrong: %+v", h)
-	}
-}
-
-func TestHistogramInvalidBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(1, 1, 4)
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("a", 2)
-	c.Inc("b", 1)
-	c.Inc("a", 3)
-	if c.Get("a") != 5 || c.Get("b") != 1 || c.Get("zzz") != 0 {
-		t.Fatal("counter arithmetic wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
-	}
-}

@@ -134,21 +134,3 @@ func (s *Stream) String() string {
 	return fmt.Sprintf("n=%d min=%.4g p50=%.4g mean=%.4g p90=%.4g max=%.4g std=%.4g",
 		s.n, s.Min(), s.Quantile(0.50), s.Mean(), s.Quantile(0.90), s.Max(), s.Std())
 }
-
-// Merge folds o's buckets into h. Both histograms must share identical
-// bounds and bucket counts; merged counts add bin-wise, so histogram
-// merging is exact, commutative and associative.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	if h.Lo != o.Lo || h.Hi != o.Hi || len(h.Counts) != len(o.Counts) {
-		panic("stats: Histogram.Merge bounds mismatch")
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.Under += o.Under
-	h.Over += o.Over
-	h.samples += o.samples
-}

@@ -204,9 +204,6 @@ func (d *Domain) Shards() int { return len(d.shards) }
 // touch anything.
 func (d *Domain) Shard(i int) *Scheduler { return d.shards[i] }
 
-// Lookahead returns the window width bound the domain was built with.
-func (d *Domain) Lookahead() time.Duration { return d.lookahead }
-
 // Now returns the committed horizon as wall time (all shard clocks agree
 // with it between windows).
 func (d *Domain) Now() time.Time { return d.shards[0].Now() }

@@ -51,14 +51,14 @@ func (g *tenantGen) next() (Submission, bool) {
 		if g.rng.Float64()*c.Arrival.MaxRate() > c.Arrival.RateAt(g.t) {
 			continue
 		}
-		n := int(math.Round(boundedPareto(g.rng.Float64(), c.NAlpha, float64(c.NMin), float64(c.NMax))))
+		n := int(math.Round(boundedPareto(g.rng.Float64(), nAlpha, float64(c.NMin), float64(c.NMax))))
 		if n < c.NMin {
 			n = c.NMin
 		}
 		if n > c.NMax {
 			n = c.NMax
 		}
-		secs := boundedPareto(g.rng.Float64(), c.DurAlpha, c.DurMin, c.DurMax)
+		secs := boundedPareto(g.rng.Float64(), durAlpha, c.DurMin, c.DurMax)
 		sub := Submission{At: g.t, Tenant: g.tenant, Priority: g.pri, N: n, Seconds: secs}
 		if f := deadlineFactor(c, g.pri); f > 0 {
 			sub.Deadline = g.t + time.Duration(f*secs*float64(time.Second))

@@ -57,15 +57,12 @@ type Config struct {
 	// priority L−1−⌊i·L/Tenants⌋: the first tenants — the heavy users —
 	// are also the privileged ones.
 	PriorityLevels int
-	// NMin, NMax and NAlpha shape the bounded-Pareto rank-count draw
-	// (defaults 2, 32, 1.4): many small jobs, a heavy tail of wide
-	// ones.
+	// NMin and NMax bound the bounded-Pareto rank-count draw (defaults
+	// 2, 32; shape nAlpha): many small jobs, a heavy tail of wide ones.
 	NMin, NMax int
-	NAlpha     float64
-	// DurMin, DurMax and DurAlpha shape the bounded-Pareto service
-	// duration in seconds (defaults 20, 1800, 1.3).
+	// DurMin and DurMax bound the bounded-Pareto service duration in
+	// seconds (defaults 20, 1800; shape durAlpha).
 	DurMin, DurMax float64
-	DurAlpha       float64
 	// DeadlineFactors gives each priority class an SLO deadline
 	// multiplier: a job of priority p with factor f must finish by
 	// At + f×Seconds. Index 0 is priority 0 (the lowest class); a class
@@ -79,6 +76,12 @@ type Config struct {
 	// memory.
 	MaxSubmissions int
 }
+
+// The Pareto shapes of the rank-count and service-duration draws.
+const (
+	nAlpha   = 1.4
+	durAlpha = 1.3
+)
 
 func (c Config) withDefaults() Config {
 	c.Arrival = c.Arrival.withDefaults()
@@ -97,9 +100,6 @@ func (c Config) withDefaults() Config {
 			c.NMax = c.NMin
 		}
 	}
-	if c.NAlpha <= 0 {
-		c.NAlpha = 1.4
-	}
 	if c.DurMin <= 0 {
 		c.DurMin = 20
 	}
@@ -108,9 +108,6 @@ func (c Config) withDefaults() Config {
 		if c.DurMax < c.DurMin {
 			c.DurMax = c.DurMin
 		}
-	}
-	if c.DurAlpha <= 0 {
-		c.DurAlpha = 1.3
 	}
 	return c
 }
@@ -210,14 +207,14 @@ func TenantTrace(cfg Config, i int) []Submission {
 		if rng.Float64()*c.Arrival.MaxRate() > c.Arrival.RateAt(t) {
 			continue
 		}
-		n := int(math.Round(boundedPareto(rng.Float64(), c.NAlpha, float64(c.NMin), float64(c.NMax))))
+		n := int(math.Round(boundedPareto(rng.Float64(), nAlpha, float64(c.NMin), float64(c.NMax))))
 		if n < c.NMin {
 			n = c.NMin
 		}
 		if n > c.NMax {
 			n = c.NMax
 		}
-		secs := boundedPareto(rng.Float64(), c.DurAlpha, c.DurMin, c.DurMax)
+		secs := boundedPareto(rng.Float64(), durAlpha, c.DurMin, c.DurMax)
 		sub := Submission{At: t, Tenant: i, Priority: pri, N: n, Seconds: secs}
 		if f := deadlineFactor(c, pri); f > 0 {
 			sub.Deadline = t + time.Duration(f*secs*float64(time.Second))
