@@ -102,7 +102,6 @@ import (
 	"strings"
 	"time"
 
-	"p2pmpi/internal/churn"
 	"p2pmpi/internal/core"
 	"p2pmpi/internal/exp"
 	"p2pmpi/internal/faults"
@@ -242,6 +241,25 @@ func main() {
 			os.Exit(2)
 		}
 		return d
+	}
+	// One fault model feeds the open, churn and nemesis families:
+	// -faults' network clauses (nemesis) and the crash shape that -mtbf
+	// arms; each family sets its own MTBF.
+	var fm faults.Config
+	if *which == "nemesis" {
+		if fm, err = faults.ParseFaultSpec(*faultsSpec); err != nil {
+			fmt.Fprintf(os.Stderr, "gridbench: -faults: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	if *mtbf != "" && (*which == "open" || *which == "churn" || *which == "nemesis") {
+		distKind, err := faults.ParseDistKind(*dist)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "gridbench: -dist: %v\n", err)
+			os.Exit(2)
+		}
+		fm.MTTR, fm.UpDist, fm.DownDist, fm.WeibullShape = durFlag("mttr", *mttr), distKind, distKind, *shape
+		fm.SiteMTBF, fm.SiteMTTR = durFlag("sitemtbf", *siteMTBF), durFlag("sitemttr", *siteMTTR)
 	}
 	run := func(name string, fn func() error) {
 		start := time.Now()
@@ -431,18 +449,8 @@ func main() {
 		}
 		// A single -mtbf value composes host churn with the open workload.
 		if *mtbf != "" {
-			mtbfD := durFlag("mtbf", *mtbf)
-			distKind, err := churn.ParseDistKind(*dist)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -dist: %v\n", err)
-				os.Exit(2)
-			}
-			cfg.MTBF = mtbfD
-			cfg.MTTR = durFlag("mttr", *mttr)
-			cfg.Dist = distKind
-			cfg.WeibullShape = *shape
-			cfg.SiteMTBF = durFlag("sitemtbf", *siteMTBF)
-			cfg.SiteMTTR = durFlag("sitemttr", *siteMTTR)
+			cfg.Faults = fm
+			cfg.Faults.MTBF = durFlag("mtbf", *mtbf)
 			cfg.Detect = durFlag("detect", *detect)
 		}
 		run("open", func() error {
@@ -471,6 +479,7 @@ func main() {
 			Jobs:       *cjobs,
 			JobSeconds: *dur,
 			Detect:     durFlag("detect", *detect),
+			Faults:     fm,
 		}
 		if churnPreset {
 			mtbfs, err := parseDurations(*mtbf)
@@ -488,54 +497,30 @@ func main() {
 			cfg.PartDurs = []time.Duration{0}
 			cfg.RPCRetries = -1 // the churn family never arms the retry layer
 		} else {
-			fc, err := faults.ParseFaultSpec(*faultsSpec)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -faults: %v\n", err)
-				os.Exit(2)
-			}
 			if *lossAxis != "" {
 				if cfg.Losses, err = parseFloats(*lossAxis); err != nil {
 					fmt.Fprintf(os.Stderr, "gridbench: -loss: %v\n", err)
 					os.Exit(2)
 				}
-			} else if fc.Loss > 0 {
-				cfg.Losses = []float64{fc.Loss}
+			} else if fm.Loss > 0 {
+				cfg.Losses = []float64{fm.Loss}
 			}
 			if *partDur != "" {
 				if cfg.PartDurs, err = parseDurations(*partDur); err != nil {
 					fmt.Fprintf(os.Stderr, "gridbench: -partdur: %v\n", err)
 					os.Exit(2)
 				}
-			} else if fc.PartMTBF > 0 {
-				cfg.PartDurs = []time.Duration{fc.PartMTTR}
-			}
-			if fc.PartMTBF > 0 {
-				cfg.PartMTBF = fc.PartMTBF
-				cfg.NoSplit = !fc.Split
+			} else if fm.PartMTBF > 0 {
+				cfg.PartDurs = []time.Duration{fm.PartMTTR}
 			}
 			cfg.Strategies = strategies[:1]
 			cfg.Rs = []int{*r}
-			cfg.LatMult, cfg.Dup, cfg.DupDelay = fc.LatMult, fc.DupProb, fc.DupDelay
-			cfg.GrayFrac, cfg.GrayMTBF, cfg.GrayMTTR = fc.GrayFrac, fc.GrayMTBF, fc.GrayMTTR
-			cfg.GrayDrop, cfg.GraySlow = fc.GrayDrop, fc.GraySlow
 			cfg.RPCRetries = *rpcRetries
 			cfg.BreakerThreshold = *breaker
 			// A single -mtbf value composes host churn, as in -exp open.
 			if *mtbf != "" {
 				cfg.MTBFs = []time.Duration{durFlag("mtbf", *mtbf)}
 			}
-		}
-		if len(cfg.MTBFs) > 0 {
-			distKind, err := churn.ParseDistKind(*dist)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -dist: %v\n", err)
-				os.Exit(2)
-			}
-			cfg.MTTR = durFlag("mttr", *mttr)
-			cfg.Dist = distKind
-			cfg.WeibullShape = *shape
-			cfg.SiteMTBF = durFlag("sitemtbf", *siteMTBF)
-			cfg.SiteMTTR = durFlag("sitemttr", *siteMTTR)
 		}
 		run(*which, func() error {
 			pts, err := exp.NemesisSweep(topoOpts, cfg, *workers)
@@ -548,7 +533,7 @@ func main() {
 			case churnPreset:
 				fmt.Print(exp.RenderChurnPoints(
 					fmt.Sprintf("Churn sweep — %s, n=%d, %d jobs/point, %gs jobs, mttr=%s",
-						topo, *n, *cjobs, *dur, cfg.MTTR), pts))
+						topo, *n, *cjobs, *dur, cfg.Faults.MTTR), pts))
 			case csv:
 				fmt.Print(exp.NemesisPointsCSV(pts))
 				if len(pts) > 0 && pts[0].SN > 1 {

@@ -39,9 +39,9 @@ import (
 	"strings"
 	"time"
 
-	"p2pmpi/internal/churn"
 	"p2pmpi/internal/core"
 	"p2pmpi/internal/exp"
+	"p2pmpi/internal/faults"
 	"p2pmpi/internal/grid"
 	"p2pmpi/internal/mpd"
 	"p2pmpi/internal/nas"
@@ -102,20 +102,20 @@ func main() {
 		Strategy: strategy,
 		Timeout:  *timeout,
 	}
-	faults := churn.Config{Seed: *seed, MTBF: *mtbf, MTTR: *mttr,
+	fc := faults.Config{Seed: *seed, MTBF: *mtbf, MTTR: *mttr,
 		Horizon: *timeout + 30*time.Minute}
 	if *mtbf > 0 {
 		spec.FailureDetect = *detect
 	}
 
 	if *jobs > 1 {
-		runConcurrent(spec, *jobs, *sim, opts, faults, *snAddr, *mpdAddr, *rsAddr)
+		runConcurrent(spec, *jobs, *sim, opts, fc, *snAddr, *mpdAddr, *rsAddr)
 		return
 	}
 
 	var res *mpd.JobResult
 	if *sim {
-		res, err = runSim(spec, opts, faults)
+		res, err = onSim(opts, fc, func(w *exp.World) (*mpd.JobResult, error) { return w.Submit(spec) })
 	} else {
 		res, err = runReal(spec, *snAddr, *mpdAddr, *rsAddr)
 	}
@@ -135,11 +135,22 @@ func main() {
 
 // runConcurrent pushes K copies of the job through the multi-job
 // scheduler and prints per-job summaries plus contention totals.
-func runConcurrent(spec mpd.JobSpec, k int, sim bool, opts exp.Options, faults churn.Config, snAddr, mpdAddr, rsAddr string) {
+func runConcurrent(spec mpd.JobSpec, k int, sim bool, opts exp.Options, fc faults.Config, snAddr, mpdAddr, rsAddr string) {
 	var completed []*sched.Job
 	var err error
 	if sim {
-		completed, err = concurrentSim(spec, k, opts, faults)
+		completed, err = onSim(opts, fc, func(w *exp.World) ([]*sched.Job, error) {
+			cfg := sched.Config{Seed: opts.Seed}
+			if fc.MTBF > 0 {
+				// Under churn, failure outcomes (a host dying between
+				// Acquire and launch, a rank losing every replica) are
+				// re-booked like contention — the same classifier the
+				// churn sweep uses.
+				cfg.IsContention = exp.ChurnRetryable
+			}
+			jobs, _, err := exp.RunJobs(w, spec, k, cfg)
+			return jobs, err
+		})
 	} else {
 		completed, err = concurrentReal(spec, k, snAddr, mpdAddr, rsAddr)
 	}
@@ -165,47 +176,30 @@ func runConcurrent(spec mpd.JobSpec, k int, sim bool, opts exp.Options, faults c
 	}
 }
 
-// concurrentSim boots the modelled grid and drives the scheduler in
-// virtual time through the experiment harness's shared pump.
-func concurrentSim(spec mpd.JobSpec, k int, opts exp.Options, faults churn.Config) ([]*sched.Job, error) {
+// onSim boots the modelled testbed, arms host churn when fc asks for
+// it, runs fn on the world in virtual time, and reports what the
+// injection actually did.
+func onSim[T any](opts exp.Options, fc faults.Config, fn func(*exp.World) (T, error)) (T, error) {
 	w := exp.NewWorld(opts)
 	defer w.Close()
 	fmt.Fprintf(os.Stderr, "p2pmpirun: booting the simulated %s testbed (%d peers)...\n",
 		opts.Topology, len(w.Peers))
 	if err := w.Boot(); err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
-	driver := startChurn(w, faults)
-	cfg := sched.Config{Seed: opts.Seed}
-	if faults.MTBF > 0 {
-		// Under churn, failure outcomes (a host dying between Acquire
-		// and launch, a rank losing every replica) are re-booked like
-		// contention — the same classifier the churn sweep uses.
-		cfg.IsContention = exp.ChurnRetryable
+	var d *faults.Driver
+	if fc.MTBF > 0 {
+		fmt.Fprintf(os.Stderr, "p2pmpirun: injecting churn (mtbf %s, mttr %s)\n", fc.MTBF, fc.MTTR)
+		d = w.StartChurn(fc)
 	}
-	jobs, _, err := exp.RunJobs(w, spec, k, cfg)
-	reportChurn(driver)
-	return jobs, err
-}
-
-// startChurn arms fault injection on a booted world when -mtbf asks
-// for it.
-func startChurn(w *exp.World, faults churn.Config) *churn.Driver {
-	if faults.MTBF <= 0 {
-		return nil
+	res, err := fn(w)
+	if d != nil {
+		st := d.Stop()
+		fmt.Fprintf(os.Stderr, "p2pmpirun: churn injected %d host failures (%.1f%% host-time down)\n",
+			st.Failures, 100*st.DownFraction())
 	}
-	fmt.Fprintf(os.Stderr, "p2pmpirun: injecting churn (mtbf %s, mttr %s)\n", faults.MTBF, faults.MTTR)
-	return w.StartChurn(faults)
-}
-
-// reportChurn prints what the injection actually did.
-func reportChurn(d *churn.Driver) {
-	if d == nil {
-		return
-	}
-	st := d.Stop()
-	fmt.Fprintf(os.Stderr, "p2pmpirun: churn injected %d host failures (%.1f%% host-time down)\n",
-		st.Failures, 100*st.DownFraction())
+	return res, err
 }
 
 // concurrentReal drives the scheduler on the wall clock through an
@@ -213,24 +207,11 @@ func reportChurn(d *churn.Driver) {
 // the ledger is unconstrained and contention resolves purely through
 // reservation races and backoff.
 func concurrentReal(spec mpd.JobSpec, k int, snAddr, mpdAddr, rsAddr string) ([]*sched.Job, error) {
-	submitter := mpd.New(vtime.Real{}, transport.TCP{}, mpd.Config{
-		Self: proto.PeerInfo{
-			ID: "p2pmpirun-submitter", Site: "local",
-			MPDAddr: mpdAddr, RSAddr: rsAddr,
-		},
-		P:    0,
-		Seed: int64(os.Getpid()),
-		Shared: &mpd.Shared{
-			SupernodeAddr: snAddr,
-			Programs:      submitterRegistry(),
-			PingInterval:  2 * time.Second,
-		},
-	})
-	if err := submitter.Start(); err != nil {
+	submitter, err := startSubmitter(snAddr, mpdAddr, rsAddr)
+	if err != nil {
 		return nil, err
 	}
 	defer submitter.Close()
-	time.Sleep(3 * time.Second) // let registration and a ping round settle
 	sc := sched.New(vtime.Real{}, submitter, nil, sched.Config{Workers: k, Seed: int64(os.Getpid())})
 	sc.Start()
 	for i := 0; i < k; i++ {
@@ -241,22 +222,19 @@ func concurrentReal(spec mpd.JobSpec, k int, snAddr, mpdAddr, rsAddr string) ([]
 	return jobs, nil
 }
 
-func runSim(spec mpd.JobSpec, opts exp.Options, faults churn.Config) (*mpd.JobResult, error) {
-	w := exp.NewWorld(opts)
-	defer w.Close()
-	fmt.Fprintf(os.Stderr, "p2pmpirun: booting the simulated %s testbed (%d peers)...\n",
-		opts.Topology, len(w.Peers))
-	if err := w.Boot(); err != nil {
+func runReal(spec mpd.JobSpec, snAddr, mpdAddr, rsAddr string) (*mpd.JobResult, error) {
+	submitter, err := startSubmitter(snAddr, mpdAddr, rsAddr)
+	if err != nil {
 		return nil, err
 	}
-	driver := startChurn(w, faults)
-	res, err := w.Submit(spec)
-	reportChurn(driver)
-	return res, err
+	defer submitter.Close()
+	return submitter.Submit(spec)
 }
 
-func runReal(spec mpd.JobSpec, snAddr, mpdAddr, rsAddr string) (*mpd.JobResult, error) {
-	// An ephemeral MPD with P=0: it submits but does not compute.
+// startSubmitter starts an ephemeral MPD with P=0 on TCP — it submits
+// but does not compute — and lets registration and a ping round settle
+// so booking sees latencies.
+func startSubmitter(snAddr, mpdAddr, rsAddr string) (*mpd.MPD, error) {
 	submitter := mpd.New(vtime.Real{}, transport.TCP{}, mpd.Config{
 		Self: proto.PeerInfo{
 			ID: "p2pmpirun-submitter", Site: "local",
@@ -273,10 +251,8 @@ func runReal(spec mpd.JobSpec, snAddr, mpdAddr, rsAddr string) (*mpd.JobResult, 
 	if err := submitter.Start(); err != nil {
 		return nil, err
 	}
-	defer submitter.Close()
-	// Let registration and a ping round settle so booking sees latencies.
 	time.Sleep(3 * time.Second)
-	return submitter.Submit(spec)
+	return submitter, nil
 }
 
 // submitterRegistry mirrors mpiboot's registry so Submit accepts the

@@ -9,8 +9,8 @@
 // scheduler shard by default, Options.Shards of them in conservative
 // lockstep windows) and a simulated network (simnet.Net) partitioned by
 // site across those shards. Drive it with World.RunFor, never with a
-// shard's own RunFor: churn and fault timelines are the domain's global
-// events. The zero topology builds the paper's Grid'5000 (Table 1, 350
+// shard's own RunFor: fault timelines — host crashes included — are
+// the domain's global events (StartFaults, StartChurn). The zero topology builds the paper's Grid'5000 (Table 1, 350
 // hosts); grid.TopologySpec scales synthetic worlds to a million.
 //
 // World.Boot starts the daemons from a chain of timer events per shard
@@ -35,7 +35,8 @@
 //     churn against replication, the retry layer and the federated
 //     membership tier, with heal times and job outcomes per (loss,
 //     partition duration, MTBF, R, strategy) point (nemesis.go,
-//     internal/faults, internal/churn). The churn family is this sweep
+//     internal/faults). NemesisConfig.Faults is the one fault-model
+//     template every point starts from. The churn family is this sweep
 //     with no network faults: survivability under seeded host failures
 //     — success rate, completion-time inflation, replica failovers and
 //     wasted slot-hours (ChurnPointsCSV).

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"p2pmpi/internal/core"
+	"p2pmpi/internal/faults"
 	"p2pmpi/internal/grid"
 	"p2pmpi/internal/overlay"
 )
@@ -119,7 +120,7 @@ func TestChurnPresetOnFederatedWorld(t *testing.T) {
 		N:          6,
 		Jobs:       3,
 		JobSeconds: 40,
-		MTTR:       time.Minute,
+		Faults:     faults.Config{MTTR: time.Minute},
 		Detect:     10 * time.Second,
 	}), 1)
 	if err != nil {

@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"p2pmpi/internal/churn"
 	"p2pmpi/internal/core"
+	"p2pmpi/internal/faults"
 	"p2pmpi/internal/grid"
 )
 
@@ -93,7 +93,7 @@ func goldenChurnConfig(t testing.TB) NemesisConfig {
 		N:          6,
 		Jobs:       3,
 		JobSeconds: 40,
-		MTTR:       time.Minute,
+		Faults:     faults.Config{MTTR: time.Minute},
 		Detect:     10 * time.Second,
 	})
 }
@@ -130,9 +130,9 @@ func TestGoldenChurnTrace(t *testing.T) {
 func TestChurnWeibullSiteOutagePinned(t *testing.T) {
 	const want = "97a4f57d8744df1099f52b311d72c2a5a954d9a590abd4932d3df2c9a617a5a1"
 	cfg := goldenChurnConfig(t)
-	cfg.Dist = churn.DistWeibull
-	cfg.WeibullShape = 0.7
-	cfg.SiteMTBF = 15 * time.Minute
+	cfg.Faults.UpDist, cfg.Faults.DownDist = faults.DistWeibull, faults.DistWeibull
+	cfg.Faults.WeibullShape = 0.7
+	cfg.Faults.SiteMTBF = 15 * time.Minute
 	cfg.Strategies = core.Strategies()
 	for _, workers := range []int{1, 4} {
 		pts, err := NemesisSweep(DefaultOptions(42), cfg, workers)

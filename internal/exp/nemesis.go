@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"p2pmpi/internal/churn"
 	"p2pmpi/internal/core"
 	"p2pmpi/internal/faults"
 	"p2pmpi/internal/grid"
@@ -21,7 +20,7 @@ import (
 // point boots a fresh world, arms a seeded network nemesis (site-pair
 // partitions including federation-splitting cuts, uniform link loss,
 // gray hosts, frame duplication — internal/faults) and, at a non-zero
-// MTBF, seeded host churn (churn.Trace over MTBF/MTTR distributions,
+// MTBF, seeded host crashes (faults.Trace over MTBF/MTTR distributions,
 // optionally with correlated site outages), and pushes a batch of
 // fixed-duration jobs through the multi-job scheduler with the mid-run
 // failure detector and the RPC robustness layer configured per the
@@ -82,7 +81,7 @@ type NemesisPoint struct {
 	Partitions       int
 	PartitionSeconds float64
 	CutPairs         int
-	// FailuresInjected and DownFraction report what the churn engine
+	// FailuresInjected and DownFraction report what host churn
 	// did at a non-zero MTBF: deduplicated host failures fired, and the
 	// measured fraction of host-time spent down.
 	FailuresInjected int
@@ -121,34 +120,16 @@ type NemesisConfig struct {
 	// PartDurs is the mean-partition-duration axis; a 0 entry disables
 	// partitions at that point (the loss-only baseline).
 	PartDurs []time.Duration
-	// PartMTBF is the mean healthy time between partition spells
-	// (default 5m).
-	PartMTBF time.Duration
-	// NoSplit injects single random site-pair cuts instead of the
-	// default federation-splitting bisections.
-	NoSplit bool
-	// LatMult multiplies every cross-site latency (default 1); Dup
-	// duplicates delivered frames with this probability, the copy
-	// arriving up to DupDelay later.
-	LatMult  float64
-	Dup      float64
-	DupDelay time.Duration
-	// GrayFrac/GrayMTBF/GrayMTTR/GrayDrop/GraySlow configure gray-host
-	// episodes (0 disables; see faults.Config).
-	GrayFrac           float64
-	GrayMTBF, GrayMTTR time.Duration
-	GrayDrop, GraySlow float64
 	// MTBFs is the per-host churn axis; a 0 entry disables churn at
-	// that point (default {0}). MTTR is the mean repair time (default
-	// 60s); Dist selects the lifetime distribution for uptimes and
-	// downtimes (default exponential; weibull is heavy-tailed with
-	// WeibullShape); SiteMTBF and SiteMTTR enable correlated whole-site
-	// outages (0 disables). See churn.Config.
-	MTBFs              []time.Duration
-	MTTR               time.Duration
-	Dist               churn.DistKind
-	WeibullShape       float64
-	SiteMTBF, SiteMTTR time.Duration
+	// that point (default {0}).
+	MTBFs []time.Duration
+	// Faults is the fault-model template every point starts from: the
+	// axes above overwrite its Loss, PartMTTR and MTBF, and each point
+	// reseeds it. Its partition cadence defaults to 5m of federation-
+	// splitting bisections (a template without PartMTBF gets Split too)
+	// and its host MTTR to 60s; the gray, latency, duplication, lifetime
+	// distribution and site-outage knobs apply as given.
+	Faults faults.Config
 	// Rs is the replication-degree axis (default {2}).
 	Rs []int
 	// N is the rank count per job (default 6); Jobs the batch size per
@@ -194,8 +175,8 @@ func (c *NemesisConfig) fillDefaults() error {
 			return fmt.Errorf("exp: bad partition duration %v", d)
 		}
 	}
-	if c.PartMTBF <= 0 {
-		c.PartMTBF = 5 * time.Minute
+	if c.Faults.PartMTBF <= 0 {
+		c.Faults.PartMTBF, c.Faults.Split = 5*time.Minute, true
 	}
 	if len(c.MTBFs) == 0 {
 		c.MTBFs = []time.Duration{0}
@@ -205,8 +186,8 @@ func (c *NemesisConfig) fillDefaults() error {
 			return fmt.Errorf("exp: bad MTBF %v", m)
 		}
 	}
-	if c.MTTR <= 0 {
-		c.MTTR = time.Minute
+	if c.Faults.MTTR <= 0 {
+		c.Faults.MTTR = time.Minute
 	}
 	if len(c.Rs) == 0 {
 		c.Rs = []int{2}
@@ -336,39 +317,26 @@ func nemesisAt(opts Options, cfg NemesisConfig, c nemesisCoord) (NemesisPoint, e
 	}
 
 	horizon := time.Duration(runJobsBudget(cfg.Jobs)) * time.Second // RunJobs' pump budget
-	fc := faults.Config{
-		Seed:     nemesisSeed(opts.Seed, c.loss, c.partDur),
-		Loss:     c.loss,
-		LatMult:  cfg.LatMult,
-		DupProb:  cfg.Dup,
-		DupDelay: cfg.DupDelay,
-		GrayFrac: cfg.GrayFrac,
-		GrayMTBF: cfg.GrayMTBF, GrayMTTR: cfg.GrayMTTR,
-		GrayDrop: cfg.GrayDrop, GraySlow: cfg.GraySlow,
-		Horizon: horizon,
-	}
+	// The network faults and the host crashes replay on two drivers with
+	// their own seeds: the crash timeline is a function of (MTBF, R)
+	// alone, so every loss and partition point faces the same crashes.
+	fc := cfg.Faults
+	fc.Seed, fc.Loss, fc.Horizon = nemesisSeed(opts.Seed, c.loss, c.partDur), c.loss, horizon
+	fc.MTBF, fc.SiteMTBF = 0, 0
 	if c.partDur > 0 {
-		fc.PartMTBF = cfg.PartMTBF
 		fc.PartMTTR = c.partDur
-		fc.Split = !cfg.NoSplit
+	} else {
+		fc.PartMTBF = 0
 	}
 	if err := fc.Validate(); err != nil {
 		return NemesisPoint{}, err
 	}
 	driver, hw := w.StartFaults(fc)
-	var churnDriver *churn.Driver
+	var churnDriver *faults.Driver
 	if c.mtbf > 0 {
-		churnDriver = w.StartChurn(churn.Config{
-			Seed:         churnSeed(opts.Seed, c.mtbf, c.r),
-			MTBF:         c.mtbf,
-			MTTR:         cfg.MTTR,
-			UpDist:       cfg.Dist,
-			DownDist:     cfg.Dist,
-			WeibullShape: cfg.WeibullShape,
-			SiteMTBF:     cfg.SiteMTBF,
-			SiteMTTR:     cfg.SiteMTTR,
-			Horizon:      horizon,
-		})
+		cc := cfg.Faults
+		cc.Seed, cc.MTBF, cc.Horizon = churnSeed(opts.Seed, c.mtbf, c.r), c.mtbf, horizon
+		churnDriver = w.StartChurn(cc)
 	}
 
 	spec := mpd.JobSpec{
@@ -390,7 +358,7 @@ func nemesisAt(opts Options, cfg NemesisConfig, c nemesisCoord) (NemesisPoint, e
 	})
 	injected := driver.Stop()
 	heal := hw.Stats()
-	var crashes churn.Stats
+	var crashes faults.Stats
 	if churnDriver != nil {
 		crashes = churnDriver.Stop()
 	}
@@ -415,10 +383,10 @@ func nemesisAt(opts Options, cfg NemesisConfig, c nemesisCoord) (NemesisPoint, e
 		HealMaxSeconds:   heal.HealMax.Seconds(),
 	}
 	if c.partDur > 0 {
-		pt.PartMTBFSeconds = cfg.PartMTBF.Seconds()
+		pt.PartMTBFSeconds = cfg.Faults.PartMTBF.Seconds()
 	}
 	if churnDriver != nil {
-		pt.MTTRSeconds = cfg.MTTR.Seconds()
+		pt.MTTRSeconds = cfg.Faults.MTTR.Seconds()
 		pt.DownFraction = crashes.DownFraction()
 	}
 	if heal.HealSamples > 0 {
@@ -516,7 +484,7 @@ func RenderNemesisPoints(title string, pts []NemesisPoint) string {
 
 // ChurnPointsCSV renders the churn columns of a sweep, one row per
 // point: the strategy, the failure model, the batch outcome and what
-// the churn engine injected.
+// host churn injected.
 func ChurnPointsCSV(pts []NemesisPoint) string {
 	var b strings.Builder
 	b.WriteString("strategy,mtbf_s,mttr_s,n,r,jobs,hosts,succeeded,failed,success_rate," +

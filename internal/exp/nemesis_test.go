@@ -22,7 +22,7 @@ func nemesisTestConfig(t *testing.T) NemesisConfig {
 		Strategies: []core.Strategy{core.Spread},
 		Losses:     []float64{0, 0.2},
 		PartDurs:   []time.Duration{30 * time.Second},
-		PartMTBF:   2 * time.Minute,
+		Faults:     faults.Config{PartMTBF: 2 * time.Minute, Split: true},
 		N:          6,
 		Rs:         []int{2},
 		Jobs:       3,
@@ -80,7 +80,7 @@ func TestNemesisShardRace(t *testing.T) {
 	cfg.Losses = []float64{0.2}
 	cfg.PartDurs = []time.Duration{40 * time.Second}
 	cfg.MTBFs = []time.Duration{90 * time.Second}
-	cfg.MTTR = 45 * time.Second
+	cfg.Faults.MTTR = 45 * time.Second
 	cfg.Jobs = 4
 	cfg.Detect = 5 * time.Second
 	cfg.BreakerThreshold = 3
@@ -194,7 +194,7 @@ func nemesisBenchConfig(t *testing.T) NemesisConfig {
 		Strategies: []core.Strategy{core.Spread},
 		Losses:     []float64{0.3},
 		PartDurs:   []time.Duration{time.Minute},
-		PartMTBF:   90 * time.Second,
+		Faults:     faults.Config{PartMTBF: 90 * time.Second, Split: true},
 		N:          6,
 		Rs:         []int{1},
 		Jobs:       10,

@@ -10,8 +10,8 @@ import (
 	"sync"
 	"time"
 
-	"p2pmpi/internal/churn"
 	"p2pmpi/internal/core"
+	"p2pmpi/internal/faults"
 	"p2pmpi/internal/grid"
 	"p2pmpi/internal/mpd"
 	"p2pmpi/internal/sched"
@@ -122,14 +122,12 @@ type OpenConfig struct {
 	MaxSubmissions int
 	// Workers bounds the scheduler's in-flight jobs (default 8).
 	Workers int
-	// MTBF composes host churn with the open workload (0 = failure-free).
-	// MTTR, Dist, WeibullShape, SiteMTBF and SiteMTTR mirror NemesisConfig;
-	// Detect arms the mid-run failure detector (default 10s when churning).
-	MTBF, MTTR         time.Duration
-	Dist               churn.DistKind
-	WeibullShape       float64
-	SiteMTBF, SiteMTTR time.Duration
-	Detect             time.Duration
+	// Faults composes host churn with the open workload: its crash model
+	// replays on a driver of its own (Faults.MTBF 0 = failure-free; MTTR
+	// defaults to 60s). Detect arms the mid-run failure detector
+	// (default 10s when churning).
+	Faults faults.Config
+	Detect time.Duration
 	// QuotaRate and QuotaBurst arm per-tenant token-bucket quotas in the
 	// scheduler (slot-seconds per virtual second / slot-seconds; zero
 	// rate disables, zero burst defaults to an hour at rate). Preempt
@@ -179,9 +177,9 @@ func (c *OpenConfig) fillDefaults() error {
 	if c.Workers <= 0 {
 		c.Workers = 8
 	}
-	if c.MTBF > 0 {
-		if c.MTTR <= 0 {
-			c.MTTR = time.Minute
+	if c.Faults.MTBF > 0 {
+		if c.Faults.MTTR <= 0 {
+			c.Faults.MTTR = time.Minute
 		}
 		if c.Detect <= 0 {
 			c.Detect = 10 * time.Second
@@ -348,7 +346,8 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 	if err := cfg.fillDefaults(); err != nil {
 		return OpenPoint{}, err
 	}
-	stream, err := workload.NewStream(cfg.workloadConfig(opts.Seed))
+	wc := cfg.workloadConfig(opts.Seed)
+	stream, err := workload.NewStream(wc)
 	if err != nil {
 		return OpenPoint{}, err
 	}
@@ -361,11 +360,7 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 	if cfg.Base.TotalHosts() > 1000 {
 		// The long steady-state horizon would drown in O(world)
 		// host-list replies that no measurement consumes.
-		nMax := cfg.NMax
-		if nMax <= 0 {
-			nMax = 32
-		}
-		o.membershipDiet(nMax * cfg.R)
+		o.membershipDiet(wc.Normalized().NMax * cfg.R)
 	}
 	if cfg.Duration >= 24*time.Hour {
 		// Long-horizon diet: at the paper's 20s frontal cadence a week of
@@ -399,19 +394,10 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 	// the stream's length is unknown up front — so every point gets the
 	// 64-job drain allowance on top of its duration.
 	budget := int(cfg.Duration/time.Second) + runJobsBudget(64)
-	var churnDriver *churn.Driver
-	if cfg.MTBF > 0 {
-		churnDriver = w.StartChurn(churn.Config{
-			Seed:         openChurnSeed(opts.Seed, cfg.MTBF, cfg.MTTR),
-			MTBF:         cfg.MTBF,
-			MTTR:         cfg.MTTR,
-			UpDist:       cfg.Dist,
-			DownDist:     cfg.Dist,
-			WeibullShape: cfg.WeibullShape,
-			SiteMTBF:     cfg.SiteMTBF,
-			SiteMTTR:     cfg.SiteMTTR,
-			Horizon:      time.Duration(budget) * time.Second,
-		})
+	var churnDriver *faults.Driver
+	if fc := cfg.Faults; fc.MTBF > 0 {
+		fc.Seed, fc.Horizon = openChurnSeed(opts.Seed, fc.MTBF, fc.MTTR), time.Duration(budget)*time.Second
+		churnDriver = w.StartChurn(fc)
 	}
 
 	sc := sched.New(w.S, w.Frontal, w.HostSlots(), sched.Config{
@@ -433,12 +419,10 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 		pending  = make(map[int]workload.Submission)
 		enqueued int
 	)
-	durMax := cfg.DurMax
-	if durMax <= 0 {
-		durMax = 1800 // the workload default
-	}
-	timeout := time.Duration(3*durMax)*time.Second + 2*time.Minute
-	drv := workload.NewStreamDriver(w.S, stream.Next, func(sub workload.Submission) {
+	// Every attempt is bounded by three of the longest service times the
+	// generator can draw, plus two minutes.
+	timeout := time.Duration(3*wc.Normalized().DurMax)*time.Second + 2*time.Minute
+	drv := workload.NewDriver(w.S, stream.Next, func(sub workload.Submission) {
 		spec := mpd.JobSpec{
 			Program:        "spin",
 			Args:           []string{fmt.Sprintf("%g", sub.Seconds)},
@@ -546,7 +530,7 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 		return struct{}{}, nil
 	})
 	drvStats := drv.Stop()
-	var injected churn.Stats
+	var injected faults.Stats
 	if churnDriver != nil {
 		injected = churnDriver.Stop()
 	}

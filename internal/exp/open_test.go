@@ -121,6 +121,28 @@ func TestOpenWarmupSemantics(t *testing.T) {
 	}
 }
 
+// TestOpenLongJobsOutliveTheDefaultDurMax: with DurMin above the
+// workload's 1800 s DurMax default and DurMax unset, the generator
+// raises DurMax to DurMin, so every job spins 6000 s. Each attempt's
+// timeout must follow the bound the generator draws from — a copy of
+// the 1800 s default timed every such job out.
+func TestOpenLongJobsOutliveTheDefaultDurMax(t *testing.T) {
+	cfg := OpenConfig{
+		Base:     goldenBase(t),
+		Arrival:  workload.ArrivalSpec{Kind: workload.ArrivalPoisson, Rate: 0.005},
+		Duration: 10 * time.Minute,
+		DurMin:   6000,
+		NMin:     2, NMax: 4,
+	}
+	pt, err := RunOpen(DefaultOptions(42), cfg, core.Spread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt.Completed == 0 || pt.Failed != 0 {
+		t.Fatalf("%d of %d jobs completed, %d failed; want all to complete", pt.Completed, pt.Measured, pt.Failed)
+	}
+}
+
 // TestOpenSketchVsExact holds the streaming path to the acceptance
 // bound: queue-wait P50/P90/P99 from the t-digest must sit within 1%
 // relative error of the exact order statistics of the same run
@@ -180,8 +202,8 @@ func TestOpenChurnShardRace(t *testing.T) {
 	cfg.Duration = 40 * time.Minute
 	cfg.R = 2
 	cfg.Workers = 2
-	cfg.MTBF = 90 * time.Second
-	cfg.MTTR = 45 * time.Second
+	cfg.Faults.MTBF = 90 * time.Second
+	cfg.Faults.MTTR = 45 * time.Second
 	cfg.Detect = 5 * time.Second
 
 	run := func(shards int) (string, []string) {
@@ -322,8 +344,8 @@ func TestOpenPreemptChurnShardRace(t *testing.T) {
 	// Mild churn: heavy churn makes jobs fail on missing peers before
 	// the ledger ever saturates, and preemption only triggers on
 	// saturation. ~10% of hosts down keeps the world tight but placeable.
-	cfg.MTBF = 20 * time.Minute
-	cfg.MTTR = 2 * time.Minute
+	cfg.Faults.MTBF = 20 * time.Minute
+	cfg.Faults.MTTR = 2 * time.Minute
 	cfg.Detect = 5 * time.Second
 
 	run := func(shards int) (string, []string, OpenPoint) {

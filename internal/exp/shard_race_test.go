@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"p2pmpi/internal/churn"
 	"p2pmpi/internal/core"
+	"p2pmpi/internal/faults"
 	"p2pmpi/internal/grid"
 	"p2pmpi/internal/mpd"
 	"p2pmpi/internal/sched"
@@ -15,7 +15,7 @@ import (
 // TestShardChurnBarrierRace exercises the sharded barrier path under
 // maximum contention for the race detector: a federated world (4
 // supernodes on dedicated hosts) split over 3 shard event loops, with
-// the churn engine killing hosts — compute hosts and supernode hosts
+// host churn killing hosts — compute hosts and supernode hosts
 // alike — at window barriers while jobs run. MTBF well below the run
 // horizon makes nearly every host (and with it at least one supernode
 // host) cycle down and up mid-run, so the test drives the cross-shard
@@ -34,7 +34,7 @@ func TestShardChurnBarrierRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(shards int) (sched.Stats, churn.Stats, []string) {
+	run := func(shards int) (sched.Stats, faults.Stats, []string) {
 		o := DefaultOptions(99)
 		o.Topology = spec
 		o.Supernodes = 4
@@ -45,7 +45,7 @@ func TestShardChurnBarrierRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		budget := runJobsBudget(4)
-		driver := w.StartChurn(churn.Config{
+		driver := w.StartChurn(faults.Config{
 			Seed:    churnSeed(99, 60*time.Second, 2),
 			MTBF:    60 * time.Second,
 			MTTR:    30 * time.Second,

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"p2pmpi/internal/churn"
 	"p2pmpi/internal/core"
 	"p2pmpi/internal/faults"
 	"p2pmpi/internal/grid"
@@ -226,7 +225,7 @@ func TestWorldIsAlwaysADomain(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := w.S.Actors()
-		cd := w.StartChurn(churn.Config{Seed: 1, MTBF: time.Minute, MTTR: 10 * time.Second, Horizon: time.Minute})
+		cd := w.StartChurn(faults.Config{Seed: 1, MTBF: time.Minute, MTTR: 10 * time.Second, Horizon: time.Minute})
 		fd, _ := w.StartFaults(faults.Config{Seed: 1, PartMTBF: 10 * time.Second, PartMTTR: 5 * time.Second, Horizon: time.Minute})
 		if got := w.S.Actors(); got != before {
 			t.Fatalf("Shards=%d: %d actors before StartChurn+StartFaults, %d after", shards, before, got)

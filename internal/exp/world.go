@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"p2pmpi/internal/churn"
 	"p2pmpi/internal/faults"
 	"p2pmpi/internal/grid"
 	"p2pmpi/internal/latency"
@@ -522,44 +521,63 @@ func (w *World) Boot() error {
 	return nil
 }
 
-// StartChurn wires a seeded fault-injection driver into the world and
-// starts it: a failing host is dropped by the simulated network and its
-// MPD crashes (hosted jobs die unreported, reservations are released as
-// failures — not conflicts); a reviving host regains its links and
-// re-registers with the supernode. The frontal host (submitter and
-// supernode) is exempt: the paper's observer survives, like the
-// Grid'5000 frontends. The trace replays as global events of w.D: the
-// hooks fail hosts and crash daemons across shards, which is only
-// race-free with every shard parked at the transition's exact virtual
-// time. Call Stop on the returned driver to halt injection and read the
-// injected totals.
-func (w *World) StartChurn(cfg churn.Config) *churn.Driver {
+// StartChurn replays the host-crash part of cfg (see
+// faults.Config.Crashes) on the world and starts it: a failing host is
+// dropped by the simulated network and its MPD crashes (hosted jobs die
+// unreported, reservations are released as failures — not conflicts);
+// a reviving host regains its links and re-registers with the
+// supernode. It leaves the network's constant knobs alone, so it
+// composes with a StartFaults on the same world. Call Stop on the
+// returned driver to halt injection and read the injected totals.
+func (w *World) StartChurn(cfg faults.Config) *faults.Driver {
+	d, _ := w.inject(cfg.Crashes())
+	return d
+}
+
+// StartFaults replays the whole fault model on the world and starts
+// it: site-pair cuts (including federation-splitting bisections)
+// toggle simnet link cuts, gray episodes degrade the host's links,
+// crashes take hosts down as under StartChurn, and the constant knobs —
+// uniform loss, latency inflation, bounded duplication — apply for the
+// whole run. The returned HealWatch measures split-brain windows and,
+// on federated worlds, the anti-entropy healing latency after each
+// spell.
+func (w *World) StartFaults(cfg faults.Config) (*faults.Driver, *HealWatch) {
+	cfg = cfg.Normalized()
+	// Constant degradation applies up front, before any traffic flows:
+	// the predicates gating the per-frame draws must be window-constant
+	// (see simnet/faults.go), and "constant over the run" trivially is.
+	w.Net.SetLinkFault(cfg.Loss, cfg.LatMult)
+	if cfg.DupProb > 0 {
+		w.Net.SetDuplication(cfg.DupProb, cfg.DupDelay)
+	}
+	return w.inject(cfg)
+}
+
+// inject builds cfg's timeline over the world's fault-prone hosts and
+// replays it as global events of w.D: the hooks cut links, fail hosts
+// and crash daemons across shards, which is only race-free with every
+// shard parked at the transition's exact virtual time — and fault state
+// that only changes at a barrier keeps the trajectory byte-identical at
+// every shard count.
+func (w *World) inject(cfg faults.Config) (*faults.Driver, *HealWatch) {
+	hosts, siteOf := w.faultHosts()
 	byID := make(map[string]*mpd.MPD, len(w.Peers))
-	hosts := make([]string, 0, len(w.Grid.Hosts)+len(w.snHosts))
 	for i, h := range w.Grid.Hosts {
-		hosts = append(hosts, h.ID)
 		byID[h.ID] = w.Peers[i]
 	}
-	// A federation's dedicated supernode hosts churn too: killing a
-	// shard forces its peers through the cross-shard failover path and
-	// the revival through anti-entropy healing. (The single supernode of
-	// a K=1 world rides on the exempt frontal, the paper's surviving
-	// observer.) Each host's renewal trace is independently seeded, so
-	// adding the supernode hosts does not move any compute host's
-	// failure timeline.
-	snSites := make(map[string]string, len(w.snHosts))
-	for _, sh := range w.snHosts {
-		hosts = append(hosts, sh.id)
-		snSites[sh.id] = sh.site
-	}
-	siteOf := func(id string) string {
-		if h := w.Grid.HostByID(id); h != nil {
-			return h.Site
-		}
-		return snSites[id]
-	}
-	tr := churn.Trace(hosts, siteOf, cfg)
-	d := churn.NewDriver(w.D, tr, churn.Hooks{
+	hw := &HealWatch{w: w}
+	d := faults.NewDriver(w.D, faults.Trace(w.Grid.SiteOrder, hosts, siteOf, cfg), faults.Hooks{
+		Partition: func(a, b string, on bool) {
+			w.Net.SetCut(a, b, on)
+			if on {
+				hw.onSplit()
+			}
+		},
+		Gray: func(host string, on bool) {
+			w.Net.SetGray(host, cfg.GrayDrop, cfg.GraySlow, on)
+		},
+		Healed: hw.onHealed,
 		Down: func(id string) {
 			w.Net.FailHost(id)
 			if p := byID[id]; p != nil {
@@ -575,55 +593,34 @@ func (w *World) StartChurn(cfg churn.Config) *churn.Driver {
 	})
 	d.SetHostCount(len(hosts)) // normalize DownFraction over the platform
 	d.Start()
-	return d
+	return d, hw
 }
 
-// StartFaults wires a seeded network-nemesis trace into the world and
-// starts it, mirroring StartChurn: site-pair cuts (including
-// federation-splitting bisections) toggle simnet link cuts, gray
-// episodes degrade the host's links, and the constant knobs — uniform
-// loss, latency inflation, bounded duplication — apply for the whole
-// run. The trace replays as global events of w.D, so fault state only
-// changes at a barrier with every shard parked, and the trajectory is
-// byte-identical at every shard count.
-// The returned HealWatch measures split-brain windows and, on
-// federated worlds, the anti-entropy healing latency after each spell.
-func (w *World) StartFaults(cfg faults.Config) (*faults.Driver, *HealWatch) {
-	cfg = cfg.Normalized()
-	// Constant degradation applies up front, before any traffic flows:
-	// the predicates gating the per-frame draws must be window-constant
-	// (see simnet/faults.go), and "constant over the run" trivially is.
-	w.Net.SetLinkFault(cfg.Loss, cfg.LatMult)
-	if cfg.DupProb > 0 {
-		w.Net.SetDuplication(cfg.DupProb, cfg.DupDelay)
-	}
-	sites := append([]string(nil), w.Grid.SiteOrder...)
-	// Gray episodes can strike compute hosts and the federation's
-	// dedicated supernode hosts (a gray membership shard is what the
-	// breaker and failover rotation are for); the frontal — the paper's
-	// surviving observer — is exempt, like under churn.
+// faultHosts lists the hosts faults can strike — every compute host,
+// then the federation's dedicated supernode hosts — with their sites.
+// Killing or graying a supernode shard forces its peers through the
+// cross-shard failover path and the breaker, and a revival through
+// anti-entropy healing. (The single supernode of a K=1 world rides on
+// the frontal, the paper's surviving observer, which — like the
+// Grid'5000 frontends — is exempt.) Each host's processes are seeded
+// per host, so adding the supernode hosts moves no compute host's
+// timeline.
+func (w *World) faultHosts() ([]string, func(string) string) {
 	hosts := make([]string, 0, len(w.Grid.Hosts)+len(w.snHosts))
 	for _, h := range w.Grid.Hosts {
 		hosts = append(hosts, h.ID)
 	}
+	snSites := make(map[string]string, len(w.snHosts))
 	for _, sh := range w.snHosts {
 		hosts = append(hosts, sh.id)
+		snSites[sh.id] = sh.site
 	}
-	hw := &HealWatch{w: w}
-	d := faults.NewDriver(w.D, faults.Trace(sites, hosts, cfg), faults.Hooks{
-		Partition: func(a, b string, on bool) {
-			w.Net.SetCut(a, b, on)
-			if on {
-				hw.onSplit()
-			}
-		},
-		Gray: func(host string, on bool) {
-			w.Net.SetGray(host, cfg.GrayDrop, cfg.GraySlow, on)
-		},
-		Healed: hw.onHealed,
-	})
-	d.Start()
-	return d, hw
+	return hosts, func(id string) string {
+		if h := w.Grid.HostByID(id); h != nil {
+			return h.Site
+		}
+		return snSites[id]
+	}
 }
 
 // HealStats summarises partition tolerance over one injection run.

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"p2pmpi/internal/churn"
 	"p2pmpi/internal/core"
 	"p2pmpi/internal/faults"
 	"p2pmpi/internal/grid"
@@ -212,7 +211,7 @@ func TestSteadyStateSpawnsNothing(t *testing.T) {
 		PartMTBF: 90 * time.Second, PartMTTR: 40 * time.Second, Split: true,
 		Horizon: window,
 	})
-	w.StartChurn(churn.Config{Seed: 6, MTBF: 10 * time.Minute, MTTR: time.Minute, Horizon: window})
+	w.StartChurn(faults.Config{Seed: 6, MTBF: 10 * time.Minute, MTTR: time.Minute, Horizon: window})
 	w.RunFor(window)
 	if n := w.S.Spawned() - before; n != 0 {
 		t.Fatalf("%d actors spawned in a steady state with no jobs, want none", n)

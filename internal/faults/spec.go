@@ -8,9 +8,11 @@ import (
 	"time"
 )
 
-// Config describes a network-fault model. The zero value injects
-// nothing. Build it directly or parse the -faults command-line syntax
-// with ParseFaultSpec:
+// Config describes a fault model: host crashes and site outages, and
+// the network's partitions, degradation, gray hosts and duplication.
+// The zero value injects nothing. Build it directly or parse the
+// network part from the -faults command-line syntax with
+// ParseFaultSpec:
 //
 //	part:mtbf=10m,mttr=1m,split=1
 //	link:loss=0.3,mult=2
@@ -24,6 +26,19 @@ type Config struct {
 	// (Seed, site set, host set, Config): the same inputs always replay
 	// the same faults. Not part of the spec string.
 	Seed int64
+
+	// MTBF is the mean uptime between failures of one host; 0 disables
+	// host crashes. MTTR is the mean repair time (default MTBF/10).
+	// UpDist and DownDist select the lifetime families (default
+	// exponential); WeibullShape is the shape of any Weibull family
+	// (default 0.7, heavy-tailed). SiteMTBF and SiteMTTR enable
+	// correlated whole-site outages — every host of the struck site goes
+	// down together (switch or power-domain failure); SiteMTTR defaults
+	// to SiteMTBF/20. None of these is part of the spec string.
+	MTBF, MTTR         time.Duration
+	UpDist, DownDist   DistKind
+	WeibullShape       float64
+	SiteMTBF, SiteMTTR time.Duration
 
 	// PartMTBF is the mean healthy time between partition episodes; 0
 	// disables partitions. PartMTTR is the mean episode duration
@@ -67,6 +82,17 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.MTBF > 0 && c.MTTR <= 0 {
+		if c.MTTR = c.MTBF / 10; c.MTTR <= 0 {
+			c.MTTR = time.Minute
+		}
+	}
+	if c.WeibullShape <= 0 && (c.UpDist == DistWeibull || c.DownDist == DistWeibull) {
+		c.WeibullShape = 0.7
+	}
+	if c.SiteMTBF > 0 && c.SiteMTTR <= 0 {
+		c.SiteMTTR = c.SiteMTBF / 20
+	}
 	if c.PartMTBF > 0 && c.PartMTTR <= 0 {
 		c.PartMTTR = c.PartMTBF / 10
 	}
@@ -96,10 +122,18 @@ func (c Config) withDefaults() Config {
 // MTTRs) should normalize first.
 func (c Config) Normalized() Config { return c.withDefaults() }
 
+// Crashes returns the host-crash part of the model alone, with the
+// network knobs zeroed: the form a crash-only driver replays.
+func (c Config) Crashes() Config {
+	return Config{Seed: c.Seed, MTBF: c.MTBF, MTTR: c.MTTR, UpDist: c.UpDist, DownDist: c.DownDist,
+		WeibullShape: c.WeibullShape, SiteMTBF: c.SiteMTBF, SiteMTTR: c.SiteMTTR,
+		Warmup: c.Warmup, Horizon: c.Horizon}
+}
+
 // Enabled reports whether the model injects anything at all.
 func (c Config) Enabled() bool {
 	c = c.withDefaults()
-	return c.PartMTBF > 0 || c.Loss > 0 || c.LatMult > 1 ||
+	return c.MTBF > 0 || c.SiteMTBF > 0 || c.PartMTBF > 0 || c.Loss > 0 || c.LatMult > 1 ||
 		(c.GrayFrac > 0 && c.GrayMTBF > 0) || c.DupProb > 0
 }
 
@@ -120,7 +154,7 @@ func (c Config) Validate() error {
 		}
 	}
 	// Probability 1 on a drop knob would sever every data path forever;
-	// total outages are what partitions and churn are for.
+	// total outages are what partitions and host crashes are for.
 	if c.Loss >= 1 {
 		return fmt.Errorf("faults: link loss must be below 1, got %g", c.Loss)
 	}
@@ -140,7 +174,8 @@ func (c Config) Validate() error {
 
 // String renders the model in the exact syntax ParseFaultSpec accepts
 // (round-trip property: ParseFaultSpec(c.String()) ≡ c.withDefaults(),
-// ignoring Seed/Warmup/Horizon, which are not spec fields).
+// ignoring Seed/Warmup/Horizon and the crash model, which are not spec
+// fields).
 func (c Config) String() string {
 	c = c.withDefaults()
 	var clauses []string

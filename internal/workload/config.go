@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -34,12 +32,11 @@ type Submission struct {
 	Deadline time.Duration
 }
 
-// Config describes an open-system workload. Traces are a pure function
-// of the Config: the same Config always generates the same trace, and
-// the per-tenant generators are independently seeded, so the trace is
-// byte-identical however tenant streams are generated or merged (the
-// order-independence property test in trace_test.go holds Trace to
-// this).
+// Config describes an open-system workload. Its timeline is a pure
+// function of the Config: the same Config always generates the same
+// submissions, and the per-tenant generators are independently seeded,
+// so the timeline is byte-identical however tenant streams are
+// generated or merged.
 type Config struct {
 	// Seed drives every draw, fanned out per tenant.
 	Seed int64
@@ -112,6 +109,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Normalized returns the config with defaults applied — the bounds the
+// generator actually draws from (an unset DurMax, say, becomes 1800 s
+// or DurMin, whichever is larger).
+func (c Config) Normalized() Config { return c.withDefaults() }
+
 // Validate reports whether the config can generate a trace.
 func (c Config) Validate() error {
 	if err := c.Arrival.Validate(); err != nil {
@@ -125,8 +127,8 @@ func (c Config) Validate() error {
 
 // subSeed derives a per-tenant RNG seed from the master seed and a
 // stable label, so every tenant's arrival stream is independent of the
-// order streams are generated in — the same construction churn uses
-// per host.
+// order streams are generated in — the same construction the fault
+// model uses per host.
 func subSeed(seed int64, label string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(label))
@@ -176,84 +178,4 @@ func boundedPareto(u, alpha, lo, hi float64) float64 {
 	}
 	la, ha := math.Pow(lo, -alpha), math.Pow(hi, -alpha)
 	return math.Pow(la-u*(la-ha), -1/alpha)
-}
-
-// TenantTrace generates tenant i's submission stream: a thinned
-// nonhomogeneous Poisson process at the tenant's rate share, with
-// bounded-Pareto sizes and durations drawn from the tenant's own
-// seeded stream. The result is sorted by At and independent of every
-// other tenant. Seq fields are zero — the cross-tenant merge assigns
-// them.
-func TenantTrace(cfg Config, i int) []Submission {
-	c := cfg.withDefaults()
-	w := tenantWeight(c, i)
-	envelope := c.Arrival.MaxRate() * w
-	if envelope <= 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(subSeed(c.Seed, fmt.Sprintf("tenant:%d", i))))
-	pri := TenantPriority(c, i)
-	var out []Submission
-	var t time.Duration
-	for {
-		// Exponential envelope step (thinning): 1−U ∈ (0, 1].
-		dt := -math.Log(1-rng.Float64()) / envelope
-		t += time.Duration(dt * float64(time.Second))
-		if t >= c.Horizon || t < 0 {
-			break
-		}
-		// Accept with prob rate(t)/envelope-rate; the rejected draws
-		// still consume one uniform so the stream stays aligned.
-		if rng.Float64()*c.Arrival.MaxRate() > c.Arrival.RateAt(t) {
-			continue
-		}
-		n := int(math.Round(boundedPareto(rng.Float64(), nAlpha, float64(c.NMin), float64(c.NMax))))
-		if n < c.NMin {
-			n = c.NMin
-		}
-		if n > c.NMax {
-			n = c.NMax
-		}
-		secs := boundedPareto(rng.Float64(), durAlpha, c.DurMin, c.DurMax)
-		sub := Submission{At: t, Tenant: i, Priority: pri, N: n, Seconds: secs}
-		if f := deadlineFactor(c, pri); f > 0 {
-			sub.Deadline = t + time.Duration(f*secs*float64(time.Second))
-		}
-		out = append(out, sub)
-		if c.MaxSubmissions > 0 && len(out) >= c.MaxSubmissions {
-			break
-		}
-	}
-	return out
-}
-
-// Trace expands the workload into the full submission timeline: every
-// tenant's stream, merged and sorted by (At, Tenant), Seq assigned in
-// timeline order, truncated to MaxSubmissions. Deterministic in cfg
-// alone, and order-independent: generating the tenant streams in any
-// order (or in parallel) yields a byte-identical trace, because each
-// stream is a pure function of (Seed, tenant index) and the merge key
-// is total.
-func Trace(cfg Config) ([]Submission, error) {
-	c := cfg.withDefaults()
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	var out []Submission
-	for i := 0; i < c.Tenants; i++ {
-		out = append(out, TenantTrace(cfg, i)...)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].At != out[b].At {
-			return out[a].At < out[b].At
-		}
-		return out[a].Tenant < out[b].Tenant
-	})
-	if c.MaxSubmissions > 0 && len(out) > c.MaxSubmissions {
-		out = out[:c.MaxSubmissions]
-	}
-	for i := range out {
-		out[i].Seq = i
-	}
-	return out, nil
 }

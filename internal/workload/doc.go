@@ -1,19 +1,20 @@
-// Package workload generates open-system submission traces: seeded
-// arrival processes (homogeneous Poisson, piecewise diurnal rate
-// curves with maintenance-window blackouts) over multi-tenant user
+// Package workload generates open-system submission timelines: seeded
+// arrival processes (homogeneous Poisson, piecewise diurnal and weekly
+// rate curves with maintenance-window blackouts) over multi-tenant user
 // populations with Zipf rate shares and stratified priorities, with
 // bounded-Pareto job widths and service durations — the empirical
 // shapes of the Grid'5000 "year in the life" platform report, replayed
 // against the co-allocation middleware instead of the paper's closed
 // K-job batches.
 //
-// The contract mirrors internal/churn: Trace expands a Config into a
-// deterministic, order-independent submission timeline (each tenant's
-// stream is a pure function of (Seed, tenant index); the cross-tenant
-// merge key is total), and Driver replays it on a vtime.Runtime,
-// handing each Submission to a non-blocking hook at its exact virtual
-// arrival time. Traces therefore compose with churn injection and with
-// the sharded vtime.Domain engine, and replay byte-identically at any
+// Stream is the only generator: it pulls each tenant's seeded stream
+// lazily and merges them on a total key, so the timeline is a pure
+// function of the Config (each tenant's stream depends on (Seed, tenant
+// index) alone) and costs O(tenants) memory at any horizon. Driver
+// replays a Stream on a vtime.Runtime as a timer chain, handing each
+// Submission to a non-blocking hook at its exact virtual arrival time.
+// Replays therefore compose with fault injection and with the sharded
+// vtime.Domain engine, and are byte-identical at any
 // -workers/-shards/-sn setting — the open-family golden tests rest on
 // this.
 //

@@ -16,14 +16,12 @@ type Stats struct {
 	Observed time.Duration
 }
 
-// Driver replays a submission trace against a vtime.Runtime as a chain
-// of timer events: each event hands the Submissions due at its instant
-// to the hook, in timeline order, and queues the next event at the
-// following arrival. The hook runs in that event, outside any actor, and
-// must not block — hand the submission to a scheduler queue
-// (sched.Scheduler.Enqueue never blocks) and return. The same shape as
-// churn.Driver, so open workloads and fault injection compose on one
-// world.
+// Driver replays a submission timeline against a vtime.Runtime as a
+// chain of timer events: each event hands the Submissions due at its
+// instant to the hook, in timeline order, and queues the next event at
+// the following arrival. The hook runs in that event, outside any
+// actor, and must not block — hand the submission to a scheduler queue
+// (sched.Scheduler.Enqueue never blocks) and return.
 type Driver struct {
 	rt     vtime.Runtime
 	next   func() (Submission, bool)
@@ -37,25 +35,12 @@ type Driver struct {
 	stats   Stats
 }
 
-// NewDriver builds a driver over a precomputed trace (see Trace).
-func NewDriver(rt vtime.Runtime, trace []Submission, submit func(Submission)) *Driver {
-	i := 0
-	return NewStreamDriver(rt, func() (Submission, bool) {
-		if i >= len(trace) {
-			return Submission{}, false
-		}
-		sub := trace[i]
-		i++
-		return sub, true
-	}, submit)
-}
-
-// NewStreamDriver builds a driver over a pull source instead of a
-// materialized trace: next is called once per submission, from the
-// replay's events only, and must return timeline-ordered submissions
-// until it reports false. Pair it with workload.Stream for long-horizon
-// replays whose full trace would not fit in memory.
-func NewStreamDriver(rt vtime.Runtime, next func() (Submission, bool), submit func(Submission)) *Driver {
+// NewDriver builds a driver over a pull source: next is called once
+// per submission, from the replay's events only, and must return
+// timeline-ordered submissions until it reports false. Stream.Next is
+// the source, so even a week-long multi-million-submission replay holds
+// O(tenants) generator state, never the trace.
+func NewDriver(rt vtime.Runtime, next func() (Submission, bool), submit func(Submission)) *Driver {
 	return &Driver{rt: rt, next: next, submit: submit}
 }
 
@@ -102,8 +87,8 @@ func (d *Driver) replay(sub Submission, ok bool) {
 	d.mu.Unlock()
 }
 
-// Drained reports whether the replay delivered the whole trace (or was
-// stopped): polled by harness pump loops; never blocks.
+// Drained reports whether the replay delivered the whole timeline (or
+// was stopped): polled by harness pump loops; never blocks.
 func (d *Driver) Drained() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()

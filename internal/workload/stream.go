@@ -8,9 +8,11 @@ import (
 	"time"
 )
 
-// tenantGen is the lazy form of TenantTrace: the same seeded draw
-// sequence (envelope-exp, accept-uniform, N, duration) emitted one
-// submission at a time instead of materialized as a slice.
+// tenantGen is one tenant's submission stream: a thinned
+// nonhomogeneous Poisson process at the tenant's rate share, with
+// bounded-Pareto sizes and durations, drawn from the tenant's own
+// seeded source (envelope-exp, accept-uniform, N, duration per
+// submission) and emitted one submission at a time.
 type tenantGen struct {
 	cfg      Config // defaults applied
 	tenant   int
@@ -34,8 +36,8 @@ func newTenantGen(c Config, i int) *tenantGen {
 }
 
 // next returns the tenant's next submission (Seq unassigned), or false
-// when the stream is exhausted. Draw-for-draw identical to TenantTrace,
-// including the per-tenant MaxSubmissions cut.
+// when the stream is exhausted. A tenant stops after MaxSubmissions of
+// its own, so the merged stream's global cut never waits on it.
 func (g *tenantGen) next() (Submission, bool) {
 	if g.done {
 		return Submission{}, false
@@ -90,15 +92,14 @@ func (h streamHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *streamHeap) Push(x any)   { *h = append(*h, x.(streamHead)) }
 func (h *streamHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// Stream produces the exact submission timeline Trace would return —
-// same merge order, same Seq numbering, same MaxSubmissions truncation
-// — in O(tenants) memory instead of O(trace length). It is the replay
-// path for week-long multi-million-submission horizons, where the
-// materialized trace alone would dwarf the simulated world.
-//
-// The equivalence is structural: each tenant generator is draw-for-draw
-// the TenantTrace loop, and the k-way merge uses Trace's total sort key
-// (At, Tenant). The property test in stream_test.go holds the two to
+// Stream is the open workload's submission timeline: every tenant's
+// stream, merged by (At, Tenant), Seq assigned in timeline order,
+// truncated to MaxSubmissions. It holds O(tenants) generator state
+// instead of the timeline, so week-long multi-million-submission
+// horizons replay in bounded memory. Because each tenant stream is a
+// pure function of (Seed, tenant index) and the merge key is total, the
+// timeline is deterministic in the Config alone; the reference oracle
+// in stream_test.go materializes it the slow way and holds Stream to
 // byte equality.
 type Stream struct {
 	heads streamHeap

@@ -1,6 +1,10 @@
 package workload
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -23,16 +27,86 @@ func streamConfigs() []Config {
 	}
 }
 
+// tenantTrace is tenant i's draw loop run to the end into a slice: a
+// thinned nonhomogeneous Poisson process at the tenant's rate share,
+// with bounded-Pareto sizes and durations. Seq fields are zero.
+func tenantTrace(c Config, i int) []Submission {
+	envelope := c.Arrival.MaxRate() * tenantWeight(c, i)
+	if envelope <= 0 {
+		return nil
+	}
+	rng := rand.New(rand.NewSource(subSeed(c.Seed, fmt.Sprintf("tenant:%d", i))))
+	pri := TenantPriority(c, i)
+	var out []Submission
+	for t := time.Duration(0); ; {
+		// Exponential envelope step (thinning): 1−U ∈ (0, 1].
+		t += time.Duration(-math.Log(1-rng.Float64()) / envelope * float64(time.Second))
+		if t >= c.Horizon || t < 0 {
+			return out
+		}
+		// Accept with prob rate(t)/envelope-rate; the rejected draws
+		// still consume one uniform so the stream stays aligned.
+		if rng.Float64()*c.Arrival.MaxRate() > c.Arrival.RateAt(t) {
+			continue
+		}
+		n := int(math.Round(boundedPareto(rng.Float64(), nAlpha, float64(c.NMin), float64(c.NMax))))
+		n = min(max(n, c.NMin), c.NMax)
+		secs := boundedPareto(rng.Float64(), durAlpha, c.DurMin, c.DurMax)
+		sub := Submission{At: t, Tenant: i, Priority: pri, N: n, Seconds: secs}
+		if f := deadlineFactor(c, pri); f > 0 {
+			sub.Deadline = t + time.Duration(f*secs*float64(time.Second))
+		}
+		if out = append(out, sub); c.MaxSubmissions > 0 && len(out) >= c.MaxSubmissions {
+			return out
+		}
+	}
+}
+
+// referenceTrace is the oracle Stream is held to: cfg's timeline
+// materialized the slow way — every tenant's whole stream, merged by a
+// full sort on (At, Tenant), Seq assigned, truncated to MaxSubmissions.
+func referenceTrace(cfg Config) []Submission {
+	c := cfg.withDefaults()
+	var out []Submission
+	for i := 0; i < c.Tenants; i++ {
+		out = append(out, tenantTrace(c, i)...)
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].At != out[b].At {
+			return out[a].At < out[b].At
+		}
+		return out[a].Tenant < out[b].Tenant
+	})
+	if c.MaxSubmissions > 0 && len(out) > c.MaxSubmissions {
+		out = out[:c.MaxSubmissions]
+	}
+	for i := range out {
+		out[i].Seq = i
+	}
+	return out
+}
+
+// drain pulls cfg's Stream dry.
+func drain(t *testing.T, cfg Config) []Submission {
+	t.Helper()
+	s, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Submission
+	for sub, ok := s.Next(); ok; sub, ok = s.Next() {
+		out = append(out, sub)
+	}
+	return out
+}
+
 // TestStreamMatchesTrace is the structural-equivalence property the
-// streaming replay path rests on: pulling the lazy generator dry must
-// reproduce the materialized Trace byte for byte — same merge order,
+// replay path rests on: pulling the lazy generator dry must reproduce
+// the materialized reference timeline byte for byte — same merge order,
 // same Seq numbering, same deadline assignment, same truncation.
 func TestStreamMatchesTrace(t *testing.T) {
 	for ci, cfg := range streamConfigs() {
-		trace, err := Trace(cfg)
-		if err != nil {
-			t.Fatalf("config %d: %v", ci, err)
-		}
+		trace := referenceTrace(cfg)
 		s, err := NewStream(cfg)
 		if err != nil {
 			t.Fatalf("config %d: %v", ci, err)
@@ -132,16 +206,10 @@ func TestWeeklyParseRoundTrip(t *testing.T) {
 // class (last entry reused beyond the slice, empty slice = none).
 func TestDeadlines(t *testing.T) {
 	base := testConfig()
-	plain, err := Trace(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := drain(t, base)
 	cfg := base
 	cfg.DeadlineFactors = []float64{10, 5} // classes 2.. reuse 5
-	dl, err := Trace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dl := drain(t, cfg)
 	if len(dl) != len(plain) {
 		t.Fatalf("deadline factors changed the trace length: %d vs %d", len(dl), len(plain))
 	}
@@ -184,14 +252,14 @@ func TestDriverStopSubmitAtomic(t *testing.T) {
 		Tenants: 2,
 		Horizon: 10 * time.Minute,
 	}
-	trace, err := Trace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for cut := 0; cut < 20; cut++ {
 		s := vtime.New()
 		delivered := 0
-		d := NewDriver(s, trace, func(Submission) { delivered++ })
+		stream, err := NewStream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDriver(s, stream.Next, func(Submission) { delivered++ })
 		d.Start()
 		// Stop from a competing actor somewhere mid-replay.
 		stopAt := cfg.Horizon * time.Duration(cut) / 20
@@ -211,9 +279,9 @@ func TestDriverStopSubmitAtomic(t *testing.T) {
 	}
 }
 
-// TestStreamDriverReplay: the pull-based driver delivers a Stream's
-// submissions at their exact virtual arrival times, identical to the
-// materialized replay.
+// TestStreamDriverReplay: the driver delivers a Stream's submissions at
+// their exact virtual arrival times, identical to the reference
+// timeline.
 func TestStreamDriverReplay(t *testing.T) {
 	cfg := Config{
 		Seed:    3,
@@ -221,10 +289,7 @@ func TestStreamDriverReplay(t *testing.T) {
 		Tenants: 2,
 		Horizon: 5 * time.Minute,
 	}
-	trace, err := Trace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := referenceTrace(cfg)
 	stream, err := NewStream(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +299,7 @@ func TestStreamDriverReplay(t *testing.T) {
 	start := s.Now()
 	var got []Submission
 	var at []time.Duration
-	d := NewStreamDriver(s, stream.Next, func(sub Submission) {
+	d := NewDriver(s, stream.Next, func(sub Submission) {
 		got = append(got, sub)
 		at = append(at, s.Now().Sub(start))
 	})

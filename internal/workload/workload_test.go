@@ -34,14 +34,7 @@ func testConfig() Config {
 
 // TestTraceDeterministic: same config, same bytes.
 func TestTraceDeterministic(t *testing.T) {
-	a, err := Trace(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Trace(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := drain(t, testConfig()), drain(t, testConfig())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two generations of the same config differ")
 	}
@@ -59,16 +52,14 @@ func TestTraceDeterministic(t *testing.T) {
 }
 
 // TestTraceOrderIndependent is the property the golden open-family
-// tests rest on: the merged trace is byte-identical regardless of the
-// order (or concurrency) in which tenant streams are generated.
+// tests rest on: the merged timeline is byte-identical regardless of
+// the order (or concurrency) in which tenant streams are generated.
 // Tenant streams are generated in a random permutation — concurrently —
-// merged manually with the same total key, and compared against Trace.
+// merged manually with the same total key, and compared against the
+// Stream.
 func TestTraceOrderIndependent(t *testing.T) {
 	cfg := testConfig()
-	want, err := Trace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := drain(t, cfg)
 	perm := rand.New(rand.NewSource(1)).Perm(cfg.Tenants)
 	parts := make([][]Submission, cfg.Tenants)
 	var wg sync.WaitGroup
@@ -77,7 +68,7 @@ func TestTraceOrderIndependent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			parts[i] = TenantTrace(cfg, i)
+			parts[i] = tenantTrace(cfg.withDefaults(), i)
 		}()
 	}
 	wg.Wait()
@@ -104,10 +95,7 @@ func TestTraceOrderIndependent(t *testing.T) {
 // dominate under skew, and maintenance windows are empty.
 func TestTraceShapes(t *testing.T) {
 	cfg := testConfig()
-	trace, err := Trace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := drain(t, cfg)
 	c := cfg.withDefaults()
 	byTenant := make([]int, cfg.Tenants)
 	for _, s := range trace {
@@ -144,20 +132,14 @@ func TestPoissonRate(t *testing.T) {
 		Arrival: ArrivalSpec{Kind: ArrivalPoisson, Rate: 0.5},
 		Horizon: 10 * time.Hour,
 	}
-	trace, err := Trace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := drain(t, cfg)
 	want := 0.5 * cfg.Horizon.Seconds()
 	if got := float64(len(trace)); math.Abs(got-want) > 4*math.Sqrt(want) {
 		t.Fatalf("poisson rate 0.5/s over %v: %v submissions, want ≈%v", cfg.Horizon, got, want)
 	}
 
 	dCfg := Config{Seed: 7, Arrival: diurnalSpec(), Horizon: 12 * time.Hour}
-	dTrace, err := Trace(dCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dTrace := drain(t, dCfg)
 	spec := diurnalSpec()
 	var peakN, troughN int
 	for _, s := range dTrace {
@@ -174,30 +156,32 @@ func TestPoissonRate(t *testing.T) {
 	}
 }
 
-// TestDriverReplay: the driver fires every submission at its exact
-// virtual time, in order.
+// TestDriverReplay: the driver fires every submission of any pull
+// source at its exact virtual time, in order — submissions sharing an
+// instant in one event.
 func TestDriverReplay(t *testing.T) {
-	cfg := Config{
-		Seed:    3,
-		Arrival: ArrivalSpec{Kind: ArrivalPoisson, Rate: 1},
-		Tenants: 2,
-		Horizon: 5 * time.Minute,
+	trace := []Submission{
+		{At: 0, Seq: 0}, {At: 3 * time.Second, Seq: 1}, {At: 3 * time.Second, Seq: 2, Tenant: 1},
+		{At: 90 * time.Second, Seq: 3}, {At: 4 * time.Minute, Seq: 4},
 	}
-	trace, err := Trace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	next := 0
 	s := vtime.New()
 	defer s.Shutdown()
 	start := s.Now()
 	var got []Submission
 	var at []time.Duration
-	d := NewDriver(s, trace, func(sub Submission) {
+	d := NewDriver(s, func() (Submission, bool) {
+		if next == len(trace) {
+			return Submission{}, false
+		}
+		next++
+		return trace[next-1], true
+	}, func(sub Submission) {
 		got = append(got, sub)
 		at = append(at, s.Now().Sub(start))
 	})
 	d.Start()
-	s.RunFor(cfg.Horizon + time.Minute)
+	s.RunFor(5 * time.Minute)
 	if !d.Drained() {
 		t.Fatal("driver did not drain")
 	}
@@ -299,15 +283,9 @@ func TestRateAtEnvelope(t *testing.T) {
 // timeline.
 func TestTraceCap(t *testing.T) {
 	cfg := testConfig()
-	full, err := Trace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := drain(t, cfg)
 	cfg.MaxSubmissions = 50
-	capped, err := Trace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	capped := drain(t, cfg)
 	if len(capped) != 50 {
 		t.Fatalf("capped trace has %d submissions", len(capped))
 	}

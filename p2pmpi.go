@@ -30,7 +30,6 @@ package p2pmpi
 import (
 	"time"
 
-	"p2pmpi/internal/churn"
 	"p2pmpi/internal/core"
 	"p2pmpi/internal/exp"
 	"p2pmpi/internal/grid"
@@ -236,18 +235,6 @@ func NewSimulatedGrid(opts WorldOptions) *World { return exp.NewWorld(opts) }
 
 // DefaultWorldOptions returns the harness defaults for a seed.
 func DefaultWorldOptions(seed int64) WorldOptions { return exp.DefaultOptions(seed) }
-
-// Fault-injection surface (see internal/churn): seeded host churn on
-// simulated worlds.
-type (
-	// ChurnConfig describes a failure model: per-host MTBF/MTTR with
-	// exponential or Weibull lifetimes, optional correlated whole-site
-	// outages, warmup and horizon.
-	ChurnConfig = churn.Config
-	// ChurnDriver replays an injected timeline; Stop reports what was
-	// injected.
-	ChurnDriver = churn.Driver
-)
 
 // Spin is the built-in fixed-duration program ("spin 90" runs each
 // process for 90 virtual seconds) used by the churn experiments.
