@@ -14,13 +14,14 @@ import (
 // allowedActors lists every function of the simulator's non-test code
 // that may start an actor, with how many Go calls it makes. The rule:
 // only processes of the simulated system are actors — job runners, MPI
-// processes and their heartbeat and detector loops, scheduler workers —
+// processes and a promoted backup's log resend, scheduler workers —
 // plus the harness's submitter. Daemon lifecycles, gossip, sweeps, boot,
-// RPCs and arrivals are event chains, on every network.
+// RPCs, arrivals and the MPI heartbeat and failure detector are event
+// chains, on every network.
 var allowedActors = map[string]int{
 	"internal/mpd.MPD.handleStart":   1, // mpd.job.*: one job runner per launched job
 	"internal/mpd.MPD.runJob":        1, // proc.*: the job's MPI processes
-	"internal/mpi.Join":              2, // mpi.hb.* / mpi.fd.*: heartbeat and failure detector
+	"internal/mpi.Comm.monitorTick":  1, // mpi.resend.*: a promoted backup resends its log, which may dial and park
 	"internal/mpi.RunLocal":          1, // mpi.local.*: processes of a local run
 	"internal/sched.Scheduler.Start": 1, // sched.worker.*: the submitters
 	"internal/exp.submitPumped":      1, // the harness's submitter actor

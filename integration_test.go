@@ -33,7 +33,7 @@ func loopbackPorts(n int) int {
 var nextLoopbackPort atomic.Int32
 
 func tcpPrograms() map[string]mpd.Program {
-	return map[string]mpd.Program{
+	progs := map[string]mpd.Program{
 		"hostname": mpd.Hostname,
 		"ep-tiny": func(env *mpd.Env) error {
 			c, err := env.Comm()
@@ -52,6 +52,14 @@ func tcpPrograms() map[string]mpd.Program {
 		},
 		"is-T": nas.ISProgram(nas.ISClassT),
 	}
+	// ep-T is ep-tiny after a second's pause: long enough for the
+	// heartbeat and failure detector of a replicated job to tick beside
+	// its rank threads.
+	progs["ep-T"] = func(env *mpd.Env) error {
+		env.RT.Sleep(time.Second)
+		return progs["ep-tiny"](env)
+	}
+	return progs
 }
 
 // tcpWorld boots a supernode + k peers + submitter over localhost TCP.
@@ -175,6 +183,35 @@ func TestTCPMPIProgram(t *testing.T) {
 	for _, r := range res.Results {
 		if string(r.Output) != want {
 			t.Fatalf("rank %d output %q, want %q", r.Rank, r.Output, want)
+		}
+	}
+}
+
+// TestTCPReplicatedJob runs a replicated job (N = 2, R = 2) over real
+// sockets. Each replica's heartbeat and failure detector tick on timer
+// goroutines beside its rank thread and the TCP reader goroutines, so
+// under -race this checks that everything they share stays under the
+// Comm's lock. Backups compute too: every replica reports the sums.
+func TestTCPReplicatedJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets and wall-clock sleeps")
+	}
+	w := newTCPWorld(t, 3, 2)
+	res, err := w.submitter.Submit(mpd.JobSpec{
+		Program: "ep-T", N: 2, R: 2, Strategy: Spread,
+		Timeout: 60 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if res.Failures() != 0 || len(res.Results) != 4 {
+		t.Fatalf("results: %+v", res.Results)
+	}
+	whole := nas.EPChunk(0, 1<<14)
+	want := fmt.Sprintf("%.6f %.6f", whole.Sx, whole.Sy)
+	for _, r := range res.Results {
+		if string(r.Output) != want {
+			t.Fatalf("rank %d replica %d output %q, want %q", r.Rank, r.Replica, r.Output, want)
 		}
 	}
 }

@@ -25,16 +25,34 @@ type Comm struct {
 	scratch []byte        // the rank thread's frame encode buffer
 	closed  bool
 
-	mu       sync.Mutex       // guards conns, free, seqs, log, group, dedup, closed
+	mu       sync.Mutex       // guards conns, free, seqs, dedup, closed and live's group and log
 	conns    []transport.Conn // by position in cfg.Slots, dialed lazily
 	free     []*envelope      // recycled inbox carriers
 	sendSeq  []uint64         // next seq per destination rank
 	lastSeen []uint64         // dedup: last delivered seq per source rank
-	group    *replica.Group   // this rank's replica group (r > 1)
-	sendLog  []loggedSend     // backup copy for failover resend
 	grid     []int32          // grid[rank*R+replica] = position in cfg.Slots; immutable after Join, read without mu
 	colSeq   uint64           // collective operation counter
-	hbStop   bool             // stops heartbeat/monitor loops
+	live     *liveness        // replica liveness; nil when R = 1
+}
+
+// liveness is what a replicated rank (R > 1) keeps beside the data
+// plane: its view of the replica group, the backup's log, and the state
+// of two timer chains. The heartbeat chain beats every other replica of
+// the rank each heartbeatInterval; the detector chain runs the failure
+// detector each failTimeout/2. Neither parks: under virtual time each
+// tick is one event, under vtime.Real a timer goroutine.
+type liveness struct {
+	group   *replica.Group // this rank's replica group; under mu
+	sendLog []loggedSend   // backup copy for failover resend; under mu
+
+	// The rest is the chains' own, touched by one step at a time.
+	beat          transport.Message // the heartbeat frame, encoded once
+	heartbeatTick func()            // c.heartbeatTick, bound once
+	monitorTick   func()            // c.monitorTick, bound once
+	beatNext      func()            // c.beatNext, bound once
+	beatDialed    transport.Dialed  // c.beatDialed, bound once
+	next          int               // the sibling being beaten, by replica index
+	retry         dialRetry         // the retries of its dial, when it has no conn yet
 }
 
 type loggedSend struct {
@@ -45,9 +63,10 @@ type loggedSend struct {
 }
 
 // Join brings the process into the application: it binds the listener,
-// starts serving inbound frames and (for r > 1) the replica heartbeat. All
-// processes of the job must eventually call Join for communication to
-// proceed; there is no global synchronization in Join itself.
+// starts serving inbound frames and (for r > 1) arms the replica
+// heartbeat and failure detector. All processes of the job must
+// eventually call Join for communication to proceed; there is no global
+// synchronization in Join itself.
 func Join(cfg Config) (*Comm, error) {
 	if cfg.N <= 0 || cfg.R <= 0 {
 		return nil, fmt.Errorf("mpi: bad world size n=%d r=%d", cfg.N, cfg.R)
@@ -68,7 +87,21 @@ func Join(cfg Config) (*Comm, error) {
 		sendSeq:  make([]uint64, cfg.N),
 		lastSeen: make([]uint64, cfg.N),
 		grid:     grid,
-		group:    replica.NewGroup(cfg.R, cfg.Self.Replica, failTimeout, cfg.RT.Now()),
+	}
+	if cfg.R > 1 {
+		c.live = &liveness{
+			group: replica.NewGroup(cfg.R, cfg.Self.Replica, failTimeout, cfg.RT.Now()),
+			beat: encodeEnvelope(new([]byte), &envelope{
+				kind:       kindHeartbeat,
+				srcRank:    c.rank,
+				srcReplica: cfg.Self.Replica,
+				dstRank:    c.rank,
+			}),
+			heartbeatTick: c.heartbeatTick,
+			monitorTick:   c.monitorTick,
+			beatNext:      c.beatNext,
+			beatDialed:    transport.DialedFunc(c.beatDialed),
+		}
 	}
 
 	ln, err := cfg.Net.Listen(cfg.Self.Addr)
@@ -78,9 +111,9 @@ func Join(cfg Config) (*Comm, error) {
 	c.ln = ln
 	deliver := transport.FrameHandler(c.deliver) // one method value for every inbound conn
 	transport.Serve(ln, func(transport.Conn) transport.FrameHandler { return deliver })
-	if cfg.R > 1 {
-		cfg.RT.Go(fmt.Sprintf("mpi.hb.r%d", c.rank), c.heartbeatLoop)
-		cfg.RT.Go(fmt.Sprintf("mpi.fd.r%d", c.rank), c.monitorLoop)
+	if c.live != nil { // heartbeat first, then the detector
+		cfg.RT.Schedule(heartbeatInterval, c.live.heartbeatTick)
+		cfg.RT.Schedule(failTimeout/2, c.live.monitorTick)
 	}
 	return c, nil
 }
@@ -122,20 +155,23 @@ func (c *Comm) Replica() int { return c.cfg.Self.Replica }
 
 // IsLeader reports whether this replica currently transmits for its rank.
 func (c *Comm) IsLeader() bool {
+	if c.live == nil {
+		return true
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.group.IsLeader()
+	return c.live.group.IsLeader()
 }
 
-// Close tears the communicator down: listener, connections and loops.
+// Close tears the communicator down: listener and connections at once,
+// the liveness chains at their next tick.
 func (c *Comm) Close() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil
 	}
-	c.closed = true
-	c.hbStop = true
+	c.closed = true // the liveness chains stop at their next tick
 	conns := c.conns
 	c.conns = nil
 	c.mu.Unlock()
@@ -200,11 +236,11 @@ func (c *Comm) deliver(m transport.Message) bool {
 		m.Release()
 	}
 	if ev.kind == kindHeartbeat {
-		c.mu.Lock()
-		if ev.srcRank == c.rank {
-			c.group.HeartbeatFrom(ev.srcReplica, c.cfg.RT.Now())
+		if ev.srcRank == c.rank && c.live != nil {
+			c.mu.Lock()
+			c.live.group.HeartbeatFrom(ev.srcReplica, c.cfg.RT.Now())
+			c.mu.Unlock()
 		}
-		c.mu.Unlock()
 		return true
 	}
 	c.post(&ev)
@@ -213,39 +249,46 @@ func (c *Comm) deliver(m transport.Message) bool {
 
 // connTo returns (dialing lazily) the connection to table position i.
 func (c *Comm) connTo(i int32) (transport.Conn, error) {
+	if conn, err := c.cachedConn(i); conn != nil || err != nil {
+		return conn, err
+	}
+	addr := c.cfg.Slots[i].Addr
+	var retry dialRetry
+	for {
+		conn, err := c.cfg.Net.Dial(addr)
+		if err == nil {
+			return c.adopt(i, conn)
+		}
+		wait, again := retry.failed()
+		c.cfg.RT.Sleep(wait)
+		if !again {
+			return nil, fmt.Errorf("mpi: dial %s: %w", addr, err)
+		}
+	}
+}
+
+// cachedConn returns the connection to table position i, nil when none
+// is up yet, or ErrClosed.
+func (c *Comm) cachedConn(i int32) (transport.Conn, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if conn := c.conns[i]; conn != nil {
-		c.mu.Unlock()
-		return conn, nil
-	}
-	c.mu.Unlock()
+	return c.conns[i], nil
+}
 
-	addr := c.cfg.Slots[i].Addr
-	var conn transport.Conn
-	var err error
-	backoff := dialBackoff
-	for try := 0; try < dialRetries; try++ {
-		conn, err = c.cfg.Net.Dial(addr)
-		if err == nil {
-			break
-		}
-		c.cfg.RT.Sleep(backoff)
-		backoff *= 2
-	}
-	if err != nil {
-		return nil, fmt.Errorf("mpi: dial %s: %w", addr, err)
-	}
+// adopt files a freshly dialed conn under table position i. When the
+// Comm closed meanwhile, or another dial got there first (a benign race
+// with ourselves), it closes the newcomer instead.
+func (c *Comm) adopt(i int32, conn transport.Conn) (transport.Conn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		conn.Close()
 		return nil, ErrClosed
 	}
-	if prev := c.conns[i]; prev != nil { // lost a benign race with ourselves
+	if prev := c.conns[i]; prev != nil {
 		c.mu.Unlock()
 		conn.Close()
 		return prev, nil
@@ -253,6 +296,27 @@ func (c *Comm) connTo(i int32) (transport.Conn, error) {
 	c.conns[i] = conn
 	c.mu.Unlock()
 	return conn, nil
+}
+
+// dialRetry is the lazy dial's retry policy, for the blocking connTo and
+// the heartbeat chain alike: up to dialRetries tries, each failure
+// followed by a backoff (the last one too) that starts at dialBackoff
+// and doubles.
+type dialRetry struct {
+	tries   int
+	backoff time.Duration
+}
+
+// failed counts a failed try. It returns the backoff to wait and
+// whether another try follows it.
+func (r *dialRetry) failed() (wait time.Duration, again bool) {
+	if r.tries == 0 {
+		r.backoff = dialBackoff
+	}
+	wait = r.backoff
+	r.backoff *= 2
+	r.tries++
+	return wait, r.tries < dialRetries
 }
 
 // Send transmits data to the given logical rank with a user tag (>= 0).
@@ -278,9 +342,9 @@ func (c *Comm) send(dst, tag int, d Data) error {
 	}
 	c.sendSeq[dst]++
 	seq := c.sendSeq[dst]
-	leader := c.group.IsLeader()
+	leader := c.live == nil || c.live.group.IsLeader()
 	if !leader {
-		c.sendLog = append(c.sendLog, loggedSend{dstRank: dst, seq: seq, tag: tag, data: d})
+		c.live.sendLog = append(c.live.sendLog, loggedSend{dstRank: dst, seq: seq, tag: tag, data: d})
 	}
 	c.mu.Unlock()
 
@@ -390,58 +454,97 @@ func matches(ev envelope, src, tag int) bool {
 	}
 }
 
-// heartbeatLoop broadcasts liveness to the rank group's other replicas.
-func (c *Comm) heartbeatLoop() {
-	// Every beat is the same frame: encode it once.
-	beat := encodeEnvelope(new([]byte), &envelope{
-		kind:       kindHeartbeat,
-		srcRank:    c.rank,
-		srcReplica: c.cfg.Self.Replica,
-		dstRank:    c.rank,
-	})
-	for {
-		c.cfg.RT.Sleep(heartbeatInterval)
-		c.mu.Lock()
-		if c.hbStop {
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Unlock()
-		for _, p := range c.byRank(c.rank) {
-			if c.cfg.Slots[p].Global == c.cfg.Self.Global {
-				continue
-			}
-			if conn, err := c.connTo(p); err == nil {
-				conn.Send(beat)
-			}
-		}
+// heartbeatTick starts one heartbeat round: the beat goes to every other
+// replica of the rank, in replica order (beatNext).
+func (c *Comm) heartbeatTick() {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return
 	}
+	c.live.next = 0
+	c.beatNext()
 }
 
-// monitorLoop runs the failure detector; on promotion to leadership it
-// resends the backup log so no message is lost.
-func (c *Comm) monitorLoop() {
-	for {
-		c.cfg.RT.Sleep(failTimeout / 2)
-		c.mu.Lock()
-		if c.hbStop {
-			c.mu.Unlock()
-			return
+// beatNext beats the round's remaining siblings. A sibling with no conn
+// yet is dialed, and the round goes on from the dial's continuation
+// (beatDialed); a retry re-dials without looking at the table, as
+// connTo's loop does. The last beat re-arms the round one interval
+// later.
+func (c *Comm) beatNext() {
+	l := c.live
+	for peers := c.byRank(c.rank); l.next < len(peers); l.next++ {
+		p := peers[l.next]
+		if c.cfg.Slots[p].Global == c.cfg.Self.Global {
+			continue
 		}
-		wasLeader := c.group.IsLeader()
-		c.group.Suspect(c.cfg.RT.Now())
-		promoted := !wasLeader && c.group.IsLeader()
-		var log []loggedSend
-		if promoted {
-			log = append(log, c.sendLog...)
-			c.sendLog = nil
-		}
-		c.mu.Unlock()
-		if promoted {
-			var scratch []byte // not c.scratch: under vtime.Real this runs beside the rank thread
-			for _, ls := range log {
-				c.transmit(ls.dstRank, ls.seq, ls.tag, ls.data, &scratch)
+		if l.retry.tries == 0 {
+			conn, err := c.cachedConn(p)
+			if err != nil {
+				continue
+			}
+			if conn != nil {
+				conn.Send(l.beat)
+				continue
 			}
 		}
+		c.cfg.Net.DialFunc(c.cfg.Slots[p].Addr, l.beatDialed)
+		return
 	}
+	c.cfg.RT.Schedule(heartbeatInterval, l.heartbeatTick)
+}
+
+// beatDialed continues the round once a sibling's dial ends: it beats
+// over the new conn, or backs off and retries, or after the last
+// failure backs off and moves on — connTo's policy, without parking.
+func (c *Comm) beatDialed(conn transport.Conn, err error) {
+	l := c.live
+	if err != nil {
+		wait, again := l.retry.failed()
+		if !again {
+			l.retry = dialRetry{}
+			l.next++
+		}
+		c.cfg.RT.Schedule(wait, l.beatNext)
+		return
+	}
+	l.retry = dialRetry{}
+	if conn, err = c.adopt(c.byRank(c.rank)[l.next], conn); err == nil {
+		conn.Send(l.beat)
+	}
+	l.next++
+	c.beatNext()
+}
+
+// monitorTick runs the failure detector and re-arms it. A backup it
+// promotes to leadership resends its log so no message is lost; that
+// may dial and park, so the resend runs as a process of its own, which
+// re-arms the detector when it is done.
+func (c *Comm) monitorTick() {
+	l := c.live
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return
+	}
+	wasLeader := l.group.IsLeader()
+	l.group.Suspect(c.cfg.RT.Now())
+	promoted := !wasLeader && l.group.IsLeader()
+	log := l.sendLog
+	if promoted {
+		l.sendLog = nil
+	}
+	c.mu.Unlock()
+	if !promoted {
+		c.cfg.RT.Schedule(failTimeout/2, l.monitorTick)
+		return
+	}
+	c.cfg.RT.Go(fmt.Sprintf("mpi.resend.r%d", c.rank), func() {
+		var scratch []byte // not c.scratch: the rank thread may be sending
+		for _, ls := range log {
+			c.transmit(ls.dstRank, ls.seq, ls.tag, ls.data, &scratch)
+		}
+		c.cfg.RT.Schedule(failTimeout/2, l.monitorTick)
+	})
 }

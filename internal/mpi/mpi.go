@@ -152,8 +152,10 @@ type Config struct {
 	Algorithms Algorithms
 }
 
-// The replica failure detector (only armed when R > 1) and lazy
-// connection setup run on fixed timings.
+// The replica heartbeat and failure detector (timer chains, armed only
+// when R > 1) and lazy connection setup run on fixed timings: a beat
+// every heartbeatInterval, a detector round every failTimeout/2, and up
+// to dialRetries dials with a backoff doubling from dialBackoff.
 const (
 	heartbeatInterval = 200 * time.Millisecond
 	failTimeout       = time.Second
