@@ -35,7 +35,7 @@ var allowedActors = map[string]int{
 var allowedGoroutines = map[string]int{
 	"internal/vtime.Real.Go":                1, // an actor on the wall-clock runtime
 	"internal/vtime.NewDomain":              1, // one worker per shard
-	"internal/exp.runPool":                  1, // the sweep's workers
+	"internal/exp.sweep":                    1, // the sweep's workers
 	"internal/exp.NewWorld":                 1, // the parallel host build
 	"internal/transport.TCP.DialFunc":       1, // a dial's goroutine
 	"internal/transport.tcpListener.OnConn": 1, // a listener's accept goroutine

@@ -7,8 +7,8 @@
 //	mpiboot -id node1 -mpd 127.0.0.1:9100 -rs 127.0.0.1:9101 \
 //	        -supernode 127.0.0.1:8800 -p 2 -j 1
 //
-// The program registry contains the paper's programs: hostname, the NAS
-// EP kernel (classes S/W/A/B) and the NAS IS kernel (classes S/W/A/B).
+// The peer runs nas.RealPrograms: hostname, spin, the NAS EP kernel
+// (classes S/W/A/B) and the NAS IS kernel (classes S/W/A/B).
 package main
 
 import (
@@ -25,18 +25,6 @@ import (
 	"p2pmpi/internal/transport"
 	"p2pmpi/internal/vtime"
 )
-
-// registry assembles the standard program set for real peers.
-func registry() map[string]mpd.Program {
-	progs := map[string]mpd.Program{"hostname": mpd.Hostname}
-	for _, cls := range []nas.EPClass{nas.EPClassS, nas.EPClassW, nas.EPClassA, nas.EPClassB} {
-		progs["ep-"+cls.Name] = nas.EPProgram(cls)
-	}
-	for _, cls := range []nas.ISClass{nas.ISClassS, nas.ISClassW, nas.ISClassA, nas.ISClassB} {
-		progs["is-"+cls.Name] = nas.ISProgram(cls)
-	}
-	return progs
-}
 
 func main() {
 	id := flag.String("id", "", "peer identity (default: hostname)")
@@ -73,7 +61,7 @@ func main() {
 		Seed: int64(os.Getpid()),
 		Shared: &mpd.Shared{
 			SupernodeAddr: *snAddr,
-			Programs:      registry(),
+			Programs:      nas.RealPrograms(),
 			ProcBasePort:  *procBase,
 		},
 	})

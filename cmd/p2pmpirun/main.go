@@ -12,9 +12,8 @@
 //     the testbed: the paper's Grid'5000 by default, or a synthetic
 //     topology ("synth:S=12,H=400") scaling to thousands of hosts.
 //
-// The -a strategy accepts any name in the placement registry — the
-// paper's spread/concentrate plus mixed, random, minsites, comm-aware
-// and anything registered by embedding programs.
+// The -a strategy accepts any placement name — the paper's
+// spread/concentrate plus mixed, random, minsites and comm-aware.
 //
 // With -jobs K (K > 1) the same job is submitted K times concurrently
 // through the multi-job scheduler: the copies contend for host slots,
@@ -244,7 +243,7 @@ func startSubmitter(snAddr, mpdAddr, rsAddr string) (*mpd.MPD, error) {
 		Seed: int64(os.Getpid()),
 		Shared: &mpd.Shared{
 			SupernodeAddr: snAddr,
-			Programs:      submitterRegistry(),
+			Programs:      nas.RealPrograms(), // the peers' table, so Submit accepts what they run
 			PingInterval:  2 * time.Second,
 		},
 	})
@@ -253,19 +252,6 @@ func startSubmitter(snAddr, mpdAddr, rsAddr string) (*mpd.MPD, error) {
 	}
 	time.Sleep(3 * time.Second)
 	return submitter, nil
-}
-
-// submitterRegistry mirrors mpiboot's registry so Submit accepts the
-// same program names (the submitter itself never runs them with P=0).
-func submitterRegistry() map[string]mpd.Program {
-	progs := map[string]mpd.Program{"hostname": mpd.Hostname, "spin": mpd.Spin}
-	for _, cls := range []nas.EPClass{nas.EPClassS, nas.EPClassW, nas.EPClassA, nas.EPClassB} {
-		progs["ep-"+cls.Name] = nas.EPProgram(cls)
-	}
-	for _, cls := range []nas.ISClass{nas.ISClassS, nas.ISClassW, nas.ISClassA, nas.ISClassB} {
-		progs["is-"+cls.Name] = nas.ISProgram(cls)
-	}
-	return progs
 }
 
 func printResult(res *mpd.JobResult) {

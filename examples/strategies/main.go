@@ -1,8 +1,8 @@
 // Strategies: deploy the modelled Grid'5000 testbed and compare where
 // the spread, concentrate and mixed strategies place a 250-process job —
 // the co-allocation experiment of the paper's §5.1 at one x-value —
-// then boot a synthetic 200-host grid and show a registry extension
-// (comm-aware placement) at work beyond the paper's testbed.
+// then boot a synthetic 200-host grid and show an extension beyond the
+// paper (comm-aware placement) at work beyond the paper's testbed.
 //
 //	go run ./examples/strategies
 package main
@@ -27,8 +27,8 @@ func main() {
 	}
 	w.Close()
 
-	// Beyond the paper: the placement registry is open and the testbed
-	// is not pinned to Table 1. Boot a synthetic grid (8 sites x 25
+	// Beyond the paper: the placement set holds more than the paper's
+	// strategies and the testbed is not pinned to Table 1. Boot a synthetic grid (8 sites x 25
 	// hosts, seeded RTT draws) and compare a latency-greedy paper
 	// strategy with the comm-aware extension, which grows a cluster of
 	// hosts with minimal estimated pairwise RTT.

@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-// Strategy names a process-placement policy. It is the registry key:
-// JobSpecs, experiment points and CSV rows all carry the strategy by
-// name, so new policies travel through the middleware without any enum
-// plumbing. The zero value selects Spread (the historical default).
+// Strategy names a process-placement policy. It is the lookup key of
+// the placement set: JobSpecs, experiment points and CSV rows all carry
+// the strategy by name, so a policy travels through the middleware
+// without any enum plumbing. The zero value selects Spread (the historical default).
 type Strategy string
 
-// The built-in allocation strategies (registered in strategies.go).
+// The allocation strategies (the placement set of strategies.go).
 const (
 	// Spread maps one process per host in latency order, wrapping around
 	// while capacity remains (paper §4.3, first algorithm).
@@ -43,8 +43,8 @@ func (s Strategy) String() string {
 }
 
 // ParseStrategy converts a -a command-line value to a Strategy. It
-// accepts exactly the names registered in the placement registry, so
-// ParseStrategy, Lookup and Names always agree.
+// accepts exactly the names of the placement set, so ParseStrategy,
+// Lookup and Names always agree.
 func ParseStrategy(name string) (Strategy, error) {
 	if _, err := Lookup(name); err != nil {
 		return "", err
@@ -137,15 +137,14 @@ type Assignment struct {
 }
 
 // Allocate distributes n×r processes over slist with the named strategy
-// and numbers their ranks: the compatibility entry point over the
-// placement registry. The slist order is significant: it must be the
-// ascending-latency order produced by the reservation step.
+// and numbers their ranks: the entry point over the placement set. The
+// slist order is significant: it must be the ascending-latency order
+// produced by the reservation step.
 //
 // Beyond dispatching, Allocate is the safety chokepoint the middleware
 // submits through: it re-checks feasibility and validates the returned
-// assignment, so a registered third-party policy that forgets Feasible
-// or overfills a host cannot smuggle a replica-unsafe placement into a
-// launch.
+// assignment, so a policy that forgets Feasible or overfills a host
+// cannot smuggle a replica-unsafe placement into a launch.
 func Allocate(slist []HostSlot, n, r int, strategy Strategy) (*Assignment, error) {
 	if err := Feasible(slist, n, r); err != nil {
 		return nil, err
@@ -170,7 +169,7 @@ func Allocate(slist []HostSlot, n, r int, strategy Strategy) (*Assignment, error
 // Hosts slice would defeat the per-index checks below), one U entry per
 // host, u_i ≤ min(P_i, n), exactly n×r processes, and no host carrying
 // two replicas of one rank (the §4.2 criterion (b)). Built-in policies
-// satisfy this by construction; the check guards registry extensions.
+// satisfy this by construction; the check guards against a policy bug.
 func (a *Assignment) checkSafety(slist []HostSlot, n, r int) error {
 	if len(a.U) != len(slist) || len(a.Procs) != len(slist) || len(a.Hosts) != len(slist) {
 		return errors.New("U/Procs/Hosts length does not match slist")

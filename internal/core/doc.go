@@ -1,6 +1,6 @@
 // Package core implements the paper's primary contribution: the
-// co-allocation strategies of P2P-MPI (§4.3) behind an open placement
-// registry, plus the live slot ledger the multi-job scheduler plans
+// co-allocation strategies of P2P-MPI (§4.3) behind one placement
+// interface, plus the live slot ledger the multi-job scheduler plans
 // against.
 //
 // Given the selected host list slist (the n×r lowest-latency reserved
@@ -10,13 +10,12 @@
 // share a host — the replica-safety criterion that makes the
 // replication degree a real fault-tolerance knob.
 //
-// Placement policies are open: a policy implements the Placement
-// interface, calls Register (see the example), and is from then on
-// selectable by name everywhere a Strategy travels — JobSpec, the
-// schedulers, both CLIs and the experiment CSVs. Allocate is the
-// safety chokepoint: it re-checks feasibility and validates every
-// returned assignment, so a registered third-party policy cannot
-// smuggle a replica-unsafe placement into a launch.
+// The placement set is fixed: every policy implements the Placement
+// interface and is selectable by name everywhere a Strategy travels —
+// JobSpec, the schedulers, both CLIs and the experiment CSVs. Allocate
+// is the safety chokepoint: it re-checks feasibility and validates every
+// returned assignment, so a policy bug cannot smuggle a replica-unsafe
+// placement into a launch.
 //
 // Two strategies come from the paper:
 //
@@ -30,7 +29,7 @@
 // A third strategy, mixed, implements the paper's "future work" idea:
 // hosts are filled to capacity (locality within a host) but sites are
 // visited round-robin (spreading across sites). Beyond the paper, the
-// registry also ships random (a seeded baseline), minsites (pack into
+// set also holds random (a seeded baseline), minsites (pack into
 // the fewest sites) and comm-aware (grow a low-RTT cluster of hosts,
 // after Bender et al.'s communication-aware processor allocation).
 package core

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"maps"
+	"slices"
 )
 
-// Placement is an open process-placement policy: given the reserved host
+// Placement is a process-placement policy: given the reserved host
 // list slist (in ascending-latency order) and a request for n ranks with
 // replication degree r, it decides how many processes each host receives
 // and how ranks are numbered.
@@ -15,73 +15,40 @@ import (
 // harness replays worlds bit-for-bit) and must respect the capacity rule
 // u_i ≤ min(P_i, n); producing ranks through assignRanks-style numbering
 // then guarantees the replica-safety criterion (no two replicas of one
-// rank on one host). Register makes a policy selectable by name
-// everywhere a Strategy travels: JobSpec, the schedulers, both CLIs and
-// the experiment harness.
+// rank on one host). Every policy of the placement set is selectable by
+// name everywhere a Strategy travels: JobSpec, the schedulers, both CLIs
+// and the experiment harness.
 type Placement interface {
-	// Name is the registry key and command-line spelling of the policy.
+	// Name is the lookup key and command-line spelling of the policy.
 	Name() string
 	// Allocate maps n×r processes onto slist or fails with the
 	// feasibility errors of this package.
 	Allocate(slist []HostSlot, n, r int) (*Assignment, error)
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Placement)
-)
+// names is every placement name in sorted order.
+var names = slices.Sorted(maps.Keys(placements))
 
-// Register adds (or replaces) a placement policy under p.Name(). It
-// panics on an empty name — a nameless policy could never be selected.
-func Register(p Placement) {
-	name := p.Name()
-	if name == "" {
-		panic("core: Register: placement with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[name] = p
-}
-
-// Lookup resolves a strategy name to its registered policy. The empty
+// Lookup resolves a strategy name to its placement policy. The empty
 // name resolves to Spread, preserving the historical zero-value default
 // of JobSpec.Strategy.
 func Lookup(name string) (Placement, error) {
 	if name == "" {
 		name = string(Spread)
 	}
-	regMu.RLock()
-	p, ok := registry[name]
-	var known []string
+	p, ok := placements[name]
 	if !ok {
-		for n := range registry {
-			known = append(known, n)
-		}
-	}
-	regMu.RUnlock()
-	if !ok {
-		sort.Strings(known)
-		return nil, fmt.Errorf("core: unknown allocation strategy %q (registered: %v)", name, known)
+		return nil, fmt.Errorf("core: unknown allocation strategy %q (want one of %v)", name, names)
 	}
 	return p, nil
 }
 
-// Names lists every registered strategy name in sorted order.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// Names lists every strategy name in sorted order.
+func Names() []string { return slices.Clone(names) }
 
 // Strategies returns Names as Strategy values, for ranging over every
-// registered policy in experiments and CLIs.
+// placement policy in experiments and CLIs.
 func Strategies() []Strategy {
-	names := Names()
 	out := make([]Strategy, len(names))
 	for i, n := range names {
 		out[i] = Strategy(n)

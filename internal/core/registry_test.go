@@ -10,7 +10,7 @@ import (
 )
 
 // TestRegistryRoundTrips: ParseStrategy, Lookup and Names agree for
-// every registered strategy, and unknown names fail cleanly everywhere.
+// every strategy, and unknown names fail cleanly everywhere.
 func TestRegistryRoundTrips(t *testing.T) {
 	names := Names()
 	if len(names) < 6 {
@@ -48,30 +48,6 @@ func TestRegistryRoundTrips(t *testing.T) {
 	}
 	if _, err := ParseStrategy("no-such-strategy"); err == nil {
 		t.Fatal("ParseStrategy accepted an unknown name")
-	}
-}
-
-// TestRegistryCustomPolicy: a user-registered policy becomes selectable
-// by name through the same entry points the built-ins use.
-func TestRegistryCustomPolicy(t *testing.T) {
-	Register(uvecPlacement{name: "test-firsthost", u: func(slist []HostSlot, caps []int, total int) []int {
-		return concentrate(caps, total)
-	}})
-	defer func() {
-		regMu.Lock()
-		delete(registry, "test-firsthost")
-		regMu.Unlock()
-	}()
-	st, err := ParseStrategy("test-firsthost")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Allocate(mkSlist(3, 4), 4, 1, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Strategy != "test-firsthost" || a.TotalProcs() != 4 {
-		t.Fatalf("custom policy produced %+v", a)
 	}
 }
 
@@ -134,30 +110,22 @@ func (dupRankPlacement) Allocate(slist []HostSlot, n, r int) (*Assignment, error
 	}, nil
 }
 
-// TestAllocateRejectsUnsafeThirdPartyPolicy: the compat Allocate entry
-// point the middleware submits through must catch a registered policy
+// TestAllocateRejectsUnsafeThirdPartyPolicy: the safety check Allocate
+// runs on every policy's output (checkSafety) must catch a placement
 // that violates the capacity/replica-safety invariants — by overfilling
 // a host, mis-echoing the slist, or duplicating (rank, replica) pairs
-// across hosts.
+// across hosts. The placement set is fixed, so the broken policies are
+// driven here directly and their output goes through the same check.
 func TestAllocateRejectsUnsafeThirdPartyPolicy(t *testing.T) {
-	Register(overfillPlacement{})
-	Register(permutePlacement{})
-	Register(dupRankPlacement{})
-	defer func() {
-		regMu.Lock()
-		delete(registry, "test-overfill")
-		delete(registry, "test-permute")
-		delete(registry, "test-duprank")
-		regMu.Unlock()
-	}()
-	if _, err := Allocate(mkSlist(4, 2), 4, 2, "test-overfill"); err == nil {
-		t.Fatal("overfilling policy passed the safety chokepoint")
-	}
-	if _, err := Allocate(mkSlist(4, 2), 4, 2, "test-permute"); err == nil {
-		t.Fatal("host-permuting policy passed the safety chokepoint")
-	}
-	if _, err := Allocate(mkSlist(4, 2), 4, 2, "test-duprank"); err == nil {
-		t.Fatal("rank-duplicating policy passed the safety chokepoint")
+	slist := mkSlist(4, 2)
+	for _, p := range []Placement{overfillPlacement{}, permutePlacement{}, dupRankPlacement{}} {
+		a, err := p.Allocate(slist, 4, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		if a.checkSafety(slist, 4, 2) == nil {
+			t.Errorf("%s passed the safety chokepoint", p.Name())
+		}
 	}
 }
 

@@ -6,27 +6,34 @@ import (
 	"sort"
 )
 
-// This file holds the registered placement policies. The paper's
-// spread/concentrate (§4.3) and the mixed extension keep their original
-// u-vector algorithms; random, minsites and comm-aware go beyond the
-// paper. All six produce u-vectors with u_i ≤ min(P_i, n) and number
-// ranks through assignRanks, so every registered policy inherits the
-// replica-safety criterion.
+// This file holds the placement policies. The paper's spread/concentrate
+// (§4.3) and the mixed extension keep their original u-vector
+// algorithms; random, minsites and comm-aware go beyond the paper. All
+// six produce u-vectors with u_i ≤ min(P_i, n) and number ranks through
+// assignRanks, so every policy inherits the replica-safety criterion.
 
-func init() {
-	Register(uvecPlacement{name: string(Spread), u: func(slist []HostSlot, caps []int, total int) []int {
-		return spread(caps, total)
-	}})
-	Register(uvecPlacement{name: string(Concentrate), u: func(slist []HostSlot, caps []int, total int) []int {
-		return concentrate(caps, total)
-	}})
-	Register(uvecPlacement{name: string(Mixed), u: func(slist []HostSlot, caps []int, total int) []int {
-		return mixed(slist, caps, total)
-	}})
-	Register(uvecPlacement{name: string(MinSites), u: minSites})
-	Register(RandomPlacement{})
-	Register(CommAwarePlacement{})
-}
+// placements is the placement set, by name. It is built once and never
+// changes.
+var placements = func() map[string]Placement {
+	m := make(map[string]Placement)
+	for _, p := range []Placement{
+		uvecPlacement{name: string(Spread), u: func(slist []HostSlot, caps []int, total int) []int {
+			return spread(caps, total)
+		}},
+		uvecPlacement{name: string(Concentrate), u: func(slist []HostSlot, caps []int, total int) []int {
+			return concentrate(caps, total)
+		}},
+		uvecPlacement{name: string(Mixed), u: func(slist []HostSlot, caps []int, total int) []int {
+			return mixed(slist, caps, total)
+		}},
+		uvecPlacement{name: string(MinSites), u: minSites},
+		RandomPlacement{},
+		CommAwarePlacement{},
+	} {
+		m[p.Name()] = p
+	}
+	return m
+}()
 
 // capacities returns c_i = min(P_i, n) for every host of slist.
 func capacities(slist []HostSlot, n int) []int {

@@ -184,19 +184,9 @@ func ConcurrentSweep(opts Options, strategy core.Strategy, ks []int, cfg Concurr
 	if ks == nil {
 		ks = DefaultConcurrentKs()
 	}
-	out := make([]ConcurrentPoint, len(ks))
-	err := runPool(len(ks), workers, func(i int) error {
-		p, err := ConcurrentJobs(opts, strategy, ks[i], cfg)
-		if err != nil {
-			return fmt.Errorf("%v k=%d: %w", strategy, ks[i], err)
-		}
-		out[i] = p
-		return nil
+	return sweep(ks, workers, func(k int) (ConcurrentPoint, error) {
+		return ConcurrentJobs(opts, strategy, k, cfg)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // DefaultConcurrentKs returns the K axis of the concurrent-jobs sweep.

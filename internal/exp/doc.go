@@ -25,7 +25,7 @@
 //     TestFig4EPEquilibrium pin the paper's claims.
 //   - ConcurrentJobs/ConcurrentSweep: K simultaneous jobs through the
 //     multi-job scheduler, measuring slot contention (concurrent.go).
-//   - ScaleSweep: every registered placement strategy across growing
+//   - ScaleSweep: every placement strategy across growing
 //     world sizes and federation widths (scale.go).
 //   - OpenSweep: an open system — seeded arrival processes, tenants,
 //     priorities, quotas, preemption and deadlines through the
@@ -41,8 +41,12 @@
 //     — success rate, completion-time inflation, replica failovers and
 //     wasted slot-hours (ChurnPointsCSV).
 //
-// Sweeps whose points own independent worlds run across a bounded
-// worker pool (parallel.go): because each world is deterministic under
+// Sweeps whose points own independent worlds — fig4's two strategy
+// curves and every point of ConcurrentSweep, ScaleSweep, OpenSweep and
+// NemesisSweep — run through one runner (sweep, parallel.go): it takes
+// the coordinates, a worker count and a per-coordinate function, returns
+// the results in coordinate order and wraps a failing coordinate's
+// error with the coordinate. Because each world is deterministic under
 // its seed, outputs are byte-identical whatever the pool width — the
 // property the *DeterministicAcrossWorkers tests pin.
 package exp

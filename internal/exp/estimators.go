@@ -19,9 +19,9 @@ type EstimatorPoint struct {
 // EstimatorStudy implements the paper's stated future work ("improving
 // the accuracy of our latency measurement so that it ... becomes less
 // sensitive to external load"): it boots one world per estimator kind,
-// lets the submitter probe all 350 peers for the given number of rounds,
-// and scores how well the resulting booking order matches the true
-// latency order.
+// one at a time, lets the submitter probe all 350 peers for the given
+// number of rounds, and scores how well the resulting booking order
+// matches the true latency order.
 func EstimatorStudy(opts Options, kinds []latency.Kind, rounds int) ([]EstimatorPoint, error) {
 	if kinds == nil {
 		kinds = latency.Kinds
@@ -29,28 +29,25 @@ func EstimatorStudy(opts Options, kinds []latency.Kind, rounds int) ([]Estimator
 	if rounds <= 0 {
 		rounds = 4
 	}
-	var out []EstimatorPoint
-	for _, kind := range kinds {
+	return sweep(kinds, 1, func(kind latency.Kind) (EstimatorPoint, error) {
 		o := opts
 		o.Estimator = kind
 		o.EstimatorWindow = 8
 		w := NewWorld(o)
+		defer w.Close()
 		if err := w.Boot(); err != nil {
-			w.Close()
-			return nil, err
+			return EstimatorPoint{}, err
 		}
 		// Boot already ran one probe round; run the remaining ones.
 		for r := 1; r < rounds; r++ {
 			w.RunFor(o.FrontalPingInterval + 5*time.Second)
 		}
-		out = append(out, EstimatorPoint{
+		return EstimatorPoint{
 			Kind:   kind,
 			Rounds: rounds,
 			Tau:    rankingTau(w),
-		})
-		w.Close()
-	}
-	return out, nil
+		}, nil
+	})
 }
 
 // rankingTau correlates the frontal's latency estimates with the true

@@ -113,7 +113,7 @@ type NemesisConfig struct {
 	// Base is the topology template (synthetic or grid5000).
 	Base grid.TopologySpec
 	// Strategies lists the placement policies to compare (default: the
-	// first registered strategy).
+	// first strategy in Names order).
 	Strategies []core.Strategy
 	// Losses is the uniform cross-site drop-probability axis.
 	Losses []float64
@@ -282,21 +282,13 @@ func NemesisSweep(opts Options, cfg NemesisConfig, workers int) ([]NemesisPoint,
 			}
 		}
 	}
-	out := make([]NemesisPoint, len(coords))
-	err := runPool(len(coords), workers, func(i int) error {
-		c := coords[i]
-		pt, err := nemesisAt(opts, cfg, c)
-		if err != nil {
-			return fmt.Errorf("loss=%g partdur=%v mtbf=%v r=%d %s: %w",
-				c.loss, c.partDur, c.mtbf, c.r, c.strategy, err)
-		}
-		out[i] = pt
-		return nil
+	return sweep(coords, workers, func(c nemesisCoord) (NemesisPoint, error) {
+		return nemesisAt(opts, cfg, c)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+}
+
+func (c nemesisCoord) String() string {
+	return fmt.Sprintf("loss=%g partdur=%v mtbf=%v r=%d %s", c.loss, c.partDur, c.mtbf, c.r, c.strategy)
 }
 
 // nemesisAt boots one world, arms the injectors, and runs the batch.

@@ -98,7 +98,7 @@ type OpenConfig struct {
 	// Base is the topology template (synthetic or grid5000).
 	Base grid.TopologySpec
 	// Strategies lists the policies to compare (default: every
-	// registered strategy).
+	// strategy).
 	Strategies []core.Strategy
 	// Arrival is the platform-wide arrival process (required).
 	Arrival workload.ArrivalSpec
@@ -597,19 +597,9 @@ func OpenSweep(opts Options, cfg OpenConfig, workers int) ([]OpenPoint, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	out := make([]OpenPoint, len(cfg.Strategies))
-	err := runPool(len(cfg.Strategies), workers, func(i int) error {
-		pt, err := RunOpen(opts, cfg, cfg.Strategies[i])
-		if err != nil {
-			return fmt.Errorf("open %s: %w", cfg.Strategies[i], err)
-		}
-		out[i] = pt
-		return nil
+	return sweep(cfg.Strategies, workers, func(st core.Strategy) (OpenPoint, error) {
+		return RunOpen(opts, cfg, st)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // OpenPointsCSV renders an open sweep as CSV, one row per strategy.

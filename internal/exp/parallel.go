@@ -1,49 +1,41 @@
 package exp
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
-
-	"p2pmpi/internal/mpd"
 )
 
 // DefaultWorkers returns the default parallelism of the sweep pool.
 func DefaultWorkers() int { return runtime.NumCPU() }
 
-// runPool runs fn(i) for every i in [0, n) on at most workers OS
-// goroutines and returns the first error. Each task owns an independent
-// virtual-time world, so OS-level parallelism cannot perturb results:
-// outputs are written into index i of the caller's slice and are
-// byte-identical whatever the worker count.
-func runPool(n, workers int, fn func(i int) error) error {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	sem := make(chan struct{}, workers)
+// sweep runs at on every coordinate, on at most workers OS goroutines,
+// and returns the results in coordinate order. A failing coordinate
+// fails the sweep: its error comes back wrapped with the coordinate (the
+// first in coordinate order, if several fail). Each coordinate owns an
+// independent virtual-time world, so OS-level parallelism cannot
+// perturb results: they are byte-identical whatever the worker count.
+func sweep[C, R any](coords []C, workers int, at func(C) (R, error)) ([]R, error) {
+	out := make([]R, len(coords))
+	errs := make([]error, len(coords))
+	sem := make(chan struct{}, min(max(workers, 1), len(coords)))
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i := 0; i < n; i++ {
-		i := i
+	for i, c := range coords {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			if err := fn(i); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
+			out[i], errs[i] = at(c)
 		}()
 	}
 	wg.Wait()
-	return firstErr
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("point %+v: %w", coords[i], err)
+		}
+	}
+	return out, nil
 }
 
 // submitPumped runs fn as an actor on the world's scheduler and pumps
@@ -70,9 +62,3 @@ func submitPumped[T any](w *World, budget int, name string, fn func() (T, error)
 	var zero T
 	return zero, ErrPumpExhausted
 }
-
-// Compile-time check that *mpd.MPD keeps satisfying the scheduler's
-// submitter contract used by the concurrent experiments.
-var _ interface {
-	Submit(mpd.JobSpec) (*mpd.JobResult, error)
-} = (*mpd.MPD)(nil)

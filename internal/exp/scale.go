@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 
 // The scale experiment family goes past the paper's fixed 350-host
 // testbed: it boots synthetic worlds of growing host counts and submits
-// one job per registered placement strategy on each, recording how
+// one job per placement strategy on each, recording how
 // completion time, allocation footprint and reservation-conflict rate
 // behave as the platform grows — the axis Table 1 pinned that a
 // production co-allocation service must sweep.
@@ -55,7 +56,7 @@ type ScaleConfig struct {
 	// seed fixed. Base must be synthetic (grid5000 cannot grow).
 	Base grid.TopologySpec
 	// Strategies lists the policies to compare (default: every
-	// registered strategy, in Names order).
+	// strategy, in Names order).
 	Strategies []core.Strategy
 	// HostCounts is the world-size axis (default: the base spec's own
 	// size). Counts are rounded up to a multiple of the site count.
@@ -135,23 +136,10 @@ func ScaleSweep(opts Options, cfg ScaleConfig, workers int) ([]ScalePoint, error
 			coords = append(coords, coord{h, k})
 		}
 	}
-	perWorld := make([][]ScalePoint, len(coords))
-	err := runPool(len(coords), workers, func(i int) error {
-		pts, err := scaleAt(opts, cfg, coords[i].hosts, coords[i].sn)
-		if err != nil {
-			return fmt.Errorf("hosts=%d sn=%d: %w", coords[i].hosts, coords[i].sn, err)
-		}
-		perWorld[i] = pts
-		return nil
+	perWorld, err := sweep(coords, workers, func(c coord) ([]ScalePoint, error) {
+		return scaleAt(opts, cfg, c.hosts, c.sn)
 	})
-	if err != nil {
-		return nil, err
-	}
-	var out []ScalePoint
-	for _, pts := range perWorld {
-		out = append(out, pts...)
-	}
-	return out, nil
+	return slices.Concat(perWorld...), err
 }
 
 // scaleAt boots one world of ~hosts hosts under a K-wide supernode

@@ -406,9 +406,7 @@ func (m *MPD) Start() error {
 	m.ln = ln
 	m.mu.Unlock()
 
-	transport.Serve(ln, func(c transport.Conn) transport.FrameHandler {
-		return func(msg transport.Message) bool { return m.serve(c, msg) }
-	})
+	transport.Serve(ln, m.serve)
 	// Periodic work runs on the lifecycle timer chain: one pending
 	// event per daemon instead of three sleeping goroutines.
 	m.tickFn = m.lifecycleTick

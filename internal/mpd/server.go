@@ -10,7 +10,7 @@ import (
 )
 
 // serve answers one frame of an inbound connection: one request in, at
-// most one reply out. It is the connection's transport.FrameHandler,
+// most one reply out. It is the MPD's transport.FrameHandler,
 // runs in the transport's delivery context and must not park; false
 // drops the connection. The request is released once decoded and the
 // reply is built in a lent scratch buffer (transport.GetScratch), so a

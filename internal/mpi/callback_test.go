@@ -43,19 +43,19 @@ func TestDeliverReleasesUnaliasedFrames(t *testing.T) {
 	}
 
 	virtual := pooled(encodeEnvelope(new([]byte), &envelope{kind: kindData, dstRank: 0, seq: 1, tag: 3}).Payload, 1<<20)
-	if !c.deliver(virtual) || !recycled(virtual) {
+	if !c.deliver(nil, virtual) || !recycled(virtual) {
 		t.Error("a header-only data frame was not released")
 	}
 	hb := pooled(encodeEnvelope(new([]byte), &envelope{kind: kindHeartbeat, srcReplica: 1}).Payload, 0)
-	if !c.deliver(hb) || !recycled(hb) {
+	if !c.deliver(nil, hb) || !recycled(hb) {
 		t.Error("a heartbeat frame was not released")
 	}
 	corrupt := pooled([]byte("short"), 0)
-	if !c.deliver(corrupt) || !recycled(corrupt) {
+	if !c.deliver(nil, corrupt) || !recycled(corrupt) {
 		t.Error("a corrupt frame was not released (or closed the endpoint)")
 	}
 	data := pooled(encodeEnvelope(new([]byte), &envelope{kind: kindData, seq: 2, tag: 4, data: Data{Bytes: []byte("payload")}}).Payload, 0)
-	if !c.deliver(data) || recycled(data) {
+	if !c.deliver(nil, data) || recycled(data) {
 		t.Error("a frame whose bytes the envelope aliases was released")
 	}
 	if c.inbox.Len() != 2 {

@@ -109,8 +109,7 @@ func Join(cfg Config) (*Comm, error) {
 		return nil, fmt.Errorf("mpi: listen %s: %w", cfg.Self.Addr, err)
 	}
 	c.ln = ln
-	deliver := transport.FrameHandler(c.deliver) // one method value for every inbound conn
-	transport.Serve(ln, func(transport.Conn) transport.FrameHandler { return deliver })
+	transport.Serve(ln, c.deliver)
 	if c.live != nil { // heartbeat first, then the detector
 		cfg.RT.Schedule(heartbeatInterval, c.live.heartbeatTick)
 		cfg.RT.Schedule(failTimeout/2, c.live.monitorTick)
@@ -224,7 +223,7 @@ func (c *Comm) take(v any) (ev envelope, ok bool) {
 // of every inbound connection and runs in the transport's delivery
 // context (transport.Serve): it never blocks and never closes the
 // endpoint — that is the peer's move.
-func (c *Comm) deliver(m transport.Message) bool {
+func (c *Comm) deliver(_ transport.Conn, m transport.Message) bool {
 	ev, err := decodeEnvelope(m)
 	if err != nil {
 		m.Release()

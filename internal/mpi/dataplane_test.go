@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"p2pmpi/internal/transport"
-	"p2pmpi/internal/vtime"
 )
 
 // closeLog records, per dialing host, the remote address of every conn
@@ -36,13 +35,6 @@ func (c loggedClose) Close() error {
 	return c.Conn.Close()
 }
 
-// unspawned is a Runtime whose Go starts nothing. An R > 1 Join spawns
-// two actors, and how often the Go runtime allocates a fresh goroutine
-// for them varies with timing under -race; that is not Join's cost.
-type unspawned struct{ vtime.Runtime }
-
-func (unspawned) Go(string, func()) {}
-
 // joinAllocs is what one Join (plus its Close) allocates for slot 0 of
 // an n×r world, the table optionally shuffled.
 func joinAllocs(t *testing.T, n, r int, shuffle bool) float64 {
@@ -54,7 +46,7 @@ func joinAllocs(t *testing.T, n, r int, shuffle bool) float64 {
 	self := w.slots[0]
 	net := w.node(self.HostID)
 	return testing.AllocsPerRun(20, func() {
-		c, err := Join(Config{Self: self, Slots: slots, N: n, R: r, Net: net, RT: unspawned{w.s}})
+		c, err := Join(Config{Self: self, Slots: slots, N: n, R: r, Net: net, RT: w.s})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,6 @@ package mpi
 
 // allocSlack is how far two allocation counts of the same path may
 // differ. Under -race sync.Pool drops items at random, so a path through
-// a pool (fmt's printers name the R > 1 actors) can make a stray
-// allocation on either side.
+// a pool (the transport's scratch frames and big-frame pools) can make
+// a stray allocation on either side.
 const allocSlack = 2

@@ -310,3 +310,23 @@ func TestEPProgramOverMPI(t *testing.T) {
 	})
 	s.Wait()
 }
+
+// TestRealProgramsTable: the real-mode table holds exactly hostname,
+// spin and the S/W/A/B classes of both kernels. mpiboot serves it and
+// p2pmpirun's submitter validates against it, so a program missing
+// here (spin once was, on the peer side only) is refused by every peer
+// after the submitter accepted it.
+func TestRealProgramsTable(t *testing.T) {
+	var got []string
+	for name, prog := range RealPrograms() {
+		if prog == nil {
+			t.Errorf("%s: nil program", name)
+		}
+		got = append(got, name)
+	}
+	sort.Strings(got)
+	want := []string{"ep-A", "ep-B", "ep-S", "ep-W", "hostname", "is-A", "is-B", "is-S", "is-W", "spin"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("RealPrograms() = %v, want %v", got, want)
+	}
+}

@@ -471,70 +471,69 @@ var (
 // the amortized growth of the shared buffers.
 var replyScratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// serveConn returns the frame handler that answers one connection's
-// request/reply exchanges; it runs in the transport's delivery context
-// and never parks. The reply frame is built in a pooled scratch buffer
-// (the transports copy frames on Send, so it is immediately reusable)
-// and request payloads are released back to the delivering transport
-// once decoded — steady-state, the membership plane allocates nothing
-// per exchange beyond what the table itself retains.
-func (s *Supernode) serveConn(c transport.Conn) transport.FrameHandler {
-	return func(m transport.Message) bool {
-		reqLen := int64(len(m.Payload))
-		_, req, err := proto.Unmarshal(m.Payload)
-		m.Release()
-		if err != nil || s.isClosed() {
-			return false // garbage, or a closed daemon: hang up
-		}
-		var frame []byte
-		var scratch *[]byte
-		switch r := req.(type) {
-		case *proto.Register:
-			if s.cfg.federated() {
-				if home := ShardAssign(r.Peer.ID, len(s.cfg.Federation)); home != s.cfg.Shard {
-					if !r.Forced {
-						s.mu.Lock()
-						s.stats.Redirects++
-						s.mu.Unlock()
-						scratch = replyScratchPool.Get().(*[]byte)
-						frame, _ = proto.AppendMarshal((*scratch)[:0],
-							&proto.ShardRedirect{Shard: home, Addr: s.cfg.Federation[home]})
-						break
-					}
-					s.mu.Lock()
-					s.stats.Fostered++
-					s.mu.Unlock()
-				}
-			}
-			s.register(r.Peer)
-			scratch = replyScratchPool.Get().(*[]byte)
-			frame = s.appendPeerListReply((*scratch)[:0])
-		case *proto.Alive:
-			if s.touch(r.ID) {
-				frame = aliveAckKnownFrame
-			} else {
-				frame = aliveAckUnknownFrame
-			}
-		case *proto.FetchPeers:
-			scratch = replyScratchPool.Get().(*[]byte)
-			frame = s.appendPeerListReply((*scratch)[:0])
-		case *proto.Digest:
-			scratch = replyScratchPool.Get().(*[]byte)
-			frame = s.appendDeltaReply((*scratch)[:0], r)
-		default:
-			return false // protocol violation: drop the connection
-		}
-		err = c.Send(transport.Message{Payload: frame})
-		s.mu.Lock()
-		s.stats.BytesIn += reqLen
-		s.stats.BytesOut += int64(len(frame))
-		s.mu.Unlock()
-		if scratch != nil {
-			*scratch = frame[:0]
-			replyScratchPool.Put(scratch)
-		}
-		return err == nil
+// serveConn answers one request frame of connection c with its reply;
+// it is the supernode's transport.FrameHandler, runs in the transport's
+// delivery context and never parks. The reply frame is built in a
+// pooled scratch buffer (the transports copy frames on Send, so it is
+// immediately reusable) and request payloads are released back to the
+// delivering transport once decoded — steady-state, the membership
+// plane allocates nothing per exchange beyond what the table itself
+// retains.
+func (s *Supernode) serveConn(c transport.Conn, m transport.Message) bool {
+	reqLen := int64(len(m.Payload))
+	_, req, err := proto.Unmarshal(m.Payload)
+	m.Release()
+	if err != nil || s.isClosed() {
+		return false // garbage, or a closed daemon: hang up
 	}
+	var frame []byte
+	var scratch *[]byte
+	switch r := req.(type) {
+	case *proto.Register:
+		if s.cfg.federated() {
+			if home := ShardAssign(r.Peer.ID, len(s.cfg.Federation)); home != s.cfg.Shard {
+				if !r.Forced {
+					s.mu.Lock()
+					s.stats.Redirects++
+					s.mu.Unlock()
+					scratch = replyScratchPool.Get().(*[]byte)
+					frame, _ = proto.AppendMarshal((*scratch)[:0],
+						&proto.ShardRedirect{Shard: home, Addr: s.cfg.Federation[home]})
+					break
+				}
+				s.mu.Lock()
+				s.stats.Fostered++
+				s.mu.Unlock()
+			}
+		}
+		s.register(r.Peer)
+		scratch = replyScratchPool.Get().(*[]byte)
+		frame = s.appendPeerListReply((*scratch)[:0])
+	case *proto.Alive:
+		if s.touch(r.ID) {
+			frame = aliveAckKnownFrame
+		} else {
+			frame = aliveAckUnknownFrame
+		}
+	case *proto.FetchPeers:
+		scratch = replyScratchPool.Get().(*[]byte)
+		frame = s.appendPeerListReply((*scratch)[:0])
+	case *proto.Digest:
+		scratch = replyScratchPool.Get().(*[]byte)
+		frame = s.appendDeltaReply((*scratch)[:0], r)
+	default:
+		return false // protocol violation: drop the connection
+	}
+	err = c.Send(transport.Message{Payload: frame})
+	s.mu.Lock()
+	s.stats.BytesIn += reqLen
+	s.stats.BytesOut += int64(len(frame))
+	s.mu.Unlock()
+	if scratch != nil {
+		*scratch = frame[:0]
+		replyScratchPool.Put(scratch)
+	}
+	return err == nil
 }
 
 func (s *Supernode) register(p proto.PeerInfo) {

@@ -110,34 +110,33 @@ func (s *Service) Close() {
 	}
 }
 
-// serveConn returns the frame handler of one inbound connection: one
-// Reserve or Cancel in, one reply out of a lent scratch frame
-// (transport.GetScratch). It runs in the transport's delivery context and never parks.
-func (s *Service) serveConn(c transport.Conn) transport.FrameHandler {
-	return func(m transport.Message) bool {
-		_, req, err := proto.Unmarshal(m.Payload)
-		m.Release()
-		if err != nil {
-			return false
-		}
-		var reply any
-		switch r := req.(type) {
-		case *proto.Reserve:
-			reply = s.handleReserve(r)
-		case *proto.Cancel:
-			s.CancelKey(r.Key)
-			reply = &proto.CancelAck{Key: r.Key}
-		default:
-			return false
-		}
-		sp := transport.GetScratch()
-		frame, err := proto.AppendMarshal((*sp)[:0], reply)
-		if err == nil {
-			err = c.Send(transport.Message{Payload: frame})
-		}
-		transport.PutScratch(sp, frame)
-		return err == nil
+// serveConn is the RS's transport.FrameHandler: one Reserve or Cancel
+// in on connection c, one reply out of a lent scratch frame
+// (transport.GetScratch). It runs in the transport's delivery context
+// and never parks.
+func (s *Service) serveConn(c transport.Conn, m transport.Message) bool {
+	_, req, err := proto.Unmarshal(m.Payload)
+	m.Release()
+	if err != nil {
+		return false
 	}
+	var reply any
+	switch r := req.(type) {
+	case *proto.Reserve:
+		reply = s.handleReserve(r)
+	case *proto.Cancel:
+		s.CancelKey(r.Key)
+		reply = &proto.CancelAck{Key: r.Key}
+	default:
+		return false
+	}
+	sp := transport.GetScratch()
+	frame, err := proto.AppendMarshal((*sp)[:0], reply)
+	if err == nil {
+		err = c.Send(transport.Message{Payload: frame})
+	}
+	transport.PutScratch(sp, frame)
+	return err == nil
 }
 
 // handleReserve applies §4.2 step 4: deny-list check, J-limit check,

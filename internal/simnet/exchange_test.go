@@ -17,12 +17,10 @@ func serveEcho(t *testing.T, n *Net, addr string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	transport.Serve(l, func(c transport.Conn) transport.FrameHandler {
-		return func(m transport.Message) bool {
-			err := c.Send(m)
-			m.Release()
-			return err == nil
-		}
+	transport.Serve(l, func(c transport.Conn, m transport.Message) bool {
+		err := c.Send(m)
+		m.Release()
+		return err == nil
 	})
 }
 

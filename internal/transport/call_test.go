@@ -37,20 +37,18 @@ func newCallWorld(t *testing.T) *callWorld {
 	}
 	// The server: "echo" is answered at once, "slow" after three
 	// seconds, "hangup" by closing, anything else not at all.
-	transport.Serve(ln, func(c transport.Conn) transport.FrameHandler {
-		return func(m transport.Message) bool {
-			req := string(m.Payload)
-			m.Release()
-			switch req {
-			case "echo":
-				c.Send(transport.Message{Payload: []byte("re:echo")})
-			case "slow":
-				w.s.Schedule(3*time.Second, func() { c.Send(transport.Message{Payload: []byte("re:slow")}) })
-			case "hangup":
-				return false
-			}
-			return true
+	transport.Serve(ln, func(c transport.Conn, m transport.Message) bool {
+		req := string(m.Payload)
+		m.Release()
+		switch req {
+		case "echo":
+			c.Send(transport.Message{Payload: []byte("re:echo")})
+		case "slow":
+			w.s.Schedule(3*time.Second, func() { c.Send(transport.Message{Payload: []byte("re:slow")}) })
+		case "hangup":
+			return false
 		}
+		return true
 	})
 	return w
 }
@@ -203,9 +201,7 @@ func tcpServer(t *testing.T, answer func(transport.Conn, transport.Message)) str
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	transport.Serve(ln, func(c transport.Conn) transport.FrameHandler {
-		return func(m transport.Message) bool { answer(c, m); return true }
-	})
+	transport.Serve(ln, func(c transport.Conn, m transport.Message) bool { answer(c, m); return true })
 	return ln.Addr()
 }
 

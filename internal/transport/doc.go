@@ -11,7 +11,7 @@
 // ends of the control protocols (reserve, cancel, prepare, start, ping,
 // kill) are written on those callbacks, one code path on either network:
 //
-//   - Serve is the server side: one FrameHandler per inbound conn.
+//   - Serve is the server side: one FrameHandler for every inbound conn.
 //   - Call is the client side: dial, send, one reply or a deadline,
 //     close, then done(reply, err), exactly once.
 //
@@ -21,8 +21,8 @@
 // Call, push to a mailbox (that is how a fan-out wakes the one actor
 // waiting for it) and schedule events. On simnet the delivery context is
 // the event that delivered the frame, fired the deadline or ended the
-// handshake. On TCP it is a goroutine: the listener's accept goroutine
-// runs open, the conn's reader goroutine its handler (one that blocks
+// handshake. On TCP it is a goroutine: the conn's reader goroutine runs
+// the handler (one that blocks
 // anyway stalls that conn alone; a deadline is its socket's read
 // deadline), and a Call's done runs on the reader or, when the dial or
 // the send failed, on the dial goroutine. Code

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"maps"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"syscall"
 	"testing"
@@ -10,9 +12,10 @@ import (
 )
 
 // TestServeOverTCP drives Serve on TCP: the accept goroutine and one
-// reader goroutine per conn around the same FrameHandler. The endpoint
-// closes when the handler returns false and when the peer closes; every goroutine ends once the listener and the
-// conns are gone.
+// reader goroutine per conn around the same FrameHandler, which is
+// handed each frame's own conn. The endpoint closes when the handler
+// returns false and when the peer closes; every goroutine ends once the
+// listener and the conns are gone.
 func TestServeOverTCP(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ln, err := TCP{}.Listen("127.0.0.1:0")
@@ -20,17 +23,15 @@ func TestServeOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	opened := 0
-	Serve(ln, func(c Conn) FrameHandler {
+	served := map[Conn]int{} // frames handled, per conn
+	Serve(ln, func(c Conn, m Message) bool {
 		mu.Lock()
-		opened++
+		served[c]++
 		mu.Unlock()
-		return func(m Message) bool {
-			if string(m.Payload) == "bye" {
-				return false
-			}
-			return c.Send(Message{Payload: append([]byte("re:"), m.Payload...)}) == nil
+		if string(m.Payload) == "bye" {
+			return false
 		}
+		return c.Send(Message{Payload: append([]byte("re:"), m.Payload...)}) == nil
 	})
 
 	// Two exchanges on one conn, then the handler hangs up on "bye".
@@ -70,8 +71,8 @@ func TestServeOverTCP(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if opened != 2 {
-		t.Fatalf("open ran %d times, want once per conn", opened)
+	if frames := slices.Sorted(maps.Values(served)); !slices.Equal(frames, []int{1, 3}) {
+		t.Fatalf("frames handled per conn: %v, want one conn with 3 (a, b, bye) and one with 1 (c)", frames)
 	}
 }
 
@@ -99,9 +100,7 @@ func TestTCPAcceptSurvivesTransientError(t *testing.T) {
 	}
 	ln := &tcpListener{l: &flakyListener{Listener: inner}}
 	defer ln.Close()
-	Serve(ln, func(c Conn) FrameHandler {
-		return func(m Message) bool { return c.Send(m) == nil }
-	})
+	Serve(ln, func(c Conn, m Message) bool { return c.Send(m) == nil })
 	reply, err := RequestReply(TCP{}, ln.Addr(), Message{Payload: []byte("ping")}, 5*time.Second)
 	if err != nil || string(reply.Payload) != "ping" {
 		t.Fatalf("after a transient accept error: %q, %v", reply.Payload, err)

@@ -127,16 +127,15 @@ type Listener interface {
 	Addr() string
 }
 
-// FrameHandler consumes one inbound frame of a served connection and
+// FrameHandler consumes one inbound frame of served connection c and
 // returns false to close the endpoint (protocol violation, failed reply).
-type FrameHandler func(Message) bool
+type FrameHandler func(c Conn, m Message) bool
 
-// Serve answers every connection ln accepts: open is called once per
-// inbound conn and returns the handler for its frames. Both run in
-// delivery context (see the package doc). An endpoint is closed when
-// its peer closes or its handler returns false, only.
-func Serve(ln Listener, open func(Conn) FrameHandler) {
-	ln.OnConn(func(c Conn) { c.OnRecv(&served{c: c, h: open(c)}, 0) })
+// Serve answers every connection ln accepts with h, which runs in
+// delivery context (see the package doc) once per inbound frame. An
+// endpoint is closed when its peer closes or h returns false, only.
+func Serve(ln Listener, h FrameHandler) {
+	ln.OnConn(func(c Conn) { c.OnRecv(&served{c: c, h: h}, 0) })
 }
 
 // served is one conn under Serve: its Receiver, the one allocation
@@ -147,7 +146,7 @@ type served struct {
 }
 
 func (s *served) Receive(m Message, err error) {
-	if err != nil || !s.h(m) {
+	if err != nil || !s.h(s.c, m) {
 		s.c.Close()
 	}
 }

@@ -5,7 +5,7 @@
 //
 // The package is a facade over the internal subsystems:
 //
-//   - the open placement-strategy registry — the paper's co-allocation
+//   - the placement strategies — the paper's co-allocation
 //     strategies (spread, concentrate), the mixed extension and the
 //     random/minsites/comm-aware policies — plus the replica-safe rank
 //     assignment (internal/core);
@@ -44,7 +44,7 @@ import (
 )
 
 // Strategy names an allocation policy (§4.3 of the paper plus the
-// registered extensions); it is the key of the placement registry.
+// extensions); it is the lookup key of the placement set.
 type Strategy = core.Strategy
 
 // The built-in strategies.
@@ -58,25 +58,20 @@ const (
 )
 
 // ParseStrategy converts a command-line name into a Strategy; it accepts
-// exactly the registered names (see PlacementNames).
+// exactly the placement names (see PlacementNames).
 func ParseStrategy(name string) (Strategy, error) { return core.ParseStrategy(name) }
 
-// Placement is the open placement-policy interface: implement Name and
-// Allocate, register the policy, and it becomes selectable by name in
-// JobSpec, the scheduler and both CLIs.
+// Placement is the placement-policy interface every strategy
+// implements (Name and Allocate).
 type Placement = core.Placement
 
-// RegisterPlacement adds (or replaces) a placement policy in the
-// registry under p.Name().
-func RegisterPlacement(p Placement) { core.Register(p) }
-
-// LookupPlacement resolves a strategy name to its registered policy.
+// LookupPlacement resolves a strategy name to its policy.
 func LookupPlacement(name string) (Placement, error) { return core.Lookup(name) }
 
-// PlacementNames lists every registered strategy name in sorted order.
+// PlacementNames lists every strategy name in sorted order.
 func PlacementNames() []string { return core.Names() }
 
-// Strategies returns every registered strategy, for ranging in
+// Strategies returns every strategy, for ranging in
 // experiments and tools.
 func Strategies() []Strategy { return core.Strategies() }
 
