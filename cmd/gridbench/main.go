@@ -18,6 +18,7 @@ import (
 	"p2pmpi/internal/exp"
 	"p2pmpi/internal/faults"
 	"p2pmpi/internal/grid"
+	"p2pmpi/internal/vtime"
 	"p2pmpi/internal/workload"
 )
 
@@ -375,7 +376,7 @@ func planChurn(p *params) []step {
 	if p.mtbf == "" {
 		p.check("mtbf", errors.New("-exp churn needs "+axis))
 	}
-	if cfg.MTBFs = list(p, "mtbf", p.mtbf, parseDuration); len(cfg.MTBFs) > 0 && slices.Min(cfg.MTBFs) <= 0 {
+	if cfg.MTBFs = list(p, "mtbf", p.mtbf, vtime.ParseDuration); len(cfg.MTBFs) > 0 && slices.Min(cfg.MTBFs) <= 0 {
 		p.check("mtbf", errors.New("need "+axis))
 	}
 	cfg.Rs, cfg.Strategies = list(p, "R", p.rAxis, parseK), p.strategies
@@ -400,7 +401,7 @@ func planNemesis(p *params) []step {
 		cfg.Losses = []float64{fm.Loss}
 	}
 	if p.partDur != "" {
-		cfg.PartDurs = list(p, "partdur", p.partDur, parseDuration)
+		cfg.PartDurs = list(p, "partdur", p.partDur, vtime.ParseDuration)
 	} else if fm.PartMTBF > 0 {
 		cfg.PartDurs = []time.Duration{fm.PartMTTR}
 	}
@@ -421,19 +422,14 @@ func planNemesis(p *params) []step {
 		func() ([]exp.NemesisPoint, error) { return exp.NemesisSweep(p.topoOpts, cfg, p.workers) })}
 }
 
-// planEstimators prints the latency-estimator ablation, as a table in
-// either format.
+// planEstimators runs the latency-estimator ablation.
 func planEstimators(p *params) []step {
-	return []step{{run: func() (string, string, error) {
-		pts, err := exp.EstimatorStudy(p.opts, nil, 4)
-		var b strings.Builder
-		b.WriteString("Estimator study: booking-order quality after 4 probe rounds\n")
-		fmt.Fprintf(&b, "%-8s %12s\n", "kind", "kendall-tau")
-		for _, pt := range pts {
-			fmt.Fprintf(&b, "%-8s %12.4f\n", pt.Kind, pt.Tau)
-		}
-		return b.String(), b.String(), err
-	}}}
+	return []step{estimatorStep(func() ([]exp.EstimatorPoint, error) { return exp.EstimatorStudy(p.opts, nil, 4) })}
+}
+
+// estimatorStep renders the points study returns.
+func estimatorStep(study func() ([]exp.EstimatorPoint, error)) step {
+	return measure("Estimator study: booking-order quality after 4 probe rounds", exp.RenderEstimatorPoints, exp.EstimatorPointsCSV, study)
 }
 
 // check records err as the bad value of flag name, unless an earlier
@@ -467,22 +463,9 @@ func list[T any](p *params, name, s string, parse func(string) (T, error)) []T {
 
 // dur1 parses the single duration of flag name.
 func (p *params) dur1(name, s string) time.Duration {
-	d, err := parseDuration(strings.TrimSpace(s))
+	d, err := vtime.ParseDuration(strings.TrimSpace(s))
 	p.check(name, err)
 	return d
-}
-
-// parseDuration reads a bare number as seconds ("600") and anything
-// else as a Go duration ("10m").
-func parseDuration(f string) (time.Duration, error) {
-	if secs, err := strconv.ParseFloat(f, 64); err == nil {
-		return time.Duration(secs * float64(time.Second)), nil
-	}
-	d, err := time.ParseDuration(f)
-	if err != nil {
-		return 0, fmt.Errorf("bad duration %q", f)
-	}
-	return d, nil
 }
 
 // parseFloat reads a non-negative number (-loss, -deadline).

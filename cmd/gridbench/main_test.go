@@ -2,9 +2,16 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"strings"
 	"testing"
+
+	"p2pmpi/internal/exp"
+	"p2pmpi/internal/faults"
+	"p2pmpi/internal/latency"
+	"p2pmpi/internal/vtime"
+	"p2pmpi/internal/workload"
 )
 
 // gridbench runs the command in-process and returns its exit code,
@@ -82,5 +89,79 @@ func TestConcSmokeMatchesGolden(t *testing.T) {
 	}
 	if !strings.HasPrefix(stderr, "[conc/spread done in ") {
 		t.Fatalf("stderr %q, want the step's wall-time line", stderr)
+	}
+}
+
+// TestEstimatorsCSV: -exp estimators renders its points as a table or
+// as kind,rounds,tau CSV (it once printed the table for both).
+func TestEstimatorsCSV(t *testing.T) {
+	pts := []exp.EstimatorPoint{{Kind: latency.KindLast, Rounds: 4, Tau: 0.61234}, {Kind: latency.KindEWMA, Rounds: 4, Tau: -0.05}}
+	table, csv, err := estimatorStep(func() ([]exp.EstimatorPoint, error) { return pts, nil }).run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "kind,rounds,tau\nlast,4,0.6123\newma,4,-0.0500\n"; csv != want {
+		t.Errorf("csv:\n%s\nwant:\n%s", csv, want)
+	}
+	if want := "Estimator study: booking-order quality after 4 probe rounds\n" +
+		"kind      kendall-tau\n" +
+		"last           0.6123\n" +
+		"ewma          -0.0500\n"; table != want {
+		t.Errorf("table:\n%s\nwant:\n%s", table, want)
+	}
+}
+
+// TestDurationsCheckedAlike: a duration reads the same wherever it is
+// written — a gridbench flag, a -faults field, an -arrival field — and
+// a negative, NaN, infinite or over-1e9-second value is refused by all
+// three.
+func TestDurationsCheckedAlike(t *testing.T) {
+	parsers := []struct {
+		name  string
+		parse func(string) error
+	}{
+		{"-mttr", func(v string) error {
+			if code, _, stderr := gridbench(t, "-exp", "churn", "-mtbf", "600", "-mttr", v); code != 0 {
+				return errors.New(stderr)
+			}
+			return nil
+		}},
+		{"-faults part:mtbf=", func(v string) error {
+			_, err := faults.ParseFaultSpec("part:mtbf=" + v)
+			return err
+		}},
+		{"-arrival period=", func(v string) error {
+			_, err := workload.ParseArrivalSpec("diurnal:peak=0.05,trough=0.01,period=" + v)
+			return err
+		}},
+	}
+	for _, c := range []struct {
+		v    string
+		want string // "" = accepted
+	}{
+		{"-5", `duration "-5" out of range`},
+		{"-3s", `bad duration "-3s"`},
+		{"NaN", `duration "NaN" out of range`},
+		{"Inf", `duration "Inf" out of range`},
+		{"1e11", `duration "1e11" out of range`},
+		{"300000h", `duration "300000h" out of range`},
+		{"10 minutes", `bad duration "10 minutes"`},
+		{"600", ""},
+		{"1e9", ""},
+		{"10m", ""},
+	} {
+		want, err := vtime.ParseDuration(c.v)
+		if (err == nil) != (c.want == "") || err != nil && err.Error() != c.want {
+			t.Errorf("vtime.ParseDuration(%q) = %v, %v; want error %q", c.v, want, err, c.want)
+		}
+		for _, p := range parsers {
+			if c.want == "" && p.name == "-mttr" {
+				continue // an accepted value would run the sweep
+			}
+			err := p.parse(c.v)
+			if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+				t.Errorf("%s%s: error %v, want %q", p.name, c.v, err, c.want)
+			}
+		}
 	}
 }

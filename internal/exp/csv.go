@@ -44,6 +44,17 @@ func ConcurrentPointsCSV(pts []ConcurrentPoint) string {
 	return b.String()
 }
 
+// EstimatorPointsCSV renders the latency-estimator study as CSV, one
+// row per estimator kind.
+func EstimatorPointsCSV(pts []EstimatorPoint) string {
+	var b strings.Builder
+	b.WriteString("kind,rounds,tau\n")
+	for _, p := range pts {
+		fmt.Fprintf(&b, "%s,%d,%.4f\n", p.Kind, p.Rounds, p.Tau)
+	}
+	return b.String()
+}
+
 // TimePointsCSV renders Figure 4 data as CSV with one column per
 // strategy.
 func TimePointsCSV(pts []TimePoint) string {

@@ -91,3 +91,15 @@ func RenderTimePoints(title string, pts []TimePoint) string {
 	}
 	return b.String()
 }
+
+// RenderEstimatorPoints prints the latency-estimator study: one row per
+// estimator kind with its Kendall tau.
+func RenderEstimatorPoints(title string, pts []EstimatorPoint) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n", title)
+	fmt.Fprintf(&b, "%-8s %12s\n", "kind", "kendall-tau")
+	for _, p := range pts {
+		fmt.Fprintf(&b, "%-8s %12.4f\n", p.Kind, p.Tau)
+	}
+	return b.String()
+}

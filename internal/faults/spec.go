@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"p2pmpi/internal/vtime"
 )
 
 // Config describes a fault model: host crashes and site outages, and
@@ -254,9 +256,9 @@ func ParseFaultSpec(s string) (Config, error) {
 			var err error
 			switch kind + ":" + key {
 			case "part:mtbf":
-				err = parseDurInto(&c.PartMTBF, val)
+				c.PartMTBF, err = vtime.ParseDuration(val)
 			case "part:mttr":
-				err = parseDurInto(&c.PartMTTR, val)
+				c.PartMTTR, err = vtime.ParseDuration(val)
 			case "part:split":
 				var b bool
 				if b, err = strconv.ParseBool(val); err != nil {
@@ -271,9 +273,9 @@ func ParseFaultSpec(s string) (Config, error) {
 			case "gray:frac":
 				err = parseProbInto(&c.GrayFrac, val)
 			case "gray:mtbf":
-				err = parseDurInto(&c.GrayMTBF, val)
+				c.GrayMTBF, err = vtime.ParseDuration(val)
 			case "gray:mttr":
-				err = parseDurInto(&c.GrayMTTR, val)
+				c.GrayMTTR, err = vtime.ParseDuration(val)
 			case "gray:drop":
 				err = parseProbInto(&c.GrayDrop, val)
 			case "gray:slow":
@@ -281,7 +283,7 @@ func ParseFaultSpec(s string) (Config, error) {
 			case "dup:p":
 				err = parseProbInto(&c.DupProb, val)
 			case "dup:delay":
-				err = parseDurInto(&c.DupDelay, val)
+				c.DupDelay, err = vtime.ParseDuration(val)
 			default:
 				err = fmt.Errorf("unknown field %q (want %s)", key, strings.Join(faultFields(kind), "|"))
 			}
@@ -334,25 +336,5 @@ func parseProbInto(dst *float64, s string) error {
 		return fmt.Errorf("value %q out of range", s)
 	}
 	*dst = v
-	return nil
-}
-
-// parseDurInto parses a duration: bare numbers are seconds ("600"), Go
-// durations work too ("10m").
-func parseDurInto(dst *time.Duration, s string) error {
-	if secs, err := strconv.ParseFloat(s, 64); err == nil {
-		// The 1e9-second bound (~31 years) keeps the nanosecond
-		// conversion far from int64 overflow.
-		if secs < 0 || secs != secs || secs > 1e9 {
-			return fmt.Errorf("duration %q out of range", s)
-		}
-		*dst = time.Duration(secs * float64(time.Second))
-		return nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil || d < 0 {
-		return fmt.Errorf("bad duration %q", s)
-	}
-	*dst = d
 	return nil
 }

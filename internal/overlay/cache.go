@@ -54,6 +54,11 @@ type Cache struct {
 	// retains (pending copies and the merged table) against the
 	// world-shared Interner — equal values, shared backing strings.
 	intern *Interner
+	// frameGen is the interner generation of the last frame this
+	// materialized cache merged without changing anything, 0 for none.
+	// Every edit of peers or dead clears it (setLocked, MarkDead), so
+	// while it is set, merging that frame again is a no-op.
+	frameGen uint64
 	// pendingCap bounds the total entries retained across queued
 	// snapshots while unmaterialized (0 = unbounded); see SetPendingCap.
 	pendingCap int
@@ -111,9 +116,13 @@ func (c *Cache) Update(list []proto.PeerInfo) {
 // reply still in its frame: a queued snapshot decodes only the entries
 // the queue keeps, and a materialized cache merges straight from the
 // frame (proto.PeerListReader), so an entry it already holds, live and
-// equal, costs one map lookup and builds no string. A frame that fails
-// to decode changes nothing and returns the decode error. The cache
-// keeps no view of frame.
+// equal, costs one map lookup and builds no string. With an interner,
+// a materialized cache whose last merge of this very frame changed
+// nothing, and which nothing has edited since, skips the merge after
+// one byte compare against the interner's newest frame: a periodic
+// refresh mostly repeats the previous reply. A frame that fails to
+// decode changes nothing and returns the decode error. The cache keeps
+// no view of frame.
 func (c *Cache) UpdateFrame(frame []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -128,6 +137,9 @@ func (c *Cache) UpdateFrame(frame []byte) error {
 		peerListPool.Put(sp)
 		return err
 	}
+	if c.frameGen != 0 && c.intern.holdsFrame(frame, c.frameGen) {
+		return nil
+	}
 	r, err := proto.ReadPeerList(frame)
 	if err != nil {
 		return err
@@ -136,6 +148,9 @@ func (c *Cache) UpdateFrame(frame []byte) error {
 	if c.peers == nil {
 		c.peers = make(map[string]*proto.PeerInfo, r.Len())
 	}
+	// Recorded before the walk: an entry the walk changes clears it, so
+	// it survives only a merge that was a no-op.
+	c.frameGen = c.intern.publishFrame(frame)
 	for e, ok := r.Next(); ok; e, ok = r.Next() {
 		if c.selfID == string(e.ID) {
 			continue
@@ -228,6 +243,7 @@ func (c *Cache) setLocked(ref *proto.PeerInfo, revived bool) {
 	c.peers[ref.ID] = ref // interned first: the map key shares its ID string
 	delete(c.dead, ref.ID)
 	c.rankedValid = false
+	c.frameGen = 0
 }
 
 // flushLocked materializes the table, replaying deferred snapshots in
@@ -283,6 +299,7 @@ func (c *Cache) MarkDead(id string) {
 		c.live--
 	}
 	c.lat.Forget(id)
+	c.frameGen = 0
 	if c.dead == nil {
 		c.dead = make(map[string]bool)
 	}

@@ -45,18 +45,23 @@ func cacheState(c *Cache) string {
 	return b.String()
 }
 
-// FuzzCacheUpdateFrame drives two caches through one script: one takes
-// every host-list frame through UpdateFrame, the other through
-// Update(UnmarshalPeerList(frame)). Frames are valid lists drawn from
-// a small universe (repeats, changed addresses, the cache's own host),
-// corrupted ones and raw fuzz bytes; deaths, samples and reads
+// FuzzCacheUpdateFrame drives two pairs of caches through one script:
+// in each pair one cache takes every host-list frame through
+// UpdateFrame, the other through Update(UnmarshalPeerList(frame)).
+// Frames are valid lists drawn from a small universe (repeats, changed
+// addresses, the cache's own host), corrupted ones, raw fuzz bytes and
+// byte-for-byte replays of recent frames; each goes to one pair or
+// both. Deaths, samples, reads and lists merged through Update
 // interleave, so both the queued and the materialized paths run, with
-// and without an interner and under a pending cap. After every step the
-// two caches must hold the same state, the two decodes must agree on
-// failure, and a frame that fails must have changed nothing.
+// and without an interner and under a pending cap. The two frame
+// caches share the interner, so one publishes frames the other may
+// skip on. After every step the caches of a pair must hold the same
+// state, the two decodes must agree on failure, and a frame that fails
+// must have changed nothing, the cache's record of its last no-op
+// merge included.
 func FuzzCacheUpdateFrame(f *testing.F) {
-	for seed := int64(1); seed <= 12; seed++ {
-		ops := make([]byte, 300)
+	for seed := int64(1); seed <= 24; seed++ {
+		ops := make([]byte, 400)
 		rand.New(rand.NewSource(seed)).Read(ops)
 		f.Add(ops)
 	}
@@ -71,69 +76,117 @@ func FuzzCacheUpdateFrame(f *testing.F) {
 		}
 		mode := next()
 		var it *Interner
-		if mode&1 != 0 {
+		if mode%4 != 0 {
 			it = NewInterner()
 		}
-		frameCache, listCache := NewCache("me", latency.KindLast, 0), NewCache("me", latency.KindLast, 0)
-		for _, c := range []*Cache{frameCache, listCache} {
-			c.SetInterner(it)
-			if mode&2 != 0 {
-				c.SetPendingCap(1 + mode>>2%8)
+		type pair struct{ frame, list *Cache }
+		var pairs [2]pair
+		for i, self := range []string{"me", cacheUniverse[1]} {
+			pairs[i] = pair{NewCache(self, latency.KindLast, 0), NewCache(self, latency.KindLast, 0)}
+			for _, c := range []*Cache{pairs[i].frame, pairs[i].list} {
+				c.SetInterner(it)
+				if mode&2 != 0 {
+					c.SetPendingCap(1 + mode>>2%8)
+				}
 			}
 		}
 		host := func() string { return cacheUniverse[next()%6] }
+		var listed []proto.PeerInfo // the newest list drawn
+		list := func() []proto.PeerInfo {
+			listed = nil
+			for n := next() % 6; n > 0; n-- {
+				listed = append(listed, infoVersion(host(), next()%2))
+			}
+			return listed
+		}
+		var recent [][]byte // the last few frames, valid or not
 		for step := 0; len(ops) > 0; step++ {
 			// Frames dominate, so runs reach a full snapshot queue before
 			// the first read, death or sample materializes the cache.
 			switch op := next() % 32; {
-			case op < 24: // a host-list frame
+			case op < 20: // a host-list frame
 				var frame []byte
-				if k := next() % 4; k == 3 {
+				switch k := next() % 16; {
+				case k >= 9 && len(recent) > 0:
+					// Mostly the newest frame again: a periodic refresh.
+					frame = recent[len(recent)-1]
+					if k == 15 {
+						frame = recent[next()%len(recent)]
+					}
+				case k == 8:
 					n := next() % 32
 					frame = ops[:min(len(ops), n)]
 					ops = ops[len(frame):]
-				} else {
-					var l []proto.PeerInfo
-					for n := next() % 6; n > 0; n-- {
-						l = append(l, infoVersion(host(), next()%2))
-					}
-					frame = proto.MustMarshal(&proto.PeerList{Peers: l})
+				default:
+					frame = proto.MustMarshal(&proto.PeerList{Peers: list()})
 					switch k {
-					case 1: // truncated
+					case 6: // truncated
 						frame = frame[:next()%len(frame)]
-					case 2: // one byte flipped
+					case 7: // one byte flipped
 						frame[next()%len(frame)] ^= byte(1 + next())
 					}
 				}
-				before := cacheState(frameCache)
-				err := frameCache.UpdateFrame(frame)
-				list, lerr := proto.UnmarshalPeerList(frame, nil)
-				if (err == nil) != (lerr == nil) {
-					t.Fatalf("step %d: UpdateFrame error %v, UnmarshalPeerList error %v", step, err, lerr)
+				if recent = append(recent, frame); len(recent) > 4 {
+					recent = recent[1:]
 				}
-				if err != nil {
-					if after := cacheState(frameCache); after != before {
-						t.Fatalf("step %d: a frame that failed (%v) changed the cache:\n%s\nbecame\n%s", step, err, before, after)
+				to := pairs[:]
+				if w := next() % 3; w < 2 {
+					to = pairs[w : w+1]
+				}
+				for _, p := range to {
+					before, gen := cacheState(p.frame), p.frame.frameGen
+					err := p.frame.UpdateFrame(frame)
+					l, lerr := proto.UnmarshalPeerList(frame, nil)
+					if (err == nil) != (lerr == nil) {
+						t.Fatalf("step %d: UpdateFrame error %v, UnmarshalPeerList error %v", step, err, lerr)
 					}
-					continue
+					if err != nil {
+						if after := cacheState(p.frame); after != before || p.frame.frameGen != gen {
+							t.Fatalf("step %d: a frame that failed (%v) changed the cache (record %d -> %d):\n%s\nbecame\n%s", step, err, gen, p.frame.frameGen, before, after)
+						}
+						continue
+					}
+					p.list.Update(l)
 				}
-				listCache.Update(list)
-			case op < 26:
+			case op < 23: // a list merged through Update by every cache
+				l := list()
+				for _, p := range pairs {
+					p.frame.Update(l)
+					p.list.Update(l)
+				}
+			case op < 26: // a death, mostly of a host the newest list holds
 				id := host()
-				frameCache.MarkDead(id)
-				listCache.MarkDead(id)
+				if k := next(); k%4 != 0 && len(listed) > 0 {
+					id = listed[k%len(listed)].ID
+				}
+				for _, p := range pairs {
+					p.frame.MarkDead(id)
+					p.list.MarkDead(id)
+				}
 			case op < 28:
 				id, rtt := host(), time.Duration(1+next())*time.Millisecond
-				frameCache.Observe(id, rtt)
-				listCache.Observe(id, rtt)
+				for _, p := range pairs {
+					p.frame.Observe(id, rtt)
+					p.list.Observe(id, rtt)
+				}
 			case op < 30:
-				frameCache.IDs()
-				listCache.IDs()
+				ranked := next()%2 == 0
+				for _, p := range pairs {
+					for _, c := range []*Cache{p.frame, p.list} {
+						if ranked {
+							c.RankedView()
+						} else {
+							c.IDs()
+						}
+					}
+				}
 			default: // the host re-registers: the interner learns another incarnation
 				it.PeerInfo(infoVersion(host(), 2+next()%2))
 			}
-			if a, b := cacheState(frameCache), cacheState(listCache); a != b {
-				t.Fatalf("step %d: UpdateFrame left\n%s\nUpdate left\n%s", step, a, b)
+			for i, p := range pairs {
+				if a, b := cacheState(p.frame), cacheState(p.list); a != b {
+					t.Fatalf("step %d, pair %d: UpdateFrame left\n%s\nUpdate left\n%s", step, i, a, b)
+				}
 			}
 		}
 	})
@@ -178,5 +231,38 @@ func TestUpdateFrameHeldEntryIsFree(t *testing.T) {
 	l[3] = infoVersion(l[3].ID, runs%2)
 	if p, _ := c.Peer(l[3].ID); p != l[3] {
 		t.Fatalf("changed entry reads %+v, want %+v", p, l[3])
+	}
+}
+
+// BenchmarkCacheUpdateFrame measures a periodic host-list refresh of
+// 128 entries into a materialized cache wired to an interner, as every
+// MPD of a simulated world is: same repeats one frame, changed
+// alternates two frames that differ in one host's addresses.
+func BenchmarkCacheUpdateFrame(b *testing.B) {
+	l := make([]proto.PeerInfo, 128)
+	for i := range l {
+		l[i] = peer(fmt.Sprintf("peer%05d", i))
+	}
+	var frames [2][]byte
+	for v := range frames {
+		l[5].MPDAddr = fmt.Sprintf("peer00005:%d", 9000+v)
+		frames[v] = proto.MustMarshal(&proto.PeerList{Peers: l})
+	}
+	for _, bc := range []struct {
+		name  string
+		width int
+	}{{"same", 1}, {"changed", 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := NewCache("me", latency.KindLast, 0)
+			c.SetInterner(NewInterner())
+			c.IDs() // materialize
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.UpdateFrame(frames[i%bc.width]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

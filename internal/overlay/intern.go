@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"bytes"
 	"slices"
 	"sync"
 
@@ -24,6 +25,13 @@ import (
 // call site of Snapshot and MergedView) and adopt the canonical copy.
 // The interner publishes exact-length copies and never keeps a caller's
 // buffer, so everything a member recycles is private by construction.
+//
+// The interner also keeps the newest host-list frame a cache merged,
+// under a generation number that changes whenever its bytes do. A
+// cache that merged a frame without changing anything records that
+// generation, so a later reply byte-equal to the same generation is
+// known to be a no-op merge: one byte compare instead of a walk (see
+// Cache.UpdateFrame). The bytes are always compared, never a hash.
 //
 // All methods are safe for concurrent use from parallel shards and are
 // nil-receiver safe (a nil Interner interns nothing), so the wiring can
@@ -55,6 +63,12 @@ type Interner struct {
 	// its wire image, published and adopted with it.
 	merged    []proto.PeerInfo
 	mergedImg *proto.PeerImage
+
+	frameMu sync.Mutex
+	// frame is an exact-length copy of the newest host-list frame any
+	// cache merged, frameGen its generation (0 = none yet).
+	frame    []byte
+	frameGen uint64
 }
 
 type snapEntry struct {
@@ -230,4 +244,36 @@ func (it *Interner) sharesImage(img *proto.PeerImage) bool {
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	return img == it.mergedImg
+}
+
+// holdsFrame reports whether frame is byte for byte the newest merged
+// frame and gen is that frame's generation.
+func (it *Interner) holdsFrame(frame []byte, gen uint64) bool {
+	if it == nil {
+		return false
+	}
+	it.frameMu.Lock()
+	defer it.frameMu.Unlock()
+	return gen == it.frameGen && bytes.Equal(frame, it.frame)
+}
+
+// publishFrame makes a validated host-list frame the newest one and
+// returns its generation: the current one when the bytes are equal,
+// else a new one over a copy (the caller's buffer is never kept). A nil
+// interner returns 0, which no cache can skip on.
+func (it *Interner) publishFrame(frame []byte) uint64 {
+	if it == nil {
+		return 0
+	}
+	it.frameMu.Lock()
+	defer it.frameMu.Unlock()
+	if bytes.Equal(frame, it.frame) {
+		return it.frameGen
+	}
+	if len(it.frame) != len(frame) {
+		it.frame = make([]byte, len(frame))
+	}
+	copy(it.frame, frame)
+	it.frameGen++
+	return it.frameGen
 }

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"p2pmpi/internal/vtime"
 )
 
 // ArrivalKind selects an arrival-process family.
@@ -231,11 +233,11 @@ func ParseArrivalSpec(s string) (ArrivalSpec, error) {
 		case "trough":
 			err = parseRateInto(&a.Trough, val)
 		case "period":
-			err = parseDurInto(&a.Period, val)
+			a.Period, err = vtime.ParseDuration(val)
 		case "maintevery":
-			err = parseDurInto(&a.MaintEvery, val)
+			a.MaintEvery, err = vtime.ParseDuration(val)
 		case "maintdur":
-			err = parseDurInto(&a.MaintDur, val)
+			a.MaintDur, err = vtime.ParseDuration(val)
 		default:
 			err = fmt.Errorf("unknown field %q (want %s)", key, strings.Join(arrivalFields(a.Kind), "|"))
 		}
@@ -274,23 +276,5 @@ func parseRateInto(dst *float64, s string) error {
 		return fmt.Errorf("rate %q out of range", s)
 	}
 	*dst = v
-	return nil
-}
-
-// parseDurInto parses a duration: bare numbers are seconds ("600"), Go
-// durations work too ("10m").
-func parseDurInto(dst *time.Duration, s string) error {
-	if secs, err := strconv.ParseFloat(s, 64); err == nil {
-		if secs < 0 || secs != secs || secs > 1e12 {
-			return fmt.Errorf("duration %q out of range", s)
-		}
-		*dst = time.Duration(secs * float64(time.Second))
-		return nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil || d < 0 {
-		return fmt.Errorf("bad duration %q", s)
-	}
-	*dst = d
 	return nil
 }
