@@ -42,11 +42,30 @@ var allowedGoroutines = map[string]int{
 	"internal/transport.tcpConn.OnRecv":     1, // a conn's reader goroutine
 }
 
+// allowedPulls lists every function of the non-test code under
+// internal/ that calls .Accept(, .Recv( or .RecvTimeout(, and how many
+// times. Daemons and clients receive by callback (transport.Serve and
+// transport.Call); the pull forms are TCP's own reader, simnet's
+// adapter and the blocking scripts kept on top of them.
+var allowedPulls = map[string]int{
+	"internal/transport.tcpListener.Accept": 1, // net.Listener's Accept under TCP's
+	"internal/transport.tcpListener.OnConn": 1, // TCP's accept goroutine
+	"internal/transport.tcpConn.OnRecv":     2, // TCP's reader goroutine
+	"internal/transport.tcpConn.Recv":       1, // TCP's Recv is its RecvTimeout
+	"internal/simnet.conn.Recv":             1, // the simnet adapter
+	"internal/transport.RequestReply":       1, // the blocking Call, kept for bench/ and scripts
+	"internal/nettest.Probe.Ask":            1, // the hygiene tests' scripted client
+	"internal/mpi.Comm.Recv":                1, // mpi.Comm, not a transport type
+	"internal/mpi.Comm.Sendrecv":            1, // mpi.Comm, not a transport type
+	"internal/mpi.Comm.recvCol":             1, // mpi.Comm, not a transport type
+	"internal/nas.RunIS":                    1, // mpi.Comm, not a transport type
+}
+
 // threadSites parses every non-test Go file under internal/ and returns,
 // per function ("dir.Func" or "dir.Type.Method"), the positions of its
-// .Go( calls and of its go statements.
-func threadSites(t *testing.T) (actors, goroutines map[string][]string) {
-	actors, goroutines = map[string][]string{}, map[string][]string{}
+// .Go( calls, of its go statements and of its pull-form calls.
+func threadSites(t *testing.T) (actors, goroutines, pulls map[string][]string) {
+	actors, goroutines, pulls = map[string][]string{}, map[string][]string{}, map[string][]string{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -75,8 +94,13 @@ func threadSites(t *testing.T) (actors, goroutines map[string][]string) {
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CallExpr:
-					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Go" {
-						actors[key] = append(actors[key], fset.Position(n.Pos()).String())
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+						switch sel.Sel.Name {
+						case "Go":
+							actors[key] = append(actors[key], fset.Position(n.Pos()).String())
+						case "Accept", "Recv", "RecvTimeout":
+							pulls[key] = append(pulls[key], fset.Position(n.Pos()).String())
+						}
 					}
 				case *ast.GoStmt:
 					goroutines[key] = append(goroutines[key], fset.Position(n.Pos()).String())
@@ -89,7 +113,7 @@ func threadSites(t *testing.T) (actors, goroutines map[string][]string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return actors, goroutines
+	return actors, goroutines, pulls
 }
 
 // checkAllowList fails t on any site of found outside allowed (or beyond
@@ -103,7 +127,7 @@ func checkAllowList(t *testing.T, what string, found map[string][]string, allowe
 	sort.Strings(keys)
 	for _, k := range keys {
 		if sites := found[k]; len(sites) > allowed[k] {
-			t.Errorf("%s starts %d %s, %d allowed: %s", k, len(sites), what, allowed[k], strings.Join(sites, ", "))
+			t.Errorf("%s makes %d %s, %d allowed: %s", k, len(sites), what, allowed[k], strings.Join(sites, ", "))
 		}
 	}
 	for k, n := range allowed {
@@ -116,7 +140,7 @@ func checkAllowList(t *testing.T, what string, found map[string][]string, allowe
 // TestOnlySimulatedProcessesAreActors fails on any .Go( call site
 // outside allowedActors.
 func TestOnlySimulatedProcessesAreActors(t *testing.T) {
-	actors, _ := threadSites(t)
+	actors, _, _ := threadSites(t)
 	checkAllowList(t, "actors", actors, allowedActors)
 }
 
@@ -124,6 +148,14 @@ func TestOnlySimulatedProcessesAreActors(t *testing.T) {
 // allowedGoroutines: a simulated component that starts a goroutine
 // escapes the scheduler's determinism.
 func TestGoStatementsOnlyWhereAllowed(t *testing.T) {
-	_, goroutines := threadSites(t)
+	_, goroutines, _ := threadSites(t)
 	checkAllowList(t, "goroutines", goroutines, allowedGoroutines)
+}
+
+// TestPullFormsOnlyWhereAllowed fails on any Accept, Recv or
+// RecvTimeout call outside allowedPulls: a new reader by pull would
+// bring back the second receive path the adapters stand in for.
+func TestPullFormsOnlyWhereAllowed(t *testing.T) {
+	_, _, pulls := threadSites(t)
+	checkAllowList(t, "pull-form calls", pulls, allowedPulls)
 }

@@ -491,13 +491,9 @@ func (w *World) Boot() error {
 		transport.Call(w.Net.Node(w.FrontalID), w.SNAddr,
 			transport.Message{Payload: proto.MustMarshal(&proto.FetchPeers{})}, 2*time.Second,
 			func(reply transport.Message, err error) {
-				if err != nil {
-					return
-				}
-				peers, err := proto.UnmarshalPeerList(reply.Payload, nil)
-				reply.Release()
 				if err == nil {
-					w.Frontal.Cache().Update(peers)
+					w.Frontal.Cache().UpdateFrame(reply.Payload)
+					reply.Release()
 				}
 			})
 	})

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -49,18 +50,42 @@ func nemesisConfig(seed int64) Config {
 	}
 }
 
-// The crash kind's twins of the trace properties below (determinism,
-// order, warmup, per-entity sources, Stop) run in internal/churn's
-// tests.
+func crashConfig(seed int64) Config {
+	return Config{
+		Seed: seed, MTBF: 300 * time.Second, MTTR: 30 * time.Second,
+		SiteMTBF: 1200 * time.Second, SiteMTTR: 120 * time.Second,
+		Horizon: 2 * time.Hour,
+	}
+}
+
+// traceKinds are the timelines the trace properties below run over:
+// the network kinds (partitions, gray hosts) on sites, and the crash
+// kind (host crashes, site outages) on the hosts' sites.
+var traceKinds = []struct {
+	name      string
+	cfg       func(seed int64) Config
+	sites     []string
+	kinds     []EventKind
+	reference func(sites, hosts []string, cfg Config) []Event
+}{
+	{"network", nemesisConfig, testSites(5), []EventKind{EvPartition, EvGray}, referenceTrace},
+	{"crash", crashConfig, nil, []EventKind{EvCrash}, referenceCrashTrace},
+}
 
 // TestTraceDeterministicAndOrderFree is the replay property: a trace is
 // a pure function of (seed, site set, host set, config) — regenerating
 // it, or generating it concurrently from permuted input slices, yields
 // the identical event sequence. quick.Check sweeps seeds.
 func TestTraceDeterministicAndOrderFree(t *testing.T) {
-	sites, hosts := testSites(5), testHosts(12)
+	for _, k := range traceKinds {
+		t.Run(k.name, func(t *testing.T) { traceDeterministicAndOrderFree(t, k.sites, k.cfg) })
+	}
+}
+
+func traceDeterministicAndOrderFree(t *testing.T, sites []string, config func(int64) Config) {
+	hosts := testHosts(12)
 	prop := func(seed int64) bool {
-		cfg := nemesisConfig(seed)
+		cfg := config(seed)
 		want := Trace(sites, hosts, siteOfTest, cfg)
 		// Eight concurrent generations from independently permuted
 		// inputs: any order dependence or shared hidden state between
@@ -94,33 +119,39 @@ func TestTraceDeterministicAndOrderFree(t *testing.T) {
 }
 
 func TestTraceSortedAndBounded(t *testing.T) {
-	cfg := nemesisConfig(3)
-	tr := Trace(testSites(4), testHosts(8), nil, cfg)
-	if len(tr) == 0 {
-		t.Fatal("empty trace")
-	}
-	for i := 1; i < len(tr); i++ {
-		if tr[i].At < tr[i-1].At {
-			t.Fatalf("unsorted at %d: %v after %v", i, tr[i], tr[i-1])
-		}
-	}
-	for _, ev := range tr {
-		if ev.At < 0 || ev.At >= cfg.Horizon {
-			t.Fatalf("event outside horizon: %v", ev)
-		}
-		if ev.Kind == EvPartition && ev.A >= ev.B {
-			t.Fatalf("uncanonical pair: %v", ev)
-		}
+	for _, k := range traceKinds {
+		t.Run(k.name, func(t *testing.T) {
+			cfg := k.cfg(3)
+			tr := Trace(k.sites, testHosts(8), siteOfTest, cfg)
+			if len(tr) == 0 {
+				t.Fatal("empty trace")
+			}
+			for i, ev := range tr {
+				if i > 0 && ev.At < tr[i-1].At {
+					t.Fatalf("unsorted at %d: %v after %v", i, ev, tr[i-1])
+				}
+				if ev.At < 0 || ev.At >= cfg.Horizon || !slices.Contains(k.kinds, ev.Kind) {
+					t.Fatalf("event outside horizon or of another kind: %v", ev)
+				}
+				if ev.Kind == EvPartition && ev.A >= ev.B {
+					t.Fatalf("uncanonical pair: %v", ev)
+				}
+			}
+		})
 	}
 }
 
 func TestTraceWarmupQuietPeriod(t *testing.T) {
-	cfg := nemesisConfig(11)
-	cfg.Warmup = 20 * time.Minute
-	for _, ev := range Trace(testSites(4), testHosts(8), nil, cfg) {
-		if ev.On && ev.At < cfg.Warmup {
-			t.Fatalf("onset %v struck inside the warmup window", ev)
-		}
+	for _, k := range traceKinds {
+		t.Run(k.name, func(t *testing.T) {
+			cfg := k.cfg(11)
+			cfg.Warmup = 20 * time.Minute
+			for _, ev := range Trace(k.sites, testHosts(8), siteOfTest, cfg) {
+				if ev.On && ev.At < cfg.Warmup {
+					t.Fatalf("onset %v struck inside the warmup window", ev)
+				}
+			}
+		})
 	}
 }
 
@@ -264,19 +295,24 @@ func TestDriverRefCountsOverlappingCuts(t *testing.T) {
 	}
 }
 
-// TestDriverGrayAndStop: gray hooks replay, Stop halts injection and
-// settles an open partition spell.
+// TestDriverGrayAndStop: gray and crash hooks replay, Stop halts
+// injection of every kind and settles an open partition spell and an
+// open host downtime.
 func TestDriverGrayAndStop(t *testing.T) {
 	dom := vtime.NewDomain(1, 0)
 	defer dom.Shutdown()
 	trace := []Event{
 		{At: 5 * time.Second, Kind: EvGray, Host: "h0", On: true},
 		{At: 10 * time.Second, Kind: EvPartition, A: "a", B: "b", On: true},
+		{At: 10 * time.Second, Kind: EvCrash, Host: "h1", On: true},
 		{At: 40 * time.Second, Kind: EvGray, Host: "h0", On: false},
+		{At: 40 * time.Second, Kind: EvCrash, Host: "h2", On: true},
 	}
 	var grayLog []bool
+	downs := 0
 	d := NewDriver(dom, trace, Hooks{
 		Gray: func(host string, on bool) { grayLog = append(grayLog, on) },
+		Down: func(string) { downs++ },
 	})
 	d.Start()
 	dom.RunFor(20 * time.Second)
@@ -288,8 +324,11 @@ func TestDriverGrayAndStop(t *testing.T) {
 	if !reflect.DeepEqual(grayLog, []bool{true}) {
 		t.Fatalf("gray transitions %v, want [true] (the off was stopped out)", grayLog)
 	}
-	if st.GrayEpisodes != 1 || st.Partitions != 1 {
-		t.Fatalf("stats %+v", st)
+	if downs != 1 || st.GrayEpisodes != 1 || st.Partitions != 1 || st.Failures != 1 {
+		t.Fatalf("%d Down hooks, stats %+v: want one episode of each kind (h2 was stopped out)", downs, st)
+	}
+	if st.HostDownTime != 10*time.Second {
+		t.Fatalf("open downtime charged %v, want 10s", st.HostDownTime)
 	}
 	if st.PartitionTime != 10*time.Second {
 		t.Fatalf("open spell charged %v, want 10s", st.PartitionTime)
@@ -438,16 +477,20 @@ func TestTraceEmptyWithoutHorizon(t *testing.T) {
 	}
 }
 
-// referenceTrace is Trace as it was built before the generator was
-// shared: a fresh rand.NewSource for the partition process and per gray
-// host, seeded from an FNV-1a hash of the concatenated label.
+// source is the per-entity generator Trace drew from before it shared
+// one: a fresh rand.NewSource seeded from an FNV-1a hash of the label.
+func source(seed int64, label string) *rand.Rand {
+	h := fnv.New64a()
+	h.Write([]byte(label))
+	return rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
+}
+
+// referenceTrace is the network part of Trace as it was built before
+// the generator was shared: a fresh source for the partition process
+// and per gray host.
 func referenceTrace(sites, hosts []string, cfg Config) []Event {
 	cfg = cfg.withDefaults()
-	source := func(label string) *rand.Rand {
-		h := fnv.New64a()
-		h.Write([]byte(label))
-		return rand.New(rand.NewSource(cfg.Seed ^ int64(h.Sum64())))
-	}
+	source := func(label string) *rand.Rand { return source(cfg.Seed, label) }
 	var out []Event
 	renew := func(rng *rand.Rand, mtbf, mttr time.Duration, emit func(time.Duration, bool)) {
 		for t := cfg.Warmup + draw(rng, "", mtbf, 0); t < cfg.Horizon; t += draw(rng, "", mtbf, 0) {
@@ -482,34 +525,87 @@ func referenceTrace(sites, hosts []string, cfg Config) []Event {
 	return out
 }
 
-// TestTraceMatchesPerEntitySources: sharing one re-seeded generator
-// across every process replays exactly the streams a fresh source per
-// entity draws (the crash processes are checked in internal/churn), and
-// no longer costs a source (two allocations, 4.9 KB) per host: a quiet
-// 1000-host trace allocates only a handful of times.
-func TestTraceMatchesPerEntitySources(t *testing.T) {
-	sites, hosts := testSites(6), testHosts(40)
-	for _, seed := range []int64{1, 42, 1234} {
-		cfg := nemesisConfig(seed)
-		got := Trace(sites, hosts, nil, cfg)
-		want := referenceTrace(sites, hosts, cfg)
-		if len(got) == 0 || len(got) != len(want) {
-			t.Fatalf("seed %d: %d events, reference %d", seed, len(got), len(want))
+// referenceCrashTrace is the crash part of Trace as it was built before
+// the generator was shared: a fresh source per host and per site, and
+// its own copy of the lifetime draw.
+func referenceCrashTrace(_, hosts []string, cfg Config) []Event {
+	cfg = cfg.Normalized()
+	draw := func(rng *rand.Rand, kind DistKind, mean time.Duration) time.Duration {
+		e := -math.Log(1 - rng.Float64())
+		x := float64(mean) * e
+		if kind == DistWeibull {
+			x = float64(mean) / math.Gamma(1+1/cfg.WeibullShape) * math.Pow(e, 1/cfg.WeibullShape)
 		}
-		// Trace's order is total, so the multisets agree iff every
-		// reference event appears exactly as often.
-		count := map[Event]int{}
-		for _, e := range want {
-			count[e]++
+		if x < 0 || math.IsNaN(x) {
+			x = 0
 		}
-		for _, e := range got {
-			if count[e]--; count[e] < 0 {
-				t.Fatalf("seed %d: event %+v not in the reference trace", seed, e)
+		return time.Duration(x)
+	}
+	var out []Event
+	renew := func(rng *rand.Rand, mtbf, mttr time.Duration, emit func(time.Duration, bool)) {
+		t := cfg.Warmup + draw(rng, cfg.UpDist, mtbf)
+		for t < cfg.Horizon {
+			emit(t, true)
+			d := draw(rng, cfg.DownDist, mttr)
+			if t+d >= cfg.Horizon {
+				break
 			}
+			t += d
+			emit(t, false)
+			t += draw(rng, cfg.UpDist, mtbf)
 		}
 	}
+	bySite := map[string][]string{}
+	for _, h := range hosts {
+		renew(source(cfg.Seed, "host:"+h), cfg.MTBF, cfg.MTTR, func(at time.Duration, on bool) {
+			out = append(out, Event{At: at, Kind: EvCrash, Host: h, On: on})
+		})
+		bySite[siteOfTest(h)] = append(bySite[siteOfTest(h)], h)
+	}
+	for s, members := range bySite {
+		renew(source(cfg.Seed, "site:"+s), cfg.SiteMTBF, cfg.SiteMTTR, func(at time.Duration, on bool) {
+			for _, h := range members {
+				out = append(out, Event{At: at, Kind: EvCrash, Host: h, Site: s, On: on})
+			}
+		})
+	}
+	return out
+}
 
-	many := testHosts(1000)
+// TestTraceMatchesPerEntitySources: sharing one re-seeded generator
+// across every process replays exactly the streams a fresh source per
+// entity draws, for both lifetime families, and no longer costs a
+// source (two allocations, 4.9 KB) per host: a quiet 1000-host trace
+// allocates only a handful of times.
+func TestTraceMatchesPerEntitySources(t *testing.T) {
+	hosts := testHosts(40)
+	for _, k := range traceKinds {
+		t.Run(k.name, func(t *testing.T) {
+			for _, seed := range []int64{1, 42, 1234} {
+				for _, dist := range []DistKind{DistExponential, DistWeibull} {
+					cfg := k.cfg(seed)
+					cfg.UpDist, cfg.DownDist, cfg.Warmup = dist, dist, time.Minute
+					got, want := Trace(k.sites, hosts, siteOfTest, cfg), k.reference(k.sites, hosts, cfg)
+					if len(got) == 0 || len(got) != len(want) {
+						t.Fatalf("seed %d %s: %d events, reference %d", seed, dist, len(got), len(want))
+					}
+					// Trace's order is total, so the multisets agree iff
+					// every reference event appears exactly as often.
+					count := map[Event]int{}
+					for _, e := range want {
+						count[e]++
+					}
+					for _, e := range got {
+						if count[e]--; count[e] < 0 {
+							t.Fatalf("seed %d %s: event %+v not in the reference trace", seed, dist, e)
+						}
+					}
+				}
+			}
+		})
+	}
+
+	sites, many := testSites(6), testHosts(1000)
 	quiet := nemesisConfig(9)
 	quiet.GrayMTBF, quiet.PartMTBF, quiet.MTBF, quiet.SiteMTBF = 1000*time.Hour, 1000*time.Hour, 1000*time.Hour, 1000*time.Hour
 	if allocs := testing.AllocsPerRun(5, func() { Trace(sites, many, siteOfTest, quiet) }); allocs > 64 {

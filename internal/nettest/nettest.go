@@ -82,7 +82,8 @@ func (c *logConn) Close() error {
 // Probe is the scripted client of the daemons' hygiene tests: it holds
 // one conn to the daemon under test and logs, with its virtual
 // timestamp, whatever answers each frame — a reply, a timeout, or the
-// daemon's close. It must run on an actor.
+// daemon's close. It must run on an actor, and it reads by pull: the
+// blocking Dial's conn, through simnet's adapter.
 type Probe struct {
 	Net     transport.Network    // the client host's own (unwrapped) view
 	Elapsed func() time.Duration // the client's clock
@@ -100,8 +101,12 @@ func (p *Probe) Dial(addr string) {
 }
 
 // Ask sends frame on the held conn and logs what comes back within a
-// second.
+// second, or, when the last Dial failed, that there is no conn.
 func (p *Probe) Ask(label string, frame []byte) {
+	if p.c == nil {
+		p.Log = append(p.Log, fmt.Sprintf("%v %s: no conn", p.Elapsed(), label))
+		return
+	}
 	p.c.Send(transport.Message{Payload: frame})
 	m, err := p.c.RecvTimeout(time.Second)
 	answer := fmt.Sprint(err)

@@ -50,7 +50,7 @@ func TestGossipConvergesMergedViews(t *testing.T) {
 		// Register every host at its home shard, like MPDs do.
 		for _, h := range hosts {
 			home := ShardAssign(h, k)
-			if _, err := RegisterWith(n.Node(h), addrs[home], peer(h), time.Second); err != nil {
+			if _, err := RegisterWithInto(n.Node(h), addrs[home], peer(h), time.Second, nil); err != nil {
 				t.Errorf("register %s at shard %d: %v", h, home, err)
 			}
 		}
@@ -178,7 +178,7 @@ func TestDeadShardSnapshotExpires(t *testing.T) {
 		n.FailHost(fmt.Sprintf("fsn%d", deadShard))
 		for i := 0; i < 10; i++ {
 			s.Sleep(time.Second)
-			if known, err := SendAlive(n.Node("h-live"), addrs[liveShard], "h-live", time.Second); err != nil || !known {
+			if known, err := sendAlive(n.Node("h-live"), addrs[liveShard], "h-live", time.Second); err != nil || !known {
 				t.Errorf("alive h-live: known=%v err=%v", known, err)
 			}
 		}
@@ -229,7 +229,7 @@ func TestFosterEntryYieldsToHomeRegistration(t *testing.T) {
 			t.Errorf("foster register: %v", err)
 		}
 		s.Sleep(500 * time.Millisecond)
-		if _, err := RegisterWith(n.Node("h-y"), addrs[home], peer("h-y"), time.Second); err != nil {
+		if _, err := RegisterWithInto(n.Node("h-y"), addrs[home], peer("h-y"), time.Second, nil); err != nil {
 			t.Errorf("home register: %v", err)
 		}
 		s.Sleep(time.Second)
@@ -243,7 +243,7 @@ func TestFosterEntryYieldsToHomeRegistration(t *testing.T) {
 		// untouched foster copy ages out of shard B's table.
 		for i := 0; i < 5; i++ {
 			s.Sleep(time.Second)
-			if known, err := SendAlive(n.Node("h-y"), addrs[home], "h-y", time.Second); err != nil || !known {
+			if known, err := sendAlive(n.Node("h-y"), addrs[home], "h-y", time.Second); err != nil || !known {
 				t.Errorf("alive at home: known=%v err=%v", known, err)
 			}
 		}
@@ -304,7 +304,7 @@ func TestFosteredPeerSurvivesDeadHomeShardSweep(t *testing.T) {
 		for i := 0; i < 9; i++ {
 			s.Sleep(time.Second)
 			for host, shard := range map[string]int{"h-fostered": b, "h-c": c} {
-				if known, err := SendAlive(n.Node(host), addrs[shard], host, time.Second); err != nil || !known {
+				if known, err := sendAlive(n.Node(host), addrs[shard], host, time.Second); err != nil || !known {
 					t.Errorf("alive %s: known=%v err=%v", host, known, err)
 				}
 			}

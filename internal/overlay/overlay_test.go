@@ -30,6 +30,20 @@ func peer(id string) proto.PeerInfo {
 	return proto.PeerInfo{ID: id, MPDAddr: id + ":9000", RSAddr: id + ":9001"}
 }
 
+// sendAlive refreshes id's last-seen stamp at the supernode and reports
+// whether the supernode lists id.
+func sendAlive(net transport.Network, snAddr, id string, timeout time.Duration) (bool, error) {
+	reply, err := transport.RequestReply(net, snAddr,
+		transport.Message{Payload: proto.MustMarshal(&proto.Alive{ID: id})}, timeout)
+	if err != nil {
+		return false, err
+	}
+	defer reply.Release()
+	var ack proto.AliveAck
+	err = proto.DecodeInto(reply.Payload, &ack)
+	return ack.Known, err
+}
+
 func TestRegisterReturnsHostList(t *testing.T) {
 	s, n := simWorld(t)
 	sn := NewSupernode(s, n.Node("sn"), SupernodeConfig{Addr: "sn:8800"})
@@ -39,10 +53,10 @@ func TestRegisterReturnsHostList(t *testing.T) {
 			t.Errorf("start: %v", err)
 			return
 		}
-		if _, err := RegisterWith(n.Node("p1"), "sn:8800", peer("p1"), time.Second); err != nil {
+		if _, err := RegisterWithInto(n.Node("p1"), "sn:8800", peer("p1"), time.Second, nil); err != nil {
 			t.Errorf("register p1: %v", err)
 		}
-		list, err := RegisterWith(n.Node("p2"), "sn:8800", peer("p2"), time.Second)
+		list, err := RegisterWithInto(n.Node("p2"), "sn:8800", peer("p2"), time.Second, nil)
 		if err != nil {
 			t.Errorf("register p2: %v", err)
 		}
@@ -62,12 +76,12 @@ func TestAliveKeepsPeerListed(t *testing.T) {
 	})
 	s.Go("main", func() {
 		sn.Start()
-		RegisterWith(n.Node("p1"), "sn:8800", peer("p1"), time.Second)
-		RegisterWith(n.Node("p2"), "sn:8800", peer("p2"), time.Second)
+		RegisterWithInto(n.Node("p1"), "sn:8800", peer("p1"), time.Second, nil)
+		RegisterWithInto(n.Node("p2"), "sn:8800", peer("p2"), time.Second, nil)
 		// p1 stays alive, p2 goes silent.
 		for i := 0; i < 10; i++ {
 			s.Sleep(4 * time.Second)
-			known, err := SendAlive(n.Node("p1"), "sn:8800", "p1", time.Second)
+			known, err := sendAlive(n.Node("p1"), "sn:8800", "p1", time.Second)
 			if err != nil {
 				t.Errorf("alive: %v", err)
 			} else if !known {
@@ -103,10 +117,10 @@ func TestReregisterUpdatesInfo(t *testing.T) {
 	sn := NewSupernode(s, n.Node("sn"), SupernodeConfig{Addr: "sn:8800"})
 	s.Go("main", func() {
 		sn.Start()
-		RegisterWith(n.Node("p1"), "sn:8800", peer("p1"), time.Second)
+		RegisterWithInto(n.Node("p1"), "sn:8800", peer("p1"), time.Second, nil)
 		p := peer("p1")
 		p.MPDAddr = "p1:9999" // moved port
-		RegisterWith(n.Node("p1"), "sn:8800", p, time.Second)
+		RegisterWithInto(n.Node("p1"), "sn:8800", p, time.Second, nil)
 		list, _ := FetchFrom(n.Node("p2"), "sn:8800", time.Second)
 		if len(list) != 1 || list[0].MPDAddr != "p1:9999" {
 			t.Errorf("list = %+v", list)
@@ -133,7 +147,7 @@ func TestSupernodeIgnoresGarbage(t *testing.T) {
 			t.Errorf("garbage registered a peer")
 		}
 		// And still serve well-formed clients afterwards.
-		if _, err := RegisterWith(n.Node("p2"), "sn:8800", peer("p2"), time.Second); err != nil {
+		if _, err := RegisterWithInto(n.Node("p2"), "sn:8800", peer("p2"), time.Second, nil); err != nil {
 			t.Errorf("register after garbage: %v", err)
 		}
 		sn.Close()
@@ -211,7 +225,7 @@ func TestSupernodeMaxPeersReturned(t *testing.T) {
 		sn.Start()
 		var lastReply []proto.PeerInfo
 		for _, id := range []string{"p1", "p2", "p3"} {
-			list, err := RegisterWith(n.Node(id), "sn:8800", peer(id), time.Second)
+			list, err := RegisterWithInto(n.Node(id), "sn:8800", peer(id), time.Second, nil)
 			if err != nil {
 				t.Errorf("register %s: %v", id, err)
 			}
@@ -263,7 +277,7 @@ func TestSupernodeBoundedRepliesNoLockstepAliasing(t *testing.T) {
 	s.Go("main", func() {
 		sn.Start()
 		for _, id := range []string{"a1", "a2", "a3", "a4"} {
-			if _, err := RegisterWith(n.Node("p1"), "sn:8800", peer(id), time.Second); err != nil {
+			if _, err := RegisterWithInto(n.Node("p1"), "sn:8800", peer(id), time.Second, nil); err != nil {
 				t.Errorf("register %s: %v", id, err)
 			}
 		}

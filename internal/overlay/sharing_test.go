@@ -69,7 +69,7 @@ func startAll(t *testing.T, sns []*Supernode) {
 func registerHome(t *testing.T, n *simnet.Net, addrs []string, p proto.PeerInfo) {
 	t.Helper()
 	home := ShardAssign(p.ID, len(addrs))
-	if _, err := RegisterWith(n.Node(p.ID), addrs[home], p, time.Second); err != nil {
+	if _, err := RegisterWithInto(n.Node(p.ID), addrs[home], p, time.Second, nil); err != nil {
 		t.Errorf("register %s at shard %d: %v", p.ID, home, err)
 	}
 }
@@ -307,7 +307,7 @@ func TestRecycledBuffersNeverAliasLiveState(t *testing.T) {
 	alive := func(skip string) {
 		for _, h := range hosts {
 			if h != skip {
-				SendAlive(n.Node(h), addrs[ShardAssign(h, k)], h, time.Second)
+				sendAlive(n.Node(h), addrs[ShardAssign(h, k)], h, time.Second)
 			}
 		}
 	}
@@ -401,7 +401,7 @@ func TestInternerIsInvisible(t *testing.T) {
 				if step%20 == 19 {
 					for i, h := range hosts {
 						if i != 5 && (i < 12 || step > 60) { // hosts[5] falls silent
-							SendAlive(n.Node(h), addrs[ShardAssign(h, k)], h, time.Second)
+							sendAlive(n.Node(h), addrs[ShardAssign(h, k)], h, time.Second)
 						}
 					}
 				}
@@ -497,7 +497,7 @@ func TestRealFederationConvergesWhileServing(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < len(hosts); i += 4 {
 				p := peer(hosts[i])
-				if _, err := RegisterWith(net, addrs[ShardAssign(p.ID, k)], p, 5*time.Second); err != nil {
+				if _, err := RegisterWithInto(net, addrs[ShardAssign(p.ID, k)], p, 5*time.Second, nil); err != nil {
 					t.Errorf("register %s: %v", p.ID, err)
 				}
 				if _, err := FetchFrom(net, addrs[i%k], 5*time.Second); err != nil {

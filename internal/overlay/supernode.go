@@ -1112,71 +1112,3 @@ func (s *Supernode) checkMerged() error {
 	}
 	return nil
 }
-
-// Client-side helpers: one-shot exchanges with a supernode.
-
-// RegisterWith announces self to the supernode and returns the host list.
-func RegisterWith(net transport.Network, snAddr string, self proto.PeerInfo, timeout time.Duration) ([]proto.PeerInfo, error) {
-	return RegisterWithInto(net, snAddr, self, timeout, nil)
-}
-
-// RegisterWithInto is RegisterWith appending the host list to dst
-// (reusing its capacity) — the form callers with scratch slices use, so
-// an O(world) reply does not allocate an O(world) slice per refresh.
-func RegisterWithInto(net transport.Network, snAddr string, self proto.PeerInfo, timeout time.Duration, dst []proto.PeerInfo) ([]proto.PeerInfo, error) {
-	reply, err := RegisterRaw(net, snAddr, self, false, timeout)
-	if err != nil {
-		return dst, err
-	}
-	out, err := proto.UnmarshalPeerList(reply.Payload, dst)
-	reply.Release()
-	return out, err
-}
-
-// RegisterRaw performs the Register exchange and returns the raw reply
-// frame — a PeerList, or (in a federation) possibly a ShardRedirect.
-// The caller decodes it (proto.UnmarshalPeerList after a Peek) and
-// releases the message; deferring the decode lets hot refresh loops
-// borrow their scratch only for the decode itself instead of across the
-// whole network round trip. forced marks a failover registration that a
-// foreign shard must foster rather than redirect.
-func RegisterRaw(net transport.Network, snAddr string, self proto.PeerInfo, forced bool, timeout time.Duration) (transport.Message, error) {
-	return transport.RequestReply(net, snAddr,
-		transport.Message{Payload: proto.MustMarshal(&proto.Register{Peer: self, Forced: forced})}, timeout)
-}
-
-// FetchFrom retrieves a fresh host list from the supernode.
-func FetchFrom(net transport.Network, snAddr string, timeout time.Duration) ([]proto.PeerInfo, error) {
-	return FetchFromInto(net, snAddr, timeout, nil)
-}
-
-// FetchFromInto is FetchFrom appending into dst (reusing its capacity).
-func FetchFromInto(net transport.Network, snAddr string, timeout time.Duration, dst []proto.PeerInfo) ([]proto.PeerInfo, error) {
-	reply, err := transport.RequestReply(net, snAddr,
-		transport.Message{Payload: proto.MustMarshal(&proto.FetchPeers{})}, timeout)
-	if err != nil {
-		return dst, err
-	}
-	out, err := proto.UnmarshalPeerList(reply.Payload, dst)
-	reply.Release()
-	return out, err
-}
-
-// SendAlive refreshes self's last-seen stamp at the supernode. The
-// returned flag reports whether that supernode actually lists the peer;
-// false (an expired or foreign entry) means the sender should
-// re-register rather than keep refreshing a ghost.
-func SendAlive(net transport.Network, snAddr, selfID string, timeout time.Duration) (bool, error) {
-	reply, err := transport.RequestReply(net, snAddr,
-		transport.Message{Payload: proto.MustMarshal(&proto.Alive{ID: selfID})}, timeout)
-	if err != nil {
-		return false, err
-	}
-	var ack proto.AliveAck
-	err = proto.DecodeInto(reply.Payload, &ack)
-	reply.Release()
-	if err != nil {
-		return false, err
-	}
-	return ack.Known, nil
-}

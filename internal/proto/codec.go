@@ -111,12 +111,9 @@ func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 }
 
 // AppendPeerListFrame encodes a TPeerList frame of count entries taken
-// from peers starting at index start (wrapping modulo len(peers)),
-// straight from the caller's table — no intermediate []PeerInfo copy,
-// no allocation when dst has capacity. This is the supernode's reply
-// builder: on a multi-thousand-host world every Register and FetchPeers
-// answer is an O(world) frame, and building it used to copy the table
-// twice per reply.
+// from peers starting at index start (wrapping modulo len(peers)). The
+// supernode replies with AppendPeerListImage; this encoder is its fuzz
+// reference, kept for bench/.
 func AppendPeerListFrame(dst []byte, peers []PeerInfo, start, count int) []byte {
 	var e wire.Encoder
 	e.Reset(dst)
@@ -554,10 +551,8 @@ func Unmarshal(b []byte) (Type, any, error) {
 }
 
 // UnmarshalPeerList decodes a TPeerList frame, appending the entries to
-// dst (reusing its capacity) and returning the extended slice. Hot
-// membership paths use it with a pooled scratch slice so a cache
-// refresh on a multi-thousand-host world does not allocate a fresh
-// O(world) slice per reply.
+// dst (reusing its capacity). Membership merges read frames in place
+// (ReadPeerList); this decode serves bench/ and the blocking helpers.
 func UnmarshalPeerList(b []byte, dst []PeerInfo) ([]PeerInfo, error) {
 	return UnmarshalPeerListLimited(b, dst, -1)
 }

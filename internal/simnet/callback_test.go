@@ -58,8 +58,7 @@ func send(t *testing.T, c transport.Conn, payloads ...string) {
 
 // TestOnRecvDeliversInOrderThenCloseOnce: frames reach the handler in
 // the delivery event, in FIFO order at their arrival times; the peer's
-// FIN reaches it exactly once, after all in-flight data; and an endpoint
-// served by a handler never builds its inbox.
+// FIN reaches it exactly once, after all in-flight data.
 func TestOnRecvDeliversInOrderThenCloseOnce(t *testing.T) {
 	s, n := testNet(t, zeroJitter())
 	client, server := callbackPair(t, s, n, "a1", "b1:100")
@@ -78,49 +77,64 @@ func TestOnRecvDeliversInOrderThenCloseOnce(t *testing.T) {
 			t.Fatalf("call %d is %q, want suffix %q (log %q)", i, log[i], want, log)
 		}
 	}
-	if server.inbox != nil {
-		t.Fatal("a handler-served endpoint allocated its inbox")
-	}
 	if !server.peerClosed {
 		t.Fatal("FIN did not mark the endpoint")
 	}
 }
 
-// TestOnRecvDrainsQueuedFramesFIFO: a handler installed after frames
-// (and the FIN) already arrived gets them first, in order, then the
-// close — once — and later traffic is not queued again.
-func TestOnRecvDrainsQueuedFramesFIFO(t *testing.T) {
+// TestFramesBeforeHandlerAreDropped pins the rule for what lands on an
+// endpoint that has no handler yet: frames are dropped, not replayed to
+// a handler installed later, and a FIN only marks the endpoint, which
+// the pull form reports. A blocking-Dial conn gets its inbox at its
+// first Recv, so a script that yields between Send and Recv loses the
+// reply, and one that does not (RequestReply) keeps it.
+func TestFramesBeforeHandlerAreDropped(t *testing.T) {
 	s, n := testNet(t, zeroJitter())
 	client, server := callbackPair(t, s, n, "a1", "b1:100")
 	send(t, client, "one", "two")
-	s.Wait() // both frames now sit in the inbox
-	if server.inbox == nil || server.inbox.Len() != 2 {
-		t.Fatal("frames without a handler were not queued")
-	}
+	s.Wait()
 	var log []string
 	server.OnRecv(recvLog(s, &log), 0)
-	if len(log) != 2 || !strings.HasSuffix(log[0], " one") || !strings.HasSuffix(log[1], " two") {
-		t.Fatalf("drain delivered %q, want one then two", log)
-	}
-	if server.inbox != nil {
-		t.Fatal("the drained inbox is still attached")
-	}
 	send(t, client, "three")
 	client.Close()
 	s.Wait()
-	if len(log) != 4 || !strings.HasSuffix(log[2], " three") || !strings.HasSuffix(log[3], transport.ErrClosed.Error()) {
-		t.Fatalf("after the drain the handler saw %q", log)
+	if len(log) != 2 || !strings.HasSuffix(log[0], " three") || !strings.HasSuffix(log[1], transport.ErrClosed.Error()) {
+		t.Fatalf("a handler installed after two frames saw %q, want only the third and the close", log)
 	}
 
-	// Same, with the FIN already in: data, then the close, at install.
+	// The FIN already in: a handler hears nothing, the pull form the close.
 	client, server = callbackPair(t, s, n, "a2", "b2:100")
 	send(t, client, "late")
 	client.Close()
 	s.Wait()
-	log = nil
-	server.OnRecv(recvLog(s, &log), 0)
-	if len(log) != 2 || !strings.HasSuffix(log[0], " late") || !strings.HasSuffix(log[1], transport.ErrClosed.Error()) {
-		t.Fatalf("install after FIN delivered %q, want the frame then one close", log)
+	var err error
+	s.Go("reader", func() { _, err = server.Recv() })
+	s.Wait()
+	if err != transport.ErrClosed {
+		t.Fatalf("Recv after the FIN: %v, want ErrClosed", err)
+	}
+
+	// Blocking Dial: yield between Send and Recv, or not.
+	l, _ := n.Node("b1").Listen("b1:200")
+	transport.Serve(l, func(c transport.Conn, m transport.Message) bool {
+		c.Send(transport.Message{Payload: []byte("re")})
+		return true
+	})
+	got := map[bool]error{}
+	for _, yield := range []bool{false, true} {
+		s.Go("script", func() {
+			c, _ := n.Node("a1").Dial("b1:200")
+			send(t, c, "ask")
+			if yield {
+				s.Sleep(time.Second)
+			}
+			_, got[yield] = c.RecvTimeout(time.Second)
+			c.Close()
+		})
+		s.Wait()
+	}
+	if got[false] != nil || got[true] != transport.ErrTimeout {
+		t.Fatalf("reply read at once: %v, after a yield: %v; want nil and ErrTimeout", got[false], got[true])
 	}
 }
 

@@ -42,10 +42,8 @@ func (nn *nodeNet) Listen(addr string) (transport.Listener, error) {
 		return nil, transport.ErrClosed // port in use
 	}
 	l := &listener{
-		n:    nn.n,
-		rt:   h.sh.rt,
+		h:    h,
 		addr: laddr, // the caller's string when the port stands; no rebuild
-		host: host,
 		port: port,
 	}
 	h.addListener(port, l)
@@ -146,66 +144,35 @@ func hostPort(host string, port int) string {
 }
 
 type listener struct {
-	n    *Net
-	rt   *vtime.Scheduler
+	h    *netHost
 	addr string
-	host string
 	port string
-	// Exactly one of handler/acceptq carries inbound conns. The handler
-	// (OnConn) is the daemon path: no Accept actor
-	// parked per listener, no queue allocated. The queue is built lazily
-	// for Accept users. Both are touched only from the owning shard's
-	// event loop, so no lock is needed.
-	handler func(transport.Conn)
-	acceptq *vtime.Queue[*conn]
-	closed  bool
+	// sink takes each inbound conn in its SYN's event, on the owning
+	// shard: OnConn's handler or Accept's backlog (pull.go). A listener
+	// without one refuses SYNs.
+	sink   interface{ take(c *conn) }
+	closed bool
 }
 
-// deliver hands an accepted server endpoint to the listener's consumer:
-// the installed handler (called inline from the delivery event) or the
-// accept queue.
-func (l *listener) deliver(c *conn) {
-	if l.handler != nil {
-		l.handler(c)
-		return
-	}
-	if l.acceptq == nil {
-		l.acceptq = vtime.NewQueue[*conn](l.rt)
-	}
-	l.acceptq.Push(c)
-}
+// onConn is an OnConn handler as a listener's sink.
+type onConn func(transport.Conn)
+
+func (h onConn) take(c *conn) { h(c) }
 
 // OnConn installs the inbound-connection handler (transport.Listener).
-func (l *listener) OnConn(h func(transport.Conn)) {
-	if l.handler != nil {
-		panic("simnet: OnConn installed twice on " + l.addr)
-	}
-	l.handler = h
-}
+func (l *listener) OnConn(h func(transport.Conn)) { l.install(onConn(h)) }
 
-func (l *listener) Accept() (transport.Conn, error) {
-	if l.acceptq == nil {
-		if l.closed {
-			return nil, transport.ErrClosed
-		}
-		l.acceptq = vtime.NewQueue[*conn](l.rt)
+func (l *listener) install(s interface{ take(c *conn) }) {
+	if l.sink != nil {
+		panic("simnet: OnConn or Accept after the other on " + l.addr)
 	}
-	c, ok := l.acceptq.Pop()
-	if !ok {
-		return nil, transport.ErrClosed
-	}
-	return c, nil
+	l.sink = s
 }
 
 func (l *listener) Close() error {
 	if !l.closed {
 		l.closed = true
-		if h := l.n.hosts[l.host]; h != nil {
-			h.dropListener(l.port)
-		}
-	}
-	if l.acceptq != nil {
-		l.acceptq.Close()
+		l.h.dropListener(l.port)
 	}
 	return nil
 }
@@ -213,7 +180,7 @@ func (l *listener) Close() error {
 func (l *listener) Addr() string { return l.addr }
 
 // conn is one endpoint. Delivery events hand arrivals to the installed
-// handler or queue them for Recv; lastArrival clamps them to FIFO order.
+// handler; lastArrival clamps them to FIFO order.
 //
 // The host, pipe and base-latency pointers are resolved once at
 // connection setup, so the per-message path does no map lookups at all.
@@ -229,11 +196,9 @@ type conn struct {
 	// endpoints live on one shard; a private stream per endpoint, synced
 	// from each crossing frame, when they do not.
 	src *flowSource
-	// Exactly one of handler/inbox consumes arrivals, on the local host's
-	// shard. A served endpoint never builds the queue, a send-only one
-	// carries neither: the pull path builds it on first use (queue).
+	// handler consumes arrivals: OnRecv's Receiver or Recv's inbox
+	// (pull.go). What lands while there is none is dropped.
 	handler     transport.Receiver
-	inbox       *vtime.Queue[transport.Message]
 	deadline    vtime.Timer // OnRecv's first-arrival deadline, zero when disarmed
 	peer        *conn
 	closed      bool
@@ -292,54 +257,15 @@ func (c *conn) Send(m transport.Message) error {
 	return nil
 }
 
-func (c *conn) Recv() (transport.Message, error) { return c.RecvTimeout(-1) }
-
-func (c *conn) RecvTimeout(d time.Duration) (transport.Message, error) {
-	m, err := c.queue().PopTimeout(d)
-	switch err {
-	case nil:
-		return m, nil
-	case vtime.ErrTimeout:
-		return transport.Message{}, transport.ErrTimeout
-	default:
-		return transport.Message{}, transport.ErrClosed
-	}
-}
-
-// queue builds the pull path's inbox on first use, closed if the endpoint is.
-func (c *conn) queue() *vtime.Queue[transport.Message] {
-	if c.inbox == nil {
-		c.inbox = vtime.NewQueue[transport.Message](c.lh.sh.rt)
-		if c.closed || c.peerClosed {
-			c.inbox.Close()
-		}
-	}
-	return c.inbox
-}
-
-// OnRecv installs the frame handler (transport.Conn): delivery
-// events call it from now on. Frames that arrived earlier are handed
-// over first, in order, then the peer's close if that arrived too. With
-// nothing handed over, a positive timeout arms the deadline on this
-// host's shard; the first arrival or Close disarms it.
+// OnRecv installs the frame handler (transport.Conn). Nothing that
+// landed before is replayed: a frame was dropped, a FIN only marked the
+// endpoint. A positive timeout arms the deadline on this host's shard;
+// the first arrival or Close disarms it.
 func (c *conn) OnRecv(r transport.Receiver, timeout time.Duration) {
 	if c.handler != nil {
 		panic("simnet: OnRecv installed twice on " + c.local)
 	}
 	c.handler = r
-	q := c.inbox
-	c.inbox = nil
-	for q != nil && !c.closed {
-		m, ok := q.TryPop()
-		if !ok {
-			if c.peerClosed {
-				r.Receive(transport.Message{}, transport.ErrClosed)
-			}
-			return
-		}
-		r.Receive(m, nil)
-		timeout = 0
-	}
 	if timeout > 0 && !c.closed {
 		c.deadline = c.lh.sh.rt.AfterArg(timeout, fireDeadline, c)
 	}
@@ -368,9 +294,6 @@ func (c *conn) Close() error {
 	}
 	c.closed = true
 	c.disarm()
-	if c.inbox != nil {
-		c.inbox.Close()
-	}
 	// A same-shard peer that closed first has nobody left to tell: its
 	// FIN would land on a closed endpoint, where fireFin does nothing, so
 	// it is not sent. Dropping an event whose handler changes nothing

@@ -34,13 +34,16 @@
 // pipe and base-latency lookups at setup, in-flight messages ride
 // pooled delivery carriers, and payload copies come from a buffer pool
 // that receivers refill via Message.Release. Receiving is by callback
-// (Conn.OnRecv): the delivery event runs the endpoint's frame
-// handler to completion — a served conn has no actor and no inbox; Recv,
-// for scripts and tests, queues behind the same event. Dialing is by
-// callback too (Network.DialFunc): DialFunc sends the SYN and
-// returns, and the event that ends the handshake runs the dialer's
-// continuation, so the handshake parks nobody; the blocking Dial is that
-// same start plus one park of the calling actor. With After for the
-// deadline, a whole transport.Call — the control plane's request/reply —
+// only: a SYN's event hands the conn to the listener's OnConn handler,
+// a delivery event runs the endpoint's Receiver (Conn.OnRecv) or drops
+// the frame when there is none, and the event that ends a handshake
+// runs the dialer's continuation (Network.DialFunc). A transport.Call
 // is three or four events on the caller's shard and no actor.
+//
+// The blocking forms are adapters over those callbacks: Dial parks
+// until its continuation runs, Accept and Recv pop a queue that an
+// installed handler fills (pull.go). A conn from Accept has its handler
+// from the SYN's event on; a dialed conn gets it at its first Recv, so
+// a script reads its reply without yielding after the Send. A Close
+// wakes no actor parked on the same conn or listener.
 package simnet

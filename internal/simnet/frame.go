@@ -280,13 +280,12 @@ func (sh *netShard) getDelivery() *delivery {
 	return d
 }
 
-// fireDelivery delivers the message — to the endpoint's handler, which
-// runs to completion right here, or to its inbox — unless the
-// destination died or closed (either end: a duplicate can trail the FIN)
-// while it was in flight, and recycles the carrier. Package-level so
-// scheduling it captures nothing. For a frame that crossed shards it
-// first syncs the receiving endpoint's flow stream to the sender's
-// post-draw state.
+// fireDelivery recycles the carrier and runs the endpoint's handler to
+// completion on the message, or drops it when there is no handler or
+// the endpoint died or closed (either end: a duplicate can trail the
+// FIN). Package-level so scheduling it captures nothing. A frame that
+// crossed shards first syncs the endpoint's flow stream to the
+// sender's post-draw state.
 func fireDelivery(a any) {
 	d := a.(*delivery)
 	sh, peer, msg := d.sh, d.peer, d.msg
@@ -299,15 +298,12 @@ func fireDelivery(a any) {
 	d.sync = false
 	d.next = sh.delFree
 	sh.delFree = d
-	switch {
-	case peer.lh.down || peer.closed || peer.peerClosed || peer.expired:
+	if peer.handler == nil || peer.lh.down || peer.closed || peer.peerClosed || peer.expired {
 		msg.Release()
-	case peer.handler != nil:
-		peer.disarm()
-		peer.handler.Receive(msg, nil)
-	default:
-		peer.queue().Push(msg)
+		return
 	}
+	peer.disarm()
+	peer.handler.Receive(msg, nil)
 }
 
 // handshake is one dial in progress, created on the dialer's shard and
@@ -359,10 +355,10 @@ func fireSYN(a any) {
 	}
 	back := n.topo.SiteLatency(to.site, from.site)
 	kind := xRefuse
-	if l := to.listener(hs.port); !to.down && l != nil && !l.closed {
+	if l := to.listener(hs.port); !to.down && l != nil && !l.closed && l.sink != nil {
 		kind = xAccept
 		hs.accept(l.addr, back, src)
-		l.deliver(&hs.server) // queues it or installs its frame handler; draws and sends nothing
+		l.sink.take(&hs.server) // installs its frame handler; draws and sends nothing
 	}
 	hs.port = ""
 	var x xmsg
@@ -393,24 +389,19 @@ func fireDialResult(a any) {
 }
 
 // fireFin closes the receiving endpoint when a FIN arrives, after all
-// in-flight data (FIFO): the handler is told once, pending Recvs drain
-// buffered frames then see ErrClosed; a locally closed endpoint has
-// nobody to tell, so the FIN changes nothing there (and a same-shard
-// peer does not send it at all, conn.Close). peerClosed is how an endpoint on another shard learns
-// of the close — one network trip late, the earliest it causally can;
-// see conn.Send.
+// in-flight data (FIFO), and tells a handler that has heard no error.
+// A locally closed endpoint has nobody to tell (a same-shard peer does
+// not even send it, conn.Close). peerClosed is how an endpoint on
+// another shard learns of the close — one trip late, the earliest it
+// causally can; see conn.Send.
 func fireFin(a any) {
 	peer := a.(*conn)
 	if peer.closed {
 		return
 	}
 	peer.peerClosed = true
-	switch {
-	case peer.expired:
-	case peer.handler != nil:
+	if peer.handler != nil && !peer.expired {
 		peer.disarm()
 		peer.handler.Receive(transport.Message{}, transport.ErrClosed)
-	case peer.inbox != nil:
-		peer.inbox.Close()
 	}
 }

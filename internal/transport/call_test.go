@@ -57,17 +57,23 @@ func (w *callWorld) node(host string) transport.Network {
 	return nettest.LogCloses(w.n.Node(host), w.s.Elapsed, &w.closes)
 }
 
-// call issues one Call from an actor on c1 and drives the world to
-// quiescence. It returns what done saw, each line stamped with its
-// virtual time, and how many actors the exchange spawned.
-func (w *callWorld) call(addr, req string, timeout time.Duration) (dones []string, spawned int) {
+// call issues one Call from an actor on c1 (a RequestReply, when
+// blocking) and drives the world to quiescence. It returns what done
+// saw, each line stamped with its virtual time, and how many actors the
+// exchange spawned.
+func (w *callWorld) call(addr, req string, timeout time.Duration, blocking bool) (dones []string, spawned int) {
+	done := func(m transport.Message, err error) {
+		dones = append(dones, fmt.Sprintf("%v %q %v", w.s.Elapsed(), m.Payload, err))
+		m.Release()
+	}
 	w.s.Go("caller", func() {
 		spawned = w.s.Spawned()
-		transport.Call(w.node("c1"), addr, transport.Message{Payload: []byte(req)}, timeout,
-			func(m transport.Message, err error) {
-				dones = append(dones, fmt.Sprintf("%v %q %v", w.s.Elapsed(), m.Payload, err))
-				m.Release()
-			})
+		msg := transport.Message{Payload: []byte(req)}
+		if blocking {
+			done(transport.RequestReply(w.node("c1"), addr, msg, timeout))
+			return
+		}
+		transport.Call(w.node("c1"), addr, msg, timeout, done)
 	})
 	w.s.Wait()
 	return dones, w.s.Spawned() - spawned
@@ -77,7 +83,8 @@ func (w *callWorld) call(addr, req string, timeout time.Duration) (dones []strin
 // every way an exchange can end, and spawns no actor. Each pin is the
 // digest of done's lines and the close log, both to the nanosecond,
 // recorded when a blocking RequestReply on an actor still produced the
-// same timeline.
+// same timeline. The blocking cases run that RequestReply, through
+// simnet's pull adapter, against the pins of their Call twins.
 func TestCallSemantics(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -87,6 +94,7 @@ func TestCallSemantics(t *testing.T) {
 		timeout time.Duration
 		want    string // suffix of the one done line
 		sync    bool   // done runs before Call returns, at time 0
+		block   bool   // RequestReply instead of Call
 		closes  int    // FINs sent, both ends together
 		pin     string // nettest.Digest(dones, closes)
 	}{
@@ -115,6 +123,10 @@ func TestCallSemantics(t *testing.T) {
 			want: `"" transport: timeout`, closes: 2, pin: "057c2dec58de20ba391112f856fbaf15d29797e2aecebf2e6c761aad4d0444f2"},
 		{name: "one-way", addr: "s1:100", req: "echo", timeout: 0,
 			want: `"" transport: timeout`, closes: 2, pin: "4fa0f42f18f048bad3309b48c9191718bb1cc53e228515f16eab267118630b09"},
+		{name: "reply, blocking", addr: "s1:100", req: "echo", timeout: time.Second, block: true,
+			want: `"re:echo" <nil>`, closes: 2, pin: "cceb5cece171d037ba559a3d3feb09af376d3773661e05d35de4dfdafa08c991"},
+		{name: "timeout, blocking", addr: "s1:100", req: "slow", timeout: time.Second, block: true,
+			want: `"" transport: timeout`, closes: 2, pin: "8ca846b349eb6c518cb49f4f044779ba4c73c5638c6e4495061cd6b00ac84493"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,7 +134,7 @@ func TestCallSemantics(t *testing.T) {
 			if tc.arrange != nil {
 				tc.arrange(w)
 			}
-			dones, spawned := w.call(tc.addr, tc.req, tc.timeout)
+			dones, spawned := w.call(tc.addr, tc.req, tc.timeout, tc.block)
 			closes := w.closes // both ends' FINs
 			if len(dones) != 1 || !strings.HasSuffix(dones[0], " "+tc.want) {
 				t.Fatalf("done saw %q, want exactly one %q", dones, tc.want)
@@ -148,7 +160,7 @@ func TestCallSemantics(t *testing.T) {
 // nobody — done already ran, once, and the conn has no other consumer.
 func TestCallTimeoutReleasesLateReply(t *testing.T) {
 	w := newCallWorld(t)
-	dones, _ := w.call("s1:100", "slow", time.Second)
+	dones, _ := w.call("s1:100", "slow", time.Second, false)
 	if len(dones) != 1 || w.s.Elapsed() < 3*time.Second {
 		t.Fatalf("done saw %q by %v, want one timeout and the late reply's delivery event", dones, w.s.Elapsed())
 	}

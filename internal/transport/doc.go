@@ -22,12 +22,12 @@
 // waiting for it) and schedule events. On simnet the delivery context is
 // the event that delivered the frame, fired the deadline or ended the
 // handshake. On TCP it is a goroutine: the conn's reader goroutine runs
-// the handler (one that blocks
-// anyway stalls that conn alone; a deadline is its socket's read
-// deadline), and a Call's done runs on the reader or, when the dial or
-// the send failed, on the dial goroutine. Code
-// that is a sequential script anyway — an actor of its own that
-// registers, refreshes, or runs a command-line tool — uses the blocking
-// forms, Accept, Recv, RecvTimeout, Dial and RequestReply, which park
-// the calling actor and nothing else.
+// the handler (one that blocks anyway stalls that conn alone; a
+// deadline is its socket's read deadline), and a Call's done runs on
+// the reader or, when the dial or the send failed, on the dial
+// goroutine.
+//
+// The blocking forms, Dial, RequestReply, Accept, Recv and RecvTimeout,
+// park the calling actor and nothing else, for tools, tests and bench/.
+// On simnet they are an adapter over the callbacks: one receive path.
 package transport

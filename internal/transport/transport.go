@@ -51,36 +51,34 @@ func (m Message) Release() {
 	}
 }
 
-// Conn is a reliable, ordered, message-oriented connection. A conn is
-// read either by callback (OnRecv) or by the blocking Recv and
-// RecvTimeout, never both. Send may be used concurrently with either;
-// concurrent Sends (or concurrent Recvs) are serialized by the
-// implementation.
+// Conn is a reliable, ordered, message-oriented connection, read by
+// callback (OnRecv) or, when it came from Accept or the blocking Dial,
+// by Recv and RecvTimeout, never both. Send may be used concurrently
+// with either; concurrent Sends (or Recvs) are serialized.
 type Conn interface {
 	// Send transmits one message. It keeps no reference to m.Payload
 	// once it returns — simnet copies the bytes when the frame departs,
 	// TCP has written them — so the caller may reuse the buffer at once.
 	Send(m Message) error
-	// OnRecv installs the frame handler, first draining anything that
-	// already arrived, in order. The handler runs in delivery context,
-	// one call at a time in arrival order, and must not block. It sees
-	// the peer's close exactly once, as an error after all in-flight
-	// data, and nothing after a local Close. At most once, and instead
-	// of Recv.
+	// OnRecv installs the frame handler, at most once. The handler runs
+	// in delivery context, one call at a time in arrival order, and must
+	// not block. It sees the peer's close once, as an error after all
+	// in-flight data, and nothing after a local Close. On simnet what
+	// landed before it is not replayed, so Serve and Call install it in
+	// the event that accepts the conn or sends the request.
 	//
 	// A positive timeout arms a deadline on the first arrival: when
 	// neither a frame nor the peer's close has reached r within it, r
-	// gets ErrTimeout instead (the receive side of one request/reply
-	// exchange, RecvTimeout by callback). An error, ErrTimeout included,
-	// is the last thing r hears.
+	// gets ErrTimeout instead (RecvTimeout by callback). An error,
+	// ErrTimeout included, is the last thing r hears.
 	OnRecv(r Receiver, timeout time.Duration)
 	// Recv blocks until a message arrives or the conn closes.
 	Recv() (Message, error)
 	// RecvTimeout is Recv with a deadline; d < 0 means block forever.
 	// It returns ErrTimeout when the deadline expires first.
 	RecvTimeout(d time.Duration) (Message, error)
-	// Close tears the connection down. Pending receivers unblock with
-	// ErrClosed once the in-flight queue drains.
+	// Close tears the connection down: the peer hears ErrClosed after
+	// the in-flight frames, and a later Recv returns ErrClosed.
 	Close() error
 	// LocalAddr and RemoteAddr return the endpoint addresses.
 	LocalAddr() string
@@ -115,13 +113,13 @@ func (f DialedFunc) Dialed(c Conn, err error) { f(c, err) }
 // (OnConn) or by the blocking Accept, never both.
 type Listener interface {
 	// OnConn installs the inbound-connection handler, at most once and
-	// before the first connection arrives. The handler runs in delivery
-	// context and must not block; typically it installs the conn's
-	// OnRecv handler (see Serve).
+	// before the first connection arrives (simnet refuses dials until
+	// OnConn or Accept). The handler runs in delivery context and must
+	// not block; typically it installs the conn's OnRecv handler (Serve).
 	OnConn(handler func(Conn))
 	// Accept blocks until an inbound connection arrives.
 	Accept() (Conn, error)
-	// Close stops accepting; blocked Accepts return ErrClosed.
+	// Close stops accepting; a later Accept returns ErrClosed.
 	Close() error
 	// Addr returns the bound address.
 	Addr() string
@@ -166,8 +164,7 @@ type Network interface {
 }
 
 // RequestReply dials addr, sends req, waits up to timeout for a single
-// reply and closes the connection: the blocking form of Call, for
-// scripts that are sequential anyway (registration, refresh, tools).
+// reply and closes the connection: Call's blocking form, for scripts.
 func RequestReply(n Network, addr string, req Message, timeout time.Duration) (Message, error) {
 	c, err := n.Dial(addr)
 	if err != nil {

@@ -170,17 +170,6 @@ func (q *Queue[T]) PopTimeout(d time.Duration) (T, error) {
 	return zero, ErrTimeout
 }
 
-// TryPop removes the head item without blocking.
-func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	q.s.mu.Lock()
-	defer q.s.mu.Unlock()
-	if q.head == len(q.items) {
-		return zero, false
-	}
-	return q.popItemLocked(), true
-}
-
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int {
 	q.s.mu.Lock()
