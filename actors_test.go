@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -53,7 +54,7 @@ var allowedPulls = map[string]int{
 	"internal/transport.tcpConn.OnRecv":     2, // TCP's reader goroutine
 	"internal/transport.tcpConn.Recv":       1, // TCP's Recv is its RecvTimeout
 	"internal/simnet.conn.Recv":             1, // the simnet adapter
-	"internal/transport.RequestReply":       1, // the blocking Call, kept for bench/ and scripts
+	"internal/transport.RequestReply":       1, // the blocking Call, kept for bench/
 	"internal/nettest.Probe.Ask":            1, // the hygiene tests' scripted client
 	"internal/mpi.Comm.Recv":                1, // mpi.Comm, not a transport type
 	"internal/mpi.Comm.Sendrecv":            1, // mpi.Comm, not a transport type
@@ -158,4 +159,104 @@ func TestGoStatementsOnlyWhereAllowed(t *testing.T) {
 func TestPullFormsOnlyWhereAllowed(t *testing.T) {
 	_, _, pulls := threadSites(t)
 	checkAllowList(t, "pull-form calls", pulls, allowedPulls)
+}
+
+// compatNames parses every internal/*/compat.go and returns the
+// functions they declare, as "import/path.Name": the adapters kept for
+// bench/ alone.
+func compatNames(t *testing.T) map[string]bool {
+	files, err := filepath.Glob("internal/*/compat.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no compat.go under internal/: %v", err)
+	}
+	names := map[string]bool{}
+	for _, file := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				names["p2pmpi/"+filepath.ToSlash(filepath.Dir(file))+"."+fn.Name.Name] = true
+			}
+		}
+	}
+	return names
+}
+
+// compatCalls returns the calls in f, a file of package pkg, to any of
+// names: qualified through f's imports, or plain within pkg itself.
+func compatCalls(fset *token.FileSet, f *ast.File, pkg string, names map[string]bool) []string {
+	imports := map[string]string{}
+	for _, imp := range f.Imports {
+		p := strings.Trim(imp.Path.Value, `"`)
+		name := path.Base(p)
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		imports[name] = p
+	}
+	var calls []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		var key string
+		switch fun := call.Fun.(type) {
+		case *ast.Ident:
+			key = pkg + "." + fun.Name
+		case *ast.SelectorExpr:
+			if x, ok := fun.X.(*ast.Ident); ok && imports[x.Name] != "" {
+				key = imports[x.Name] + "." + fun.Sel.Name
+			}
+		}
+		if names[key] {
+			calls = append(calls, fset.Position(call.Pos()).String()+" calls "+key)
+		}
+		return true
+	})
+	return calls
+}
+
+// TestCompatOnlyForBench fails when non-test code outside bench/ calls
+// an adapter of a compat.go, other than another adapter: each of them
+// stands in for a path that is gone, and bench/ is all they serve.
+func TestCompatOnlyForBench(t *testing.T) {
+	names := compatNames(t)
+	fset := token.NewFileSet()
+	planted, err := parser.ParseFile(fset, "internal/mpd/planted.go",
+		"package mpd\nimport \"p2pmpi/internal/proto\"\nfunc f() { proto.UnmarshalPeerList(nil, nil) }\n", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := compatCalls(fset, planted, "p2pmpi/internal/mpd", names); len(got) != 1 {
+		t.Fatalf("a planted proto.UnmarshalPeerList call is found %d times, want 1", len(got))
+	}
+	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p == "bench" || p == "testdata" || p != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") ||
+			d.Name() == "compat.go" && strings.HasPrefix(p, "internal"+string(filepath.Separator)) {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, c := range compatCalls(fset, f, path.Join("p2pmpi", filepath.ToSlash(filepath.Dir(p))), names) {
+			t.Errorf("%s: an adapter kept for bench/ only", c)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -112,37 +112,35 @@ func (c *Cache) Update(list []proto.PeerInfo) {
 	c.mergeLocked(list)
 }
 
-// UpdateFrame is Update(proto.UnmarshalPeerList(frame)) for a host-list
-// reply still in its frame: a queued snapshot decodes only the entries
-// the queue keeps, and a materialized cache merges straight from the
-// frame (proto.PeerListReader), so an entry it already holds, live and
-// equal, costs one map lookup and builds no string. With an interner,
-// a materialized cache whose last merge of this very frame changed
-// nothing, and which nothing has edited since, skips the merge after
-// one byte compare against the interner's newest frame: a periodic
-// refresh mostly repeats the previous reply. A frame that fails to
-// decode changes nothing and returns the decode error. The cache keeps
-// no view of frame.
+// UpdateFrame is Update for a host-list reply still in its frame: it
+// validates the whole frame first (proto.ReadPeerList) and then walks it
+// in place. A queued snapshot copies only the entries the queue keeps,
+// and a materialized cache merges straight from the frame; either way
+// an entry the interner or the table already holds, equal, builds no
+// string. With an interner, a materialized cache whose last merge of
+// this very frame changed nothing, and which nothing has edited since,
+// skips the merge after one byte compare against the interner's newest
+// frame: a periodic refresh mostly repeats the previous reply. A frame
+// that fails to decode changes nothing and returns the decode error.
+// The cache keeps no view of frame.
 func (c *Cache) UpdateFrame(frame []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.queuesLocked() {
-		sp := peerListPool.Get().(*[]proto.PeerInfo)
-		peers, err := proto.UnmarshalPeerListLimited(frame, (*sp)[:0], c.keepsLocked())
-		if err == nil {
-			c.queueLocked(peers)
-		}
-		clear(peers)
-		*sp = peers[:0]
-		peerListPool.Put(sp)
-		return err
-	}
-	if c.frameGen != 0 && c.intern.holdsFrame(frame, c.frameGen) {
+	queues := c.queuesLocked()
+	if !queues && c.frameGen != 0 && c.intern.holdsFrame(frame, c.frameGen) {
 		return nil
 	}
 	r, err := proto.ReadPeerList(frame)
 	if err != nil {
 		return err
+	}
+	if queues {
+		cp := c.reserveLocked(r.Len())
+		for i := range cp {
+			e, _ := r.Next()
+			cp[i] = c.intern.entry(e)
+		}
+		return nil
 	}
 	c.flushLocked()
 	if c.peers == nil {
@@ -166,11 +164,6 @@ func (c *Cache) UpdateFrame(frame []byte) error {
 	return nil
 }
 
-// peerListPool recycles the slices a queued snapshot decodes into
-// before the cache copies what it keeps: an unread cache on a
-// multi-thousand-host world takes an O(world) reply per registration.
-var peerListPool = sync.Pool{New: func() any { return new([]proto.PeerInfo) }}
-
 // queuesLocked reports whether the next snapshot is queued rather than
 // merged: the cache was never read, and the queue has room (see
 // pending).
@@ -179,31 +172,40 @@ func (c *Cache) queuesLocked() bool {
 }
 
 // queueLocked defers a snapshot's merge. The snapshot must be copied —
-// callers reuse pooled scratch slices. The copy is interned (shared
-// strings) and, when a cap bounds unread retention, truncated to the
-// remaining entry budget. Past maxPendingSnapshots a long-horizon run
-// that keeps refreshing a cache nobody reads materializes instead:
-// unbounded deferral would retain one O(world) snapshot per refresh,
-// and the boot storm (the case the deferral exists for) is long over.
+// callers reuse pooled scratch slices — and the copy is interned
+// (shared strings).
 func (c *Cache) queueLocked(list []proto.PeerInfo) {
-	keep := list
-	if room := c.keepsLocked(); room == 0 {
-		return
-	} else if room > 0 && len(keep) > room {
-		keep = keep[:room]
+	cp := c.reserveLocked(len(list))
+	for i := range cp {
+		cp[i] = c.intern.PeerInfo(list[i])
 	}
-	cp := make([]proto.PeerInfo, len(keep))
-	for i, p := range keep {
-		cp[i] = c.intern.PeerInfo(p)
+}
+
+// reserveLocked queues a snapshot of the first entries of an n-entry
+// list, for the caller to fill, and returns it. When a cap bounds
+// unread retention the copy is truncated to the remaining entry budget,
+// and nothing is queued once that is spent. Past maxPendingSnapshots a
+// long-horizon run that keeps refreshing a cache nobody reads
+// materializes instead: unbounded deferral would retain one O(world)
+// snapshot per refresh, and the boot storm (the case the deferral
+// exists for) is long over.
+func (c *Cache) reserveLocked(n int) []proto.PeerInfo {
+	room := c.keepsLocked()
+	if room == 0 {
+		return nil
+	} else if room > 0 {
+		n = min(n, room)
 	}
+	cp := make([]proto.PeerInfo, n)
 	c.pending = append(c.pending, cp)
-	c.pendingN += len(cp)
+	c.pendingN += n
+	return cp
 }
 
 // keepsLocked returns how many leading entries of the next snapshot
 // the cache will look at, or -1 for all of them: an unread cache under
 // a pending cap keeps only its remaining entry budget, so UpdateFrame
-// need not decode the rest of the reply.
+// need not walk the rest of the reply.
 func (c *Cache) keepsLocked() int {
 	if c.materialized || c.pendingCap <= 0 || len(c.pending) >= maxPendingSnapshots {
 		return -1

@@ -10,6 +10,7 @@ import (
 
 	"p2pmpi/internal/latency"
 	"p2pmpi/internal/proto"
+	"p2pmpi/internal/wire"
 )
 
 // cacheState renders everything a merge can touch — the table by
@@ -45,9 +46,23 @@ func cacheState(c *Cache) string {
 	return b.String()
 }
 
+// modelPeerList is the naive host-list decoder the fuzz oracle reads
+// frames with: the type byte, the count, four String reads per entry,
+// and no byte left over.
+func modelPeerList(b []byte) (l []proto.PeerInfo, err error) {
+	d := wire.NewDecoder(b)
+	if t, n := proto.Type(d.U8()), d.Int(); t == proto.TPeerList && n >= 0 {
+		for ; n > 0 && d.Err() == nil; n-- {
+			l = append(l, proto.PeerInfo{ID: d.String(), Site: d.String(), MPDAddr: d.String(), RSAddr: d.String()})
+		}
+		return l, d.Finish()
+	}
+	return nil, wire.ErrCorrupt
+}
+
 // FuzzCacheUpdateFrame drives two pairs of caches through one script:
 // in each pair one cache takes every host-list frame through
-// UpdateFrame, the other through Update(UnmarshalPeerList(frame)).
+// UpdateFrame, the other through Update(modelPeerList(frame)).
 // Frames are valid lists drawn from a small universe (repeats, changed
 // addresses, the cache's own host), corrupted ones, raw fuzz bytes and
 // byte-for-byte replays of recent frames; each goes to one pair or
@@ -136,9 +151,9 @@ func FuzzCacheUpdateFrame(f *testing.F) {
 				for _, p := range to {
 					before, gen := cacheState(p.frame), p.frame.frameGen
 					err := p.frame.UpdateFrame(frame)
-					l, lerr := proto.UnmarshalPeerList(frame, nil)
+					l, lerr := modelPeerList(frame)
 					if (err == nil) != (lerr == nil) {
-						t.Fatalf("step %d: UpdateFrame error %v, UnmarshalPeerList error %v", step, err, lerr)
+						t.Fatalf("step %d: UpdateFrame error %v, model error %v", step, err, lerr)
 					}
 					if err != nil {
 						if after := cacheState(p.frame); after != before || p.frame.frameGen != gen {
@@ -231,6 +246,30 @@ func TestUpdateFrameHeldEntryIsFree(t *testing.T) {
 	l[3] = infoVersion(l[3].ID, runs%2)
 	if p, _ := c.Peer(l[3].ID); p != l[3] {
 		t.Fatalf("changed entry reads %+v, want %+v", p, l[3])
+	}
+}
+
+// TestQueuedFrameAllocs: an unread cache queues a reply by walking the
+// frame, so when the interner holds every host its one allocation is
+// the pending copy, capped or not.
+func TestQueuedFrameAllocs(t *testing.T) {
+	it := NewInterner()
+	l := make([]proto.PeerInfo, 64)
+	for i := range l {
+		l[i] = it.PeerInfo(peer(fmt.Sprintf("peer%05d", i)))
+	}
+	frame := proto.MustMarshal(&proto.PeerList{Peers: l})
+	for _, keep := range []int{2, len(l)} {
+		c := NewCache("me", latency.KindLast, 0)
+		c.SetInterner(it)
+		c.SetPendingCap(keep % len(l)) // 0: uncapped
+		allocs := testing.AllocsPerRun(50, func() {
+			c.pending, c.pendingN = c.pending[:0], 0
+			c.UpdateFrame(frame)
+		})
+		if allocs != 1 || len(c.pending) != 1 || !slices.Equal(c.pending[0], l[:keep]) {
+			t.Errorf("keeping %d of %d known hosts cost %v allocs, want 1 (the pending copy), and queued %+v", keep, len(l), allocs, c.pending)
+		}
 	}
 }
 

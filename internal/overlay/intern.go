@@ -160,6 +160,15 @@ func (it *Interner) entryRef(e proto.PeerEntry) *proto.PeerInfo {
 	return it.ref(e.Info())
 }
 
+// entry is entryRef by value: a nil interner builds the entry's value
+// and no pointer to it.
+func (it *Interner) entry(e proto.PeerEntry) proto.PeerInfo {
+	if it == nil {
+		return e.Info()
+	}
+	return *it.entryRef(e)
+}
+
 // Lookup finds the canonical PeerInfo whose four fields equal the given
 // raw wire bytes, without building a string (the map index and the
 // comparisons convert in place). It is the by-bytes half of PeerInfo,

@@ -100,32 +100,20 @@ func TestRoundTripZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestUnmarshalPeerListReusesScratch: the whole-list decode appends
+// into the caller's scratch, and its strings cost one allocation per
+// frame, however many fields the host list carries.
 func TestUnmarshalPeerListReusesScratch(t *testing.T) {
-	list := &PeerList{Peers: []PeerInfo{
+	want := []PeerInfo{
 		{ID: "a.site", Site: "site", MPDAddr: "a.site:9000", RSAddr: "a.site:9001"},
 		{ID: "b.site", Site: "site", MPDAddr: "b.site:9000", RSAddr: "b.site:9001"},
-	}}
-	frame := MustMarshal(list)
+	}
+	frame := MustMarshal(&PeerList{Peers: want})
 	scratch := make([]PeerInfo, 0, 8)
-	out, err := UnmarshalPeerList(frame, scratch[:0])
-	if err != nil {
-		t.Fatal(err)
+	if out, err := UnmarshalPeerList(frame, scratch[:0]); err != nil || !slices.Equal(out, want) || &out[0] != &scratch[:1][0] {
+		t.Fatalf("decoded %+v, %v: want %+v in the scratch backing", out, err, want)
 	}
-	if len(out) != 2 || out[0] != list.Peers[0] || out[1] != list.Peers[1] {
-		t.Fatalf("decoded %+v", out)
-	}
-	if &out[0] != &scratch[:1][0] {
-		t.Fatal("decode did not reuse the scratch backing")
-	}
-	// The intern trick: one string allocation per frame, however many
-	// string fields the host list carries (plus the slice growth when
-	// the scratch is too small, which reuse amortizes away).
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := UnmarshalPeerList(frame, scratch[:0]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 1 {
+	if allocs := testing.AllocsPerRun(100, func() { UnmarshalPeerList(frame, scratch[:0]) }); allocs > 1 {
 		t.Errorf("UnmarshalPeerList: %v allocs/op, want <= 1 (the intern copy)", allocs)
 	}
 }

@@ -110,24 +110,6 @@ func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// AppendPeerListFrame encodes a TPeerList frame of count entries taken
-// from peers starting at index start (wrapping modulo len(peers)). The
-// supernode replies with AppendPeerListImage; this encoder is its fuzz
-// reference, kept for bench/.
-func AppendPeerListFrame(dst []byte, peers []PeerInfo, start, count int) []byte {
-	var e wire.Encoder
-	e.Reset(dst)
-	e.U8(uint8(TPeerList))
-	e.Int(count)
-	if count > 0 {
-		n := len(peers)
-		for i := 0; i < count; i++ {
-			peers[(start+i)%n].encode(&e)
-		}
-	}
-	return e.Bytes()
-}
-
 // AppendShardDelta encodes a TShardDelta frame of states into dst,
 // reusing its capacity as AppendMarshal does. A state whose held[i]
 // (nil for none) recorded exactly its Peers and Seen arrays — the same
@@ -550,40 +532,6 @@ func Unmarshal(b []byte) (Type, any, error) {
 	return t, msg, nil
 }
 
-// UnmarshalPeerList decodes a TPeerList frame, appending the entries to
-// dst (reusing its capacity). Membership merges read frames in place
-// (ReadPeerList); this decode serves bench/ and the blocking helpers.
-func UnmarshalPeerList(b []byte, dst []PeerInfo) ([]PeerInfo, error) {
-	return UnmarshalPeerListLimited(b, dst, -1)
-}
-
-// UnmarshalPeerListLimited is UnmarshalPeerList materializing only the
-// first limit entries (all of them when limit is negative): the result
-// is the full decode's prefix and the error the full decode's error,
-// because the entries past the limit are still validated structurally —
-// a truncated or trailing-garbage reply fails whatever the limit. A
-// receiver that will keep two entries of a 512-entry window does not
-// build the other 2040 strings.
-func UnmarshalPeerListLimited(b []byte, dst []PeerInfo, limit int) ([]PeerInfo, error) {
-	d := wire.NewDecoder(b)
-	if t := Type(d.U8()); t != TPeerList {
-		return dst, fmt.Errorf("proto: expected peerlist, got %v", t)
-	}
-	n := d.Int()
-	if n < 0 || n > d.Remaining() {
-		return dst, wire.ErrCorrupt
-	}
-	if limit < 0 || limit >= n {
-		limit = n
-		d.InternStrings() // one string copy for the whole host list
-	}
-	for i := 0; i < limit; i++ {
-		dst = append(dst, decodePeerInfo(d))
-	}
-	d.SkipStrings(4 * (n - limit))
-	return dst, d.Finish()
-}
-
 // PeerEntry is one host-list entry viewed in place: every field aliases
 // the frame and is valid only while the frame is.
 type PeerEntry struct {
@@ -601,9 +549,9 @@ func (e PeerEntry) Info() PeerInfo {
 }
 
 // PeerListReader walks a TPeerList frame entry by entry without
-// building a string. ReadPeerList validates the whole frame first — the
-// checks UnmarshalPeerList makes, in the same order — so a walk never
-// meets a decode error half-way and a receiver can merge as it reads.
+// building a string. ReadPeerList validates the whole frame first, so a
+// walk never meets a decode error half-way and a receiver can merge as
+// it reads. It is the one host-list decoder of the daemons.
 type PeerListReader struct {
 	d    wire.Decoder
 	left int

@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"p2pmpi/internal/wire"
 )
 
 // The decoders sit on the untrusted edge of the daemons: every frame a
-// supernode or MPD receives goes through Unmarshal, UnmarshalPeerList
-// (whole or limited), DecodeShardDelta or DecodeInto before anything
-// else looks at it. The fuzz targets pin the two safety properties the
-// pooled zero-alloc paths depend on:
+// supernode or MPD receives goes through Unmarshal, ReadPeerList,
+// DecodeShardDelta or DecodeInto before anything else looks at it (and
+// bench/ still decodes host lists whole with UnmarshalPeerList). The
+// fuzz targets pin the two safety properties the pooled zero-alloc
+// paths depend on:
 //
 //   - malformed frames error out; they never panic (no slice
 //     over-reads, no unbounded make() from a hostile length prefix);
@@ -97,10 +100,58 @@ func FuzzUnmarshal(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalPeerList: the host-list fast path (pooled scratch
-// decode) must reject garbage without panicking and without aliasing,
-// and the in-place reader (ReadPeerList) must fail exactly when it
-// does and otherwise view the same entries.
+// modelPeerList is the naive host-list decoder ReadPeerList is held
+// to: the type byte, the count, four String reads per entry, and no
+// byte left over.
+func modelPeerList(b []byte) (l []PeerInfo, err error) {
+	d := wire.NewDecoder(b)
+	if t, n := Type(d.U8()), d.Int(); t == TPeerList && n >= 0 {
+		for ; n > 0 && d.Err() == nil; n-- {
+			l = append(l, PeerInfo{ID: d.String(), Site: d.String(), MPDAddr: d.String(), RSAddr: d.String()})
+		}
+		return l, d.Finish()
+	}
+	return nil, wire.ErrCorrupt
+}
+
+// FuzzReadPeerList: for any bytes, ReadPeerList and the model agree —
+// both fail, or both succeed with the same entries — and the entries'
+// Info values survive the frame being clobbered (no aliasing: receivers
+// release frames to pooled buffers). It catches a reader that accepts
+// one trailing byte.
+func FuzzReadPeerList(f *testing.F) {
+	pi := PeerInfo{ID: "c01-1.s01", Site: "s01", MPDAddr: "m:9000", RSAddr: "r:9001"}
+	full := MustMarshal(&PeerList{Peers: []PeerInfo{pi, {ID: "b", Site: "s02"}, {ID: "c"}}})
+	f.Add(full)
+	f.Add(full[:len(full)-2])               // truncated inside the last entry
+	f.Add(append(slices.Clone(full), 0x00)) // trailing garbage
+	f.Add(MustMarshal(&PeerList{}))
+	f.Add([]byte{uint8(TPeerList), 0x7f}) // huge count prefix
+	f.Add([]byte{uint8(TAlive)})          // wrong type
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, werr := modelPeerList(data)
+		buf := slices.Clone(data)
+		r, err := ReadPeerList(buf)
+		if (err == nil) != (werr == nil) || r.Len() != len(want) && err == nil {
+			t.Fatalf("ReadPeerList: %d entries, error %v; the model: %d entries, error %v", r.Len(), err, len(want), werr)
+		}
+		var got []PeerInfo
+		for e, ok := r.Next(); ok; e, ok = r.Next() {
+			got = append(got, e.Info())
+		}
+		for i := range buf {
+			buf[i] ^= 0xff // what Info built must not alias the frame
+		}
+		if err == nil && !slices.Equal(got, want) {
+			t.Fatalf("ReadPeerList read %+v (the frame clobbered since), the model %+v", got, want)
+		}
+	})
+}
+
+// FuzzUnmarshalPeerList: the whole-list decode (pooled scratch) must
+// reject garbage without panicking and without aliasing, and the
+// in-place reader (ReadPeerList) must fail exactly when it does and
+// otherwise view the same entries.
 func FuzzUnmarshalPeerList(f *testing.F) {
 	pi := PeerInfo{ID: "c01-1.s01", Site: "s01", MPDAddr: "m:9000", RSAddr: "r:9001"}
 	f.Add(MustMarshal(&PeerList{Peers: []PeerInfo{pi, {ID: "b", Site: "s02"}}}))
@@ -142,11 +193,12 @@ func FuzzUnmarshalPeerList(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalPeerListLimited: materializing only a prefix changes
-// nothing observable — for every limit the result is the full decode's
-// prefix and the error is the full decode's error, so a receiver that
-// keeps two entries still rejects exactly the replies it rejected when
-// it decoded them all.
+// FuzzUnmarshalPeerListLimited: keeping only a prefix changes nothing
+// observable. A receiver that walks ReadPeerList for its first limit
+// entries (as the cache's queued branch does) gets the full decode's
+// prefix and the full decode's error for every limit, so one that keeps
+// two entries still rejects exactly the replies it rejected when it
+// decoded them all.
 func FuzzUnmarshalPeerListLimited(f *testing.F) {
 	pi := PeerInfo{ID: "c01-1.s01", Site: "s01", MPDAddr: "m:9000", RSAddr: "r:9001"}
 	full := MustMarshal(&PeerList{Peers: []PeerInfo{pi, {ID: "b", Site: "s02"}, {ID: "c"}}})
@@ -164,16 +216,20 @@ func FuzzUnmarshalPeerListLimited(f *testing.F) {
 			limits = append(limits, l)
 		}
 		for _, limit := range limits {
-			got, err := UnmarshalPeerListLimited(data, make([]PeerInfo, 0, 2), limit)
+			r, err := ReadPeerList(data)
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 				t.Fatalf("limit %d: error %v, full decode's %v", limit, err, wantErr)
+			}
+			got := make([]PeerInfo, 0, 2)
+			for e, ok := r.Next(); ok && (limit < 0 || len(got) < limit); e, ok = r.Next() {
+				got = append(got, e.Info())
 			}
 			keep := n
 			if limit >= 0 && limit < n {
 				keep = limit
 			}
-			if !slices.Equal(got, want[:keep]) {
-				t.Fatalf("limit %d: decoded %+v, want the prefix %+v", limit, got, want[:keep])
+			if err == nil && !slices.Equal(got, want[:keep]) {
+				t.Fatalf("limit %d: read %+v, want the prefix %+v", limit, got, want[:keep])
 			}
 		}
 	})

@@ -112,11 +112,11 @@ func (m *PeerImage) Encodes(peers []PeerInfo) bool {
 	return slices.Equal(m.wire, want.wire) && slices.Equal(m.ends, want.ends)
 }
 
-// AppendPeerListImage writes into dst exactly the bytes that
-// AppendPeerListFrame writes for the table img is the image of and the
-// same start and count: the header, then the window's entries copied
-// from the image. A window of at most the whole table wraps at most
-// once, so its entries are one or two copies.
+// AppendPeerListImage writes into dst the TPeerList frame of count
+// entries of the table img is the image of, starting at index start and
+// wrapping modulo its length: the header, then the window's entries
+// copied from the image. A window of at most the whole table wraps at
+// most once, so its entries are one or two copies.
 func AppendPeerListImage(dst []byte, img *PeerImage, start, count int) []byte {
 	var e wire.Encoder
 	e.Reset(dst)

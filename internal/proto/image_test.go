@@ -13,8 +13,9 @@ import (
 // one edit script of Insert, Set (same-length RSAddr changes among them),
 // Remove, Reset and CopyFrom, with fields long enough to cross the
 // one-byte length prefix. After every edit the image must be the
-// table's encoding: AppendPeerListImage equals AppendPeerListFrame for
-// every start and count, wrapped windows and count 0 included, and a
+// table's encoding: AppendPeerListImage equals the Marshal of the
+// window, rotated out of the table by the test, for every start and
+// count, wrapped windows and count 0 included, and a
 // shard state carrying the image encodes byte for byte as the one
 // encoded field by field, and decodes back to the table; one whose
 // Peers the image does not match in length is encoded field by field.
@@ -87,9 +88,10 @@ func checkImage(t *testing.T, step int, table []PeerInfo, img *PeerImage) {
 	}
 	n := len(table)
 	for start := 0; start < max(n, 1); start++ {
+		rotated := append(slices.Clone(table[start:]), table[:start]...)
 		for count := 0; count <= n; count++ {
 			got := AppendPeerListImage([]byte{0xee}, img, start, count)
-			want := AppendPeerListFrame([]byte{0xee}, table, start, count)
+			want, _ := AppendMarshal([]byte{0xee}, &PeerList{Peers: rotated[:count]})
 			if !bytes.Equal(got, want) {
 				t.Fatalf("step %d: window (%d, %d) of %d:\nimage %x\nframe %x", step, start, count, n, got, want)
 			}

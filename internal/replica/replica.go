@@ -61,9 +61,6 @@ func newGroup(r, self int, failTimeout time.Duration, now time.Time) *Group {
 // Self returns this process's replica index (-1 for a monitor).
 func (g *Group) Self() int { return g.self }
 
-// Degree returns the replication degree r.
-func (g *Group) Degree() int { return g.r }
-
 // HeartbeatFrom records a heartbeat observation from a replica. A
 // heartbeat resurrects a falsely suspected member (the detector is not
 // perfect; transmission-level dedup keeps that safe). Callers that

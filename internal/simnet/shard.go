@@ -67,20 +67,8 @@ type ShardConfig struct {
 // assert it). The network registers its merge as a domain barrier
 // callback.
 func NewSharded(dom *vtime.Domain, topo Topology, cfg Config, sc ShardConfig) *Net {
-	if cfg.NICBps <= 0 {
-		cfg.NICBps = 1_000_000_000
-	}
-	ns := dom.Shards()
-	n := &Net{
-		topo:    topo,
-		cfg:     cfg,
-		sharded: ns > 1,
-		check:   sc.Check,
-		sh:      make([]*netShard, ns),
-		hosts:   make(map[string]*netHost, len(sc.Hosts)),
-		pipes:   make(map[sitePair]*serializer),
-		winID:   1,
-	}
+	n := newNet(topo, cfg, dom.Shards(), len(sc.Hosts))
+	n.sharded, n.check = len(n.sh) > 1, sc.Check
 	for i := range n.sh {
 		n.sh[i] = newNetShard(dom.Shard(i))
 	}

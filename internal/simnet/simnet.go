@@ -302,16 +302,26 @@ func (s *serializer) reserveLocal(winID uint64, start time.Duration, rank int, s
 	return f
 }
 
-// New creates a simulated network over the scheduler and topology.
+// New creates a simulated network over the scheduler and topology. Its
+// host and pipe tables fill lazily, as hosts first appear.
 func New(rt *vtime.Scheduler, topo Topology, cfg Config) *Net {
+	n := newNet(topo, cfg, 1, 0)
+	n.sh[0] = newNetShard(rt)
+	return n
+}
+
+// newNet is the body New and NewSharded share: the configuration with
+// its defaults, one empty slot per shard, and empty tables, the host
+// map sized for hosts entries.
+func newNet(topo Topology, cfg Config, shards, hosts int) *Net {
 	if cfg.NICBps <= 0 {
 		cfg.NICBps = 1_000_000_000
 	}
 	return &Net{
 		topo:  topo,
 		cfg:   cfg,
-		sh:    []*netShard{newNetShard(rt)},
-		hosts: make(map[string]*netHost),
+		sh:    make([]*netShard, shards),
+		hosts: make(map[string]*netHost, hosts),
 		pipes: make(map[sitePair]*serializer),
 		winID: 1,
 	}

@@ -8,14 +8,13 @@ import (
 
 // Summary holds order statistics and moments for a sample.
 type Summary struct {
-	N              int
-	Min, Max       float64
-	Mean, Std      float64
-	P50, P90, P99  float64
-	Sum            float64
-	sorted         []float64
-	sumSq          float64
-	populationMode bool
+	N             int
+	Min, Max      float64
+	Mean, Std     float64
+	P50, P90, P99 float64
+	Sum           float64
+	sorted        []float64
+	sumSq         float64
 }
 
 // ExactLimit is the largest sample Summarize accepts. Summarize copies

@@ -163,23 +163,9 @@ type Network interface {
 	Dial(addr string) (Conn, error)
 }
 
-// RequestReply dials addr, sends req, waits up to timeout for a single
-// reply and closes the connection: Call's blocking form, for scripts.
-func RequestReply(n Network, addr string, req Message, timeout time.Duration) (Message, error) {
-	c, err := n.Dial(addr)
-	if err != nil {
-		return Message{}, err
-	}
-	defer c.Close()
-	if err := c.Send(req); err != nil {
-		return Message{}, err
-	}
-	return c.RecvTimeout(timeout)
-}
-
-// Call is RequestReply by callback: dial addr, send req, take one reply
-// or give up after timeout, close the conn, then hand done — exactly
-// once — what RequestReply would have returned. A timeout of 0 waits
+// Call is the request/reply exchange: dial addr, send req, take one
+// reply or give up after timeout, close the conn, then hand done —
+// exactly once — the reply or the error. A timeout of 0 waits
 // for nothing (send, close, ErrTimeout): the one-way form.
 //
 // Nothing parks: done runs in delivery context (see the package doc),
