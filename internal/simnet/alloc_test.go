@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -65,6 +66,29 @@ func TestDialRetainsNoAddressBuffer(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(n)
+}
+
+// TestFlowTableHoldsNoPointers: the flow table keeps one entry per
+// (dialer, host, port) ever dialed, ~130 k on the paper world, and the
+// GC scans a map with pointers in it on every cycle.
+func TestFlowTableHoldsNoPointers(t *testing.T) {
+	var check func(reflect.Type)
+	check = func(typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Interface,
+			reflect.Map, reflect.Slice, reflect.Chan, reflect.Func:
+			t.Errorf("flow table holds a %s", typ)
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				check(typ.Field(i).Type)
+			}
+		case reflect.Array:
+			check(typ.Elem())
+		}
+	}
+	m := reflect.TypeOf(netShard{}.flowSeq)
+	check(m.Key())
+	check(m.Elem())
 }
 
 // TestMessageDeliveryZeroAllocSteadyState enforces the zero-allocation

@@ -253,8 +253,7 @@ func lookaheadViolation(x *xmsg, arrival, now time.Duration) {
 // a burst of sends that outruns delivery (nothing recycled yet) costs
 // one allocation per block of messages, not one per message.
 type delivery struct {
-	sh    *netShard // owning (receiving) shard's free list
-	peer  *conn
+	peer  *conn // receiving endpoint; peer.lh.sh owns the carrier's free list
 	msg   transport.Message
 	state uint64    // sender's flow-stream state, adopted when sync is set
 	sync  bool      // the frame crossed shards
@@ -268,11 +267,9 @@ func (sh *netShard) getDelivery() *delivery {
 	if d == nil {
 		block := make([]delivery, deliveryBlock)
 		for i := 1; i < len(block); i++ {
-			block[i].sh = sh
 			block[i].next = sh.delFree
 			sh.delFree = &block[i]
 		}
-		block[0].sh = sh
 		return &block[0]
 	}
 	sh.delFree = d.next
@@ -288,7 +285,8 @@ func (sh *netShard) getDelivery() *delivery {
 // sender's post-draw state.
 func fireDelivery(a any) {
 	d := a.(*delivery)
-	sh, peer, msg := d.sh, d.peer, d.msg
+	peer, msg := d.peer, d.msg
+	sh := peer.lh.sh // the shard land took the carrier from
 	if d.sync {
 		peer.src.state = d.state
 	}

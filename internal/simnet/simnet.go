@@ -88,8 +88,8 @@ type Net struct {
 // happens-before edge — no locks anywhere on the message path.
 type netShard struct {
 	rt      *vtime.Scheduler
-	flowSeq map[flowKey]uint64
-	ports   map[string]int // port name -> flowKey.port; keys are owned copies
+	flowSeq map[flowKey]uint32
+	ports   map[string]int32 // port name -> flowKey.port; keys are owned copies
 	bufPool transport.BufferPool
 	delFree *delivery // recycled delivery events
 	out     []xmsg    // cross-shard emissions this window
@@ -97,7 +97,7 @@ type netShard struct {
 }
 
 func newNetShard(rt *vtime.Scheduler) *netShard {
-	return &netShard{rt: rt, flowSeq: make(map[flowKey]uint64), ports: make(map[string]int)}
+	return &netShard{rt: rt, flowSeq: make(map[flowKey]uint32), ports: make(map[string]int32)}
 }
 
 // flowKey identifies one flow for jitter purposes: the dialing host,
@@ -110,24 +110,26 @@ func newNetShard(rt *vtime.Scheduler) *netShard {
 // extra control traffic) reproduce the data-plane timeline of a
 // standalone one bit for bit.
 //
-// The key holds no string. A dialled address is often a substring of a
-// decoded frame (a Prepare's slot table, wire.Decoder.InternStrings),
-// and a string-keyed map re-stores its key on every assignment, so a
-// counter bumped under such a key would pin the whole frame for the
-// life of the world. Hosts are keyed by their table entry and the port
-// by a per-shard number (netShard.portNum); the names still seed the
-// stream (flowSeed).
+// The table gains an entry per (dialer, host, port) ever dialed — about
+// 130 k after the paper world's all-pairs ping — and keeps it for the
+// life of the world, so the GC would scan every pointer in it on every
+// cycle. The key therefore holds none: hosts are their global ranks and
+// the port a per-shard number (netShard.portNum). That also keeps the
+// table from pinning frames: a dialled address is often a substring of
+// a decoded frame (wire.Decoder.InternStrings), and a string key would
+// be re-stored on every bump. The names still seed the stream
+// (flowSeed).
 type flowKey struct {
-	from, to *netHost
-	port     int
+	from, to int32 // netHost.rank
+	port     int32
 }
 
 // portNum numbers a destination port name on this shard. The map keeps
 // an owned copy of the name and is written only when the name is new.
-func (sh *netShard) portNum(port string) int {
+func (sh *netShard) portNum(port string) int32 {
 	p, ok := sh.ports[port]
 	if !ok {
-		p = len(sh.ports)
+		p = int32(len(sh.ports))
 		sh.ports[strings.Clone(port)] = p
 	}
 	return p
@@ -160,9 +162,9 @@ func (s *flowSource) Seed(seed int64) {
 // which lives on exactly one shard, so the counter is exclusive to that
 // shard's event loop.
 func (sh *netShard) flowSeed(seed int64, from, to *netHost, port string) uint64 {
-	key := flowKey{from: from, to: to, port: sh.portNum(port)}
-	seq := sh.flowSeq[key]
-	sh.flowSeq[key] = seq + 1
+	key := flowKey{from: int32(from.rank), to: int32(to.rank), port: sh.portNum(port)}
+	seq := uint64(sh.flowSeq[key])
+	sh.flowSeq[key]++
 	h := fnvMix(uint64(seed), from.id)
 	h = fnvMix(h, to.id)
 	h = fnvMix(h, port)

@@ -5,33 +5,30 @@ import (
 	"time"
 )
 
-// Event kinds. Wake and abandon events are internal: the dispatch loop
-// runs them to completion under the scheduler lock — no goroutine
-// hand-off, no unlock round-trip, no closure. Func events carry user
-// callbacks (After/Schedule) and run with the lock released, so the
-// callback can re-enter public scheduler APIs.
-const (
-	evFunc    uint8 = iota
-	evFuncArg       // like evFunc, closure-free: fnArg(arg)
-	evWake          // resume a Sleep-parked actor
-	evAbandon       // expire a queue waiter (Queue.PopTimeout)
-)
-
 // event is one slot of the scheduler's event slab. Events are addressed
 // by slab index; gen disambiguates slot reuse so Timer handles stay O(1)
 // without keeping freed slots alive. All fields are guarded by s.mu.
+//
+// The record is 48 bytes, one callback and its argument: the slab keeps
+// the boot storm's high-water mark of in-flight events for the life of
+// the world. A user callback (After/Schedule/ScheduleArg) is fn(arg),
+// run with s.mu released so it can re-enter public scheduler APIs; a
+// plain func() rides in arg behind callFunc. Internal events have a nil
+// fn and run to completion under the lock, told apart by arg's type: a
+// *actor is a Sleep wake-up, a *waiterCore a queue waiter's expiry
+// (Queue.PopTimeout).
 type event struct {
 	at      time.Duration
 	seq     uint64 // FIFO tie-break for equal timestamps
-	kind    uint8
 	gen     uint32
-	heapIdx int32       // position in s.heap (cancelLocked removes through it), -1 once out
-	actor   *actor      // evWake target
-	w       *waiterCore // evAbandon target
-	fn      func()      // evFunc callback; runs with s.mu NOT held
-	fnArg   func(any)   // evFuncArg callback; runs with s.mu NOT held
-	arg     any         // evFuncArg argument
+	heapIdx int32     // position in s.heap (cancelLocked removes through it), -1 once out
+	fn      func(any) // user callback; nil for internal events
+	arg     any
 }
+
+// callFunc is the trampoline of func() callbacks. A func value is
+// pointer-shaped, so storing one in arg allocates nothing.
+func callFunc(arg any) { arg.(func())() }
 
 // waiterCore is the non-generic half of a queue waiter, shared with the
 // scheduler so PopTimeout expiries run as internal events instead of
@@ -61,7 +58,7 @@ var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
 // newEventLocked takes a slot from the slab (reusing a freed one when
 // available) and stamps it with the deadline and the next sequence
-// number. The caller fills in the kind-specific fields and pushes it.
+// number. The caller fills in fn and arg and pushes it.
 func (s *Scheduler) newEventLocked(d time.Duration) int32 {
 	s.seq++
 	var id int32
@@ -85,10 +82,7 @@ func (s *Scheduler) freeEventLocked(id int32) {
 	ev := &s.slab[id]
 	ev.gen++
 	ev.fn = nil
-	ev.fnArg = nil
 	ev.arg = nil
-	ev.actor = nil
-	ev.w = nil
 	ev.heapIdx = -1
 	s.free = append(s.free, id)
 }

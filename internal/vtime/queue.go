@@ -140,8 +140,7 @@ func (q *Queue[T]) PopTimeout(d time.Duration) (T, error) {
 	if timed {
 		tid = s.newEventLocked(d)
 		ev := &s.slab[tid]
-		ev.kind = evAbandon
-		ev.w = &w.waiterCore
+		ev.arg = &w.waiterCore
 		tgen = ev.gen
 		s.heapPush(tid)
 	}

@@ -195,8 +195,7 @@ func (s *Scheduler) Sleep(d time.Duration) {
 	}
 	id := s.newEventLocked(d)
 	ev := &s.slab[id]
-	ev.kind = evWake
-	ev.actor = a
+	ev.arg = a
 	s.heapPush(id)
 	s.parkLocked(a)
 	s.mu.Unlock()
@@ -241,8 +240,7 @@ func (s *Scheduler) ScheduleArg(d time.Duration, fn func(any), arg any) {
 	}
 	id := s.newEventLocked(d)
 	ev := &s.slab[id]
-	ev.kind = evFuncArg
-	ev.fnArg = fn
+	ev.fn = fn
 	ev.arg = arg
 	s.heapPush(id)
 	s.mu.Unlock()
@@ -251,8 +249,8 @@ func (s *Scheduler) ScheduleArg(d time.Duration, fn func(any), arg any) {
 func (s *Scheduler) scheduleFuncLocked(d time.Duration, fn func()) int32 {
 	id := s.newEventLocked(d)
 	ev := &s.slab[id]
-	ev.kind = evFunc
-	ev.fn = fn
+	ev.fn = callFunc
+	ev.arg = fn
 	s.heapPush(id)
 	return id
 }
@@ -268,8 +266,7 @@ func (s *Scheduler) AfterArg(d time.Duration, fn func(any), arg any) Timer {
 	}
 	id := s.newEventLocked(d)
 	ev := &s.slab[id]
-	ev.kind = evFuncArg
-	ev.fnArg = fn
+	ev.fn = fn
 	ev.arg = arg
 	s.heapPush(id)
 	return Timer{s: s, id: id, gen: ev.gen}
@@ -413,32 +410,24 @@ func (s *Scheduler) dispatchLocked() *actor {
 		if ev.at > s.now {
 			s.setNowLocked(ev.at)
 		}
-		switch ev.kind {
-		case evWake:
-			a := ev.actor
-			s.freeEventLocked(id)
-			s.WakeLocked(a)
-		case evAbandon:
-			w := ev.w
-			s.freeEventLocked(id)
-			if !w.got && !w.gone {
-				w.gone = true
-				s.WakeLocked(w.a)
-			}
-		case evFuncArg:
-			fn, arg := ev.fnArg, ev.arg
-			s.freeEventLocked(id)
+		fn, arg := ev.fn, ev.arg
+		s.freeEventLocked(id)
+		if fn != nil {
+			// Run the callback without the lock so it can use public APIs
+			// (Queue.Push, After, Schedule).
 			s.mu.Unlock()
 			fn(arg)
 			s.mu.Lock()
-		default:
-			// Run the callback without the lock so it can use public APIs
-			// (Queue.Push, After, Schedule).
-			fn := ev.fn
-			s.freeEventLocked(id)
-			s.mu.Unlock()
-			fn()
-			s.mu.Lock()
+			continue
+		}
+		switch t := arg.(type) {
+		case *actor:
+			s.WakeLocked(t)
+		case *waiterCore:
+			if !t.got && !t.gone {
+				t.gone = true
+				s.WakeLocked(t.a)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestSleepAdvancesVirtualTime(t *testing.T) {
@@ -442,5 +443,28 @@ func TestCancelRemovesFromHeap(t *testing.T) {
 	}
 	if timers[fired[0]].Stop() {
 		t.Fatal("Stop = true on a fired timer")
+	}
+}
+
+// TestEventRecordLayout: the slab keeps the boot storm's high-water mark
+// of in-flight events (~60 k on the paper world) for the world's life,
+// so every byte of the record is paid that many times over. A func()
+// callback rides in the record's arg: boxing it must stay free.
+func TestEventRecordLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(event{}); sz > 48 {
+		t.Fatalf("event is %d bytes, want <= 48", sz)
+	}
+	s := New()
+	defer s.Shutdown()
+	n := 0
+	tick := func() { n++ }
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Schedule(time.Millisecond, tick)
+		s.Wait()
+	}); allocs != 0 {
+		t.Fatalf("Schedule + dispatch allocates %.1f per event, want 0", allocs)
+	}
+	if n != 101 {
+		t.Fatalf("%d callbacks ran, want 101", n)
 	}
 }
