@@ -16,10 +16,7 @@ import (
 	"p2pmpi/internal/exp"
 	"p2pmpi/internal/grid"
 	"p2pmpi/internal/latency"
-	"p2pmpi/internal/mpi"
-	"p2pmpi/internal/simnet"
 	"p2pmpi/internal/stats"
-	"p2pmpi/internal/vtime"
 )
 
 // BenchmarkTable1Inventory regenerates Table 1.
@@ -149,108 +146,6 @@ func BenchmarkAblationLatencyEstimators(b *testing.B) {
 			b.ReportMetric(tauSum/float64(b.N), "kendall-tau")
 		})
 	}
-}
-
-// BenchmarkAblationCollectives compares the collective algorithm
-// implementations on a 32-rank virtual world, reporting virtual
-// completion time per operation.
-func BenchmarkAblationCollectives(b *testing.B) {
-	cases := []struct {
-		name string
-		algs mpi.Algorithms
-		op   func(c *mpi.Comm) error
-	}{
-		{"allreduce/recursive-doubling", mpi.Algorithms{Allreduce: mpi.AllreduceRecursiveDoubling},
-			func(c *mpi.Comm) error {
-				_, err := c.Allreduce(mpi.Data{Virtual: 1024}, mpi.VirtualCombiner)
-				return err
-			}},
-		{"allreduce/reduce-bcast", mpi.Algorithms{Allreduce: mpi.AllreduceReduceBcast},
-			func(c *mpi.Comm) error {
-				_, err := c.Allreduce(mpi.Data{Virtual: 1024}, mpi.VirtualCombiner)
-				return err
-			}},
-		{"bcast/binomial", mpi.Algorithms{Bcast: mpi.BcastBinomial},
-			func(c *mpi.Comm) error {
-				_, err := c.Bcast(0, mpi.Data{Virtual: 1024})
-				return err
-			}},
-		{"bcast/linear", mpi.Algorithms{Bcast: mpi.BcastLinear},
-			func(c *mpi.Comm) error {
-				_, err := c.Bcast(0, mpi.Data{Virtual: 1024})
-				return err
-			}},
-		{"alltoall/pairwise", mpi.Algorithms{Alltoall: mpi.AlltoallPairwise}, alltoallOp},
-		{"alltoall/linear", mpi.Algorithms{Alltoall: mpi.AlltoallLinear}, alltoallOp},
-	}
-	for _, tc := range cases {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			var virtualTotal time.Duration
-			for i := 0; i < b.N; i++ {
-				virtualTotal += collectiveVirtualTime(b, tc.algs, tc.op)
-			}
-			b.ReportMetric(float64(virtualTotal.Microseconds())/float64(b.N), "virtual-us/op")
-		})
-	}
-}
-
-func alltoallOp(c *mpi.Comm) error {
-	parts := make([]mpi.Data, c.Size())
-	for i := range parts {
-		parts[i] = mpi.Data{Virtual: 1024}
-	}
-	_, err := c.Alltoall(parts)
-	return err
-}
-
-// collectiveVirtualTime runs one collective over 32 ranks spread across
-// 4 simulated sites and returns the virtual time it took.
-func collectiveVirtualTime(b *testing.B, algs mpi.Algorithms, op func(c *mpi.Comm) error) time.Duration {
-	b.Helper()
-	s := vtime.New()
-	defer s.Shutdown()
-	hostSite := make(map[string]string)
-	const n = 32
-	for i := 0; i < n; i++ {
-		hostSite[fmt.Sprintf("h%02d", i)] = fmt.Sprintf("site%d", i%4)
-	}
-	net := simnet.New(s, &simnet.StaticTopology{HostSite: hostSite, DefLat: 3 * time.Millisecond},
-		simnet.Config{Seed: 9, NICBps: 1e9})
-
-	var elapsed time.Duration
-	s.Go("bench", func() {
-		slots := make([]mpi.Slot, n)
-		for i := range slots {
-			h := fmt.Sprintf("h%02d", i)
-			slots[i] = mpi.Slot{Rank: i, Global: i, HostID: h, Addr: fmt.Sprintf("%s:%d", h, 46000+i)}
-		}
-		mb := s.NewMailbox()
-		start := s.Elapsed()
-		for i := 0; i < n; i++ {
-			slot := slots[i]
-			s.Go("rank", func() {
-				c, err := mpi.Join(mpi.Config{
-					Self: slot, Slots: slots, N: n, R: 1,
-					Net: net.Node(slot.HostID), RT: s, Algorithms: algs,
-				})
-				if err != nil {
-					mb.Push(err)
-					return
-				}
-				defer c.Close()
-				mb.Push(op(c))
-			})
-		}
-		for i := 0; i < n; i++ {
-			if v, _ := mb.Pop(); v != nil {
-				b.Errorf("rank failed: %v", v)
-			}
-		}
-		elapsed = s.Elapsed() - start
-	})
-	s.Wait()
-	return elapsed
 }
 
 // BenchmarkAblationMixedStrategy contrasts the three strategies on the

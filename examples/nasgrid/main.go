@@ -23,7 +23,7 @@ func main() {
 		nas.EPClassW.Name, n, nas.EPClassW.M)
 	start := time.Now()
 	errs := p2pmpi.RunLocal(p2pmpi.RealRuntime(), p2pmpi.TCPNetwork(),
-		"127.0.0.1", 45200, n, p2pmpi.Algorithms{},
+		"127.0.0.1", 45200, n,
 		func(c *mpi.Comm) error {
 			lo := int64(c.Rank()) * (1 << nas.EPClassW.M) / int64(c.Size())
 			hi := int64(c.Rank()+1) * (1 << nas.EPClassW.M) / int64(c.Size())
@@ -48,7 +48,7 @@ func main() {
 		nas.ISClassS.Name, n, nas.ISClassS.TotalKeysLog2, nas.ISClassS.Iterations)
 	start = time.Now()
 	errs = p2pmpi.RunLocal(p2pmpi.RealRuntime(), p2pmpi.TCPNetwork(),
-		"127.0.0.1", 45300, n, p2pmpi.Algorithms{},
+		"127.0.0.1", 45300, n,
 		func(c *mpi.Comm) error {
 			res, err := nas.RunIS(nas.ISClassS, c)
 			if err != nil {

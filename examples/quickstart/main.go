@@ -17,7 +17,7 @@ func main() {
 	fmt.Printf("quickstart: %d ranks over local TCP\n", n)
 
 	errs := p2pmpi.RunLocal(p2pmpi.RealRuntime(), p2pmpi.TCPNetwork(),
-		"127.0.0.1", 45100, n, p2pmpi.Algorithms{},
+		"127.0.0.1", 45100, n,
 		func(c *p2pmpi.Comm) error {
 			// Each rank contributes rank+1; everyone learns the total.
 			sum, err := c.AllreduceF64([]float64{float64(c.Rank() + 1)}, p2pmpi.OpSum)

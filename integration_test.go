@@ -337,7 +337,7 @@ func TestFacadeRunLocalRealTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
 	}
-	errs := RunLocal(RealRuntime(), TCPNetwork(), "127.0.0.1", loopbackPorts(4), 4, Algorithms{},
+	errs := RunLocal(RealRuntime(), TCPNetwork(), "127.0.0.1", loopbackPorts(4), 4,
 		func(c *Comm) error {
 			sum, err := c.AllreduceF64([]float64{float64(c.Rank())}, OpSum)
 			if err != nil {

@@ -68,7 +68,6 @@ type Env struct {
 	Profile HostProfile
 
 	comm    *mpi.Comm
-	algs    mpi.Algorithms
 	joinErr error
 	// kill is armed (non-nil) for preemptable jobs: a KillJob closes it,
 	// waking any SleepPreemptible early.

@@ -136,11 +136,9 @@ func (m *MPD) handlePrepare(p *proto.Prepare) *proto.Ready {
 		if p.Preemptable {
 			env.kill = m.rt.NewMailbox()
 		}
-		env.algs = unpackAlgorithms(p.Algorithms)
 		comm, err := mpi.Join(mpi.Config{
 			Self: slot, Slots: table, N: p.N, R: p.R,
 			Net: m.net, RT: m.rt,
-			Algorithms: env.algs,
 		})
 		env.comm, env.joinErr = comm, err
 		if err != nil {

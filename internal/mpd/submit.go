@@ -11,7 +11,6 @@ import (
 
 	"p2pmpi/internal/core"
 	"p2pmpi/internal/latency"
-	"p2pmpi/internal/mpi"
 	"p2pmpi/internal/proto"
 	"p2pmpi/internal/replica"
 	"p2pmpi/internal/reservation"
@@ -29,10 +28,6 @@ type JobSpec struct {
 	Strategy core.Strategy
 	// Timeout bounds the whole run (default 5 minutes).
 	Timeout time.Duration
-	// Algorithms selects the collective implementations used by the
-	// job's communicators (zero value = library defaults). Used by the
-	// collective-algorithm ablations.
-	Algorithms mpi.Algorithms
 	// Exclude lists host IDs skipped during booking. The multi-job
 	// scheduler feeds its live view of saturated hosts through here, so
 	// concurrent submissions do not burn brokering round-trips on hosts
@@ -444,7 +439,6 @@ func (m *MPD) Submit(spec JobSpec) (*JobResult, error) {
 		N: spec.N, R: spec.R, Table: table,
 		SubmitterMPD: m.cfg.Self.MPDAddr,
 		Deadline:     spec.Timeout,
-		Algorithms:   packAlgorithms(spec.Algorithms),
 		Preemptable:  spec.Preemptable,
 	}
 	if err := m.fanOutReady(usedHosts, prep); err != nil {
@@ -934,24 +928,6 @@ func (m *MPD) cancelReservation(peer proto.PeerInfo, key string) {
 func (m *MPD) castCancel(addr string, msg any) {
 	transport.Call(m.net, addr, transport.Message{Payload: proto.MustMarshal(msg)},
 		m.cfg.ReserveTimeout, func(reply transport.Message, _ error) { reply.Release() })
-}
-
-// packAlgorithms flattens the algorithm selectors into the wire layout
-// of proto.Prepare.Algorithms.
-func packAlgorithms(a mpi.Algorithms) [5]int {
-	return [5]int{int(a.Bcast), int(a.Reduce), int(a.Allreduce),
-		int(a.Allgather), int(a.Alltoall)}
-}
-
-// unpackAlgorithms reverses packAlgorithms.
-func unpackAlgorithms(v [5]int) mpi.Algorithms {
-	return mpi.Algorithms{
-		Bcast:     mpi.BcastAlg(v[0]),
-		Reduce:    mpi.ReduceAlg(v[1]),
-		Allreduce: mpi.AllreduceAlg(v[2]),
-		Allgather: mpi.AllgatherAlg(v[3]),
-		Alltoall:  mpi.AlltoallAlg(v[4]),
-	}
 }
 
 // Hostname is the built-in program used by the paper's co-allocation

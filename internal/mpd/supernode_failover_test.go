@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"p2pmpi/internal/core"
-	"p2pmpi/internal/mpi"
 	"p2pmpi/internal/overlay"
 	"p2pmpi/internal/proto"
 	"p2pmpi/internal/simnet"
@@ -81,47 +80,5 @@ func TestSupernodeFailover(t *testing.T) {
 	}
 	if res.Failures() != 0 || len(res.Results) != 3 {
 		t.Fatalf("results: %+v", res.Results)
-	}
-}
-
-// TestJobAlgorithmsReachProcesses: the JobSpec's collective-algorithm
-// selection must arrive in every launched process's environment.
-func TestJobAlgorithmsReachProcesses(t *testing.T) {
-	tb := newTestbed(t, 2, 0, 2)
-	want := mpi.Algorithms{
-		Bcast:     mpi.BcastLinear,
-		Allreduce: mpi.AllreduceReduceBcast,
-		Alltoall:  mpi.AlltoallLinear,
-	}
-	seen := make(chan mpi.Algorithms, 4)
-	for _, d := range append(tb.peers, tb.front) {
-		d.cfg.Programs["algcheck"] = func(env *Env) error {
-			seen <- env.algs
-			return nil
-		}
-	}
-	tb.boot(t)
-	defer tb.close()
-
-	res, err := tb.submit(t, JobSpec{
-		Program: "algcheck", N: 2, R: 1, Strategy: core.Spread,
-		Algorithms: want,
-	})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if res.Failures() != 0 {
-		t.Fatalf("failures: %+v", res.Results)
-	}
-	close(seen)
-	count := 0
-	for got := range seen {
-		count++
-		if got != want {
-			t.Fatalf("process saw algorithms %+v, want %+v", got, want)
-		}
-	}
-	if count != 2 {
-		t.Fatalf("%d processes reported, want 2", count)
 	}
 }

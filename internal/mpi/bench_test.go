@@ -40,7 +40,7 @@ func BenchmarkSendRecvPair(b *testing.B) {
 	}, simnet.Config{Seed: 3, NICBps: 1e9})
 
 	s.Go("world", func() {
-		errs := RunLocal(s, net.Node("hub"), "hub", 47000, 2, Algorithms{},
+		errs := RunLocal(s, net.Node("hub"), "hub", 47000, 2,
 			func(c *Comm) error {
 				if c.Rank() == 0 {
 					for i := 0; i < b.N; i++ {

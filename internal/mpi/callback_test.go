@@ -21,7 +21,7 @@ import (
 // it. Without the release the pool never recycles on the MPI path and
 // carves fresh blocks for every message in flight.
 func TestDeliverReleasesUnaliasedFrames(t *testing.T) {
-	w := newWorld(t, 1, 2, Algorithms{})
+	w := newWorld(t, 1, 2)
 	c, err := Join(Config{Self: w.slots[0], Slots: w.slots, N: 1, R: 2, Net: w.node(w.slots[0].HostID), RT: w.s})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestDeliverReleasesUnaliasedFrames(t *testing.T) {
 // inbound conn would have added n + n(n-1).
 func TestAlltoallHoldsNoReceiveActors(t *testing.T) {
 	const n = 32
-	w := newWorld(t, n, 1, Algorithms{})
+	w := newWorld(t, n, 1)
 	hold := w.s.NewMailbox()
 	actors := -1
 	w.s.Go("observer", func() {
@@ -116,7 +116,7 @@ func (m arrivalLog) Push(v any) {
 // arrivals runs fn on a fresh n×r world and returns every slot's
 // arrival log.
 func arrivals(t *testing.T, n, r int, fn func(w *world, c *Comm) error) [][]string {
-	w := newWorld(t, n, r, Algorithms{})
+	w := newWorld(t, n, r)
 	logs := make([][]string, len(w.slots))
 	w.joined = func(c *Comm) {
 		c.inbox = arrivalLog{c.inbox, w.s, &logs[c.cfg.Self.Global]}
@@ -241,7 +241,7 @@ func TestFailoverArrivalsCallbackMatchesPull(t *testing.T) {
 // Comm.Close.
 func TestCommCrashRestoreCloseHygiene(t *testing.T) {
 	scenario := func() (arrived, closes []string) {
-		w := newWorld(t, 2, 1, Algorithms{})
+		w := newWorld(t, 2, 1)
 		w.wrap = func(n transport.Network) transport.Network {
 			return nettest.LogCloses(n, w.s.Elapsed, &closes)
 		}

@@ -59,37 +59,13 @@ func (c *Comm) Barrier() error {
 	return nil
 }
 
-// Bcast distributes root's data to every process and returns the local
-// copy (root returns its input).
+// Bcast distributes root's data to every process down a binomial tree
+// (⌈log2 p⌉ rounds) and returns the local copy (root returns its input).
 func (c *Comm) Bcast(root int, d Data) (Data, error) {
 	if root < 0 || root >= c.size {
 		return Data{}, ErrInvalidRank
 	}
 	tag := c.nextColTag(opBcast)
-	switch c.cfg.Algorithms.Bcast {
-	case BcastLinear:
-		return c.bcastLinear(root, d, tag)
-	default:
-		return c.bcastBinomial(root, d, tag)
-	}
-}
-
-func (c *Comm) bcastLinear(root int, d Data, tag int) (Data, error) {
-	if c.rank == root {
-		for r := 0; r < c.size; r++ {
-			if r == root {
-				continue
-			}
-			if err := c.send(r, tag, d); err != nil {
-				return Data{}, err
-			}
-		}
-		return d, nil
-	}
-	return c.recvCol(root, tag)
-}
-
-func (c *Comm) bcastBinomial(root int, d Data, tag int) (Data, error) {
 	p := c.size
 	rel := (c.rank - root + p) % p
 	// Receive from the parent (owner of my lowest set bit).
@@ -120,39 +96,13 @@ func (c *Comm) bcastBinomial(root int, d Data, tag int) (Data, error) {
 	return d, nil
 }
 
-// Reduce combines everyone's data at root. Non-roots return zero Data.
+// Reduce combines everyone's data at root up a binomial tree. Non-roots
+// return zero Data.
 func (c *Comm) Reduce(root int, d Data, combine Combiner) (Data, error) {
 	if root < 0 || root >= c.size {
 		return Data{}, ErrInvalidRank
 	}
 	tag := c.nextColTag(opReduce)
-	switch c.cfg.Algorithms.Reduce {
-	case ReduceLinear:
-		return c.reduceLinear(root, d, combine, tag)
-	default:
-		return c.reduceBinomial(root, d, combine, tag)
-	}
-}
-
-func (c *Comm) reduceLinear(root int, d Data, combine Combiner, tag int) (Data, error) {
-	if c.rank != root {
-		return Data{}, c.send(root, tag, d)
-	}
-	acc := d
-	for r := 0; r < c.size; r++ {
-		if r == root {
-			continue
-		}
-		got, err := c.recvCol(r, tag)
-		if err != nil {
-			return Data{}, err
-		}
-		acc = combine(acc, got)
-	}
-	return acc, nil
-}
-
-func (c *Comm) reduceBinomial(root int, d Data, combine Combiner, tag int) (Data, error) {
 	p := c.size
 	rel := (c.rank - root + p) % p
 	acc := d
@@ -178,23 +128,10 @@ func (c *Comm) reduceBinomial(root int, d Data, combine Combiner, tag int) (Data
 	return acc, nil
 }
 
-// Allreduce combines everyone's data and returns the result everywhere.
+// Allreduce combines everyone's data and returns the result everywhere:
+// MPICH-style recursive doubling with the standard non-power-of-two
+// pre/post phase.
 func (c *Comm) Allreduce(d Data, combine Combiner) (Data, error) {
-	switch c.cfg.Algorithms.Allreduce {
-	case AllreduceReduceBcast:
-		res, err := c.Reduce(0, d, combine)
-		if err != nil {
-			return Data{}, err
-		}
-		return c.Bcast(0, res)
-	default:
-		return c.allreduceRecDoubling(d, combine)
-	}
-}
-
-// allreduceRecDoubling implements MPICH-style recursive doubling with the
-// standard non-power-of-two pre/post phase.
-func (c *Comm) allreduceRecDoubling(d Data, combine Combiner) (Data, error) {
 	tag := c.nextColTag(opAllreduce)
 	p := c.size
 	pof2 := 1
@@ -284,25 +221,8 @@ func (c *Comm) Gather(root int, d Data) ([]Data, error) {
 	return out, nil
 }
 
-// Allgather collects everyone's data at every process.
+// Allgather collects everyone's data at every process in p-1 ring steps.
 func (c *Comm) Allgather(d Data) ([]Data, error) {
-	switch c.cfg.Algorithms.Allgather {
-	case AllgatherLinear:
-		all, err := c.Gather(0, d)
-		if err != nil {
-			return nil, err
-		}
-		joined, err := c.Bcast(0, packMany(all))
-		if err != nil {
-			return nil, err
-		}
-		return unpackMany(joined, c.size)
-	default:
-		return c.allgatherRing(d)
-	}
-}
-
-func (c *Comm) allgatherRing(d Data) ([]Data, error) {
 	tag := c.nextColTag(opAllgather)
 	p := c.size
 	out := make([]Data, p)
@@ -354,7 +274,7 @@ func (c *Comm) Alltoall(parts []Data) ([]Data, error) {
 		return nil, fmt.Errorf("mpi: alltoall needs %d parts, got %d", c.size, len(parts))
 	}
 	tag := c.nextColTag(opAlltoall)
-	return c.exchange(parts, tag, c.cfg.Algorithms.Alltoall)
+	return c.exchange(parts, tag)
 }
 
 // Alltoallv is Alltoall with per-destination sizes; in this byte-oriented
@@ -365,46 +285,26 @@ func (c *Comm) Alltoallv(parts []Data) ([]Data, error) {
 		return nil, fmt.Errorf("mpi: alltoallv needs %d parts, got %d", c.size, len(parts))
 	}
 	tag := c.nextColTag(opAlltoallv)
-	return c.exchange(parts, tag, c.cfg.Algorithms.Alltoall)
+	return c.exchange(parts, tag)
 }
 
-func (c *Comm) exchange(parts []Data, tag int, alg AlltoallAlg) ([]Data, error) {
+// exchange runs the pairwise all-to-all schedule: p-1 balanced rounds,
+// the partner distance rotating by one each round.
+func (c *Comm) exchange(parts []Data, tag int) ([]Data, error) {
 	p := c.size
 	out := make([]Data, p)
 	out[c.rank] = parts[c.rank]
-	switch alg {
-	case AlltoallLinear:
-		for r := 0; r < p; r++ {
-			if r == c.rank {
-				continue
-			}
-			if err := c.send(r, tag, parts[r]); err != nil {
-				return nil, err
-			}
+	for round := 1; round < p; round++ {
+		to := (c.rank + round) % p
+		from := (c.rank - round + p) % p
+		if err := c.send(to, tag, parts[to]); err != nil {
+			return nil, err
 		}
-		for r := 0; r < p; r++ {
-			if r == c.rank {
-				continue
-			}
-			got, err := c.recvCol(r, tag)
-			if err != nil {
-				return nil, err
-			}
-			out[r] = got
+		got, err := c.recvCol(from, tag)
+		if err != nil {
+			return nil, err
 		}
-	default: // pairwise: balanced rounds, partner distance rotates
-		for round := 1; round < p; round++ {
-			to := (c.rank + round) % p
-			from := (c.rank - round + p) % p
-			if err := c.send(to, tag, parts[to]); err != nil {
-				return nil, err
-			}
-			got, err := c.recvCol(from, tag)
-			if err != nil {
-				return nil, err
-			}
-			out[from] = got
-		}
+		out[from] = got
 	}
 	return out, nil
 }
@@ -427,50 +327,4 @@ func (c *Comm) Scan(d Data, combine Combiner) (Data, error) {
 		}
 	}
 	return acc, nil
-}
-
-// packMany/unpackMany concatenate Data bodies for gather+bcast composites.
-func packMany(parts []Data) Data {
-	var total int
-	var virt int64
-	for _, p := range parts {
-		total += 8 + len(p.Bytes)
-		virt += p.Virtual
-	}
-	buf := make([]byte, 0, total)
-	for _, p := range parts {
-		var hdr [8]byte
-		n := len(p.Bytes)
-		for i := 0; i < 8; i++ {
-			hdr[i] = byte(n >> (8 * (7 - i)))
-		}
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, p.Bytes...)
-	}
-	return Data{Bytes: buf, Virtual: virt}
-}
-
-func unpackMany(d Data, n int) ([]Data, error) {
-	out := make([]Data, 0, n)
-	b := d.Bytes
-	for i := 0; i < n; i++ {
-		if len(b) < 8 {
-			return nil, fmt.Errorf("mpi: corrupt packed gather")
-		}
-		var sz int
-		for j := 0; j < 8; j++ {
-			sz = sz<<8 | int(b[j])
-		}
-		b = b[8:]
-		if sz < 0 || sz > len(b) {
-			return nil, fmt.Errorf("mpi: corrupt packed gather size %d", sz)
-		}
-		part := Data{Virtual: d.Virtual / int64(n)}
-		if sz > 0 {
-			part.Bytes = b[:sz]
-		}
-		b = b[sz:]
-		out = append(out, part)
-	}
-	return out, nil
 }

@@ -38,7 +38,7 @@ func (c loggedClose) Close() error {
 // joinAllocs is what one Join (plus its Close) allocates for slot 0 of
 // an n×r world, the table optionally shuffled.
 func joinAllocs(t *testing.T, n, r int, shuffle bool) float64 {
-	w := newWorld(t, n, r, Algorithms{})
+	w := newWorld(t, n, r)
 	slots := slices.Clone(w.slots)
 	if shuffle {
 		rand.New(rand.NewSource(1)).Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
@@ -84,7 +84,7 @@ func TestJoinRejectsBadTables(t *testing.T) {
 		{"cell twice", func(s []Slot) []Slot { s[5].Rank, s[5].Replica = 0, 1; return s }},
 	}
 	for _, tc := range cases {
-		w := newWorld(t, n, r, Algorithms{})
+		w := newWorld(t, n, r)
 		self := w.slots[0]
 		net := w.node(self.HostID)
 		if _, err := Join(Config{Self: self, Slots: tc.edit(slices.Clone(w.slots)), N: n, R: r, Net: net, RT: w.s}); err == nil {
@@ -103,7 +103,7 @@ func TestJoinRejectsBadTables(t *testing.T) {
 // are warm, a virtual-size Send → Recv between two ranks allocates
 // nothing — not the header, not the inbox item, not a lookup.
 func TestVirtualMessageZeroAllocs(t *testing.T) {
-	w := newWorld(t, 2, 1, Algorithms{})
+	w := newWorld(t, 2, 1)
 	var comms []*Comm
 	for _, s := range w.slots {
 		c, err := Join(Config{Self: s, Slots: w.slots, N: 2, R: 1, Net: w.node(s.HostID), RT: w.s})
@@ -142,7 +142,7 @@ func TestVirtualMessageZeroAllocs(t *testing.T) {
 func TestCloseInSlotOrder(t *testing.T) {
 	const n = 8
 	for rep := 0; rep < 20; rep++ {
-		w := newWorld(t, n, 1, Algorithms{})
+		w := newWorld(t, n, 1)
 		closed := make(map[string][]string)
 		w.wrap = func(net transport.Network) transport.Network { return closeLog{net, closed} }
 		w.run(t, func(c *Comm) error {

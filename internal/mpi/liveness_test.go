@@ -82,7 +82,7 @@ const pinLivenessDispatched = 359
 // that gets through). Rank 0 streams to rank 1 from 3.5 s; its leader's
 // host dies at 5 s, its backup is promoted and resends its log.
 func TestLivenessTimelinePinned(t *testing.T) {
-	w := newWorld(t, 2, 2, Algorithms{})
+	w := newWorld(t, 2, 2)
 	var log []string
 	w.wrap = func(n transport.Network) transport.Network { return &livenessLog{Network: n, w: w, log: &log} }
 	down := w.slots[3].HostID
@@ -129,7 +129,7 @@ func TestLivenessTimelinePinned(t *testing.T) {
 // timer chains, so a 2×2 job whose replicas all live spawns its four
 // processes and nothing else.
 func TestLivenessSpawnsNothing(t *testing.T) {
-	w := newWorld(t, 2, 2, Algorithms{})
+	w := newWorld(t, 2, 2)
 	w.run(t, func(c *Comm) error {
 		w.s.Sleep(3 * time.Second) // fifteen beats, six detector rounds
 		return nil
@@ -143,7 +143,7 @@ func TestLivenessSpawnsNothing(t *testing.T) {
 // virtual second of an idle replicated rank — five beats each way over
 // the network, two detector rounds per replica — allocates nothing.
 func TestIdleReplicaGroupZeroAllocs(t *testing.T) {
-	w := newWorld(t, 1, 2, Algorithms{})
+	w := newWorld(t, 1, 2)
 	for _, s := range w.slots {
 		c, err := Join(Config{Self: s, Slots: w.slots, N: 1, R: 2, Net: w.node(s.HostID), RT: w.s})
 		if err != nil {

@@ -12,7 +12,8 @@ import (
 // network, all listening on host at consecutive ports from basePort. It
 // is the quickest way to run an MPI program without the middleware: over
 // vtime.Real and transport.TCP it runs n goroutines on localhost; over a
-// scheduler and simnet it runs in virtual time.
+// scheduler and simnet it runs in virtual time. Each collective runs its
+// one fixed schedule (see the package doc).
 //
 // Under a virtual-time runtime RunLocal must be called from an actor (it
 // blocks on a runtime mailbox). It returns one error slot per rank. The
@@ -20,7 +21,7 @@ import (
 // Comm is closed, so no rank waits forever on a message the failed one
 // will never send.
 func RunLocal(rt vtime.Runtime, net transport.Network, host string, basePort, n int,
-	algs Algorithms, fn func(c *Comm) error) []error {
+	fn func(c *Comm) error) []error {
 
 	slots := make([]Slot, n)
 	for i := 0; i < n; i++ {
@@ -43,7 +44,7 @@ func RunLocal(rt vtime.Runtime, net transport.Network, host string, basePort, n 
 		rt.Go(fmt.Sprintf("mpi.local.r%d", slot.Rank), func() {
 			c, err := Join(Config{
 				Self: slot, Slots: slots, N: n, R: 1,
-				Net: net, RT: rt, Algorithms: algs,
+				Net: net, RT: rt,
 			})
 			if err != nil {
 				mb.Push(done{rank: slot.Rank, err: err})

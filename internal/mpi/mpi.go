@@ -6,9 +6,10 @@
 //
 //   - point-to-point Send/Recv with tags and wildcards;
 //   - the collectives NAS IS and EP need (Barrier, Bcast, Reduce,
-//     Allreduce, Gather, Allgather, Scatter, Alltoall, Alltoallv, Scan)
-//     with selectable algorithms (linear / binomial tree / recursive
-//     doubling / ring / pairwise) for the ablation benchmarks;
+//     Allreduce, Gather, Allgather, Scatter, Alltoall, Alltoallv, Scan),
+//     one schedule each: binomial-tree Bcast and Reduce,
+//     recursive-doubling Allreduce, ring Allgather and pairwise
+//     Alltoall(v);
 //   - transparent process replication (§3.2 "fault tolerance"): with
 //     replication degree r > 1 the group leader transmits, backups log,
 //     heartbeat failure detection promotes a backup, and receivers
@@ -83,61 +84,6 @@ type Status struct {
 	Tag    int
 }
 
-// Algorithms selects collective implementations; zero values pick the
-// defaults noted on each constant set.
-type Algorithms struct {
-	Bcast     BcastAlg
-	Reduce    ReduceAlg
-	Allreduce AllreduceAlg
-	Allgather AllgatherAlg
-	Alltoall  AlltoallAlg
-}
-
-// BcastAlg selects the broadcast algorithm.
-type BcastAlg int
-
-// Broadcast algorithms (default BcastBinomial).
-const (
-	BcastBinomial BcastAlg = iota // log(p) rounds down a binomial tree
-	BcastLinear                   // root sends p-1 messages
-)
-
-// ReduceAlg selects the reduce algorithm.
-type ReduceAlg int
-
-// Reduce algorithms (default ReduceBinomial).
-const (
-	ReduceBinomial ReduceAlg = iota // binomial tree toward the root
-	ReduceLinear                    // everyone sends to the root
-)
-
-// AllreduceAlg selects the allreduce algorithm.
-type AllreduceAlg int
-
-// Allreduce algorithms (default AllreduceRecursiveDoubling).
-const (
-	AllreduceRecursiveDoubling AllreduceAlg = iota // log(p) exchange rounds
-	AllreduceReduceBcast                           // reduce to 0 then bcast
-)
-
-// AllgatherAlg selects the allgather algorithm.
-type AllgatherAlg int
-
-// Allgather algorithms (default AllgatherRing).
-const (
-	AllgatherRing   AllgatherAlg = iota // p-1 ring steps
-	AllgatherLinear                     // gather to 0 then bcast
-)
-
-// AlltoallAlg selects the all-to-all exchange schedule.
-type AlltoallAlg int
-
-// Alltoall algorithms (default AlltoallPairwise).
-const (
-	AlltoallPairwise AlltoallAlg = iota // p-1 balanced exchange rounds
-	AlltoallLinear                      // naive: p-1 sends then p-1 recvs
-)
-
 // Config describes one process's view of the application.
 type Config struct {
 	// Self is this process's slot; Slots is the full table (n×r rows).
@@ -148,8 +94,6 @@ type Config struct {
 	// Net and RT bind the process to a transport and a clock.
 	Net transport.Network
 	RT  vtime.Runtime
-	// Algorithms tunes collectives (zero = defaults).
-	Algorithms Algorithms
 }
 
 // The replica heartbeat and failure detector (timer chains, armed only

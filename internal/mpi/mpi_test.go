@@ -19,7 +19,6 @@ type world struct {
 	net   *simnet.Net
 	slots []Slot
 	n, r  int
-	algs  Algorithms
 	// wrap, when set, stands between every process and its host's
 	// network view (nettest doubles); joined, when set, sees every Comm
 	// right after Join, before its process runs.
@@ -34,7 +33,7 @@ func (w *world) node(host string) transport.Network {
 	return w.net.Node(host)
 }
 
-func newWorld(t *testing.T, n, r int, algs Algorithms) *world {
+func newWorld(t *testing.T, n, r int) *world {
 	t.Helper()
 	s := vtime.New()
 	t.Cleanup(s.Shutdown)
@@ -53,7 +52,7 @@ func newWorld(t *testing.T, n, r int, algs Algorithms) *world {
 	}
 	net := simnet.New(s, &simnet.StaticTopology{HostSite: hostSite, DefLat: time.Millisecond},
 		simnet.Config{Seed: 17, NICBps: 1e9})
-	return &world{s: s, net: net, slots: slots, n: n, r: r, algs: algs}
+	return &world{s: s, net: net, slots: slots, n: n, r: r}
 }
 
 // TestRunLocalAbortsOnFailedRank: a rank whose port is taken fails its
@@ -69,7 +68,7 @@ func TestRunLocalAbortsOnFailedRank(t *testing.T) {
 	}
 	var errs []error
 	s.Go("world", func() {
-		errs = RunLocal(s, net.Node("hub"), "hub", 47100, 3, Algorithms{}, func(c *Comm) error {
+		errs = RunLocal(s, net.Node("hub"), "hub", 47100, 3, func(c *Comm) error {
 			_, _, err := c.Recv(1, 0)
 			return err
 		})
@@ -90,7 +89,7 @@ func (w *world) run(t *testing.T, fn func(c *Comm) error) {
 		w.s.Go(fmt.Sprintf("proc.g%d", slot.Global), func() {
 			c, err := Join(Config{
 				Self: slot, Slots: w.slots, N: w.n, R: w.r,
-				Net: w.node(slot.HostID), RT: w.s, Algorithms: w.algs,
+				Net: w.node(slot.HostID), RT: w.s,
 			})
 			if err != nil {
 				errs[i] = err
@@ -112,7 +111,7 @@ func (w *world) run(t *testing.T, fn func(c *Comm) error) {
 }
 
 func TestSendRecvBasic(t *testing.T) {
-	w := newWorld(t, 2, 1, Algorithms{})
+	w := newWorld(t, 2, 1)
 	w.run(t, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.Send(1, 7, Data{Bytes: []byte("hello")})
@@ -129,7 +128,7 @@ func TestSendRecvBasic(t *testing.T) {
 }
 
 func TestTagMatchingOutOfOrder(t *testing.T) {
-	w := newWorld(t, 2, 1, Algorithms{})
+	w := newWorld(t, 2, 1)
 	w.run(t, func(c *Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 1, Data{Bytes: []byte("first")}); err != nil {
@@ -154,7 +153,7 @@ func TestTagMatchingOutOfOrder(t *testing.T) {
 }
 
 func TestAnySourceAnyTag(t *testing.T) {
-	w := newWorld(t, 3, 1, Algorithms{})
+	w := newWorld(t, 3, 1)
 	w.run(t, func(c *Comm) error {
 		if c.Rank() != 0 {
 			return c.Send(0, c.Rank()+10, Data{Bytes: []byte{byte(c.Rank())}})
@@ -178,7 +177,7 @@ func TestAnySourceAnyTag(t *testing.T) {
 }
 
 func TestRecvTimeout(t *testing.T) {
-	w := newWorld(t, 2, 1, Algorithms{})
+	w := newWorld(t, 2, 1)
 	w.run(t, func(c *Comm) error {
 		if c.Rank() == 1 {
 			_, _, err := c.RecvTimeout(0, 5, 100*time.Millisecond)
@@ -191,7 +190,7 @@ func TestRecvTimeout(t *testing.T) {
 }
 
 func TestSendValidation(t *testing.T) {
-	w := newWorld(t, 2, 1, Algorithms{})
+	w := newWorld(t, 2, 1)
 	w.run(t, func(c *Comm) error {
 		if err := c.Send(5, 1, Data{}); err == nil {
 			return fmt.Errorf("send to rank 5 of 2 accepted")
@@ -205,7 +204,7 @@ func TestSendValidation(t *testing.T) {
 
 func TestRingPass(t *testing.T) {
 	const n = 8
-	w := newWorld(t, n, 1, Algorithms{})
+	w := newWorld(t, n, 1)
 	w.run(t, func(c *Comm) error {
 		token := []byte{0}
 		if c.Rank() == 0 {
@@ -231,7 +230,7 @@ func TestRingPass(t *testing.T) {
 
 func TestBarrierSynchronizes(t *testing.T) {
 	const n = 7
-	w := newWorld(t, n, 1, Algorithms{})
+	w := newWorld(t, n, 1)
 	var entered [n]time.Duration
 	var exited [n]time.Duration
 	w.run(t, func(c *Comm) error {
@@ -257,13 +256,23 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-func bcastCheck(t *testing.T, alg BcastAlg, sizes ...int) {
+// atEverySize runs check in a fresh world of every size from 1 to 9, so
+// the non-power-of-two arms of the binomial trees and of recursive
+// doubling run.
+func atEverySize(t *testing.T, check func(c *Comm, n int) error) {
 	t.Helper()
-	for _, n := range sizes {
-		w := newWorld(t, n, 1, Algorithms{Bcast: alg})
-		root := (n - 1) / 2
-		payload := []byte("broadcast-payload")
-		w.run(t, func(c *Comm) error {
+	for n := 1; n <= 9; n++ {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			newWorld(t, n, 1).run(t, func(c *Comm) error { return check(c, n) })
+		})
+	}
+}
+
+// TestBcastBinomial broadcasts from every root in turn.
+func TestBcastBinomial(t *testing.T) {
+	atEverySize(t, func(c *Comm, n int) error {
+		for root := 0; root < n; root++ {
+			payload := []byte(fmt.Sprintf("broadcast from %d", root))
 			var in Data
 			if c.Rank() == root {
 				in = Data{Bytes: payload}
@@ -273,80 +282,93 @@ func bcastCheck(t *testing.T, alg BcastAlg, sizes ...int) {
 				return err
 			}
 			if !bytes.Equal(out.Bytes, payload) {
-				return fmt.Errorf("rank %d got %q", c.Rank(), out.Bytes)
+				return fmt.Errorf("root %d: rank %d got %q", root, c.Rank(), out.Bytes)
 			}
-			return nil
-		})
-	}
-}
-
-func TestBcastBinomial(t *testing.T) { bcastCheck(t, BcastBinomial, 1, 2, 3, 5, 8, 9) }
-func TestBcastLinear(t *testing.T)   { bcastCheck(t, BcastLinear, 1, 2, 5, 8) }
-
-func reduceCheck(t *testing.T, alg ReduceAlg, n int) {
-	t.Helper()
-	w := newWorld(t, n, 1, Algorithms{Reduce: alg})
-	root := n - 1
-	w.run(t, func(c *Comm) error {
-		vals := []float64{float64(c.Rank()), 1}
-		got, err := c.ReduceF64(root, vals, OpSum)
-		if err != nil {
-			return err
-		}
-		if c.Rank() != root {
-			if got != nil {
-				return fmt.Errorf("non-root received %v", got)
-			}
-			return nil
-		}
-		wantSum := float64(n*(n-1)) / 2
-		if got[0] != wantSum || got[1] != float64(n) {
-			return fmt.Errorf("reduce = %v, want [%v %v]", got, wantSum, n)
 		}
 		return nil
 	})
 }
 
+// TestReduceBinomial reduces to every root in turn.
 func TestReduceBinomial(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 6, 8} {
-		reduceCheck(t, ReduceBinomial, n)
-	}
-}
-func TestReduceLinear(t *testing.T) { reduceCheck(t, ReduceLinear, 5) }
-
-func allreduceCheck(t *testing.T, alg AllreduceAlg, sizes ...int) {
-	t.Helper()
-	for _, n := range sizes {
-		w := newWorld(t, n, 1, Algorithms{Allreduce: alg})
-		w.run(t, func(c *Comm) error {
-			got, err := c.AllreduceF64([]float64{float64(c.Rank() + 1)}, OpSum)
+	atEverySize(t, func(c *Comm, n int) error {
+		for root := 0; root < n; root++ {
+			got, err := c.ReduceF64(root, []float64{float64(c.Rank()), 1}, OpSum)
 			if err != nil {
 				return err
 			}
-			want := float64(n*(n+1)) / 2
-			if got[0] != want {
-				return fmt.Errorf("rank %d: allreduce = %v, want %v", c.Rank(), got[0], want)
+			if c.Rank() != root {
+				if got != nil {
+					return fmt.Errorf("root %d: non-root %d received %v", root, c.Rank(), got)
+				}
+				continue
 			}
-			max, err := c.AllreduceI64([]int64{int64(c.Rank())}, OpMax)
-			if err != nil {
-				return err
+			wantSum := float64(n*(n-1)) / 2
+			if got[0] != wantSum || got[1] != float64(n) {
+				return fmt.Errorf("root %d: reduce = %v, want [%v %v]", root, got, wantSum, n)
 			}
-			if max[0] != int64(n-1) {
-				return fmt.Errorf("max = %v", max[0])
-			}
-			return nil
-		})
-	}
+		}
+		return nil
+	})
 }
 
 func TestAllreduceRecursiveDoubling(t *testing.T) {
-	allreduceCheck(t, AllreduceRecursiveDoubling, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	atEverySize(t, func(c *Comm, n int) error {
+		got, err := c.AllreduceF64([]float64{float64(c.Rank() + 1)}, OpSum)
+		if err != nil {
+			return err
+		}
+		if want := float64(n*(n+1)) / 2; got[0] != want {
+			return fmt.Errorf("rank %d: allreduce = %v, want %v", c.Rank(), got[0], want)
+		}
+		max, err := c.AllreduceI64([]int64{int64(c.Rank())}, OpMax)
+		if err != nil {
+			return err
+		}
+		if max[0] != int64(n-1) {
+			return fmt.Errorf("rank %d: max = %v", c.Rank(), max[0])
+		}
+		return nil
+	})
 }
-func TestAllreduceReduceBcast(t *testing.T) { allreduceCheck(t, AllreduceReduceBcast, 5, 8) }
+
+func TestAllgatherRing(t *testing.T) {
+	atEverySize(t, func(c *Comm, n int) error {
+		all, err := c.Allgather(Data{Bytes: []byte{byte(c.Rank() + 100)}})
+		if err != nil {
+			return err
+		}
+		for r, d := range all {
+			if len(d.Bytes) != 1 || int(d.Bytes[0]) != r+100 {
+				return fmt.Errorf("rank %d: allgather[%d] = %v", c.Rank(), r, d.Bytes)
+			}
+		}
+		return nil
+	})
+}
+
+func TestAlltoallPairwise(t *testing.T) {
+	atEverySize(t, func(c *Comm, n int) error {
+		parts := make([]Data, n)
+		for i := range parts {
+			parts[i] = Data{Bytes: []byte{byte(c.Rank()), byte(i)}}
+		}
+		got, err := c.Alltoall(parts)
+		if err != nil {
+			return err
+		}
+		for src, d := range got {
+			if int(d.Bytes[0]) != src || int(d.Bytes[1]) != c.Rank() {
+				return fmt.Errorf("rank %d: from %d got %v", c.Rank(), src, d.Bytes)
+			}
+		}
+		return nil
+	})
+}
 
 func TestGatherScatter(t *testing.T) {
 	const n = 6
-	w := newWorld(t, n, 1, Algorithms{})
+	w := newWorld(t, n, 1)
 	w.run(t, func(c *Comm) error {
 		all, err := c.Gather(0, Data{Bytes: []byte{byte(c.Rank() * 2)}})
 		if err != nil {
@@ -378,61 +400,9 @@ func TestGatherScatter(t *testing.T) {
 	})
 }
 
-func allgatherCheck(t *testing.T, alg AllgatherAlg, n int) {
-	t.Helper()
-	w := newWorld(t, n, 1, Algorithms{Allgather: alg})
-	w.run(t, func(c *Comm) error {
-		all, err := c.Allgather(Data{Bytes: []byte{byte(c.Rank() + 100)}})
-		if err != nil {
-			return err
-		}
-		for r, d := range all {
-			if len(d.Bytes) != 1 || int(d.Bytes[0]) != r+100 {
-				return fmt.Errorf("rank %d: allgather[%d] = %v", c.Rank(), r, d.Bytes)
-			}
-		}
-		return nil
-	})
-}
-
-func TestAllgatherRing(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8} {
-		allgatherCheck(t, AllgatherRing, n)
-	}
-}
-func TestAllgatherLinear(t *testing.T) { allgatherCheck(t, AllgatherLinear, 6) }
-
-func alltoallCheck(t *testing.T, alg AlltoallAlg, n int) {
-	t.Helper()
-	w := newWorld(t, n, 1, Algorithms{Alltoall: alg})
-	w.run(t, func(c *Comm) error {
-		parts := make([]Data, n)
-		for i := range parts {
-			parts[i] = Data{Bytes: []byte{byte(c.Rank()), byte(i)}}
-		}
-		got, err := c.Alltoall(parts)
-		if err != nil {
-			return err
-		}
-		for src, d := range got {
-			if int(d.Bytes[0]) != src || int(d.Bytes[1]) != c.Rank() {
-				return fmt.Errorf("rank %d: from %d got %v", c.Rank(), src, d.Bytes)
-			}
-		}
-		return nil
-	})
-}
-
-func TestAlltoallPairwise(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8} {
-		alltoallCheck(t, AlltoallPairwise, n)
-	}
-}
-func TestAlltoallLinear(t *testing.T) { alltoallCheck(t, AlltoallLinear, 5) }
-
 func TestAlltoallvVariableSizes(t *testing.T) {
 	const n = 5
-	w := newWorld(t, n, 1, Algorithms{})
+	w := newWorld(t, n, 1)
 	w.run(t, func(c *Comm) error {
 		parts := make([]Data, n)
 		for i := range parts {
@@ -455,7 +425,7 @@ func TestAlltoallvVariableSizes(t *testing.T) {
 
 func TestScanPrefixSums(t *testing.T) {
 	const n = 6
-	w := newWorld(t, n, 1, Algorithms{})
+	w := newWorld(t, n, 1)
 	w.run(t, func(c *Comm) error {
 		res, err := c.Scan(Data{Bytes: EncodeI64s([]int64{int64(c.Rank() + 1)})}, I64Combiner(OpSum))
 		if err != nil {
@@ -476,7 +446,7 @@ func TestScanPrefixSums(t *testing.T) {
 func TestCollectivesBackToBack(t *testing.T) {
 	// Tag separation: successive collectives must not cross-talk.
 	const n = 4
-	w := newWorld(t, n, 1, Algorithms{})
+	w := newWorld(t, n, 1)
 	w.run(t, func(c *Comm) error {
 		for i := 0; i < 10; i++ {
 			got, err := c.AllreduceI64([]int64{int64(i)}, OpSum)
@@ -492,7 +462,7 @@ func TestCollectivesBackToBack(t *testing.T) {
 }
 
 func TestVirtualPayloadCostsTime(t *testing.T) {
-	w := newWorld(t, 2, 1, Algorithms{})
+	w := newWorld(t, 2, 1)
 	var took time.Duration
 	w.run(t, func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -512,7 +482,7 @@ func TestVirtualPayloadCostsTime(t *testing.T) {
 func TestReplicatedDeliveryExactlyOnce(t *testing.T) {
 	// n=2, r=2: every message from rank 0 must reach rank 1 exactly once
 	// even though two replicas of rank 0 execute the same sends.
-	w := newWorld(t, 2, 2, Algorithms{})
+	w := newWorld(t, 2, 2)
 	counts := make(map[int]int)
 	w.run(t, func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -552,7 +522,7 @@ func TestReplicatedDeliveryExactlyOnce(t *testing.T) {
 func TestFailoverPromotesBackupAndResends(t *testing.T) {
 	// Rank 0 runs two replicas. The leader's host dies mid-stream; the
 	// backup must take over and rank 1 must still see every message once.
-	w := newWorld(t, 2, 2, Algorithms{})
+	w := newWorld(t, 2, 2)
 	leaderHost := w.slots[0].HostID // rank 0 replica 0
 	var got []int
 	w.run(t, func(c *Comm) error {

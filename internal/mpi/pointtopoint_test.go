@@ -8,7 +8,7 @@ import (
 
 func TestSendrecvRingShift(t *testing.T) {
 	const n = 6
-	w := newWorld(t, n, 1, Algorithms{})
+	w := newWorld(t, n, 1)
 	w.run(t, func(c *Comm) error {
 		right := (c.Rank() + 1) % n
 		left := (c.Rank() - 1 + n) % n
@@ -24,7 +24,7 @@ func TestSendrecvRingShift(t *testing.T) {
 }
 
 func TestSendrecvSelf(t *testing.T) {
-	w := newWorld(t, 2, 1, Algorithms{})
+	w := newWorld(t, 2, 1)
 	w.run(t, func(c *Comm) error {
 		got, _, err := c.Sendrecv(c.Rank(), 9, Data{Bytes: []byte("me")}, c.Rank(), 9)
 		if err != nil {
@@ -38,7 +38,7 @@ func TestSendrecvSelf(t *testing.T) {
 }
 
 func TestProbeDoesNotConsume(t *testing.T) {
-	w := newWorld(t, 2, 1, Algorithms{})
+	w := newWorld(t, 2, 1)
 	w.run(t, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.Send(1, 5, Data{Bytes: []byte("probe-me")})
@@ -66,7 +66,7 @@ func TestProbeDoesNotConsume(t *testing.T) {
 }
 
 func TestProbeTimeout(t *testing.T) {
-	w := newWorld(t, 2, 1, Algorithms{})
+	w := newWorld(t, 2, 1)
 	w.run(t, func(c *Comm) error {
 		if c.Rank() == 1 {
 			if _, err := c.ProbeTimeout(0, 5, 50*time.Millisecond); err != ErrTimeout {
@@ -78,7 +78,7 @@ func TestProbeTimeout(t *testing.T) {
 }
 
 func TestIprobe(t *testing.T) {
-	w := newWorld(t, 2, 1, Algorithms{})
+	w := newWorld(t, 2, 1)
 	w.run(t, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.Send(1, 4, Data{Bytes: []byte("x")})
@@ -106,7 +106,7 @@ func TestIprobe(t *testing.T) {
 
 func TestProbeThenOutOfOrderRecv(t *testing.T) {
 	// Probe buffers everything it scans; tag matching must survive.
-	w := newWorld(t, 2, 1, Algorithms{})
+	w := newWorld(t, 2, 1)
 	w.run(t, func(c *Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 1, Data{Bytes: []byte("a")}); err != nil {

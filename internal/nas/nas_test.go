@@ -223,7 +223,7 @@ func runISWorld(t *testing.T, cls ISClass, n int) []ISResult {
 
 	results := make([]ISResult, n)
 	s.Go("world", func() {
-		errs := mpi.RunLocal(s, net.Node("hub"), "hub", 42000, n, mpi.Algorithms{},
+		errs := mpi.RunLocal(s, net.Node("hub"), "hub", 42000, n,
 			func(c *mpi.Comm) error {
 				r, err := RunIS(cls, c)
 				if err == nil {
@@ -288,7 +288,7 @@ func TestEPProgramOverMPI(t *testing.T) {
 	const m = 14
 	whole := EPChunk(0, 1<<m)
 	s.Go("world", func() {
-		errs := mpi.RunLocal(s, net.Node("hub"), "hub", 43000, 5, mpi.Algorithms{},
+		errs := mpi.RunLocal(s, net.Node("hub"), "hub", 43000, 5,
 			func(c *mpi.Comm) error {
 				lo, hi := epRange(m, c.Rank(), c.Size())
 				r := EPChunk(lo, hi)

@@ -8,6 +8,10 @@ import (
 	"p2pmpi/internal/wire"
 )
 
+// preparedReserved counts the zero varints a Prepare carries after its
+// Deadline, where five collective-algorithm selectors used to be.
+const preparedReserved = 5
+
 // Marshal encodes any proto message into a framed byte slice.
 func Marshal(msg any) ([]byte, error) {
 	return AppendMarshal(nil, msg)
@@ -70,8 +74,9 @@ func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 		}
 		e.String(m.SubmitterMPD)
 		e.Duration(m.Deadline)
-		for _, a := range m.Algorithms {
-			e.Int(a)
+		// Kept, not dropped: simnet charges every frame byte, so a shorter Prepare would move every simulated launch.
+		for range preparedReserved {
+			e.Int(0)
 		}
 		e.Bool(m.Preemptable)
 	case *Ready:
@@ -467,8 +472,8 @@ func Unmarshal(b []byte) (Type, any, error) {
 		}
 		m.SubmitterMPD = d.String()
 		m.Deadline = d.Duration()
-		for i := range m.Algorithms {
-			m.Algorithms[i] = d.Int()
+		for range preparedReserved { // an older peer may send non-zero selectors
+			d.Varint()
 		}
 		m.Preemptable = d.Bool()
 		msg = m

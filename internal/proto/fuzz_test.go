@@ -54,11 +54,25 @@ func corpusFrames() [][]byte {
 		&ShardRedirect{Shard: 3, Addr: "snfed04.s02:8800"},
 		&KillJob{Key: "k"}, &KillAck{Key: "k"},
 	}
-	out := make([][]byte, 0, len(msgs))
+	out := make([][]byte, 0, len(msgs)+1)
 	for _, m := range msgs {
 		out = append(out, MustMarshal(m))
 	}
-	return out
+	return append(out, olderPeerPrepare())
+}
+
+// olderPeerPrepare frames pinnedPrepare as a peer that still sent the
+// five collective selectors would: the reserved varints read 1, 0, 1,
+// 1, 200. Nothing ever range-checked them, and 200 takes two bytes, so
+// a decoder must skip varints, not bytes.
+func olderPeerPrepare() []byte {
+	frame := MustMarshal(pinnedPrepare())
+	var e wire.Encoder
+	e.Raw(frame[:len(frame)-preparedReserved-1]) // drop reserved + Preemptable
+	for _, v := range []int{1, 0, 1, 1, 200} {
+		e.Int(v)
+	}
+	return e.Bool(true).Bytes()
 }
 
 // FuzzUnmarshal: any byte string either decodes or errors — no panics —

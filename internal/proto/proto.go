@@ -198,10 +198,6 @@ type Prepare struct {
 	SubmitterMPD string
 	// Deadline bounds the whole job in virtual/real time (0 = none).
 	Deadline time.Duration
-	// Algorithms selects the collective implementations for the job's
-	// communicators: bcast, reduce, allreduce, allgather, alltoall
-	// selectors in that order (zero = library defaults).
-	Algorithms [5]int
 	// Preemptable marks the job killable mid-run: the hosting MPD arms
 	// a kill channel per local process so a later KillJob can
 	// checkpoint-stop it (scheduler-driven preemption).

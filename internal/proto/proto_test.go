@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -51,7 +53,7 @@ func TestRoundTripAll(t *testing.T) {
 		},
 		SubmitterMPD: "frontal.nancy:9000",
 		Deadline:     90 * time.Second,
-		Algorithms:   [5]int{1, 0, 1, 1, 0},
+		Preemptable:  true,
 	}, TPrepare)
 	roundTrip(t, &Ready{Key: "k", OK: true}, TReady)
 	roundTrip(t, &Ready{Key: "k", OK: false, Reason: "bad key"}, TReady)
@@ -61,6 +63,54 @@ func TestRoundTripAll(t *testing.T) {
 		{Rank: 0, Replica: 0, OK: true, Output: []byte("grelon-1.nancy")},
 		{Rank: 1, Replica: 0, OK: false, Err: "panic"},
 	}}, TJobDone)
+}
+
+// pinnedPrepare is one fixed Prepare and pinnedPrepareHex its wire
+// image: a frame whose bytes move (the five reserved varints dropped,
+// say) moves every simulated launch.
+func pinnedPrepare() *Prepare {
+	return &Prepare{
+		Key: "k1", JobID: "job-7", Program: "ep", Args: []string{"-class", "B"},
+		N: 2, R: 1,
+		Table: []Slot{
+			{Rank: 0, Replica: 0, Global: 0, HostID: "grelon-1.nancy", Addr: "grelon-1.nancy:40000"},
+			{Rank: 1, Replica: 0, Global: 1, HostID: "azur-3.sophia", Addr: "azur-3.sophia:40001"},
+		},
+		SubmitterMPD: "frontal.nancy:9000",
+		Deadline:     90 * time.Second,
+		Preemptable:  true,
+	}
+}
+
+const pinnedPrepareHex = "0d046b310a6a6f622d37046570040c2d636c61737302420402" +
+	"040000001c6772656c6f6e2d312e6e616e6379286772656c6f6e2d312e6e616e63793a3430303030" +
+	"0200021a617a75722d332e736f7068696126617a75722d332e736f706869613a3430303031" +
+	"2466726f6e74616c2e6e616e63793a39303030" +
+	"8090d8c69e05" + // Deadline
+	"0000000000" + // reserved
+	"01" // Preemptable
+
+func TestPrepareWireImage(t *testing.T) {
+	got := hex.EncodeToString(MustMarshal(pinnedPrepare()))
+	if got != pinnedPrepareHex {
+		t.Fatalf("Prepare wire image moved:\n got %s\nwant %s", got, pinnedPrepareHex)
+	}
+}
+
+// TestPrepareFromOlderPeer: a Prepare whose reserved varints are set, as
+// a peer that still sent collective selectors frames it, decodes to the
+// same message and re-marshals with the reserved varints zeroed.
+func TestPrepareFromOlderPeer(t *testing.T) {
+	_, msg, err := Unmarshal(olderPeerPrepare())
+	if err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if !reflect.DeepEqual(msg, pinnedPrepare()) {
+		t.Fatalf("decoded %+v\nwant %+v", msg, pinnedPrepare())
+	}
+	if b := MustMarshal(msg); !bytes.Equal(b, MustMarshal(pinnedPrepare())) {
+		t.Fatalf("re-marshal = %x, want %s", b, pinnedPrepareHex)
+	}
 }
 
 func TestEmptySlicesSurvive(t *testing.T) {

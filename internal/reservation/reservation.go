@@ -33,9 +33,10 @@ type Config struct {
 	P int
 	// Deny lists submitter peer IDs refused by the owner.
 	Deny []string
-	// HoldTTL bounds how long an unstarted reservation is held.
-	HoldTTL time.Duration
 }
+
+// holdTTL bounds how long an unstarted reservation is held.
+const holdTTL = 60 * time.Second
 
 // Service is one peer's Reservation Service daemon.
 type Service struct {
@@ -65,9 +66,6 @@ type hold struct {
 func New(rt vtime.Runtime, net transport.Network, cfg Config) *Service {
 	if cfg.J <= 0 {
 		cfg.J = 1
-	}
-	if cfg.HoldTTL <= 0 {
-		cfg.HoldTTL = 60 * time.Second
 	}
 	// held/running are built on first write and denySet only when the
 	// owner actually denies someone — lookups on nil maps are free, and
@@ -175,7 +173,7 @@ func (s *Service) handleReserve(r *proto.Reserve) any {
 		key:       r.Key,
 		jobID:     r.JobID,
 		submitter: r.Submitter.ID,
-		expiresAt: s.rt.Now().Add(s.cfg.HoldTTL),
+		expiresAt: s.rt.Now().Add(holdTTL),
 	}
 	s.accepted++
 	return &proto.ReserveOK{Key: r.Key, P: s.cfg.P}

@@ -109,14 +109,14 @@ func TestDenyList(t *testing.T) {
 
 func TestHoldExpiry(t *testing.T) {
 	s, n := world(t, "frontal", "h1")
-	rs := New(s, n.Node("h1"), Config{Addr: "h1:9001", J: 1, P: 2, HoldTTL: 5 * time.Second})
+	rs := New(s, n.Node("h1"), Config{Addr: "h1:9001", J: 1, P: 2})
 	s.Go("main", func() {
 		rs.Start()
 		reserveVia(t, s, n, "frontal", &proto.Reserve{Key: "a", Submitter: submitter()}, "h1:9001")
 		if !rs.ValidateKey("a") {
 			t.Error("key invalid right after reserve")
 		}
-		s.Sleep(6 * time.Second)
+		s.Sleep(holdTTL + time.Second)
 		if rs.ValidateKey("a") {
 			t.Error("key still valid after TTL")
 		}

@@ -12,7 +12,7 @@
 //   - the P2P middleware: supernode, MPD daemons, reservation services
 //     and the full 8-step submission protocol (internal/overlay,
 //     internal/mpd, internal/reservation);
-//   - an MPJ-like MPI library with selectable collective algorithms and
+//   - an MPJ-like MPI library with one fixed schedule per collective and
 //     transparent process replication (internal/mpi);
 //   - the NAS EP and IS kernels, both real and as calibrated
 //     virtual-time models (internal/nas);
@@ -155,8 +155,6 @@ type (
 	Data = mpi.Data
 	// Slot locates one process in the application.
 	Slot = mpi.Slot
-	// Algorithms selects collective implementations.
-	Algorithms = mpi.Algorithms
 )
 
 // MPI wildcards and operators.
@@ -173,10 +171,12 @@ const (
 func Join(cfg CommConfig) (*Comm, error) { return mpi.Join(cfg) }
 
 // RunLocal executes fn as n in-process MPI ranks — the quickest way to
-// use the MPI library without the middleware.
+// use the MPI library without the middleware. Each collective runs one
+// fixed schedule: binomial-tree Bcast and Reduce, recursive-doubling
+// Allreduce, ring Allgather and pairwise Alltoall(v).
 func RunLocal(rt vtime.Runtime, net transport.Network, host string, basePort, n int,
-	algs Algorithms, fn func(c *Comm) error) []error {
-	return mpi.RunLocal(rt, net, host, basePort, n, algs, fn)
+	fn func(c *Comm) error) []error {
+	return mpi.RunLocal(rt, net, host, basePort, n, fn)
 }
 
 // Runtimes and transports.
