@@ -22,8 +22,12 @@ func main() {
 	fmt.Printf("NAS EP class %s on %d ranks (2^%d Gaussian pairs)\n",
 		nas.EPClassW.Name, n, nas.EPClassW.M)
 	start := time.Now()
+	// Ranks listen on 31200+rank (EP) and 31300+rank (IS): below Linux's
+	// ephemeral range (32768–60999), where an outbound connection's
+	// source port can take a port between the pick and the Listen, and
+	// clear of the ports the root package's TCP tests bind (20000–29xxx).
 	errs := p2pmpi.RunLocal(p2pmpi.RealRuntime(), p2pmpi.TCPNetwork(),
-		"127.0.0.1", 45200, n,
+		"127.0.0.1", 31200, n,
 		func(c *mpi.Comm) error {
 			lo := int64(c.Rank()) * (1 << nas.EPClassW.M) / int64(c.Size())
 			hi := int64(c.Rank()+1) * (1 << nas.EPClassW.M) / int64(c.Size())
@@ -48,7 +52,7 @@ func main() {
 		nas.ISClassS.Name, n, nas.ISClassS.TotalKeysLog2, nas.ISClassS.Iterations)
 	start = time.Now()
 	errs = p2pmpi.RunLocal(p2pmpi.RealRuntime(), p2pmpi.TCPNetwork(),
-		"127.0.0.1", 45300, n,
+		"127.0.0.1", 31300, n,
 		func(c *mpi.Comm) error {
 			res, err := nas.RunIS(nas.ISClassS, c)
 			if err != nil {

@@ -16,8 +16,12 @@ func main() {
 	const n = 4
 	fmt.Printf("quickstart: %d ranks over local TCP\n", n)
 
+	// Ranks listen on 31100+rank: below Linux's ephemeral range
+	// (32768–60999), where an outbound connection's source port can
+	// take a port between the pick and the Listen, and clear of the
+	// ports the root package's TCP tests bind (20000–29xxx).
 	errs := p2pmpi.RunLocal(p2pmpi.RealRuntime(), p2pmpi.TCPNetwork(),
-		"127.0.0.1", 45100, n,
+		"127.0.0.1", 31100, n,
 		func(c *p2pmpi.Comm) error {
 			// Each rank contributes rank+1; everyone learns the total.
 			sum, err := c.AllreduceF64([]float64{float64(c.Rank() + 1)}, p2pmpi.OpSum)

@@ -714,10 +714,16 @@ func (m *MPD) brkLocked(sn string) *transport.Breaker {
 }
 
 // mergeReply merges a raw PeerList reply into the cache straight from
-// the frame (overlay.Cache.UpdateFrame) and releases it. A corrupt reply
+// the frame (overlay.Cache.UpdateFrame, or UpdateShared for the
+// supernode's shared whole-table frame) and releases it. A corrupt reply
 // changes nothing and fails over.
 func (m *MPD) mergeReply(reply transport.Message) error {
-	err := m.cache.UpdateFrame(reply.Payload)
+	var err error
+	if reply.IsShared() {
+		err = m.cache.UpdateShared(reply.Payload)
+	} else {
+		err = m.cache.UpdateFrame(reply.Payload)
+	}
 	reply.Release()
 	return err
 }

@@ -289,31 +289,32 @@ func (m *MPD) Submit(spec JobSpec) (*JobResult, error) {
 	}
 
 	// Sort by ascending latency and overbook, skipping hosts the caller
-	// excluded (the scheduler's live view of saturated hosts).
+	// excluded (the scheduler's live view of saturated hosts): the first
+	// BookingTarget(need) that remain are booked, and the walk stops
+	// there.
 	excluded := make(map[string]bool, len(spec.Exclude))
 	for _, id := range spec.Exclude {
 		excluded[id] = true
 	}
 	ranked := m.cache.RankedView() // read-only iteration: no copy
-	candidates := make([]proto.PeerInfo, 0, len(ranked)+1)
-	lats := make(map[string]time.Duration, len(ranked)+1)
+	book := min(BookingTarget(need), len(ranked)+1)
+	candidates := make([]proto.PeerInfo, 0, book)
+	lats := make(map[string]time.Duration, book)
 	if m.cfg.P > 0 && !excluded[m.cfg.Self.ID] {
 		// The submitter's own machine is a peer too, at zero latency.
 		candidates = append(candidates, m.cfg.Self)
 		lats[m.cfg.Self.ID] = 0
 	}
 	for _, rp := range ranked {
+		if len(candidates) == book {
+			break
+		}
 		if excluded[rp.Info.ID] {
 			continue
 		}
 		candidates = append(candidates, rp.Info)
 		lats[rp.Info.ID] = rp.Latency
 	}
-	book := BookingTarget(need)
-	if book > len(candidates) {
-		book = len(candidates)
-	}
-	candidates = candidates[:book]
 
 	// Step 3 (RS-RS brokering) with a unique hash key: an atomic
 	// multi-host acquisition that keeps the n×r closest offers, cancels

@@ -323,17 +323,21 @@ func (r *dialRetry) failed() (wait time.Duration, again bool) {
 // log the message for failover resend. Every replica of the destination
 // rank receives its own copy.
 func (c *Comm) Send(dst, tag int, d Data) error {
-	if dst < 0 || dst >= c.size {
-		return fmt.Errorf("%w: send to %d of %d", ErrInvalidRank, dst, c.size)
-	}
 	if tag < 0 {
 		return fmt.Errorf("mpi: user tags must be >= 0 (got %d)", tag)
 	}
 	return c.send(dst, tag, d)
 }
 
-// send is the tag-unchecked internal path shared with collectives.
+// send is the tag-unchecked internal path shared with collectives. It
+// checks the rank itself, so that a collective schedule that computes a
+// partner outside the communicator fails with ErrInvalidRank instead of
+// panicking with c.mu held, which left every later Close of the Comm
+// waiting for the lock.
 func (c *Comm) send(dst, tag int, d Data) error {
+	if dst < 0 || dst >= c.size {
+		return fmt.Errorf("%w: send to %d of %d", ErrInvalidRank, dst, c.size)
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -79,35 +80,68 @@ func TestRunLocalAbortsOnFailedRank(t *testing.T) {
 	}
 }
 
-// run launches fn on every slot and waits for completion; errors are
-// reported per slot.
+// run launches fn on every slot and waits for completion. The first
+// process to fail, its Join included, aborts the run as
+// RunLocal does: every Comm is closed, so a peer parked in a collective
+// on the failed one errors out instead of hanging Wait, and the test
+// reports the first failure, not the ErrClosed it caused.
 func (w *world) run(t *testing.T, fn func(c *Comm) error) {
 	t.Helper()
 	errs := make([]error, len(w.slots))
+	comms := make([]*Comm, len(w.slots))
+	first := -1
+	finish := func(i int, err error) {
+		errs[i] = err
+		if err == nil || first >= 0 {
+			return
+		}
+		first = i
+		for _, c := range comms {
+			if c != nil {
+				c.Close()
+			}
+		}
+	}
 	for i, slot := range w.slots {
-		i, slot := i, slot
 		w.s.Go(fmt.Sprintf("proc.g%d", slot.Global), func() {
 			c, err := Join(Config{
 				Self: slot, Slots: w.slots, N: w.n, R: w.r,
 				Net: w.node(slot.HostID), RT: w.s,
 			})
 			if err != nil {
-				errs[i] = err
+				finish(i, err)
 				return
+			}
+			comms[i] = c
+			if first >= 0 {
+				c.Close()
 			}
 			if w.joined != nil {
 				w.joined(c)
 			}
 			defer c.Close()
-			errs[i] = fn(c)
+			finish(i, fn(c))
 		})
 	}
 	w.s.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("slot %d (%+v): %v", i, w.slots[i], err)
-		}
+	if first >= 0 {
+		t.Fatalf("slot %d (%+v): %v", first, w.slots[first], errs[first])
 	}
+}
+
+// TestCollectiveSendChecksRank: a collective's partner outside the
+// communicator is ErrInvalidRank, as it is for Send, and leaves the
+// Comm closable. It was an index panic with the Comm's lock held, and
+// the deferred Close then hung the whole world.
+func TestCollectiveSendChecksRank(t *testing.T) {
+	newWorld(t, 2, 1).run(t, func(c *Comm) error {
+		for _, dst := range []int{-1, c.Size()} {
+			if err := c.send(dst, -5, Data{}); !errors.Is(err, ErrInvalidRank) {
+				return fmt.Errorf("send to %d: %v, want ErrInvalidRank", dst, err)
+			}
+		}
+		return nil
+	})
 }
 
 func TestSendRecvBasic(t *testing.T) {

@@ -37,8 +37,11 @@ type Cache struct {
 	// Replaying the snapshots in arrival order on first read produces
 	// exactly the state eager merging would have; a cache nobody reads
 	// never builds its map at all. Once materialized (a reader flushed),
-	// merges go straight to the table again.
-	pending      [][]proto.PeerInfo
+	// merges go straight to the table again. A Shared reply
+	// (UpdateShared) that no pending cap truncates is queued as its
+	// frame, which every unread cache of the world then holds by
+	// reference instead of a copy each.
+	pending      []pendingSnap
 	materialized bool
 
 	// ranked memoizes the ascending-latency ordering. Submissions call
@@ -63,6 +66,19 @@ type Cache struct {
 	// snapshots while unmaterialized (0 = unbounded); see SetPendingCap.
 	pendingCap int
 	pendingN   int
+}
+
+// pendingSnap is one queued snapshot: a copy of a list, or a Shared
+// host-list frame, validated and held by reference.
+type pendingSnap struct {
+	list  []proto.PeerInfo
+	frame []byte
+}
+
+// entries returns a reader of a queued frame.
+func (s *pendingSnap) entries() proto.PeerListReader {
+	r, _ := proto.ReadPeerList(s.frame) // validated when it was queued
+	return r
 }
 
 // NewCache creates a cache for the peer with the given identity. The
@@ -123,7 +139,19 @@ func (c *Cache) Update(list []proto.PeerInfo) {
 // frame: a periodic refresh mostly repeats the previous reply. A frame
 // that fails to decode changes nothing and returns the decode error.
 // The cache keeps no view of frame.
-func (c *Cache) UpdateFrame(frame []byte) error {
+func (c *Cache) UpdateFrame(frame []byte) error { return c.updateFrame(frame, false) }
+
+// UpdateShared is UpdateFrame for the payload of a Shared message
+// (transport.Shared), whose bytes never change: an unread cache that
+// keeps every entry queues the frame itself instead of a copy, so the
+// caches of a world that all receive the supernode's one whole-table
+// frame hold one copy of it between them. Under a pending cap it copies
+// the few entries it keeps, as UpdateFrame does, rather than pin the
+// whole frame for them; a materialized cache merges it exactly as
+// UpdateFrame does.
+func (c *Cache) UpdateShared(frame []byte) error { return c.updateFrame(frame, true) }
+
+func (c *Cache) updateFrame(frame []byte, shared bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	queues := c.queuesLocked()
@@ -135,6 +163,11 @@ func (c *Cache) UpdateFrame(frame []byte) error {
 		return err
 	}
 	if queues {
+		if shared && c.keepsLocked() < 0 {
+			c.pending = append(c.pending, pendingSnap{frame: frame})
+			c.pendingN += r.Len()
+			return nil
+		}
 		cp := c.reserveLocked(r.Len())
 		for i := range cp {
 			e, _ := r.Next()
@@ -149,6 +182,14 @@ func (c *Cache) UpdateFrame(frame []byte) error {
 	// Recorded before the walk: an entry the walk changes clears it, so
 	// it survives only a merge that was a no-op.
 	c.frameGen = c.intern.publishFrame(frame)
+	c.mergeFrameLocked(&r)
+	return nil
+}
+
+// mergeFrameLocked applies the entries of a host-list frame to the
+// materialized table, building a string only for an entry that neither
+// the table nor the interner holds, equal.
+func (c *Cache) mergeFrameLocked(r *proto.PeerListReader) {
 	for e, ok := r.Next(); ok; e, ok = r.Next() {
 		if c.selfID == string(e.ID) {
 			continue
@@ -161,7 +202,6 @@ func (c *Cache) UpdateFrame(frame []byte) error {
 		}
 		c.setLocked(c.intern.entryRef(e), old == nil || dead)
 	}
-	return nil
 }
 
 // queuesLocked reports whether the next snapshot is queued rather than
@@ -197,7 +237,7 @@ func (c *Cache) reserveLocked(n int) []proto.PeerInfo {
 		n = min(n, room)
 	}
 	cp := make([]proto.PeerInfo, n)
-	c.pending = append(c.pending, cp)
+	c.pending = append(c.pending, pendingSnap{list: cp})
 	c.pendingN += n
 	return cp
 }
@@ -264,16 +304,24 @@ func (c *Cache) flushLocked() {
 	if len(c.peers) == 0 {
 		// Size the table for the largest snapshot so the first merge
 		// does not rehash its way up.
-		max := 0
-		for _, l := range pending {
-			if len(l) > max {
-				max = len(l)
+		size := 0
+		for i := range pending {
+			n := len(pending[i].list)
+			if pending[i].frame != nil {
+				r := pending[i].entries()
+				n = r.Len()
 			}
+			size = max(size, n)
 		}
-		c.peers = make(map[string]*proto.PeerInfo, max)
+		c.peers = make(map[string]*proto.PeerInfo, size)
 	}
-	for _, l := range pending {
-		c.mergeLocked(l)
+	for i := range pending {
+		if pending[i].frame == nil {
+			c.mergeLocked(pending[i].list)
+			continue
+		}
+		r := pending[i].entries()
+		c.mergeFrameLocked(&r)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"p2pmpi/internal/latency"
 	"p2pmpi/internal/proto"
@@ -14,8 +15,9 @@ import (
 )
 
 // cacheState renders everything a merge can touch — the table by
-// value, the dead marks, the live count, the queued snapshots, the
-// materialized and ranking flags — in a canonical order.
+// value, the dead marks, the live count, the queued snapshots (a
+// queued frame as its entries), the materialized and ranking flags — in
+// a canonical order.
 func cacheState(c *Cache) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -39,7 +41,11 @@ func cacheState(c *Cache) string {
 	}
 	slices.Sort(dead)
 	fmt.Fprintf(&b, "dead %q live %d\n", dead, c.live)
-	for _, l := range c.pending {
+	for _, s := range c.pending {
+		l := s.list
+		if s.frame != nil {
+			l, _ = modelPeerList(s.frame)
+		}
 		fmt.Fprintf(&b, "pending %+v\n", l)
 	}
 	fmt.Fprintf(&b, "pendingN %d materialized %v rankedValid %v\n", c.pendingN, c.materialized, c.rankedValid)
@@ -62,7 +68,9 @@ func modelPeerList(b []byte) (l []proto.PeerInfo, err error) {
 
 // FuzzCacheUpdateFrame drives two pairs of caches through one script:
 // in each pair one cache takes every host-list frame through
-// UpdateFrame, the other through Update(modelPeerList(frame)).
+// UpdateFrame, or UpdateShared when the script marks the frame shared
+// (an unread cache then queues the frame itself), the other through
+// Update(modelPeerList(frame)).
 // Frames are valid lists drawn from a small universe (repeats, changed
 // addresses, the cache's own host), corrupted ones, raw fuzz bytes and
 // byte-for-byte replays of recent frames; each goes to one pair or
@@ -148,9 +156,14 @@ func FuzzCacheUpdateFrame(f *testing.F) {
 				if w := next() % 3; w < 2 {
 					to = pairs[w : w+1]
 				}
+				shared := next()%2 == 0 // no frame is written after it is sent
 				for _, p := range to {
 					before, gen := cacheState(p.frame), p.frame.frameGen
-					err := p.frame.UpdateFrame(frame)
+					update := p.frame.UpdateFrame
+					if shared {
+						update = p.frame.UpdateShared
+					}
+					err := update(frame)
 					l, lerr := modelPeerList(frame)
 					if (err == nil) != (lerr == nil) {
 						t.Fatalf("step %d: UpdateFrame error %v, model error %v", step, err, lerr)
@@ -251,7 +264,8 @@ func TestUpdateFrameHeldEntryIsFree(t *testing.T) {
 
 // TestQueuedFrameAllocs: an unread cache queues a reply by walking the
 // frame, so when the interner holds every host its one allocation is
-// the pending copy, capped or not.
+// the pending copy, capped or not; an uncapped one queues a Shared
+// frame itself, for no allocation.
 func TestQueuedFrameAllocs(t *testing.T) {
 	it := NewInterner()
 	l := make([]proto.PeerInfo, 64)
@@ -267,8 +281,23 @@ func TestQueuedFrameAllocs(t *testing.T) {
 			c.pending, c.pendingN = c.pending[:0], 0
 			c.UpdateFrame(frame)
 		})
-		if allocs != 1 || len(c.pending) != 1 || !slices.Equal(c.pending[0], l[:keep]) {
+		if allocs != 1 || len(c.pending) != 1 || !slices.Equal(c.pending[0].list, l[:keep]) {
 			t.Errorf("keeping %d of %d known hosts cost %v allocs, want 1 (the pending copy), and queued %+v", keep, len(l), allocs, c.pending)
+		}
+		// A Shared frame is queued as it is when every entry is kept,
+		// and copied like any other when a cap keeps a few.
+		c.pending, c.pendingN = c.pending[:0], 0
+		allocs = testing.AllocsPerRun(50, func() {
+			c.pending, c.pendingN = c.pending[:0], 0
+			c.UpdateShared(frame)
+		})
+		byRef := len(c.pending) == 1 && unsafe.SliceData(c.pending[0].frame) == unsafe.SliceData(frame)
+		wantRef, wantAllocs := keep == len(l), 0.0
+		if !wantRef {
+			wantAllocs = 1
+		}
+		if byRef != wantRef || allocs != wantAllocs || c.pendingN != keep {
+			t.Errorf("a Shared frame keeping %d of %d hosts: queued by reference %v, %v allocs, %d entries counted", keep, len(l), byRef, allocs, c.pendingN)
 		}
 	}
 }

@@ -433,52 +433,59 @@ func spliceOut[T any](list []T, i int) []T {
 	return append(list[:i], list[i+1:]...)
 }
 
-// appendPeerListReply writes the host-list reply into dst, copied from
-// the sorted table's wire image — one or two copies, no string encoded:
-// the full table, or — when MaxPeersReturned bounds it — a window whose
-// start is drawn from the seeded generator.
+// peerListReply returns the host-list reply, copied from the sorted
+// table's wire image — no string encoded: the full table, or — when
+// MaxPeersReturned bounds it — a window whose start is drawn from the
+// seeded generator. The full table goes out as the image's shared frame
+// (proto.PeerImage.Frame), the same bytes for every reply until the
+// table changes; a window is one or two copies into a buffer of
+// replyScratchPool, returned with the message for the caller to put
+// back after the Send.
 // Independent draws per reply mean no client can get pinned to a fixed
 // subset by an unlucky congruence between its fetch cadence and the
 // table size; repeated refreshes cover the membership with probability
 // approaching one (coupon-collector over table/limit windows).
-func (s *Supernode) appendPeerListReply(dst []byte) []byte {
+func (s *Supernode) peerListReply() (transport.Message, *[]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	list, img := s.replyListLocked()
-	start, count := 0, len(list)
-	if limit := s.cfg.MaxPeersReturned; limit > 0 && len(list) > limit {
-		start = s.rngLocked().Intn(len(list))
-		count = limit
+	limit := s.cfg.MaxPeersReturned
+	if limit <= 0 || len(list) <= limit {
+		return transport.Shared(img.Frame()), nil
 	}
-	return proto.AppendPeerListImage(dst, img, start, count)
+	start := s.rngLocked().Intn(len(list))
+	scratch := replyScratchPool.Get().(*[]byte)
+	return transport.Message{Payload: proto.AppendPeerListImage((*scratch)[:0], img, start, limit)}, scratch
 }
 
-// aliveAck{Known,Unknown}Frame are the two constant AliveAck replies;
-// Send copies frames, so shared instances serve every keep-alive.
+// aliveAck{Known,Unknown} are the two constant AliveAck replies, sent
+// as Shared: one instance of each serves every keep-alive.
 var (
-	aliveAckKnownFrame   = proto.MustMarshal(&proto.AliveAck{Known: true})
-	aliveAckUnknownFrame = proto.MustMarshal(&proto.AliveAck{})
+	aliveAckKnown   = transport.Shared(proto.MustMarshal(&proto.AliveAck{Known: true}))
+	aliveAckUnknown = transport.Shared(proto.MustMarshal(&proto.AliveAck{}))
 )
 
-// replyScratchPool recycles host-list reply buffers. Every Register/
-// Fetch conn is one-shot (clients dial per exchange), so a per-
-// connection scratch would regrow an O(world) buffer per reply; a
+// replyScratchPool recycles the buffers of the replies built per
+// request: windowed host lists, gossip replies and redirects. Every
+// Register/Fetch conn is one-shot (clients dial per exchange), so a
+// per-connection scratch would regrow an O(world) buffer per reply; a
 // single daemon-wide buffer, on the other hand, races under vtime.Real,
-// where connections really are served concurrently. A pooled
-// buffer is owned exclusively from Get until after Send returns (both
-// transports are done with the frame by then: simnet copies it, TCP
-// writes it out synchronously), which is safe in both worlds and keeps
-// the amortized growth of the shared buffers.
+// where connections really are served concurrently. A pooled buffer is
+// owned exclusively from Get until after Send returns (both transports
+// are done with an unshared frame by then: simnet copies it, TCP writes
+// it out synchronously), which is safe in both worlds and keeps the
+// amortized growth of the shared buffers.
 var replyScratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // serveConn answers one request frame of connection c with its reply;
 // it is the supernode's transport.FrameHandler, runs in the transport's
-// delivery context and never parks. The reply frame is built in a
-// pooled scratch buffer (the transports copy frames on Send, so it is
-// immediately reusable) and request payloads are released back to the
-// delivering transport once decoded — steady-state, the membership
-// plane allocates nothing per exchange beyond what the table itself
-// retains.
+// delivery context and never parks. A reply is a Shared frame the
+// daemon keeps (the whole host list, the alive acks) or is built in a
+// pooled scratch buffer (the transports copy unshared frames on Send,
+// so it is immediately reusable), and request payloads are released
+// back to the delivering transport once decoded — steady-state, the
+// membership plane allocates nothing per exchange beyond what the
+// table itself retains.
 func (s *Supernode) serveConn(c transport.Conn, m transport.Message) bool {
 	reqLen := int64(len(m.Payload))
 	_, req, err := proto.Unmarshal(m.Payload)
@@ -486,7 +493,7 @@ func (s *Supernode) serveConn(c transport.Conn, m transport.Message) bool {
 	if err != nil || s.isClosed() {
 		return false // garbage, or a closed daemon: hang up
 	}
-	var frame []byte
+	var out transport.Message
 	var scratch *[]byte
 	switch r := req.(type) {
 	case *proto.Register:
@@ -497,7 +504,7 @@ func (s *Supernode) serveConn(c transport.Conn, m transport.Message) bool {
 					s.stats.Redirects++
 					s.mu.Unlock()
 					scratch = replyScratchPool.Get().(*[]byte)
-					frame, _ = proto.AppendMarshal((*scratch)[:0],
+					out.Payload, _ = proto.AppendMarshal((*scratch)[:0],
 						&proto.ShardRedirect{Shard: home, Addr: s.cfg.Federation[home]})
 					break
 				}
@@ -507,30 +514,28 @@ func (s *Supernode) serveConn(c transport.Conn, m transport.Message) bool {
 			}
 		}
 		s.register(r.Peer)
-		scratch = replyScratchPool.Get().(*[]byte)
-		frame = s.appendPeerListReply((*scratch)[:0])
+		out, scratch = s.peerListReply()
 	case *proto.Alive:
 		if s.touch(r.ID) {
-			frame = aliveAckKnownFrame
+			out = aliveAckKnown
 		} else {
-			frame = aliveAckUnknownFrame
+			out = aliveAckUnknown
 		}
 	case *proto.FetchPeers:
-		scratch = replyScratchPool.Get().(*[]byte)
-		frame = s.appendPeerListReply((*scratch)[:0])
+		out, scratch = s.peerListReply()
 	case *proto.Digest:
 		scratch = replyScratchPool.Get().(*[]byte)
-		frame = s.appendDeltaReply((*scratch)[:0], r)
+		out.Payload = s.appendDeltaReply((*scratch)[:0], r)
 	default:
 		return false // protocol violation: drop the connection
 	}
-	err = c.Send(transport.Message{Payload: frame})
+	err = c.Send(out)
 	s.mu.Lock()
 	s.stats.BytesIn += reqLen
-	s.stats.BytesOut += int64(len(frame))
+	s.stats.BytesOut += int64(len(out.Payload))
 	s.mu.Unlock()
 	if scratch != nil {
-		*scratch = frame[:0]
+		*scratch = out.Payload[:0]
 		replyScratchPool.Put(scratch)
 	}
 	return err == nil

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"p2pmpi/internal/wire"
 )
@@ -14,13 +15,42 @@ import (
 // gossip reply carries — keeps its image in step with each edit, and a
 // reply copies bytes instead of encoding strings. The zero PeerImage is
 // the image of an empty table.
+//
+// An image also keeps the whole table's TPeerList frame once asked for
+// it (Frame), so that an unchanged table is sent as one shared frame
+// rather than copied per reply. The frame is immutable: receivers may
+// hold it long after it was sent, so an edit drops it and never writes
+// into it. A PeerImage must not be copied by value.
 type PeerImage struct {
 	wire []byte
 	ends []int32
 	// tmp holds the entry being spliced in, so an edit allocates only
 	// when the image grows.
 	tmp []byte
+	// frame is the whole-table frame, nil until built. It is atomic
+	// because the interner's canonical image, which nobody edits, is
+	// shared by federation members that run on different shards.
+	frame atomic.Pointer[[]byte]
 }
+
+// Frame returns the TPeerList frame of the whole table, the frame
+// AppendPeerListImage(nil, m, 0, m.Len()) would write, as an immutable
+// slice shared by every caller until the next edit. Safe for concurrent
+// use on an image nobody edits.
+func (m *PeerImage) Frame() []byte {
+	if f := m.frame.Load(); f != nil {
+		return *f
+	}
+	f := AppendPeerListImage(nil, m, 0, m.Len())
+	if !m.frame.CompareAndSwap(nil, &f) {
+		return *m.frame.Load() // another caller built the same bytes first
+	}
+	return f
+}
+
+// edited drops the frame: the next one is built from the new table, in
+// a new buffer.
+func (m *PeerImage) edited() { m.frame.Store(nil) }
 
 // Len returns the number of entries.
 func (m *PeerImage) Len() int { return len(m.ends) }
@@ -55,6 +85,7 @@ func (m *PeerImage) Insert(i int, p PeerInfo) {
 		from, _ = m.span(i)
 	}
 	n := m.encodeTmp(p)
+	m.edited()
 	m.wire = slices.Insert(m.wire, from, m.tmp...)
 	m.ends = slices.Insert(m.ends, i, int32(from+n))
 	m.shiftEnds(i+1, n)
@@ -64,6 +95,7 @@ func (m *PeerImage) Insert(i int, p PeerInfo) {
 func (m *PeerImage) Set(i int, p PeerInfo) {
 	from, to := m.span(i)
 	n := m.encodeTmp(p)
+	m.edited()
 	m.wire = slices.Replace(m.wire, from, to, m.tmp...)
 	m.shiftEnds(i, n-(to-from))
 }
@@ -71,6 +103,7 @@ func (m *PeerImage) Set(i int, p PeerInfo) {
 // Remove deletes entry i.
 func (m *PeerImage) Remove(i int) {
 	from, to := m.span(i)
+	m.edited()
 	m.wire = slices.Delete(m.wire, from, to)
 	m.ends = slices.Delete(m.ends, i, i+1)
 	m.shiftEnds(i, from-to)
@@ -78,6 +111,7 @@ func (m *PeerImage) Remove(i int) {
 
 // Reset makes m the image of peers, reusing its buffers.
 func (m *PeerImage) Reset(peers []PeerInfo) {
+	m.edited()
 	var e wire.Encoder
 	e.Reset(m.wire)
 	m.ends = m.ends[:0]
@@ -91,6 +125,7 @@ func (m *PeerImage) Reset(peers []PeerInfo) {
 // CopyFrom makes m a copy of src, reusing m's buffers when they fit and
 // allocating exactly src's size when they do not.
 func (m *PeerImage) CopyFrom(src *PeerImage) {
+	m.edited()
 	m.wire = append(resizeExact(m.wire, len(src.wire)), src.wire...)
 	m.ends = append(resizeExact(m.ends, len(src.ends)), src.ends...)
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // FuzzPeerImage drives a PeerImage and a plain table — the model — with
@@ -19,8 +20,12 @@ import (
 // shard state carrying the image encodes byte for byte as the one
 // encoded field by field, and decodes back to the table; one whose
 // Peers the image does not match in length is encoded field by field.
+// The whole-table frame (Frame) is the window (0, Len), one slice
+// shared by every ask until the next edit, and a frame handed out
+// before the edit keeps its bytes.
 // It catches an insert that leaves the tail's ends in place, an
-// off-by-one at the wrap, and a Set that keeps the old RSAddr.
+// off-by-one at the wrap, a Set that keeps the old RSAddr, and an edit
+// that keeps or overwrites the frame.
 func FuzzPeerImage(f *testing.F) {
 	for seed := int64(1); seed <= 12; seed++ {
 		ops := make([]byte, 300)
@@ -44,8 +49,10 @@ func FuzzPeerImage(f *testing.F) {
 			return PeerInfo{ID: id, Site: field("s"), MPDAddr: field(id + ":"), RSAddr: field(id + ":")}
 		}
 		var table []PeerInfo
-		var img, spare PeerImage
+		img, spare := new(PeerImage), new(PeerImage)
+		var sent, sentCopy []byte // a frame handed out before the edit
 		for step := 0; len(ops) > 0; step++ {
+			edit := true
 			switch op := next() % 8; {
 			case op < 3:
 				i := next() % (len(table) + 1)
@@ -72,12 +79,36 @@ func FuzzPeerImage(f *testing.F) {
 				}
 				img.Reset(table)
 			case op == 7:
-				spare.CopyFrom(&img)
+				spare.CopyFrom(img)
 				img, spare = spare, img
+			default:
+				edit = false
 			}
-			checkImage(t, step, table, &img)
+			checkImage(t, step, table, img)
+			if !bytes.Equal(sent, sentCopy) {
+				t.Fatalf("step %d: an edit wrote into a frame already handed out", step)
+			}
+			if edit {
+				sent = checkFrame(t, step, img)
+				sentCopy = slices.Clone(sent)
+			}
 		}
 	})
+}
+
+// checkFrame asserts Frame's contract right after an edit of img and
+// returns the frame.
+func checkFrame(t *testing.T, step int, img *PeerImage) []byte {
+	t.Helper()
+	want := AppendPeerListImage(nil, img, 0, img.Len())
+	f := img.Frame()
+	if !bytes.Equal(f, want) {
+		t.Fatalf("step %d: whole-table frame\n%x, want\n%x", step, f, want)
+	}
+	if again := img.Frame(); unsafe.SliceData(again) != unsafe.SliceData(f) {
+		t.Fatalf("step %d: an unchanged image built its frame twice", step)
+	}
+	return f
 }
 
 // checkImage asserts that img is the wire image of table.

@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"time"
@@ -28,7 +30,13 @@ func (nn *nodeNet) Listen(addr string) (transport.Listener, error) {
 		return nil, transport.ErrUnreachable
 	}
 	laddr := addr
-	if port == "0" {
+	num, err := strconv.Atoi(port)
+	if err != nil || num < 0 || num > math.MaxInt32 || strconv.Itoa(num) != port {
+		// A port is a number, so that an endpoint can keep its own as one
+		// (conn.port) and spell its address only when asked.
+		return nil, fmt.Errorf("simnet: bad port in %q", addr)
+	}
+	if num == 0 {
 		for {
 			h.nextPort++
 			port = strconv.Itoa(h.nextPort)
@@ -36,7 +44,7 @@ func (nn *nodeNet) Listen(addr string) (transport.Listener, error) {
 				break
 			}
 		}
-		laddr = host + ":" + port
+		num, laddr = h.nextPort, host+":"+port
 	}
 	if h.listener(port) != nil {
 		return nil, transport.ErrClosed // port in use
@@ -45,6 +53,7 @@ func (nn *nodeNet) Listen(addr string) (transport.Listener, error) {
 		h:    h,
 		addr: laddr, // the caller's string when the port stands; no rebuild
 		port: port,
+		num:  int32(num),
 	}
 	h.addListener(port, l)
 	return l, nil
@@ -81,7 +90,8 @@ func (nn *nodeNet) DialFunc(addr string, done transport.Dialed) {
 // dial starts a handshake whose result goes to done, which Dial
 // installs itself before the result can fire when it passes nil. A
 // dial is one allocation: the handshake record also holds both
-// endpoints and both jitter streams.
+// endpoints and both jitter streams, and neither endpoint spells its
+// address until asked (LocalAddr, RemoteAddr).
 func (nn *nodeNet) dial(addr string, done transport.Dialed) (*handshake, error) {
 	rhost, rport, err := splitAddr(addr)
 	if err != nil {
@@ -106,7 +116,7 @@ func (nn *nodeNet) dial(addr string, done transport.Dialed) (*handshake, error) 
 	sh := from.sh
 	hs := &handshake{done: done}
 	c := &hs.client
-	c.n, c.lh, c.rh = n, from, to
+	c.lh, c.rh = from, to
 	c.pipe, c.base = n.pipe(from.site, to.site), n.topo.SiteLatency(from.site, to.site)
 	hs.src.state = sh.flowSeed(n.cfg.Seed, from, to, rport)
 	if fa := n.faults; fa != nil && fa.cut(from.site, to.site) {
@@ -126,21 +136,13 @@ func (nn *nodeNet) dial(addr string, done transport.Dialed) (*handshake, error) 
 	// listener's shard. Port numbers never feed timing or payload
 	// bytes.
 	from.nextPort++
-	c.local = hostPort(nn.host, from.nextPort)
+	c.port = int32(from.nextPort)
 	hs.port = rport
 	var x xmsg
 	x.kind, x.size, x.hs = xDial, 64, hs
 	x.from, x.to, x.pipe, x.base = from, to, c.pipe, c.base
 	n.depart(&x, &hs.src)
 	return hs, nil
-}
-
-// hostPort builds "host:port" in one allocation.
-func hostPort(host string, port int) string {
-	var buf [48]byte
-	b := append(buf[:0], host...)
-	b = append(b, ':')
-	return string(strconv.AppendInt(b, int64(port), 10))
 }
 
 type listener struct {
@@ -151,6 +153,7 @@ type listener struct {
 	// shard: OnConn's handler or Accept's backlog (pull.go). A listener
 	// without one refuses SYNs.
 	sink   interface{ take(c *conn) }
+	num    int32 // port as a number, the accepting endpoints' conn.port
 	closed bool
 }
 
@@ -184,14 +187,15 @@ func (l *listener) Addr() string { return l.addr }
 //
 // The host, pipe and base-latency pointers are resolved once at
 // connection setup, so the per-message path does no map lookups at all.
+// An endpoint's address is its host's ID and its port, spelled only
+// when LocalAddr or RemoteAddr asks: two address strings per dial
+// were a third of the handshake record's bytes and an allocation of
+// their own, for the sake of the few tests that print them.
 type conn struct {
-	n      *Net
-	local  string
-	remote string
-	lh     *netHost    // local endpoint host
-	rh     *netHost    // remote endpoint host
-	pipe   *serializer // backbone pipe between the two sites
-	base   time.Duration
+	lh   *netHost    // local endpoint host
+	rh   *netHost    // remote endpoint host
+	pipe *serializer // backbone pipe between the two sites
+	base time.Duration
 	// The flow's jitter stream: one object shared with the peer when both
 	// endpoints live on one shard; a private stream per endpoint, synced
 	// from each crossing frame, when they do not.
@@ -204,24 +208,24 @@ type conn struct {
 	closed      bool
 	peerClosed  bool          // the peer's FIN has arrived
 	expired     bool          // the deadline fired: the handler has heard its last
+	port        int32         // local port: the dialer's ephemeral port or the listener's
 	lastArrival time.Duration // FIFO clamp for messages *arriving at peer*
 }
 
 // accept wires both endpoints of an accepted handshake into its record:
 // the dialing endpoint, whose path dial filled in, and the accepting
-// one. The dialing endpoint keeps the stream Dial minted; src is the
-// accepting endpoint's — the same object when the endpoints share a
-// shard, the listener's continuation of it when they do not (see
-// fireSYN), which reproduces the sequential shared-stream draw order
-// for alternating request/reply traffic.
-func (hs *handshake) accept(serverAddr string, back time.Duration, src *flowSource) {
+// one, on port. The dialing endpoint keeps the stream Dial minted; src
+// is the accepting endpoint's — the same object when the endpoints
+// share a shard, the listener's continuation of it when they do not
+// (see fireSYN), which reproduces the sequential shared-stream draw
+// order for alternating request/reply traffic.
+func (hs *handshake) accept(port int32, back time.Duration, src *flowSource) {
 	c := &hs.client
 	hs.accepted = true
-	c.remote, c.src, c.peer = serverAddr, &hs.src, &hs.server
+	c.src, c.peer = &hs.src, &hs.server
 	hs.server = conn{
-		n: c.n, local: serverAddr, remote: c.local,
 		lh: c.rh, rh: c.lh, pipe: c.pipe, base: back,
-		src: src, peer: c,
+		src: src, peer: c, port: port,
 	}
 }
 
@@ -241,7 +245,7 @@ func (c *conn) Send(m transport.Message) error {
 	if c.rh.down || c.peerClosed || (c.lh.sh == c.rh.sh && c.peer.closed) {
 		return nil
 	}
-	n := c.n
+	n := c.lh.sh.n
 	if fa := n.faults; fa != nil && fa.cut(c.lh.site, c.rh.site) {
 		// A partition swallows the frame before it reserves or draws
 		// anything; the sender learns via higher-level timeout, like
@@ -263,7 +267,7 @@ func (c *conn) Send(m transport.Message) error {
 // the first arrival or Close disarms it.
 func (c *conn) OnRecv(r transport.Receiver, timeout time.Duration) {
 	if c.handler != nil {
-		panic("simnet: OnRecv installed twice on " + c.local)
+		panic("simnet: OnRecv installed twice on " + c.LocalAddr())
 	}
 	c.handler = r
 	if timeout > 0 && !c.closed {
@@ -307,9 +311,20 @@ func (c *conn) Close() error {
 	var x xmsg
 	x.kind, x.at, x.rank, x.c = xFin, c.lh.sh.rt.Elapsed(), c.lh.rank, c
 	x.from, x.to, x.base = c.lh, c.rh, c.base
-	c.n.route(&x)
+	c.lh.sh.n.route(&x)
 	return nil
 }
 
-func (c *conn) LocalAddr() string  { return c.local }
-func (c *conn) RemoteAddr() string { return c.remote }
+// LocalAddr and RemoteAddr spell "host:port" (transport.Conn). The
+// peer's port is read from the peer endpoint, which wrote it before
+// the handshake frame that introduced the two crossed.
+func (c *conn) LocalAddr() string  { return hostPort(c.lh.id, c.port) }
+func (c *conn) RemoteAddr() string { return hostPort(c.rh.id, c.peer.port) }
+
+// hostPort spells "host:port" in one allocation.
+func hostPort(host string, port int32) string {
+	var buf [48]byte
+	b := append(buf[:0], host...)
+	b = append(b, ':')
+	return string(strconv.AppendInt(b, int64(port), 10))
+}

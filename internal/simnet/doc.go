@@ -33,7 +33,8 @@
 // serializes it — see docs/PERF.md), connections cache their host,
 // pipe and base-latency lookups at setup, in-flight messages ride
 // pooled delivery carriers, and payload copies come from a buffer pool
-// that receivers refill via Message.Release. Receiving is by callback
+// that receivers refill via Message.Release; a transport.Shared payload
+// is immutable and lands by reference, uncopied. Receiving is by callback
 // only: a SYN's event hands the conn to the listener's OnConn handler,
 // a delivery event runs the endpoint's Receiver (Conn.OnRecv) or drops
 // the frame when there is none, and the event that ends a handshake

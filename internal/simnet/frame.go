@@ -16,7 +16,7 @@ import (
 //
 //   - depart runs at send time on the sender's shard: it reserves the
 //     sender's NIC-out, draws the flow's jitter (and a data frame's fault
-//     outcome) and copies the payload;
+//     outcome) and copies the payload, unless it is Shared;
 //   - land replays the backbone-pipe and receiver-NIC reservations,
 //     computes the arrival and schedules the delivery or handshake event
 //     on the receiving shard's heap.
@@ -108,8 +108,9 @@ func (n *Net) depart(x *xmsg, src *flowSource) {
 	// recycles it into the receiving shard's pool; a frame that crosses
 	// shards is copied once more at the barrier (land), so every buffer
 	// returns to the pool that handed it out. A dropped frame ships no
-	// payload: it exists only to replay its reservations.
-	if p := x.msg.Payload; len(p) > 0 {
+	// payload: it exists only to replay its reservations. A Shared
+	// payload is immutable, so it travels by reference all the way.
+	if p := x.msg.Payload; len(p) > 0 && !x.msg.IsShared() {
 		var cp []byte
 		if !x.drop {
 			cp = sh.bufPool.Get(len(p))
@@ -195,18 +196,22 @@ func (n *Net) land(x *xmsg) {
 	switch x.kind {
 	case xSend:
 		peer := x.c.peer
-		payload := x.msg.Payload
-		if crossed && len(payload) > 0 {
-			// Pool ownership: a buffer goes back to the pool it came
-			// from. The crossing payload moves into a buffer of the
-			// receiving shard, and the sender's goes home — both shards
-			// are parked at the barrier. Swapping without the copy
-			// would bounce the buffers between cores.
-			payload = x.from.sh.bufPool.Rehome(&dst.bufPool, payload)
+		msg := x.msg
+		if !msg.IsShared() {
+			payload := msg.Payload
+			if crossed && len(payload) > 0 {
+				// Pool ownership: a buffer goes back to the pool it came
+				// from. The crossing payload moves into a buffer of the
+				// receiving shard, and the sender's goes home — both
+				// shards are parked at the barrier. Swapping without the
+				// copy would bounce the buffers between cores.
+				payload = x.from.sh.bufPool.Rehome(&dst.bufPool, payload)
+			}
+			msg = transport.Pooled(payload, msg.Virtual, &dst.bufPool)
 		}
 		d := dst.getDelivery()
 		d.peer = peer
-		d.msg = transport.Pooled(payload, x.msg.Virtual, &dst.bufPool)
+		d.msg = msg
 		// Same-shard endpoints share one stream object; a frame that
 		// crossed carries the sender's post-draw state for the receiving
 		// endpoint's private stream to adopt on delivery.
@@ -214,18 +219,19 @@ func (n *Net) land(x *xmsg) {
 		dst.rt.ScheduleArg(arrival-now, fireDelivery, d)
 		if x.dup {
 			// The duplicate is its own copy (pooled buffers are released per
-			// delivery) and skips the lastArrival clamp: it lands dupDelay
-			// after the original, unordered against later frames. It does
-			// not sync the flow stream — by the time it lands, later frames
-			// may already have advanced the receiver's state past x.state.
-			var cp []byte
-			if len(payload) > 0 {
-				cp = dst.bufPool.Get(len(payload))
-				copy(cp, payload)
+			// delivery; a Shared payload is read by both) and skips the
+			// lastArrival clamp: it lands dupDelay after the original,
+			// unordered against later frames. It does not sync the flow
+			// stream — by the time it lands, later frames may already have
+			// advanced the receiver's state past x.state.
+			if !msg.IsShared() && len(msg.Payload) > 0 {
+				cp := dst.bufPool.Get(len(msg.Payload))
+				copy(cp, msg.Payload)
+				msg = transport.Pooled(cp, msg.Virtual, &dst.bufPool)
 			}
 			d2 := dst.getDelivery()
 			d2.peer = peer
-			d2.msg = transport.Pooled(cp, x.msg.Virtual, &dst.bufPool)
+			d2.msg = msg
 			dst.rt.ScheduleArg(arrival+x.dupDelay-now, fireDelivery, d2)
 		}
 	case xDial:
@@ -341,7 +347,7 @@ func (d parkedDial) Dialed(transport.Conn, error) { d.p.Unpark() }
 func fireSYN(a any) {
 	hs := a.(*handshake)
 	c := &hs.client
-	n, from, to := c.n, c.lh, c.rh
+	n, from, to := c.lh.sh.n, c.lh, c.rh
 	// Same-shard endpoints share the one stream Dial minted. A listener
 	// on another shard cannot share an object with the dialer's event
 	// loop, so it continues the stream from the state the SYN carried;
@@ -355,7 +361,7 @@ func fireSYN(a any) {
 	kind := xRefuse
 	if l := to.listener(hs.port); !to.down && l != nil && !l.closed && l.sink != nil {
 		kind = xAccept
-		hs.accept(l.addr, back, src)
+		hs.accept(l.num, back, src)
 		l.sink.take(&hs.server) // installs its frame handler; draws and sends nothing
 	}
 	hs.port = ""

@@ -70,7 +70,7 @@ func NewSharded(dom *vtime.Domain, topo Topology, cfg Config, sc ShardConfig) *N
 	n := newNet(topo, cfg, dom.Shards(), len(sc.Hosts))
 	n.sharded, n.check = len(n.sh) > 1, sc.Check
 	for i := range n.sh {
-		n.sh[i] = newNetShard(dom.Shard(i))
+		n.sh[i] = newNetShard(n, dom.Shard(i))
 	}
 	// Freeze the host table in rank order. One slab holds every netHost:
 	// at a million hosts the per-object allocator overhead alone is tens

@@ -87,6 +87,7 @@ type Net struct {
 // and is read only at barriers, with the Domain's barrier providing the
 // happens-before edge — no locks anywhere on the message path.
 type netShard struct {
+	n       *Net // the network, for endpoints, which keep no pointer to it
 	rt      *vtime.Scheduler
 	flowSeq map[flowKey]uint32
 	ports   map[string]int32 // port name -> flowKey.port; keys are owned copies
@@ -96,8 +97,8 @@ type netShard struct {
 	seq     uint64    // emission sequence, tiebreak in the merge sort
 }
 
-func newNetShard(rt *vtime.Scheduler) *netShard {
-	return &netShard{rt: rt, flowSeq: make(map[flowKey]uint32), ports: make(map[string]int32)}
+func newNetShard(n *Net, rt *vtime.Scheduler) *netShard {
+	return &netShard{n: n, rt: rt, flowSeq: make(map[flowKey]uint32), ports: make(map[string]int32)}
 }
 
 // flowKey identifies one flow for jitter purposes: the dialing host,
@@ -308,7 +309,7 @@ func (s *serializer) reserveLocal(winID uint64, start time.Duration, rank int, s
 // host and pipe tables fill lazily, as hosts first appear.
 func New(rt *vtime.Scheduler, topo Topology, cfg Config) *Net {
 	n := newNet(topo, cfg, 1, 0)
-	n.sh[0] = newNetShard(rt)
+	n.sh[0] = newNetShard(n, rt)
 	return n
 }
 

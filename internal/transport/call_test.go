@@ -172,9 +172,11 @@ func TestCallTimeoutReleasesLateReply(t *testing.T) {
 // TestCallAllocs bounds the callback path's garbage: one whole exchange
 // — handshake, request, served reply, deadline, the FINs — with no
 // actor, queue or mailbox behind it. The plumbing is the exchange
-// record, the dial's record and address, and Serve's per-conn Receiver;
-// the rest is this world's own: the echo handler, its reply and the
-// close log of the server's node view. It cost 21 while the dial
+// record, the dial's record and Serve's per-conn Receiver; the rest is
+// this world's own: the echo handler, its reply and the close log of
+// the server's node view, which spells both of the conn's addresses
+// (simnet builds them on demand since the dial stopped doing so for
+// every conn). It cost 21 while the dial
 // continuation, reply handler and deadline were closures and the dial
 // built its handshake, conns and streams one object each.
 func TestCallAllocs(t *testing.T) {

@@ -6,11 +6,14 @@ import (
 )
 
 // BufferPool is a size-classed free list for message payload buffers.
-// The simulated network allocates one payload copy per message in
-// flight; at sweep scale that is hundreds of thousands of short-lived
-// slices per experiment point, so the copies are recycled instead:
-// senders take buffers from the pool and receivers hand them back with
-// Message.Release once the frame is decoded.
+// The simulated network makes one payload copy per message in flight;
+// at sweep scale that is hundreds of thousands of short-lived slices
+// per experiment point, so the copies are recycled instead: senders
+// take buffers from the pool and receivers hand them back with
+// Message.Release once the frame is decoded. A Shared message takes
+// nothing from the pool: its immutable payload travels by reference,
+// which is how the big, repetitive frames (whole host lists) stay out
+// of the size classes that small control replies keep warm.
 //
 // The free lists are deliberately unsynchronized. The pool's only
 // production user is simnet, where every call site runs in scheduler

@@ -28,9 +28,25 @@ type Message struct {
 	// returns the payload buffer. Receivers that are done with Payload
 	// (typically right after decoding the frame) call Release so the
 	// transport can recycle the copy; everyone else may simply drop the
-	// message and let the GC take it.
+	// message and let the GC take it. &sharedPool marks a Shared
+	// message, whose bytes belong to nobody's pool.
 	pool *BufferPool
 }
+
+// sharedPool is the mark of a Shared message; nothing is ever put in it.
+var sharedPool BufferPool
+
+// Shared returns a message whose payload is immutable: its bytes stay
+// unchanged for as long as any receiver may read them, so a transport
+// may carry them by reference instead of copying them, and a sender
+// may hand the same frame to any number of conns. The supernode's
+// whole-table host list and its constant acks are sent this way.
+func Shared(payload []byte) Message {
+	return Message{Payload: payload, pool: &sharedPool}
+}
+
+// IsShared reports whether m was built by Shared.
+func (m Message) IsShared() bool { return m.pool == &sharedPool }
 
 // Size returns the modelled size of the message on the wire.
 func (m Message) Size() int64 { return int64(len(m.Payload)) + m.Virtual }
@@ -43,10 +59,10 @@ func Pooled(payload []byte, virtual int64, pool *BufferPool) Message {
 
 // Release hands the payload buffer back to the transport that delivered
 // the message. It must be the receiver's last use of Payload (and of any
-// decoded view aliasing it). Safe to call on unpooled messages: it is a
-// no-op when no pool is attached.
+// decoded view aliasing it). Safe to call on unpooled and Shared
+// messages: it is a no-op for both.
 func (m Message) Release() {
-	if m.pool != nil && m.Payload != nil {
+	if m.pool != nil && m.pool != &sharedPool && m.Payload != nil {
 		m.pool.Put(m.Payload)
 	}
 }
@@ -59,6 +75,9 @@ type Conn interface {
 	// Send transmits one message. It keeps no reference to m.Payload
 	// once it returns — simnet copies the bytes when the frame departs,
 	// TCP has written them — so the caller may reuse the buffer at once.
+	// A Shared message is the exception: simnet carries its payload by
+	// reference to the receiver, which is why its bytes must never
+	// change.
 	Send(m Message) error
 	// OnRecv installs the frame handler, at most once. The handler runs
 	// in delivery context, one call at a time in arrival order, and must
