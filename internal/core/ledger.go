@@ -87,19 +87,15 @@ func (l *Ledger) Snapshot() []HostSlot {
 	return out
 }
 
-// Busy returns the IDs of hosts with no residual capacity — saturated
-// process slots or exhausted application slots. These are the hosts a
-// concurrent submission should exclude from booking.
-func (l *Ledger) Busy() []string {
+// Saturated reports whether the ledger tracks host id and it has no
+// residual capacity (saturated process slots or exhausted application
+// slots): a host a concurrent submission should exclude from booking.
+// The booking walk asks it entry by entry, so no busy set is built.
+func (l *Ledger) Saturated(id string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []string
-	for i, h := range l.hosts {
-		if l.freeLocked(i) == 0 {
-			out = append(out, h.ID)
-		}
-	}
-	return out
+	i, ok := l.index[id]
+	return ok && l.freeLocked(i) == 0
 }
 
 // FreeProcs returns the total residual process capacity across all

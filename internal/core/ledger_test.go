@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -12,6 +11,17 @@ func ledgerHosts() []HostSlot {
 		{ID: "b", Site: "s1", P: 2},
 		{ID: "c", Site: "s2", P: 1},
 	}
+}
+
+// busy lists the hosts Saturated reports, in ledger order.
+func busy(l *Ledger) []string {
+	var out []string
+	for _, h := range ledgerHosts() {
+		if l.Saturated(h.ID) {
+			out = append(out, h.ID)
+		}
+	}
+	return out
 }
 
 func TestLedgerAcquireRelease(t *testing.T) {
@@ -28,7 +38,7 @@ func TestLedgerAcquireRelease(t *testing.T) {
 	if got := l.FreeProcs(); got != 3 {
 		t.Fatalf("after acquire FreeProcs = %d, want 3", got)
 	}
-	if got := l.Busy(); !reflect.DeepEqual(got, []string{"a"}) {
+	if got := busy(l); !reflect.DeepEqual(got, []string{"a"}) {
 		t.Fatalf("Busy = %v, want [a]", got)
 	}
 	if got := l.InFlight(); got != 1 {
@@ -46,7 +56,7 @@ func TestLedgerAcquireRelease(t *testing.T) {
 	if got := l.FreeProcs(); got != 7 {
 		t.Fatalf("after release FreeProcs = %d, want 7", got)
 	}
-	if got := l.Busy(); got != nil {
+	if got := busy(l); got != nil {
 		t.Fatalf("Busy after release = %v, want none", got)
 	}
 }
@@ -61,15 +71,16 @@ func TestLedgerJLimitSaturatesHost(t *testing.T) {
 	}
 	// Spread: one process each on a and b; both hold an application now.
 	l.Acquire(asg)
-	busy := l.Busy()
-	sort.Strings(busy)
-	if !reflect.DeepEqual(busy, []string{"a", "b"}) {
-		t.Fatalf("Busy = %v, want [a b]", busy)
+	if got := busy(l); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("Busy = %v, want [a b]", got)
+	}
+	if l.Saturated("zz") {
+		t.Fatal("an untracked host reads saturated")
 	}
 	// With J=2 the same acquisition leaves residual capacity visible.
 	l2 := NewLedger(ledgerHosts(), 2)
 	l2.Acquire(asg)
-	if got := l2.Busy(); got != nil {
+	if got := busy(l2); got != nil {
 		t.Fatalf("J=2 Busy = %v, want none", got)
 	}
 	snap := l2.Snapshot()
@@ -86,7 +97,7 @@ func TestLedgerUnconstrained(t *testing.T) {
 	if got := l.FreeProcs(); got != -1 {
 		t.Fatalf("FreeProcs = %d, want -1", got)
 	}
-	if got := l.Busy(); got != nil {
+	if got := busy(l); got != nil {
 		t.Fatalf("Busy = %v, want none", got)
 	}
 	// Acquiring assignments over unknown hosts is a no-op, not a crash.

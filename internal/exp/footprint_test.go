@@ -6,11 +6,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
 	"p2pmpi/internal/core"
 	"p2pmpi/internal/grid"
+	"p2pmpi/internal/vtime"
 )
 
 // Memory-footprint regression tests: a million-host world has to fit
@@ -121,8 +123,10 @@ func TestWorldFootprintBudget(t *testing.T) {
 }
 
 // TestPaperWorldRetainedHeap bounds what the paper's 350-host Grid'5000
-// world retains per host after boot plus a short Figure 4 sweep, and
-// what the sweep adds to it. Every job leaves tables behind on the hosts
+// world retains per host after boot plus a short Figure 4 sweep, what
+// the sweep adds to it, what one (daemon, peer) pair of the latency
+// caches costs, and what the engine's free lists keep once the sweep
+// has drained. Every job leaves tables behind on the hosts
 // it touched (flow counters, retry streams, latency caches), and a table
 // that keeps a string borrowed from a decoded frame keeps the whole
 // frame — the growth bound catches that, since a Prepare for 512 slots
@@ -130,11 +134,18 @@ func TestWorldFootprintBudget(t *testing.T) {
 // growth when flow counters were keyed by dialled address strings and
 // caches copied PeerInfo values; ~74 and ~6 KB/host after that, and
 // ~58 and ~7 since the event record shrank to 48 B and the flow table
-// dropped its pointers.
+// dropped its pointers; ~31 and ~7 since a cache keeps one 16-byte
+// record per peer and the engine's free lists give back the boot storm
+// (docs/PERF.md, "The memory model").
 func TestPaperWorldRetainedHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots the full 350-peer grid")
 	}
+	// Every allocation is sampled, so the profile attributes bytes to
+	// their allocation sites exactly (profileBytes). Caches grow after
+	// the boot too: the periodic refresh brings each the whole table.
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
 	heap := func() uint64 {
 		runtime.GC()
 		runtime.GC() // sync.Pool victim caches survive one cycle
@@ -163,13 +174,91 @@ func TestPaperWorldRetainedHeap(t *testing.T) {
 	growth := (float64(swept) - float64(booted)) / hosts / 1024
 	t.Logf("%.0f hosts: %.1f KB/host retained after boot, %.1f KB/host after the sweep",
 		hosts, float64(booted-before)/hosts/1024, retained)
-	if retained > 65 {
-		t.Errorf("retained %.1f KB/host, want ≤ 65", retained)
+	if retained > 33 {
+		t.Errorf("retained %.1f KB/host, want ≤ 33", retained)
 	}
 	if growth > 16 {
 		t.Errorf("the sweep grew the heap by %.1f KB/host, want ≤ 16 — does a table outliving a job "+
 			"hold a string borrowed from a decoded frame? (docs/PERF.md, 'The memory model')", growth)
 	}
+
+	pairs := w.Frontal.Cache().Size()
+	for _, p := range w.Peers {
+		pairs += p.Cache().Size()
+	}
+	perPair := float64(profileBytes(t, func(fn string) bool {
+		return strings.HasPrefix(fn, "p2pmpi/internal/overlay.(*Cache)") ||
+			strings.HasPrefix(fn, "p2pmpi/internal/overlay.(*peerTable)") ||
+			strings.HasPrefix(fn, "p2pmpi/internal/latency.")
+	})) / float64(pairs)
+	t.Logf("%d (daemon, peer) pairs: %.1f B/pair in the caches and their estimates", pairs, perPair)
+	if perPair > 40 {
+		t.Errorf("a (daemon, peer) pair costs %.1f B, want ≤ 40 — the caches grow with the square "+
+			"of the world (docs/PERF.md, 'The memory model')", perPair)
+	}
+
+	// The storms are over: the event slab with its heap, free and spare
+	// arrays, and the delivery carriers, keep what the retention rule
+	// allows for the events still pending (a carrier per event at most).
+	live := w.S.PendingEvents()
+	engine := profileBytes(t, func(fn string) bool {
+		switch fn {
+		case "p2pmpi/internal/vtime.(*Scheduler).newEventLocked",
+			"p2pmpi/internal/vtime.(*Scheduler).freeEventLocked",
+			"p2pmpi/internal/vtime.(*Scheduler).heapPush",
+			"p2pmpi/internal/vtime.(*Scheduler).compactLocked",
+			"p2pmpi/internal/simnet.(*netShard).getDelivery":
+			return true
+		}
+		return strings.HasPrefix(fn, "p2pmpi/internal/vtime.shrink[")
+	})
+	limit := int64(vtime.KeepLimit(live)) * engineBytesPerSlot
+	t.Logf("%d events pending: %d B of event slab, arrays and carriers, rule allows %d", live, engine, limit)
+	if engine > limit {
+		t.Errorf("the engine's free lists hold %d B for %d pending events, the retention rule allows %d "+
+			"(docs/PERF.md, 'The memory model')", engine, live, limit)
+	}
+}
+
+// engineBytesPerSlot is what one slot of the retention rule costs at
+// most: a 48 B event record, its heap, free and spare entries, and a
+// 64 B delivery carrier.
+const engineBytesPerSlot = 48 + 3*4 + 64
+
+// profileBytes sums the live bytes of the memory profile whose
+// innermost frame in this module satisfies site: what the caches'
+// tables allocate, say, and not the canonical values the interner
+// allocates on their behalf. Needs runtime.MemProfileRate = 1 since
+// before the world was built, and a fresh GC.
+func profileBytes(t *testing.T, site func(fn string) bool) int64 {
+	t.Helper()
+	var recs []runtime.MemProfileRecord
+	n, _ := runtime.MemProfile(nil, false)
+	for {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, false); ok {
+			recs = recs[:n]
+			break
+		}
+	}
+	var total int64
+	for i := range recs {
+		frames := runtime.CallersFrames(recs[i].Stack())
+		for {
+			f, more := frames.Next()
+			if strings.HasPrefix(f.Function, "p2pmpi/") {
+				if site(f.Function) {
+					total += recs[i].InUseBytes()
+				}
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
 }
 
 // TestWorldFootprint100k measures the 100k-host K=16 flagship

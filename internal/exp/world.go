@@ -275,8 +275,11 @@ func NewWorld(opts Options) *World {
 
 	// One interner per world: every daemon and supernode canonicalizes
 	// the PeerInfo values it retains against it. Pure memory sharing of
-	// equal values — trajectories are untouched.
+	// equal values — trajectories are untouched. It numbers the hosts in
+	// rank order, so a cache's record layout is the same on any shard
+	// count.
 	intern := overlay.NewInterner()
+	intern.AssignHosts(ranked)
 
 	// One supernode per address. K=1 is a one-member federation hosted on
 	// the frontal (no dedicated host): a lone member never gossips and

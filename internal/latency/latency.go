@@ -169,17 +169,34 @@ func reduceMin(buf []time.Duration) time.Duration {
 	return minV
 }
 
+// Sample is one peer's estimator state, held inline in the record of
+// whoever tracks the peer (a Table, an overlay cache's peer record): the
+// latest round trip itself for KindLast, the paper's estimator, so a
+// tracked peer costs eight bytes and no heap object; for the other kinds
+// the number of a heap estimator its Table keeps. The zero Sample holds
+// no sample. A Sample is only meaningful to the Table that wrote it.
+type Sample struct{ v int64 }
+
 // Table tracks one estimator per peer and produces the latency-sorted
-// peer ordering the booking step consumes.
+// peer ordering the booking step consumes. It is also the codec of the
+// Samples an owner keeps inline: Add, Value and Clear read and write
+// them, and the heap estimators of the windowed kinds live here.
 type Table struct {
 	kind   Kind
 	window int
-	peers  map[string]Estimator
+	heap   *estimators // made on the first sample of a kind a Sample cannot hold
+	peers  map[string]Sample
+}
+
+// estimators holds a Table's heap estimators; Sample.v is a position+1.
+type estimators struct {
+	all   []Estimator
+	spare []int32 // positions of cleared estimators, reused first
 }
 
 // NewTable creates a table producing estimators of the given kind. The
 // peer map is built on first sample — a table that never observes
-// (every compute peer of a large world) stays three words.
+// stays a few words.
 func NewTable(kind Kind, window int) *Table {
 	return &Table{kind: kind, window: window}
 }
@@ -190,29 +207,75 @@ func MakeTable(kind Kind, window int) Table {
 	return Table{kind: kind, window: window}
 }
 
-// Observe records a sample for a peer, creating its estimator on first use.
-func (t *Table) Observe(peer string, rtt time.Duration) {
-	e := t.peers[peer]
-	if e == nil {
-		e = MustNew(t.kind, t.window)
-		if t.peers == nil {
-			t.peers = make(map[string]Estimator)
-		}
-		t.peers[peer] = e
+// Add records one round-trip sample into s. A negative sample (a clock
+// that stepped back) counts as zero.
+func (t *Table) Add(s *Sample, rtt time.Duration) {
+	rtt = max(rtt, 0)
+	if t.kind == KindLast {
+		s.v = int64(rtt) + 1
+		return
 	}
-	e.Add(rtt)
+	if t.heap == nil {
+		t.heap = new(estimators)
+	}
+	h := t.heap
+	if s.v == 0 {
+		var i int32
+		if n := len(h.spare); n > 0 {
+			i = h.spare[n-1]
+			h.spare = h.spare[:n-1]
+		} else {
+			i = int32(len(h.all))
+			h.all = append(h.all, nil)
+		}
+		h.all[i] = MustNew(t.kind, t.window)
+		s.v = int64(i) + 1
+	}
+	h.all[s.v-1].Add(rtt)
+}
+
+// Value returns the current estimate s holds (Unknown if none).
+func (t *Table) Value(s Sample) time.Duration {
+	switch {
+	case s.v == 0:
+		return Unknown
+	case t.kind == KindLast:
+		return time.Duration(s.v - 1)
+	}
+	return t.heap.all[s.v-1].Estimate()
+}
+
+// Clear drops the history s holds.
+func (t *Table) Clear(s *Sample) {
+	if s.v != 0 && t.kind != KindLast {
+		t.heap.all[s.v-1] = nil
+		t.heap.spare = append(t.heap.spare, int32(s.v-1))
+	}
+	s.v = 0
+}
+
+// Observe records a sample for a peer, creating its record on first use.
+func (t *Table) Observe(peer string, rtt time.Duration) {
+	if t.peers == nil {
+		t.peers = make(map[string]Sample)
+	}
+	s := t.peers[peer]
+	t.Add(&s, rtt)
+	t.peers[peer] = s
 }
 
 // Estimate returns the current estimate for a peer (Unknown if none).
 func (t *Table) Estimate(peer string) time.Duration {
-	if e := t.peers[peer]; e != nil {
-		return e.Estimate()
-	}
-	return Unknown
+	return t.Value(t.peers[peer])
 }
 
 // Forget drops a peer's history (used when a peer is marked dead).
-func (t *Table) Forget(peer string) { delete(t.peers, peer) }
+func (t *Table) Forget(peer string) {
+	if s, ok := t.peers[peer]; ok {
+		t.Clear(&s)
+		delete(t.peers, peer)
+	}
+}
 
 // Len returns the number of tracked peers.
 func (t *Table) Len() int { return len(t.peers) }

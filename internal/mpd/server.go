@@ -102,15 +102,13 @@ func (m *MPD) handlePrepare(p *proto.Prepare) *proto.Ready {
 		return nok("program %q not in registry", p.Program)
 	}
 
-	// Collect this host's slots from the table.
+	// Collect this host's slots from the table. The decoded table is
+	// this host's own, so every process joins with it as is.
 	var local []mpi.Slot
-	table := make([]mpi.Slot, 0, len(p.Table))
-	for _, s := range p.Table {
-		ms := mpi.Slot{Rank: s.Rank, Replica: s.Replica, Global: s.Global,
-			HostID: s.HostID, Addr: s.Addr}
-		table = append(table, ms)
+	table := p.Table
+	for _, s := range table {
 		if s.HostID == m.cfg.Self.ID {
-			local = append(local, ms)
+			local = append(local, s)
 		}
 	}
 	if len(local) == 0 {

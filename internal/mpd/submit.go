@@ -28,11 +28,13 @@ type JobSpec struct {
 	Strategy core.Strategy
 	// Timeout bounds the whole run (default 5 minutes).
 	Timeout time.Duration
-	// Exclude lists host IDs skipped during booking. The multi-job
-	// scheduler feeds its live view of saturated hosts through here, so
-	// concurrent submissions do not burn brokering round-trips on hosts
-	// guaranteed to answer NOK.
-	Exclude []string
+	// Exclude, when set, reports whether booking skips a host: it is
+	// asked once per entry the booking walk reaches, in walk order. The
+	// multi-job scheduler answers from its live ledger of saturated
+	// hosts (core.Ledger.Saturated), so concurrent submissions do not
+	// burn brokering round-trips on hosts guaranteed to answer NOK, and
+	// nothing is built per submission. It must not park.
+	Exclude func(id string) bool
 	// ReserveRetries enables backoff-retry brokering rounds: when the
 	// gathered offers cannot host the request, previously refused peers
 	// are re-asked up to this many times before the submission fails,
@@ -292,15 +294,12 @@ func (m *MPD) Submit(spec JobSpec) (*JobResult, error) {
 	// excluded (the scheduler's live view of saturated hosts): the first
 	// BookingTarget(need) that remain are booked, and the walk stops
 	// there.
-	excluded := make(map[string]bool, len(spec.Exclude))
-	for _, id := range spec.Exclude {
-		excluded[id] = true
-	}
+	excluded := func(id string) bool { return spec.Exclude != nil && spec.Exclude(id) }
 	ranked := m.cache.RankedView() // read-only iteration: no copy
 	book := min(BookingTarget(need), len(ranked)+1)
 	candidates := make([]proto.PeerInfo, 0, book)
 	lats := make(map[string]time.Duration, book)
-	if m.cfg.P > 0 && !excluded[m.cfg.Self.ID] {
+	if m.cfg.P > 0 && !excluded(m.cfg.Self.ID) {
 		// The submitter's own machine is a peer too, at zero latency.
 		candidates = append(candidates, m.cfg.Self)
 		lats[m.cfg.Self.ID] = 0
@@ -309,7 +308,7 @@ func (m *MPD) Submit(spec JobSpec) (*JobResult, error) {
 		if len(candidates) == book {
 			break
 		}
-		if excluded[rp.Info.ID] {
+		if excluded(rp.Info.ID) {
 			continue
 		}
 		candidates = append(candidates, rp.Info)

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"time"
 
+	"p2pmpi/internal/proto"
 	"p2pmpi/internal/transport"
 	"p2pmpi/internal/vtime"
 )
@@ -69,14 +70,10 @@ type Data struct {
 func (d Data) Size() int64 { return int64(len(d.Bytes)) + d.Virtual }
 
 // Slot describes one process of the application: its logical rank, its
-// replica index, its job-wide slot number and where it listens.
-type Slot struct {
-	Rank    int
-	Replica int
-	Global  int
-	HostID  string
-	Addr    string
-}
+// replica index, its job-wide slot number and where it listens. It is
+// the launch table's row as the Prepare frame carries it, so a hosting
+// daemon joins with the decoded table itself.
+type Slot = proto.Slot
 
 // Status describes a received message's envelope.
 type Status struct {

@@ -1,7 +1,10 @@
 package overlay
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -16,56 +19,77 @@ import (
 // Peers marked dead stay in the table but are invisible to every
 // consumer (Size, IDs, Peer, Ranked) until a fresh snapshot revives
 // them: under churn a host that crashes and reboots keeps its identity,
-// and retaining the entry lets the dead→alive transition be an O(1)
-// flag flip instead of a full re-learn.
+// and retaining the record lets the dead→alive transition be an O(1)
+// flip instead of a full re-learn.
+//
+// Every daemon of a world caches every host it pings, so the table
+// grows with the square of the world: it is one 16-byte record per
+// known peer (peerRec), addressed by the peer's host index (Interner),
+// with the latency estimate inline and no string key. Nothing is
+// ordered by an index: IDs and Ranked sort by ID string.
 type Cache struct {
 	mu     sync.Mutex
 	selfID string
-	// peers points at the interner's canonical values (a private copy
-	// without an interner): a materialized cache holds one entry per
-	// world host, and a pointer costs 8 bytes where a copy costs 64.
-	peers map[string]*proto.PeerInfo
-	lat   latency.Table   // embedded by value: one Cache = one heap object
-	dead  map[string]bool // peers marked dead; hidden until re-learned
-	live  int             // len(peers) minus dead entries still in peers
+	// tab is the merged table, nil until the cache materializes (see
+	// pending): most caches of a large world are never read and carry
+	// none.
+	tab *peerTable
+	lat latency.Table // the estimate codec; embedded by value
 
 	// pending holds snapshots accepted by Update but not yet merged.
-	// Merging a host list is O(list) map work, and on a multi-thousand-
+	// Merging a host list is O(list) table work, and on a multi-thousand-
 	// host world most caches belong to compute peers that take snapshots
 	// at every registration yet are only ever *read* on the submitter —
 	// so until the first read, Update just queues a copy of the list.
 	// Replaying the snapshots in arrival order on first read produces
 	// exactly the state eager merging would have; a cache nobody reads
-	// never builds its map at all. Once materialized (a reader flushed),
-	// merges go straight to the table again. A Shared reply
+	// never builds its table at all. Once materialized (a reader
+	// flushed), merges go straight to the table again. A Shared reply
 	// (UpdateShared) that no pending cap truncates is queued as its
 	// frame, which every unread cache of the world then holds by
 	// reference instead of a copy each.
-	pending      []pendingSnap
-	materialized bool
+	pending []pendingSnap
 
-	// ranked memoizes the ascending-latency ordering. Submissions call
-	// Ranked far more often than pings and snapshots mutate the cache,
-	// so the O(n log n) sort (whose comparator does two estimator
-	// lookups per comparison) runs only when the flag says the cached
-	// slice went stale — every liveness or latency transition clears it:
-	// Observe, Update (new info or a dead→alive revival) and MarkDead.
-	ranked      []RankedPeer
-	rankedValid bool
-
-	// intern, when set, canonicalizes the PeerInfo values this cache
-	// retains (pending copies and the merged table) against the
-	// world-shared Interner — equal values, shared backing strings.
+	// intern canonicalizes the PeerInfo values this cache retains
+	// (pending copies and the merged table) against the world-shared
+	// Interner — equal values, shared backing strings — and numbers the
+	// hosts. A cache without one (the real tier) makes a private one on
+	// first use, so its host indices are its own.
 	intern *Interner
 	// frameGen is the interner generation of the last frame this
 	// materialized cache merged without changing anything, 0 for none.
-	// Every edit of peers or dead clears it (setLocked, MarkDead), so
-	// while it is set, merging that frame again is a no-op.
+	// Every edit of the table clears it (setLocked, MarkDead), so while
+	// it is set, merging that frame again is a no-op.
 	frameGen uint64
 	// pendingCap bounds the total entries retained across queued
 	// snapshots while unmaterialized (0 = unbounded); see SetPendingCap.
 	pendingCap int
 	pendingN   int
+}
+
+// peerTable is a materialized cache's table.
+type peerTable struct {
+	// recs holds one record per peer the cache has listed or marked
+	// dead, in first-seen order; slot maps a host index to its record.
+	recs []peerRec
+	slot map[int32]int32
+	live int // records not marked dead
+
+	// ranked memoizes the ascending-latency ordering. Submissions call
+	// Ranked far more often than pings and snapshots mutate the cache,
+	// so the O(n log n) sort runs only when the flag says the cached
+	// slice went stale — every liveness or latency transition clears it:
+	// Observe, Update (new info or a dead→alive revival) and MarkDead.
+	ranked      []RankedPeer
+	rankedValid bool
+}
+
+// peerRec is one known peer: the canonical value the cache merged last,
+// nil while the peer is marked dead (a dead record is read by no one and
+// a revival sets it again), and its latency estimate.
+type peerRec struct {
+	info *proto.PeerInfo
+	rtt  latency.Sample
 }
 
 // pendingSnap is one queued snapshot: a copy of a list, or a Shared
@@ -83,8 +107,8 @@ func (s *pendingSnap) entries() proto.PeerListReader {
 
 // NewCache creates a cache for the peer with the given identity. The
 // estimator kind controls how ping samples condense into the ordering
-// latency (the paper's behaviour is KindLast). The maps are built on
-// first write: a compute peer whose cache is never consulted carries no
+// latency (the paper's behaviour is KindLast). The table is built on
+// first read: a compute peer whose cache is never consulted carries no
 // table at all.
 func NewCache(selfID string, kind latency.Kind, window int) *Cache {
 	return &Cache{
@@ -97,6 +121,55 @@ func NewCache(selfID string, kind latency.Kind, window int) *Cache {
 // deployment-wide interner. Behaviour-neutral (values are equal either
 // way); call before the cache sees its first Update.
 func (c *Cache) SetInterner(it *Interner) { c.intern = it }
+
+// interner returns the cache's interner, making a private one if it has
+// none.
+func (c *Cache) interner() *Interner {
+	if c.intern == nil {
+		c.intern = NewInterner()
+	}
+	return c.intern
+}
+
+// find returns the position of host id's record, if the materialized
+// cache has one.
+func find[T string | []byte](c *Cache, id T) (int32, bool) {
+	if len(c.tab.recs) == 0 {
+		return 0, false
+	}
+	h, ok := lookup(c.interner(), id)
+	if !ok {
+		return 0, false
+	}
+	i, ok := c.tab.slot[h.idx]
+	return i, ok
+}
+
+// add appends a record for the host with index idx, marked dead, and
+// returns its position.
+func (t *peerTable) add(idx int32) int32 {
+	i := int32(len(t.recs))
+	t.recs = append(t.recs, peerRec{})
+	if t.slot == nil {
+		t.slot = make(map[int32]int32)
+	}
+	t.slot[idx] = i
+	return i
+}
+
+// size makes room for the records a merge of an n-entry list may add.
+// A list is usually the whole table, so the records end up at most one
+// entry (the cache's own host) longer than the peers known, where
+// growing by appends would leave up to half the array spare. A merge
+// walks the whole list anyway, so the copy costs no extra order.
+func (t *peerTable) size(n int) {
+	if n > cap(t.recs) {
+		t.recs = append(make([]peerRec, 0, n), t.recs...)
+	}
+	if t.slot == nil {
+		t.slot = make(map[int32]int32, n)
+	}
+}
 
 // SetPendingCap bounds how many peer entries the cache retains, in
 // total, across snapshots queued before materialization (0 keeps every
@@ -171,17 +244,14 @@ func (c *Cache) updateFrame(frame []byte, shared bool) error {
 		cp := c.reserveLocked(r.Len())
 		for i := range cp {
 			e, _ := r.Next()
-			cp[i] = c.intern.entry(e)
+			cp[i] = c.interner().entry(e)
 		}
 		return nil
 	}
 	c.flushLocked()
-	if c.peers == nil {
-		c.peers = make(map[string]*proto.PeerInfo, r.Len())
-	}
 	// Recorded before the walk: an entry the walk changes clears it, so
 	// it survives only a merge that was a no-op.
-	c.frameGen = c.intern.publishFrame(frame)
+	c.frameGen = c.interner().publishFrame(frame)
 	c.mergeFrameLocked(&r)
 	return nil
 }
@@ -190,17 +260,17 @@ func (c *Cache) updateFrame(frame []byte, shared bool) error {
 // materialized table, building a string only for an entry that neither
 // the table nor the interner holds, equal.
 func (c *Cache) mergeFrameLocked(r *proto.PeerListReader) {
+	c.tab.size(r.Len())
 	for e, ok := r.Next(); ok; e, ok = r.Next() {
 		if c.selfID == string(e.ID) {
 			continue
 		}
-		old := c.peers[string(e.ID)]
-		dead := c.dead[string(e.ID)]
-		if old != nil && !dead && old.Site == string(e.Site) &&
-			old.MPDAddr == string(e.MPDAddr) && old.RSAddr == string(e.RSAddr) {
+		i, known := find(c, e.ID)
+		if known && c.tab.recs[i].info != nil && sameEntry(c.tab.recs[i].info, e) {
 			continue
 		}
-		c.setLocked(c.intern.entryRef(e), old == nil || dead)
+		info, idx := c.interner().entryRef(e)
+		c.setLocked(i, known, info, idx)
 	}
 }
 
@@ -208,7 +278,7 @@ func (c *Cache) mergeFrameLocked(r *proto.PeerListReader) {
 // merged: the cache was never read, and the queue has room (see
 // pending).
 func (c *Cache) queuesLocked() bool {
-	return !c.materialized && len(c.pending) < maxPendingSnapshots
+	return c.tab == nil && len(c.pending) < maxPendingSnapshots
 }
 
 // queueLocked defers a snapshot's merge. The snapshot must be copied —
@@ -217,7 +287,7 @@ func (c *Cache) queuesLocked() bool {
 func (c *Cache) queueLocked(list []proto.PeerInfo) {
 	cp := c.reserveLocked(len(list))
 	for i := range cp {
-		cp[i] = c.intern.PeerInfo(list[i])
+		cp[i] = c.interner().PeerInfo(list[i])
 	}
 }
 
@@ -247,7 +317,7 @@ func (c *Cache) reserveLocked(n int) []proto.PeerInfo {
 // a pending cap keeps only its remaining entry budget, so UpdateFrame
 // need not walk the rest of the reply.
 func (c *Cache) keepsLocked() int {
-	if c.materialized || c.pendingCap <= 0 || len(c.pending) >= maxPendingSnapshots {
+	if c.tab != nil || c.pendingCap <= 0 || len(c.pending) >= maxPendingSnapshots {
 		return -1
 	}
 	return max(0, c.pendingCap-c.pendingN)
@@ -260,61 +330,45 @@ const maxPendingSnapshots = 8
 // refresh mostly repeats the previous reply, so an entry that is held,
 // live and equal costs one lookup: nothing about it changes.
 func (c *Cache) mergeLocked(list []proto.PeerInfo) {
-	if c.peers == nil {
-		c.peers = make(map[string]*proto.PeerInfo, len(list))
-	}
+	c.tab.size(len(list))
 	for _, p := range list {
 		if p.ID == c.selfID {
 			continue
 		}
-		old := c.peers[p.ID]
-		dead := c.dead[p.ID]
-		if old != nil && !dead && *old == p {
+		i, known := find(c, p.ID)
+		if known && c.tab.recs[i].info != nil && *c.tab.recs[i].info == p {
 			continue
 		}
-		c.setLocked(c.intern.ref(p), old == nil || dead)
+		info, idx := c.interner().ref(p)
+		c.setLocked(i, known, info, idx)
 	}
 }
 
-// setLocked enters a new or changed entry, live; revived counts a
-// peer that was absent or dead.
-func (c *Cache) setLocked(ref *proto.PeerInfo, revived bool) {
-	if revived {
-		c.live++
+// setLocked enters a new or changed entry, live: record i when known,
+// else a new record for host index idx.
+func (c *Cache) setLocked(i int32, known bool, info *proto.PeerInfo, idx int32) {
+	t := c.tab
+	if !known {
+		i = t.add(idx)
 	}
-	c.peers[ref.ID] = ref // interned first: the map key shares its ID string
-	delete(c.dead, ref.ID)
-	c.rankedValid = false
+	if t.recs[i].info == nil {
+		t.live++
+	}
+	t.recs[i].info = info
+	t.rankedValid = false
 	c.frameGen = 0
 }
 
 // flushLocked materializes the table, replaying deferred snapshots in
 // arrival order. Every reader goes through it.
 func (c *Cache) flushLocked() {
-	if c.materialized {
+	if c.tab != nil {
 		return
 	}
-	c.materialized = true
+	c.tab = new(peerTable)
 	pending := c.pending
 	c.pending = nil
 	c.pendingN = 0
-	if len(pending) == 0 {
-		return
-	}
-	if len(c.peers) == 0 {
-		// Size the table for the largest snapshot so the first merge
-		// does not rehash its way up.
-		size := 0
-		for i := range pending {
-			n := len(pending[i].list)
-			if pending[i].frame != nil {
-				r := pending[i].entries()
-				n = r.Len()
-			}
-			size = max(size, n)
-		}
-		c.peers = make(map[string]*proto.PeerInfo, size)
-	}
 	for i := range pending {
 		if pending[i].frame == nil {
 			c.mergeLocked(pending[i].list)
@@ -330,9 +384,9 @@ func (c *Cache) Observe(id string, rtt time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flushLocked()
-	if _, ok := c.peers[id]; ok && !c.dead[id] {
-		c.lat.Observe(id, rtt)
-		c.rankedValid = false
+	if i, ok := find(c, id); ok && c.tab.recs[i].info != nil {
+		c.lat.Add(&c.tab.recs[i].rtt, rtt)
+		c.tab.rankedValid = false
 	}
 }
 
@@ -344,16 +398,18 @@ func (c *Cache) MarkDead(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flushLocked()
-	if _, ok := c.peers[id]; ok && !c.dead[id] {
-		c.rankedValid = false
-		c.live--
+	t := c.tab
+	i, known := find(c, id)
+	switch {
+	case !known:
+		i = t.add(c.interner().index(id))
+	case t.recs[i].info != nil:
+		t.recs[i].info = nil
+		t.rankedValid = false
+		t.live--
 	}
-	c.lat.Forget(id)
+	c.lat.Clear(&t.recs[i].rtt)
 	c.frameGen = 0
-	if c.dead == nil {
-		c.dead = make(map[string]bool)
-	}
-	c.dead[id] = true
 }
 
 // Dead reports whether a peer is currently marked dead.
@@ -361,7 +417,8 @@ func (c *Cache) Dead(id string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flushLocked()
-	return c.dead[id]
+	i, ok := find(c, id)
+	return ok && c.tab.recs[i].info == nil
 }
 
 // Size returns the number of live cached peers.
@@ -369,7 +426,7 @@ func (c *Cache) Size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flushLocked()
-	return c.live
+	return c.tab.live
 }
 
 // Latency returns the current latency estimate for a peer.
@@ -377,23 +434,26 @@ func (c *Cache) Latency(id string) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flushLocked()
-	return c.lat.Estimate(id)
+	if i, ok := find(c, id); ok {
+		return c.lat.Value(c.tab.recs[i].rtt)
+	}
+	return latency.Unknown
 }
 
 // IDs returns the live cached peer IDs sorted by ID. The order matters
 // for reproducibility: the ping loop issues probes in this order, and
 // each probe consumes draws from the seeded nonce and network-jitter
-// sources — map-iteration order here would leak the runtime's map
-// randomization into virtual timelines and break bit-for-bit
-// simulation replay.
+// sources — an order that followed the table's layout would leak
+// arrival order into virtual timelines and break bit-for-bit
+// simulation replay across shard counts.
 func (c *Cache) IDs() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flushLocked()
-	out := make([]string, 0, c.live)
-	for id := range c.peers {
-		if !c.dead[id] {
-			out = append(out, id)
+	out := make([]string, 0, c.tab.live)
+	for _, r := range c.tab.recs {
+		if r.info != nil {
+			out = append(out, r.info.ID)
 		}
 	}
 	sort.Strings(out)
@@ -405,11 +465,11 @@ func (c *Cache) Peer(id string) (proto.PeerInfo, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flushLocked()
-	p := c.peers[id]
-	if p == nil || c.dead[id] {
+	i, ok := find(c, id)
+	if !ok || c.tab.recs[i].info == nil {
 		return proto.PeerInfo{}, false
 	}
-	return *p, true
+	return *c.tab.recs[i].info, true
 }
 
 // Ranked returns all live cached peers sorted by ascending measured
@@ -419,15 +479,7 @@ func (c *Cache) Peer(id string) (proto.PeerInfo, bool) {
 // instead of a full re-sort. The returned slice is the caller's to
 // keep.
 func (c *Cache) Ranked() []RankedPeer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.flushLocked()
-	if !c.rankedValid {
-		c.rebuildRankedLocked()
-	}
-	out := make([]RankedPeer, len(c.ranked))
-	copy(out, c.ranked)
-	return out
+	return slices.Clone(c.RankedView())
 }
 
 // RankedView is Ranked without the defensive copy: it returns the
@@ -441,31 +493,32 @@ func (c *Cache) RankedView() []RankedPeer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flushLocked()
-	if !c.rankedValid {
+	t := c.tab
+	if !t.rankedValid {
 		c.rebuildRankedLocked()
 	}
-	return c.ranked
+	return t.ranked
 }
 
 // rebuildRankedLocked recomputes the memoized ordering into a fresh
-// slice (never in place: outstanding RankedView snapshots stay valid).
+// slice (never in place: outstanding RankedView snapshots stay valid):
+// ascending latency, unmeasured peers last, ties by ID.
 func (c *Cache) rebuildRankedLocked() {
-	ids := make([]string, 0, c.live)
-	for id := range c.peers {
-		if !c.dead[id] {
-			ids = append(ids, id)
+	t := c.tab
+	ranked := make([]RankedPeer, 0, t.live)
+	for _, r := range t.recs {
+		if r.info != nil {
+			ranked = append(ranked, RankedPeer{Info: *r.info, Latency: c.lat.Value(r.rtt)})
 		}
 	}
-	sorted := c.lat.Rank(ids)
-	ranked := make([]RankedPeer, 0, len(sorted))
-	for _, id := range sorted {
-		ranked = append(ranked, RankedPeer{
-			Info:    *c.peers[id],
-			Latency: c.lat.Estimate(id),
-		})
-	}
-	c.ranked = ranked
-	c.rankedValid = true
+	slices.SortFunc(ranked, func(a, b RankedPeer) int {
+		if a.Latency != b.Latency {
+			return cmp.Compare(a.Latency, b.Latency)
+		}
+		return strings.Compare(a.Info.ID, b.Info.ID)
+	})
+	t.ranked = ranked
+	t.rankedValid = true
 }
 
 // RankedPeer pairs a cached peer with its current latency estimate.

@@ -196,10 +196,28 @@ func genCacheOps(rng *rand.Rand, n int) []cacheOp {
 
 // canonical is the interner's current value for id, by reference.
 func canonical(it *Interner, id string) *proto.PeerInfo {
-	st := &it.peers[stripeFor(id)]
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.m[id]
+	c, _ := lookup(it, id)
+	return c.p
+}
+
+// recordIDs names the host of each of c's records, by record position,
+// through the host indices its interner handed out.
+func recordIDs(c *Cache) map[int32]string {
+	ids := map[int32]string{}
+	if c.tab == nil || c.intern == nil {
+		return ids
+	}
+	for s := range c.intern.peers {
+		st := &c.intern.peers[s]
+		st.mu.RLock()
+		for id, h := range st.m {
+			if i, ok := c.tab.slot[h.idx]; ok {
+				ids[i] = id
+			}
+		}
+		st.mu.RUnlock()
+	}
+	return ids
 }
 
 // applyCacheOps replays ops into a fresh Cache and model. Snapshots are
@@ -258,7 +276,12 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 				if got, want := c.IDs(), r.ids(); !slices.Equal(got, want) {
 					t.Fatalf("%s: IDs = %v, want %v", where, got, want)
 				}
-				for id, p := range c.peers {
+				for _, rec := range c.tab.recs {
+					p := rec.info
+					if p == nil {
+						continue // marked dead
+					}
+					id := p.ID
 					switch canon := canonical(it, id); {
 					case *p == *canon && p != canon:
 						t.Fatalf("%s: entry %s copies the canonical value instead of pointing at it", where, id)
@@ -294,8 +317,8 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// TestCacheKeysShareInternedStrings: a merged entry's map key is the
-// interned ID, not the decoded copy the snapshot carried — otherwise
+// TestCacheKeysShareInternedStrings: a merged record's ID is the
+// interned one, not the decoded copy the snapshot carried — otherwise
 // every cache retains its own copy of every host name (9.5 MB of live
 // heap on the 350-host Grid'5000 world).
 func TestCacheKeysShareInternedStrings(t *testing.T) {
@@ -313,7 +336,8 @@ func TestCacheKeysShareInternedStrings(t *testing.T) {
 			MPDAddr: strings.Clone(p.MPDAddr), RSAddr: strings.Clone(p.RSAddr)}
 	}
 	c.Update(decoded)
-	for id := range c.peers {
+	for _, rec := range c.tab.recs {
+		id := rec.info.ID
 		i := slices.IndexFunc(canon, func(p proto.PeerInfo) bool { return p.ID == id })
 		if unsafe.StringData(id) != unsafe.StringData(canon[i].ID) {
 			t.Fatalf("entry %s keeps its own copy of the host name", id)

@@ -22,25 +22,27 @@ func cacheState(c *Cache) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var b strings.Builder
-	ids := make([]string, 0, len(c.peers))
-	for id := range c.peers {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		if p := c.peers[id]; p.ID != id {
-			fmt.Fprintf(&b, "key %q holds %q\n", id, p.ID)
+	if t := c.tab; t != nil {
+		ids := recordIDs(c)
+		order := make([]int32, 0, len(ids))
+		for i := range ids {
+			order = append(order, i)
 		}
-		fmt.Fprintf(&b, "peer %+v\n", *c.peers[id])
-	}
-	dead := make([]string, 0, len(c.dead))
-	for id, d := range c.dead {
-		if d {
-			dead = append(dead, id)
+		slices.SortFunc(order, func(x, y int32) int { return strings.Compare(ids[x], ids[y]) })
+		var dead []string
+		for _, i := range order {
+			p := t.recs[i].info
+			if p == nil {
+				dead = append(dead, ids[i])
+				continue
+			}
+			if p.ID != ids[i] {
+				fmt.Fprintf(&b, "record of %q holds %q\n", ids[i], p.ID)
+			}
+			fmt.Fprintf(&b, "peer %+v\n", *p)
 		}
+		fmt.Fprintf(&b, "dead %q live %d rankedValid %v\n", dead, t.live, t.rankedValid)
 	}
-	slices.Sort(dead)
-	fmt.Fprintf(&b, "dead %q live %d\n", dead, c.live)
 	for _, s := range c.pending {
 		l := s.list
 		if s.frame != nil {
@@ -48,7 +50,7 @@ func cacheState(c *Cache) string {
 		}
 		fmt.Fprintf(&b, "pending %+v\n", l)
 	}
-	fmt.Fprintf(&b, "pendingN %d materialized %v rankedValid %v\n", c.pendingN, c.materialized, c.rankedValid)
+	fmt.Fprintf(&b, "pendingN %d materialized %v\n", c.pendingN, c.tab != nil)
 	return b.String()
 }
 

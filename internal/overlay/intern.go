@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"p2pmpi/internal/proto"
 )
@@ -33,13 +34,21 @@ import (
 // known to be a no-op merge: one byte compare instead of a walk (see
 // Cache.UpdateFrame). The bytes are always compared, never a hash.
 //
-// All methods are safe for concurrent use from parallel shards and are
-// nil-receiver safe (a nil Interner interns nothing), so the wiring can
-// stay unconditional.
+// Each host ID the interner sees also gets a host index: a dense int32,
+// handed out in first-seen order unless AssignHosts numbered the host
+// first. Caches address their per-peer records by it instead of by the
+// ID string. A world numbers its hosts in grid order before any daemon
+// runs, so the index of a host is the same for any shard or worker
+// count; nothing orders output by an index either way.
+//
+// All methods are safe for concurrent use from parallel shards. The
+// exported ones are nil-receiver safe (a nil Interner interns nothing),
+// so the wiring can stay unconditional.
 type Interner struct {
-	// peers maps host ID -> the canonical proto.PeerInfo, striped by ID
-	// hash so parallel shards rarely collide. Entries are pointers so
-	// caches can share the value itself rather than copy its 64 bytes.
+	// peers maps host ID -> the host's index and canonical
+	// proto.PeerInfo, striped by ID hash so parallel shards rarely
+	// collide. Values are pointers so caches can share the value itself
+	// rather than copy its 64 bytes.
 	// Plain maps under RWMutexes beat
 	// a sync.Map here on memory, not speed: the HashTrieMap spends ~200 B
 	// of node structure plus a boxed copy per entry, which at a million
@@ -48,6 +57,7 @@ type Interner struct {
 	// and interning sits on membership paths, not the data plane, so a
 	// striped read-lock is cheap.
 	peers [internStripes]internStripe
+	hosts atomic.Int32 // host indices handed out so far
 
 	mu sync.Mutex
 	// snaps holds, per federation shard, the newest settled snapshot
@@ -80,7 +90,15 @@ const internStripes = 16
 
 type internStripe struct {
 	mu sync.RWMutex
-	m  map[string]*proto.PeerInfo
+	m  map[string]canon
+}
+
+// canon is one host's entry: its index and its canonical value, nil
+// while the host has only been numbered (AssignHosts, Cache.MarkDead of
+// a host no snapshot listed yet).
+type canon struct {
+	p   *proto.PeerInfo
+	idx int32
 }
 
 // stripeFor hashes a host ID onto a stripe (FNV-1a, inlined — the IDs
@@ -101,6 +119,55 @@ func exactClone[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 // NewInterner creates an empty interner, one per deployment.
 func NewInterner() *Interner { return &Interner{} }
 
+// AssignHosts numbers the given hosts in order, before any of them is
+// interned: a world calls it with its hosts in grid order, so host
+// indices do not depend on which shard registered a host first. A host
+// already numbered keeps its index.
+func (it *Interner) AssignHosts(ids []string) {
+	if it == nil {
+		return
+	}
+	for _, id := range ids {
+		st := &it.peers[stripeFor(id)]
+		st.mu.Lock()
+		if _, ok := st.m[id]; !ok {
+			if st.m == nil { // sized for the world: no rehash on the way up
+				st.m = make(map[string]canon, len(ids)/internStripes+1)
+			}
+			st.m[id] = canon{idx: it.hosts.Add(1) - 1}
+		}
+		st.mu.Unlock()
+	}
+}
+
+// lookup returns host id's entry, if it has one.
+func lookup[T string | []byte](it *Interner, id T) (canon, bool) {
+	st := &it.peers[stripeFor(id)]
+	st.mu.RLock()
+	c, ok := st.m[string(id)]
+	st.mu.RUnlock()
+	return c, ok
+}
+
+// index returns host id's index, numbering the host if it is new.
+func (it *Interner) index(id string) int32 {
+	if c, ok := lookup(it, id); ok {
+		return c.idx
+	}
+	st := &it.peers[stripeFor(id)]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	c, ok := st.m[id]
+	if !ok {
+		c = canon{idx: it.hosts.Add(1) - 1}
+		if st.m == nil {
+			st.m = make(map[string]canon)
+		}
+		st.m[id] = c
+	}
+	return c.idx
+}
+
 // PeerInfo returns the canonical copy of p, registering p as canonical
 // if its ID is new or its info changed. Equality is over the full
 // struct, so a host that re-registers with different addresses replaces
@@ -109,55 +176,52 @@ func (it *Interner) PeerInfo(p proto.PeerInfo) proto.PeerInfo {
 	if it == nil {
 		return p
 	}
-	return *it.ref(p)
+	c, _ := it.ref(p)
+	return *c
 }
 
 // ref is PeerInfo by reference: the canonical value itself, which a
-// cache entry can point at instead of copying its 64 bytes. A nil
-// interner returns a private copy. A replaced value is never edited in
-// place — the replacement is a new canonical pointer — so a holder of
-// the old one keeps seeing the value it merged.
-func (it *Interner) ref(p proto.PeerInfo) *proto.PeerInfo {
-	if it == nil {
-		c := new(proto.PeerInfo)
-		*c = p
-		return c
+// cache entry can point at instead of copying its 64 bytes, and the
+// host's index. A replaced value is never edited in place — the
+// replacement is a new canonical pointer under the same index — so a
+// holder of the old one keeps seeing the value it merged.
+func (it *Interner) ref(p proto.PeerInfo) (*proto.PeerInfo, int32) {
+	if c, ok := lookup(it, p.ID); ok && c.p != nil && *c.p == p {
+		return c.p, c.idx
 	}
 	st := &it.peers[stripeFor(p.ID)]
-	st.mu.RLock()
-	c := st.m[p.ID]
-	st.mu.RUnlock()
-	if c != nil && *c == p {
-		return c
-	}
 	st.mu.Lock()
-	if c = st.m[p.ID]; c == nil || *c != p { // another shard may have won the race
-		if st.m == nil {
-			st.m = make(map[string]*proto.PeerInfo)
+	defer st.mu.Unlock()
+	c, ok := st.m[p.ID]
+	if !ok || c.p == nil || *c.p != p { // another shard may have won the race
+		if !ok {
+			c.idx = it.hosts.Add(1) - 1
 		}
-		c = new(proto.PeerInfo)
-		*c = p
+		if st.m == nil {
+			st.m = make(map[string]canon)
+		}
+		c.p = new(proto.PeerInfo)
+		*c.p = p
 		st.m[p.ID] = c
 	}
-	st.mu.Unlock()
-	return c
+	return c.p, c.idx
 }
 
 // entryRef is ref for a host-list entry viewed in its frame: the
 // canonical value when the interner holds the entry's four fields, so
 // a host the world already knows costs no string, else a new one built
 // with one allocation (proto.PeerEntry.Info).
-func (it *Interner) entryRef(e proto.PeerEntry) *proto.PeerInfo {
-	if it != nil {
-		st := &it.peers[stripeFor(e.ID)]
-		st.mu.RLock()
-		c := st.m[string(e.ID)]
-		st.mu.RUnlock()
-		if c != nil && c.Site == string(e.Site) && c.MPDAddr == string(e.MPDAddr) && c.RSAddr == string(e.RSAddr) {
-			return c
-		}
+func (it *Interner) entryRef(e proto.PeerEntry) (*proto.PeerInfo, int32) {
+	if c, ok := lookup(it, e.ID); ok && c.p != nil && sameEntry(c.p, e) {
+		return c.p, c.idx
 	}
 	return it.ref(e.Info())
+}
+
+// sameEntry reports whether p, a value held under e's ID, holds e's
+// other three fields.
+func sameEntry(p *proto.PeerInfo, e proto.PeerEntry) bool {
+	return p.Site == string(e.Site) && p.MPDAddr == string(e.MPDAddr) && p.RSAddr == string(e.RSAddr)
 }
 
 // entry is entryRef by value: a nil interner builds the entry's value
@@ -166,7 +230,8 @@ func (it *Interner) entry(e proto.PeerEntry) proto.PeerInfo {
 	if it == nil {
 		return e.Info()
 	}
-	return *it.entryRef(e)
+	c, _ := it.entryRef(e)
+	return *c
 }
 
 // Lookup finds the canonical PeerInfo whose four fields equal the given
@@ -178,14 +243,11 @@ func (it *Interner) Lookup(id, site, mpdAddr, rsAddr []byte) (proto.PeerInfo, bo
 	if it == nil {
 		return proto.PeerInfo{}, false
 	}
-	st := &it.peers[stripeFor(id)]
-	st.mu.RLock()
-	c := st.m[string(id)]
-	st.mu.RUnlock()
-	if c == nil {
+	c, _ := lookup(it, id)
+	if c.p == nil {
 		return proto.PeerInfo{}, false
 	}
-	return *c, c.Site == string(site) && c.MPDAddr == string(mpdAddr) && c.RSAddr == string(rsAddr)
+	return *c.p, c.p.Site == string(site) && c.p.MPDAddr == string(mpdAddr) && c.p.RSAddr == string(rsAddr)
 }
 
 // Snapshot offers one member's settled snapshot of a shard for sharing.

@@ -528,8 +528,12 @@ func (s *Scheduler) runJob(job *Job) {
 // finishes — successfully or not.
 func (s *Scheduler) attempt(job *Job) (*mpd.JobResult, error) {
 	spec := job.Spec
-	if busy := s.ledger.Busy(); len(busy) > 0 {
-		spec.Exclude = append(append([]string(nil), spec.Exclude...), busy...)
+	if !s.ledger.Unconstrained() {
+		if user := spec.Exclude; user != nil {
+			spec.Exclude = func(id string) bool { return user(id) || s.ledger.Saturated(id) }
+		} else {
+			spec.Exclude = s.ledger.Saturated
+		}
 	}
 	var acquired *core.Assignment
 	var heldFrom time.Time

@@ -267,3 +267,58 @@ func barrierWindowAllocs(t *testing.T, req, reply int) float64 {
 	}
 	return testing.AllocsPerRun(500, step)
 }
+
+// TestDeliveryCarriersGiveBackStorm: 40 k frames in flight on one
+// connection take 40 k delivery carriers, over twice the retention
+// rule's floor; once they have landed the shard holds no more carriers
+// than the rule allows for what is still in flight (none), and the
+// carrier blocks are garbage: across the storm the heap grows by no
+// more than what the scheduler's event slab may keep.
+func TestDeliveryCarriersGiveBackStorm(t *testing.T) {
+	s := vtime.New()
+	defer s.Shutdown()
+	n := New(s, &StaticTopology{HostSite: map[string]string{"a": "east", "b": "west"}, DefLat: 5 * time.Millisecond},
+		DefaultConfig(1))
+	client, server := callbackPair(t, s, n, "a", "b:1")
+	landed := 0
+	server.OnRecv(transport.RecvFunc(func(m transport.Message, err error) {
+		if err == nil {
+			landed++
+		}
+	}), -1)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	const frames = 40_000
+	for range frames {
+		if err := client.Send(transport.Message{Virtual: 64}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh := n.sh[0]
+	peak := sh.delLive
+	s.Wait()
+	if landed != frames {
+		t.Fatalf("%d frames landed, want %d", landed, frames)
+	}
+	held := sh.delFreeN + sh.delLive
+	after := heap()
+	t.Logf("%d carriers in flight at the peak; %d held after the drain; heap %+d B across the storm",
+		peak, held, int64(after)-int64(before))
+	if peak != frames {
+		t.Fatalf("%d carriers in flight at the peak, want %d", peak, frames)
+	}
+	if limit := vtime.KeepLimit(sh.delLive); held > limit {
+		t.Fatalf("the shard holds %d carriers after the drain, want ≤ %d", held, limit)
+	}
+	// The slab may keep KeepLimit(0) slots of a 48 B event and three
+	// int32 indices; 40 k carriers are 2.5 MB on top.
+	if grew, slab := int64(after)-int64(before), int64(vtime.KeepLimit(0))*(48+3*4); grew > slab+256<<10 {
+		t.Fatalf("the heap grew by %d B across the storm, want the carrier blocks given back (≤ %d)", grew, slab+256<<10)
+	}
+	runtime.KeepAlive(client)
+}

@@ -258,11 +258,19 @@ func lookaheadViolation(x *xmsg, arrival, now time.Duration) {
 // through a free list and allocated in blocks when it runs dry, so even
 // a burst of sends that outruns delivery (nothing recycled yet) costs
 // one allocation per block of messages, not one per message.
+//
+// The free list obeys vtime's retention rule: once the carriers it
+// holds exceed vtime.KeepLimit of those in flight, the shard drops the
+// whole list and starts a new epoch, and a carrier of an older epoch is
+// dropped when it lands instead of rejoining the list. A block goes
+// back to the GC when its last carrier lands, so after a storm the
+// shard keeps no more blocks than it has carriers in flight.
 type delivery struct {
 	peer  *conn // receiving endpoint; peer.lh.sh owns the carrier's free list
 	msg   transport.Message
 	state uint64    // sender's flow-stream state, adopted when sync is set
 	sync  bool      // the frame crossed shards
+	epoch uint32    // the shard's delEpoch when the carrier's block was made
 	next  *delivery // free-list link
 }
 
@@ -272,15 +280,39 @@ func (sh *netShard) getDelivery() *delivery {
 	d := sh.delFree
 	if d == nil {
 		block := make([]delivery, deliveryBlock)
+		for i := range block {
+			block[i].epoch = sh.delEpoch
+		}
 		for i := 1; i < len(block); i++ {
 			block[i].next = sh.delFree
 			sh.delFree = &block[i]
 		}
+		sh.delFreeN += len(block) - 1
+		sh.delLive++
 		return &block[0]
 	}
 	sh.delFree = d.next
 	d.next = nil
+	sh.delFreeN--
+	sh.delLive++
 	return d
+}
+
+// putDelivery takes back a landed carrier, or drops it if it belongs to
+// an older epoch, and applies the retention rule.
+func (sh *netShard) putDelivery(d *delivery) {
+	sh.delLive--
+	if d.epoch != sh.delEpoch {
+		return
+	}
+	d.next = sh.delFree
+	sh.delFree = d
+	sh.delFreeN++
+	if sh.delFreeN+sh.delLive > vtime.KeepLimit(sh.delLive) {
+		sh.delEpoch++
+		sh.delFree = nil
+		sh.delFreeN = 0
+	}
 }
 
 // fireDelivery recycles the carrier and runs the endpoint's handler to
@@ -292,7 +324,6 @@ func (sh *netShard) getDelivery() *delivery {
 func fireDelivery(a any) {
 	d := a.(*delivery)
 	peer, msg := d.peer, d.msg
-	sh := peer.lh.sh // the shard land took the carrier from
 	if d.sync {
 		peer.src.state = d.state
 	}
@@ -300,8 +331,7 @@ func fireDelivery(a any) {
 	d.msg = transport.Message{}
 	d.state = 0
 	d.sync = false
-	d.next = sh.delFree
-	sh.delFree = d
+	peer.lh.sh.putDelivery(d) // the shard land took the carrier from
 	if peer.handler == nil || peer.lh.down || peer.closed || peer.peerClosed || peer.expired {
 		msg.Release()
 		return

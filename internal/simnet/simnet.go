@@ -92,9 +92,14 @@ type netShard struct {
 	flowSeq map[flowKey]uint32
 	ports   map[string]int32 // port name -> flowKey.port; keys are owned copies
 	bufPool transport.BufferPool
-	delFree *delivery // recycled delivery events
-	out     []xmsg    // cross-shard emissions this window
-	seq     uint64    // emission sequence, tiebreak in the merge sort
+	// Delivery carriers (frame.go): the free list, its length, the
+	// carriers in flight, and the epoch new blocks are stamped with.
+	delFree  *delivery
+	delFreeN int
+	delLive  int
+	delEpoch uint32
+	out      []xmsg // cross-shard emissions this window
+	seq      uint64 // emission sequence, tiebreak in the merge sort
 }
 
 func newNetShard(n *Net, rt *vtime.Scheduler) *netShard {

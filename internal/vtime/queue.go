@@ -139,9 +139,8 @@ func (q *Queue[T]) PopTimeout(d time.Duration) (T, error) {
 	timed := d > 0
 	if timed {
 		tid = s.newEventLocked(d)
-		ev := &s.slab[tid]
-		ev.arg = &w.waiterCore
-		tgen = ev.gen
+		s.slab[tid].arg = &w.waiterCore
+		tgen = s.pinLocked(tid)
 		s.heapPush(tid)
 	}
 	s.parkLocked(a)

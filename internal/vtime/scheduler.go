@@ -75,6 +75,17 @@ type Scheduler struct {
 	free []int32
 	heap []int32
 	seq  uint64
+	// The retention rule (eventq.go): compactLocked runs when the live
+	// events fall under shrinkAt. Slots from cut up wait for a cut that
+	// pinned events hold off (noCut: none), above of them live and the
+	// free ones on spare; genFloor is where the generations of slots
+	// past the last cut resume, and peak the most slots the slab held.
+	spare    []int32
+	shrinkAt int
+	cut      int32
+	above    int
+	genFloor uint32
+	peak     int
 
 	runq    []*actor // runnable, not yet executing; ring via rqHead
 	rqHead  int
@@ -102,9 +113,12 @@ func New() *Scheduler {
 		slab:  a.slab[:0],
 		free:  a.free[:0],
 		heap:  a.heap[:0],
+		cut:   noCut,
+		peak:  a.peak,
 	}
 	*a = arena{}
 	arenaPool.Put(a)
+	s.shrinkAt = shrinkAt(cap(s.slab))
 	s.idleCond = sync.NewCond(&s.mu)
 	return s
 }
@@ -213,7 +227,7 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Timer {
 		d = 0
 	}
 	id := s.scheduleFuncLocked(d, fn)
-	return &Timer{s: s, id: id, gen: s.slab[id].gen}
+	return &Timer{s: s, id: id, gen: s.pinLocked(id)}
 }
 
 // Schedule is After without the cancel handle: the allocation-free form
@@ -269,7 +283,7 @@ func (s *Scheduler) AfterArg(d time.Duration, fn func(any), arg any) Timer {
 	ev.fn = fn
 	ev.arg = arg
 	s.heapPush(id)
-	return Timer{s: s, id: id, gen: ev.gen}
+	return Timer{s: s, id: id, gen: s.pinLocked(id)}
 }
 
 // Timer is a cancelable scheduled callback. The zero Timer is armed
@@ -412,6 +426,9 @@ func (s *Scheduler) dispatchLocked() *actor {
 		}
 		fn, arg := ev.fn, ev.arg
 		s.freeEventLocked(id)
+		if len(s.heap) < s.shrinkAt {
+			s.compactLocked()
+		}
 		if fn != nil {
 			// Run the callback without the lock so it can use public APIs
 			// (Queue.Push, After, Schedule).
@@ -568,7 +585,7 @@ func (s *Scheduler) Shutdown() {
 	// Donate the (fully freed and cleared) event storage for the next
 	// scheduler; late API calls on this one see empty slices and still
 	// behave (events on a stopped scheduler never fire anyway).
-	arenaPool.Put(&arena{slab: s.slab, free: s.free, heap: s.heap[:0]})
+	arenaPool.Put(&arena{slab: s.slab, free: s.free, heap: s.heap[:0], peak: s.peak})
 	s.slab = nil
 	s.free = nil
 	s.heap = nil

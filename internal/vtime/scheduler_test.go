@@ -446,9 +446,9 @@ func TestCancelRemovesFromHeap(t *testing.T) {
 	}
 }
 
-// TestEventRecordLayout: the slab keeps the boot storm's high-water mark
-// of in-flight events (~60 k on the paper world) for the world's life,
-// so every byte of the record is paid that many times over. A func()
+// TestEventRecordLayout: the slab holds every in-flight event of a
+// storm (~60 k in the paper world's boot), so every byte of the record
+// is paid that many times over. A func()
 // callback rides in the record's arg: boxing it must stay free.
 func TestEventRecordLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(event{}); sz > 48 {
@@ -466,5 +466,76 @@ func TestEventRecordLayout(t *testing.T) {
 	}
 	if n != 101 {
 		t.Fatalf("%d callbacks ran, want 101", n)
+	}
+}
+
+// TestSlabGivesBackStorm: a storm of 60 k in-flight events, a tenth of
+// them behind Timer handles, drains to the 1 000 periodic events of
+// steady state, a fifth of which re-arm through AfterArg (a deadline
+// per round, as RPCs arm them). Half the periodic events were armed
+// after the storm, at the top of the slab. Once the storm has drained
+// and every pinned event above the live count has been re-armed below
+// it, the slab, heap and free arrays hold no more than the retention
+// rule's KeepLimit of the live events. Handles keep working across the
+// compactions: a storm one whose event fired reports false, a current
+// periodic one cancels its event.
+func TestSlabGivesBackStorm(t *testing.T) {
+	s := New()
+	defer s.Shutdown()
+	const period = 100 * time.Millisecond
+	stormFired := 0
+	stormFn := func(any) { stormFired++ }
+	handles := map[int]Timer{}
+	var tick func(any)
+	arm := func(i int, d time.Duration) {
+		if i%5 == 0 {
+			handles[i] = s.AfterArg(d, tick, i)
+		} else {
+			s.ScheduleArg(d, tick, i)
+		}
+	}
+	tick = func(a any) { arm(a.(int), period) }
+	for i := range 500 {
+		arm(i, period+time.Duration(i)*time.Microsecond)
+	}
+	var storm []Timer
+	for i := range 60_000 {
+		d := time.Duration(i%1000) * time.Millisecond
+		if i%10 == 0 {
+			storm = append(storm, s.AfterArg(d, stormFn, nil))
+		} else {
+			s.ScheduleArg(d, stormFn, nil)
+		}
+	}
+	for i := 500; i < 1000; i++ {
+		arm(i, period+time.Duration(i)*time.Microsecond)
+	}
+	s.mu.Lock()
+	peak := cap(s.slab)
+	s.mu.Unlock()
+	s.RunFor(1200 * time.Millisecond)
+	if stormFired != 60_000 {
+		t.Fatalf("%d storm events fired, want 60000", stormFired)
+	}
+	s.mu.Lock()
+	live, slab, heap, free := len(s.heap), cap(s.slab), cap(s.heap), cap(s.free)
+	s.mu.Unlock()
+	t.Logf("slab %d slots at the peak; %d live after the drain: slab %d, heap %d, free %d", peak, live, slab, heap, free)
+	if limit := KeepLimit(live); live != 1000 || slab > limit || heap > limit || free > limit {
+		t.Fatalf("after the drain the slab holds %d, heap %d, free %d slots for %d live events, want 1000 live and ≤ %d",
+			slab, heap, free, live, limit)
+	}
+	for _, tm := range storm {
+		if tm.Stop() {
+			t.Fatal("Stop = true on a storm timer that fired")
+		}
+	}
+	for i, tm := range handles {
+		if !tm.Stop() {
+			t.Fatalf("Stop = false on periodic timer %d's pending round", i)
+		}
+	}
+	if got := s.PendingEvents(); got != 1000-len(handles) {
+		t.Fatalf("%d events pending after canceling %d of 1000, want %d", got, len(handles), 1000-len(handles))
 	}
 }
