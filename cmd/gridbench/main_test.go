@@ -70,26 +70,48 @@ func TestTable1CSV(t *testing.T) {
 	}
 }
 
-// TestConcSmokeMatchesGolden is CI's conc smoke in-process: two
-// contended batches must reproduce the committed golden byte for byte.
-func TestConcSmokeMatchesGolden(t *testing.T) {
+// matchesGolden runs gridbench in-process and fails unless its stdout
+// equals the named golden under internal/exp/testdata byte for byte and
+// its stderr starts with the first step's wall-time line.
+func matchesGolden(t *testing.T, golden, stderrPrefix string, args ...string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("boots worlds")
 	}
-	want, err := os.ReadFile("../../internal/exp/testdata/golden_conc.csv")
+	want, err := os.ReadFile("../../internal/exp/testdata/" + golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, stderr := gridbench(t, "-exp", "conc", "-grid", "synth:S=3,H=8", "-jobs", "1,2", "-n", "6", "-a", "spread", "-format", "csv")
+	code, stdout, stderr := gridbench(t, args...)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
 	if stdout != string(want) {
-		t.Fatalf("stdout differs from golden_conc.csv:\n got: %s\nwant: %s", stdout, want)
+		t.Fatalf("stdout differs from %s:\n got: %s\nwant: %s", golden, stdout, want)
 	}
-	if !strings.HasPrefix(stderr, "[conc/spread done in ") {
+	if !strings.HasPrefix(stderr, stderrPrefix) {
 		t.Fatalf("stderr %q, want the step's wall-time line", stderr)
 	}
+}
+
+// TestConcSmokeMatchesGolden is CI's conc smoke in-process: two
+// contended batches must reproduce the committed golden byte for byte.
+func TestConcSmokeMatchesGolden(t *testing.T) {
+	matchesGolden(t, "golden_conc.csv", "[conc/spread done in ",
+		"-exp", "conc", "-grid", "synth:S=3,H=8", "-jobs", "1,2", "-n", "6", "-a", "spread", "-format", "csv")
+}
+
+// TestPaperSmokeMatchesGolden pins the paper's Table 1 and Figures 2–4
+// at seed 42: -exp all must reproduce golden_paper.csv, which is the
+// same at any -workers.
+func TestPaperSmokeMatchesGolden(t *testing.T) {
+	matchesGolden(t, "golden_paper.csv", "[table1 done in ", "-exp", "all", "-format", "csv", "-workers", "4")
+}
+
+// TestScaleSmokeMatchesGolden: one small scale sweep over every
+// strategy must reproduce golden_scale.csv.
+func TestScaleSmokeMatchesGolden(t *testing.T) {
+	matchesGolden(t, "golden_scale.csv", "[scale done in ", "-exp", "scale", "-grid", "synth:S=3,H=8", "-n", "6", "-format", "csv")
 }
 
 // TestEstimatorsCSV: -exp estimators renders its points as a table or

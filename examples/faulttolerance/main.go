@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"p2pmpi"
@@ -17,6 +19,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	s := p2pmpi.NewScheduler()
 	defer s.Shutdown()
 
@@ -82,10 +90,10 @@ func main() {
 		}
 		s.Sleep(15 * time.Second) // discovery + latency measurement
 
-		fmt.Println("submitting: 3 ranks, replication degree 2 (6 processes)")
+		fmt.Fprintln(w, "submitting: 3 ranks, replication degree 2 (6 processes)")
 		s.Go("killer", func() {
 			s.Sleep(5 * time.Second) // mid-run: the processes sleep for 10s
-			fmt.Println("killing host h0 while the job runs...")
+			fmt.Fprintln(w, "killing host h0 while the job runs...")
 			net.FailHost("h0")
 		})
 		res, err = front.Submit(p2pmpi.JobSpec{
@@ -105,10 +113,10 @@ func main() {
 	})
 	s.Wait()
 	if err != nil {
-		log.Fatalf("job failed entirely: %v", err)
+		return fmt.Errorf("job failed entirely: %w", err)
 	}
 
-	fmt.Printf("\njob finished; per-replica outcomes:\n")
+	fmt.Fprintf(w, "\njob finished; per-replica outcomes:\n")
 	survivors := map[int]int{}
 	for _, r := range res.Results {
 		status := "LOST (host killed)"
@@ -116,12 +124,13 @@ func main() {
 			status = string(r.Output)
 			survivors[r.Rank]++
 		}
-		fmt.Printf("  rank %d replica %d: %s\n", r.Rank, r.Replica, status)
+		fmt.Fprintf(w, "  rank %d replica %d: %s\n", r.Rank, r.Replica, status)
 	}
 	for rank := 0; rank < 3; rank++ {
 		if survivors[rank] == 0 {
-			log.Fatalf("rank %d lost all replicas — replication failed", rank)
+			return fmt.Errorf("rank %d lost all replicas — replication failed", rank)
 		}
 	}
-	fmt.Println("\nevery rank kept at least one live replica: the application survives")
+	fmt.Fprintln(w, "\nevery rank kept at least one live replica: the application survives")
+	return nil
 }

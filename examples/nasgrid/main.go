@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"p2pmpi"
@@ -17,9 +19,15 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	const n = 8
 
-	fmt.Printf("NAS EP class %s on %d ranks (2^%d Gaussian pairs)\n",
+	fmt.Fprintf(w, "NAS EP class %s on %d ranks (2^%d Gaussian pairs)\n",
 		nas.EPClassW.Name, n, nas.EPClassW.M)
 	start := time.Now()
 	// Ranks listen on 31200+rank (EP) and 31300+rank (IS): below Linux's
@@ -41,14 +49,16 @@ func main() {
 				return err
 			}
 			if c.Rank() == 0 {
-				fmt.Printf("  sx=%.10e sy=%.10e — matches the NPB reference\n", sums[0], sums[1])
+				fmt.Fprintf(w, "  sx=%.10e sy=%.10e — matches the NPB reference\n", sums[0], sums[1])
 			}
 			return nil
 		})
-	check(errs)
-	fmt.Printf("  EP done in %.2fs\n\n", time.Since(start).Seconds())
+	if err := firstErr(errs); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  EP done in %.2fs\n\n", time.Since(start).Seconds())
 
-	fmt.Printf("NAS IS class %s on %d ranks (2^%d keys, %d iterations)\n",
+	fmt.Fprintf(w, "NAS IS class %s on %d ranks (2^%d keys, %d iterations)\n",
 		nas.ISClassS.Name, n, nas.ISClassS.TotalKeysLog2, nas.ISClassS.Iterations)
 	start = time.Now()
 	errs = p2pmpi.RunLocal(p2pmpi.RealRuntime(), p2pmpi.TCPNetwork(),
@@ -59,19 +69,23 @@ func main() {
 				return err
 			}
 			if c.Rank() == 0 {
-				fmt.Printf("  rank 0: %d of %d keys landed here, global offset %d — fully verified\n",
+				fmt.Fprintf(w, "  rank 0: %d of %d keys landed here, global offset %d — fully verified\n",
 					res.ReceivedKeys, res.TotalKeys, res.GlobalStart)
 			}
 			return nil
 		})
-	check(errs)
-	fmt.Printf("  IS done in %.2fs\n", time.Since(start).Seconds())
+	if err := firstErr(errs); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  IS done in %.2fs\n", time.Since(start).Seconds())
+	return nil
 }
 
-func check(errs []error) {
+func firstErr(errs []error) error {
 	for rank, err := range errs {
 		if err != nil {
-			log.Fatalf("rank %d: %v", rank, err)
+			return fmt.Errorf("rank %d: %w", rank, err)
 		}
 	}
+	return nil
 }

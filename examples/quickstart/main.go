@@ -7,14 +7,22 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"p2pmpi"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	const n = 4
-	fmt.Printf("quickstart: %d ranks over local TCP\n", n)
+	fmt.Fprintf(w, "quickstart: %d ranks over local TCP\n", n)
 
 	// Ranks listen on 31100+rank: below Linux's ephemeral range
 	// (32768–60999), where an outbound connection's source port can
@@ -35,9 +43,9 @@ func main() {
 				return err
 			}
 			if c.Rank() == 0 {
-				fmt.Printf("allreduce(1..%d) = %v\n", n, sum[0])
+				fmt.Fprintf(w, "allreduce(1..%d) = %v\n", n, sum[0])
 				for rank, d := range all {
-					fmt.Printf("  gathered[%d] = %s\n", rank, d.Bytes)
+					fmt.Fprintf(w, "  gathered[%d] = %s\n", rank, d.Bytes)
 				}
 			}
 			return nil
@@ -45,8 +53,9 @@ func main() {
 
 	for rank, err := range errs {
 		if err != nil {
-			log.Fatalf("rank %d failed: %v", rank, err)
+			return fmt.Errorf("rank %d failed: %w", rank, err)
 		}
 	}
-	fmt.Println("quickstart: all ranks finished")
+	fmt.Fprintln(w, "quickstart: all ranks finished")
+	return nil
 }

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 	"time"
 
@@ -17,15 +19,16 @@ import (
 )
 
 func main() {
-	fmt.Println("strategies: booting the simulated Grid'5000 (350 peers, 6 sites)...")
-	w := p2pmpi.NewSimulatedGrid(p2pmpi.DefaultWorldOptions(7))
-	if err := w.Boot(); err != nil {
-		log.Fatalf("boot: %v", err)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
-	for _, strategy := range []p2pmpi.Strategy{p2pmpi.Concentrate, p2pmpi.Spread, p2pmpi.Mixed} {
-		report(w, strategy, 250)
+}
+
+func run(out io.Writer) error {
+	fmt.Fprintln(out, "strategies: booting the simulated Grid'5000 (350 peers, 6 sites)...")
+	if err := compare(out, p2pmpi.DefaultWorldOptions(7), 250, p2pmpi.Concentrate, p2pmpi.Spread, p2pmpi.Mixed); err != nil {
+		return err
 	}
-	w.Close()
 
 	// Beyond the paper: the placement set holds more than the paper's
 	// strategies and the testbed is not pinned to Table 1. Boot a synthetic grid (8 sites x 25
@@ -34,24 +37,33 @@ func main() {
 	// hosts with minimal estimated pairwise RTT.
 	spec, err := p2pmpi.ParseTopologySpec("synth:S=8,H=25,C=2,seed=3")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	opts := p2pmpi.DefaultWorldOptions(7)
 	opts.Topology = spec
-	fmt.Printf("\nstrategies: booting a synthetic grid (%d peers, 8 sites)...\n", spec.TotalHosts())
-	fmt.Printf("registered strategies: %v\n", p2pmpi.PlacementNames())
-	sw := p2pmpi.NewSimulatedGrid(opts)
-	defer sw.Close()
-	if err := sw.Boot(); err != nil {
-		log.Fatalf("boot synthetic: %v", err)
+	fmt.Fprintf(out, "\nstrategies: booting a synthetic grid (%d peers, 8 sites)...\n", spec.TotalHosts())
+	fmt.Fprintf(out, "registered strategies: %v\n", p2pmpi.PlacementNames())
+	return compare(out, opts, 64, p2pmpi.Spread, p2pmpi.CommAware, p2pmpi.MinSites)
+}
+
+// compare boots the world opts describes and reports where each
+// strategy places one n-process job.
+func compare(out io.Writer, opts p2pmpi.WorldOptions, n int, strategies ...p2pmpi.Strategy) error {
+	w := p2pmpi.NewSimulatedGrid(opts)
+	defer w.Close()
+	if err := w.Boot(); err != nil {
+		return fmt.Errorf("boot: %w", err)
 	}
-	for _, strategy := range []p2pmpi.Strategy{p2pmpi.Spread, p2pmpi.CommAware, p2pmpi.MinSites} {
-		report(sw, strategy, 64)
+	for _, strategy := range strategies {
+		if err := report(out, w, strategy, n); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // report submits one n-process hostname job and prints the footprint.
-func report(w *p2pmpi.World, strategy p2pmpi.Strategy, n int) {
+func report(out io.Writer, w *p2pmpi.World, strategy p2pmpi.Strategy, n int) error {
 	res, err := w.Submit(p2pmpi.JobSpec{
 		Program:  "hostname",
 		N:        n,
@@ -60,9 +72,9 @@ func report(w *p2pmpi.World, strategy p2pmpi.Strategy, n int) {
 		Timeout:  5 * time.Minute,
 	})
 	if err != nil {
-		log.Fatalf("%v: %v", strategy, err)
+		return fmt.Errorf("%v: %w", strategy, err)
 	}
-	fmt.Printf("\n%-12s n=%d -> %d hosts used across %d site(s)\n",
+	fmt.Fprintf(out, "\n%-12s n=%d -> %d hosts used across %d site(s)\n",
 		strategy, n, res.Assignment.UsedHosts(), len(res.Assignment.HostsBySite()))
 	hosts := res.Assignment.HostsBySite()
 	procs := res.Assignment.ProcsBySite()
@@ -70,7 +82,7 @@ func report(w *p2pmpi.World, strategy p2pmpi.Strategy, n int) {
 		if hosts[site] == 0 {
 			continue
 		}
-		fmt.Printf("  %-10s %3d hosts, %3d processes\n", site, hosts[site], procs[site])
+		fmt.Fprintf(out, "  %-10s %3d hosts, %3d processes\n", site, hosts[site], procs[site])
 	}
 	// Show a few of the echoed host names.
 	var names []string
@@ -78,5 +90,6 @@ func report(w *p2pmpi.World, strategy p2pmpi.Strategy, n int) {
 		names = append(names, string(r.Output))
 	}
 	sort.Strings(names)
-	fmt.Printf("  first ranks ran on: %v ...\n", names)
+	fmt.Fprintf(out, "  first ranks ran on: %v ...\n", names)
+	return nil
 }

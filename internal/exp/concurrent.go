@@ -181,13 +181,7 @@ func ConcurrentJobs(opts Options, strategy core.Strategy, k int, cfg ConcurrentC
 // owns an independent world, so points run in parallel across a bounded
 // pool with byte-identical results to a sequential (workers = 1) run.
 func ConcurrentSweep(opts Options, strategy core.Strategy, ks []int, cfg ConcurrentConfig, workers int) ([]ConcurrentPoint, error) {
-	if ks == nil {
-		ks = DefaultConcurrentKs()
-	}
 	return sweep(ks, workers, func(k int) (ConcurrentPoint, error) {
 		return ConcurrentJobs(opts, strategy, k, cfg)
 	})
 }
-
-// DefaultConcurrentKs returns the K axis of the concurrent-jobs sweep.
-func DefaultConcurrentKs() []int { return []int{1, 2, 4, 8, 16} }

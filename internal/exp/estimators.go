@@ -32,7 +32,6 @@ func EstimatorStudy(opts Options, kinds []latency.Kind, rounds int) ([]Estimator
 	return sweep(kinds, 1, func(kind latency.Kind) (EstimatorPoint, error) {
 		o := opts
 		o.Estimator = kind
-		o.EstimatorWindow = 8
 		w := NewWorld(o)
 		defer w.Close()
 		if err := w.Boot(); err != nil {

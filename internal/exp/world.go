@@ -39,17 +39,10 @@ type Options struct {
 	// MPD pings periodically and the ranking noise between submissions
 	// comes from here.
 	FrontalPingInterval time.Duration
-	// PeerPingInterval is the probe period of compute peers. Only the
-	// submitter's measurements influence the experiments, so the harness
-	// keeps peers' own probing sparse to bound simulation cost.
-	PeerPingInterval time.Duration
-	// Cost calibrates the NAS virtual-time runs.
-	Cost nas.CostModel
 	// Estimator selects the submitter's latency estimator (default:
-	// KindLast, the paper's single-sample behaviour). Used by the
-	// estimator study.
-	Estimator       latency.Kind
-	EstimatorWindow int
+	// KindLast, the paper's single-sample behaviour; windowed kinds keep
+	// latency.New's 8 samples). Used by the estimator study.
+	Estimator latency.Kind
 	// MaxPeersReturned bounds the supernode's host-list replies (0 =
 	// unbounded). See overlay.SupernodeConfig.MaxPeersReturned.
 	MaxPeersReturned int
@@ -119,10 +112,13 @@ func DefaultOptions(seed int64) Options {
 	return Options{
 		Seed:                seed,
 		FrontalPingInterval: 20 * time.Second,
-		PeerPingInterval:    time.Hour,
-		Cost:                nas.DefaultCostModel(),
 	}
 }
+
+// peerPingInterval is the probe period of compute peers. Only the
+// submitter's measurements influence the experiments, so the harness
+// keeps peers' own probing sparse to bound simulation cost.
+const peerPingInterval = time.Hour
 
 // membershipDiet bounds a large world's membership traffic over long
 // horizons: every peer refresh and re-registration ships a host-list
@@ -186,9 +182,11 @@ type World struct {
 type snHost struct{ id, site string }
 
 // Programs returns the registry every peer runs: the paper's hostname
-// experiment, the Class-B NAS pattern programs, and spin (a
-// fixed-duration worker, the unit of work of the churn sweeps).
-func Programs(cost nas.CostModel) map[string]mpd.Program {
+// experiment, the Class-B NAS pattern programs under the harness's
+// calibration, and spin (a fixed-duration worker, the unit of work of
+// the churn sweeps).
+func Programs() map[string]mpd.Program {
+	cost := nas.DefaultCostModel()
 	return map[string]mpd.Program{
 		"hostname":   mpd.Hostname,
 		"spin":       mpd.Spin,
@@ -313,7 +311,7 @@ func NewWorld(opts Options) *World {
 	// historical behaviour so published figures replay byte-for-byte.
 	bootPing := !opts.Topology.IsSynthetic()
 
-	programs := Programs(opts.Cost)
+	programs := Programs()
 	w.Frontal = mpd.New(w.S, net.Node(frontalID), mpd.Config{
 		Self: proto.PeerInfo{
 			ID: frontalID, Site: g.Origin,
@@ -327,7 +325,6 @@ func NewWorld(opts Options) *World {
 			Programs:         programs,
 			PingInterval:     opts.FrontalPingInterval,
 			Estimator:        opts.Estimator,
-			EstimatorWindow:  opts.EstimatorWindow,
 			NoBootPing:       !bootPing,
 			Intern:           intern,
 			RPCRetries:       opts.RPCRetries,
@@ -351,7 +348,7 @@ func NewWorld(opts Options) *World {
 		Federation:       w.SNAddrs, // every daemon computes its own home shard
 		AliveInterval:    opts.PeerAliveInterval,
 		Programs:         programs,
-		PingInterval:     opts.PeerPingInterval,
+		PingInterval:     peerPingInterval,
 		RefreshInterval:  opts.PeerRefreshInterval,
 		NoBootPing:       !bootPing,
 		Intern:           intern,

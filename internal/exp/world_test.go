@@ -10,7 +10,6 @@ import (
 	"p2pmpi/internal/faults"
 	"p2pmpi/internal/grid"
 	"p2pmpi/internal/mpd"
-	"p2pmpi/internal/nas"
 )
 
 func TestWorldConstruction(t *testing.T) {
@@ -31,11 +30,33 @@ func TestWorldConstruction(t *testing.T) {
 }
 
 func TestProgramsRegistry(t *testing.T) {
-	progs := Programs(nas.DefaultCostModel())
+	progs := Programs()
 	for _, name := range []string{"hostname", "ep-model-B", "is-model-B"} {
 		if progs[name] == nil {
 			t.Fatalf("program %q missing", name)
 		}
+	}
+}
+
+// TestMembershipDiet: the host-list bound is four booking fan-outs with
+// a floor of 512, peers refresh hourly and keep two cache entries, and
+// a knob the caller already set wins.
+func TestMembershipDiet(t *testing.T) {
+	for _, c := range []struct {
+		fanout, maxPeers int
+	}{{6, 512}, {1000, 4 * 1202}} {
+		o := DefaultOptions(1)
+		o.membershipDiet(c.fanout)
+		if o.MaxPeersReturned != c.maxPeers || o.PeerRefreshInterval != time.Hour || o.PeerCacheCap != 2 {
+			t.Errorf("fan-out %d: MaxPeersReturned %d, PeerRefreshInterval %v, PeerCacheCap %d; want %d, 1h, 2",
+				c.fanout, o.MaxPeersReturned, o.PeerRefreshInterval, o.PeerCacheCap, c.maxPeers)
+		}
+	}
+	o := DefaultOptions(1)
+	o.MaxPeersReturned, o.PeerRefreshInterval, o.PeerCacheCap = 7, time.Minute, 5
+	o.membershipDiet(1000)
+	if o.MaxPeersReturned != 7 || o.PeerRefreshInterval != time.Minute || o.PeerCacheCap != 5 {
+		t.Errorf("caller's knobs overwritten: %d, %v, %d", o.MaxPeersReturned, o.PeerRefreshInterval, o.PeerCacheCap)
 	}
 }
 

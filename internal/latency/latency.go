@@ -9,7 +9,7 @@
 // future work. This package therefore ships a family of estimators
 // (last sample, sliding mean, EWMA, sliding median, sliding minimum) and
 // a ranking-quality harness (Kendall tau against the true latency order)
-// used by the ablation benchmarks.
+// used by the estimator study (exp.EstimatorStudy).
 package latency
 
 import (

@@ -173,9 +173,9 @@ type Shared struct {
 	StartTimeout    time.Duration // launch phase-two timeout (10s)
 
 	// Estimator selects how ping samples become the ordering latency
-	// (KindLast, the paper's behaviour).
-	Estimator       latency.Kind
-	EstimatorWindow int
+	// (KindLast, the paper's behaviour; windowed kinds keep
+	// latency.New's 8 samples).
+	Estimator latency.Kind
 	// ProcBasePort is the first port used by launched processes (41000):
 	// slot g of a job listens on ProcBasePort+g on its host. A real
 	// deployment should pick a base below the OS ephemeral port range
@@ -362,7 +362,7 @@ func New(rt vtime.Runtime, net transport.Network, cfg Config) *MPD {
 		rt:    rt,
 		net:   net,
 		cfg:   cfg,
-		cache: overlay.NewCache(cfg.Self.ID, cfg.Estimator, cfg.EstimatorWindow),
+		cache: overlay.NewCache(cfg.Self.ID, cfg.Estimator, 0),
 	}
 	m.cache.SetInterner(cfg.Intern)
 	if cfg.PeerCacheCap > 0 {

@@ -301,28 +301,57 @@ func TestMPIProgramAcrossHosts(t *testing.T) {
 	}
 }
 
+// TestReplicatedJob: every process of a replicated job reports and no
+// two replicas of one rank share a host, up to R = 3 and for an MPI
+// program whose replicas all join the allreduce. hostname's output is
+// where each replica ran; echorank's names no host, so its row checks
+// the submitter's assignment instead.
 func TestReplicatedJob(t *testing.T) {
-	tb := newTestbed(t, 4, 2, 2)
-	tb.boot(t)
-	defer tb.close()
-
-	res, err := tb.submit(t, JobSpec{
-		Program: "hostname", N: 3, R: 2, Strategy: core.Spread,
-	})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if len(res.Results) != 6 || res.Failures() != 0 {
-		t.Fatalf("results: %+v", res.Results)
-	}
-	// No two replicas of one rank on the same host.
-	byRank := map[int][]string{}
-	for _, r := range res.Results {
-		byRank[r.Rank] = append(byRank[r.Rank], string(r.Output))
-	}
-	for rank, hosts := range byRank {
-		if len(hosts) != 2 || hosts[0] == hosts[1] {
-			t.Fatalf("rank %d replicas on %v", rank, hosts)
+	for _, c := range []struct {
+		program string
+		n, r    int
+		output  string // of each rank, a format of the rank; "" = the host it ran on
+	}{
+		{"hostname", 3, 2, ""},
+		{"echorank", 3, 3, "rank=%d sum=3"},
+	} {
+		tb := newTestbed(t, 4, 2, 2)
+		tb.boot(t)
+		res, err := tb.submit(t, JobSpec{
+			Program: c.program, N: c.n, R: c.r, Strategy: core.Spread,
+		})
+		tb.close()
+		if err != nil {
+			t.Fatalf("%s R=%d: submit: %v", c.program, c.r, err)
+		}
+		if len(res.Results) != c.n*c.r || res.Failures() != 0 {
+			t.Fatalf("%s R=%d: results: %+v", c.program, c.r, res.Results)
+		}
+		// No two replicas of one rank on the same host.
+		hosts := make([]map[string]bool, c.n)
+		for i := range hosts {
+			hosts[i] = map[string]bool{}
+		}
+		if c.output == "" {
+			for _, r := range res.Results {
+				hosts[r.Rank][string(r.Output)] = true
+			}
+		} else {
+			for _, r := range res.Results {
+				if want := fmt.Sprintf(c.output, r.Rank); string(r.Output) != want {
+					t.Errorf("%s R=%d: rank %d replica %d output %q, want %q", c.program, c.r, r.Rank, r.Replica, r.Output, want)
+				}
+			}
+			for i, procs := range res.Assignment.Procs {
+				for _, p := range procs {
+					hosts[p.Rank][res.Assignment.Hosts[i].ID] = true
+				}
+			}
+		}
+		for rank, on := range hosts {
+			if len(on) != c.r {
+				t.Errorf("%s R=%d: rank %d replicas on %d distinct hosts: %v", c.program, c.r, rank, len(on), on)
+			}
 		}
 	}
 }

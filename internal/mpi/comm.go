@@ -152,16 +152,6 @@ func (c *Comm) Size() int { return c.size }
 // Replica returns this process's replica index within its rank group.
 func (c *Comm) Replica() int { return c.cfg.Self.Replica }
 
-// IsLeader reports whether this replica currently transmits for its rank.
-func (c *Comm) IsLeader() bool {
-	if c.live == nil {
-		return true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.live.group.IsLeader()
-}
-
 // Close tears the communicator down: listener and connections at once,
 // the liveness chains at their next tick.
 func (c *Comm) Close() error {

@@ -211,16 +211,3 @@ func (c *Comm) ReduceF64(root int, vals []float64, op Op) ([]float64, error) {
 	}
 	return DecodeF64s(res.Bytes)
 }
-
-// BcastI64 broadcasts an int64 vector from root.
-func (c *Comm) BcastI64(root int, vals []int64) ([]int64, error) {
-	var d Data
-	if c.rank == root {
-		d = Data{Bytes: EncodeI64s(vals)}
-	}
-	res, err := c.Bcast(root, d)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeI64s(res.Bytes)
-}

@@ -66,9 +66,6 @@ type Data struct {
 	Virtual int64
 }
 
-// Size returns the modelled on-wire size of the data.
-func (d Data) Size() int64 { return int64(len(d.Bytes)) + d.Virtual }
-
 // Slot describes one process of the application: its logical rank, its
 // replica index, its job-wide slot number and where it listens. It is
 // the launch table's row as the Prepare frame carries it, so a hosting

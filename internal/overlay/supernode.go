@@ -355,9 +355,6 @@ func (s *Supernode) Addr() string {
 	return s.ln.Addr()
 }
 
-// Shard returns this member's shard index (0 when standalone).
-func (s *Supernode) Shard() int { return s.cfg.Shard }
-
 // PeerCount returns the number of peers registered directly with this
 // member (its owned shard; the full table when standalone).
 func (s *Supernode) PeerCount() int {

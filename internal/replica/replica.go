@@ -58,9 +58,6 @@ func newGroup(r, self int, failTimeout time.Duration, now time.Time) *Group {
 	return g
 }
 
-// Self returns this process's replica index (-1 for a monitor).
-func (g *Group) Self() int { return g.self }
-
 // HeartbeatFrom records a heartbeat observation from a replica. A
 // heartbeat resurrects a falsely suspected member (the detector is not
 // perfect; transmission-level dedup keeps that safe). Callers that

@@ -94,10 +94,6 @@ func (t *TDigest) Add(x float64) {
 // N returns the number of observations recorded.
 func (t *TDigest) N() int64 { return int64(t.n) + int64(len(t.buf)) }
 
-// Min and Max return the exact observed extremes (+Inf/−Inf when empty).
-func (t *TDigest) Min() float64 { return t.min }
-func (t *TDigest) Max() float64 { return t.max }
-
 // Centroids returns the processed centroid count (tests and sizing).
 func (t *TDigest) Centroids() int {
 	t.flush()

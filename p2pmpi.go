@@ -3,24 +3,22 @@
 // for Peer-to-Peer SuperComputing in P2P-MPI" (Genaud & Rattanapoka,
 // HPGC/IPDPS 2008).
 //
-// The package is a facade over the internal subsystems:
+// The package is a thin facade over the internal subsystems, and it
+// keeps only what the examples, the README walkthrough and the root
+// tests use:
 //
 //   - the placement strategies — the paper's co-allocation
 //     strategies (spread, concentrate), the mixed extension and the
-//     random/minsites/comm-aware policies — plus the replica-safe rank
+//     minsites/comm-aware policies — plus the replica-safe rank
 //     assignment (internal/core);
-//   - the P2P middleware: supernode, MPD daemons, reservation services
-//     and the full 8-step submission protocol (internal/overlay,
-//     internal/mpd, internal/reservation);
+//   - the P2P middleware: supernode and MPD daemons, which run the
+//     full 8-step submission protocol (internal/overlay, internal/mpd);
 //   - an MPJ-like MPI library with one fixed schedule per collective and
-//     transparent process replication (internal/mpi);
-//   - the NAS EP and IS kernels, both real and as calibrated
-//     virtual-time models (internal/nas);
+//     transparent process replication (internal/mpi), run in-process
+//     by RunLocal;
 //   - the modelled Grid'5000 testbed, synthetic grid topologies that
-//     scale worlds to thousands of hosts, and the experiment harness
-//     that regenerates every table and figure of the paper plus the
-//     beyond-the-paper concurrency and scale sweeps (internal/grid,
-//     internal/simnet, internal/exp).
+//     scale worlds to thousands of hosts, and the simulated deployment
+//     the experiment harness boots (internal/grid, internal/exp).
 //
 // Everything runs in two worlds from the same code: real TCP sockets on
 // a wall clock (vtime.Real + transport.TCP), or the deterministic
@@ -28,15 +26,12 @@
 package p2pmpi
 
 import (
-	"time"
-
 	"p2pmpi/internal/core"
 	"p2pmpi/internal/exp"
 	"p2pmpi/internal/grid"
 	"p2pmpi/internal/latency"
 	"p2pmpi/internal/mpd"
 	"p2pmpi/internal/mpi"
-	"p2pmpi/internal/nas"
 	"p2pmpi/internal/overlay"
 	"p2pmpi/internal/proto"
 	"p2pmpi/internal/transport"
@@ -47,12 +42,11 @@ import (
 // extensions); it is the lookup key of the placement set.
 type Strategy = core.Strategy
 
-// The built-in strategies.
+// The built-in strategies the examples and tests name.
 const (
 	Spread      = core.Spread
 	Concentrate = core.Concentrate
 	Mixed       = core.Mixed
-	Random      = core.Random
 	MinSites    = core.MinSites
 	CommAware   = core.CommAware
 )
@@ -61,19 +55,8 @@ const (
 // exactly the placement names (see PlacementNames).
 func ParseStrategy(name string) (Strategy, error) { return core.ParseStrategy(name) }
 
-// Placement is the placement-policy interface every strategy
-// implements (Name and Allocate).
-type Placement = core.Placement
-
-// LookupPlacement resolves a strategy name to its policy.
-func LookupPlacement(name string) (Placement, error) { return core.Lookup(name) }
-
 // PlacementNames lists every strategy name in sorted order.
 func PlacementNames() []string { return core.Names() }
-
-// Strategies returns every strategy, for ranging in
-// experiments and tools.
-func Strategies() []Strategy { return core.Strategies() }
 
 // Allocation core: exported for direct use of the paper's algorithms.
 type (
@@ -81,8 +64,6 @@ type (
 	HostSlot = core.HostSlot
 	// Assignment is a computed process placement.
 	Assignment = core.Assignment
-	// Proc is one (rank, replica) pair on a host.
-	Proc = core.Proc
 )
 
 // Allocate distributes n×r processes over the selected hosts with the
@@ -112,8 +93,6 @@ type (
 	// MPDShared is the deployment-invariant half of MPDConfig; one
 	// block may back every daemon of a deployment.
 	MPDShared = mpd.Shared
-	// HostProfile models host hardware for virtual-time runs.
-	HostProfile = mpd.HostProfile
 	// PeerInfo identifies a peer and its service addresses.
 	PeerInfo = proto.PeerInfo
 	// Supernode is the bootstrap/membership daemon — standalone, or one
@@ -121,15 +100,7 @@ type (
 	Supernode = overlay.Supernode
 	// SupernodeConfig configures a supernode.
 	SupernodeConfig = overlay.SupernodeConfig
-	// SupernodeStats counts a supernode's membership-plane work
-	// (gossip exchanges, fostered/redirected registrations, staleness).
-	SupernodeStats = overlay.SupernodeStats
 )
-
-// ShardAssign returns a host's home shard in a K-shard supernode
-// federation: rendezvous hashing, the same function daemons and
-// supernodes compute independently.
-func ShardAssign(hostID string, k int) int { return overlay.ShardAssign(hostID, k) }
 
 // NewMPD creates an MPD daemon over the given runtime and network.
 func NewMPD(rt vtime.Runtime, net transport.Network, cfg MPDConfig) *MPD {
@@ -141,34 +112,16 @@ func NewSupernode(rt vtime.Runtime, net transport.Network, cfg SupernodeConfig) 
 	return overlay.NewSupernode(rt, net, cfg)
 }
 
-// Hostname is the paper's experiment program: each process echoes the
-// name of the host it runs on.
-func Hostname(env *Env) error { return mpd.Hostname(env) }
-
 // MPI library surface.
 type (
 	// Comm is a per-process communicator.
 	Comm = mpi.Comm
-	// CommConfig configures a process's communicator.
-	CommConfig = mpi.Config
 	// Data is a message body (bytes and/or modelled size).
 	Data = mpi.Data
-	// Slot locates one process in the application.
-	Slot = mpi.Slot
 )
 
-// MPI wildcards and operators.
-const (
-	AnySource = mpi.AnySource
-	AnyTag    = mpi.AnyTag
-	OpSum     = mpi.OpSum
-	OpMax     = mpi.OpMax
-	OpMin     = mpi.OpMin
-	OpProd    = mpi.OpProd
-)
-
-// Join brings a process into an application world.
-func Join(cfg CommConfig) (*Comm, error) { return mpi.Join(cfg) }
+// OpSum is the summing reduction operator.
+const OpSum = mpi.OpSum
 
 // RunLocal executes fn as n in-process MPI ranks — the quickest way to
 // use the MPI library without the middleware. Each collective runs one
@@ -198,7 +151,7 @@ func NewScheduler() *Scheduler { return vtime.New() }
 // TCPNetwork returns the real TCP transport.
 func TCPNetwork() Network { return transport.TCP{} }
 
-// Grid'5000 model, synthetic topologies and the experiment harness.
+// Grid'5000 model, synthetic topologies and the simulated deployment.
 type (
 	// Grid is a testbed model: Table 1 or a generated topology.
 	Grid = grid.Grid
@@ -215,9 +168,6 @@ type (
 // Grid5000 builds the paper's Table 1 testbed model.
 func Grid5000() *Grid { return grid.Grid5000() }
 
-// SyntheticGrid generates a testbed from a synthetic topology spec.
-func SyntheticGrid(spec TopologySpec) *Grid { return grid.Synthetic(spec) }
-
 // ParseTopologySpec parses a -grid style topology string ("grid5000" or
 // "synth:S=12,H=400,C=2,seed=7").
 func ParseTopologySpec(s string) (TopologySpec, error) { return grid.ParseTopologySpec(s) }
@@ -231,54 +181,15 @@ func NewSimulatedGrid(opts WorldOptions) *World { return exp.NewWorld(opts) }
 // DefaultWorldOptions returns the harness defaults for a seed.
 func DefaultWorldOptions(seed int64) WorldOptions { return exp.DefaultOptions(seed) }
 
-// Spin is the built-in fixed-duration program ("spin 90" runs each
-// process for 90 virtual seconds) used by the churn experiments.
-func Spin(env *Env) error { return mpd.Spin(env) }
-
-// NAS benchmark surface.
-type (
-	// EPClass and ISClass parameterize the kernels.
-	EPClass = nas.EPClass
-	ISClass = nas.ISClass
-)
-
-// NAS program constructors (real kernels, verified against NPB).
-func EPProgram(cls EPClass) Program { return nas.EPProgram(cls) }
-
-// ISProgram returns the real IS benchmark program.
-func ISProgram(cls ISClass) Program { return nas.ISProgram(cls) }
-
-// NAS classes evaluated by the paper.
-var (
-	EPClassS = nas.EPClassS
-	EPClassW = nas.EPClassW
-	EPClassA = nas.EPClassA
-	EPClassB = nas.EPClassB
-	ISClassS = nas.ISClassS
-	ISClassW = nas.ISClassW
-	ISClassA = nas.ISClassA
-	ISClassB = nas.ISClassB
-)
-
-// Latency estimators (the paper's future-work study).
+// LatencyEstimator condenses ping samples into one latency (the paper's
+// future-work study).
 type LatencyEstimator = latency.Estimator
 
-// Estimator kinds.
-const (
-	EstimatorLast   = latency.KindLast
-	EstimatorMean   = latency.KindMean
-	EstimatorEWMA   = latency.KindEWMA
-	EstimatorMedian = latency.KindMedian
-	EstimatorMin    = latency.KindMin
-)
+// EstimatorEWMA is the exponentially weighted moving-average estimator
+// kind.
+const EstimatorEWMA = latency.KindEWMA
 
 // NewLatencyEstimator constructs an estimator of the given kind.
 func NewLatencyEstimator(kind latency.Kind, window int) (LatencyEstimator, error) {
 	return latency.New(kind, window)
 }
-
-// Version is the release tag of this reproduction.
-const Version = "1.0.0"
-
-// DefaultJobTimeout bounds a submission when JobSpec.Timeout is zero.
-const DefaultJobTimeout = 5 * time.Minute
