@@ -71,14 +71,18 @@
 // site, seeded inter-site RTT distribution; see grid.ParseTopologySpec)
 // and measures every placement strategy at every -hosts world
 // size, reporting completion time, allocation footprint and
-// reservation-conflict rate per (strategy, size) point as CSV with
-// -format csv. -a selects a strategy subset ("all" by default; any
+// reservation-conflict rate per (strategy, size) point. -a selects a strategy subset ("all" by default; any
 // comma-separated strategy names, e.g. -a comm-aware,minsites). -sn
 // adds the membership-tier axis: each K boots a federation of K
 // gossiping supernode shards (registration latency, gossip staleness
 // and membership bytes join the CSV columns), which is what pushes the
 // sweeps into the 50k-host regime — a single supernode's O(world)
 // replies saturate long before the simulation core does.
+//
+// Every step builds one sheet of cells (exp.Sheet): -format csv prints
+// them comma-separated, and the default -format table prints the
+// step's title and then the same cells aligned, one column per CSV
+// header field.
 //
 // Experiments built from independent worlds (fig4's two strategy
 // worlds, every conc sweep point) run across a -workers wide pool;

@@ -42,35 +42,36 @@ type experiment struct {
 	plan func(p *params) []step
 }
 
-// step is one timed unit of an experiment: it measures, and renders
-// the result both as a table and as CSV; -format picks one. An empty
-// name is the experiment's.
+// step is one timed unit of an experiment: it measures and builds one
+// sheet, which -format prints as CSV or as a table under title. An
+// empty name is the experiment's.
 type step struct {
-	name string
-	run  func() (table, csv string, err error)
+	name, title string
+	run         func() (exp.Sheet, error)
 }
 
 // experiments lists every -exp value; the paper's figures come first,
 // in the order -exp all runs them.
 var experiments = []experiment{
 	{"table1", figure, func(*params) []step {
-		return []step{{run: func() (string, string, error) { return exp.RenderTable1(), exp.Table1CSV(), nil }}}
+		return []step{{title: "Table 1. Characteristics of available computing resources",
+			run: func() (exp.Sheet, error) { return exp.Table1Sheet(), nil }}}
 	}},
 	{"fig2", figure, func(p *params) []step {
-		return []step{measure("Figure 2: concentrate — allocated hosts/cores per site", exp.RenderSitePoints, exp.SitePointsCSV,
-			func() ([]exp.SitePoint, error) { return exp.Fig2(p.opts, nil) })}
+		return []step{measure("Figure 2: concentrate — allocated hosts/cores per site", exp.SiteSheet,
+			func() ([]exp.SitePoint, error) { return exp.Fig2(p.opts) })}
 	}},
 	{"fig3", figure, func(p *params) []step {
-		return []step{measure("Figure 3: spread — allocated hosts/cores per site", exp.RenderSitePoints, exp.SitePointsCSV,
-			func() ([]exp.SitePoint, error) { return exp.Fig3(p.opts, nil) })}
+		return []step{measure("Figure 3: spread — allocated hosts/cores per site", exp.SiteSheet,
+			func() ([]exp.SitePoint, error) { return exp.Fig3(p.opts) })}
 	}},
 	{"fig4ep", figure, func(p *params) []step {
-		return []step{measure("Figure 4 (left): EP CLASS B total time", exp.RenderTimePoints, exp.TimePointsCSV,
-			func() ([]exp.TimePoint, error) { return exp.Fig4EP(p.opts, nil, p.workers) })}
+		return []step{measure("Figure 4 (left): EP CLASS B total time", exp.TimeSheet,
+			func() ([]exp.TimePoint, error) { return exp.Fig4EP(p.opts, p.workers) })}
 	}},
 	{"fig4is", figure, func(p *params) []step {
-		return []step{measure("Figure 4 (right): IS CLASS B total time", exp.RenderTimePoints, exp.TimePointsCSV,
-			func() ([]exp.TimePoint, error) { return exp.Fig4IS(p.opts, nil, p.workers) })}
+		return []step{measure("Figure 4 (right): IS CLASS B total time", exp.TimeSheet,
+			func() ([]exp.TimePoint, error) { return exp.Fig4IS(p.opts, p.workers) })}
 	}},
 	{"conc", family, planConc},
 	{"scale", snSweep, planScale},
@@ -254,26 +255,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, s := range steps {
 		start := time.Now()
-		table, csv, err := s.run()
+		sheet, err := s.run()
 		if err != nil {
 			fmt.Fprintf(stderr, "gridbench: %s: %v\n", s.name, err)
 			return 1
 		}
+		out := sheet.Table(s.title)
 		if p.format == "csv" {
-			table = csv
+			out = sheet.CSV()
 		}
-		fmt.Fprint(stdout, table)
+		fmt.Fprint(stdout, out)
 		fmt.Fprintf(stderr, "[%s done in %.1fs wall]\n\n", s.name, time.Since(start).Seconds())
 	}
 	return 0
 }
 
-// measure is a step that runs sweep and renders its points as a table
-// under title, or as CSV.
-func measure[P any](title string, table func(string, []P) string, csv func([]P) string, sweep func() ([]P, error)) step {
-	return step{run: func() (string, string, error) {
+// measure is a step that runs sweep and builds the sheet of its points.
+func measure[P any](title string, sheet func([]P) exp.Sheet, sweep func() ([]P, error)) step {
+	return step{title: title, run: func() (exp.Sheet, error) {
 		pts, err := sweep()
-		return table(title, pts), csv(pts), err
+		return sheet(pts), err
 	}}
 }
 
@@ -283,7 +284,7 @@ func planConc(p *params) []step {
 	cfg := exp.ConcurrentConfig{N: p.n, R: p.r}
 	var steps []step
 	for _, st := range p.strategies {
-		s := measure(fmt.Sprintf("Concurrent jobs — %s, n=%d r=%d", st, p.n, p.r), exp.RenderConcurrentPoints, exp.ConcurrentPointsCSV,
+		s := measure(fmt.Sprintf("Concurrent jobs — %s, n=%d r=%d", st, p.n, p.r), exp.ConcurrentSheet,
 			func() ([]exp.ConcurrentPoint, error) { return exp.ConcurrentSweep(p.topoOpts, st, ks, cfg, p.workers) })
 		s.name = "conc/" + st.String()
 		steps = append(steps, s)
@@ -296,13 +297,13 @@ func planScale(p *params) []step {
 	if p.hosts != "" {
 		cfg.HostCounts = list(p, "hosts", p.hosts, parseK)
 	}
-	csv := func(pts []exp.ScalePoint) string {
+	sheet := func(pts []exp.ScalePoint) exp.Sheet {
 		if len(p.snAxis) > 1 || slices.ContainsFunc(pts, func(pt exp.ScalePoint) bool { return pt.SN > 1 }) {
-			return exp.FederationPointsCSV(pts)
+			return exp.FederationSheet(pts)
 		}
-		return exp.ScalePointsCSV(pts)
+		return exp.ScaleSheet(pts)
 	}
-	return []step{measure(fmt.Sprintf("Scale sweep — %s, n=%d r=%d", p.topo, p.n, p.r), exp.RenderScalePoints, csv,
+	return []step{measure(fmt.Sprintf("Scale sweep — %s, n=%d r=%d", p.topo, p.n, p.r), sheet,
 		func() ([]exp.ScalePoint, error) { return exp.ScaleSweep(p.opts, cfg, p.workers) })}
 }
 
@@ -347,7 +348,7 @@ func planOpen(p *params) []step {
 		cfg.Detect = p.dur1("detect", p.detect)
 	}
 	title := fmt.Sprintf("Open-system steady state — %s, %s, %d tenants, %v horizon", p.topo, spec, p.tenants, cfg.Duration)
-	return []step{measure(title, exp.RenderOpenPoints, exp.OpenPointsCSV,
+	return []step{measure(title, exp.OpenSheet,
 		func() ([]exp.OpenPoint, error) { return exp.OpenSweep(p.topoOpts, cfg, p.workers) })}
 }
 
@@ -383,7 +384,7 @@ func planChurn(p *params) []step {
 	cfg.Losses, cfg.PartDurs = []float64{0}, []time.Duration{0}
 	cfg.RPCRetries = -1
 	title := fmt.Sprintf("Churn sweep — %s, n=%d, %d jobs/point, %gs jobs, mttr=%s", p.topo, p.n, p.cjobs, p.dur, cfg.Faults.MTTR)
-	return []step{measure(title, exp.RenderChurnPoints, exp.ChurnPointsCSV,
+	return []step{measure(title, exp.ChurnSheet,
 		func() ([]exp.NemesisPoint, error) { return exp.NemesisSweep(p.topoOpts, cfg, p.workers) })}
 }
 
@@ -411,14 +412,15 @@ func planNemesis(p *params) []step {
 	if p.mtbf != "" {
 		cfg.MTBFs = []time.Duration{p.dur1("mtbf", p.mtbf)}
 	}
-	csv := func(pts []exp.NemesisPoint) string {
-		if len(pts) > 0 && pts[0].SN > 1 { // the federation columns follow as a second CSV
-			return exp.NemesisPointsCSV(pts) + "\n" + exp.NemesisFederationCSV(pts)
+	sheet := func(pts []exp.NemesisPoint) exp.Sheet {
+		s := exp.NemesisSheet(pts)
+		if len(pts) > 0 && pts[0].SN > 1 { // the federation columns follow as a second block
+			s = append(append(s, nil), exp.NemesisFederationSheet(pts)...)
 		}
-		return exp.NemesisPointsCSV(pts)
+		return s
 	}
 	title := fmt.Sprintf("Network nemesis — %s, n=%d r=%d, %d jobs/point, %gs jobs", p.topo, p.n, p.r, p.cjobs, p.dur)
-	return []step{measure(title, exp.RenderNemesisPoints, csv,
+	return []step{measure(title, sheet,
 		func() ([]exp.NemesisPoint, error) { return exp.NemesisSweep(p.topoOpts, cfg, p.workers) })}
 }
 
@@ -427,9 +429,9 @@ func planEstimators(p *params) []step {
 	return []step{estimatorStep(func() ([]exp.EstimatorPoint, error) { return exp.EstimatorStudy(p.opts, nil, 4) })}
 }
 
-// estimatorStep renders the points study returns.
+// estimatorStep builds the sheet of the points study returns.
 func estimatorStep(study func() ([]exp.EstimatorPoint, error)) step {
-	return measure("Estimator study: booking-order quality after 4 probe rounds", exp.RenderEstimatorPoints, exp.EstimatorPointsCSV, study)
+	return measure("Estimator study: booking-order quality after 4 probe rounds", exp.EstimatorSheet, study)
 }
 
 // check records err as the bad value of flag name, unless an earlier

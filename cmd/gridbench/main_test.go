@@ -114,22 +114,136 @@ func TestScaleSmokeMatchesGolden(t *testing.T) {
 	matchesGolden(t, "golden_scale.csv", "[scale done in ", "-exp", "scale", "-grid", "synth:S=3,H=8", "-n", "6", "-format", "csv")
 }
 
-// TestEstimatorsCSV: -exp estimators renders its points as a table or
-// as kind,rounds,tau CSV (it once printed the table for both).
+// TestChurnSmokeMatchesGolden: one tiny survivability sweep; the
+// nemesis preset must reproduce golden_churn.csv.
+func TestChurnSmokeMatchesGolden(t *testing.T) {
+	matchesGolden(t, "golden_churn.csv", "[churn done in ", "-exp", "churn", "-grid", "synth:S=3,H=8", "-mtbf", "300",
+		"-R", "1,2", "-a", "spread", "-cjobs", "3", "-n", "6", "-dur", "40", "-format", "csv")
+}
+
+// openSmoke is a diurnal multi-tenant steady state with deadlines;
+// golden_open.csv pins its CSV.
+var openSmoke = []string{"-exp", "open", "-grid", "synth:S=3,H=8", "-seed", "42",
+	"-arrival", "diurnal:peak=0.05,trough=0.01,period=30m,maintevery=15m,maintdur=90s",
+	"-tenants", "3", "-skew", "1", "-prilevels", "2", "-duration", "40m", "-nmin", "2", "-nmax", "8",
+	"-durmin", "15", "-durmax", "120", "-inflight", "4", "-deadline", "8,4", "-warmup", "auto", "-a", "concentrate,spread"}
+
+// TestOpenSmokeMatchesGolden: the open system end to end must
+// reproduce golden_open.csv.
+func TestOpenSmokeMatchesGolden(t *testing.T) {
+	matchesGolden(t, "golden_open.csv", "[open done in ", append(openSmoke, "-format", "csv")...)
+}
+
+// TestSLOSmokeMatchesGolden: quotas, preemption and deadlines on an
+// inverted-skew federated tenancy must reproduce golden_slo.csv.
+func TestSLOSmokeMatchesGolden(t *testing.T) {
+	matchesGolden(t, "golden_slo.csv", "[open done in ", "-exp", "open", "-grid", "synth:S=3,H=8", "-seed", "7", "-sn", "4",
+		"-arrival", "weekly:peak=0.1,trough=0.025,period=70m", "-tenants", "3", "-skew", "-1", "-prilevels", "2",
+		"-duration", "50m", "-nmin", "4", "-nmax", "16", "-durmin", "30", "-durmax", "240", "-inflight", "8",
+		"-quota", "8", "-quotaburst", "300", "-preempt", "-deadline", "6,3", "-a", "concentrate,spread", "-format", "csv")
+}
+
+// tableCells reads a -format table output back as CSV: after the title
+// line, it cuts each line at the columns where its block's header
+// fields start and joins the cells with commas; an empty line ends a
+// block.
+func tableCells(t *testing.T, table, title string) string {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(table, "\n"), "\n")
+	if lines[0] != title {
+		t.Fatalf("table starts %q, want the title %q", lines[0], title)
+	}
+	var b strings.Builder
+	var starts []int // the header's column offsets; nil before a header
+	for _, l := range lines[1:] {
+		if l == "" {
+			starts = nil
+			b.WriteString("\n")
+			continue
+		}
+		if starts == nil {
+			for i := range l {
+				if l[i] != ' ' && (i == 0 || l[i-1] == ' ') {
+					starts = append(starts, i)
+				}
+			}
+		}
+		cells := make([]string, len(starts))
+		for j, st := range starts {
+			end := len(l)
+			if j+1 < len(starts) {
+				end = min(starts[j+1], end)
+			}
+			cells[j] = strings.TrimRight(l[min(st, end):end], " ")
+		}
+		b.WriteString(strings.Join(cells, ",") + "\n")
+	}
+	return b.String()
+}
+
+// TestTableIsTheCSVCells: -format table prints the step's title and
+// then exactly the CSV's cells, one column per header field — Table 1
+// (cells with spaces), the open smoke (an arrival cell with commas) and
+// the nemesis smoke at -sn 4 (two blocks).
+func TestTableIsTheCSVCells(t *testing.T) {
+	golden := func(name string) string {
+		b, err := os.ReadFile("../../internal/exp/testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, c := range []struct {
+		title string
+		csv   func() string // the CSV the table must hold
+		args  []string
+	}{
+		{"Table 1. Characteristics of available computing resources", func() string { return exp.Table1Sheet().CSV() },
+			[]string{"-exp", "table1"}},
+		{"Open-system steady state — synth:S=3,H=8,C=2,seed=1,rttmin=5ms,rttmax=25ms, " +
+			"diurnal:peak=0.05,trough=0.01,period=30m0s,maintevery=15m0s,maintdur=1m30s, 3 tenants, 40m0s horizon",
+			func() string { return golden("golden_open.csv") }, openSmoke},
+		{"Network nemesis — synth:S=3,H=8,C=2,seed=1,rttmin=5ms,rttmax=25ms, n=6 r=2, 4 jobs/point, 60s jobs", nil,
+			[]string{"-exp", "nemesis", "-grid", "synth:S=3,H=8", "-faults", "part:mtbf=90", "-loss", "0.2",
+				"-partdur", "40", "-n", "6", "-r", "2", "-cjobs", "4", "-dur", "60", "-sn", "4"}},
+	} {
+		if testing.Short() && c.args[1] != "table1" {
+			continue // boots worlds
+		}
+		code, table, stderr := gridbench(t, c.args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", c.args, code, stderr)
+		}
+		var want string
+		if c.csv != nil {
+			want = c.csv()
+		} else {
+			_, want, _ = gridbench(t, append(c.args, "-format", "csv")...)
+		}
+		if got := tableCells(t, table, c.title); got != want {
+			t.Errorf("%v: the table's cells\n%s\ndiffer from the CSV\n%s", c.args, got, want)
+		}
+	}
+}
+
+// TestEstimatorsCSV: -exp estimators prints its points as
+// kind,rounds,tau CSV, or as the same cells aligned under its title (it
+// once printed the table for both).
 func TestEstimatorsCSV(t *testing.T) {
 	pts := []exp.EstimatorPoint{{Kind: latency.KindLast, Rounds: 4, Tau: 0.61234}, {Kind: latency.KindEWMA, Rounds: 4, Tau: -0.05}}
-	table, csv, err := estimatorStep(func() ([]exp.EstimatorPoint, error) { return pts, nil }).run()
+	s := estimatorStep(func() ([]exp.EstimatorPoint, error) { return pts, nil })
+	sheet, err := s.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "kind,rounds,tau\nlast,4,0.6123\newma,4,-0.0500\n"; csv != want {
-		t.Errorf("csv:\n%s\nwant:\n%s", csv, want)
+	if want := "kind,rounds,tau\nlast,4,0.6123\newma,4,-0.0500\n"; sheet.CSV() != want {
+		t.Errorf("csv:\n%s\nwant:\n%s", sheet.CSV(), want)
 	}
 	if want := "Estimator study: booking-order quality after 4 probe rounds\n" +
-		"kind      kendall-tau\n" +
-		"last           0.6123\n" +
-		"ewma          -0.0500\n"; table != want {
-		t.Errorf("table:\n%s\nwant:\n%s", table, want)
+		"kind  rounds  tau\n" +
+		"last  4       0.6123\n" +
+		"ewma  4       -0.0500\n"; sheet.Table(s.title) != want {
+		t.Errorf("table:\n%s\nwant:\n%s", sheet.Table(s.title), want)
 	}
 }
 

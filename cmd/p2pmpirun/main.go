@@ -33,6 +33,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -50,52 +51,63 @@ import (
 	"p2pmpi/internal/vtime"
 )
 
-func main() {
-	n := flag.Int("n", 1, "number of MPI processes")
-	r := flag.Int("r", 1, "replication degree")
-	alloc := flag.String("a", "concentrate", "allocation strategy: "+strings.Join(core.Names(), "|"))
-	sim := flag.Bool("sim", false, "run against a simulated testbed (see -grid)")
-	gridSpec := flag.String("grid", "grid5000", "simulated testbed (with -sim): grid5000 or synth:S=12,H=400,...")
-	seed := flag.Int64("seed", 42, "simulation seed (with -sim)")
-	snCount := flag.Int("sn", 0, "supernode-federation width K (with -sim; 0 defers to the -grid spec's sn value, default 1)")
-	snAddr := flag.String("supernode", "127.0.0.1:8800", "supernode address (real mode)")
-	mpdAddr := flag.String("mpd", "127.0.0.1:9050", "ephemeral submitter MPD address (real mode)")
-	rsAddr := flag.String("rs", "127.0.0.1:9051", "ephemeral submitter RS address (real mode)")
-	timeout := flag.Duration("timeout", 5*time.Minute, "job timeout")
-	jobs := flag.Int("jobs", 1, "number of concurrent copies of the job")
-	mtbf := flag.Duration("mtbf", 0, "inject seeded host churn with this mean time between failures (with -sim; 0 disables)")
-	mttr := flag.Duration("mttr", time.Minute, "mean host repair time (with -mtbf)")
-	detect := flag.Duration("detect", 10*time.Second, "mid-run failure-detector probe period (with -mtbf)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: p2pmpirun -n N [-r R] [-a strategy] [-sim] prog [args...]")
-		os.Exit(2)
+// run is the command on args; it prints the job's output to stdout and
+// its progress and errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	n := fs.Int("n", 1, "number of MPI processes")
+	r := fs.Int("r", 1, "replication degree")
+	alloc := fs.String("a", "concentrate", "allocation strategy: "+strings.Join(core.Names(), "|"))
+	sim := fs.Bool("sim", false, "run against a simulated testbed (see -grid)")
+	gridSpec := fs.String("grid", "grid5000", "simulated testbed (with -sim): grid5000 or synth:S=12,H=400,...")
+	seed := fs.Int64("seed", 42, "simulation seed (with -sim)")
+	snCount := fs.Int("sn", 0, "supernode-federation width K (with -sim; 0 defers to the -grid spec's sn value, default 1)")
+	snAddr := fs.String("supernode", "127.0.0.1:8800", "supernode address (real mode)")
+	mpdAddr := fs.String("mpd", "127.0.0.1:9050", "ephemeral submitter MPD address (real mode)")
+	rsAddr := fs.String("rs", "127.0.0.1:9051", "ephemeral submitter RS address (real mode)")
+	timeout := fs.Duration("timeout", 5*time.Minute, "job timeout")
+	jobs := fs.Int("jobs", 1, "number of concurrent copies of the job")
+	mtbf := fs.Duration("mtbf", 0, "inject seeded host churn with this mean time between failures (with -sim; 0 disables)")
+	mttr := fs.Duration("mttr", time.Minute, "mean host repair time (with -mtbf)")
+	detect := fs.Duration("detect", 10*time.Second, "mid-run failure-detector probe period (with -mtbf)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+
+	if fs.NArg() < 1 {
+		fmt.Fprintln(stderr, "usage: p2pmpirun -n N [-r R] [-a strategy] [-sim] prog [args...]")
+		return 2
 	}
 	strategy, err := core.ParseStrategy(*alloc)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "p2pmpirun: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "p2pmpirun: %v\n", err)
+		return 2
 	}
 	topo, err := grid.ParseTopologySpec(*gridSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "p2pmpirun: -grid: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "p2pmpirun: -grid: %v\n", err)
+		return 2
 	}
 	if topo.IsSynthetic() && !*sim {
-		fmt.Fprintln(os.Stderr, "p2pmpirun: -grid selects a simulated testbed and requires -sim")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "p2pmpirun: -grid selects a simulated testbed and requires -sim")
+		return 2
 	}
 	if *mtbf > 0 && !*sim {
-		fmt.Fprintln(os.Stderr, "p2pmpirun: -mtbf (seeded churn injection) requires -sim")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "p2pmpirun: -mtbf (seeded churn injection) requires -sim")
+		return 2
 	}
 	opts := exp.DefaultOptions(*seed)
 	opts.Topology = topo
 	opts.Supernodes = *snCount
 	spec := mpd.JobSpec{
-		Program:  flag.Arg(0),
-		Args:     flag.Args()[1:],
+		Program:  fs.Arg(0),
+		Args:     fs.Args()[1:],
 		N:        *n,
 		R:        *r,
 		Strategy: strategy,
@@ -108,80 +120,80 @@ func main() {
 	}
 
 	if *jobs > 1 {
-		runConcurrent(spec, *jobs, *sim, opts, fc, *snAddr, *mpdAddr, *rsAddr)
-		return
+		var completed []*sched.Job
+		if *sim {
+			completed, err = onSim(stderr, opts, fc, func(w *exp.World) ([]*sched.Job, error) {
+				cfg := sched.Config{Seed: opts.Seed}
+				if fc.MTBF > 0 {
+					// Under churn, failure outcomes (a host dying between
+					// Acquire and launch, a rank losing every replica) are
+					// re-booked like contention — the same classifier the
+					// churn sweep uses.
+					cfg.IsContention = exp.ChurnRetryable
+				}
+				jobs, _, err := exp.RunJobs(w, spec, *jobs, cfg)
+				return jobs, err
+			})
+		} else {
+			completed, err = concurrentReal(spec, *jobs, *snAddr, *mpdAddr, *rsAddr)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "p2pmpirun: %v\n", err)
+			return 1
+		}
+		return printJobs(stdout, completed)
 	}
 
 	var res *mpd.JobResult
 	if *sim {
-		res, err = onSim(opts, fc, func(w *exp.World) (*mpd.JobResult, error) { return w.Submit(spec) })
+		res, err = onSim(stderr, opts, fc, func(w *exp.World) (*mpd.JobResult, error) { return w.Submit(spec) })
 	} else {
 		res, err = runReal(spec, *snAddr, *mpdAddr, *rsAddr)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "p2pmpirun: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "p2pmpirun: %v\n", err)
+		return 1
 	}
-	printResult(res)
+	printResult(stdout, res)
 	// Exit status follows the replication criterion: the job delivered
 	// iff every rank completed through at least one replica. Individual
 	// replica losses print as FAIL lines but do not fail a run the
 	// replication degree absorbed (with R=1 the two criteria coincide).
 	if res.LostRanks() > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// runConcurrent pushes K copies of the job through the multi-job
-// scheduler and prints per-job summaries plus contention totals.
-func runConcurrent(spec mpd.JobSpec, k int, sim bool, opts exp.Options, fc faults.Config, snAddr, mpdAddr, rsAddr string) {
-	var completed []*sched.Job
-	var err error
-	if sim {
-		completed, err = onSim(opts, fc, func(w *exp.World) ([]*sched.Job, error) {
-			cfg := sched.Config{Seed: opts.Seed}
-			if fc.MTBF > 0 {
-				// Under churn, failure outcomes (a host dying between
-				// Acquire and launch, a rank losing every replica) are
-				// re-booked like contention — the same classifier the
-				// churn sweep uses.
-				cfg.IsContention = exp.ChurnRetryable
-			}
-			jobs, _, err := exp.RunJobs(w, spec, k, cfg)
-			return jobs, err
-		})
-	} else {
-		completed, err = concurrentReal(spec, k, snAddr, mpdAddr, rsAddr)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "p2pmpirun: %v\n", err)
-		os.Exit(1)
-	}
+// printJobs prints one summary per job of a concurrent batch and the
+// completed count; the status is 1 if a job failed.
+func printJobs(w io.Writer, completed []*sched.Job) int {
 	failed := 0
 	for _, j := range completed {
 		if j.Err != nil {
 			failed++
-			fmt.Printf("job #%d FAILED after %d attempt(s): %v\n", j.ID, j.Attempts, j.Err)
+			fmt.Fprintf(w, "job #%d FAILED after %d attempt(s): %v\n", j.ID, j.Attempts, j.Err)
 			continue
 		}
 		sites := len(j.Result.Assignment.HostsBySite())
-		fmt.Printf("job #%d ok: %d procs on %d hosts across %d site(s), %v (attempts %d, lost races %d)\n",
+		fmt.Fprintf(w, "job #%d ok: %d procs on %d hosts across %d site(s), %v (attempts %d, lost races %d)\n",
 			j.ID, j.Result.Assignment.TotalProcs(), j.Result.Assignment.UsedHosts(),
 			sites, j.Latency().Round(time.Millisecond), j.Attempts, j.Conflicts)
 	}
-	fmt.Printf("%d/%d jobs completed\n", k-failed, k)
+	fmt.Fprintf(w, "%d/%d jobs completed\n", len(completed)-failed, len(completed))
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // onSim boots the modelled testbed, arms host churn when fc asks for
-// it, runs fn on the world in virtual time, and reports what the
+// it, runs fn on the world in virtual time, and reports to log what the
 // injection actually did.
-func onSim[T any](opts exp.Options, fc faults.Config, fn func(*exp.World) (T, error)) (T, error) {
+func onSim[T any](log io.Writer, opts exp.Options, fc faults.Config, fn func(*exp.World) (T, error)) (T, error) {
 	w := exp.NewWorld(opts)
 	defer w.Close()
-	fmt.Fprintf(os.Stderr, "p2pmpirun: booting the simulated %s testbed (%d peers)...\n",
+	fmt.Fprintf(log, "p2pmpirun: booting the simulated %s testbed (%d peers)...\n",
 		opts.Topology, len(w.Peers))
 	if err := w.Boot(); err != nil {
 		var zero T
@@ -189,13 +201,13 @@ func onSim[T any](opts exp.Options, fc faults.Config, fn func(*exp.World) (T, er
 	}
 	var d *faults.Driver
 	if fc.MTBF > 0 {
-		fmt.Fprintf(os.Stderr, "p2pmpirun: injecting churn (mtbf %s, mttr %s)\n", fc.MTBF, fc.MTTR)
+		fmt.Fprintf(log, "p2pmpirun: injecting churn (mtbf %s, mttr %s)\n", fc.MTBF, fc.MTTR)
 		d = w.StartChurn(fc)
 	}
 	res, err := fn(w)
 	if d != nil {
 		st := d.Stop()
-		fmt.Fprintf(os.Stderr, "p2pmpirun: churn injected %d host failures (%.1f%% host-time down)\n",
+		fmt.Fprintf(log, "p2pmpirun: churn injected %d host failures (%.1f%% host-time down)\n",
 			st.Failures, 100*st.DownFraction())
 	}
 	return res, err
@@ -254,12 +266,12 @@ func startSubmitter(snAddr, mpdAddr, rsAddr string) (*mpd.MPD, error) {
 	return submitter, nil
 }
 
-func printResult(res *mpd.JobResult) {
-	fmt.Printf("job %s finished in %v (%d processes", res.JobID, res.Duration.Round(time.Millisecond), len(res.Results))
+func printResult(w io.Writer, res *mpd.JobResult) {
+	fmt.Fprintf(w, "job %s finished in %v (%d processes", res.JobID, res.Duration.Round(time.Millisecond), len(res.Results))
 	if res.Failures() > 0 {
-		fmt.Printf(", %d FAILED", res.Failures())
+		fmt.Fprintf(w, ", %d FAILED", res.Failures())
 	}
-	fmt.Println(")")
+	fmt.Fprintln(w, ")")
 
 	hosts := res.Assignment.HostsBySite()
 	procs := res.Assignment.ProcsBySite()
@@ -269,7 +281,7 @@ func printResult(res *mpd.JobResult) {
 	}
 	sort.Strings(sites)
 	for _, s := range sites {
-		fmt.Printf("  site %-10s %3d hosts %4d processes\n", s, hosts[s], procs[s])
+		fmt.Fprintf(w, "  site %-10s %3d hosts %4d processes\n", s, hosts[s], procs[s])
 	}
 	for _, sr := range res.Results {
 		status := "ok"
@@ -280,6 +292,6 @@ func printResult(res *mpd.JobResult) {
 		if len(out) > 64 {
 			out = out[:61] + "..."
 		}
-		fmt.Printf("  rank %3d.%d [%s] %s\n", sr.Rank, sr.Replica, status, out)
+		fmt.Fprintf(w, "  rank %3d.%d [%s] %s\n", sr.Rank, sr.Replica, status, out)
 	}
 }

@@ -306,33 +306,6 @@ func TestTCPDialUnreachable(t *testing.T) {
 	}
 }
 
-func TestFacadeSurface(t *testing.T) {
-	// The facade aliases must interoperate with the internal packages.
-	g := Grid5000()
-	if g.TotalHosts() != 350 {
-		t.Fatal("facade grid broken")
-	}
-	slist := []HostSlot{{ID: "a", P: 2}, {ID: "b", P: 2}}
-	asg, err := Allocate(slist, 3, 1, Concentrate)
-	if err != nil || asg.TotalProcs() != 3 {
-		t.Fatalf("facade allocate: %v %+v", err, asg)
-	}
-	if _, err := ParseStrategy("spread"); err != nil {
-		t.Fatal(err)
-	}
-	if err := Feasible(slist, 10, 1); err == nil {
-		t.Fatal("feasible on 4 capacity for 10 procs")
-	}
-	est, err := NewLatencyEstimator(EstimatorEWMA, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est.Add(time.Millisecond)
-	if est.Estimate() != time.Millisecond {
-		t.Fatal("estimator broken")
-	}
-}
-
 func TestFacadeRunLocalRealTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")

@@ -52,7 +52,7 @@ func TestChurnPresetDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	csvSeq, csvPar := ChurnPointsCSV(sequential), ChurnPointsCSV(parallel)
+	csvSeq, csvPar := ChurnSheet(sequential).CSV(), ChurnSheet(parallel).CSV()
 	if csvSeq != csvPar {
 		t.Fatalf("churn sweep depends on worker count:\nworkers=1:\n%s\nworkers=4:\n%s", csvSeq, csvPar)
 	}
@@ -61,7 +61,7 @@ func TestChurnPresetDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ChurnPointsCSV(again) != csvSeq {
+	if ChurnSheet(again).CSV() != csvSeq {
 		t.Fatalf("churn sweep is not a pure function of its seed")
 	}
 }
@@ -121,7 +121,7 @@ func TestChurnPointsCSVShape(t *testing.T) {
 		Failovers: 2, HostsLost: 3, Rebooks: 2, WastedSlotHours: 0.5,
 		FailuresInjected: 11, DownFraction: 0.09,
 	}}
-	csv := ChurnPointsCSV(pts)
+	csv := ChurnSheet(pts).CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("CSV:\n%s", csv)

@@ -45,21 +45,15 @@ func TestConcurrentJobsContention(t *testing.T) {
 	}
 }
 
-func TestRenderAndCSVConcurrentPoints(t *testing.T) {
+func TestConcurrentPointsCSV(t *testing.T) {
 	pts := []ConcurrentPoint{{
 		K: 4, N: 32, R: 1, Strategy: core.Spread,
 		Completed: 4, Attempts: 6, SchedConflicts: 2,
 		ReserveOK: 140, ReserveNOK: 12, ConflictRate: 12.0 / 152,
 		MeanSites: 2.5, MeanHosts: 32, MeanJobSeconds: 8.25, MakespanSeconds: 30.5,
 	}}
-	csv := ConcurrentPointsCSV(pts)
+	csv := ConcurrentSheet(pts).CSV()
 	if !strings.Contains(csv, "spread,4,32,1,4,0,6,2,140,12,0.0789,2.50,32.00,8.250,30.500") {
 		t.Fatalf("csv:\n%s", csv)
-	}
-	out := RenderConcurrentPoints("Concurrent jobs (spread)", pts)
-	for _, want := range []string{"Concurrent jobs (spread)", "140/12", "7.9%", "30.500"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -39,7 +39,12 @@
 //     template every point starts from. The churn family is this sweep
 //     with no network faults: survivability under seeded host failures
 //     — success rate, completion-time inflation, replica failovers and
-//     wasted slot-hours (ChurnPointsCSV).
+//     wasted slot-hours (ChurnSheet).
+//
+// Every output shape has one builder that returns a Sheet — a header
+// row, then one row of cells per point (Table1Sheet, SiteSheet,
+// TimeSheet, ConcurrentSheet, …). Sheet.CSV and Sheet.Table print the
+// same cells, comma-separated or aligned under a title.
 //
 // Sweeps whose points own independent worlds — fig4's two strategy
 // curves and every point of ConcurrentSweep, ScaleSweep, OpenSweep and

@@ -16,11 +16,12 @@ func TestTable1MatchesPaper(t *testing.T) {
 	if rows[0].Cluster != "grelon" || rows[0].Nodes != 60 || rows[0].Cores != 240 {
 		t.Fatalf("first row = %+v", rows[0])
 	}
-	out := RenderTable1()
+	// The totals (350 hosts) are grid.TestTable1Totals'.
+	out := Table1Sheet().CSV()
 	for _, want := range []string{"grelon", "capricorn", "paravent", "bordereau",
-		"idpot", "idcalc", "azur", "sol", "350"} {
+		"idpot", "idcalc", "azur", "sol"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
+			t.Fatalf("sheet missing %q:\n%s", want, out)
 		}
 	}
 }
@@ -129,35 +130,6 @@ func TestSpreadAllocationShape(t *testing.T) {
 	if p400.CoresBySite[grid.Nancy] != 110 {
 		t.Errorf("n=400: nancy cores = %d, want 110 (60 + 50 second processes)",
 			p400.CoresBySite[grid.Nancy])
-	}
-}
-
-func TestRenderSitePoints(t *testing.T) {
-	pts := []SitePoint{{
-		N:           100,
-		HostsBySite: map[string]int{grid.Nancy: 25},
-		CoresBySite: map[string]int{grid.Nancy: 100},
-	}}
-	out := RenderSitePoints("Figure 2 (concentrate)", pts)
-	if !strings.Contains(out, "25/100") || !strings.Contains(out, "nan(h/c)") {
-		t.Fatalf("render:\n%s", out)
-	}
-}
-
-func TestRenderTimePoints(t *testing.T) {
-	pts := []TimePoint{
-		{N: 64, Strategy: core.Concentrate, Seconds: 2.5},
-		{N: 32, Strategy: core.Concentrate, Seconds: 3.5},
-		{N: 32, Strategy: core.Spread, Seconds: 1.5},
-		{N: 64, Strategy: core.Spread, Seconds: 4.5},
-	}
-	out := RenderTimePoints("Figure 4 (IS)", pts)
-	if !strings.Contains(out, "3.500") || !strings.Contains(out, "4.500") {
-		t.Fatalf("render:\n%s", out)
-	}
-	// Rows sorted by n.
-	if strings.Index(out, "32") > strings.Index(out, "64") {
-		t.Fatalf("rows out of order:\n%s", out)
 	}
 }
 

@@ -26,14 +26,19 @@ type TimePoint struct {
 	Seconds  float64
 }
 
-// CoAllocationSweep reproduces Figure 2 (strategy = Concentrate) or
-// Figure 3 (strategy = Spread): it submits the hostname program for
-// n = 100..600 step 50 against a booted world and records the per-site
-// allocation of every run.
+// The paper's x-axes: n = 100..600 step 50 for Figures 2 and 3, and the
+// EP (left) and IS (right) process counts of Figure 4.
+var (
+	fig23Ns  = []int{100, 150, 200, 250, 300, 350, 400, 450, 500, 550, 600}
+	fig4EPNs = []int{32, 64, 128, 256, 512}
+	fig4ISNs = []int{32, 64, 128}
+)
+
+// CoAllocationSweep measures Figure 2 (strategy = Concentrate) or
+// Figure 3 (strategy = Spread) at the process counts ns: it submits the
+// hostname program for each n against a booted world and records the
+// per-site allocation of every run.
 func CoAllocationSweep(w *World, strategy core.Strategy, ns []int) ([]SitePoint, error) {
-	if ns == nil {
-		ns = DefaultFig23Ns()
-	}
 	var out []SitePoint
 	for _, n := range ns {
 		res, err := w.Submit(mpd.JobSpec{
@@ -57,21 +62,6 @@ func CoAllocationSweep(w *World, strategy core.Strategy, ns []int) ([]SitePoint,
 	}
 	return out, nil
 }
-
-// DefaultFig23Ns returns the paper's x-axis: 100..600 step 50.
-func DefaultFig23Ns() []int {
-	var ns []int
-	for n := 100; n <= 600; n += 50 {
-		ns = append(ns, n)
-	}
-	return ns
-}
-
-// DefaultFig4EPNs returns the EP process counts of Figure 4 (left).
-func DefaultFig4EPNs() []int { return []int{32, 64, 128, 256, 512} }
-
-// DefaultFig4ISNs returns the IS process counts of Figure 4 (right).
-func DefaultFig4ISNs() []int { return []int{32, 64, 128} }
 
 // NASSweep reproduces one curve of Figure 4: the named model program
 // under one strategy across process counts. Each run reports the
@@ -106,35 +96,29 @@ func NASSweep(w *World, program string, strategy core.Strategy, ns []int) ([]Tim
 }
 
 // Fig2 runs the concentrate co-allocation sweep on a fresh world.
-func Fig2(opts Options, ns []int) ([]SitePoint, error) { return fig23(opts, core.Concentrate, ns) }
+func Fig2(opts Options) ([]SitePoint, error) { return fig23(opts, core.Concentrate) }
 
 // Fig3 runs the spread co-allocation sweep on a fresh world.
-func Fig3(opts Options, ns []int) ([]SitePoint, error) { return fig23(opts, core.Spread, ns) }
+func Fig3(opts Options) ([]SitePoint, error) { return fig23(opts, core.Spread) }
 
-func fig23(opts Options, strategy core.Strategy, ns []int) ([]SitePoint, error) {
+func fig23(opts Options, strategy core.Strategy) ([]SitePoint, error) {
 	w := NewWorld(opts)
 	defer w.Close()
 	if err := w.Boot(); err != nil {
 		return nil, err
 	}
-	return CoAllocationSweep(w, strategy, ns)
+	return CoAllocationSweep(w, strategy, fig23Ns)
 }
 
 // Fig4EP runs both strategies of the EP benchmark (Figure 4, left)
 // across a pool of up to `workers` OS threads (one world per strategy).
-func Fig4EP(opts Options, ns []int, workers int) ([]TimePoint, error) {
-	if ns == nil {
-		ns = DefaultFig4EPNs()
-	}
-	return fig4("ep-model-B", opts, ns, workers)
+func Fig4EP(opts Options, workers int) ([]TimePoint, error) {
+	return fig4("ep-model-B", opts, fig4EPNs, workers)
 }
 
 // Fig4IS runs both strategies of the IS benchmark (Figure 4, right).
-func Fig4IS(opts Options, ns []int, workers int) ([]TimePoint, error) {
-	if ns == nil {
-		ns = DefaultFig4ISNs()
-	}
-	return fig4("is-model-B", opts, ns, workers)
+func Fig4IS(opts Options, workers int) ([]TimePoint, error) {
+	return fig4("is-model-B", opts, fig4ISNs, workers)
 }
 
 // fig4 measures both strategy curves, concentrate first, each on a

@@ -94,7 +94,7 @@ func TestScaleCSVIdenticalAcrossFederationWidth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
-		return ScalePointsCSV(pts)
+		return ScaleSheet(pts).CSV()
 	}
 	k1, k4 := csvAt(1), csvAt(4)
 	if k1 != k4 {

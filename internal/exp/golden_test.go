@@ -68,7 +68,7 @@ func TestGoldenScaleTrace(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sn=%d workers=%d: %v", k, workers, err)
 			}
-			csv := ScalePointsCSV(pts)
+			csv := ScaleSheet(pts).CSV()
 			if first == "" {
 				first = csv
 				continue
@@ -109,7 +109,7 @@ func TestGoldenChurnTrace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		csv := ChurnPointsCSV(pts)
+		csv := ChurnSheet(pts).CSV()
 		if first == "" {
 			first = csv
 			continue
@@ -139,7 +139,7 @@ func TestChurnWeibullSiteOutagePinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		csv := ChurnPointsCSV(pts)
+		csv := ChurnSheet(pts).CSV()
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(csv))); got != want {
 			t.Fatalf("workers=%d: sha256 %s, want %s:\n%s", workers, got, want, csv)
 		}
@@ -157,7 +157,7 @@ func TestGoldenConcTrace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		csv := ConcurrentPointsCSV(pts)
+		csv := ConcurrentSheet(pts).CSV()
 		if first == "" {
 			first = csv
 			continue

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"strings"
 	"time"
 
 	"p2pmpi/internal/core"
@@ -34,8 +33,7 @@ import (
 // The churn family is this sweep with no network faults (one loss-0,
 // partition-free point) and the retry layer off, swept over MTBF, R and
 // strategy — the experimental story for the replication degree of the
-// original P2P-MPI system. ChurnPointsCSV and RenderChurnPoints render
-// its columns.
+// original P2P-MPI system. ChurnSheet holds its columns.
 
 // NemesisPoint is one (loss, partition duration, MTBF, R, strategy)
 // measurement.
@@ -88,8 +86,8 @@ type NemesisPoint struct {
 	DownFraction     float64
 
 	// The membership-tier measurements below depend on the federation
-	// width and are reported by NemesisFederationCSV, not the pinned
-	// NemesisPointsCSV (same split as the scale family's two CSVs).
+	// width and are reported by NemesisFederationSheet, not the pinned
+	// NemesisSheet (same split as the scale family's two sheets).
 
 	// SN is the federation width of the measured world. RPCRetries and
 	// BreakerSkips sum the robustness layer's counters over the frontal
@@ -419,89 +417,57 @@ func nemesisAt(opts Options, cfg NemesisConfig, c nemesisCoord) (NemesisPoint, e
 	return pt, nil
 }
 
-// NemesisPointsCSV renders the job-plane measurements, one row per
-// point. Every column is independent of the
-// federation width, like ScalePointsCSV: the golden regression pins
-// this rendering byte-for-byte across -workers, -shards AND -sn. The
-// width-dependent membership-tier columns (retry volume, breaker
-// skips, gray episodes on supernode hosts, healing latency) live in
-// NemesisFederationCSV.
-func NemesisPointsCSV(pts []NemesisPoint) string {
-	var b strings.Builder
-	b.WriteString("loss,part_s,part_mtbf_s,n,r,jobs,hosts,succeeded,failed,success_rate," +
+// NemesisSheet is the job-plane measurements, one row per point. Every
+// column is independent of the federation width, like ScaleSheet: the
+// golden regression pins this sheet byte-for-byte across -workers,
+// -shards AND -sn. The width-dependent membership-tier columns (retry
+// volume, breaker skips, gray episodes on supernode hosts, healing
+// latency) live in NemesisFederationSheet.
+func NemesisSheet(pts []NemesisPoint) Sheet {
+	s := newSheet("loss,part_s,part_mtbf_s,n,r,jobs,hosts,succeeded,failed,success_rate," +
 		"mean_s,inflation,failovers,hosts_lost,rebooks,partitions,partition_s,cut_pairs," +
-		"failures_injected\n")
+		"failures_injected")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%g,%.0f,%.0f,%d,%d,%d,%d,%d,%d,%.4f,%.3f,%.4f,%d,%d,%d,%d,%.3f,%d,%d\n",
+		s.add("%g,%.0f,%.0f,%d,%d,%d,%d,%d,%d,%.4f,%.3f,%.4f,%d,%d,%d,%d,%.3f,%d,%d",
 			p.Loss, p.PartDurSeconds, p.PartMTBFSeconds, p.N, p.R, p.Jobs, p.Hosts,
 			p.Succeeded, p.Failed, p.SuccessRate, p.MeanSeconds, p.Inflation,
 			p.Failovers, p.HostsLost, p.Rebooks, p.Partitions, p.PartitionSeconds,
 			p.CutPairs, p.FailuresInjected)
 	}
-	return b.String()
+	return s
 }
 
-// NemesisFederationCSV renders the membership-tier measurements —
-// retry volume, breaker skips, gray episodes and the split-brain /
-// healing stats. These depend on the federation width (a wider tier
-// has more cross-site membership traffic to retry and its own hosts
-// can go gray), so this CSV is pinned per fixed deployment shape
-// (sequential vs sharded), not across -sn.
-func NemesisFederationCSV(pts []NemesisPoint) string {
-	var b strings.Builder
-	b.WriteString("loss,part_s,sn,rpc_retries,breaker_skips,gray_episodes," +
-		"splits,split_s,heal_samples,heal_mean_s,heal_max_s\n")
+// NemesisFederationSheet is the membership-tier measurements — retry
+// volume, breaker skips, gray episodes and the split-brain / healing
+// stats. These depend on the federation width (a wider tier has more
+// cross-site membership traffic to retry and its own hosts can go
+// gray), so this sheet is pinned per fixed deployment shape (sequential
+// vs sharded), not across -sn.
+func NemesisFederationSheet(pts []NemesisPoint) Sheet {
+	s := newSheet("loss,part_s,sn,rpc_retries,breaker_skips,gray_episodes," +
+		"splits,split_s,heal_samples,heal_mean_s,heal_max_s")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%g,%.0f,%d,%d,%d,%d,%d,%.3f,%d,%.4f,%.4f\n",
+		s.add("%g,%.0f,%d,%d,%d,%d,%d,%.3f,%d,%.4f,%.4f",
 			p.Loss, p.PartDurSeconds, p.SN, p.RPCRetries, p.BreakerSkips,
 			p.GrayEpisodes, p.Partitions, p.PartitionSeconds,
 			p.HealSamples, p.HealMeanSeconds, p.HealMaxSeconds)
 	}
-	return b.String()
+	return s
 }
 
-// RenderNemesisPoints prints a nemesis sweep as a table.
-func RenderNemesisPoints(title string, pts []NemesisPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%6s %8s %8s %9s %9s %7s %7s %8s %7s %9s\n",
-		"loss", "part(s)", "success", "mean(s)", "inflate", "rebook", "lost", "retries", "splits", "heal(s)")
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%6g %8.0f %6.0f%% %9.1f %8.2fx %7d %7d %8d %7d %9.2f\n",
-			p.Loss, p.PartDurSeconds, 100*p.SuccessRate, p.MeanSeconds, p.Inflation,
-			p.Rebooks, p.HostsLost, p.RPCRetries, p.Partitions, p.HealMeanSeconds)
-	}
-	return b.String()
-}
-
-// ChurnPointsCSV renders the churn columns of a sweep, one row per
-// point: the strategy, the failure model, the batch outcome and what
-// host churn injected.
-func ChurnPointsCSV(pts []NemesisPoint) string {
-	var b strings.Builder
-	b.WriteString("strategy,mtbf_s,mttr_s,n,r,jobs,hosts,succeeded,failed,success_rate," +
+// ChurnSheet is the churn columns of a sweep, one row per point: the
+// strategy, the failure model, the batch outcome and what host churn
+// injected.
+func ChurnSheet(pts []NemesisPoint) Sheet {
+	s := newSheet("strategy,mtbf_s,mttr_s,n,r,jobs,hosts,succeeded,failed,success_rate," +
 		"mean_s,inflation,failovers,hosts_lost,rebooks,wasted_slot_hours," +
-		"failures_injected,down_fraction\n")
+		"failures_injected,down_fraction")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%s,%.0f,%.0f,%d,%d,%d,%d,%d,%d,%.4f,%.3f,%.4f,%d,%d,%d,%.4f,%d,%.4f\n",
+		s.add("%s,%.0f,%.0f,%d,%d,%d,%d,%d,%d,%.4f,%.3f,%.4f,%d,%d,%d,%.4f,%d,%.4f",
 			p.Strategy, p.MTBFSeconds, p.MTTRSeconds, p.N, p.R, p.Jobs, p.Hosts,
 			p.Succeeded, p.Failed, p.SuccessRate, p.MeanSeconds, p.Inflation,
 			p.Failovers, p.HostsLost, p.Rebooks, p.WastedSlotHours,
 			p.FailuresInjected, p.DownFraction)
 	}
-	return b.String()
-}
-
-// RenderChurnPoints prints the churn columns of a sweep as a table.
-func RenderChurnPoints(title string, pts []NemesisPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%8s %3s %-12s %8s %9s %9s %5s %7s %10s %9s\n",
-		"mtbf(s)", "r", "strategy", "success", "mean(s)", "inflate", "fovr", "rebooks", "waste(s·h)", "down%")
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%8.0f %3d %-12s %6.0f%% %9.1f %8.2fx %5d %7d %10.3f %8.1f%%\n",
-			p.MTBFSeconds, p.R, p.Strategy, 100*p.SuccessRate, p.MeanSeconds,
-			p.Inflation, p.Failovers, p.Rebooks, p.WastedSlotHours, 100*p.DownFraction)
-	}
-	return b.String()
+	return s
 }

@@ -52,7 +52,7 @@ func TestGoldenNemesisTrace(t *testing.T) {
 				if err != nil {
 					t.Fatalf("sn=%d shards=%d workers=%d: %v", sn, shards, workers, err)
 				}
-				csv := NemesisPointsCSV(pts)
+				csv := NemesisSheet(pts).CSV()
 				if first == "" {
 					first, firstShape = csv, fmt.Sprintf("sn=%d shards=%d workers=%d", sn, shards, workers)
 					continue
@@ -93,7 +93,7 @@ func TestNemesisShardRace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		return NemesisPointsCSV(pts), NemesisFederationCSV(pts), pts[0]
+		return NemesisSheet(pts).CSV(), NemesisFederationSheet(pts).CSV(), pts[0]
 	}
 
 	seqCSV, seqFed, seqPt := run(1)
@@ -159,7 +159,7 @@ func TestNemesisPointsCSVShape(t *testing.T) {
 		FailuresInjected: 7, SN: 4, RPCRetries: 31, BreakerSkips: 4,
 		GrayEpisodes: 2, HealSamples: 4, HealMeanSeconds: 0.75, HealMaxSeconds: 1.25,
 	}}
-	csv := NemesisPointsCSV(pts)
+	csv := NemesisSheet(pts).CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("CSV:\n%s", csv)
@@ -167,7 +167,7 @@ func TestNemesisPointsCSVShape(t *testing.T) {
 	if got, want := len(strings.Split(lines[1], ",")), len(strings.Split(lines[0], ",")); got != want {
 		t.Fatalf("row has %d fields, header %d:\n%s", got, want, csv)
 	}
-	fed := NemesisFederationCSV(pts)
+	fed := NemesisFederationSheet(pts).CSV()
 	flines := strings.Split(strings.TrimSpace(fed), "\n")
 	if len(flines) != 2 {
 		t.Fatalf("federation CSV:\n%s", fed)
@@ -177,10 +177,6 @@ func TestNemesisPointsCSVShape(t *testing.T) {
 	}
 	if !strings.Contains(fed, ",4,31,4,") {
 		t.Fatalf("federation CSV lost the membership counters:\n%s", fed)
-	}
-	table := RenderNemesisPoints("nemesis", pts)
-	if !strings.Contains(table, "75%") {
-		t.Fatalf("table:\n%s", table)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"strings"
 	"sync"
 	"time"
 
@@ -602,36 +601,19 @@ func OpenSweep(opts Options, cfg OpenConfig, workers int) ([]OpenPoint, error) {
 	})
 }
 
-// OpenPointsCSV renders an open sweep as CSV, one row per strategy.
-func OpenPointsCSV(pts []OpenPoint) string {
-	var b strings.Builder
-	b.WriteString("strategy,arrival,tenants,r,hosts,horizon_s,warmup_s,submitted,measured," +
+// OpenSheet is an open sweep, one row per strategy.
+func OpenSheet(pts []OpenPoint) Sheet {
+	s := newSheet("strategy,arrival,tenants,r,hosts,horizon_s,warmup_s,submitted,measured," +
 		"completed,failed,mean_n,utilization,mean_wait_s,wait_p50_s,wait_p90_s,wait_p99_s," +
 		"mean_slowdown,slowdown_p99,jain,failures_injected,down_fraction," +
-		"quota_throttle_rate,preemptions,slo_attainment,tardiness_p99\n")
+		"quota_throttle_rate,preemptions,slo_attainment,tardiness_p99")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%.0f,%.0f,%d,%d,%d,%d,%.2f,%.4f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.4f,%d,%.4f,%.4f,%d,%.4f,%.3f\n",
+		s.add("%s,%s,%d,%d,%d,%.0f,%.0f,%d,%d,%d,%d,%.2f,%.4f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.4f,%d,%.4f,%.4f,%d,%.4f,%.3f",
 			p.Strategy, p.Arrival, p.Tenants, p.R, p.Hosts, p.HorizonSeconds, p.WarmupSeconds,
 			p.Submitted, p.Measured, p.Completed, p.Failed, p.MeanN, p.Utilization,
 			p.MeanWaitSeconds, p.WaitP50Seconds, p.WaitP90Seconds, p.WaitP99Seconds,
 			p.MeanSlowdown, p.SlowdownP99, p.JainFairness, p.FailuresInjected, p.DownFraction,
 			p.QuotaThrottleRate, p.Preemptions, p.SLOAttainment, p.TardinessP99Seconds)
 	}
-	return b.String()
-}
-
-// RenderOpenPoints prints an open sweep as a table.
-func RenderOpenPoints(title string, pts []OpenPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-12s %6s %5s %5s %7s %8s %8s %8s %8s %8s %6s %7s %7s\n",
-		"strategy", "jobs", "done", "fail", "util", "wait-p50", "wait-p90", "wait-p99", "slow-p99", "jain", "down%", "preempt", "slo%")
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%-12s %6d %5d %5d %6.1f%% %7.1fs %7.1fs %7.1fs %8.2f %8.3f %5.1f%% %7d %6.1f%%\n",
-			p.Strategy, p.Measured, p.Completed, p.Failed, 100*p.Utilization,
-			p.WaitP50Seconds, p.WaitP90Seconds, p.WaitP99Seconds,
-			p.SlowdownP99, p.JainFairness, 100*p.DownFraction,
-			p.Preemptions, 100*p.SLOAttainment)
-	}
-	return b.String()
+	return s
 }

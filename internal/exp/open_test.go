@@ -59,7 +59,7 @@ func TestGoldenOpenTrace(t *testing.T) {
 				if err != nil {
 					t.Fatalf("sn=%d shards=%d workers=%d: %v", sn, shards, workers, err)
 				}
-				csv := OpenPointsCSV(pts)
+				csv := OpenSheet(pts).CSV()
 				label := fmt.Sprintf("sn=%d shards=%d workers=%d", sn, shards, workers)
 				if first == "" {
 					first, firstLabel = csv, label
@@ -223,7 +223,7 @@ func TestOpenChurnShardRace(t *testing.T) {
 			t.Fatalf("shards=%d: churn load too light to mean anything: %d failures",
 				shards, pt.FailuresInjected)
 		}
-		return OpenPointsCSV([]OpenPoint{pt}), lines
+		return OpenSheet([]OpenPoint{pt}).CSV(), lines
 	}
 
 	seqCSV, seqLines := run(1)
@@ -284,7 +284,7 @@ func TestGoldenOpenSLO(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 			}
-			csv := OpenPointsCSV(pts)
+			csv := OpenSheet(pts).CSV()
 			label := fmt.Sprintf("shards=%d workers=%d", shards, workers)
 			if first == "" {
 				first, firstLabel, firstPts = csv, label, pts
@@ -361,7 +361,7 @@ func TestOpenPreemptChurnShardRace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		return OpenPointsCSV([]OpenPoint{pt}), lines, pt
+		return OpenSheet([]OpenPoint{pt}).CSV(), lines, pt
 	}
 
 	seqCSV, seqLines, seqPt := run(1)

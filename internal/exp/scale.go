@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"p2pmpi/internal/core"
@@ -222,54 +221,36 @@ func scaleAt(opts Options, cfg ScaleConfig, hosts, sn int) ([]ScalePoint, error)
 	return out, nil
 }
 
-// ScalePointsCSV renders a scale sweep as CSV, one row per (host count,
-// strategy) point — the per-strategy figure data of the scale family.
-// The columns are the placement-facing ones only: a federated and a
-// standalone membership tier produce byte-identical output here on a
-// static world (the committed K=1 vs K=4 identity test), because the
-// gossip staleness bound is tight enough not to move any placement.
-// FederationPointsCSV adds the membership-tier columns.
-func ScalePointsCSV(pts []ScalePoint) string {
-	var b strings.Builder
-	b.WriteString("strategy,hosts,cores,sites,n,r,seconds,hosts_used,sites_used," +
-		"reserve_ok,reserve_nok,conflict_rate\n")
+// ScaleSheet is a scale sweep, one row per (host count, strategy)
+// point — the per-strategy figure data of the scale family. The columns
+// are the placement-facing ones only: a federated and a standalone
+// membership tier produce byte-identical output here on a static world
+// (the committed K=1 vs K=4 identity test), because the gossip
+// staleness bound is tight enough not to move any placement.
+// FederationSheet adds the membership-tier columns.
+func ScaleSheet(pts []ScalePoint) Sheet {
+	s := newSheet("strategy,hosts,cores,sites,n,r,seconds,hosts_used,sites_used," +
+		"reserve_ok,reserve_nok,conflict_rate")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%s,%d,%d,%d,%d,%d,%.6f,%d,%d,%d,%d,%.4f\n",
+		s.add("%s,%d,%d,%d,%d,%d,%.6f,%d,%d,%d,%d,%.4f",
 			p.Strategy, p.Hosts, p.Cores, p.Sites, p.N, p.R, p.Seconds,
 			p.HostsUsed, p.SitesUsed, p.ReserveOK, p.ReserveNOK, p.ConflictRate)
 	}
-	return b.String()
+	return s
 }
 
-// FederationPointsCSV is ScalePointsCSV plus the membership-tier
-// columns: the federation width, the mean registration round trip, the
-// mean gossip propagation staleness and the membership-plane bytes
-// served during each strategy's submission window.
-func FederationPointsCSV(pts []ScalePoint) string {
-	var b strings.Builder
-	b.WriteString("strategy,hosts,cores,sites,n,r,sn,seconds,hosts_used,sites_used," +
-		"reserve_ok,reserve_nok,conflict_rate,reg_ms,stale_ms,memb_bytes\n")
+// FederationSheet is ScaleSheet plus the membership-tier columns: the
+// federation width, the mean registration round trip, the mean gossip
+// propagation staleness and the membership-plane bytes served during
+// each strategy's submission window.
+func FederationSheet(pts []ScalePoint) Sheet {
+	s := newSheet("strategy,hosts,cores,sites,n,r,sn,seconds,hosts_used,sites_used," +
+		"reserve_ok,reserve_nok,conflict_rate,reg_ms,stale_ms,memb_bytes")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%s,%d,%d,%d,%d,%d,%d,%.6f,%d,%d,%d,%d,%.4f,%.3f,%.3f,%d\n",
+		s.add("%s,%d,%d,%d,%d,%d,%d,%.6f,%d,%d,%d,%d,%.4f,%.3f,%.3f,%d",
 			p.Strategy, p.Hosts, p.Cores, p.Sites, p.N, p.R, p.SN, p.Seconds,
 			p.HostsUsed, p.SitesUsed, p.ReserveOK, p.ReserveNOK, p.ConflictRate,
 			p.RegMS, p.StaleMS, p.MembBytes)
 	}
-	return b.String()
-}
-
-// RenderScalePoints prints a scale sweep as a table grouped by world
-// size.
-func RenderScalePoints(title string, pts []ScalePoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%6s %3s %-12s %10s %10s %10s %11s %10s %8s %9s %10s\n",
-		"hosts", "sn", "strategy", "n", "time(s)", "hosts-used", "sites-used",
-		"conflicts", "reg(ms)", "stale(ms)", "memb(KB)")
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%6d %3d %-12s %10d %10.3f %10d %11d %9.1f%% %8.2f %9.2f %10.1f\n",
-			p.Hosts, p.SN, p.Strategy, p.N, p.Seconds, p.HostsUsed, p.SitesUsed,
-			100*p.ConflictRate, p.RegMS, p.StaleMS, float64(p.MembBytes)/1024)
-	}
-	return b.String()
+	return s
 }

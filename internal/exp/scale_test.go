@@ -46,7 +46,7 @@ func TestScaleSweepSmallWorld(t *testing.T) {
 	if len(seen) != want {
 		t.Fatalf("duplicate strategies in %v", pts)
 	}
-	csv := ScalePointsCSV(pts)
+	csv := ScaleSheet(pts).CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != want+1 {
 		t.Fatalf("CSV has %d lines:\n%s", len(lines), csv)

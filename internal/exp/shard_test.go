@@ -51,7 +51,7 @@ func TestShardDeterminismScale(t *testing.T) {
 				if err != nil {
 					t.Fatalf("shards=%d sn=%d workers=%d: %v", shards, k, workers, err)
 				}
-				if csv := ScalePointsCSV(pts); csv != want {
+				if csv := ScaleSheet(pts).CSV(); csv != want {
 					t.Fatalf("shards=%d sn=%d workers=%d diverged from golden:\n--- want ---\n%s--- got ---\n%s",
 						shards, k, workers, want, csv)
 				}
@@ -75,7 +75,7 @@ func TestShardDeterminismChurn(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 			}
-			if csv := ChurnPointsCSV(pts); csv != want {
+			if csv := ChurnSheet(pts).CSV(); csv != want {
 				t.Fatalf("shards=%d workers=%d diverged from golden:\n--- want ---\n%s--- got ---\n%s",
 					shards, workers, want, csv)
 			}
@@ -95,7 +95,7 @@ func TestShardDeterminismConc(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 			}
-			if csv := ConcurrentPointsCSV(pts); csv != want {
+			if csv := ConcurrentSheet(pts).CSV(); csv != want {
 				t.Fatalf("shards=%d workers=%d diverged from golden:\n--- want ---\n%s--- got ---\n%s",
 					shards, workers, want, csv)
 			}
@@ -116,7 +116,7 @@ func TestShardDeterminismFederated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		csv := ScalePointsCSV(pts)
+		csv := ScaleSheet(pts).CSV()
 		if first == "" {
 			first = csv
 			continue

@@ -60,19 +60,6 @@ func TestMembershipDiet(t *testing.T) {
 	}
 }
 
-func TestDefaultNs(t *testing.T) {
-	ns := DefaultFig23Ns()
-	if len(ns) != 11 || ns[0] != 100 || ns[10] != 600 {
-		t.Fatalf("fig2/3 ns = %v", ns)
-	}
-	if got := DefaultFig4EPNs(); len(got) != 5 || got[4] != 512 {
-		t.Fatalf("fig4 EP ns = %v", got)
-	}
-	if got := DefaultFig4ISNs(); len(got) != 3 || got[2] != 128 {
-		t.Fatalf("fig4 IS ns = %v", got)
-	}
-}
-
 func TestSubmitUnknownProgramFailsFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots the full grid")

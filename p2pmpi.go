@@ -7,18 +7,17 @@
 // keeps only what the examples, the README walkthrough and the root
 // tests use:
 //
-//   - the placement strategies — the paper's co-allocation
-//     strategies (spread, concentrate), the mixed extension and the
-//     minsites/comm-aware policies — plus the replica-safe rank
-//     assignment (internal/core);
+//   - the names of the placement strategies a job may ask for — the
+//     paper's co-allocation strategies (spread, concentrate), the mixed
+//     extension and the minsites/comm-aware policies (internal/core);
 //   - the P2P middleware: supernode and MPD daemons, which run the
 //     full 8-step submission protocol (internal/overlay, internal/mpd);
 //   - an MPJ-like MPI library with one fixed schedule per collective and
 //     transparent process replication (internal/mpi), run in-process
 //     by RunLocal;
-//   - the modelled Grid'5000 testbed, synthetic grid topologies that
-//     scale worlds to thousands of hosts, and the simulated deployment
-//     the experiment harness boots (internal/grid, internal/exp).
+//   - the simulated deployment the experiment harness boots, on the
+//     modelled Grid'5000 testbed or a synthetic grid topology that
+//     scales worlds to thousands of hosts (internal/exp, internal/grid).
 //
 // Everything runs in two worlds from the same code: real TCP sockets on
 // a wall clock (vtime.Real + transport.TCP), or the deterministic
@@ -29,7 +28,6 @@ import (
 	"p2pmpi/internal/core"
 	"p2pmpi/internal/exp"
 	"p2pmpi/internal/grid"
-	"p2pmpi/internal/latency"
 	"p2pmpi/internal/mpd"
 	"p2pmpi/internal/mpi"
 	"p2pmpi/internal/overlay"
@@ -51,30 +49,8 @@ const (
 	CommAware   = core.CommAware
 )
 
-// ParseStrategy converts a command-line name into a Strategy; it accepts
-// exactly the placement names (see PlacementNames).
-func ParseStrategy(name string) (Strategy, error) { return core.ParseStrategy(name) }
-
 // PlacementNames lists every strategy name in sorted order.
 func PlacementNames() []string { return core.Names() }
-
-// Allocation core: exported for direct use of the paper's algorithms.
-type (
-	// HostSlot is one reserved host in ascending-latency order.
-	HostSlot = core.HostSlot
-	// Assignment is a computed process placement.
-	Assignment = core.Assignment
-)
-
-// Allocate distributes n×r processes over the selected hosts with the
-// given strategy and assigns MPI ranks such that no two replicas of a
-// rank share a host.
-func Allocate(slist []HostSlot, n, r int, s Strategy) (*Assignment, error) {
-	return core.Allocate(slist, n, r, s)
-}
-
-// Feasible checks the paper's feasibility conditions (§4.2 step 6).
-func Feasible(slist []HostSlot, n, r int) error { return core.Feasible(slist, n, r) }
 
 // Middleware types.
 type (
@@ -153,8 +129,6 @@ func TCPNetwork() Network { return transport.TCP{} }
 
 // Grid'5000 model, synthetic topologies and the simulated deployment.
 type (
-	// Grid is a testbed model: Table 1 or a generated topology.
-	Grid = grid.Grid
 	// TopologySpec describes a testbed to build; the zero value is the
 	// paper's Grid'5000, synthetic specs scale to thousands of hosts.
 	TopologySpec = grid.TopologySpec
@@ -164,9 +138,6 @@ type (
 	// selects the testbed).
 	WorldOptions = exp.Options
 )
-
-// Grid5000 builds the paper's Table 1 testbed model.
-func Grid5000() *Grid { return grid.Grid5000() }
 
 // ParseTopologySpec parses a -grid style topology string ("grid5000" or
 // "synth:S=12,H=400,C=2,seed=7").
@@ -180,16 +151,3 @@ func NewSimulatedGrid(opts WorldOptions) *World { return exp.NewWorld(opts) }
 
 // DefaultWorldOptions returns the harness defaults for a seed.
 func DefaultWorldOptions(seed int64) WorldOptions { return exp.DefaultOptions(seed) }
-
-// LatencyEstimator condenses ping samples into one latency (the paper's
-// future-work study).
-type LatencyEstimator = latency.Estimator
-
-// EstimatorEWMA is the exponentially weighted moving-average estimator
-// kind.
-const EstimatorEWMA = latency.KindEWMA
-
-// NewLatencyEstimator constructs an estimator of the given kind.
-func NewLatencyEstimator(kind latency.Kind, window int) (LatencyEstimator, error) {
-	return latency.New(kind, window)
-}
